@@ -1,0 +1,294 @@
+"""Exact field arithmetic: prime fields GF(p) and arbitrary-precision rationals.
+
+A ``Field`` instance does arithmetic on raw carrier values (``int`` residues
+for GF(p), ``fractions.Fraction`` for the rationals) and hands out boxed
+``FieldElement`` values for use at API boundaries, where mixing elements of
+different fields must be detected.  Raw values are always kept in canonical
+form: residues reduced into [0, p), fractions reduced with positive
+denominator (``Fraction`` guarantees this).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Any
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class FieldMismatchError(ValueError):
+    """Operands of a field operation belong to different fields."""
+
+
+class Field:
+    """Base class: exact arithmetic on raw carrier values."""
+
+    def canon(self, value):
+        raise NotImplementedError
+
+    def add(self, a, b):
+        raise NotImplementedError
+
+    def neg(self, a):
+        raise NotImplementedError
+
+    def mul(self, a, b):
+        raise NotImplementedError
+
+    def inv(self, a):
+        raise NotImplementedError
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def dot(self, xs, ys):
+        """Inner product of two raw-value sequences of equal length."""
+        acc = self.zero_raw
+        for x, y in zip(xs, ys):
+            acc = self.add(acc, self.mul(x, y))
+        return acc
+
+    def coerce_raw(self, value) -> Any:
+        """Turn ints, strings, elements or raw carriers into a raw value."""
+        if isinstance(value, FieldElement):
+            if value.field != self:
+                raise FieldMismatchError(
+                    f"element of {value.field} used in {self}"
+                )
+            return value.value
+        if isinstance(value, str):
+            return self.parse(value)
+        return self.canon(value)
+
+    def element(self, value) -> "FieldElement":
+        return FieldElement(self, self.coerce_raw(value))
+
+    @property
+    def zero(self) -> "FieldElement":
+        return FieldElement(self, self.zero_raw)
+
+    @property
+    def one(self) -> "FieldElement":
+        return FieldElement(self, self.one_raw)
+
+    def parse(self, text: str):
+        raise NotImplementedError
+
+    def format(self, value) -> str:
+        raise NotImplementedError
+
+
+class PrimeField(Field):
+    """GF(p) for a prime modulus p, with 2 <= p < 2**31.  Carrier: int in [0, p)."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        if not isinstance(p, int):
+            raise TypeError("modulus must be an integer")
+        if not 2 <= p < 2**31:
+            raise ValueError(f"modulus {p} out of range [2, 2^31)")
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        self.p = p
+
+    zero_raw = 0
+    one_raw = 1
+
+    def canon(self, value):
+        if isinstance(value, Fraction):
+            if value.denominator == 1:
+                value = value.numerator
+            else:
+                return self.div(value.numerator % self.p, value.denominator % self.p)
+        if not isinstance(value, int):
+            raise TypeError(f"cannot interpret {value!r} in {self}")
+        return value % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        if a % self.p == 0:
+            raise ZeroDivisionError(f"0 has no inverse in {self}")
+        return pow(a, -1, self.p)
+
+    def dot(self, xs, ys):
+        return sum(x * y for x, y in zip(xs, ys)) % self.p
+
+    def parse(self, text: str):
+        try:
+            return int(text) % self.p
+        except ValueError:
+            raise ValueError(f"{text!r} is not a GF({self.p}) element") from None
+
+    def format(self, value) -> str:
+        return str(value)
+
+    def __repr__(self):
+        return f"GF({self.p})"
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and other.p == self.p
+
+    def __hash__(self):
+        return hash(("GF", self.p))
+
+
+class RationalField(Field):
+    """The field of rationals.  Carrier: ``fractions.Fraction``."""
+
+    __slots__ = ()
+
+    zero_raw = Fraction(0)
+    one_raw = Fraction(1)
+
+    def canon(self, value):
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        raise TypeError(f"cannot interpret {value!r} as a rational")
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("0 has no inverse")
+        return 1 / a
+
+    def dot(self, xs, ys):
+        return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
+
+    def parse(self, text: str):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{text!r} is not a rational number") from None
+
+    def format(self, value) -> str:
+        return str(value)
+
+    def __repr__(self):
+        return "QQ"
+
+    def __eq__(self, other):
+        return isinstance(other, RationalField)
+
+    def __hash__(self):
+        return hash("QQ")
+
+
+def GF(p: int) -> PrimeField:
+    return PrimeField(p)
+
+
+QQ = RationalField()
+
+
+class FieldElement:
+    """A field value bound to its field.  Immutable, hashable, canonical."""
+
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: Field, value):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, val):
+        raise AttributeError("FieldElement is immutable")
+
+    def _peer(self, other) -> Any:
+        if isinstance(other, FieldElement):
+            if other.field != self.field:
+                raise FieldMismatchError(
+                    f"cannot combine {self.field} and {other.field} elements"
+                )
+            return other.value
+        return self.field.coerce_raw(other)
+
+    def __add__(self, other):
+        return FieldElement(self.field, self.field.add(self.value, self._peer(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return FieldElement(self.field, self.field.sub(self.value, self._peer(other)))
+
+    def __rsub__(self, other):
+        return FieldElement(self.field, self.field.sub(self._peer(other), self.value))
+
+    def __mul__(self, other):
+        return FieldElement(self.field, self.field.mul(self.value, self._peer(other)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return FieldElement(self.field, self.field.div(self.value, self._peer(other)))
+
+    def __rtruediv__(self, other):
+        return FieldElement(self.field, self.field.div(self._peer(other), self.value))
+
+    def __neg__(self):
+        return FieldElement(self.field, self.field.neg(self.value))
+
+    def inverse(self) -> "FieldElement":
+        return FieldElement(self.field, self.field.inv(self.value))
+
+    def __bool__(self):
+        return self.value != self.field.zero_raw
+
+    def __eq__(self, other):
+        if isinstance(other, FieldElement):
+            return self.field == other.field and self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.value))
+
+    def __repr__(self):
+        return f"{self.field}:{self.field.format(self.value)}"
+
+    def __str__(self):
+        return self.field.format(self.value)

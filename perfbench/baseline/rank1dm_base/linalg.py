@@ -1,0 +1,403 @@
+"""Dense exact linear algebra over a Field.
+
+Everything here is plain Gaussian elimination with exact arithmetic; the
+pivot is always the first nonzero entry in column order, so every result is
+deterministic and there is no numerical tolerance anywhere.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
+
+from .field import Field, FieldElement
+
+
+class SingularMatrixError(ValueError):
+    """A square matrix required to be nonsingular is singular."""
+
+
+class Vector:
+    """An exact coordinate vector (used both for hyperplane normals, read as
+    row vectors, and for subspace basis vectors, read as columns)."""
+
+    __slots__ = ("field", "data")
+
+    def __init__(self, field: Field, values: Iterable):
+        self.field = field
+        self.data = tuple(field.coerce_raw(v) for v in values)
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, i) -> FieldElement:
+        return FieldElement(self.field, self.data[i])
+
+    def __iter__(self):
+        return (FieldElement(self.field, v) for v in self.data)
+
+    def __eq__(self, other):
+        if isinstance(other, Vector):
+            return self.field == other.field and self.data == other.data
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.data))
+
+    def __repr__(self):
+        return "(" + " ".join(self.field.format(v) for v in self.data) + ")"
+
+    def is_zero(self) -> bool:
+        z = self.field.zero_raw
+        return all(v == z for v in self.data)
+
+    def first_nonzero(self) -> int:
+        """Index of the leading nonzero entry; -1 for the zero vector."""
+        z = self.field.zero_raw
+        for i, v in enumerate(self.data):
+            if v != z:
+                return i
+        return -1
+
+    def monic(self) -> "Vector":
+        """Scale so the leading nonzero entry becomes 1 (canonical form)."""
+        i = self.first_nonzero()
+        if i < 0:
+            raise ValueError("the zero vector has no monic form")
+        f = self.field
+        lead = self.data[i]
+        if lead == f.one_raw:
+            return self
+        s = f.inv(lead)
+        return Vector(f, [f.mul(s, v) for v in self.data])
+
+    def scaled(self, c) -> "Vector":
+        f = self.field
+        c = f.coerce_raw(c)
+        return Vector(f, [f.mul(c, v) for v in self.data])
+
+    def colex_key(self) -> tuple:
+        """Sort key reading coordinates from the last to the first."""
+        return tuple(reversed(self.data))
+
+    @classmethod
+    def unit(cls, field: Field, dim: int, index: int) -> "Vector":
+        vals = [field.zero_raw] * dim
+        vals[index] = field.one_raw
+        return cls(field, vals)
+
+
+class Matrix:
+    """Dense exact matrix.  Raw entries are stored row-major; element access
+    returns boxed FieldElement values."""
+
+    __slots__ = ("field", "rows", "cols", "data")
+
+    def __init__(self, field: Field, rows: int, cols: int, raw_data: list):
+        if len(raw_data) != rows * cols:
+            raise ValueError("entry count does not match the shape")
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.data = raw_data
+
+    @classmethod
+    def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
+        nrows = len(rows)
+        ncols = len(rows[0]) if nrows else 0
+        data = []
+        for r in rows:
+            if len(r) != ncols:
+                raise ValueError("ragged rows")
+            data.extend(field.coerce_raw(v) for v in r)
+        return cls(field, nrows, ncols, data)
+
+    @classmethod
+    def from_row_vectors(cls, field: Field, vecs: Sequence[Vector], cols: int | None = None) -> "Matrix":
+        if vecs:
+            cols = len(vecs[0])
+        elif cols is None:
+            raise ValueError("column count needed for an empty stack")
+        data: list = []
+        for v in vecs:
+            data.extend(v.data)
+        return cls(field, len(vecs), cols, data)
+
+    @classmethod
+    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
+        return cls(field, rows, cols, [field.zero_raw] * (rows * cols))
+
+    @classmethod
+    def identity(cls, field: Field, n: int) -> "Matrix":
+        m = cls.zeros(field, n, n)
+        for i in range(n):
+            m.data[i * n + i] = field.one_raw
+        return m
+
+    def raw(self, i: int, j: int):
+        return self.data[i * self.cols + j]
+
+    def __getitem__(self, ij) -> FieldElement:
+        i, j = ij
+        return FieldElement(self.field, self.data[i * self.cols + j])
+
+    def row(self, i: int) -> Vector:
+        return Vector(self.field, self.data[i * self.cols : (i + 1) * self.cols])
+
+    def col(self, j: int) -> Vector:
+        return Vector(self.field, self.data[j :: self.cols] if self.cols else [])
+
+    def row_raw(self, i: int) -> list:
+        return self.data[i * self.cols : (i + 1) * self.cols]
+
+    def copy(self) -> "Matrix":
+        return Matrix(self.field, self.rows, self.cols, list(self.data))
+
+    def transpose(self) -> "Matrix":
+        data = [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
+        return Matrix(self.field, self.cols, self.rows, data)
+
+    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
+        data = []
+        for i in range(r0, r1):
+            data.extend(self.data[i * self.cols + c0 : i * self.cols + c1])
+        return Matrix(self.field, r1 - r0, c1 - c0, data)
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        if self.field != other.field:
+            raise ValueError("field mismatch in matrix product")
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        f = self.field
+        n, k, m = self.rows, self.cols, other.cols
+        bcols = [other.data[j::m] for j in range(m)]
+        data = []
+        for i in range(n):
+            arow = self.data[i * k : (i + 1) * k]
+            data.extend(f.dot(arow, bc) for bc in bcols)
+        return Matrix(f, n, m, data)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape or field mismatch in matrix sum")
+        f = self.field
+        return Matrix(f, self.rows, self.cols, [f.add(a, b) for a, b in zip(self.data, other.data)])
+
+    def scaled(self, c) -> "Matrix":
+        f = self.field
+        c = f.coerce_raw(c)
+        return Matrix(f, self.rows, self.cols, [f.mul(c, v) for v in self.data])
+
+    def is_zero(self) -> bool:
+        z = self.field.zero_raw
+        return all(v == z for v in self.data)
+
+    def __eq__(self, other):
+        if isinstance(other, Matrix):
+            return (
+                self.field == other.field
+                and self.rows == other.rows
+                and self.cols == other.cols
+                and self.data == other.data
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.rows, self.cols, tuple(self.data)))
+
+    def __repr__(self):
+        body = "; ".join(
+            " ".join(self.field.format(self.raw(i, j)) for j in range(self.cols))
+            for i in range(self.rows)
+        )
+        return f"Matrix[{self.rows}x{self.cols}: {body}]"
+
+
+class RrefResult(NamedTuple):
+    R: Matrix
+    pivots: list[int]
+    rank: int
+
+
+def rref(m: Matrix) -> RrefResult:
+    """Reduced row echelon form, pivot columns and rank."""
+    f = m.field
+    zero = f.zero_raw
+    work = [m.row_raw(i) for i in range(m.rows)]
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(m.cols):
+        pivot_row = None
+        for i in range(pr, m.rows):
+            if work[i][pc] != zero:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[pr], work[pivot_row] = work[pivot_row], work[pr]
+        lead = work[pr][pc]
+        if lead != f.one_raw:
+            s = f.inv(lead)
+            work[pr] = [f.mul(s, v) for v in work[pr]]
+        prow = work[pr]
+        for i in range(m.rows):
+            if i != pr and work[i][pc] != zero:
+                c = work[i][pc]
+                work[i] = [f.sub(v, f.mul(c, pv)) for v, pv in zip(work[i], prow)]
+        pivots.append(pc)
+        pr += 1
+        if pr == m.rows:
+            break
+    flat = [v for row in work for v in row]
+    return RrefResult(Matrix(f, m.rows, m.cols, flat), pivots, len(pivots))
+
+
+def rank(m: Matrix) -> int:
+    return rref(m).rank
+
+
+def kernel_basis(m: Matrix) -> list[Vector]:
+    """Basis of the right kernel {y : M y = 0}, one vector per free column."""
+    f = m.field
+    r = rref(m)
+    pivot_of_col = {c: i for i, c in enumerate(r.pivots)}
+    basis = []
+    for free in range(m.cols):
+        if free in pivot_of_col:
+            continue
+        vals = [f.zero_raw] * m.cols
+        vals[free] = f.one_raw
+        for pc, prow in pivot_of_col.items():
+            vals[pc] = f.neg(r.R.raw(prow, free))
+        basis.append(Vector(f, vals))
+    return basis
+
+
+def row_space_contains(m: Matrix, v: Vector) -> bool:
+    """True if v lies in the row space of m (checked by rank comparison)."""
+    base = rref(m)
+    stacked = Matrix(m.field, m.rows + 1, m.cols, list(m.data) + list(v.data))
+    return rref(stacked).rank == base.rank
+
+
+def invert(m: Matrix) -> Matrix:
+    """Exact inverse by Gauss-Jordan elimination on [M | I]."""
+    if m.rows != m.cols:
+        raise SingularMatrixError("only square matrices can be inverted")
+    f = m.field
+    n = m.rows
+    zero = f.zero_raw
+    work = [m.row_raw(i) + [f.one_raw if j == i else zero for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot_row = None
+        for i in range(col, n):
+            if work[i][col] != zero:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            raise SingularMatrixError("matrix is singular")
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        lead = work[col][col]
+        if lead != f.one_raw:
+            s = f.inv(lead)
+            work[col] = [f.mul(s, v) for v in work[col]]
+        prow = work[col]
+        for i in range(n):
+            if i != col and work[i][col] != zero:
+                c = work[i][col]
+                work[i] = [f.sub(v, f.mul(c, pv)) for v, pv in zip(work[i], prow)]
+    data = [v for row in work for v in row[n:]]
+    return Matrix(f, n, n, data)
+
+
+@dataclass(frozen=True)
+class Rank1Factor:
+    """Verdict on a single block: rank 0, rank 1 with its factorization
+    block = coeff * u^T v (u, v monic), or rank >= 2."""
+
+    rank: int
+    u: Vector | None = None
+    v: Vector | None = None
+    coeff: FieldElement | None = None
+
+    @property
+    def is_zero(self) -> bool:
+        return self.rank == 0
+
+    @property
+    def is_rank_one(self) -> bool:
+        return self.rank == 1
+
+
+def rank1_factor(m: Matrix) -> Rank1Factor:
+    """Classify a matrix as zero / rank one / higher rank.
+
+    For rank one the unique factorization with monic u and v is returned:
+    u spans the column space (as coordinates), v the row space, and
+    m = coeff * u^T v holds entrywise.
+    """
+    f = m.field
+    zero = f.zero_raw
+    pos = next((k for k, val in enumerate(m.data) if val != zero), None)
+    if pos is None:
+        return Rank1Factor(rank=0)
+    i0, j0 = divmod(pos, m.cols)
+    c = m.data[pos]
+    cinv = f.inv(c)
+    v = Vector(f, [f.mul(cinv, m.raw(i0, j)) for j in range(m.cols)])
+    u = Vector(f, [f.mul(cinv, m.raw(i, j0)) for i in range(m.rows)])
+    for i in range(m.rows):
+        ui = u.data[i]
+        for j in range(m.cols):
+            expect = f.mul(c, f.mul(ui, v.data[j]))
+            if m.raw(i, j) != expect:
+                return Rank1Factor(rank=2)
+    return Rank1Factor(rank=1, u=u, v=v, coeff=FieldElement(f, c))
+
+
+def complete_to_basis(rows: Sequence[Vector], dim: int, field: Field | None = None) -> list[Vector]:
+    """Extend independent row vectors to a basis of F^dim with standard unit
+    vectors, picked greedily in coordinate order."""
+    if rows:
+        field = rows[0].field
+    elif field is None:
+        raise ValueError("field needed when no rows are given")
+    rows_raw = [list(v.data) for v in rows]
+    base = Matrix(field, len(rows_raw), dim, [x for row in rows_raw for x in row])
+    current_rank = rref(base).rank
+    if current_rank != len(rows):
+        raise ValueError("input rows are linearly dependent")
+    added: list[Vector] = []
+    for idx in range(dim):
+        if current_rank == dim:
+            break
+        candidate = [field.zero_raw] * dim
+        candidate[idx] = field.one_raw
+        flat = [x for row in rows_raw for x in row] + candidate
+        r = rref(Matrix(field, len(rows_raw) + 1, dim, flat)).rank
+        if r > current_rank:
+            rows_raw.append(candidate)
+            added.append(Vector.unit(field, dim, idx))
+            current_rank = r
+    return added
+
+
+def triangularizing_transform(r: Matrix, orientation: str = "upper") -> Matrix:
+    """A nonsingular T with R @ T triangular in the requested orientation.
+
+    The inverse is returned, making R @ T the identity, which is triangular
+    both ways; any other valid transform is accepted by the verifier.
+    """
+    if orientation not in ("upper", "lower"):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    return invert(r)
+
+
+def is_upper_triangular(m: Matrix) -> bool:
+    z = m.field.zero_raw
+    return all(m.raw(i, j) == z for i in range(m.rows) for j in range(min(i, m.cols)))
+
+
+def is_lower_triangular(m: Matrix) -> bool:
+    z = m.field.zero_raw
+    return all(m.raw(i, j) == z for i in range(m.rows) for j in range(i + 1, m.cols))

@@ -1,0 +1,259 @@
+"""Partitioned matrices, the rank-1 block condition, and the stability graph.
+
+A partitioned matrix is a dense matrix together with row and column block
+sizes.  When every block has rank at most one, each nonzero block factors as
+coeff * u^T v with monic u and v; the u's become hyperplane vertices on the
+row side (one vertex per distinct kernel of a block transpose, per block row)
+and the v's on the column side.  Each rank-1 block contributes one edge
+joining its pair of vertices.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+
+from .field import Field, FieldElement, PrimeField
+from .linalg import Matrix, Rank1Factor, Vector, rank1_factor
+
+ROW = "row"
+COL = "col"
+
+
+class RankConditionViolated(ValueError):
+    """Some block has rank 2 or more; offending (alpha, beta) pairs attached."""
+
+    def __init__(self, offenders: list[tuple[int, int]]):
+        self.offenders = offenders
+        pretty = ", ".join(f"({a + 1},{b + 1})" for a, b in offenders)
+        super().__init__(f"blocks of rank >= 2 at {pretty}")
+
+
+@dataclass(frozen=True)
+class PartitionedMatrix:
+    """A matrix with block structure (n_1 .. n_mu ; m_1 .. m_nu)."""
+
+    matrix: Matrix
+    row_blocks: tuple[int, ...]
+    col_blocks: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "row_blocks", tuple(self.row_blocks))
+        object.__setattr__(self, "col_blocks", tuple(self.col_blocks))
+        if not self.row_blocks or not self.col_blocks:
+            raise ValueError("at least one block per side is required")
+        if any(n <= 0 for n in self.row_blocks) or any(m <= 0 for m in self.col_blocks):
+            raise ValueError("block sizes must be positive")
+        if sum(self.row_blocks) != self.matrix.rows:
+            raise ValueError("row block sizes do not sum to the row count")
+        if sum(self.col_blocks) != self.matrix.cols:
+            raise ValueError("column block sizes do not sum to the column count")
+
+    @property
+    def field(self) -> Field:
+        return self.matrix.field
+
+    @property
+    def mu(self) -> int:
+        return len(self.row_blocks)
+
+    @property
+    def nu(self) -> int:
+        return len(self.col_blocks)
+
+    @property
+    def row_offsets(self) -> list[int]:
+        offs = [0]
+        for n in self.row_blocks:
+            offs.append(offs[-1] + n)
+        return offs
+
+    @property
+    def col_offsets(self) -> list[int]:
+        offs = [0]
+        for m in self.col_blocks:
+            offs.append(offs[-1] + m)
+        return offs
+
+    def block(self, alpha: int, beta: int) -> Matrix:
+        """The submatrix at block position (alpha, beta), zero-based."""
+        if not (0 <= alpha < self.mu and 0 <= beta < self.nu):
+            raise IndexError(f"block ({alpha}, {beta}) out of range")
+        ro, co = self.row_offsets, self.col_offsets
+        return self.matrix.submatrix(ro[alpha], ro[alpha + 1], co[beta], co[beta + 1])
+
+    @classmethod
+    def from_blocks(cls, blocks: list[list[Matrix]]) -> "PartitionedMatrix":
+        """Assemble from a mu x nu grid of block matrices."""
+        f = blocks[0][0].field
+        row_sizes = tuple(row[0].rows for row in blocks)
+        col_sizes = tuple(b.cols for b in blocks[0])
+        data = []
+        for brow, nr in zip(blocks, row_sizes):
+            for i in range(nr):
+                for b in brow:
+                    data.extend(b.row_raw(i))
+        total = Matrix(f, sum(row_sizes), sum(col_sizes), data)
+        return cls(total, row_sizes, col_sizes)
+
+
+@dataclass(frozen=True)
+class HyperplaneVertex:
+    """A hyperplane inside one block space, identified by its monic normal."""
+
+    side: str
+    block: int
+    normal: Vector
+
+    def sort_key(self):
+        return (self.block, self.normal.colex_key())
+
+
+def check_rank1_condition(a: PartitionedMatrix) -> dict[tuple[int, int], Rank1Factor]:
+    """Factor every block; raise RankConditionViolated if any has rank >= 2."""
+    factors: dict[tuple[int, int], Rank1Factor] = {}
+    offenders: list[tuple[int, int]] = []
+    for alpha in range(a.mu):
+        for beta in range(a.nu):
+            fac = rank1_factor(a.block(alpha, beta))
+            factors[(alpha, beta)] = fac
+            if fac.rank >= 2:
+                offenders.append((alpha, beta))
+    if offenders:
+        raise RankConditionViolated(offenders)
+    return factors
+
+
+@dataclass(frozen=True)
+class Edge:
+    """One rank-1 block seen as an edge of the stability graph."""
+
+    pi: int
+    sigma: int
+    alpha: int
+    beta: int
+    coeff: FieldElement
+
+
+@dataclass
+class StabilityGraph:
+    """Bipartite graph on the row-side and column-side hyperplane vertices.
+
+    Vertices are listed in the canonical order (block index, then
+    colexicographic order of the monic normal); edges follow the row-major
+    block order of their source blocks.
+    """
+
+    field: Field
+    row_blocks: tuple[int, ...]
+    col_blocks: tuple[int, ...]
+    pi: list[HyperplaneVertex] = dc_field(default_factory=list)
+    sigma: list[HyperplaneVertex] = dc_field(default_factory=list)
+    edges: list[Edge] = dc_field(default_factory=list)
+
+    @property
+    def n_pi(self) -> int:
+        return len(self.pi)
+
+    @property
+    def n_sigma(self) -> int:
+        return len(self.sigma)
+
+    def pi_in_block(self, alpha: int) -> list[int]:
+        return [i for i, v in enumerate(self.pi) if v.block == alpha]
+
+    def sigma_in_block(self, beta: int) -> list[int]:
+        return [j for j, v in enumerate(self.sigma) if v.block == beta]
+
+    def pi_label(self, i: int) -> str:
+        v = self.pi[i]
+        return row_vertex_label(self.field, v.block, v.normal)
+
+    def sigma_label(self, j: int) -> str:
+        v = self.sigma[j]
+        return col_vertex_label(self.field, v.block, v.normal)
+
+
+def _monic_directions(field: PrimeField, dim: int) -> list[tuple]:
+    """All monic vectors of GF(p)^dim in colexicographic order."""
+    p = field.p
+    vecs = [()]
+    for _ in range(dim):
+        vecs = [(v + (r,)) for r in range(p) for v in vecs]
+    # vecs were built most-significant-last, so plain order is colex already
+    out = []
+    for v in vecs:
+        lead = next((x for x in v if x != 0), None)
+        if lead == 1:
+            out.append(tuple(v))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _direction_index_table(p: int, dim: int) -> dict[tuple, int]:
+    from .field import GF
+
+    return {v: k for k, v in enumerate(_monic_directions(GF(p), dim))}
+
+
+def _direction_tag(field: Field, normal: Vector) -> str:
+    """Short name for a monic normal: letters a, b, c, ... by colex rank
+    among all monic directions when the field and dimension are small enough,
+    otherwise a positional fallback."""
+    if isinstance(field, PrimeField):
+        dim = len(normal)
+        count = (field.p**dim - 1) // (field.p - 1)
+        if count <= 26:
+            table = _direction_index_table(field.p, dim)
+            return chr(ord("a") + table[normal.data])
+    return "v" + "_".join(field.format(x) for x in normal.data)
+
+
+def row_vertex_label(field: Field, block: int, normal: Vector) -> str:
+    """Display name of a row-side direction, e.g. ``2c`` for block 2."""
+    return f"{block + 1}{_direction_tag(field, normal)}"
+
+
+def col_vertex_label(field: Field, block: int, normal: Vector) -> str:
+    """Display name of a column-side direction, e.g. ``3'a`` for block 3."""
+    return f"{block + 1}'{_direction_tag(field, normal)}"
+
+
+def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:
+    """Build the bipartite stability graph of a rank-1 partitioned matrix.
+
+    Zero blocks contribute nothing; each rank-1 block (alpha, beta) with
+    factorization coeff * u^T v adds the vertex u to the row side of block
+    alpha, v to the column side of block beta (deduplicated by monic normal)
+    and one edge between them carrying coeff.
+    """
+    factors = check_rank1_condition(a)
+    g = StabilityGraph(a.field, a.row_blocks, a.col_blocks)
+
+    pi_seen: dict[tuple[int, Vector], None] = {}
+    sigma_seen: dict[tuple[int, Vector], None] = {}
+    raw_edges = []
+    for alpha in range(a.mu):
+        for beta in range(a.nu):
+            fac = factors[(alpha, beta)]
+            if not fac.is_rank_one:
+                continue
+            pi_seen.setdefault((alpha, fac.u), None)
+            sigma_seen.setdefault((beta, fac.v), None)
+            raw_edges.append((alpha, beta, fac))
+
+    g.pi = sorted(
+        (HyperplaneVertex(ROW, blk, nrm) for blk, nrm in pi_seen),
+        key=HyperplaneVertex.sort_key,
+    )
+    g.sigma = sorted(
+        (HyperplaneVertex(COL, blk, nrm) for blk, nrm in sigma_seen),
+        key=HyperplaneVertex.sort_key,
+    )
+    pi_index = {(v.block, v.normal): i for i, v in enumerate(g.pi)}
+    sigma_index = {(v.block, v.normal): j for j, v in enumerate(g.sigma)}
+    g.edges = [
+        Edge(pi_index[(alpha, fac.u)], sigma_index[(beta, fac.v)], alpha, beta, fac.coeff)
+        for alpha, beta, fac in raw_edges
+    ]
+    return g
