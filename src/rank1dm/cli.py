@@ -337,10 +337,7 @@ def main(argv=None) -> int:
 
     try:
         doc, a = _load(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputFormatError as exc:
+    except (OSError, InputFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

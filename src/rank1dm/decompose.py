@@ -12,6 +12,7 @@ E^T A F in block-triangular form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .field import Field
@@ -19,9 +20,9 @@ from .linalg import (
     Matrix,
     Vector,
     complete_to_basis,
+    invert,
     kernel_basis,
     rref,
-    triangularizing_transform,
 )
 from .matching import (
     IndependentMatchingState,
@@ -29,6 +30,7 @@ from .matching import (
     max_independent_matching,
     reachable_from,
 )
+from .oracle import is_stable
 from .partmat import (
     PartitionedMatrix,
     StabilityGraph,
@@ -439,13 +441,13 @@ def build_bases(
         rows = [e.normal for e in h_entries if e.block == alpha]
         r = Matrix.from_row_vectors(f, rows, dim)
         r_blocks.append(r)
-        e_blocks.append(triangularizing_transform(r, "upper"))
+        e_blocks.append(invert(r))
     s_blocks, f_blocks = [], []
     for beta, dim in enumerate(g.col_blocks):
         rows = [e.normal for e in k_entries if e.block == beta]
         s = Matrix.from_row_vectors(f, rows, dim)
         s_blocks.append(s)
-        f_blocks.append(triangularizing_transform(s, "lower"))
+        f_blocks.append(invert(s))
 
     E = _scatter_columns(f, h_entries, e_blocks, a.row_offsets, n)
     F = _scatter_columns(f, k_entries, f_blocks, a.col_offsets, m)
@@ -594,36 +596,11 @@ class VerificationReport:
         )
 
 
-def _pair_stable(a: PartitionedMatrix, sub: StableSubspace) -> bool:
-    f = a.field
-    zero = f.zero_raw
-    for alpha in range(a.mu):
-        xs = sub.x_bases[alpha]
-        if not xs:
-            continue
-        for beta in range(a.nu):
-            ys = sub.y_bases[beta]
-            if not ys:
-                continue
-            block = a.block(alpha, beta)
-            for x in xs:
-                xa = [
-                    f.dot(x.data, [block.raw(i, j) for i in range(block.rows)])
-                    for j in range(block.cols)
-                ]
-                for y in ys:
-                    if f.dot(xa, y.data) != zero:
-                        return False
-    return True
-
-
 def _block_permutation_ok(mat: Matrix, blocks: tuple[int, ...]) -> tuple[bool, str]:
     """Check mat = blockdiag(nonsingular) times a permutation: each column
     supported inside one block, per-block column counts matching the block
     size, and each per-block square submatrix nonsingular."""
-    offsets = [0]
-    for b in blocks:
-        offsets.append(offsets[-1] + b)
+    offsets = list(accumulate(blocks, initial=0))
     if mat.rows != offsets[-1] or mat.cols != offsets[-1]:
         return False, "matrix size does not match the partition"
     zero = mat.field.zero_raw
@@ -664,10 +641,19 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     checks: list[CheckResult] = []
     n, m = a.matrix.rows, a.matrix.cols
 
-    product = result.E.transpose() @ a.matrix @ result.F
-    checks.append(
-        CheckResult("product", product == result.a_dm, "A_dm == E^T A F")
-    )
+    shapes = [("E", result.E, n, n), ("F", result.F, m, m), ("A_dm", result.a_dm, n, m)]
+    misfits = [
+        f"{name} is {mat.rows}x{mat.cols} over {mat.field}, wants {r}x{c} over {a.field}"
+        for name, mat, r, c in shapes
+        if (mat.rows, mat.cols, mat.field) != (r, c, a.field)
+    ]
+    if misfits:
+        checks.append(CheckResult("product", False, "; ".join(misfits)))
+    else:
+        product = result.E.transpose() @ a.matrix @ result.F
+        checks.append(
+            CheckResult("product", product == result.a_dm, "A_dm == E^T A F")
+        )
 
     ok_e, why_e = _block_permutation_ok(result.E, a.row_blocks)
     ok_f, why_f = _block_permutation_ok(result.F, a.col_blocks)
@@ -681,31 +667,22 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
 
     rows_total = sum(r for r, _ in result.diag_blocks)
     cols_total = sum(c for _, c in result.diag_blocks)
-    stair_ok = rows_total == n and cols_total == m
+    a_dm_fits = (result.a_dm.rows, result.a_dm.cols) == (n, m)
+    stair_ok = rows_total == n and cols_total == m and a_dm_fits
     detail = ""
     if stair_ok:
         zero = a.field.zero_raw
-        r_off = 0
-        row_starts = []
-        for r, _ in result.diag_blocks:
-            row_starts.append(r_off)
-            r_off += r
-        c_off = 0
-        col_starts = []
-        for _, c in result.diag_blocks:
-            col_starts.append(c_off)
-            c_off += c
+        row_starts = list(accumulate((r for r, _ in result.diag_blocks), initial=0))
+        col_starts = list(accumulate((c for _, c in result.diag_blocks), initial=0))
         for gr in range(len(result.diag_blocks)):
             for gc in range(gr):
-                r0 = row_starts[gr]
-                r1 = r0 + result.diag_blocks[gr][0]
-                c0 = col_starts[gc]
-                c1 = c0 + result.diag_blocks[gc][1]
-                for i in range(r0, r1):
-                    for j in range(c0, c1):
+                for i in range(row_starts[gr], row_starts[gr + 1]):
+                    for j in range(col_starts[gc], col_starts[gc + 1]):
                         if result.a_dm.raw(i, j) != zero:
                             stair_ok = False
                             detail = f"nonzero entry below the staircase at ({i}, {j})"
+    elif not a_dm_fits:
+        detail = "A_dm does not have the shape of A"
     else:
         detail = "diagonal block sizes do not tile the matrix"
     checks.append(CheckResult("staircase", stair_ok, detail))
@@ -715,7 +692,12 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
         chain_ok = True
         detail = ""
         for k, sub in enumerate(result.chain):
-            if not _pair_stable(a, sub):
+            try:
+                stable = is_stable(a, sub.x_bases, sub.y_bases)
+            except ValueError as exc:
+                chain_ok, detail = False, f"chain element {k}: {exc}"
+                break
+            if not stable:
                 chain_ok = False
                 detail = f"chain element {k} is not stable"
                 break

@@ -71,11 +71,6 @@ class Vector:
         s = f.inv(lead)
         return Vector(f, [f.mul(s, v) for v in self.data])
 
-    def scaled(self, c) -> "Vector":
-        f = self.field
-        c = f.coerce_raw(c)
-        return Vector(f, [f.mul(c, v) for v in self.data])
-
     def colex_key(self) -> tuple:
         """Sort key reading coordinates from the last to the first."""
         return tuple(reversed(self.data))
@@ -273,41 +268,18 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return basis
 
 
-def row_space_contains(m: Matrix, v: Vector) -> bool:
-    """True if v lies in the row space of m (checked by rank comparison)."""
-    base = rref(m)
-    stacked = Matrix(m.field, m.rows + 1, m.cols, list(m.data) + list(v.data))
-    return rref(stacked).rank == base.rank
-
-
 def invert(m: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination on [M | I]."""
     if m.rows != m.cols:
         raise SingularMatrixError("only square matrices can be inverted")
     f = m.field
     n = m.rows
-    zero = f.zero_raw
-    work = [m.row_raw(i) + [f.one_raw if j == i else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if work[i][col] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        lead = work[col][col]
-        if lead != f.one_raw:
-            s = f.inv(lead)
-            work[col] = [f.mul(s, v) for v in work[col]]
-        prow = work[col]
-        for i in range(n):
-            if i != col and work[i][col] != zero:
-                c = work[i][col]
-                work[i] = [f.sub(v, f.mul(c, pv)) for v, pv in zip(work[i], prow)]
-    data = [v for row in work for v in row[n:]]
-    return Matrix(f, n, n, data)
+    eye = Matrix.identity(f, n)
+    stacked = [x for i in range(n) for x in m.row_raw(i) + eye.row_raw(i)]
+    red = rref(Matrix(f, n, 2 * n, stacked))
+    if red.pivots[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return red.R.submatrix(0, n, n, 2 * n)
 
 
 @dataclass(frozen=True)
@@ -355,6 +327,46 @@ def rank1_factor(m: Matrix) -> Rank1Factor:
     return Rank1Factor(rank=1, u=u, v=v, coeff=FieldElement(f, c))
 
 
+class SpanCoordinates(NamedTuple):
+    """Candidates solved against a basis: the rank of the basis; per
+    candidate its raw coefficients on the basis vectors, or None when it lies
+    outside their span; and the candidates whose columns carry a pivot."""
+
+    rank: int
+    coords: list[list | None]
+    pivots: list[int]
+
+
+def span_coordinates(
+    field: Field, dim: int, basis: Sequence[Vector], candidates: Sequence[Vector]
+) -> SpanCoordinates:
+    """One elimination of the columns [basis | candidates] answers every span
+    question about the candidates.
+
+    After rref, a candidate lies in the span of the basis iff its column is
+    zero in every row whose pivot is a candidate column; its entries in the
+    basis pivot rows are then its coefficients (zero on basis vectors that
+    carry no pivot).  The candidate pivot columns are the greedy choice of
+    candidates, in order, that extend the basis independently."""
+    b = len(basis)
+    vecs = list(basis) + list(candidates)
+    ncols = len(vecs)
+    red = rref(Matrix(field, dim, ncols, [v.data[r] for r in range(dim) for v in vecs]))
+    basis_rank = sum(1 for p in red.pivots if p < b)
+    zero = field.zero_raw
+    coords: list[list | None] = []
+    for k in range(b, ncols):
+        column = red.R.data[k::ncols]
+        if any(x != zero for x in column[basis_rank:]):
+            coords.append(None)
+            continue
+        c = [zero] * b
+        for r in range(basis_rank):
+            c[red.pivots[r]] = column[r]
+        coords.append(c)
+    return SpanCoordinates(basis_rank, coords, [p - b for p in red.pivots[basis_rank:]])
+
+
 def complete_to_basis(rows: Sequence[Vector], dim: int, field: Field | None = None) -> list[Vector]:
     """Extend independent row vectors to a basis of F^dim with standard unit
     vectors, picked greedily in coordinate order."""
@@ -362,42 +374,8 @@ def complete_to_basis(rows: Sequence[Vector], dim: int, field: Field | None = No
         field = rows[0].field
     elif field is None:
         raise ValueError("field needed when no rows are given")
-    rows_raw = [list(v.data) for v in rows]
-    base = Matrix(field, len(rows_raw), dim, [x for row in rows_raw for x in row])
-    current_rank = rref(base).rank
-    if current_rank != len(rows):
+    units = [Vector.unit(field, dim, idx) for idx in range(dim)]
+    span = span_coordinates(field, dim, rows, units)
+    if span.rank != len(rows):
         raise ValueError("input rows are linearly dependent")
-    added: list[Vector] = []
-    for idx in range(dim):
-        if current_rank == dim:
-            break
-        candidate = [field.zero_raw] * dim
-        candidate[idx] = field.one_raw
-        flat = [x for row in rows_raw for x in row] + candidate
-        r = rref(Matrix(field, len(rows_raw) + 1, dim, flat)).rank
-        if r > current_rank:
-            rows_raw.append(candidate)
-            added.append(Vector.unit(field, dim, idx))
-            current_rank = r
-    return added
-
-
-def triangularizing_transform(r: Matrix, orientation: str = "upper") -> Matrix:
-    """A nonsingular T with R @ T triangular in the requested orientation.
-
-    The inverse is returned, making R @ T the identity, which is triangular
-    both ways; any other valid transform is accepted by the verifier.
-    """
-    if orientation not in ("upper", "lower"):
-        raise ValueError(f"unknown orientation {orientation!r}")
-    return invert(r)
-
-
-def is_upper_triangular(m: Matrix) -> bool:
-    z = m.field.zero_raw
-    return all(m.raw(i, j) == z for i in range(m.rows) for j in range(min(i, m.cols)))
-
-
-def is_lower_triangular(m: Matrix) -> bool:
-    z = m.field.zero_raw
-    return all(m.raw(i, j) == z for i in range(m.rows) for j in range(i + 1, m.cols))
+    return [units[k] for k in span.pivots]

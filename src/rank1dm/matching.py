@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import Matrix, Vector, rref
+from .linalg import Matrix, Vector, rref, span_coordinates
 from .partmat import StabilityGraph
 
 
@@ -50,25 +50,35 @@ class VectorMatroid:
             return False
         return self.rank(subset) == len(subset)
 
+    def circuits(self, subset) -> tuple[int, list[list[int] | None]]:
+        """Rank of the selected set and, for every ground element, the
+        selected elements whose normals carry a nonzero coefficient when its
+        normal is written in them, or None outside the closure.  For an
+        independent selection that is the element's fundamental circuit
+        (less the element itself).  One elimination per block the selection
+        meets."""
+        found: list[list[int] | None] = [None] * len(self.elements)
+        total = 0
+        block_members = self._by_block(range(len(self.elements)))
+        for blk, ids in self._by_block(subset).items():
+            members = block_members[blk]
+            f = self.elements[ids[0]][1].field
+            span = span_coordinates(
+                f,
+                self.block_dims[blk],
+                [self.elements[i][1] for i in ids],
+                [self.elements[j][1] for j in members],
+            )
+            total += span.rank
+            for j, coeffs in zip(members, span.coords):
+                if coeffs is not None:
+                    found[j] = [i for i, c in zip(ids, coeffs) if c != f.zero_raw]
+        return total, found
+
     def closure(self, subset) -> set[int]:
         """Ground elements whose normal lies in the span of the selected
         normals of the same block."""
-        grouped = self._by_block(subset)
-        closed: set[int] = set()
-        for blk, ids in grouped.items():
-            f = self.elements[ids[0]][1].field
-            vecs = [self.elements[i][1] for i in ids]
-            base = rref(Matrix.from_row_vectors(f, vecs, self.block_dims[blk]))
-            base_rows = [base.R.row_raw(r) for r in range(base.rank)]
-            for j, (eblk, normal) in enumerate(self.elements):
-                if eblk != blk:
-                    continue
-                stacked = base_rows + [list(normal.data)]
-                flat = [x for row in stacked for x in row]
-                m = Matrix(f, len(stacked), self.block_dims[blk], flat)
-                if rref(m).rank == base.rank:
-                    closed.add(j)
-        return closed
+        return {j for j, circuit in enumerate(self.circuits(subset)[1]) if circuit is not None}
 
 
 def matroid_pi(g: StabilityGraph) -> VectorMatroid:
@@ -102,19 +112,10 @@ class IndependentMatchingState:
     def size(self) -> int:
         return len(self.matching)
 
-    def sigma_node(self, j: int) -> int:
-        return self.graph.n_pi + j
 
-    def matching_pairs(self) -> list[tuple[int, int]]:
-        """Matched (pi index, sigma index) pairs in edge order."""
-        return [
-            (e.pi, e.sigma)
-            for k, e in enumerate(self.graph.edges)
-            if k in self.matching
-        ]
-
-
-def _check_matching(g: StabilityGraph, matching) -> tuple[set[int], set[int]]:
+def _check_matching(g: StabilityGraph, matching) -> tuple[set[int], set[int], list, list]:
+    """Endpoint sets of an independent matching and the circuits of every
+    vertex against them, from one elimination per block and side."""
     pis: set[int] = set()
     sigmas: set[int] = set()
     for k in matching:
@@ -123,19 +124,21 @@ def _check_matching(g: StabilityGraph, matching) -> tuple[set[int], set[int]]:
             raise ValueError("edge set is not a matching")
         pis.add(e.pi)
         sigmas.add(e.sigma)
-    if not matroid_pi(g).is_independent(pis) or not matroid_sigma(g).is_independent(sigmas):
+    rank_pi, circuits_pi = matroid_pi(g).circuits(pis)
+    rank_sigma, circuits_sigma = matroid_sigma(g).circuits(sigmas)
+    if rank_pi != len(pis) or rank_sigma != len(sigmas):
         raise ValueError("matching endpoints are not independent")
-    return pis, sigmas
+    return pis, sigmas, circuits_pi, circuits_sigma
 
 
 def build_auxiliary_digraph(g: StabilityGraph, matching) -> IndependentMatchingState:
-    """Auxiliary digraph, source set and sink set for an independent matching."""
+    """Auxiliary digraph, source set and sink set for an independent matching.
+
+    An unmatched vertex outside the closure of the matched ones is a source
+    (row side) or a sink (column side); inside it, it has an exchange arc
+    with every matched vertex of its fundamental circuit."""
     matching = frozenset(matching)
-    d_plus, d_minus = _check_matching(g, matching)
-    m_pi = matroid_pi(g)
-    m_sigma = matroid_sigma(g)
-    cl_plus = m_pi.closure(d_plus)
-    cl_minus = m_sigma.closure(d_minus)
+    d_plus, d_minus, circuits_pi, circuits_sigma = _check_matching(g, matching)
 
     npi = g.n_pi
     adjacency: dict[int, list[tuple[int, int | None]]] = {
@@ -147,30 +150,19 @@ def build_auxiliary_digraph(g: StabilityGraph, matching) -> IndependentMatchingS
             adjacency[npi + e.sigma].append((e.pi, k))
 
     # exchange arcs live inside one block on each side
-    for alpha in range(len(g.row_blocks)):
-        block_ids = g.pi_in_block(alpha)
-        ins = [i for i in block_ids if i in d_plus]
-        outs = [i for i in block_ids if i in cl_plus and i not in d_plus]
-        for old in ins:
-            kept = [i for i in ins if i != old]
-            for new in outs:
-                if m_pi.is_independent(kept + [new]):
-                    adjacency[old].append((new, None))
-    for beta in range(len(g.col_blocks)):
-        block_ids = g.sigma_in_block(beta)
-        ins = [j for j in block_ids if j in d_minus]
-        outs = [j for j in block_ids if j in cl_minus and j not in d_minus]
-        for new in outs:
-            for old in ins:
-                kept = [j for j in ins if j != old]
-                if m_sigma.is_independent(kept + [new]):
-                    adjacency[npi + new].append((npi + old, None))
+    for new, circuit in enumerate(circuits_pi):
+        if circuit is not None and new not in d_plus:
+            for old in circuit:
+                adjacency[old].append((new, None))
+    for new, circuit in enumerate(circuits_sigma):
+        if circuit is not None and new not in d_minus:
+            adjacency[npi + new].extend((npi + old, None) for old in circuit)
 
     for v in adjacency:
         adjacency[v].sort(key=lambda arc: (arc[0], -1 if arc[1] is None else arc[1]))
 
-    sources = [i for i in range(npi) if i not in cl_plus]
-    sinks = [npi + j for j in range(g.n_sigma) if j not in cl_minus]
+    sources = [i for i in range(npi) if circuits_pi[i] is None]
+    sinks = [npi + j for j in range(g.n_sigma) if circuits_sigma[j] is None]
     return IndependentMatchingState(
         graph=g,
         matching=matching,
@@ -246,34 +238,30 @@ class Cover:
     K: frozenset[int]
 
 
-def reachable_from(state: IndependentMatchingState, starts) -> set[int]:
-    """Forward reachability in the auxiliary digraph."""
+def _reach(adjacency: dict[int, list[tuple[int, int | None]]], starts) -> set[int]:
     seen = set(starts)
     queue = deque(seen)
     while queue:
         v = queue.popleft()
-        for w, _ in state.adjacency[v]:
+        for w, _ in adjacency[v]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
     return seen
 
 
+def reachable_from(state: IndependentMatchingState, starts) -> set[int]:
+    """Forward reachability in the auxiliary digraph."""
+    return _reach(state.adjacency, starts)
+
+
 def coreachable_to(state: IndependentMatchingState, targets) -> set[int]:
     """Vertices with a directed path into the target set."""
-    back: dict[int, list[int]] = {v: [] for v in state.adjacency}
+    back: dict[int, list[tuple[int, int | None]]] = {v: [] for v in state.adjacency}
     for v, arcs in state.adjacency.items():
-        for w, _ in arcs:
-            back[w].append(v)
-    seen = set(targets)
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for u in back[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
+        for w, edge in arcs:
+            back[w].append((v, edge))
+    return _reach(back, targets)
 
 
 def min_cover(state: IndependentMatchingState) -> Cover:

@@ -80,32 +80,26 @@ def enumerate_subspaces(q: int, dim: int) -> SubspaceCatalog:
 
 def is_stable(a: PartitionedMatrix, x_bases, y_bases) -> bool:
     """Definition check: x^T A_block y vanishes for every basis pair."""
-    f = a.field
-    zero = f.zero_raw
     if len(x_bases) != a.mu or len(y_bases) != a.nu:
         raise ValueError("one basis list per block is required")
-    for alpha in range(a.mu):
-        xs = [_coords(f, v) for v in x_bases[alpha]]
-        if xs and len(xs[0]) != a.row_blocks[alpha]:
-            raise ValueError(f"row block {alpha} basis has the wrong length")
-        if not xs:
-            continue
-        for beta in range(a.nu):
-            ys = [_coords(f, v) for v in y_bases[beta]]
-            if ys and len(ys[0]) != a.col_blocks[beta]:
-                raise ValueError(f"column block {beta} basis has the wrong length")
-            if not ys:
-                continue
-            block = a.block(alpha, beta)
-            for x in xs:
-                xa = [
-                    f.dot(x, [block.raw(i, j) for i in range(block.rows)])
-                    for j in range(block.cols)
-                ]
-                for y in ys:
-                    if f.dot(xa, y) != zero:
-                        return False
-    return True
+    xs = _block_coords(a.field, x_bases, a.row_blocks, "row")
+    ys = _block_coords(a.field, y_bases, a.col_blocks, "column")
+    return all(
+        is_stable_block(a, alpha, beta, xs[alpha], ys[beta])
+        for alpha in range(a.mu)
+        for beta in range(a.nu)
+    )
+
+
+def _block_coords(f, bases, dims, side: str) -> list[list[list]]:
+    """Raw coordinates of every basis vector, converted once per block."""
+    out = []
+    for blk, (basis, dim) in enumerate(zip(bases, dims)):
+        coords = [_coords(f, v) for v in basis]
+        if any(len(c) != dim for c in coords):
+            raise ValueError(f"{side} block {blk} basis has the wrong length")
+        out.append(coords)
+    return out
 
 
 def _coords(f, v):
@@ -192,11 +186,9 @@ def is_stable_block(a: PartitionedMatrix, alpha: int, beta: int, x_basis, y_basi
     if not x_basis or not y_basis:
         return True
     block = a.block(alpha, beta)
+    columns = [block.data[j :: block.cols] for j in range(block.cols)]
     for x in x_basis:
-        xa = [
-            f.dot(x, [block.raw(i, j) for i in range(block.rows)])
-            for j in range(block.cols)
-        ]
+        xa = [f.dot(x, col) for col in columns]
         for y in y_basis:
             if f.dot(xa, y) != zero:
                 return False
@@ -217,14 +209,25 @@ def classic_dm_check(a: PartitionedMatrix) -> tuple[int, int]:
     ]
     match_of_col = [-1] * m
 
-    def try_augment(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if seen[j]:
+    def try_augment(root: int, seen: list[bool]) -> bool:
+        """Depth-first search for an augmenting path from ``root``; the stack
+        is explicit so that long paths need no recursion."""
+        stack = [(root, iter(adj[root]))]
+        taken: list[int] = []  # the column leading from stack[k] to stack[k + 1]
+        while stack:
+            j = next((j for j in stack[-1][1] if not seen[j]), None)
+            if j is None:
+                stack.pop()
+                if taken:
+                    taken.pop()
                 continue
             seen[j] = True
-            if match_of_col[j] == -1 or try_augment(match_of_col[j], seen):
-                match_of_col[j] = i
+            taken.append(j)
+            if match_of_col[j] == -1:
+                for (row, _), col in zip(stack, taken):
+                    match_of_col[col] = row
                 return True
+            stack.append((match_of_col[j], iter(adj[match_of_col[j]])))
         return False
 
     size = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import accumulate
 
 from .field import Field, FieldElement, PrimeField
 from .linalg import Matrix, Rank1Factor, Vector, rank1_factor
@@ -63,17 +64,11 @@ class PartitionedMatrix:
 
     @property
     def row_offsets(self) -> list[int]:
-        offs = [0]
-        for n in self.row_blocks:
-            offs.append(offs[-1] + n)
-        return offs
+        return list(accumulate(self.row_blocks, initial=0))
 
     @property
     def col_offsets(self) -> list[int]:
-        offs = [0]
-        for m in self.col_blocks:
-            offs.append(offs[-1] + m)
-        return offs
+        return list(accumulate(self.col_blocks, initial=0))
 
     def block(self, alpha: int, beta: int) -> Matrix:
         """The submatrix at block position (alpha, beta), zero-based."""
@@ -161,9 +156,6 @@ class StabilityGraph:
 
     def pi_in_block(self, alpha: int) -> list[int]:
         return [i for i, v in enumerate(self.pi) if v.block == alpha]
-
-    def sigma_in_block(self, beta: int) -> list[int]:
-        return [j for j, v in enumerate(self.sigma) if v.block == beta]
 
     def pi_label(self, i: int) -> str:
         v = self.pi[i]

@@ -18,6 +18,7 @@ from rank1dm import (
     Matrix,
     PartitionedMatrix,
     StabilityGraph,
+    StableSubspace,
     Vector,
     build_bases,
     build_stability_graph,
@@ -257,6 +258,26 @@ def test_verify_detects_tampering(example, example_result):
     assert not report.passed
     assert not report.check("product").passed
     assert not report.check("staircase").passed
+
+
+def test_verify_reports_wrong_shapes(example, example_result):
+    # a malformed result is a FAIL with a reason, never an exception
+    bad = dataclasses.replace(example_result, E=Matrix.identity(GF(2), 5))
+    report = verify(example, bad)
+    assert not report.passed
+    assert "E is 5x5" in report.check("product").detail
+    assert not report.check("admissible").passed
+    bad = dataclasses.replace(example_result, a_dm=Matrix.identity(QQ, 6))
+    report = verify(example, bad)
+    assert not report.check("product").passed
+    bad = dataclasses.replace(example_result, a_dm=Matrix.zeros(GF(2), 6, 5))
+    report = verify(example, bad)
+    assert not report.check("product").passed
+    assert not report.check("staircase").passed
+    short = StableSubspace(((Vector(GF(2), [1]),), (), ()), ((), (), ()))
+    bad = dataclasses.replace(example_result, chain=[short])
+    report = verify(example, bad)
+    assert "wrong length" in report.check("chain").detail
 
 
 def test_verify_detects_non_admissible_transform(example, example_result):

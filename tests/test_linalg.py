@@ -10,14 +10,22 @@ from rank1dm import GF, QQ, Matrix, SingularMatrixError, Vector
 from rank1dm.linalg import (
     complete_to_basis,
     invert,
-    is_lower_triangular,
-    is_upper_triangular,
     kernel_basis,
     rank,
     rank1_factor,
     rref,
-    triangularizing_transform,
+    span_coordinates,
 )
+
+
+def is_upper_triangular(m: Matrix) -> bool:
+    z = m.field.zero_raw
+    return all(m.raw(i, j) == z for i in range(m.rows) for j in range(min(i, m.cols)))
+
+
+def is_lower_triangular(m: Matrix) -> bool:
+    z = m.field.zero_raw
+    return all(m.raw(i, j) == z for i in range(m.rows) for j in range(i + 1, m.cols))
 
 
 def _random_matrix(rng, field, n, m):
@@ -212,12 +220,12 @@ def test_complete_to_basis_dependent_raises():
 
 def test_complete_to_basis_greedy_property():
     rng = random.Random(11)
-    for field in (GF(2), GF(3)):
+    for field in (GF(2), GF(3), GF(101), QQ):
         for _ in range(30):
             dim = rng.randint(1, 4)
             vecs = []
             for _ in range(rng.randint(0, dim)):
-                cand = Vector(field, [rng.randrange(field.p) for _ in range(dim)])
+                cand = Vector(field, _random_matrix(rng, field, 1, dim).data)
                 trial = vecs + [cand]
                 if rank(Matrix.from_row_vectors(field, trial, dim)) == len(trial):
                     vecs = trial
@@ -227,12 +235,55 @@ def test_complete_to_basis_greedy_property():
             assert rank(Matrix.from_row_vectors(field, union, dim)) == dim
             for v in added:
                 assert sum(1 for x in v.data if x != field.zero_raw) == 1
+            greedy = []
+            for idx in range(dim):
+                trial = vecs + greedy + [Vector.unit(field, dim, idx)]
+                if rank(Matrix.from_row_vectors(field, trial, dim)) == len(trial):
+                    greedy.append(trial[-1])
+            assert added == greedy
+
+
+def test_span_coordinates_against_ranks():
+    rng = random.Random(12)
+    for field in (GF(2), GF(101), QQ):
+        for _ in range(25):
+            dim = rng.randint(1, 4)
+
+            def draw():
+                return Vector(field, _random_matrix(rng, field, 1, dim).data)
+
+            def rank_of(vecs):
+                return rank(Matrix.from_row_vectors(field, vecs, dim))
+
+            basis = [draw() for _ in range(rng.randint(0, dim))]
+            cands = [draw() for _ in range(rng.randint(0, 3))]
+            for _ in range(rng.randint(0, 3)):  # some candidates inside the span
+                combo = [field.zero_raw] * dim
+                for b in basis:
+                    c = field.coerce_raw(rng.randint(-3, 3))
+                    combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, b.data)]
+                cands.insert(rng.randint(0, len(cands)), Vector(field, combo))
+            span = span_coordinates(field, dim, basis, cands)
+            assert span.rank == rank_of(basis)
+            chosen = []
+            for k, (cand, coeffs) in enumerate(zip(cands, span.coords)):
+                assert (coeffs is None) == (rank_of(basis + [cand]) > span.rank)
+                if coeffs is not None:
+                    rebuilt = [field.zero_raw] * dim
+                    for c, b in zip(coeffs, basis):
+                        rebuilt = [field.add(x, field.mul(c, y)) for x, y in zip(rebuilt, b.data)]
+                    assert rebuilt == list(cand.data)
+                picked = basis + [cands[i] for i in chosen]
+                if rank_of(picked + [cand]) > rank_of(picked):
+                    chosen.append(k)
+            assert span.pivots == chosen
 
 
 def test_triangularizing_transform_inverse():
+    # build_bases triangularizes each per-block chain stack with its inverse
     f = GF(2)
     r2 = Matrix.from_rows(f, [[1, 1], [1, 0]])
-    t = triangularizing_transform(r2, "upper")
+    t = invert(r2)
     assert t == Matrix.from_rows(f, [[0, 1], [1, 1]])
     assert r2 @ t == Matrix.identity(f, 2)
     assert is_upper_triangular(r2 @ t) and is_lower_triangular(r2 @ t)
@@ -240,7 +291,7 @@ def test_triangularizing_transform_inverse():
 
 def test_triangularizing_accepts_other_valid_transforms():
     # a swap matrix also upper-triangularizes this stack; the triangularity
-    # predicate admits it even though this library always returns the inverse
+    # predicate admits it even though this library always uses the inverse
     f = GF(2)
     r2 = Matrix.from_rows(f, [[1, 1], [1, 0]])
     e2 = Matrix.from_rows(f, [[0, 1], [1, 0]])
@@ -249,9 +300,7 @@ def test_triangularizing_accepts_other_valid_transforms():
 
 def test_triangularizing_singular_raises():
     with pytest.raises(SingularMatrixError):
-        triangularizing_transform(Matrix.zeros(GF(2), 2, 2), "upper")
-    with pytest.raises(ValueError):
-        triangularizing_transform(Matrix.identity(GF(2), 2), "diagonal")
+        invert(Matrix.zeros(GF(2), 2, 2))
 
 
 def test_empty_matrix_edge_cases():

@@ -7,6 +7,7 @@ from gen import random_rank1_instance, worked_example
 
 from rank1dm import (
     GF,
+    QQ,
     Matrix,
     PartitionedMatrix,
     StabilityGraph,
@@ -216,9 +217,18 @@ def test_cover_duality_exhaustive_small():
 
 def test_exchange_arcs_match_definition():
     rng = random.Random(33)
+    cases = []
     for _ in range(15):
         field = GF(rng.choice([2, 3]))
-        a = random_rank1_instance(rng, field, rng.randint(1, 3), rng.randint(1, 3))
+        cases.append(random_rank1_instance(rng, field, rng.randint(1, 3), rng.randint(1, 3)))
+    # over GF(2) every nonzero circuit coefficient is 1; larger fields and
+    # the rationals tell "nonzero" apart from "equal to one"
+    rng = random.Random(34)
+    for field in (GF(101), QQ) * 6:
+        mu, nu = rng.randint(1, 4), rng.randint(1, 4)
+        cases.append(random_rank1_instance(rng, field, mu, nu, max_dim=3))
+    large_field_arcs = 0
+    for a in cases:
         g = build_stability_graph(a)
         state = max_independent_matching(g)
         mp, ms = matroid_pi(g), matroid_sigma(g)
@@ -239,6 +249,8 @@ def test_exchange_arcs_match_definition():
                 if mp.is_independent(swapped):
                     want_pi.add((old, new))
         assert got_pi == want_pi
+        if a.field != GF(2):
+            large_field_arcs += len(got_pi)
         npi = g.n_pi
         got_sigma = {
             (v - npi, w - npi)
@@ -253,6 +265,7 @@ def test_exchange_arcs_match_definition():
                 if ms.is_independent(swapped):
                     want_sigma.add((new, old))
         assert got_sigma == want_sigma
+    assert large_field_arcs > 0
 
 
 def test_matroid_rejects_bad_block_index():

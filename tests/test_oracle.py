@@ -271,6 +271,18 @@ def test_classic_dm_identity_and_zero():
     assert classic_dm_check(zero) == (0, 5)
 
 
+def test_classic_dm_long_augmenting_path():
+    # row i meets columns i and i + 1, the last row columns n - 1 and 0: the
+    # last augmentation walks back along the whole diagonal, deeper than
+    # Python's recursion limit
+    n = 1500
+    mat = Matrix.zeros(GF(2), n, n)
+    for i in range(n):
+        mat.data[i * n + i] = 1
+        mat.data[i * n + (i + 1) % n] = 1
+    assert classic_dm_check(PartitionedMatrix(mat, (1,) * n, (1,) * n)) == (n, n)
+
+
 def test_classic_dm_wrong_type():
     a = PartitionedMatrix(Matrix.zeros(GF(2), 4, 4), (2, 2), (1, 1, 1, 1))
     with pytest.raises(ValueError):
