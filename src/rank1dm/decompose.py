@@ -12,8 +12,9 @@ E^T A F in block-triangular form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .field import Field
 from .linalg import (
@@ -21,7 +22,6 @@ from .linalg import (
     Vector,
     complete_to_basis,
     invert,
-    kernel_basis,
     rref,
 )
 from .matching import (
@@ -32,6 +32,7 @@ from .matching import (
 )
 from .oracle import is_stable
 from .partmat import (
+    HyperplaneVertex,
     PartitionedMatrix,
     StabilityGraph,
     build_stability_graph,
@@ -139,6 +140,23 @@ class ChainPoset:
                 out.append(j)
         out.sort(key=lambda j: (len(j), sorted(j)))
         return out
+
+    @cached_property
+    def adapted_bases(self) -> tuple[AdaptedBasis, AdaptedBasis]:
+        """Row-side and column-side bases adapted to the chain, built once
+        per poset and shared by E, F and every ideal's stable subspace.
+
+        Groups run bottom (H0/K0), the components in label order, top
+        (Hinf/Kinf); completion vectors join the bottom group on the row
+        side and the top group on the column side."""
+        g = self.state.graph
+        top = self.h + 1
+        rows = [(0, self.h0), *((c.label, c.h_pi) for c in self.components), (top, self.hinf)]
+        cols = [(0, self.k0), *((c.label, c.k_sigma) for c in self.components), (top, self.kinf)]
+        return (
+            _adapted_basis(g.field, g.pi, g.row_blocks, rows, 0),
+            _adapted_basis(g.field, g.sigma, g.col_blocks, cols, top),
+        )
 
 
 def scc_poset(
@@ -282,45 +300,25 @@ def _echelon_form(field: Field, vectors: Sequence[Vector], dim: int) -> tuple:
     return tuple(tuple(r.R.row_raw(i)) for i in range(r.rank))
 
 
-def _hyperplane_intersection(
-    field: Field, normals: list[Vector], dim: int
-) -> tuple[Vector, ...]:
-    """Basis of the intersection of hyperplanes with the given normals."""
-    m = Matrix.from_row_vectors(field, normals, dim)
-    return tuple(kernel_basis(m))
-
-
 def ideal_to_stable_subspace(
     j: Iterable[int], poset: ChainPoset, g: StabilityGraph
 ) -> StableSubspace:
     """Map an ideal of the component poset to its maximum stable subspace.
 
-    The row-side space is cut out by the matched normals of the components
-    above the ideal together with Hinf; the column-side space by the matched
-    normals inside the ideal together with K0.
+    The row-side space, cut out by Hinf and the components above the ideal,
+    is spanned by the duals of the bottom group and the ideal; the
+    column-side space, cut out by K0 and the components inside the ideal,
+    by the duals of the other groups.
     """
     j = frozenset(j)
     if not poset.is_ideal(j):
         raise ValueError(f"{sorted(j)} is not an ideal of the poset")
-    h_sel: list[int] = list(poset.hinf)
-    for comp in poset.components:
-        if comp.label not in j:
-            h_sel.extend(comp.h_pi)
-    k_sel: list[int] = list(poset.k0)
-    for comp in poset.components:
-        if comp.label in j:
-            k_sel.extend(comp.k_sigma)
-
-    f = g.field
-    x_bases = []
-    for alpha, dim in enumerate(g.row_blocks):
-        normals = [g.pi[i].normal for i in sorted(h_sel) if g.pi[i].block == alpha]
-        x_bases.append(_hyperplane_intersection(f, normals, dim))
-    y_bases = []
-    for beta, dim in enumerate(g.col_blocks):
-        normals = [g.sigma[i].normal for i in sorted(k_sel) if g.sigma[i].block == beta]
-        y_bases.append(_hyperplane_intersection(f, normals, dim))
-    return StableSubspace(tuple(x_bases), tuple(y_bases))
+    rows, cols = poset.adapted_bases
+    below = j | {0}
+    return StableSubspace(
+        rows.select(lambda group: group in below),
+        cols.select(lambda group: group not in below),
+    )
 
 
 def maximal_chain(poset: ChainPoset, g: StabilityGraph) -> list[StableSubspace]:
@@ -345,15 +343,84 @@ class BasisEntry:
     vertex: int | None
 
 
+@dataclass(frozen=True)
+class AdaptedBasis:
+    """One side's basis entries in chain order and, per block, the inverse of
+    their normals stacked in that order.
+
+    Column lam of a block's inverse, the dual of the block's lam-th entry,
+    pairs to one with that entry's normal and to zero with the others, so
+    the duals of any set of entries span the subspace cut out by the
+    normals of the rest of the block."""
+
+    entries: list[BasisEntry]
+    inverses: list[Matrix]
+    duals: list[Vector]
+
+    def select(self, keep: Callable[[int], bool]) -> tuple[tuple[Vector, ...], ...]:
+        """Per block, the duals of the entries whose group passes ``keep``."""
+        bases: list[list[Vector]] = [[] for _ in self.inverses]
+        for entry, dual in zip(self.entries, self.duals):
+            if keep(entry.group):
+                bases[entry.block].append(dual)
+        return tuple(tuple(b) for b in bases)
+
+    def scatter(self, f: Field, offsets: Sequence[int], size: int) -> Matrix:
+        """The duals in global coordinates: the dual of the i-th entry
+        becomes column size-1-i (reverse chain order)."""
+        data = [f.zero_raw] * (size * size)
+        for i, (entry, dual) in enumerate(zip(self.entries, self.duals)):
+            col = size - 1 - i
+            base = offsets[entry.block]
+            for r, x in enumerate(dual.data):
+                data[(base + r) * size + col] = x
+        return Matrix(f, size, size, data)
+
+    def group_sizes(self, count: int) -> list[int]:
+        sizes = [0] * count
+        for e in self.entries:
+            sizes[e.group] += 1
+        return sizes
+
+
+def _adapted_basis(
+    f: Field,
+    vertices: Sequence[HyperplaneVertex],
+    dims: Sequence[int],
+    groups: Iterable[tuple[int, Sequence[int]]],
+    completion_group: int,
+) -> AdaptedBasis:
+    """Entries for the matched vertices group by group, completed per block
+    by unit vectors that follow the matched entries of ``completion_group``;
+    then each block's inverse, which supplies every entry's dual."""
+    entries = [
+        BasisEntry(group, vertices[i].block, vertices[i].normal, i)
+        for group, ids in groups
+        for i in ids
+    ]
+    for blk, dim in enumerate(dims):
+        present = [e.normal for e in entries if e.block == blk]
+        entries.extend(
+            BasisEntry(completion_group, blk, vec, None)
+            for vec in complete_to_basis(present, dim, f)
+        )
+    entries.sort(key=lambda e: e.group)
+    inverses = [
+        invert(Matrix.from_row_vectors(f, [e.normal for e in entries if e.block == blk], dim))
+        for blk, dim in enumerate(dims)
+    ]
+    columns = [iter([inv.col(lam) for lam in range(inv.cols)]) for inv in inverses]
+    duals = [next(columns[e.block]) for e in entries]
+    return AdaptedBasis(entries, inverses, duals)
+
+
 @dataclass
 class BasisAssembly:
     """Ordered dual bases and the transformation matrices built from them."""
 
     h_entries: list[BasisEntry]
     k_entries: list[BasisEntry]
-    r_blocks: list[Matrix]
     e_blocks: list[Matrix]
-    s_blocks: list[Matrix]
     f_blocks: list[Matrix]
     E: Matrix
     F: Matrix
@@ -380,119 +447,23 @@ class BasisAssembly:
 def build_bases(
     poset: ChainPoset, g: StabilityGraph, a: PartitionedMatrix
 ) -> BasisAssembly:
-    """Complete the matched normals to per-block bases, order them along the
-    chain, and turn them into the transformation matrices E and F.
-
-    Completion vectors join the bottom group on the row side and the top
-    group on the column side.  Per block, the selected rows stacked in chain
-    order form R_alpha (resp. S_beta); its inverse supplies the basis
-    columns, which are scattered into block coordinates and collected in
-    reverse chain order."""
-    f = g.field
-    h = poset.h
-
-    h_entries: list[BasisEntry] = []
-    k_entries: list[BasisEntry] = []
-    top = h + 1
-
-    h_entries.extend(
-        BasisEntry(0, g.pi[i].block, g.pi[i].normal, i) for i in poset.h0
-    )
-    h_completions: list[BasisEntry] = []
-    matched_pi = sorted(poset.state.matched_pi)
-    for alpha, dim in enumerate(g.row_blocks):
-        present = [g.pi[i].normal for i in matched_pi if g.pi[i].block == alpha]
-        for vec in complete_to_basis(present, dim, f):
-            h_completions.append(BasisEntry(0, alpha, vec, None))
-    h_entries.extend(h_completions)
-    for comp in poset.components:
-        h_entries.extend(
-            BasisEntry(comp.label, g.pi[i].block, g.pi[i].normal, i)
-            for i in comp.h_pi
-        )
-    h_entries.extend(
-        BasisEntry(top, g.pi[i].block, g.pi[i].normal, i) for i in poset.hinf
-    )
-
-    k_entries.extend(
-        BasisEntry(0, g.sigma[j].block, g.sigma[j].normal, j) for j in poset.k0
-    )
-    for comp in poset.components:
-        k_entries.extend(
-            BasisEntry(comp.label, g.sigma[j].block, g.sigma[j].normal, j)
-            for j in comp.k_sigma
-        )
-    k_entries.extend(
-        BasisEntry(top, g.sigma[j].block, g.sigma[j].normal, j) for j in poset.kinf
-    )
-    matched_sigma = sorted(poset.state.matched_sigma)
-    for beta, dim in enumerate(g.col_blocks):
-        present = [g.sigma[j].normal for j in matched_sigma if g.sigma[j].block == beta]
-        for vec in complete_to_basis(present, dim, f):
-            k_entries.append(BasisEntry(top, beta, vec, None))
-
+    """Scatter the poset's adapted bases into the transformation matrices E
+    and F."""
+    rows, cols = poset.adapted_bases
     n = a.matrix.rows
     m = a.matrix.cols
-    if len(h_entries) != n or len(k_entries) != m:
+    if len(rows.entries) != n or len(cols.entries) != m:
         raise AssertionError("basis entry counts disagree with the matrix shape")
-
-    r_blocks, e_blocks = [], []
-    for alpha, dim in enumerate(g.row_blocks):
-        rows = [e.normal for e in h_entries if e.block == alpha]
-        r = Matrix.from_row_vectors(f, rows, dim)
-        r_blocks.append(r)
-        e_blocks.append(invert(r))
-    s_blocks, f_blocks = [], []
-    for beta, dim in enumerate(g.col_blocks):
-        rows = [e.normal for e in k_entries if e.block == beta]
-        s = Matrix.from_row_vectors(f, rows, dim)
-        s_blocks.append(s)
-        f_blocks.append(invert(s))
-
-    E = _scatter_columns(f, h_entries, e_blocks, a.row_offsets, n)
-    F = _scatter_columns(f, k_entries, f_blocks, a.col_offsets, m)
-
-    h_sizes = [0] * (h + 2)
-    for e in h_entries:
-        h_sizes[e.group] += 1
-    k_sizes = [0] * (h + 2)
-    for e in k_entries:
-        k_sizes[e.group] += 1
-
     return BasisAssembly(
-        h_entries=h_entries,
-        k_entries=k_entries,
-        r_blocks=r_blocks,
-        e_blocks=e_blocks,
-        s_blocks=s_blocks,
-        f_blocks=f_blocks,
-        E=E,
-        F=F,
-        h_group_sizes=h_sizes,
-        k_group_sizes=k_sizes,
+        h_entries=rows.entries,
+        k_entries=cols.entries,
+        e_blocks=rows.inverses,
+        f_blocks=cols.inverses,
+        E=rows.scatter(g.field, a.row_offsets, n),
+        F=cols.scatter(g.field, a.col_offsets, m),
+        h_group_sizes=rows.group_sizes(poset.h + 2),
+        k_group_sizes=cols.group_sizes(poset.h + 2),
     )
-
-
-def _scatter_columns(
-    f: Field,
-    entries: list[BasisEntry],
-    transforms: list[Matrix],
-    offsets: list[int],
-    size: int,
-) -> Matrix:
-    """Place per-block transform columns into global coordinates; the column
-    for the i-th entry lands at global column size-1-i (reverse order)."""
-    position_in_block: dict[int, int] = {}
-    data = [f.zero_raw] * (size * size)
-    for i, entry in enumerate(entries):
-        lam = position_in_block.get(entry.block, 0)
-        position_in_block[entry.block] = lam + 1
-        tr = transforms[entry.block]
-        col = size - 1 - i
-        base = offsets[entry.block]
-        for r in range(tr.rows):
-            data[(base + r) * size + col] = tr.raw(r, lam)
-    return Matrix(f, size, size, data)
 
 
 @dataclass
@@ -514,10 +485,6 @@ class DMResult:
     chain: list[StableSubspace] | None = None
     assembly: BasisAssembly | None = None
 
-    @property
-    def h(self) -> int:
-        return len(self.diag_blocks) - 2
-
 
 def dm_decompose(a: PartitionedMatrix) -> DMResult:
     """Full pipeline: stability graph, maximum independent matching,
@@ -529,24 +496,10 @@ def dm_decompose(a: PartitionedMatrix) -> DMResult:
     assembly = build_bases(poset, g, a)
     a_dm = assembly.E.transpose() @ a.matrix @ assembly.F
 
-    h = poset.h
-    hs, ks = assembly.h_group_sizes, assembly.k_group_sizes
-    diag_blocks = [(hs[h + 1], ks[h + 1])]
-    for k in range(h, 0, -1):
-        if hs[k] != ks[k]:
-            raise AssertionError("component group sizes differ between sides")
-        diag_blocks.append((hs[k], ks[k]))
-    diag_blocks.append((hs[0], ks[0]))
-
+    # groups top, h, ..., 1, bottom; scc_poset keeps each component square
+    diag_blocks = list(zip(assembly.h_group_sizes, assembly.k_group_sizes))[::-1]
     n, m = a.matrix.rows, a.matrix.cols
-    chain_dims = []
-    ik = 0
-    jk = 0
-    for k in range(h + 1):
-        ik += hs[k]
-        jk += ks[k]
-        chain_dims.append((ik, m - jk))
-
+    chain_dims = _chain_dims(diag_blocks, m)
     chain = maximal_chain(poset, g)
     size = state.size
     return DMResult(
@@ -565,6 +518,15 @@ def dm_decompose(a: PartitionedMatrix) -> DMResult:
         chain=chain,
         assembly=assembly,
     )
+
+
+def _chain_dims(diag_blocks: Sequence[tuple[int, int]], m: int) -> list[tuple[int, int]]:
+    """Chain element k spans the rows of the last k+1 diagonal blocks and
+    leaves m minus their columns."""
+    bottom_up = diag_blocks[:0:-1]
+    rows = accumulate(r for r, _ in bottom_up)
+    cols = accumulate(c for _, c in bottom_up)
+    return [(i, m - j) for i, j in zip(rows, cols)]
 
 
 @dataclass(frozen=True)
@@ -630,12 +592,70 @@ def _block_permutation_ok(mat: Matrix, blocks: tuple[int, ...]) -> tuple[bool, s
     return True, ""
 
 
+def _staircase_problem(a_dm: Matrix, blocks, n: int, m: int) -> str:
+    """Why the declared diagonal blocks do not put a zero staircase under
+    A_dm, or "" when they do.  The middle blocks D_h .. D_1 are square."""
+    if (a_dm.rows, a_dm.cols) != (n, m):
+        return "A_dm does not have the shape of A"
+    if any(r < 0 or c < 0 for r, c in blocks):
+        return "a diagonal block has a negative size"
+    for k, (r, c) in enumerate(blocks[1:-1], start=1):
+        if r != c:
+            return f"middle diagonal block {k} is {r}x{c}, not square"
+    if sum(r for r, _ in blocks) != n or sum(c for _, c in blocks) != m:
+        return "diagonal block sizes do not tile the matrix"
+    zero = a_dm.field.zero_raw
+    row_starts = list(accumulate((r for r, _ in blocks), initial=0))
+    col_starts = list(accumulate((c for _, c in blocks), initial=0))
+    for gr in range(len(blocks)):
+        for gc in range(gr):
+            for i in range(row_starts[gr], row_starts[gr + 1]):
+                for j in range(col_starts[gc], col_starts[gc + 1]):
+                    if a_dm.raw(i, j) != zero:
+                        return f"nonzero entry below the staircase at ({i}, {j})"
+    return ""
+
+
+def _chain_problem(a: PartitionedMatrix, result: DMResult) -> str:
+    """Why the attached chain does not certify the decomposition, or "".
+
+    Every element is stable of dimension n + m - |M|; element k belongs to
+    the last k+1 diagonal blocks, so its dimensions are their row count and
+    m minus their column count."""
+    chain, dims, blocks = result.chain, result.chain_dims, result.diag_blocks
+    m = a.matrix.cols
+    want = a.matrix.rows + m - result.matching_size
+    for k, sub in enumerate(chain):
+        if not isinstance(sub, StableSubspace):
+            return f"chain element {k} is not a StableSubspace"
+        try:
+            stable = is_stable(a, sub.x_bases, sub.y_bases)
+        except ValueError as exc:
+            return f"chain element {k}: {exc}"
+        if not stable:
+            return f"chain element {k} is not stable"
+        if sub.dim_x + sub.dim_y != want:
+            return f"chain element {k} has dimension {sub.dims}"
+    if not len(chain) == len(dims) == len(blocks) - 1:
+        return (
+            f"{len(chain)} chain elements and {len(dims)} chain dims"
+            f" for {len(blocks)} diagonal blocks"
+        )
+    if list(dims) != _chain_dims(blocks, m):
+        return "chain dims disagree with the diagonal blocks"
+    if [sub.dims for sub in chain] != list(dims):
+        return "chain element dimensions disagree with the chain dims"
+    return ""
+
+
 def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     """Re-check a decomposition from first principles.
 
     (a) the product identity, (b) admissibility of E and F, (c) the zero
-    staircase under the declared diagonal blocks, (d) stability and common
-    dimension of the chain elements when a chain is attached, (e) the
+    staircase under the declared diagonal blocks, whose sizes are
+    nonnegative and whose middle blocks are square, (d) when a chain is
+    attached, stability and common dimension of its elements and their
+    agreement with the chain dimensions and the diagonal blocks, (e) the
     dimension/matching duality.
     """
     checks: list[CheckResult] = []
@@ -665,47 +685,12 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
         )
     )
 
-    rows_total = sum(r for r, _ in result.diag_blocks)
-    cols_total = sum(c for _, c in result.diag_blocks)
-    a_dm_fits = (result.a_dm.rows, result.a_dm.cols) == (n, m)
-    stair_ok = rows_total == n and cols_total == m and a_dm_fits
-    detail = ""
-    if stair_ok:
-        zero = a.field.zero_raw
-        row_starts = list(accumulate((r for r, _ in result.diag_blocks), initial=0))
-        col_starts = list(accumulate((c for _, c in result.diag_blocks), initial=0))
-        for gr in range(len(result.diag_blocks)):
-            for gc in range(gr):
-                for i in range(row_starts[gr], row_starts[gr + 1]):
-                    for j in range(col_starts[gc], col_starts[gc + 1]):
-                        if result.a_dm.raw(i, j) != zero:
-                            stair_ok = False
-                            detail = f"nonzero entry below the staircase at ({i}, {j})"
-    elif not a_dm_fits:
-        detail = "A_dm does not have the shape of A"
-    else:
-        detail = "diagonal block sizes do not tile the matrix"
-    checks.append(CheckResult("staircase", stair_ok, detail))
+    detail = _staircase_problem(result.a_dm, result.diag_blocks, n, m)
+    checks.append(CheckResult("staircase", not detail, detail))
 
     if result.chain is not None:
-        want = n + m - result.matching_size
-        chain_ok = True
-        detail = ""
-        for k, sub in enumerate(result.chain):
-            try:
-                stable = is_stable(a, sub.x_bases, sub.y_bases)
-            except ValueError as exc:
-                chain_ok, detail = False, f"chain element {k}: {exc}"
-                break
-            if not stable:
-                chain_ok = False
-                detail = f"chain element {k} is not stable"
-                break
-            if sub.dim_x + sub.dim_y != want:
-                chain_ok = False
-                detail = f"chain element {k} has dimension {sub.dims}"
-                break
-        checks.append(CheckResult("chain", chain_ok, detail))
+        detail = _chain_problem(a, result)
+        checks.append(CheckResult("chain", not detail, detail))
 
     checks.append(
         CheckResult(

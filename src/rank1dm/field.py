@@ -69,13 +69,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def dot(self, xs, ys):
-        """Inner product of two raw-value sequences of equal length."""
-        acc = self.zero_raw
-        for x, y in zip(xs, ys):
-            acc = self.add(acc, self.mul(x, y))
-        return acc
-
     def coerce_raw(self, value) -> Any:
         """Turn ints, strings, elements or raw carriers into a raw value."""
         if isinstance(value, FieldElement):

@@ -11,11 +11,14 @@ repeat until no path remains.
 
 from __future__ import annotations
 
+import logging
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .linalg import Matrix, Vector, rref, span_coordinates
 from .partmat import StabilityGraph
+
+_log = logging.getLogger("rank1dm")
 
 
 class VectorMatroid:
@@ -106,7 +109,6 @@ class IndependentMatchingState:
     matched_pi: set[int]
     matched_sigma: set[int]
     augmentations: int = 0
-    history: list[frozenset[int]] = dc_field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -212,22 +214,25 @@ def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
 
     Each round flips the graph edges used by a shortest path between the
     source set and the sink set, growing the matching by one; when no path
-    exists the matching is maximum.
+    exists the matching is maximum.  Every augmentation emits a DEBUG record
+    on the ``rank1dm`` logger whose ``matching`` attribute holds the new
+    matching's edge indices.
     """
     matching: frozenset[int] = frozenset()
-    history = [matching]
     rounds = 0
     while True:
         state = build_auxiliary_digraph(g, matching)
         arcs = _shortest_path_arcs(state)
         if arcs is None:
             state.augmentations = rounds
-            state.history = history
             return state
         flipped = {edge for _, _, edge in arcs if edge is not None}
         matching = matching.symmetric_difference(flipped)
-        history.append(matching)
         rounds += 1
+        _log.debug(
+            "augmentation %d: matching of size %d", rounds, len(matching),
+            extra={"matching": matching},
+        )
 
 
 @dataclass(frozen=True)

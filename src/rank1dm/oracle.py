@@ -186,6 +186,8 @@ def is_stable_block(a: PartitionedMatrix, alpha: int, beta: int, x_basis, y_basi
     if not x_basis or not y_basis:
         return True
     block = a.block(alpha, beta)
+    if block.is_zero():  # x^T 0 y = 0
+        return True
     columns = [block.data[j :: block.cols] for j in range(block.cols)]
     for x in x_basis:
         xa = [f.dot(x, col) for col in columns]

@@ -11,14 +11,11 @@ joining its pair of vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .field import Field, FieldElement, PrimeField
 from .linalg import Matrix, Rank1Factor, Vector, rank1_factor
-
-ROW = "row"
-COL = "col"
 
 
 class RankConditionViolated(ValueError):
@@ -62,13 +59,13 @@ class PartitionedMatrix:
     def nu(self) -> int:
         return len(self.col_blocks)
 
-    @property
-    def row_offsets(self) -> list[int]:
-        return list(accumulate(self.row_blocks, initial=0))
+    @cached_property
+    def row_offsets(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.row_blocks, initial=0))
 
-    @property
-    def col_offsets(self) -> list[int]:
-        return list(accumulate(self.col_blocks, initial=0))
+    @cached_property
+    def col_offsets(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.col_blocks, initial=0))
 
     def block(self, alpha: int, beta: int) -> Matrix:
         """The submatrix at block position (alpha, beta), zero-based."""
@@ -96,7 +93,6 @@ class PartitionedMatrix:
 class HyperplaneVertex:
     """A hyperplane inside one block space, identified by its monic normal."""
 
-    side: str
     block: int
     normal: Vector
 
@@ -235,11 +231,11 @@ def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:
             raw_edges.append((alpha, beta, fac))
 
     g.pi = sorted(
-        (HyperplaneVertex(ROW, blk, nrm) for blk, nrm in pi_seen),
+        (HyperplaneVertex(blk, nrm) for blk, nrm in pi_seen),
         key=HyperplaneVertex.sort_key,
     )
     g.sigma = sorted(
-        (HyperplaneVertex(COL, blk, nrm) for blk, nrm in sigma_seen),
+        (HyperplaneVertex(blk, nrm) for blk, nrm in sigma_seen),
         key=HyperplaneVertex.sort_key,
     )
     pi_index = {(v.block, v.normal): i for i, v in enumerate(g.pi)}

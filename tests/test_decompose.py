@@ -24,6 +24,7 @@ from rank1dm import (
     build_stability_graph,
     dm_decompose,
     ideal_to_stable_subspace,
+    is_stable,
     max_independent_matching,
     maximal_chain,
     rank,
@@ -31,7 +32,7 @@ from rank1dm import (
     scc_poset,
     verify,
 )
-from rank1dm.partmat import ROW, HyperplaneVertex
+from rank1dm.partmat import HyperplaneVertex
 
 
 def _labels(g, ids, side):
@@ -59,7 +60,7 @@ def test_reachability_empty_graph():
 
 def test_reachability_isolated_source_vertex():
     g = StabilityGraph(GF(2), (2,), (1,))
-    g.pi = [HyperplaneVertex(ROW, 0, Vector(GF(2), [1, 0]))]
+    g.pi = [HyperplaneVertex(0, Vector(GF(2), [1, 0]))]
     state = max_independent_matching(g)
     c0, cinf = reachability_sets(state)
     assert c0 == {0} and cinf == set()
@@ -146,6 +147,41 @@ def test_non_ideal_rejected(example_result):
         ideal_to_stable_subspace({0, 1}, res.poset, res.graph)
 
 
+def test_ideal_subspaces_match_definition():
+    # every ideal's subspace, checked against the hyperplanes that cut it out
+    # rather than against a kernel computation, where brute force cannot go
+    rng = random.Random(49)
+    checked = 0
+    for field in (GF(101), QQ):
+        for _ in range(12):
+            a = random_rank1_instance(rng, field, rng.randint(2, 4), rng.randint(2, 4), max_dim=3)
+            res = dm_decompose(a)
+            g, poset = res.graph, res.poset
+            for j in poset.ideals():
+                sub = ideal_to_stable_subspace(j, poset, g)
+                cut_pi = list(poset.hinf) + [
+                    i for c in poset.components if c.label not in j for i in c.h_pi
+                ]
+                cut_sigma = list(poset.k0) + [
+                    i for c in poset.components if c.label in j for i in c.k_sigma
+                ]
+                for bases, vertices, cut, dims in (
+                    (sub.x_bases, g.pi, cut_pi, a.row_blocks),
+                    (sub.y_bases, g.sigma, cut_sigma, a.col_blocks),
+                ):
+                    for blk, (basis, dim) in enumerate(zip(bases, dims)):
+                        normals = [vertices[i].normal for i in cut if vertices[i].block == blk]
+                        for nrm in normals:
+                            for v in basis:
+                                assert field.dot(nrm.data, v.data) == field.zero_raw
+                        assert len(basis) == dim - len(normals)
+                        assert rank(Matrix.from_row_vectors(field, list(basis), dim)) == len(basis)
+                assert sub.dim_x + sub.dim_y == res.v_star
+                assert is_stable(a, sub.x_bases, sub.y_bases)
+                checked += 1
+    assert checked >= 250
+
+
 def test_maximal_chain_dims_worked_example(example_result):
     res = example_result
     assert res.chain_dims == [(2, 5), (4, 3), (5, 2), (6, 1)]
@@ -183,6 +219,12 @@ def test_chain_step_identity():
             assert i1 - i0 == j0 - j1 > 0
 
 
+def _stacked_normals(entries, block, dim, field):
+    """R_alpha (or S_beta): the block's entry normals stacked in chain order."""
+    rows = [e.normal for e in entries if e.block == block]
+    return Matrix.from_row_vectors(field, rows, dim)
+
+
 def test_build_bases_orders(example, example_result):
     res = example_result
     g = res.graph
@@ -190,10 +232,10 @@ def test_build_bases_orders(example, example_result):
     assert asm.h_labels(g) == ["2c", "3a", "1a", "3c", "2a", "1b"]
     assert asm.k_labels(g) == ["3'a", "1'a", "2'c", "1'c", "3'c", "2'a"]
     f = example.field
-    assert asm.r_blocks[2] == Matrix.from_rows(f, [[1, 0], [1, 1]])
+    assert _stacked_normals(asm.h_entries, 2, 2, f) == Matrix.from_rows(f, [[1, 0], [1, 1]])
     # greedy unit completion appends (1,0) to the matched (1,1) in column
     # block 2, so S_2 stacks them in that order
-    assert asm.s_blocks[1] == Matrix.from_rows(f, [[1, 1], [1, 0]])
+    assert _stacked_normals(asm.k_entries, 1, 2, f) == Matrix.from_rows(f, [[1, 1], [1, 0]])
     # completion vectors carry no graph vertex
     assert asm.h_entries[1].vertex is None
     assert asm.k_entries[5].vertex is None
@@ -201,9 +243,11 @@ def test_build_bases_orders(example, example_result):
 
 def test_build_bases_products_are_identity(example_result):
     asm = example_result.assembly
-    for r, e in zip(asm.r_blocks, asm.e_blocks):
+    for alpha, e in enumerate(asm.e_blocks):
+        r = _stacked_normals(asm.h_entries, alpha, e.rows, e.field)
         assert r @ e == Matrix.identity(r.field, r.rows)
-    for s, f_ in zip(asm.s_blocks, asm.f_blocks):
+    for beta, f_ in enumerate(asm.f_blocks):
+        s = _stacked_normals(asm.k_entries, beta, f_.rows, f_.field)
         assert s @ f_ == Matrix.identity(s.field, s.rows)
 
 
@@ -258,6 +302,54 @@ def test_verify_detects_tampering(example, example_result):
     assert not report.passed
     assert not report.check("product").passed
     assert not report.check("staircase").passed
+
+
+def test_verify_rejects_non_square_middle_block(example, example_result):
+    bad = dataclasses.replace(
+        example_result, diag_blocks=[(0, 1), (1, 1), (1, 1), (2, 1), (2, 2)]
+    )
+    check = verify(example, bad).check("staircase")
+    assert not check.passed
+    assert "not square" in check.detail
+
+
+def test_verify_rejects_negative_block_size(example, example_result):
+    bad = dataclasses.replace(example_result, diag_blocks=[(7, 0), (-1, 6)])
+    report = verify(example, bad)
+    assert not report.passed
+    assert "negative size" in report.check("staircase").detail
+
+
+def test_verify_checks_chain_dims(example, example_result):
+    bad = dataclasses.replace(example_result, chain_dims=[(9, 9)])
+    check = verify(example, bad).check("chain")
+    assert not check.passed and "chain dims" in check.detail
+    bad = dataclasses.replace(example_result, chain_dims=[(2, 5), (4, 3), (5, 2), (5, 2)])
+    check = verify(example, bad).check("chain")
+    assert not check.passed and "disagree with the diagonal blocks" in check.detail
+    # consistent with reordered middle blocks, but not with the chain itself
+    bad = dataclasses.replace(
+        example_result,
+        diag_blocks=[(0, 1), (1, 1), (2, 2), (1, 1), (2, 1)],
+        chain_dims=[(2, 5), (3, 4), (5, 2), (6, 1)],
+    )
+    check = verify(example, bad).check("chain")
+    assert not check.passed and "disagree with the chain dims" in check.detail
+
+
+def test_verify_rejects_truncated_chain(example, example_result):
+    bad = dataclasses.replace(example_result, chain=example_result.chain[:1])
+    check = verify(example, bad).check("chain")
+    assert not check.passed
+    assert "1 chain elements" in check.detail
+
+
+def test_verify_reports_non_subspace_chain_element(example, example_result):
+    for chain in ([None], [*example_result.chain[:-1], None]):
+        bad = dataclasses.replace(example_result, chain=chain)
+        check = verify(example, bad).check("chain")
+        assert not check.passed
+        assert "not a StableSubspace" in check.detail
 
 
 def test_verify_reports_wrong_shapes(example, example_result):

@@ -1,3 +1,4 @@
+import logging
 import random
 from itertools import combinations
 
@@ -20,7 +21,7 @@ from rank1dm import (
     max_independent_matching,
     min_cover,
 )
-from rank1dm.partmat import ROW, HyperplaneVertex
+from rank1dm.partmat import HyperplaneVertex
 
 KNOWN_MAX_MATCHING = {("1a", "1'a"), ("1b", "3'c"), ("2a", "1'c"), ("2c", "3'a"), ("3c", "2'c")}
 
@@ -147,22 +148,26 @@ def test_max_matching_all_ones_unit_type():
     assert state.size == best
 
 
-def test_intermediate_matchings_stay_independent():
+def test_intermediate_matchings_stay_independent(caplog):
+    caplog.set_level(logging.DEBUG, logger="rank1dm")
     rng = random.Random(31)
     for _ in range(20):
         field = GF(rng.choice([2, 3]))
         a = random_rank1_instance(rng, field, rng.randint(1, 3), rng.randint(1, 3))
         g = build_stability_graph(a)
+        caplog.clear()
         state = max_independent_matching(g)
         assert state.augmentations <= max(1, len(g.edges))
         mp, ms = matroid_pi(g), matroid_sigma(g)
-        for snapshot in state.history:
+        history = [frozenset()] + [r.matching for r in caplog.records]
+        for snapshot in history:
             pis = [g.edges[k].pi for k in snapshot]
             sigmas = [g.edges[k].sigma for k in snapshot]
             assert len(set(pis)) == len(snapshot) == len(set(sigmas))
             assert mp.is_independent(pis) and ms.is_independent(sigmas)
-        sizes = [len(s) for s in state.history]
+        sizes = [len(s) for s in history]
         assert sizes == list(range(state.size + 1))
+        assert history[-1] == state.matching
 
 
 def test_min_cover_empty_graph():
@@ -277,7 +282,7 @@ def test_matroid_rejects_bad_block_index():
 
 def test_single_vertex_no_edges_graph():
     g = StabilityGraph(GF(2), (2,), (1,))
-    g.pi = [HyperplaneVertex(ROW, 0, Vector(GF(2), [1, 0]))]
+    g.pi = [HyperplaneVertex(0, Vector(GF(2), [1, 0]))]
     state = max_independent_matching(g)
     assert state.size == 0
     assert state.sources == [0]
