@@ -130,14 +130,15 @@ class ChainPoset:
         return all(k in j for k, l in self.relations if l in j)
 
     def ideals(self) -> list[frozenset[int]]:
-        """All ideals, smallest first (by size, then sorted content)."""
-        if self.h > 20:
-            raise ValueError("ideal enumeration is limited to small posets")
-        out = []
-        for mask in range(1 << self.h):
-            j = frozenset(k + 1 for k in range(self.h) if mask >> k & 1)
-            if self.is_ideal(j):
-                out.append(j)
+        """All ideals, smallest first (by size, then sorted content).  Labels
+        are a linear extension, so the ideals within 1..l are those within
+        1..l-1 and each of them joined with l if it holds all below l."""
+        below: dict[int, set[int]] = {l: set() for l in range(1, self.h + 1)}
+        for k, l in self.relations:
+            below[l].add(k)
+        out = [frozenset()]
+        for l, ks in below.items():
+            out += [j | {l} for j in out if ks <= j]
         out.sort(key=lambda j: (len(j), sorted(j)))
         return out
 
@@ -159,6 +160,16 @@ class ChainPoset:
         )
 
 
+def _matched_vertices(
+    state: IndependentMatchingState, nodes: Iterable[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The matched row-side vertices among ``nodes`` and the matched
+    column-side ones as column-side indices, each sorted."""
+    npi = state.graph.n_pi
+    h = tuple(sorted(v for v in nodes if v in state.matched_pi))
+    return h, tuple(sorted(v - npi for v in nodes if v - npi in state.matched_sigma))
+
+
 def scc_poset(
     state: IndependentMatchingState, c0: set[int], cinf: set[int]
 ) -> ChainPoset:
@@ -170,93 +181,40 @@ def scc_poset(
     """
     if c0 & cinf:
         raise ValueError("C0 and Cinf intersect: the matching is not maximum")
-    g = state.graph
-    npi = g.n_pi
     removed = c0 | cinf
-    nodes = [v for v in range(npi + g.n_sigma) if v not in removed]
-    adj = {
-        v: [w for w, _ in state.adjacency[v] if w not in removed] for v in nodes
-    }
-    sccs = _tarjan_scc(nodes, adj)
+    nodes = [v for v in range(state.graph.n_pi + state.graph.n_sigma) if v not in removed]
+    adj = {v: [w for w, _ in state.adjacency[v] if w not in removed] for v in nodes}
 
-    comp_of = {v: i for i, scc in enumerate(sccs) for v in scc}
-    comp_adj: list[set[int]] = [set() for _ in sccs]
-    for v in nodes:
-        cv = comp_of[v]
-        for w in adj[v]:
-            cw = comp_of[w]
-            if cw != cv:
-                comp_adj[cv].add(cw)
-
-    matched_nodes_pi = state.matched_pi
-    matched_nodes_sigma = {npi + j for j in state.matched_sigma}
-    matched_comps = []
-    for i, scc in enumerate(sccs):
-        h_pi = sorted(v for v in scc if v in matched_nodes_pi)
-        k_sig = sorted(v - npi for v in scc if v in matched_nodes_sigma)
-        if h_pi or k_sig:
-            if len(h_pi) != len(k_sig):
+    # Tarjan emits each component after all it reaches, so one pass finds the
+    # matched components below each one, also through unmatched components
+    comp_of: dict[int, int] = {}
+    reach: list[set[int]] = []  # matched components reachable, itself included
+    below: dict[int, set[int]] = {}  # keyed by matched component
+    parts: dict[int, tuple] = {}
+    for i, scc in enumerate(_tarjan_scc(nodes, adj)):
+        comp_of.update((v, i) for v in scc)
+        under = set().union(*(reach[comp_of[w]] for v in scc for w in adj[v] if comp_of[w] != i))
+        h_pi, k_sigma = _matched_vertices(state, scc)
+        if h_pi or k_sigma:
+            if len(h_pi) != len(k_sigma):
                 raise AssertionError("matched pairs split across components")
-            matched_comps.append((i, tuple(h_pi), tuple(k_sig)))
+            below[i], parts[i] = under, (h_pi, k_sigma, frozenset(scc))
+        reach.append(under | {i} if i in below else under)
 
-    # descendants over the condensation (paths may pass through unmatched
-    # components); desc[c] excludes c itself
-    desc: dict[int, set[int]] = {}
-    for i, _, _ in matched_comps:
-        seen: set[int] = set()
-        stack = list(comp_adj[i])
-        while stack:
-            c = stack.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            stack.extend(comp_adj[c])
-        desc[i] = seen
-
-    matched_ids = [i for i, _, _ in matched_comps]
-    below = {
-        b: {a for a in matched_ids if a != b and a in desc[b]} for b in matched_ids
-    }
-
-    by_id = {i: (hs, ks) for i, hs, ks in matched_comps}
-    labeled: list[int] = []
-    labeled_set: set[int] = set()
-    remaining = set(matched_ids)
-    while remaining:
-        ready = [c for c in remaining if below[c] <= labeled_set]
-        pick = min(ready, key=lambda c: by_id[c][1][0])
-        labeled.append(pick)
-        labeled_set.add(pick)
-        remaining.discard(pick)
-
-    label_of = {c: k + 1 for k, c in enumerate(labeled)}
-    components = [
-        PosetComponent(
-            label=k + 1,
-            h_pi=by_id[c][0],
-            k_sigma=by_id[c][1],
-            nodes=frozenset(sccs[c]),
-        )
-        for k, c in enumerate(labeled)
-    ]
-    relations = frozenset(
-        (label_of[a], label_of[b]) for b in matched_ids for a in below[b]
-    )
-
-    h0 = tuple(sorted(v for v in c0 if v in matched_nodes_pi))
-    k0 = tuple(sorted(v - npi for v in c0 if v in matched_nodes_sigma))
-    hinf = tuple(sorted(v for v in cinf if v in matched_nodes_pi))
-    kinf = tuple(sorted(v - npi for v in cinf if v in matched_nodes_sigma))
+    label_of: dict[int, int] = {}
+    pending = sorted(below, key=lambda c: parts[c][1][0])
+    while pending:
+        pick = next(c for c in pending if below[c] <= label_of.keys())
+        pending.remove(pick)
+        label_of[pick] = len(label_of) + 1
     return ChainPoset(
-        state=state,
-        c0=frozenset(c0),
-        cinf=frozenset(cinf),
-        components=components,
-        relations=relations,
-        h0=h0,
-        k0=k0,
-        hinf=hinf,
-        kinf=kinf,
+        state,
+        frozenset(c0),
+        frozenset(cinf),
+        [PosetComponent(l, *parts[c]) for c, l in label_of.items()],
+        frozenset((label_of[k], l) for c, l in label_of.items() for k in below[c]),
+        *_matched_vertices(state, c0),  # h0, k0
+        *_matched_vertices(state, cinf),  # hinf, kinf
     )
 
 
@@ -592,11 +550,23 @@ def _block_permutation_ok(mat: Matrix, blocks: tuple[int, ...]) -> tuple[bool, s
     return True, ""
 
 
+def _malformed_blocks(blocks) -> str:
+    """Why the declared diagonal blocks are not a list of integer pairs, or ""."""
+    if not isinstance(blocks, (list, tuple)):
+        return "diagonal blocks are not a list"
+    for k, b in enumerate(blocks):
+        if not isinstance(b, (list, tuple)) or len(b) != 2 or not all(isinstance(x, int) for x in b):
+            return f"diagonal block {k} is {b!r}, not a pair of integers"
+    return ""
+
+
 def _staircase_problem(a_dm: Matrix, blocks, n: int, m: int) -> str:
     """Why the declared diagonal blocks do not put a zero staircase under
     A_dm, or "" when they do.  The middle blocks D_h .. D_1 are square."""
     if (a_dm.rows, a_dm.cols) != (n, m):
         return "A_dm does not have the shape of A"
+    if bad := _malformed_blocks(blocks):
+        return bad
     if any(r < 0 or c < 0 for r, c in blocks):
         return "a diagonal block has a negative size"
     for k, (r, c) in enumerate(blocks[1:-1], start=1):
@@ -636,6 +606,8 @@ def _chain_problem(a: PartitionedMatrix, result: DMResult) -> str:
             return f"chain element {k} is not stable"
         if sub.dim_x + sub.dim_y != want:
             return f"chain element {k} has dimension {sub.dims}"
+    if bad := _malformed_blocks(blocks):
+        return bad
     if not len(chain) == len(dims) == len(blocks) - 1:
         return (
             f"{len(chain)} chain elements and {len(dims)} chain dims"

@@ -10,6 +10,7 @@ denominator (``Fraction`` guarantees this).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Any
 
@@ -141,7 +142,7 @@ class PrimeField(Field):
         return pow(a, -1, self.p)
 
     def dot(self, xs, ys):
-        return sum(x * y for x, y in zip(xs, ys)) % self.p
+        return sum(map(operator.mul, xs, ys)) % self.p
 
     def parse(self, text: str):
         try:
@@ -192,7 +193,7 @@ class RationalField(Field):
         return 1 / a
 
     def dot(self, xs, ys):
-        return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
+        return sum(map(operator.mul, xs, ys), Fraction(0))
 
     def parse(self, text: str):
         try:

@@ -164,12 +164,19 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         f = self.field
+        zero = f.zero_raw
         n, k, m = self.rows, self.cols, other.cols
-        bcols = [other.data[j::m] for j in range(m)]
+        brows = [other.data[t * m : (t + 1) * m] for t in range(k)]
         data = []
         for i in range(n):
+            # only the row's nonzero positions enter (E^T is mostly zero)
             arow = self.data[i * k : (i + 1) * k]
-            data.extend(f.dot(arow, bc) for bc in bcols)
+            support = [t for t, x in enumerate(arow) if x != zero]
+            if not support:
+                data.extend([zero] * m)
+                continue
+            vals = [arow[t] for t in support]
+            data.extend(f.dot(vals, col) for col in zip(*(brows[t] for t in support)))
         return Matrix(f, n, m, data)
 
     def __add__(self, other: "Matrix") -> "Matrix":

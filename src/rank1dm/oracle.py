@@ -86,8 +86,7 @@ def is_stable(a: PartitionedMatrix, x_bases, y_bases) -> bool:
     ys = _block_coords(a.field, y_bases, a.col_blocks, "column")
     return all(
         is_stable_block(a, alpha, beta, xs[alpha], ys[beta])
-        for alpha in range(a.mu)
-        for beta in range(a.nu)
+        for alpha, beta in a.nonzero_blocks
     )
 
 
@@ -183,12 +182,9 @@ def is_stable_block(a: PartitionedMatrix, alpha: int, beta: int, x_basis, y_basi
     """Stability of one block against explicit bases (raw integer rows)."""
     f = a.field
     zero = f.zero_raw
-    if not x_basis or not y_basis:
+    columns = a.nonzero_blocks.get((alpha, beta))
+    if not columns or not x_basis or not y_basis:  # x^T 0 y = 0
         return True
-    block = a.block(alpha, beta)
-    if block.is_zero():  # x^T 0 y = 0
-        return True
-    columns = [block.data[j :: block.cols] for j in range(block.cols)]
     for x in x_basis:
         xa = [f.dot(x, col) for col in columns]
         for y in y_basis:

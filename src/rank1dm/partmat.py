@@ -67,6 +67,17 @@ class PartitionedMatrix:
     def col_offsets(self) -> tuple[int, ...]:
         return tuple(accumulate(self.col_blocks, initial=0))
 
+    @cached_property
+    def nonzero_blocks(self) -> dict[tuple[int, int], list[list]]:
+        """The raw columns of every nonzero block, keyed by (alpha, beta)."""
+        out = {}
+        for alpha in range(self.mu):
+            for beta in range(self.nu):
+                block = self.block(alpha, beta)
+                if not block.is_zero():
+                    out[alpha, beta] = [block.data[j :: block.cols] for j in range(block.cols)]
+        return out
+
     def block(self, alpha: int, beta: int) -> Matrix:
         """The submatrix at block position (alpha, beta), zero-based."""
         if not (0 <= alpha < self.mu and 0 <= beta < self.nu):

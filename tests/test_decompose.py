@@ -15,6 +15,7 @@ from gen import (
 from rank1dm import (
     GF,
     QQ,
+    ChainPoset,
     Matrix,
     PartitionedMatrix,
     StabilityGraph,
@@ -32,6 +33,7 @@ from rank1dm import (
     scc_poset,
     verify,
 )
+from rank1dm.decompose import PosetComponent
 from rank1dm.partmat import HyperplaneVertex
 
 
@@ -106,6 +108,83 @@ def test_scc_poset_empty_graph():
 def test_poset_ideals_worked_example(example_result):
     ideals = example_result.poset.ideals()
     assert [sorted(j) for j in ideals] == [[], [1], [1, 2], [1, 3], [1, 2, 3]]
+
+
+def test_ideals_of_long_chain():
+    # upper bidiagonal with unit blocks: the components form one chain
+    n = 30
+    rows = [[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)]
+    a = PartitionedMatrix(Matrix.from_rows(GF(2), rows), (1,) * n, (1,) * n)
+    poset = dm_decompose(a).poset
+    assert poset.h == n and len(poset.relations) == n * (n - 1) // 2
+    assert poset.ideals() == [frozenset(range(1, k + 1)) for k in range(n + 1)]
+
+
+def _poset_on(h, relations):
+    return ChainPoset(
+        state=None,
+        c0=frozenset(),
+        cinf=frozenset(),
+        components=[PosetComponent(k, (), (), frozenset()) for k in range(1, h + 1)],
+        relations=frozenset(relations),
+        h0=(),
+        k0=(),
+        hinf=(),
+        kinf=(),
+    )
+
+
+def test_ideals_match_subset_scan():
+    rng = random.Random(61)
+    for _ in range(60):
+        h = rng.randint(0, 10)
+        density = rng.random()
+        relations = {
+            (k, l) for l in range(1, h + 1) for k in range(1, l) if rng.random() < density
+        }
+        # the reference: every subset closed under the relations
+        subsets = (
+            frozenset(k + 1 for k in range(h) if mask >> k & 1) for mask in range(1 << h)
+        )
+        want = [j for j in subsets if all(k in j for k, l in relations if l in j)]
+        want.sort(key=lambda j: (len(j), sorted(j)))
+        assert _poset_on(h, relations).ideals() == want
+
+
+def _pruned_reach(state, removed, start):
+    seen = set(start)
+    stack = list(start)
+    while stack:
+        for w, _ in state.adjacency[stack.pop()]:
+            if w not in removed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def test_relations_match_reachability():
+    # (k, l) is a relation iff a path of the pruned auxiliary digraph runs
+    # from component l to component k, possibly through unmatched components
+    rng = random.Random(62)
+    indirect = 0
+    for field in (GF(2), GF(3), GF(101)):
+        for _ in range(25):
+            a = random_rank1_instance(
+                rng, field, rng.randint(2, 5), rng.randint(2, 5), max_dim=2, zero_prob=0.5
+            )
+            res = dm_decompose(a)
+            poset = res.poset
+            removed = poset.c0 | poset.cinf
+            comps = {c.label: c.nodes for c in poset.components}
+            want = set()
+            for l, nodes in comps.items():
+                reached = _pruned_reach(res.state, removed, nodes)
+                want |= {(k, l) for k, other in comps.items() if k != l and other & reached}
+                # relations no single arc accounts for
+                step = {w for v in nodes for w, _ in res.state.adjacency[v]}
+                indirect += sum(1 for k, l2 in want if l2 == l and not comps[k] & step)
+            assert poset.relations == want
+    assert indirect > 0
 
 
 def test_ideal_to_subspace_reference_cover(example):
@@ -311,6 +390,15 @@ def test_verify_rejects_non_square_middle_block(example, example_result):
     check = verify(example, bad).check("staircase")
     assert not check.passed
     assert "not square" in check.detail
+
+
+def test_verify_reports_malformed_diag_blocks(example, example_result):
+    for blocks in ([6, 6], [(1, 2, 3)], [6] * 5, [(1, 2, 3)] * 5, [(1.0, 2)] * 5, None):
+        report = verify(example, dataclasses.replace(example_result, diag_blocks=blocks))
+        for name in ("staircase", "chain"):
+            check = report.check(name)
+            assert not check.passed
+            assert "not a pair of integers" in check.detail or "not a list" in check.detail
 
 
 def test_verify_rejects_negative_block_size(example, example_result):

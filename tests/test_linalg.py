@@ -36,6 +36,29 @@ def _random_matrix(rng, field, n, m):
     return Matrix(field, n, m, data)
 
 
+def test_matmul_matches_definition():
+    rng = random.Random(71)
+    shapes = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)]
+    shapes += [tuple(rng.randint(1, 5) for _ in range(3)) for _ in range(30)]
+    for field in (GF(2), GF(101), QQ):
+        for n, k, m in shapes:
+            a, b = _random_matrix(rng, field, n, k), _random_matrix(rng, field, k, m)
+            for mat in (a, b):  # at least half zeros
+                for pos in rng.sample(range(len(mat.data)), (len(mat.data) + 1) // 2):
+                    mat.data[pos] = field.zero_raw
+            if n:  # and an all-zero row
+                i = rng.randrange(n)
+                a.data[i * k : (i + 1) * k] = [field.zero_raw] * k
+            want = []
+            for i in range(n):
+                for j in range(m):
+                    entry = field.zero_raw
+                    for t in range(k):
+                        entry = field.add(entry, field.mul(a.raw(i, t), b.raw(t, j)))
+                    want.append(entry)
+            assert a @ b == Matrix(field, n, m, want)
+
+
 def test_rref_identity():
     r = rref(Matrix.identity(GF(7), 3))
     assert r.rank == 3 and r.pivots == [0, 1, 2]
