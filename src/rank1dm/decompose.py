@@ -26,9 +26,8 @@ from .linalg import (
 )
 from .matching import (
     IndependentMatchingState,
-    coreachable_to,
     max_independent_matching,
-    reachable_from,
+    reachability_sets,
 )
 from .oracle import is_stable
 from .partmat import (
@@ -39,12 +38,6 @@ from .partmat import (
     col_vertex_label,
     row_vertex_label,
 )
-
-
-def reachability_sets(state: IndependentMatchingState) -> tuple[set[int], set[int]]:
-    """C0 = nodes reachable from the source set, Cinf = nodes that reach the
-    sink set, both in the auxiliary digraph of a maximum matching."""
-    return reachable_from(state, state.sources), coreachable_to(state, state.sinks)
 
 
 def _tarjan_scc(nodes: Sequence[int], adj: dict[int, list[int]]) -> list[list[int]]:
@@ -520,6 +513,8 @@ def _block_permutation_ok(mat: Matrix, blocks: tuple[int, ...]) -> tuple[bool, s
     """Check mat = blockdiag(nonsingular) times a permutation: each column
     supported inside one block, per-block column counts matching the block
     size, and each per-block square submatrix nonsingular."""
+    if not isinstance(mat, Matrix):
+        return False, f"{type(mat).__name__} is not a Matrix"
     offsets = list(accumulate(blocks, initial=0))
     if mat.rows != offsets[-1] or mat.cols != offsets[-1]:
         return False, "matrix size does not match the partition"
@@ -563,6 +558,8 @@ def _malformed_blocks(blocks) -> str:
 def _staircase_problem(a_dm: Matrix, blocks, n: int, m: int) -> str:
     """Why the declared diagonal blocks do not put a zero staircase under
     A_dm, or "" when they do.  The middle blocks D_h .. D_1 are square."""
+    if not isinstance(a_dm, Matrix):
+        return "A_dm is not a Matrix"
     if (a_dm.rows, a_dm.cols) != (n, m):
         return "A_dm does not have the shape of A"
     if bad := _malformed_blocks(blocks):
@@ -593,6 +590,11 @@ def _chain_problem(a: PartitionedMatrix, result: DMResult) -> str:
     the last k+1 diagonal blocks, so its dimensions are their row count and
     m minus their column count."""
     chain, dims, blocks = result.chain, result.chain_dims, result.diag_blocks
+    for name, value in (("chain", chain), ("chain dims", dims)):
+        if not isinstance(value, (list, tuple)):
+            return f"{name} {value!r} is not a list"
+    if not isinstance(result.matching_size, int):
+        return f"matching size {result.matching_size!r} is not an integer"
     m = a.matrix.cols
     want = a.matrix.rows + m - result.matching_size
     for k, sub in enumerate(chain):
@@ -600,7 +602,7 @@ def _chain_problem(a: PartitionedMatrix, result: DMResult) -> str:
             return f"chain element {k} is not a StableSubspace"
         try:
             stable = is_stable(a, sub.x_bases, sub.y_bases)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             return f"chain element {k}: {exc}"
         if not stable:
             return f"chain element {k} is not stable"
@@ -636,8 +638,10 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     shapes = [("E", result.E, n, n), ("F", result.F, m, m), ("A_dm", result.a_dm, n, m)]
     misfits = [
         f"{name} is {mat.rows}x{mat.cols} over {mat.field}, wants {r}x{c} over {a.field}"
+        if isinstance(mat, Matrix)
+        else f"{name} is not a Matrix"
         for name, mat, r, c in shapes
-        if (mat.rows, mat.cols, mat.field) != (r, c, a.field)
+        if not isinstance(mat, Matrix) or (mat.rows, mat.cols, mat.field) != (r, c, a.field)
     ]
     if misfits:
         checks.append(CheckResult("product", False, "; ".join(misfits)))
@@ -664,11 +668,9 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
         detail = _chain_problem(a, result)
         checks.append(CheckResult("chain", not detail, detail))
 
-    checks.append(
-        CheckResult(
-            "duality",
-            result.v_star == n + m - result.matching_size,
-            "v* == n + m - |M|",
-        )
-    )
+    size = result.matching_size
+    if isinstance(size, int):
+        checks.append(CheckResult("duality", result.v_star == n + m - size, "v* == n + m - |M|"))
+    else:
+        checks.append(CheckResult("duality", False, f"matching size {size!r} is not an integer"))
     return VerificationReport(checks)

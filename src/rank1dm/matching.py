@@ -6,7 +6,8 @@ linearly independent.  A matching is independent when both endpoint sets
 are.  The classic augmenting scheme applies: build the auxiliary digraph
 (graph edges oriented left to right, matched edges reversed as well, plus
 matroid exchange arcs), find a shortest source-to-sink path by BFS, flip it,
-repeat until no path remains.
+repeat until no path remains.  The same search gives the reachability sets
+of the maximum matching and its minimum cover.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ class VectorMatroid:
         self.block_dims = tuple(block_dims)
         if any(blk >= len(block_dims) for blk, _ in self.elements):
             raise ValueError("element block index out of range")
+        self._members = self._by_block(range(len(self.elements)))
 
     def __len__(self):
         return len(self.elements)
@@ -62,9 +64,8 @@ class VectorMatroid:
         meets."""
         found: list[list[int] | None] = [None] * len(self.elements)
         total = 0
-        block_members = self._by_block(range(len(self.elements)))
         for blk, ids in self._by_block(subset).items():
-            members = block_members[blk]
+            members = self._members[blk]
             f = self.elements[ids[0]][1].field
             span = span_coordinates(
                 f,
@@ -115,32 +116,34 @@ class IndependentMatchingState:
         return len(self.matching)
 
 
-def _check_matching(g: StabilityGraph, matching) -> tuple[set[int], set[int], list, list]:
-    """Endpoint sets of an independent matching and the circuits of every
-    vertex against them, from one elimination per block and side."""
-    pis: set[int] = set()
-    sigmas: set[int] = set()
-    for k in matching:
-        e = g.edges[k]
-        if e.pi in pis or e.sigma in sigmas:
-            raise ValueError("edge set is not a matching")
-        pis.add(e.pi)
-        sigmas.add(e.sigma)
-    rank_pi, circuits_pi = matroid_pi(g).circuits(pis)
-    rank_sigma, circuits_sigma = matroid_sigma(g).circuits(sigmas)
-    if rank_pi != len(pis) or rank_sigma != len(sigmas):
-        raise ValueError("matching endpoints are not independent")
-    return pis, sigmas, circuits_pi, circuits_sigma
-
-
 def build_auxiliary_digraph(g: StabilityGraph, matching) -> IndependentMatchingState:
     """Auxiliary digraph, source set and sink set for an independent matching.
 
     An unmatched vertex outside the closure of the matched ones is a source
     (row side) or a sink (column side); inside it, it has an exchange arc
     with every matched vertex of its fundamental circuit."""
+    return _auxiliary_digraph(g, matroid_pi(g), matroid_sigma(g), matching)
+
+
+def _auxiliary_digraph(
+    g: StabilityGraph, mp: VectorMatroid, ms: VectorMatroid, matching
+) -> IndependentMatchingState:
+    """``build_auxiliary_digraph`` on the graph's two matroids, which the
+    caller builds once; the circuits of every vertex against the matched
+    ones come from one elimination per block and side."""
     matching = frozenset(matching)
-    d_plus, d_minus, circuits_pi, circuits_sigma = _check_matching(g, matching)
+    d_plus: set[int] = set()
+    d_minus: set[int] = set()
+    for k in matching:
+        e = g.edges[k]
+        if e.pi in d_plus or e.sigma in d_minus:
+            raise ValueError("edge set is not a matching")
+        d_plus.add(e.pi)
+        d_minus.add(e.sigma)
+    rank_pi, circuits_pi = mp.circuits(d_plus)
+    rank_sigma, circuits_sigma = ms.circuits(d_minus)
+    if rank_pi != len(d_plus) or rank_sigma != len(d_minus):
+        raise ValueError("matching endpoints are not independent")
 
     npi = g.n_pi
     adjacency: dict[int, list[tuple[int, int | None]]] = {
@@ -176,37 +179,38 @@ def build_auxiliary_digraph(g: StabilityGraph, matching) -> IndependentMatchingS
     )
 
 
-def _shortest_path_arcs(state: IndependentMatchingState) -> list[tuple[int, int, int | None]] | None:
-    """Shortest source-to-sink path as (from, to, edge) arcs, or None.
+def _search(
+    adjacency: dict[int, list[tuple[int, int | None]]], starts, targets=()
+) -> tuple[dict[int, tuple[int, int | None] | None], int | None]:
+    """Breadth-first search of the auxiliary digraph from ``starts``.
 
-    Plain BFS; sources are seeded in vertex order and adjacency lists are
-    sorted, so the path choice is deterministic.
-    """
-    sink_set = set(state.sinks)
-    parent: dict[int, tuple[int, int | None] | None] = {}
-    queue: deque[int] = deque()
-    for s in state.sources:
-        parent[s] = None
-        queue.append(s)
-        if s in sink_set:  # cannot happen (sides disjoint) but keeps BFS honest
-            return []
+    Returns the arc (node, edge) by which each reached node was first
+    entered (None for a start) and the first target reached, where the
+    search stops, or None after reaching everything it can.  Starts are
+    seeded in the given order and adjacency lists are sorted, so the
+    search, and the shortest path it finds, are deterministic."""
+    targets = set(targets)
+    parent: dict[int, tuple[int, int | None] | None] = dict.fromkeys(starts)
+    queue = deque(parent)
     while queue:
         v = queue.popleft()
-        for w, edge in state.adjacency[v]:
-            if w in parent:
-                continue
-            parent[w] = (v, edge)
-            if w in sink_set:
-                arcs = []
-                node = w
-                while parent[node] is not None:
-                    prev, ed = parent[node]
-                    arcs.append((prev, node, ed))
-                    node = prev
-                arcs.reverse()
-                return arcs
-            queue.append(w)
-    return None
+        for w, edge in adjacency[v]:
+            if w not in parent:
+                parent[w] = (v, edge)
+                if w in targets:
+                    return parent, w
+                queue.append(w)
+    return parent, None
+
+
+def reachability_sets(state: IndependentMatchingState) -> tuple[set[int], set[int]]:
+    """C0 = nodes reachable from the source set, Cinf = nodes that reach the
+    sink set, both in the auxiliary digraph of a maximum matching."""
+    back: dict[int, list[tuple[int, int | None]]] = {v: [] for v in state.adjacency}
+    for v, arcs in state.adjacency.items():
+        for w, edge in arcs:
+            back[w].append((v, edge))
+    return set(_search(state.adjacency, state.sources)[0]), set(_search(back, state.sinks)[0])
 
 
 def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
@@ -218,15 +222,20 @@ def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
     on the ``rank1dm`` logger whose ``matching`` attribute holds the new
     matching's edge indices.
     """
+    mp, ms = matroid_pi(g), matroid_sigma(g)
     matching: frozenset[int] = frozenset()
     rounds = 0
     while True:
-        state = build_auxiliary_digraph(g, matching)
-        arcs = _shortest_path_arcs(state)
-        if arcs is None:
+        state = _auxiliary_digraph(g, mp, ms, matching)
+        parent, node = _search(state.adjacency, state.sources, state.sinks)
+        if node is None:
             state.augmentations = rounds
             return state
-        flipped = {edge for _, _, edge in arcs if edge is not None}
+        flipped = set()
+        while parent[node] is not None:
+            node, edge = parent[node]
+            if edge is not None:
+                flipped.add(edge)
         matching = matching.symmetric_difference(flipped)
         rounds += 1
         _log.debug(
@@ -243,41 +252,15 @@ class Cover:
     K: frozenset[int]
 
 
-def _reach(adjacency: dict[int, list[tuple[int, int | None]]], starts) -> set[int]:
-    seen = set(starts)
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for w, _ in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
-def reachable_from(state: IndependentMatchingState, starts) -> set[int]:
-    """Forward reachability in the auxiliary digraph."""
-    return _reach(state.adjacency, starts)
-
-
-def coreachable_to(state: IndependentMatchingState, targets) -> set[int]:
-    """Vertices with a directed path into the target set."""
-    back: dict[int, list[tuple[int, int | None]]] = {v: [] for v in state.adjacency}
-    for v, arcs in state.adjacency.items():
-        for w, edge in arcs:
-            back[w].append((v, edge))
-    return _reach(back, targets)
-
-
 def min_cover(state: IndependentMatchingState) -> Cover:
     """The canonical minimum cover read off the reachability set of the
     sources; requires the matching to be maximum."""
-    if _shortest_path_arcs(state) is not None:
+    c0, sink = _search(state.adjacency, state.sources, state.sinks)
+    if sink is not None:
         raise ValueError("matching is not maximum: an augmenting path exists")
-    c = reachable_from(state, state.sources)
     npi = state.graph.n_pi
-    h = frozenset(i for i in range(npi) if i not in c)
-    k = frozenset(j for j in range(state.graph.n_sigma) if npi + j in c)
+    h = frozenset(i for i in range(npi) if i not in c0)
+    k = frozenset(j for j in range(state.graph.n_sigma) if npi + j in c0)
     return Cover(h, k)
 
 

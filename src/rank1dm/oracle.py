@@ -85,8 +85,8 @@ def is_stable(a: PartitionedMatrix, x_bases, y_bases) -> bool:
     xs = _block_coords(a.field, x_bases, a.row_blocks, "row")
     ys = _block_coords(a.field, y_bases, a.col_blocks, "column")
     return all(
-        is_stable_block(a, alpha, beta, xs[alpha], ys[beta])
-        for alpha, beta in a.nonzero_blocks
+        _block_stable(a.field, columns, xs[alpha], ys[beta])
+        for (alpha, beta), columns in a.nonzero_blocks.items()
     )
 
 
@@ -180,11 +180,21 @@ def brute_force_max_stable(a: PartitionedMatrix):
 
 def is_stable_block(a: PartitionedMatrix, alpha: int, beta: int, x_basis, y_basis) -> bool:
     """Stability of one block against explicit bases (raw integer rows)."""
-    f = a.field
-    zero = f.zero_raw
-    columns = a.nonzero_blocks.get((alpha, beta))
+    if not (0 <= alpha < a.mu and 0 <= beta < a.nu):
+        raise IndexError(f"block ({alpha}, {beta}) out of range")
+    if any(len(x) != a.row_blocks[alpha] for x in x_basis) or any(
+        len(y) != a.col_blocks[beta] for y in y_basis
+    ):
+        raise ValueError(f"basis of block ({alpha}, {beta}) has the wrong length")
+    return _block_stable(a.field, a.nonzero_blocks.get((alpha, beta)), x_basis, y_basis)
+
+
+def _block_stable(f, columns, x_basis, y_basis) -> bool:
+    """x^T B y = 0 for every basis pair, B given by its raw columns (None
+    for a zero block); the vector lengths are the caller's to check."""
     if not columns or not x_basis or not y_basis:  # x^T 0 y = 0
         return True
+    zero = f.zero_raw
     for x in x_basis:
         xa = [f.dot(x, col) for col in columns]
         for y in y_basis:

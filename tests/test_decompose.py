@@ -460,6 +460,25 @@ def test_verify_reports_wrong_shapes(example, example_result):
     assert "wrong length" in report.check("chain").detail
 
 
+@pytest.mark.parametrize(
+    "field, value, failing",
+    [
+        ("chain_dims", None, ("chain",)),
+        ("chain", 5, ("chain",)),
+        ("chain", [StableSubspace(None, None)], ("chain",)),
+        ("matching_size", "x", ("chain", "duality")),
+        ("E", None, ("product", "admissible")),
+        ("F", None, ("product", "admissible")),
+        ("a_dm", "x", ("product", "staircase")),
+    ],
+)
+def test_verify_reports_malformed_fields(example, example_result, field, value, failing):
+    report = verify(example, dataclasses.replace(example_result, **{field: value}))
+    for name in failing:
+        check = report.check(name)
+        assert not check.passed and check.detail
+
+
 def test_verify_detects_non_admissible_transform(example, example_result):
     res = example_result
     bad_e = Matrix.identity(GF(2), 6).copy()

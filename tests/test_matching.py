@@ -273,6 +273,19 @@ def test_exchange_arcs_match_definition():
     assert large_field_arcs > 0
 
 
+def test_final_state_matches_rebuilt_digraph():
+    # the matching loop reuses the graph's matroids across rounds; its last
+    # digraph must be the one built from scratch for the final matching
+    rng = random.Random(36)
+    for field in (GF(2), GF(101), QQ) * 5:
+        a = random_rank1_instance(rng, field, rng.randint(1, 4), rng.randint(1, 4), max_dim=3)
+        g = build_stability_graph(a)
+        state = max_independent_matching(g)
+        rebuilt = build_auxiliary_digraph(g, state.matching)
+        for name in ("adjacency", "sources", "sinks", "matched_pi", "matched_sigma"):
+            assert getattr(state, name) == getattr(rebuilt, name)
+
+
 def test_matroid_rejects_bad_block_index():
     with pytest.raises(ValueError):
         from rank1dm import VectorMatroid

@@ -27,6 +27,7 @@ from rank1dm import (
     build_stability_graph,
 )
 from rank1dm.linalg import kernel_basis, rref
+from rank1dm.oracle import is_stable_block
 
 
 def test_catalog_counts():
@@ -88,6 +89,15 @@ def test_is_stable_dimension_mismatch(example):
         is_stable(example, [[(1, 0, 0)], [], []], [[], [], []])
     with pytest.raises(ValueError):
         is_stable(example, [[], []], [[], [], []])
+
+
+def test_is_stable_block_rejects_bad_input(example):
+    for alpha, beta in ((7, 9), (-1, 0), (0, 3)):
+        with pytest.raises(IndexError):
+            is_stable_block(example, alpha, beta, [(1, 0)], [(0, 1)])
+    for x, y in (([(1, 0, 1)], [(0, 1)]), ([(1, 0)], [(1,)]), ([(1, 0, 1)], [])):
+        with pytest.raises(ValueError):
+            is_stable_block(example, 0, 0, x, y)
 
 
 def test_brute_force_worked_example(example):
@@ -298,6 +308,26 @@ def test_classic_dm_agrees_with_pipeline():
         state = max_independent_matching(g)
         assert state.size == size
         assert v_star == a.matrix.rows + a.matrix.cols - size
+
+
+def test_matching_sizes_agree_with_networkx_at_scale():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(55)
+    n = 200
+    for _ in range(3):
+        a = random_unit_pattern_instance(rng, n, n, density=3 / n)
+        graph = nx.Graph()
+        graph.add_nodes_from(("r", i) for i in range(n))
+        graph.add_nodes_from(("c", j) for j in range(n))
+        graph.add_edges_from(
+            (("r", i), ("c", j))
+            for i in range(n)
+            for j in range(n)
+            if a.matrix.raw(i, j)
+        )
+        hopcroft_karp = nx.bipartite.hopcroft_karp_matching(graph, [("r", i) for i in range(n)])
+        size = max_independent_matching(build_stability_graph(a)).size
+        assert size == classic_dm_check(a)[0] == len(hopcroft_karp) // 2
 
 
 def test_brute_force_dims_against_exhaustive_product():
