@@ -14,8 +14,8 @@ Blank lines and ``#`` comments are ignored.  Entries are element strings in
 the declared field (decimal residues for gf, ``a`` or ``a/b`` for
 rationals).
 
-Exit codes: 0 success, 1 usage or parse error, 2 rank condition violated,
-3 oracle bounds exceeded, 4 verification failure.
+Exit codes: 0 success, 1 usage, parse or file error, 2 rank condition
+violated, 3 oracle bounds exceeded, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -327,6 +327,17 @@ def _load(path: str) -> tuple[InputDocument, PartitionedMatrix]:
     return doc, document_to_matrix(doc)
 
 
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; on failure print why and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -358,9 +369,7 @@ def main(argv=None) -> int:
         return EXIT_RANK
 
     if args.command == "graph":
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(write_dot(a, result))
-        return EXIT_OK
+        return EXIT_OK if _write(args.dot, write_dot(a, result)) else EXIT_USAGE
 
     report = None
     if args.verify:
@@ -368,14 +377,13 @@ def main(argv=None) -> int:
 
     out_text = format_result(doc, result, report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out_text)
+        if not _write(args.out, out_text):
+            return EXIT_USAGE
     else:
         sys.stdout.write(out_text)
 
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(write_dot(a, result))
+    if args.dot and not _write(args.dot, write_dot(a, result)):
+        return EXIT_USAGE
 
     if args.oracle:
         try:

@@ -26,6 +26,7 @@ from .linalg import (
 )
 from .matching import (
     IndependentMatchingState,
+    VectorMatroid,
     max_independent_matching,
     reachability_sets,
 )
@@ -379,20 +380,10 @@ class BasisAssembly:
     k_group_sizes: list[int]
 
     def h_labels(self, g: StabilityGraph) -> list[str]:
-        return [
-            g.pi_label(e.vertex)
-            if e.vertex is not None
-            else row_vertex_label(g.field, e.block, e.normal)
-            for e in self.h_entries
-        ]
+        return [row_vertex_label(g.field, e.block, e.normal) for e in self.h_entries]
 
     def k_labels(self, g: StabilityGraph) -> list[str]:
-        return [
-            g.sigma_label(e.vertex)
-            if e.vertex is not None
-            else col_vertex_label(g.field, e.block, e.normal)
-            for e in self.k_entries
-        ]
+        return [col_vertex_label(g.field, e.block, e.normal) for e in self.k_entries]
 
 
 def build_bases(
@@ -509,30 +500,31 @@ class VerificationReport:
         )
 
 
-def _block_permutation_ok(mat: Matrix, blocks: tuple[int, ...]) -> tuple[bool, str]:
-    """Check mat = blockdiag(nonsingular) times a permutation: each column
-    supported inside one block, per-block column counts matching the block
-    size, and each per-block square submatrix nonsingular."""
+def _admissibility_problem(name: str, mat: Matrix, blocks: tuple[int, ...]) -> str:
+    """Why mat, named ``name`` in the reason, is not blockdiag(nonsingular)
+    times a permutation, or "": each column lies inside one block, each block
+    holds as many columns as its size, and their square submatrix is
+    nonsingular."""
     if not isinstance(mat, Matrix):
-        return False, f"{type(mat).__name__} is not a Matrix"
+        return f"{name}: {type(mat).__name__} is not a Matrix"
     offsets = list(accumulate(blocks, initial=0))
     if mat.rows != offsets[-1] or mat.cols != offsets[-1]:
-        return False, "matrix size does not match the partition"
+        return f"{name}: matrix size does not match the partition"
     zero = mat.field.zero_raw
     by_block: dict[int, list[int]] = {i: [] for i in range(len(blocks))}
     for col in range(mat.cols):
         support = [r for r in range(mat.rows) if mat.raw(r, col) != zero]
         if not support:
-            return False, f"column {col} is zero"
+            return f"{name}: column {col} is zero"
         blk = next(
             b for b in range(len(blocks)) if offsets[b] <= support[0] < offsets[b + 1]
         )
         if not all(offsets[blk] <= r < offsets[blk + 1] for r in support):
-            return False, f"column {col} crosses block boundaries"
+            return f"{name}: column {col} crosses block boundaries"
         by_block[blk].append(col)
     for blk, cols in by_block.items():
         if len(cols) != blocks[blk]:
-            return False, f"block {blk} has {len(cols)} columns, wants {blocks[blk]}"
+            return f"{name}: block {blk} has {len(cols)} columns, wants {blocks[blk]}"
         sub = Matrix.from_rows(
             mat.field,
             [
@@ -541,14 +533,14 @@ def _block_permutation_ok(mat: Matrix, blocks: tuple[int, ...]) -> tuple[bool, s
             ],
         )
         if rref(sub).rank != blocks[blk]:
-            return False, f"block {blk} columns are singular"
-    return True, ""
+            return f"{name}: block {blk} columns are singular"
+    return ""
 
 
 def _malformed_blocks(blocks) -> str:
-    """Why the declared diagonal blocks are not a list of integer pairs, or ""."""
-    if not isinstance(blocks, (list, tuple)):
-        return "diagonal blocks are not a list"
+    """Why the diagonal blocks are not a non-empty list of integer pairs, or ""."""
+    if not isinstance(blocks, (list, tuple)) or not blocks:
+        return "diagonal blocks are empty or not a list"
     for k, b in enumerate(blocks):
         if not isinstance(b, (list, tuple)) or len(b) != 2 or not all(isinstance(x, int) for x in b):
             return f"diagonal block {k} is {b!r}, not a pair of integers"
@@ -622,6 +614,49 @@ def _chain_problem(a: PartitionedMatrix, result: DMResult) -> str:
     return ""
 
 
+def _duality_problem(a: PartitionedMatrix, result: DMResult) -> str:
+    """Why v* = n + m - |M| is not certified, or "".
+
+    Upper bound: each matched edge is a block of A equal to coeff * u^T v, u
+    and v its end vertices' normals, independent within every block.  Lower
+    bound: given product, admissibility and staircase, the columns r.. of E
+    and ..c-1 of F, (r, c) the first diagonal block, form a stable pair."""
+    n, m, f = a.matrix.rows, a.matrix.cols, a.field
+    g, state = result.graph, result.state
+    if g is None or state is None:
+        return "no matching witness attached"
+    us, vs = [], []
+    try:
+        for k in sorted(state.matching):
+            e = g.edges[k]
+            u, v = g.pi[e.pi].normal, g.sigma[e.sigma].normal
+            cols = a.nonzero_blocks.get((e.alpha, e.beta))
+            fits = cols is not None and u.field == v.field == f
+            if not fits or (len(u), len(v)) != (len(cols[0]), len(cols)) or any(
+                x != f.mul(e.coeff.value, f.mul(ui, vj))
+                for vj, col in zip(v.data, cols)
+                for ui, x in zip(u.data, col)
+            ):
+                return f"matched edge {k} is not a block of A equal to coeff * u^T v"
+            us.append((e.alpha, u))
+            vs.append((e.beta, v))
+    except (AttributeError, IndexError, TypeError) as exc:
+        return f"malformed matching witness: {exc}"
+    for side, dims in ((us, a.row_blocks), (vs, a.col_blocks)):
+        if not VectorMatroid(side, dims).is_independent(range(len(side))):
+            return "the matched normals are dependent within a block"
+    if bad := _malformed_blocks(result.diag_blocks):
+        return bad
+    r, c = result.diag_blocks[0]
+    size, v_star = result.matching_size, result.v_star
+    if not (size == len(us) and v_star == n + m - size == n - r + c):
+        return (
+            f"|M| is {size!r} and v* {v_star!r}, but the witness has {len(us)} matched"
+            f" edges and the first diagonal block spans a stable pair of dimension {n - r + c}"
+        )
+    return ""
+
+
 def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     """Re-check a decomposition from first principles.
 
@@ -629,8 +664,9 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     staircase under the declared diagonal blocks, whose sizes are
     nonnegative and whose middle blocks are square, (d) when a chain is
     attached, stability and common dimension of its elements and their
-    agreement with the chain dimensions and the diagonal blocks, (e) the
-    dimension/matching duality.
+    agreement with the chain dimensions and the diagonal blocks, (e) v* =
+    n + m - |M|, bounded above by the matched edges on ``graph`` and
+    ``state`` and below by the first diagonal block.
     """
     checks: list[CheckResult] = []
     n, m = a.matrix.rows, a.matrix.cols
@@ -651,14 +687,12 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
             CheckResult("product", product == result.a_dm, "A_dm == E^T A F")
         )
 
-    ok_e, why_e = _block_permutation_ok(result.E, a.row_blocks)
-    ok_f, why_f = _block_permutation_ok(result.F, a.col_blocks)
+    why = "; ".join(filter(None, (
+        _admissibility_problem("E", result.E, a.row_blocks),
+        _admissibility_problem("F", result.F, a.col_blocks),
+    )))
     checks.append(
-        CheckResult(
-            "admissible",
-            ok_e and ok_f,
-            "; ".join(x for x in (why_e, why_f) if x) or "E, F block-diagonal times permutation",
-        )
+        CheckResult("admissible", not why, why or "E, F block-diagonal times permutation")
     )
 
     detail = _staircase_problem(result.a_dm, result.diag_blocks, n, m)
@@ -668,9 +702,6 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
         detail = _chain_problem(a, result)
         checks.append(CheckResult("chain", not detail, detail))
 
-    size = result.matching_size
-    if isinstance(size, int):
-        checks.append(CheckResult("duality", result.v_star == n + m - size, "v* == n + m - |M|"))
-    else:
-        checks.append(CheckResult("duality", False, f"matching size {size!r} is not an integer"))
+    detail = _duality_problem(a, result)
+    checks.append(CheckResult("duality", not detail, detail or "v* == n + m - |M|"))
     return VerificationReport(checks)

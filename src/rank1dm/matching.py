@@ -7,7 +7,7 @@ are.  The classic augmenting scheme applies: build the auxiliary digraph
 (graph edges oriented left to right, matched edges reversed as well, plus
 matroid exchange arcs), find a shortest source-to-sink path by BFS, flip it,
 repeat until no path remains.  The same search gives the reachability sets
-of the maximum matching and its minimum cover.
+of the maximum matching, from which the decomposition is read.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ class VectorMatroid:
             raise ValueError("element block index out of range")
         self._members = self._by_block(range(len(self.elements)))
 
-    def __len__(self):
-        return len(self.elements)
-
     def _by_block(self, subset) -> dict[int, list[int]]:
         grouped: dict[int, list[int]] = {}
         for i in subset:
@@ -51,9 +48,7 @@ class VectorMatroid:
 
     def is_independent(self, subset) -> bool:
         subset = list(subset)
-        if len(set(subset)) != len(subset):
-            return False
-        return self.rank(subset) == len(subset)
+        return len(set(subset)) == len(subset) == self.rank(subset)
 
     def circuits(self, subset) -> tuple[int, list[list[int] | None]]:
         """Rank of the selected set and, for every ground element, the
@@ -78,11 +73,6 @@ class VectorMatroid:
                 if coeffs is not None:
                     found[j] = [i for i, c in zip(ids, coeffs) if c != f.zero_raw]
         return total, found
-
-    def closure(self, subset) -> set[int]:
-        """Ground elements whose normal lies in the span of the selected
-        normals of the same block."""
-        return {j for j, circuit in enumerate(self.circuits(subset)[1]) if circuit is not None}
 
 
 def matroid_pi(g: StabilityGraph) -> VectorMatroid:
@@ -242,27 +232,3 @@ def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
             "augmentation %d: matching of size %d", rounds, len(matching),
             extra={"matching": matching},
         )
-
-
-@dataclass(frozen=True)
-class Cover:
-    """Vertex sets meeting every edge; H on the row side, K on the column side."""
-
-    H: frozenset[int]
-    K: frozenset[int]
-
-
-def min_cover(state: IndependentMatchingState) -> Cover:
-    """The canonical minimum cover read off the reachability set of the
-    sources; requires the matching to be maximum."""
-    c0, sink = _search(state.adjacency, state.sources, state.sinks)
-    if sink is not None:
-        raise ValueError("matching is not maximum: an augmenting path exists")
-    npi = state.graph.n_pi
-    h = frozenset(i for i in range(npi) if i not in c0)
-    k = frozenset(j for j in range(state.graph.n_sigma) if npi + j in c0)
-    return Cover(h, k)
-
-
-def cover_value(g: StabilityGraph, cover: Cover) -> int:
-    return matroid_pi(g).rank(cover.H) + matroid_sigma(g).rank(cover.K)

@@ -1,13 +1,27 @@
 """Shared builders for the test suite: the worked 6x6 example, random
-instance generators, and exact subspace utilities used by oracle-style
-checks."""
+instance generators, exact subspace utilities used by oracle-style checks,
+and the matroid closure and minimum cover that the matching tests check
+against."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
-from rank1dm import GF, QQ, Matrix, PartitionedMatrix, Vector
+from rank1dm import (
+    GF,
+    QQ,
+    IndependentMatchingState,
+    Matrix,
+    PartitionedMatrix,
+    StabilityGraph,
+    Vector,
+    VectorMatroid,
+    matroid_pi,
+    matroid_sigma,
+    reachability_sets,
+)
 from rank1dm.decompose import StableSubspace
 from rank1dm.linalg import kernel_basis, rref
 
@@ -198,3 +212,36 @@ def subspace_pair_canonical(field, a: PartitionedMatrix, xs, ys):
     xb = tuple(tuple(Vector(field, row) for row in b) for b in xs)
     yb = tuple(tuple(Vector(field, row) for row in b) for b in ys)
     return StableSubspace(xb, yb).canonical(field, a.row_blocks, a.col_blocks)
+
+
+# matroid closure and the minimum cover ----------------------------------
+
+
+def closure(m: VectorMatroid, subset) -> set[int]:
+    """Ground elements whose normal lies in the span of the selected normals
+    of the same block."""
+    return {j for j, circuit in enumerate(m.circuits(subset)[1]) if circuit is not None}
+
+
+@dataclass(frozen=True)
+class Cover:
+    """Vertex sets meeting every edge; H on the row side, K on the column side."""
+
+    H: frozenset[int]
+    K: frozenset[int]
+
+
+def min_cover(state: IndependentMatchingState) -> Cover:
+    """The canonical minimum cover read off the reachability set of the
+    sources; requires the matching to be maximum."""
+    c0, _ = reachability_sets(state)
+    if c0 & set(state.sinks):
+        raise ValueError("matching is not maximum: an augmenting path exists")
+    npi = state.graph.n_pi
+    h = frozenset(i for i in range(npi) if i not in c0)
+    k = frozenset(j for j in range(state.graph.n_sigma) if npi + j in c0)
+    return Cover(h, k)
+
+
+def cover_value(g: StabilityGraph, cover: Cover) -> int:
+    return matroid_pi(g).rank(cover.H) + matroid_sigma(g).rank(cover.K)

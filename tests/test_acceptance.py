@@ -106,6 +106,7 @@ def test_criterion_2_verifier_accepts_alternative_decomposition():
         [0, 0, 0, 0, 0, 1],
         [0, 0, 0, 0, 0, 1],
     ])
+    ours = dm_decompose(a)
     result = DMResult(
         row_blocks=(2, 2, 2),
         col_blocks=(2, 2, 2),
@@ -116,12 +117,16 @@ def test_criterion_2_verifier_accepts_alternative_decomposition():
         chain_dims=[],
         matching_size=5,
         v_star=7,
+        # this library's own maximum matching is the witness for v*
+        graph=ours.graph,
+        state=ours.state,
     )
     report = verify(a, result)
     ok = (
         report.check("product").passed
         and report.check("admissible").passed
         and report.check("staircase").passed
+        and report.check("duality").passed
     )
     _report("criterion 2: verifier accepts an alternative valid E, F, A_DM", ok)
 

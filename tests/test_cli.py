@@ -168,3 +168,20 @@ def test_result_to_file(example_file, tmp_path, capsys):
     assert main(["decompose", example_file, "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().out == ""
     assert "A_DM" in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["graph", "{input}", "--dot", "{missing}/g.dot"],
+        ["decompose", "{input}", "--out", "{missing}/result.txt"],
+        ["decompose", "{input}", "--dot", "{missing}/g.dot"],
+    ],
+    ids=["graph-dot", "decompose-out", "decompose-dot"],
+)
+def test_unwritable_output_is_a_usage_error(example_file, tmp_path, capsys, args):
+    missing = tmp_path / "no" / "such" / "dir"
+    argv = [x.format(input=example_file, missing=missing) for x in args]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err

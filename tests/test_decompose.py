@@ -6,6 +6,8 @@ import pytest
 
 from gen import (
     contains,
+    cover_value,
+    min_cover,
     random_admissible_transform,
     random_rank1_instance,
     subspace_pair_canonical,
@@ -488,6 +490,103 @@ def test_verify_detects_non_admissible_transform(example, example_result):
     assert not report.check("admissible").passed
 
 
+def test_admissible_reason_names_the_matrix(example, example_result):
+    check = verify(example, dataclasses.replace(example_result, F=None)).check("admissible")
+    assert not check.passed and "F:" in check.detail and "E:" not in check.detail
+    zeroed = example_result.E.copy()
+    for r in range(zeroed.rows):
+        zeroed.data[r * zeroed.cols + 2] = GF(2).zero_raw
+    check = verify(example, dataclasses.replace(example_result, E=zeroed)).check("admissible")
+    assert not check.passed and check.detail == "E: column 2 is zero"
+
+
+@pytest.mark.parametrize("size", [6, 4, 0])
+def test_duality_rejects_a_forged_matching_size(example, example_result, size):
+    # without the chain, nothing else ties v* to A
+    forged = dataclasses.replace(
+        example_result, matching_size=size, v_star=12 - size, chain=None
+    )
+    report = verify(example, forged)
+    assert [c.name for c in report.checks if not c.passed] == ["duality"]
+    assert "matched edges" in report.check("duality").detail
+
+
+def test_duality_rejects_a_dependent_witness(example, example_result):
+    # add an edge that shares a matched row-side vertex: its block then holds
+    # the same normal twice
+    g, state = example_result.graph, example_result.state
+    extra = next(
+        k for k, e in enumerate(g.edges)
+        if k not in state.matching and e.pi in state.matched_pi
+    )
+    forged = dataclasses.replace(
+        example_result,
+        state=dataclasses.replace(state, matching=state.matching | {extra}),
+        matching_size=6,
+        v_star=6,
+        chain=None,
+    )
+    check = verify(example, forged).check("duality")
+    assert not check.passed and "dependent" in check.detail
+
+
+def test_duality_rejects_a_normal_that_is_not_the_factor(example, example_result):
+    g, state = example_result.graph, example_result.state
+    e = g.edges[min(state.matching)]
+    u = g.pi[e.pi].normal
+    other = next(
+        Vector(GF(2), bits)
+        for bits in ([1, 0], [0, 1], [1, 1])
+        if Vector(GF(2), bits) != u
+    )
+    pi = list(g.pi)
+    pi[e.pi] = HyperplaneVertex(e.alpha, other)
+    forged = dataclasses.replace(example_result, graph=dataclasses.replace(g, pi=pi))
+    check = verify(example, forged).check("duality")
+    assert not check.passed and "equal to coeff * u^T v" in check.detail
+
+
+def test_duality_reports_a_missing_or_malformed_witness(example, example_result):
+    state = example_result.state
+    cases = [
+        ("no matching witness attached", dataclasses.replace(example_result, state=None)),
+        ("no matching witness attached", dataclasses.replace(example_result, graph=None)),
+        ("malformed matching witness", dataclasses.replace(
+            example_result, state=dataclasses.replace(state, matching=state.matching | {99})
+        )),
+        ("malformed matching witness", dataclasses.replace(
+            example_result, state=dataclasses.replace(state, matching=5)
+        )),
+    ]
+    for reason, forged in cases:
+        check = verify(example, forged).check("duality")
+        assert not check.passed and reason in check.detail
+
+
+def test_duality_reports_a_wrong_lower_bound(example, example_result):
+    # the first diagonal block must span a stable pair of dimension v*
+    forged = dataclasses.replace(
+        example_result, diag_blocks=[(1, 1), (1, 1), (1, 1), (2, 2), (1, 1)], chain=None
+    )
+    check = verify(example, forged).check("duality")
+    assert not check.passed and "stable pair of dimension 6" in check.detail
+    check = verify(example, dataclasses.replace(example_result, diag_blocks=[])).check("duality")
+    assert not check.passed and "empty" in check.detail
+
+
+def test_duality_certifies_random_decompositions():
+    rng = random.Random(48)
+    for field in (GF(2), GF(3), GF(101), QQ) * 6:
+        a = random_rank1_instance(rng, field, rng.randint(1, 4), rng.randint(1, 4), max_dim=3)
+        res = dm_decompose(a)
+        report = verify(a, res)
+        assert report.passed, str(report)
+        forged = dataclasses.replace(
+            res, matching_size=res.matching_size + 1, v_star=res.v_star - 1, chain=None
+        )
+        assert not verify(a, forged).check("duality").passed
+
+
 def test_chain_bases_span_chain_elements():
     rng = random.Random(43)
     cases = [worked_example()]
@@ -612,8 +711,6 @@ def test_alternate_topological_order_keeps_block_structure(example, example_resu
 
 
 def test_min_cover_value_on_random_instances():
-    from rank1dm import cover_value, min_cover
-
     rng = random.Random(47)
     for _ in range(20):
         field = GF(rng.choice([2, 3]))

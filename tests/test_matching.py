@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from gen import random_rank1_instance, worked_example
+from gen import closure, cover_value, min_cover, random_rank1_instance, worked_example
 
 from rank1dm import (
     GF,
@@ -15,11 +15,9 @@ from rank1dm import (
     Vector,
     build_auxiliary_digraph,
     build_stability_graph,
-    cover_value,
     matroid_pi,
     matroid_sigma,
     max_independent_matching,
-    min_cover,
 )
 from rank1dm.partmat import HyperplaneVertex
 
@@ -50,12 +48,12 @@ def test_independence_examples(graph):
 
 def test_closure_examples(graph):
     m = matroid_pi(graph)
-    assert m.closure([]) == set()
-    closed = m.closure(_pi_ids(graph, ["1a", "1b"]))
+    assert closure(m, []) == set()
+    closed = closure(m, _pi_ids(graph, ["1a", "1b"]))
     block1 = set(graph.pi_in_block(0))
     assert closed & block1 == set(_pi_ids(graph, ["1a", "1b", "1c"]))
     d_plus = _pi_ids(graph, ["1a", "1b", "2a", "2c", "3c"])
-    cl = m.closure(d_plus)
+    cl = closure(m, d_plus)
     assert cl == set(range(graph.n_pi)) - set(_pi_ids(graph, ["3a"]))
 
 
@@ -239,8 +237,8 @@ def test_exchange_arcs_match_definition():
         mp, ms = matroid_pi(g), matroid_sigma(g)
         d_plus = state.matched_pi
         d_minus = state.matched_sigma
-        cl_plus = mp.closure(d_plus)
-        cl_minus = ms.closure(d_minus)
+        cl_plus = closure(mp, d_plus)
+        cl_minus = closure(ms, d_minus)
         got_pi = {
             (v, w)
             for v, outs in state.adjacency.items()
