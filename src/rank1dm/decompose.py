@@ -30,7 +30,7 @@ from .matching import (
     max_independent_matching,
     reachability_sets,
 )
-from .oracle import is_stable
+from .oracle import basis_coords, coords_stable
 from .partmat import (
     HyperplaneVertex,
     PartitionedMatrix,
@@ -137,7 +137,7 @@ class ChainPoset:
         return out
 
     @cached_property
-    def adapted_bases(self) -> tuple[AdaptedBasis, AdaptedBasis]:
+    def adapted_bases(self) -> tuple[list[BasisEntry], list[BasisEntry]]:
         """Row-side and column-side bases adapted to the chain, built once
         per poset and shared by E, F and every ideal's stable subspace.
 
@@ -235,20 +235,21 @@ class StableSubspace:
         """Hashable canonical form: per-block reduced-echelon bases."""
         return (
             tuple(
-                _echelon_form(field, basis, d)
+                _echelon_form(field, [v.data for v in basis], d)
                 for basis, d in zip(self.x_bases, row_dims)
             ),
             tuple(
-                _echelon_form(field, basis, d)
+                _echelon_form(field, [v.data for v in basis], d)
                 for basis, d in zip(self.y_bases, col_dims)
             ),
         )
 
 
-def _echelon_form(field: Field, vectors: Sequence[Vector], dim: int) -> tuple:
-    if not vectors:
+def _echelon_form(field: Field, rows: Sequence[Sequence], dim: int) -> tuple:
+    """The reduced-echelon basis, as raw tuples, of the span of raw rows."""
+    if not rows:
         return ()
-    r = rref(Matrix.from_row_vectors(field, list(vectors), dim))
+    r = rref(Matrix(field, len(rows), dim, [x for row in rows for x in row]))
     return tuple(tuple(r.R.row_raw(i)) for i in range(r.rank))
 
 
@@ -266,10 +267,11 @@ def ideal_to_stable_subspace(
     if not poset.is_ideal(j):
         raise ValueError(f"{sorted(j)} is not an ideal of the poset")
     rows, cols = poset.adapted_bases
+    graph = poset.state.graph
     below = j | {0}
     return StableSubspace(
-        rows.select(lambda group: group in below),
-        cols.select(lambda group: group not in below),
+        _select(rows, len(graph.row_blocks), lambda group: group in below),
+        _select(cols, len(graph.col_blocks), lambda group: group not in below),
     )
 
 
@@ -283,56 +285,18 @@ def maximal_chain(poset: ChainPoset, g: StabilityGraph) -> list[StableSubspace]:
 
 @dataclass(frozen=True)
 class BasisEntry:
-    """One basis row vector: a matched vertex or a completion vector.
+    """One basis vector of a block: a matched vertex's normal or a
+    completion vector, with its dual.
 
-    ``group`` runs 0 (bottom), 1..h (components), h+1 (top); ``vertex`` is
-    the stability-graph vertex id for matched entries and None for
-    completion vectors."""
+    ``group`` runs 0 (bottom), 1..h (components), h+1 (top).  The dual pairs
+    to one with the entry's normal and to zero with the other normals of its
+    block, so the duals of any set of entries span the subspace cut out by
+    the normals of the rest of the block."""
 
     group: int
     block: int
     normal: Vector
-    vertex: int | None
-
-
-@dataclass(frozen=True)
-class AdaptedBasis:
-    """One side's basis entries in chain order and, per block, the inverse of
-    their normals stacked in that order.
-
-    Column lam of a block's inverse, the dual of the block's lam-th entry,
-    pairs to one with that entry's normal and to zero with the others, so
-    the duals of any set of entries span the subspace cut out by the
-    normals of the rest of the block."""
-
-    entries: list[BasisEntry]
-    inverses: list[Matrix]
-    duals: list[Vector]
-
-    def select(self, keep: Callable[[int], bool]) -> tuple[tuple[Vector, ...], ...]:
-        """Per block, the duals of the entries whose group passes ``keep``."""
-        bases: list[list[Vector]] = [[] for _ in self.inverses]
-        for entry, dual in zip(self.entries, self.duals):
-            if keep(entry.group):
-                bases[entry.block].append(dual)
-        return tuple(tuple(b) for b in bases)
-
-    def scatter(self, f: Field, offsets: Sequence[int], size: int) -> Matrix:
-        """The duals in global coordinates: the dual of the i-th entry
-        becomes column size-1-i (reverse chain order)."""
-        data = [f.zero_raw] * (size * size)
-        for i, (entry, dual) in enumerate(zip(self.entries, self.duals)):
-            col = size - 1 - i
-            base = offsets[entry.block]
-            for r, x in enumerate(dual.data):
-                data[(base + r) * size + col] = x
-        return Matrix(f, size, size, data)
-
-    def group_sizes(self, count: int) -> list[int]:
-        sizes = [0] * count
-        for e in self.entries:
-            sizes[e.group] += 1
-        return sizes
+    dual: Vector
 
 
 def _adapted_basis(
@@ -341,39 +305,66 @@ def _adapted_basis(
     dims: Sequence[int],
     groups: Iterable[tuple[int, Sequence[int]]],
     completion_group: int,
-) -> AdaptedBasis:
+) -> list[BasisEntry]:
     """Entries for the matched vertices group by group, completed per block
     by unit vectors that follow the matched entries of ``completion_group``;
-    then each block's inverse, which supplies every entry's dual."""
-    entries = [
-        BasisEntry(group, vertices[i].block, vertices[i].normal, i)
+    each block's duals are the columns of the inverse of its normals stacked
+    in that order."""
+    normals = [
+        (group, vertices[i].block, vertices[i].normal)
         for group, ids in groups
         for i in ids
     ]
     for blk, dim in enumerate(dims):
-        present = [e.normal for e in entries if e.block == blk]
-        entries.extend(
-            BasisEntry(completion_group, blk, vec, None)
-            for vec in complete_to_basis(present, dim, f)
+        present = [u for _, b, u in normals if b == blk]
+        normals.extend(
+            (completion_group, blk, u)
+            for u in complete_to_basis(present, dim, f)
         )
-    entries.sort(key=lambda e: e.group)
-    inverses = [
-        invert(Matrix.from_row_vectors(f, [e.normal for e in entries if e.block == blk], dim))
-        for blk, dim in enumerate(dims)
-    ]
-    columns = [iter([inv.col(lam) for lam in range(inv.cols)]) for inv in inverses]
-    duals = [next(columns[e.block]) for e in entries]
-    return AdaptedBasis(entries, inverses, duals)
+    normals.sort(key=lambda e: e[0])
+    duals = []
+    for blk, dim in enumerate(dims):
+        inv = invert(Matrix.from_row_vectors(f, [u for _, b, u in normals if b == blk], dim))
+        duals.append(iter([inv.col(lam) for lam in range(dim)]))
+    return [BasisEntry(group, blk, u, next(duals[blk])) for group, blk, u in normals]
+
+
+def _select(
+    entries: list[BasisEntry], blocks: int, keep: Callable[[int], bool]
+) -> tuple[tuple[Vector, ...], ...]:
+    """Per block, the duals of the entries whose group passes ``keep``."""
+    bases: list[list[Vector]] = [[] for _ in range(blocks)]
+    for e in entries:
+        if keep(e.group):
+            bases[e.block].append(e.dual)
+    return tuple(tuple(b) for b in bases)
+
+
+def _scatter(f: Field, entries: list[BasisEntry], offsets: Sequence[int], size: int) -> Matrix:
+    """The duals in global coordinates: the dual of the i-th entry becomes
+    column size-1-i (reverse chain order)."""
+    data = [f.zero_raw] * (size * size)
+    for i, e in enumerate(entries):
+        col = size - 1 - i
+        base = offsets[e.block]
+        for r, x in enumerate(e.dual.data):
+            data[(base + r) * size + col] = x
+    return Matrix(f, size, size, data)
+
+
+def _group_sizes(entries: list[BasisEntry], count: int) -> list[int]:
+    sizes = [0] * count
+    for e in entries:
+        sizes[e.group] += 1
+    return sizes
 
 
 @dataclass
 class BasisAssembly:
-    """Ordered dual bases and the transformation matrices built from them."""
+    """Basis entries in chain order and the matrices E and F of their duals."""
 
     h_entries: list[BasisEntry]
     k_entries: list[BasisEntry]
-    e_blocks: list[Matrix]
-    f_blocks: list[Matrix]
     E: Matrix
     F: Matrix
     h_group_sizes: list[int]
@@ -394,17 +385,15 @@ def build_bases(
     rows, cols = poset.adapted_bases
     n = a.matrix.rows
     m = a.matrix.cols
-    if len(rows.entries) != n or len(cols.entries) != m:
+    if len(rows) != n or len(cols) != m:
         raise AssertionError("basis entry counts disagree with the matrix shape")
     return BasisAssembly(
-        h_entries=rows.entries,
-        k_entries=cols.entries,
-        e_blocks=rows.inverses,
-        f_blocks=cols.inverses,
-        E=rows.scatter(g.field, a.row_offsets, n),
-        F=cols.scatter(g.field, a.col_offsets, m),
-        h_group_sizes=rows.group_sizes(poset.h + 2),
-        k_group_sizes=cols.group_sizes(poset.h + 2),
+        h_entries=rows,
+        k_entries=cols,
+        E=_scatter(g.field, rows, a.row_offsets, n),
+        F=_scatter(g.field, cols, a.col_offsets, m),
+        h_group_sizes=_group_sizes(rows, poset.h + 2),
+        k_group_sizes=_group_sizes(cols, poset.h + 2),
     )
 
 
@@ -500,6 +489,11 @@ class VerificationReport:
         )
 
 
+def _partition_problem(side: str, got, want: tuple[int, ...]) -> str:
+    """Why the result's block sizes on one side are not A's, or ""."""
+    return "" if got == want else f"{side} blocks {got!r} are not A's {want!r}"
+
+
 def _admissibility_problem(name: str, mat: Matrix, blocks: tuple[int, ...]) -> str:
     """Why mat, named ``name`` in the reason, is not blockdiag(nonsingular)
     times a permutation, or "": each column lies inside one block, each block
@@ -578,28 +572,41 @@ def _staircase_problem(a_dm: Matrix, blocks, n: int, m: int) -> str:
 def _chain_problem(a: PartitionedMatrix, result: DMResult) -> str:
     """Why the attached chain does not certify the decomposition, or "".
 
-    Every element is stable of dimension n + m - |M|; element k belongs to
-    the last k+1 diagonal blocks, so its dimensions are their row count and
-    m minus their column count."""
+    Every element is stable, and its dimension, the sum of the ranks of its
+    block bases, is n + m - |M|; element k belongs to the last k+1 diagonal
+    blocks, so its dimensions are their row count and m minus their column
+    count."""
     chain, dims, blocks = result.chain, result.chain_dims, result.diag_blocks
     for name, value in (("chain", chain), ("chain dims", dims)):
         if not isinstance(value, (list, tuple)):
             return f"{name} {value!r} is not a list"
     if not isinstance(result.matching_size, int):
         return f"matching size {result.matching_size!r} is not an integer"
-    m = a.matrix.cols
+    f, m = a.field, a.matrix.cols
     want = a.matrix.rows + m - result.matching_size
+    ranks: dict[tuple, int] = {}  # chain elements share most block bases
+
+    def rank(rows: list, dim: int) -> int:
+        key = tuple(map(tuple, rows))
+        if key not in ranks:
+            ranks[key] = len(_echelon_form(f, rows, dim))
+        return ranks[key]
+
+    sub_dims = []
     for k, sub in enumerate(chain):
         if not isinstance(sub, StableSubspace):
             return f"chain element {k} is not a StableSubspace"
         try:
-            stable = is_stable(a, sub.x_bases, sub.y_bases)
-        except (TypeError, ValueError) as exc:
+            xs, ys = basis_coords(a, sub.x_bases, sub.y_bases)
+        except (ArithmeticError, TypeError, ValueError) as exc:
             return f"chain element {k}: {exc}"
-        if not stable:
+        if not coords_stable(a, xs, ys):
             return f"chain element {k} is not stable"
-        if sub.dim_x + sub.dim_y != want:
-            return f"chain element {k} has dimension {sub.dims}"
+        dim_x = sum(map(rank, xs, a.row_blocks))
+        dim_y = sum(map(rank, ys, a.col_blocks))
+        sub_dims.append((dim_x, dim_y))
+        if dim_x + dim_y != want:
+            return f"chain element {k} has dimension {(dim_x, dim_y)}"
     if bad := _malformed_blocks(blocks):
         return bad
     if not len(chain) == len(dims) == len(blocks) - 1:
@@ -609,7 +616,7 @@ def _chain_problem(a: PartitionedMatrix, result: DMResult) -> str:
         )
     if list(dims) != _chain_dims(blocks, m):
         return "chain dims disagree with the diagonal blocks"
-    if [sub.dims for sub in chain] != list(dims):
+    if sub_dims != list(dims):
         return "chain element dimensions disagree with the chain dims"
     return ""
 
@@ -660,12 +667,13 @@ def _duality_problem(a: PartitionedMatrix, result: DMResult) -> str:
 def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     """Re-check a decomposition from first principles.
 
-    (a) the product identity, (b) admissibility of E and F, (c) the zero
-    staircase under the declared diagonal blocks, whose sizes are
-    nonnegative and whose middle blocks are square, (d) when a chain is
-    attached, stability and common dimension of its elements and their
-    agreement with the chain dimensions and the diagonal blocks, (e) v* =
-    n + m - |M|, bounded above by the matched edges on ``graph`` and
+    (a) the product identity, (b) admissibility of E and F for A's
+    partition, which the result must restate, (c) the zero staircase under
+    the declared diagonal blocks, whose sizes are nonnegative and whose
+    middle blocks are square, (d) when a chain is attached, stability of its
+    elements over A's field, their common dimension as a sum of block ranks,
+    and its agreement with the chain dimensions and the diagonal blocks, (e)
+    v* = n + m - |M|, bounded above by the matched edges on ``graph`` and
     ``state`` and below by the first diagonal block.
     """
     checks: list[CheckResult] = []
@@ -688,6 +696,8 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
         )
 
     why = "; ".join(filter(None, (
+        _partition_problem("row", result.row_blocks, a.row_blocks),
+        _partition_problem("column", result.col_blocks, a.col_blocks),
         _admissibility_problem("E", result.E, a.row_blocks),
         _admissibility_problem("F", result.F, a.col_blocks),
     )))

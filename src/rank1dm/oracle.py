@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .field import PrimeField
+from .field import FieldMismatchError, PrimeField
 from .linalg import Matrix, Vector
 from .partmat import PartitionedMatrix
 
@@ -80,10 +80,23 @@ def enumerate_subspaces(q: int, dim: int) -> SubspaceCatalog:
 
 def is_stable(a: PartitionedMatrix, x_bases, y_bases) -> bool:
     """Definition check: x^T A_block y vanishes for every basis pair."""
+    return coords_stable(a, *basis_coords(a, x_bases, y_bases))
+
+
+def basis_coords(a: PartitionedMatrix, x_bases, y_bases) -> tuple[list, list]:
+    """Raw coordinates over A's field of every basis vector, converted once
+    and grouped per block; a wrong block count or vector length, or a Vector
+    over another field, is a ValueError."""
     if len(x_bases) != a.mu or len(y_bases) != a.nu:
         raise ValueError("one basis list per block is required")
-    xs = _block_coords(a.field, x_bases, a.row_blocks, "row")
-    ys = _block_coords(a.field, y_bases, a.col_blocks, "column")
+    return (
+        _block_coords(a.field, x_bases, a.row_blocks, "row"),
+        _block_coords(a.field, y_bases, a.col_blocks, "column"),
+    )
+
+
+def coords_stable(a: PartitionedMatrix, xs, ys) -> bool:
+    """Stability of bases already given as ``basis_coords`` returns them."""
     return all(
         _block_stable(a.field, columns, xs[alpha], ys[beta])
         for (alpha, beta), columns in a.nonzero_blocks.items()
@@ -103,6 +116,8 @@ def _block_coords(f, bases, dims, side: str) -> list[list[list]]:
 
 def _coords(f, v):
     if isinstance(v, Vector):
+        if v.field != f:
+            raise FieldMismatchError(f"vector over {v.field} used in {f}")
         return list(v.data)
     return [f.coerce_raw(x) for x in v]
 

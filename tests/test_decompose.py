@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -317,19 +318,36 @@ def test_build_bases_orders(example, example_result):
     # greedy unit completion appends (1,0) to the matched (1,1) in column
     # block 2, so S_2 stacks them in that order
     assert _stacked_normals(asm.k_entries, 1, 2, f) == Matrix.from_rows(f, [[1, 1], [1, 0]])
-    # completion vectors carry no graph vertex
-    assert asm.h_entries[1].vertex is None
-    assert asm.k_entries[5].vertex is None
 
 
-def test_build_bases_products_are_identity(example_result):
+def test_build_bases_products_are_identity(example, example_result):
     asm = example_result.assembly
-    for alpha, e in enumerate(asm.e_blocks):
-        r = _stacked_normals(asm.h_entries, alpha, e.rows, e.field)
-        assert r @ e == Matrix.identity(r.field, r.rows)
-    for beta, f_ in enumerate(asm.f_blocks):
-        s = _stacked_normals(asm.k_entries, beta, f_.rows, f_.field)
-        assert s @ f_ == Matrix.identity(s.field, s.rows)
+    f = example.field
+    for entries, dims in ((asm.h_entries, example.row_blocks), (asm.k_entries, example.col_blocks)):
+        for blk, dim in enumerate(dims):
+            r = _stacked_normals(entries, blk, dim, f)
+            duals = Matrix.from_row_vectors(f, [e.dual for e in entries if e.block == blk], dim)
+            assert r @ duals.transpose() == Matrix.identity(f, dim)
+
+
+def test_transforms_are_the_scattered_duals(example_result):
+    """Column n-1-i of E is h_entries[i].dual on its block's rows and zero
+    elsewhere; likewise F and k_entries."""
+    res = example_result
+    asm = res.assembly
+    sides = (
+        (res.E, asm.h_entries, res.row_blocks),
+        (res.F, asm.k_entries, res.col_blocks),
+    )
+    for mat, entries, dims in sides:
+        offsets = [sum(dims[:b]) for b in range(len(dims))]
+        zero = mat.field.zero_raw
+        for i, e in enumerate(entries):
+            col = mat.col(mat.cols - 1 - i).data
+            lo = offsets[e.block]
+            hi = lo + dims[e.block]
+            assert col[lo:hi] == e.dual.data
+            assert all(x == zero for x in col[:lo] + col[hi:])
 
 
 def test_dm_decompose_worked_example(example, example_result):
@@ -442,6 +460,44 @@ def test_verify_reports_non_subspace_chain_element(example, example_result):
         assert "not a StableSubspace" in check.detail
 
 
+def _rebased(chain, basis_of):
+    """The chain with every block basis replaced by ``basis_of(basis)``."""
+    def side(bases):
+        return tuple(basis_of(b) for b in bases)
+    return [StableSubspace(side(sub.x_bases), side(sub.y_bases)) for sub in chain]
+
+
+@pytest.mark.parametrize(
+    "basis_of, reason",
+    [
+        (lambda b: tuple(Vector(GF(2), [0] * len(v)) for v in b), "has dimension"),
+        (lambda b: b[:1] * len(b), "has dimension"),
+        (lambda b: tuple(Vector(GF(3), v.data) for v in b), "over GF(3)"),
+    ],
+    ids=["zero-vectors", "repeated-vector", "gf3-vectors"],
+)
+def test_verify_rejects_a_forged_chain(example, example_result, basis_of, reason):
+    # each forgery keeps every element's vector counts, and so its claimed dims
+    forged = _rebased(example_result.chain, basis_of)
+    assert [s.dims for s in forged] == example_result.chain_dims
+    check = verify(example, dataclasses.replace(example_result, chain=forged)).check("chain")
+    assert not check.passed
+    assert reason in check.detail
+
+
+def test_verify_coerces_a_raw_chain(example, example_result):
+    raw = _rebased(example_result.chain, lambda b: tuple(list(v.data) for v in b))
+    assert verify(example, dataclasses.replace(example_result, chain=raw)).passed
+
+
+@pytest.mark.parametrize("side", ["row_blocks", "col_blocks"])
+def test_verify_rejects_a_foreign_partition(example, example_result, side):
+    forged = dataclasses.replace(example_result, **{side: (1,) * 6})
+    report = verify(example, forged)
+    assert [c.name for c in report.checks if not c.passed] == ["admissible"]
+    assert "(1, 1, 1, 1, 1, 1) are not A's (2, 2, 2)" in report.check("admissible").detail
+
+
 def test_verify_reports_wrong_shapes(example, example_result):
     # a malformed result is a FAIL with a reason, never an exception
     bad = dataclasses.replace(example_result, E=Matrix.identity(GF(2), 5))
@@ -472,6 +528,8 @@ def test_verify_reports_wrong_shapes(example, example_result):
         ("E", None, ("product", "admissible")),
         ("F", None, ("product", "admissible")),
         ("a_dm", "x", ("product", "staircase")),
+        # 1/2 has no value in GF(2)
+        ("chain", [StableSubspace((((Fraction(1, 2), 1),), (), ()), ((), (), ()))], ("chain",)),
     ],
 )
 def test_verify_reports_malformed_fields(example, example_result, field, value, failing):

@@ -26,7 +26,8 @@ from rank1dm import (
     max_independent_matching,
     build_stability_graph,
 )
-from rank1dm.linalg import kernel_basis, rref
+from rank1dm.field import FieldMismatchError
+from rank1dm.linalg import Vector, kernel_basis, rref
 from rank1dm.oracle import is_stable_block
 
 
@@ -89,6 +90,19 @@ def test_is_stable_dimension_mismatch(example):
         is_stable(example, [[(1, 0, 0)], [], []], [[], [], []])
     with pytest.raises(ValueError):
         is_stable(example, [[], []], [[], [], []])
+
+
+def test_is_stable_rejects_vectors_over_another_field(example):
+    # over GF(2), (2, 0) read as raw data would be the zero vector
+    x = [[(1, 0)], [(0, 1)], [(1, 0), (0, 1)]]
+    y = [[(0, 1)], [(1, 1)], [(0, 1)]]
+    y_vectors = [[Vector(GF(2), v) for v in b] for b in y]
+    assert is_stable(example, x, y_vectors)
+    y_vectors[0] = [Vector(GF(3), (2, 0))]
+    with pytest.raises(FieldMismatchError):
+        is_stable(example, x, y_vectors)
+    with pytest.raises(FieldMismatchError):
+        is_stable(example, [[Vector(GF(3), (1, 0))], [], []], [[], [], []])
 
 
 def test_is_stable_block_rejects_bad_input(example):
