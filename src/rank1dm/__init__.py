@@ -5,10 +5,7 @@ from .field import GF, QQ, Field, FieldElement, FieldMismatchError, PrimeField, 
 from .linalg import (
     Matrix,
     Rank1Factor,
-    SingularMatrixError,
     Vector,
-    complete_to_basis,
-    invert,
     kernel_basis,
     rank,
     rank1_factor,
@@ -65,13 +62,10 @@ __all__ = [
     "Matrix",
     "Vector",
     "Rank1Factor",
-    "SingularMatrixError",
     "rref",
     "rank",
     "kernel_basis",
-    "invert",
     "rank1_factor",
-    "complete_to_basis",
     "PartitionedMatrix",
     "HyperplaneVertex",
     "StabilityGraph",

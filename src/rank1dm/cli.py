@@ -154,8 +154,7 @@ def serialize_input(doc: InputDocument) -> str:
 
 
 def document_to_matrix(doc: InputDocument) -> PartitionedMatrix:
-    f = doc.field()
-    mat = Matrix.from_rows(f, [[f.parse(tok) for tok in row] for row in doc.entries])
+    mat = Matrix.from_rows(doc.field(), doc.entries)
     return PartitionedMatrix(mat, doc.row_blocks, doc.col_blocks)
 
 
@@ -348,7 +347,7 @@ def main(argv=None) -> int:
 
     try:
         doc, a = _load(args.input)
-    except (OSError, InputFormatError) as exc:
+    except (OSError, InputFormatError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,13 +17,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .field import Field
-from .linalg import (
-    Matrix,
-    Vector,
-    complete_to_basis,
-    invert,
-    rref,
-)
+from .linalg import Matrix, Vector, rref
 from .matching import (
     IndependentMatchingState,
     VectorMatroid,
@@ -307,26 +301,35 @@ def _adapted_basis(
     completion_group: int,
 ) -> list[BasisEntry]:
     """Entries for the matched vertices group by group, completed per block
-    by unit vectors that follow the matched entries of ``completion_group``;
-    each block's duals are the columns of the inverse of its normals stacked
-    in that order."""
+    by unit vectors that follow the matched entries of ``completion_group``.
+
+    One rref per block of [N | I], N its normals as columns, gives [PN | P]
+    with P the inverse of the completed basis: the identity columns taking a
+    pivot are the greedy completion, and row k of P is the dual of the k-th
+    basis vector (the normals, then the completion)."""
     normals = [
         (group, vertices[i].block, vertices[i].normal)
         for group, ids in groups
         for i in ids
     ]
+    duals, completion = [], []
     for blk, dim in enumerate(dims):
         present = [u for _, b, u in normals if b == blk]
-        normals.extend(
-            (completion_group, blk, u)
-            for u in complete_to_basis(present, dim, f)
-        )
-    normals.sort(key=lambda e: e[0])
-    duals = []
-    for blk, dim in enumerate(dims):
-        inv = invert(Matrix.from_row_vectors(f, [u for _, b, u in normals if b == blk], dim))
-        duals.append(iter([inv.col(lam) for lam in range(dim)]))
-    return [BasisEntry(group, blk, u, next(duals[blk])) for group, blk, u in normals]
+        p = len(present)
+        eye = Matrix.identity(f, dim)
+        red = rref(Matrix(f, dim, p + dim, [
+            x for r in range(dim) for x in [u.data[r] for u in present] + eye.row_raw(r)
+        ]))
+        if red.pivots[:p] != list(range(p)):
+            raise ValueError(f"the normals of block {blk} are linearly dependent")
+        inverse = [Vector(f, red.R.row_raw(k)[p:]) for k in range(dim)]
+        duals.append(iter(inverse))
+        completion += [
+            BasisEntry(completion_group, blk, Vector.unit(f, dim, c - p), d)
+            for c, d in zip(red.pivots[p:], inverse[p:])
+        ]
+    matched = [BasisEntry(group, blk, u, next(duals[blk])) for group, blk, u in normals]
+    return sorted(matched + completion, key=lambda e: e.group)
 
 
 def _select(
@@ -647,7 +650,7 @@ def _duality_problem(a: PartitionedMatrix, result: DMResult) -> str:
                 return f"matched edge {k} is not a block of A equal to coeff * u^T v"
             us.append((e.alpha, u))
             vs.append((e.beta, v))
-    except (AttributeError, IndexError, TypeError) as exc:
+    except (AttributeError, LookupError, TypeError) as exc:
         return f"malformed matching witness: {exc}"
     for side, dims in ((us, a.row_blocks), (vs, a.col_blocks)):
         if not VectorMatroid(side, dims).is_independent(range(len(side))):

@@ -13,10 +13,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .field import Field, FieldElement
 
 
-class SingularMatrixError(ValueError):
-    """A square matrix required to be nonsingular is singular."""
-
-
 class Vector:
     """An exact coordinate vector (used both for hyperplane normals, read as
     row vectors, and for subspace basis vectors, read as columns)."""
@@ -179,12 +175,6 @@ class Matrix:
             data.extend(f.dot(vals, col) for col in zip(*(brows[t] for t in support)))
         return Matrix(f, n, m, data)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape or field mismatch in matrix sum")
-        f = self.field
-        return Matrix(f, self.rows, self.cols, [f.add(a, b) for a, b in zip(self.data, other.data)])
-
     def scaled(self, c) -> "Matrix":
         f = self.field
         c = f.coerce_raw(c)
@@ -275,20 +265,6 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return basis
 
 
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination on [M | I]."""
-    if m.rows != m.cols:
-        raise SingularMatrixError("only square matrices can be inverted")
-    f = m.field
-    n = m.rows
-    eye = Matrix.identity(f, n)
-    stacked = [x for i in range(n) for x in m.row_raw(i) + eye.row_raw(i)]
-    red = rref(Matrix(f, n, 2 * n, stacked))
-    if red.pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return red.R.submatrix(0, n, n, 2 * n)
-
-
 @dataclass(frozen=True)
 class Rank1Factor:
     """Verdict on a single block: rank 0, rank 1 with its factorization
@@ -335,13 +311,12 @@ def rank1_factor(m: Matrix) -> Rank1Factor:
 
 
 class SpanCoordinates(NamedTuple):
-    """Candidates solved against a basis: the rank of the basis; per
+    """Candidates solved against a basis: the rank of the basis, and per
     candidate its raw coefficients on the basis vectors, or None when it lies
-    outside their span; and the candidates whose columns carry a pivot."""
+    outside their span."""
 
     rank: int
     coords: list[list | None]
-    pivots: list[int]
 
 
 def span_coordinates(
@@ -353,8 +328,7 @@ def span_coordinates(
     After rref, a candidate lies in the span of the basis iff its column is
     zero in every row whose pivot is a candidate column; its entries in the
     basis pivot rows are then its coefficients (zero on basis vectors that
-    carry no pivot).  The candidate pivot columns are the greedy choice of
-    candidates, in order, that extend the basis independently."""
+    carry no pivot)."""
     b = len(basis)
     vecs = list(basis) + list(candidates)
     ncols = len(vecs)
@@ -371,18 +345,4 @@ def span_coordinates(
         for r in range(basis_rank):
             c[red.pivots[r]] = column[r]
         coords.append(c)
-    return SpanCoordinates(basis_rank, coords, [p - b for p in red.pivots[basis_rank:]])
-
-
-def complete_to_basis(rows: Sequence[Vector], dim: int, field: Field | None = None) -> list[Vector]:
-    """Extend independent row vectors to a basis of F^dim with standard unit
-    vectors, picked greedily in coordinate order."""
-    if rows:
-        field = rows[0].field
-    elif field is None:
-        raise ValueError("field needed when no rows are given")
-    units = [Vector.unit(field, dim, idx) for idx in range(dim)]
-    span = span_coordinates(field, dim, rows, units)
-    if span.rank != len(rows):
-        raise ValueError("input rows are linearly dependent")
-    return [units[k] for k in span.pivots]
+    return SpanCoordinates(basis_rank, coords)

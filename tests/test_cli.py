@@ -127,6 +127,14 @@ def test_parse_error_exit(tmp_path):
     assert main(["nonsense"]) == EXIT_USAGE
 
 
+def test_non_utf8_input_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(EXAMPLE_TEXT.encode() + b"\xff\n")
+    assert main(["decompose", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_oracle_command(example_file, capsys):
     assert main(["oracle", example_file]) == EXIT_OK
     out = capsys.readouterr().out

@@ -36,7 +36,7 @@ from rank1dm import (
     scc_poset,
     verify,
 )
-from rank1dm.decompose import PosetComponent
+from rank1dm.decompose import PosetComponent, _adapted_basis
 from rank1dm.partmat import HyperplaneVertex
 
 
@@ -330,6 +330,56 @@ def test_build_bases_products_are_identity(example, example_result):
             assert r @ duals.transpose() == Matrix.identity(f, dim)
 
 
+def _one_block_basis(field, normals, dim, completion_group=2):
+    """_adapted_basis on a single block whose normals form group 1."""
+    vertices = [HyperplaneVertex(0, u) for u in normals]
+    return _adapted_basis(field, vertices, [dim], [(1, range(len(normals)))], completion_group)
+
+
+def test_adapted_basis_completion_examples():
+    f = GF(2)
+    e1, e2 = Vector(f, [1, 0]), Vector(f, [0, 1])
+    for normals, completion in (([], [e1, e2]), ([Vector(f, [1, 1])], [e1]), ([e1, e2], [])):
+        entries = _one_block_basis(f, normals, 2)
+        assert [e.normal for e in entries] == normals + completion
+        assert [e.group for e in entries] == [1] * len(normals) + [2] * len(completion)
+
+
+def test_adapted_basis_is_greedy_and_dual():
+    rng = random.Random(11)
+    for field in (GF(2), GF(3), GF(101), QQ):
+        for _ in range(30):
+            dim = rng.randint(1, 4)
+
+            def independent(vecs):
+                return rank(Matrix.from_row_vectors(field, vecs, dim)) == len(vecs)
+
+            normals = []
+            for _ in range(rng.randint(0, dim)):
+                cand = Vector(field, [rng.randint(-4, 4) for _ in range(dim)])
+                if independent(normals + [cand]):
+                    normals.append(cand)
+            greedy = []
+            for idx in range(dim):
+                if independent(normals + greedy + [Vector.unit(field, dim, idx)]):
+                    greedy.append(Vector.unit(field, dim, idx))
+            group = rng.choice((0, 2))  # the completion goes before or after the normals
+            entries = _one_block_basis(field, normals, dim, group)
+            assert [e.normal for e in entries if e.group == 1] == normals
+            assert [e.normal for e in entries if e.group == group] == greedy
+            assert [e.group for e in entries] == sorted(e.group for e in entries)
+            for e in entries:
+                for other in entries:
+                    want = field.one_raw if other is e else field.zero_raw
+                    assert field.dot(other.normal.data, e.dual.data) == want
+
+
+def test_adapted_basis_dependent_normals_raise():
+    f = GF(3)
+    with pytest.raises(ValueError):
+        _one_block_basis(f, [Vector(f, [1, 2]), Vector(f, [2, 1])], 2)
+
+
 def test_transforms_are_the_scattered_duals(example_result):
     """Column n-1-i of E is h_entries[i].dual on its block's rows and zero
     elsewhere; likewise F and k_entries."""
@@ -615,6 +665,13 @@ def test_duality_reports_a_missing_or_malformed_witness(example, example_result)
         ("malformed matching witness", dataclasses.replace(
             example_result, state=dataclasses.replace(state, matching=5)
         )),
+    ]
+    g = example_result.graph
+    cases += [  # dict-valued witness lists
+        ("malformed matching witness", dataclasses.replace(
+            example_result, graph=dataclasses.replace(g, **{name: {}})
+        ))
+        for name in ("edges", "pi", "sigma")
     ]
     for reason, forged in cases:
         check = verify(example, forged).check("duality")

@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 
 from gen import EXAMPLE_ROWS
 
-from rank1dm import GF, QQ, Matrix, SingularMatrixError, Vector
+from rank1dm import GF, QQ, Matrix, Vector
 from rank1dm.linalg import (
-    complete_to_basis,
-    invert,
     kernel_basis,
     rank,
     rank1_factor,
@@ -21,11 +19,6 @@ from rank1dm.linalg import (
 def is_upper_triangular(m: Matrix) -> bool:
     z = m.field.zero_raw
     return all(m.raw(i, j) == z for i in range(m.rows) for j in range(min(i, m.cols)))
-
-
-def is_lower_triangular(m: Matrix) -> bool:
-    z = m.field.zero_raw
-    return all(m.raw(i, j) == z for i in range(m.rows) for j in range(i + 1, m.cols))
 
 
 def _random_matrix(rng, field, n, m):
@@ -145,37 +138,6 @@ def test_kernel_annihilates_and_counts():
                 assert all(x == field.zero_raw for x in prod)
 
 
-def test_invert_examples():
-    f = GF(2)
-    m = Matrix.from_rows(f, [[1, 1], [1, 0]])
-    assert invert(m) == Matrix.from_rows(f, [[0, 1], [1, 1]])
-    assert invert(Matrix.identity(QQ, 3)) == Matrix.identity(QQ, 3)
-    d = Matrix.from_rows(QQ, [[2, 0], [0, 4]])
-    assert invert(d) == Matrix.from_rows(QQ, [[Fraction(1, 2), 0], [0, Fraction(1, 4)]])
-
-
-def test_invert_round_trip():
-    rng = random.Random(9)
-    for field in (GF(2), GF(7), QQ):
-        done = 0
-        while done < 15:
-            n = rng.randint(1, 4)
-            m = _random_matrix(rng, field, n, n)
-            if rank(m) < n:
-                continue
-            inv = invert(m)
-            eye = Matrix.identity(field, n)
-            assert m @ inv == eye and inv @ m == eye
-            done += 1
-
-
-def test_invert_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        invert(Matrix.zeros(GF(2), 2, 2))
-    with pytest.raises(SingularMatrixError):
-        invert(Matrix.from_rows(QQ, [[1, 2, 3]]))
-
-
 def test_rank1_factor_block_of_worked_example():
     f = GF(2)
     a13 = Matrix.from_rows(f, [[0, 0], [1, 1]])
@@ -227,45 +189,6 @@ def test_rank1_factor_reconstruction_and_monic():
             assert rebuilt == mat
 
 
-def test_complete_to_basis_examples():
-    f = GF(2)
-    assert complete_to_basis([], 2, f) == [Vector(f, [1, 0]), Vector(f, [0, 1])]
-    assert complete_to_basis([Vector(f, [1, 1])], 2) == [Vector(f, [1, 0])]
-    full = [Vector(f, [1, 0]), Vector(f, [0, 1])]
-    assert complete_to_basis(full, 2) == []
-
-
-def test_complete_to_basis_dependent_raises():
-    f = GF(3)
-    with pytest.raises(ValueError):
-        complete_to_basis([Vector(f, [1, 2]), Vector(f, [2, 1])], 2)
-
-
-def test_complete_to_basis_greedy_property():
-    rng = random.Random(11)
-    for field in (GF(2), GF(3), GF(101), QQ):
-        for _ in range(30):
-            dim = rng.randint(1, 4)
-            vecs = []
-            for _ in range(rng.randint(0, dim)):
-                cand = Vector(field, _random_matrix(rng, field, 1, dim).data)
-                trial = vecs + [cand]
-                if rank(Matrix.from_row_vectors(field, trial, dim)) == len(trial):
-                    vecs = trial
-            added = complete_to_basis(vecs, dim, field)
-            union = vecs + added
-            assert len(union) == dim
-            assert rank(Matrix.from_row_vectors(field, union, dim)) == dim
-            for v in added:
-                assert sum(1 for x in v.data if x != field.zero_raw) == 1
-            greedy = []
-            for idx in range(dim):
-                trial = vecs + greedy + [Vector.unit(field, dim, idx)]
-                if rank(Matrix.from_row_vectors(field, trial, dim)) == len(trial):
-                    greedy.append(trial[-1])
-            assert added == greedy
-
-
 def test_span_coordinates_against_ranks():
     rng = random.Random(12)
     for field in (GF(2), GF(101), QQ):
@@ -288,28 +211,13 @@ def test_span_coordinates_against_ranks():
                 cands.insert(rng.randint(0, len(cands)), Vector(field, combo))
             span = span_coordinates(field, dim, basis, cands)
             assert span.rank == rank_of(basis)
-            chosen = []
-            for k, (cand, coeffs) in enumerate(zip(cands, span.coords)):
+            for cand, coeffs in zip(cands, span.coords):
                 assert (coeffs is None) == (rank_of(basis + [cand]) > span.rank)
                 if coeffs is not None:
                     rebuilt = [field.zero_raw] * dim
                     for c, b in zip(coeffs, basis):
                         rebuilt = [field.add(x, field.mul(c, y)) for x, y in zip(rebuilt, b.data)]
                     assert rebuilt == list(cand.data)
-                picked = basis + [cands[i] for i in chosen]
-                if rank_of(picked + [cand]) > rank_of(picked):
-                    chosen.append(k)
-            assert span.pivots == chosen
-
-
-def test_triangularizing_transform_inverse():
-    # build_bases triangularizes each per-block chain stack with its inverse
-    f = GF(2)
-    r2 = Matrix.from_rows(f, [[1, 1], [1, 0]])
-    t = invert(r2)
-    assert t == Matrix.from_rows(f, [[0, 1], [1, 1]])
-    assert r2 @ t == Matrix.identity(f, 2)
-    assert is_upper_triangular(r2 @ t) and is_lower_triangular(r2 @ t)
 
 
 def test_triangularizing_accepts_other_valid_transforms():
@@ -319,11 +227,6 @@ def test_triangularizing_accepts_other_valid_transforms():
     r2 = Matrix.from_rows(f, [[1, 1], [1, 0]])
     e2 = Matrix.from_rows(f, [[0, 1], [1, 0]])
     assert is_upper_triangular(r2 @ e2)
-
-
-def test_triangularizing_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        invert(Matrix.zeros(GF(2), 2, 2))
 
 
 def test_empty_matrix_edge_cases():
