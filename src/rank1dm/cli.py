@@ -10,9 +10,11 @@ Input files are line-oriented key/value documents::
     0 0 1 1 1 1
     ...
 
-Blank lines and ``#`` comments are ignored.  Entries are element strings in
-the declared field (decimal residues for gf, ``a`` or ``a/b`` for
-rationals).
+Blank lines and ``#`` comments are ignored.  Each header key appears once
+and ``entries`` stands alone on its line; a repeated key or a value after
+``entries`` is a parse error.  Entries are element strings in the declared
+field (decimal residues for gf, ``a`` or ``a/b`` for rationals), each parsed
+once into a value of that field.
 
 Exit codes: 0 success, 1 usage, parse or file error, 2 rank condition
 violated, 3 oracle bounds exceeded, 4 verification failure.
@@ -45,25 +47,21 @@ class InputFormatError(ValueError):
 
 @dataclass
 class InputDocument:
-    """Parsed but not yet field-interpreted matrix description."""
+    """A parsed matrix description: the field, the block sizes, and the
+    entries as raw values of that field, one tuple per matrix row."""
 
-    field_kind: str  # "gf" or "rationals"
-    modulus: int | None
+    field: Field
     row_blocks: tuple[int, ...]
     col_blocks: tuple[int, ...]
-    entries: tuple[tuple[str, ...], ...]
-
-    def field(self) -> Field:
-        return GF(self.modulus) if self.field_kind == "gf" else QQ
+    entries: tuple[tuple, ...]
 
 
 def parse_input(text: str) -> InputDocument:
-    field_kind = None
-    modulus = None
+    field = None
     row_blocks = None
     col_blocks = None
-    entries: list[tuple[str, ...]] = []
-    in_entries = False
+    rows: list[tuple[int, list[str]]] = []
+    seen: set[str] = set()
     entries_line = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -71,10 +69,13 @@ def parse_input(text: str) -> InputDocument:
         if not line:
             continue
         tokens = line.split()
-        if in_entries:
-            entries.append(tuple(tokens))
+        if entries_line is not None:
+            rows.append((lineno, tokens))
             continue
         key = tokens[0]
+        if key in seen:
+            raise InputFormatError(lineno, f"repeated key {key!r}")
+        seen.add(key)
         if key == "field":
             if len(tokens) == 3 and tokens[1] == "gf":
                 try:
@@ -82,12 +83,11 @@ def parse_input(text: str) -> InputDocument:
                 except ValueError:
                     raise InputFormatError(lineno, f"bad modulus {tokens[2]!r}")
                 try:
-                    GF(p)
+                    field = GF(p)
                 except ValueError as exc:
                     raise InputFormatError(lineno, str(exc))
-                field_kind, modulus = "gf", p
             elif len(tokens) == 2 and tokens[1] == "rationals":
-                field_kind = "rationals"
+                field = QQ
             else:
                 raise InputFormatError(
                     lineno, "field must be 'gf <p>' or 'rationals'"
@@ -104,12 +104,15 @@ def parse_input(text: str) -> InputDocument:
             else:
                 col_blocks = sizes
         elif key == "entries":
-            in_entries = True
+            if len(tokens) > 1:
+                raise InputFormatError(
+                    lineno, "'entries' takes no values; rows start on the next line"
+                )
             entries_line = lineno
         else:
             raise InputFormatError(lineno, f"unknown key {key!r}")
 
-    if field_kind is None:
+    if field is None:
         raise InputFormatError(0, "missing 'field' line")
     if row_blocks is None or col_blocks is None:
         raise InputFormatError(0, "missing 'row_blocks' or 'col_blocks' line")
@@ -118,43 +121,45 @@ def parse_input(text: str) -> InputDocument:
 
     n = sum(row_blocks)
     m = sum(col_blocks)
-    if len(entries) != n:
+    if len(rows) != n:
         raise InputFormatError(
-            entries_line, f"expected {n} entry rows, found {len(entries)}"
+            entries_line, f"expected {n} entry rows, found {len(rows)}"
         )
-    for i, row in enumerate(entries):
-        if len(row) != m:
-            raise InputFormatError(
-                entries_line + 1 + i, f"expected {m} entries, found {len(row)}"
-            )
-
-    doc = InputDocument(field_kind, modulus, row_blocks, col_blocks, tuple(entries))
-    f = doc.field()
-    for i, row in enumerate(entries):
-        for j, tok in enumerate(row):
+    entries = []
+    for lineno, tokens in rows:
+        if len(tokens) != m:
+            raise InputFormatError(lineno, f"expected {m} entries, found {len(tokens)}")
+        values = []
+        for j, tok in enumerate(tokens, start=1):
             try:
-                f.parse(tok)
+                values.append(field.parse(tok))
             except ValueError as exc:
-                raise InputFormatError(entries_line + 1 + i, f"column {j + 1}: {exc}")
-    return doc
+                raise InputFormatError(lineno, f"column {j}: {exc}")
+        entries.append(tuple(values))
+    return InputDocument(field, row_blocks, col_blocks, tuple(entries))
+
+
+def _header_lines(field: Field, row_blocks, col_blocks) -> list[str]:
+    """The ``field``, ``row_blocks`` and ``col_blocks`` lines shared by the
+    input and result documents."""
+    return [
+        "field rationals" if field == QQ else f"field gf {field.p}",
+        "row_blocks " + " ".join(str(b) for b in row_blocks),
+        "col_blocks " + " ".join(str(b) for b in col_blocks),
+    ]
 
 
 def serialize_input(doc: InputDocument) -> str:
-    lines = []
-    if doc.field_kind == "gf":
-        lines.append(f"field gf {doc.modulus}")
-    else:
-        lines.append("field rationals")
-    lines.append("row_blocks " + " ".join(str(b) for b in doc.row_blocks))
-    lines.append("col_blocks " + " ".join(str(b) for b in doc.col_blocks))
+    lines = _header_lines(doc.field, doc.row_blocks, doc.col_blocks)
     lines.append("entries")
     for row in doc.entries:
-        lines.append(" ".join(row))
+        lines.append(" ".join(doc.field.format(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
 def document_to_matrix(doc: InputDocument) -> PartitionedMatrix:
-    mat = Matrix.from_rows(doc.field(), doc.entries)
+    values = [v for row in doc.entries for v in row]
+    mat = Matrix(doc.field, sum(doc.row_blocks), sum(doc.col_blocks), values)
     return PartitionedMatrix(mat, doc.row_blocks, doc.col_blocks)
 
 
@@ -172,13 +177,7 @@ def format_result(doc: InputDocument, result: DMResult, report=None) -> str:
     assembly = result.assembly
     npi = g.n_pi
 
-    lines = []
-    if doc.field_kind == "gf":
-        lines.append(f"field gf {doc.modulus}")
-    else:
-        lines.append("field rationals")
-    lines.append("row_blocks " + " ".join(str(b) for b in result.row_blocks))
-    lines.append("col_blocks " + " ".join(str(b) for b in result.col_blocks))
+    lines = _header_lines(doc.field, result.row_blocks, result.col_blocks)
     lines.append(f"matching_size {result.matching_size}")
     lines.append(f"v_star {result.v_star}")
     lines.append(f"augmentations {state.augmentations}")
@@ -234,17 +233,20 @@ def _node_label(g, v: int) -> str:
     return g.pi_label(v) if v < g.n_pi else g.sigma_label(v - g.n_pi)
 
 
-def write_dot(a: PartitionedMatrix, result: DMResult) -> str:
+def write_dot(result: DMResult) -> str:
     """The stability graph and the auxiliary digraph in DOT form."""
     g = result.graph
     state = result.state
     poset = result.poset
     npi = g.n_pi
-    matched_pairs = {(g.edges[k].pi, g.edges[k].sigma) for k in state.matching}
     source_set = set(state.sources)
     sink_set = set(state.sinks)
 
-    def node_attrs(v: int) -> str:
+    def node_id(v: int) -> str:
+        return f"p{v}" if v < npi else f"s{v - npi}"
+
+    nodes = []
+    for v in range(npi + g.n_sigma):
         tags = []
         if v in source_set:
             tags.append("S")
@@ -258,33 +260,20 @@ def write_dot(a: PartitionedMatrix, result: DMResult) -> str:
         if tags:
             label += " [" + ",".join(tags) + "]"
         shape = "ellipse" if v < npi else "box"
-        return f'label="{label}", shape={shape}'
+        nodes.append(f'  {node_id(v)} [label="{label}", shape={shape}];')
 
-    lines = ["graph stability {"]
-    for i in range(npi):
-        lines.append(f'  p{i} [{node_attrs(i)}];')
-    for j in range(g.n_sigma):
-        lines.append(f'  s{j} [{node_attrs(npi + j)}];')
-    for e in g.edges:
-        style = ' [style=bold, color=red]' if (e.pi, e.sigma) in matched_pairs else ""
+    lines = ["graph stability {", *nodes]
+    for k, e in enumerate(g.edges):
+        style = " [style=bold, color=red]" if k in state.matching else ""
         lines.append(f"  p{e.pi} -- s{e.sigma}{style};")
-    lines.append("}")
-    lines.append("digraph auxiliary {")
-    for i in range(npi):
-        lines.append(f'  p{i} [{node_attrs(i)}];')
-    for j in range(g.n_sigma):
-        lines.append(f'  s{j} [{node_attrs(npi + j)}];')
-    for v, arcs in sorted(state.adjacency.items()):
+    lines += ["}", "digraph auxiliary {", *nodes]
+    for v, arcs in state.adjacency.items():
         for w, edge in arcs:
-            src = f"p{v}" if v < npi else f"s{v - npi}"
-            dst = f"p{w}" if w < npi else f"s{w - npi}"
-            attrs = []
-            if edge is not None and (g.edges[edge].pi, g.edges[edge].sigma) in matched_pairs:
-                attrs.append("color=red")
             if edge is None:
-                attrs.append("style=dashed")
-            tail = f' [{", ".join(attrs)}]' if attrs else ""
-            lines.append(f"  {src} -> {dst}{tail};")
+                tail = " [style=dashed]"
+            else:
+                tail = " [color=red]" if edge in state.matching else ""
+            lines.append(f"  {node_id(v)} -> {node_id(w)}{tail};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -368,7 +357,7 @@ def main(argv=None) -> int:
         return EXIT_RANK
 
     if args.command == "graph":
-        return EXIT_OK if _write(args.dot, write_dot(a, result)) else EXIT_USAGE
+        return EXIT_OK if _write(args.dot, write_dot(result)) else EXIT_USAGE
 
     report = None
     if args.verify:
@@ -381,7 +370,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(out_text)
 
-    if args.dot and not _write(args.dot, write_dot(a, result)):
+    if args.dot and not _write(args.dot, write_dot(result)):
         return EXIT_USAGE
 
     if args.oracle:

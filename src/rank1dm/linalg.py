@@ -43,10 +43,6 @@ class Vector:
     def __repr__(self):
         return "(" + " ".join(self.field.format(v) for v in self.data) + ")"
 
-    def is_zero(self) -> bool:
-        z = self.field.zero_raw
-        return all(v == z for v in self.data)
-
     def first_nonzero(self) -> int:
         """Index of the leading nonzero entry; -1 for the zero vector."""
         z = self.field.zero_raw
@@ -54,18 +50,6 @@ class Vector:
             if v != z:
                 return i
         return -1
-
-    def monic(self) -> "Vector":
-        """Scale so the leading nonzero entry becomes 1 (canonical form)."""
-        i = self.first_nonzero()
-        if i < 0:
-            raise ValueError("the zero vector has no monic form")
-        f = self.field
-        lead = self.data[i]
-        if lead == f.one_raw:
-            return self
-        s = f.inv(lead)
-        return Vector(f, [f.mul(s, v) for v in self.data])
 
     def colex_key(self) -> tuple:
         """Sort key reading coordinates from the last to the first."""

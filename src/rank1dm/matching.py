@@ -53,23 +53,26 @@ class VectorMatroid:
     def circuits(self, subset) -> tuple[int, list[list[int] | None]]:
         """Rank of the selected set and, for every ground element, the
         selected elements whose normals carry a nonzero coefficient when its
-        normal is written in them, or None outside the closure.  For an
-        independent selection that is the element's fundamental circuit
-        (less the element itself).  One elimination per block the selection
-        meets."""
+        normal is written in them, in ascending order, or None outside the
+        closure.  For an independent selection that is the element's
+        fundamental circuit (less the element itself), so a selected element
+        gets the empty list.  One elimination per block the selection meets
+        solves that block's unselected members."""
         found: list[list[int] | None] = [None] * len(self.elements)
         total = 0
-        for blk, ids in self._by_block(subset).items():
-            members = self._members[blk]
+        for blk, ids in self._by_block(sorted(subset)).items():
+            for i in ids:
+                found[i] = []
+            others = [j for j in self._members[blk] if found[j] is None]
             f = self.elements[ids[0]][1].field
             span = span_coordinates(
                 f,
                 self.block_dims[blk],
                 [self.elements[i][1] for i in ids],
-                [self.elements[j][1] for j in members],
+                [self.elements[j][1] for j in others],
             )
             total += span.rank
-            for j, coeffs in zip(members, span.coords):
+            for j, coeffs in zip(others, span.coords):
                 if coeffs is not None:
                     found[j] = [i for i, c in zip(ids, coeffs) if c != f.zero_raw]
         return total, found
@@ -139,22 +142,18 @@ def _auxiliary_digraph(
     adjacency: dict[int, list[tuple[int, int | None]]] = {
         v: [] for v in range(npi + g.n_sigma)
     }
+    # each list ascends by target, the order _search reads it: row-side
+    # exchange arcs, graph edges (row-major block order) and reversed matched
+    # edges, then column-side exchange arcs
+    for new, circuit in enumerate(circuits_pi):
+        for old in circuit or ():
+            adjacency[old].append((new, None))
     for k, e in enumerate(g.edges):
         adjacency[e.pi].append((npi + e.sigma, k))
         if k in matching:
             adjacency[npi + e.sigma].append((e.pi, k))
-
-    # exchange arcs live inside one block on each side
-    for new, circuit in enumerate(circuits_pi):
-        if circuit is not None and new not in d_plus:
-            for old in circuit:
-                adjacency[old].append((new, None))
     for new, circuit in enumerate(circuits_sigma):
-        if circuit is not None and new not in d_minus:
-            adjacency[npi + new].extend((npi + old, None) for old in circuit)
-
-    for v in adjacency:
-        adjacency[v].sort(key=lambda arc: (arc[0], -1 if arc[1] is None else arc[1]))
+        adjacency[npi + new].extend((npi + old, None) for old in circuit or ())
 
     sources = [i for i in range(npi) if circuits_pi[i] is None]
     sinks = [npi + j for j in range(g.n_sigma) if circuits_sigma[j] is None]
@@ -177,8 +176,9 @@ def _search(
     Returns the arc (node, edge) by which each reached node was first
     entered (None for a start) and the first target reached, where the
     search stops, or None after reaching everything it can.  Starts are
-    seeded in the given order and adjacency lists are sorted, so the
-    search, and the shortest path it finds, are deterministic."""
+    seeded in the given order and each adjacency list is read in its stored
+    order, which ascends by target, so the search, and the shortest path it
+    finds, are deterministic."""
     targets = set(targets)
     parent: dict[int, tuple[int, int | None] | None] = dict.fromkeys(starts)
     queue = deque(parent)

@@ -1,5 +1,9 @@
+import re
+from fractions import Fraction
+
 import pytest
 
+from rank1dm import GF, QQ, dm_decompose
 from rank1dm.cli import (
     EXIT_OK,
     EXIT_ORACLE_BOUNDS,
@@ -10,6 +14,7 @@ from rank1dm.cli import (
     main,
     parse_input,
     serialize_input,
+    write_dot,
 )
 
 EXAMPLE_TEXT = """\
@@ -45,9 +50,9 @@ def example_file(tmp_path):
 
 def test_parse_example():
     doc = parse_input(EXAMPLE_TEXT)
-    assert doc.field_kind == "gf" and doc.modulus == 2
+    assert doc.field == GF(2)
     assert doc.row_blocks == (2, 2, 2) and doc.col_blocks == (2, 2, 2)
-    assert doc.entries[0] == ("1", "0", "1", "1", "0", "0")
+    assert doc.entries[0] == (1, 0, 1, 1, 0, 0)
     a = document_to_matrix(doc)
     assert a.matrix.rows == 6 and a.matrix.cols == 6
 
@@ -55,8 +60,6 @@ def test_parse_example():
 def test_parse_rationals():
     doc = parse_input(RATIONAL_TEXT)
     a = document_to_matrix(doc)
-    from fractions import Fraction
-
     assert a.matrix.raw(0, 0) == Fraction(1, 2)
     assert a.matrix.raw(1, 1) == Fraction(5, 7)
 
@@ -66,6 +69,14 @@ def test_round_trip():
     assert parse_input(serialize_input(doc)) == doc
     doc2 = parse_input(RATIONAL_TEXT)
     assert parse_input(serialize_input(doc2)) == doc2
+    # non-canonical tokens come back canonical
+    doc3 = parse_input("field gf 2\nrow_blocks 1\ncol_blocks 2\nentries\n3 0\n")
+    assert serialize_input(doc3).endswith("entries\n1 0\n")
+    assert parse_input(serialize_input(doc3)) == doc3
+    doc4 = parse_input("field rationals\nrow_blocks 1\ncol_blocks 2\nentries\n2/4 -0\n")
+    assert doc4.field == QQ and doc4.entries == ((Fraction(1, 2), Fraction(0)),)
+    assert serialize_input(doc4).endswith("entries\n1/2 0\n")
+    assert parse_input(serialize_input(doc4)) == doc4
 
 
 def test_parse_errors_are_specific():
@@ -83,6 +94,12 @@ def test_parse_errors_are_specific():
         parse_input("field rationals\nrow_blocks 1\ncol_blocks 1\nentries\nx\n")
     with pytest.raises(InputFormatError, match="column 2"):
         parse_input("field gf 2\nrow_blocks 1\ncol_blocks 1 1\nentries\n1 y\n")
+    with pytest.raises(InputFormatError, match="^line 2: repeated key 'field'$"):
+        parse_input("field gf 2\nfield gf 3\nrow_blocks 1\ncol_blocks 1\nentries\n1\n")
+    with pytest.raises(InputFormatError, match="^line 3: repeated key 'row_blocks'$"):
+        parse_input("field gf 2\nrow_blocks 1\nrow_blocks 2\ncol_blocks 1\nentries\n1\n")
+    with pytest.raises(InputFormatError, match="^line 4: 'entries' takes no values"):
+        parse_input("field gf 2\nrow_blocks 1\ncol_blocks 2\nentries 1 1\n0 1\n")
 
 
 def test_decompose_exit_ok(example_file, capsys):
@@ -127,6 +144,15 @@ def test_parse_error_exit(tmp_path):
     assert main(["nonsense"]) == EXIT_USAGE
 
 
+def test_repeated_key_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("field gf 2\nfield gf 3\nrow_blocks 1\ncol_blocks 1\nentries\n1\n")
+    assert main(["decompose", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: line 2: repeated key 'field'\n", captured.err)
+
+
 def test_non_utf8_input_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_bytes(EXAMPLE_TEXT.encode() + b"\xff\n")
@@ -163,6 +189,20 @@ def test_dot_output(example_file, tmp_path):
     assert "digraph auxiliary {" in text
     assert '"3a [S,C0]"' in text
     assert "style=bold" in text  # matching edges marked
+
+
+def test_dot_marks_matching_and_declares_nodes_once():
+    result = dm_decompose(document_to_matrix(parse_input(EXAMPLE_TEXT)))
+    state = result.state
+    stability, auxiliary = write_dot(result).split("}\n")[:2]
+    assert stability.count("style=bold") == state.size
+    exchange_arcs = sum(edge is None for arcs in state.adjacency.values() for _, edge in arcs)
+    assert exchange_arcs > 0
+    assert auxiliary.count("style=dashed") == exchange_arcs
+    n_nodes = result.graph.n_pi + result.graph.n_sigma
+    for body in (stability, auxiliary):
+        declared = re.findall(r"^  ([ps]\d+) \[label=", body, re.MULTILINE)
+        assert len(declared) == len(set(declared)) == n_nodes
 
 
 def test_graph_command(example_file, tmp_path):

@@ -168,6 +168,30 @@ def test_intermediate_matchings_stay_independent(caplog):
         assert history[-1] == state.matching
 
 
+def test_aux_digraph_built_in_search_order(caplog):
+    # _search reads each adjacency list as stored, so every list must ascend
+    # by (target, exchange arc before graph edge); matched vertices are not
+    # solved against themselves, their circuits are empty
+    caplog.set_level(logging.DEBUG, logger="rank1dm")
+    rng = random.Random(37)
+    for field in (GF(2), GF(3), GF(101), QQ) * 4:
+        a = random_rank1_instance(rng, field, rng.randint(1, 4), rng.randint(1, 4), max_dim=3)
+        g = build_stability_graph(a)
+        caplog.clear()
+        max_independent_matching(g)
+        mp, ms = matroid_pi(g), matroid_sigma(g)
+        for matching in [frozenset()] + [r.matching for r in caplog.records]:
+            state = build_auxiliary_digraph(g, matching)
+            for arcs in state.adjacency.values():
+                keys = [(w, -1 if edge is None else edge) for w, edge in arcs]
+                assert keys == sorted(keys)
+            for m, selected in ((mp, state.matched_pi), (ms, state.matched_sigma)):
+                # circuits ascend whatever order the selection comes in
+                circuits = m.circuits(sorted(selected, reverse=True))[1]
+                assert all(circuits[i] == [] for i in selected)
+                assert all(c == sorted(c) for c in circuits if c is not None)
+
+
 def test_min_cover_empty_graph():
     g = StabilityGraph(GF(2), (1,), (1,))
     state = max_independent_matching(g)
