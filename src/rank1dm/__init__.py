@@ -1,7 +1,7 @@
 """Dulmage-Mendelsohn decomposition of partitioned matrices whose blocks
 have rank at most one, over GF(p) or the exact rationals."""
 
-from .field import GF, QQ, Field, FieldElement, FieldMismatchError, PrimeField, RationalField
+from .field import GF, QQ, Field, FieldMismatchError, PrimeField, RationalField
 from .linalg import (
     Matrix,
     Rank1Factor,
@@ -55,7 +55,6 @@ __all__ = [
     "GF",
     "QQ",
     "Field",
-    "FieldElement",
     "FieldMismatchError",
     "PrimeField",
     "RationalField",

@@ -643,7 +643,7 @@ def _duality_problem(a: PartitionedMatrix, result: DMResult) -> str:
             cols = a.nonzero_blocks.get((e.alpha, e.beta))
             fits = cols is not None and u.field == v.field == f
             if not fits or (len(u), len(v)) != (len(cols[0]), len(cols)) or any(
-                x != f.mul(e.coeff.value, f.mul(ui, vj))
+                x != f.mul(e.coeff, f.mul(ui, vj))
                 for vj, col in zip(v.data, cols)
                 for ui, x in zip(u.data, col)
             ):

@@ -1,11 +1,10 @@
 """Exact field arithmetic: prime fields GF(p) and arbitrary-precision rationals.
 
-A ``Field`` instance does arithmetic on raw carrier values (``int`` residues
-for GF(p), ``fractions.Fraction`` for the rationals) and hands out boxed
-``FieldElement`` values for use at API boundaries, where mixing elements of
-different fields must be detected.  Raw values are always kept in canonical
-form: residues reduced into [0, p), fractions reduced with positive
-denominator (``Fraction`` guarantees this).
+A field value has one representation, its raw carrier: an ``int`` residue in
+[0, p) for GF(p), a ``fractions.Fraction`` in lowest terms with positive
+denominator for the rationals.  A ``Field`` instance does the arithmetic on
+carriers; containers such as ``Vector`` and ``Matrix`` record the field.
+``parse`` reads ASCII decimal tokens only.
 """
 
 from __future__ import annotations
@@ -42,6 +41,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _decimal(text: str) -> str:
+    """``text`` unchanged, unless it holds what ``int`` and ``Fraction`` read
+    but a decimal number cannot: ``_`` separators or non-ASCII digits."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return text
+
+
 class FieldMismatchError(ValueError):
     """Operands of a field operation belong to different fields."""
 
@@ -71,27 +78,10 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def coerce_raw(self, value) -> Any:
-        """Turn ints, strings, elements or raw carriers into a raw value."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatchError(
-                    f"element of {value.field} used in {self}"
-                )
-            return value.value
+        """Turn ints, strings or raw carriers into a raw value."""
         if isinstance(value, str):
             return self.parse(value)
         return self.canon(value)
-
-    def element(self, value) -> "FieldElement":
-        return FieldElement(self, self.coerce_raw(value))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, self.zero_raw)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, self.one_raw)
 
     def parse(self, text: str):
         raise NotImplementedError
@@ -146,7 +136,7 @@ class PrimeField(Field):
 
     def parse(self, text: str):
         try:
-            return int(text) % self.p
+            return int(_decimal(text)) % self.p
         except ValueError:
             raise ValueError(f"{text!r} is not a GF({self.p}) element") from None
 
@@ -197,7 +187,7 @@ class RationalField(Field):
 
     def parse(self, text: str):
         try:
-            return Fraction(text)
+            return Fraction(_decimal(text))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{text!r} is not a rational number") from None
 
@@ -219,70 +209,3 @@ def GF(p: int) -> PrimeField:
 
 
 QQ = RationalField()
-
-
-class FieldElement:
-    """A field value bound to its field.  Immutable, hashable, canonical."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FieldElement is immutable")
-
-    def _peer(self, other) -> Any:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"cannot combine {self.field} and {other.field} elements"
-                )
-            return other.value
-        return self.field.coerce_raw(other)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._peer(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._peer(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._peer(other), self.value))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._peer(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._peer(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.div(self._peer(other), self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __bool__(self):
-        return self.value != self.field.zero_raw
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return f"{self.field}:{self.field.format(self.value)}"
-
-    def __str__(self):
-        return self.field.format(self.value)

@@ -2,15 +2,17 @@
 
 Everything here is plain Gaussian elimination with exact arithmetic; the
 pivot is always the first nonzero entry in column order, so every result is
-deterministic and there is no numerical tolerance anywhere.
+deterministic and there is no numerical tolerance anywhere.  Vectors and
+matrices hold raw carrier values of their field and are read through ``data``
+and ``raw``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
-from .field import Field, FieldElement
+from .field import Field
 
 
 class Vector:
@@ -25,12 +27,6 @@ class Vector:
 
     def __len__(self):
         return len(self.data)
-
-    def __getitem__(self, i) -> FieldElement:
-        return FieldElement(self.field, self.data[i])
-
-    def __iter__(self):
-        return (FieldElement(self.field, v) for v in self.data)
 
     def __eq__(self, other):
         if isinstance(other, Vector):
@@ -63,8 +59,7 @@ class Vector:
 
 
 class Matrix:
-    """Dense exact matrix.  Raw entries are stored row-major; element access
-    returns boxed FieldElement values."""
+    """Dense exact matrix of raw field values, stored row-major."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -111,10 +106,6 @@ class Matrix:
 
     def raw(self, i: int, j: int):
         return self.data[i * self.cols + j]
-
-    def __getitem__(self, ij) -> FieldElement:
-        i, j = ij
-        return FieldElement(self.field, self.data[i * self.cols + j])
 
     def row(self, i: int) -> Vector:
         return Vector(self.field, self.data[i * self.cols : (i + 1) * self.cols])
@@ -252,12 +243,12 @@ def kernel_basis(m: Matrix) -> list[Vector]:
 @dataclass(frozen=True)
 class Rank1Factor:
     """Verdict on a single block: rank 0, rank 1 with its factorization
-    block = coeff * u^T v (u, v monic), or rank >= 2."""
+    block = coeff * u^T v (u, v monic, coeff a raw value), or rank >= 2."""
 
     rank: int
     u: Vector | None = None
     v: Vector | None = None
-    coeff: FieldElement | None = None
+    coeff: Any = None
 
     @property
     def is_zero(self) -> bool:
@@ -291,7 +282,7 @@ def rank1_factor(m: Matrix) -> Rank1Factor:
             expect = f.mul(c, f.mul(ui, v.data[j]))
             if m.raw(i, j) != expect:
                 return Rank1Factor(rank=2)
-    return Rank1Factor(rank=1, u=u, v=v, coeff=FieldElement(f, c))
+    return Rank1Factor(rank=1, u=u, v=v, coeff=c)
 
 
 class SpanCoordinates(NamedTuple):

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from typing import Any
 
-from .field import Field, FieldElement, PrimeField
+from .field import Field, PrimeField
 from .linalg import Matrix, Rank1Factor, Vector, rank1_factor
 
 
@@ -134,7 +135,7 @@ class Edge:
     sigma: int
     alpha: int
     beta: int
-    coeff: FieldElement
+    coeff: Any
 
 
 @dataclass

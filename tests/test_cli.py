@@ -94,6 +94,10 @@ def test_parse_errors_are_specific():
         parse_input("field rationals\nrow_blocks 1\ncol_blocks 1\nentries\nx\n")
     with pytest.raises(InputFormatError, match="column 2"):
         parse_input("field gf 2\nrow_blocks 1\ncol_blocks 1 1\nentries\n1 y\n")
+    # int() and Fraction() accept digit separators and non-ASCII digits
+    for field, tok in (("gf 7", "1_0"), ("gf 7", "\u0663"), ("rationals", "1_0")):
+        with pytest.raises(InputFormatError, match=f"^line 5: column 2: '{tok}' is not a"):
+            parse_input(f"field {field}\nrow_blocks 1\ncol_blocks 1 1\nentries\n1 {tok}\n")
     with pytest.raises(InputFormatError, match="^line 2: repeated key 'field'$"):
         parse_input("field gf 2\nfield gf 3\nrow_blocks 1\ncol_blocks 1\nentries\n1\n")
     with pytest.raises(InputFormatError, match="^line 3: repeated key 'row_blocks'$"):

@@ -673,6 +673,13 @@ def test_duality_reports_a_missing_or_malformed_witness(example, example_result)
         ))
         for name in ("edges", "pi", "sigma")
     ]
+    k = min(state.matching)
+    for coeff in (None, "1"):  # a matched edge with a forged coefficient
+        edges = list(g.edges)
+        edges[k] = dataclasses.replace(edges[k], coeff=coeff)
+        cases.append(("malformed matching witness", dataclasses.replace(
+            example_result, graph=dataclasses.replace(g, edges=edges)
+        )))
     for reason, forged in cases:
         check = verify(example, forged).check("duality")
         assert not check.passed and reason in check.detail
@@ -742,9 +749,10 @@ def test_chain_bases_span_chain_elements():
 
 def test_canonical_form_invariance_small():
     rng = random.Random(44)
-    for _ in range(10):
-        field = GF(rng.choice([2, 3]))
-        a = random_rank1_instance(rng, field, rng.randint(1, 3), rng.randint(1, 3))
+    for k in range(50):
+        field = GF(rng.choice([2, 3])) if k < 10 else (GF(101), QQ)[k % 2]
+        max_dim = 2 if k < 10 else 3
+        a = random_rank1_instance(rng, field, rng.randint(1, 3), rng.randint(1, 3), max_dim)
         res = dm_decompose(a)
         twisted = random_admissible_transform(rng, a)
         res2 = dm_decompose(twisted)
@@ -752,6 +760,8 @@ def test_canonical_form_invariance_small():
         assert Counter(res2.diag_blocks[1:-1]) == Counter(res.diag_blocks[1:-1])
         assert res2.diag_blocks[0] == res.diag_blocks[0]
         assert res2.diag_blocks[-1] == res.diag_blocks[-1]
+        assert res2.poset.h == res.poset.h
+        assert len(res2.poset.relations) == len(res.poset.relations)
 
 
 def test_rational_pipeline():

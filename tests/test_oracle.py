@@ -344,6 +344,28 @@ def test_matching_sizes_agree_with_networkx_at_scale():
         assert size == classic_dm_check(a)[0] == len(hopcroft_karp) // 2
 
 
+@pytest.mark.parametrize("field, nu", [(GF(101), 100), (QQ, 70)], ids=["gf101", "qq"])
+def test_ranks_agree_with_sympy_at_scale(field, nu):
+    # about 97% zero blocks keep elimination over QQ affordable at n >= 200
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    domain = sympy.QQ if field == QQ else sympy.GF(field.p)
+
+    def sympy_rank(mat):
+        rows = [mat.row_raw(i) for i in range(mat.rows)]
+        return DomainMatrix.from_list(rows, domain).rank()
+
+    a = random_rank1_instance(random.Random(0), field, 100, nu, max_dim=3, zero_prob=0.97)
+    n, m = a.matrix.rows, a.matrix.cols
+    assert n >= 200
+    res = dm_decompose(a)
+    r = sympy_rank(a.matrix)
+    assert r == rref(a.matrix).rank == sympy_rank(res.a_dm)
+    assert (sympy_rank(res.E), sympy_rank(res.F)) == (n, m)
+    assert r <= res.matching_size
+
+
 def test_brute_force_dims_against_exhaustive_product():
     # cross-check the per-column-block scan against the raw full product on
     # a tiny instance

@@ -122,7 +122,7 @@ def test_edge_reconstruction_invariant():
                 block.rows,
                 block.cols,
                 [
-                    field.mul(e.coeff.value, field.mul(ux, vx))
+                    field.mul(e.coeff, field.mul(ux, vx))
                     for ux in u.data
                     for vx in v.data
                 ],
