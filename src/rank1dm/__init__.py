@@ -2,15 +2,7 @@
 have rank at most one, over GF(p) or the exact rationals."""
 
 from .field import GF, QQ, Field, FieldMismatchError, PrimeField, RationalField
-from .linalg import (
-    Matrix,
-    Rank1Factor,
-    Vector,
-    kernel_basis,
-    rank,
-    rank1_factor,
-    rref,
-)
+from .linalg import Matrix, Rank1Factor, Vector, rank1_factor, rref
 from .matching import (
     IndependentMatchingState,
     VectorMatroid,
@@ -40,14 +32,7 @@ from .decompose import (
     scc_poset,
     verify,
 )
-from .oracle import (
-    SubspaceCatalog,
-    brute_force_max_stable,
-    classic_dm_check,
-    enumerate_subspaces,
-    gaussian_binomial,
-    is_stable,
-)
+from .oracle import brute_force_max_stable, enumerate_subspaces
 
 __version__ = "0.1.0"
 
@@ -62,8 +47,6 @@ __all__ = [
     "Vector",
     "Rank1Factor",
     "rref",
-    "rank",
-    "kernel_basis",
     "rank1_factor",
     "PartitionedMatrix",
     "HyperplaneVertex",
@@ -88,10 +71,6 @@ __all__ = [
     "build_bases",
     "dm_decompose",
     "verify",
-    "SubspaceCatalog",
     "enumerate_subspaces",
-    "gaussian_binomial",
-    "is_stable",
     "brute_force_max_stable",
-    "classic_dm_check",
 ]

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 
 from .decompose import DMResult, dm_decompose, verify
-from .field import GF, QQ, Field
+from .field import GF, QQ, Field, _decimal
 from .linalg import Matrix
 from .oracle import brute_force_max_stable
 from .partmat import PartitionedMatrix, RankConditionViolated
@@ -79,7 +79,7 @@ def parse_input(text: str) -> InputDocument:
         if key == "field":
             if len(tokens) == 3 and tokens[1] == "gf":
                 try:
-                    p = int(tokens[2])
+                    p = int(_decimal(tokens[2]))
                 except ValueError:
                     raise InputFormatError(lineno, f"bad modulus {tokens[2]!r}")
                 try:
@@ -94,7 +94,7 @@ def parse_input(text: str) -> InputDocument:
                 )
         elif key in ("row_blocks", "col_blocks"):
             try:
-                sizes = tuple(int(t) for t in tokens[1:])
+                sizes = tuple(int(_decimal(t)) for t in tokens[1:])
             except ValueError:
                 raise InputFormatError(lineno, f"{key} wants integers")
             if not sizes or any(s <= 0 for s in sizes):

@@ -221,30 +221,6 @@ class StableSubspace:
     def dim_y(self) -> int:
         return sum(len(b) for b in self.y_bases)
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.dim_x, self.dim_y)
-
-    def canonical(self, field: Field, row_dims: Sequence[int], col_dims: Sequence[int]):
-        """Hashable canonical form: per-block reduced-echelon bases."""
-        return (
-            tuple(
-                _echelon_form(field, [v.data for v in basis], d)
-                for basis, d in zip(self.x_bases, row_dims)
-            ),
-            tuple(
-                _echelon_form(field, [v.data for v in basis], d)
-                for basis, d in zip(self.y_bases, col_dims)
-            ),
-        )
-
-
-def _echelon_form(field: Field, rows: Sequence[Sequence], dim: int) -> tuple:
-    """The reduced-echelon basis, as raw tuples, of the span of raw rows."""
-    if not rows:
-        return ()
-    r = rref(Matrix(field, len(rows), dim, [x for row in rows for x in row]))
-    return tuple(tuple(r.R.row_raw(i)) for i in range(r.rank))
 
 
 def ideal_to_stable_subspace(
@@ -592,7 +568,7 @@ def _chain_problem(a: PartitionedMatrix, result: DMResult) -> str:
     def rank(rows: list, dim: int) -> int:
         key = tuple(map(tuple, rows))
         if key not in ranks:
-            ranks[key] = len(_echelon_form(f, rows, dim))
+            ranks[key] = rref(Matrix(f, len(rows), dim, [x for row in rows for x in row])).rank
         return ranks[key]
 
     sub_dims = []
@@ -653,7 +629,7 @@ def _duality_problem(a: PartitionedMatrix, result: DMResult) -> str:
     except (AttributeError, LookupError, TypeError) as exc:
         return f"malformed matching witness: {exc}"
     for side, dims in ((us, a.row_blocks), (vs, a.col_blocks)):
-        if not VectorMatroid(side, dims).is_independent(range(len(side))):
+        if VectorMatroid(side, dims).circuits(range(len(side)))[0] != len(side):
             return "the matched normals are dependent within a block"
     if bad := _malformed_blocks(result.diag_blocks):
         return bad

@@ -39,14 +39,6 @@ class Vector:
     def __repr__(self):
         return "(" + " ".join(self.field.format(v) for v in self.data) + ")"
 
-    def first_nonzero(self) -> int:
-        """Index of the leading nonzero entry; -1 for the zero vector."""
-        z = self.field.zero_raw
-        for i, v in enumerate(self.data):
-            if v != z:
-                return i
-        return -1
-
     def colex_key(self) -> tuple:
         """Sort key reading coordinates from the last to the first."""
         return tuple(reversed(self.data))
@@ -83,17 +75,6 @@ class Matrix:
         return cls(field, nrows, ncols, data)
 
     @classmethod
-    def from_row_vectors(cls, field: Field, vecs: Sequence[Vector], cols: int | None = None) -> "Matrix":
-        if vecs:
-            cols = len(vecs[0])
-        elif cols is None:
-            raise ValueError("column count needed for an empty stack")
-        data: list = []
-        for v in vecs:
-            data.extend(v.data)
-        return cls(field, len(vecs), cols, data)
-
-    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         return cls(field, rows, cols, [field.zero_raw] * (rows * cols))
 
@@ -107,17 +88,8 @@ class Matrix:
     def raw(self, i: int, j: int):
         return self.data[i * self.cols + j]
 
-    def row(self, i: int) -> Vector:
-        return Vector(self.field, self.data[i * self.cols : (i + 1) * self.cols])
-
-    def col(self, j: int) -> Vector:
-        return Vector(self.field, self.data[j :: self.cols] if self.cols else [])
-
     def row_raw(self, i: int) -> list:
         return self.data[i * self.cols : (i + 1) * self.cols]
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, list(self.data))
 
     def transpose(self) -> "Matrix":
         data = [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
@@ -149,11 +121,6 @@ class Matrix:
             vals = [arow[t] for t in support]
             data.extend(f.dot(vals, col) for col in zip(*(brows[t] for t in support)))
         return Matrix(f, n, m, data)
-
-    def scaled(self, c) -> "Matrix":
-        f = self.field
-        c = f.coerce_raw(c)
-        return Matrix(f, self.rows, self.cols, [f.mul(c, v) for v in self.data])
 
     def is_zero(self) -> bool:
         z = self.field.zero_raw
@@ -219,27 +186,6 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(Matrix(f, m.rows, m.cols, flat), pivots, len(pivots))
 
 
-def rank(m: Matrix) -> int:
-    return rref(m).rank
-
-
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Basis of the right kernel {y : M y = 0}, one vector per free column."""
-    f = m.field
-    r = rref(m)
-    pivot_of_col = {c: i for i, c in enumerate(r.pivots)}
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_of_col:
-            continue
-        vals = [f.zero_raw] * m.cols
-        vals[free] = f.one_raw
-        for pc, prow in pivot_of_col.items():
-            vals[pc] = f.neg(r.R.raw(prow, free))
-        basis.append(Vector(f, vals))
-    return basis
-
-
 @dataclass(frozen=True)
 class Rank1Factor:
     """Verdict on a single block: rank 0, rank 1 with its factorization
@@ -249,14 +195,6 @@ class Rank1Factor:
     u: Vector | None = None
     v: Vector | None = None
     coeff: Any = None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rank == 0
-
-    @property
-    def is_rank_one(self) -> bool:
-        return self.rank == 1
 
 
 def rank1_factor(m: Matrix) -> Rank1Factor:

@@ -16,7 +16,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 
-from .linalg import Matrix, Vector, rref, span_coordinates
+from .linalg import Vector, span_coordinates
 from .partmat import StabilityGraph
 
 _log = logging.getLogger("rank1dm")
@@ -37,18 +37,6 @@ class VectorMatroid:
         for i in subset:
             grouped.setdefault(self.elements[i][0], []).append(i)
         return grouped
-
-    def _block_rank(self, blk: int, members: list[int]) -> int:
-        f = self.elements[members[0]][1].field
-        vecs = [self.elements[i][1] for i in members]
-        return rref(Matrix.from_row_vectors(f, vecs, self.block_dims[blk])).rank
-
-    def rank(self, subset) -> int:
-        return sum(self._block_rank(blk, ids) for blk, ids in self._by_block(subset).items())
-
-    def is_independent(self, subset) -> bool:
-        subset = list(subset)
-        return len(set(subset)) == len(subset) == self.rank(subset)
 
     def circuits(self, subset) -> tuple[int, list[list[int] | None]]:
         """Rank of the selected set and, for every ground element, the

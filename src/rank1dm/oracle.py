@@ -1,50 +1,27 @@
-"""Independent brute-force checks for the decomposition pipeline.
+"""Brute-force maximum stable subspace search, and the stability test from
+the definition that it and the verifier share.
 
 Nothing here reuses the matching machinery: subspaces are enumerated
-outright, stability is tested straight from the definition, and the unit
-partition case is cross-checked with a plain bipartite matching.
+outright and stability is tested straight from the definition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from .field import FieldMismatchError, PrimeField
-from .linalg import Matrix, Vector
+from .linalg import Vector
 from .partmat import PartitionedMatrix
 
 _SUPPORTED_Q = (2, 3, 5)
 _MAX_DIM = 3
 
 
-@dataclass(frozen=True)
-class SubspaceCatalog:
-    """All subspaces of GF(q)^dim, each as a tuple of echelon basis rows."""
-
-    q: int
-    dim: int
-    subspaces: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __len__(self):
-        return len(self.subspaces)
-
-
-def gaussian_binomial(d: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of GF(q)^d."""
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= q ** (d - i) - 1
-        den *= q ** (k - i) - 1
-    return num // den
-
-
-_catalog_cache: dict[tuple[int, int], SubspaceCatalog] = {}
-
-
-def enumerate_subspaces(q: int, dim: int) -> SubspaceCatalog:
-    """Every subspace exactly once, keyed by its reduced-echelon basis.
+@lru_cache(maxsize=None)
+def enumerate_subspaces(q: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every subspace of GF(q)^dim exactly once, as its reduced-echelon
+    basis rows.
 
     Bases are produced by choosing pivot columns and sweeping the free
     entries, which is exactly the set of matrices in reduced row echelon
@@ -53,10 +30,6 @@ def enumerate_subspaces(q: int, dim: int) -> SubspaceCatalog:
         raise ValueError(f"unsupported field size {q}")
     if not 0 <= dim <= _MAX_DIM:
         raise ValueError(f"unsupported dimension {dim}")
-    key = (q, dim)
-    if key in _catalog_cache:
-        return _catalog_cache[key]
-
     subspaces: list[tuple[tuple[int, ...], ...]] = [()]
     for k in range(1, dim + 1):
         for pivots in combinations(range(dim), k):
@@ -73,14 +46,7 @@ def enumerate_subspaces(q: int, dim: int) -> SubspaceCatalog:
                 for (r, c), v in zip(free_slots, values):
                     rows[r][c] = v
                 subspaces.append(tuple(tuple(row) for row in rows))
-    catalog = SubspaceCatalog(q, dim, tuple(subspaces))
-    _catalog_cache[key] = catalog
-    return catalog
-
-
-def is_stable(a: PartitionedMatrix, x_bases, y_bases) -> bool:
-    """Definition check: x^T A_block y vanishes for every basis pair."""
-    return coords_stable(a, *basis_coords(a, x_bases, y_bases))
+    return tuple(subspaces)
 
 
 def basis_coords(a: PartitionedMatrix, x_bases, y_bases) -> tuple[list, list]:
@@ -144,8 +110,8 @@ def brute_force_max_stable(a: PartitionedMatrix):
     independent once the row side is fixed."""
     q = _check_brute_bounds(a)
     f = a.field
-    row_cats = [enumerate_subspaces(q, d).subspaces for d in a.row_blocks]
-    col_cats = [enumerate_subspaces(q, d).subspaces for d in a.col_blocks]
+    row_cats = [enumerate_subspaces(q, d) for d in a.row_blocks]
+    col_cats = [enumerate_subspaces(q, d) for d in a.col_blocks]
 
     compatible: dict[tuple[int, int], list[list[bool]]] = {}
     for alpha in range(a.mu):
@@ -217,44 +183,3 @@ def _block_stable(f, columns, x_basis, y_basis) -> bool:
                 return False
     return True
 
-
-def classic_dm_check(a: PartitionedMatrix) -> tuple[int, int]:
-    """Bipartite matching on the nonzero pattern for the all-1x1 partition.
-
-    Returns (matching size, n + m - matching size); the independent matching
-    on such instances must agree because both side matroids are free."""
-    if any(b != 1 for b in a.row_blocks) or any(b != 1 for b in a.col_blocks):
-        raise ValueError("classic check requires unit blocks on both sides")
-    n, m = a.matrix.rows, a.matrix.cols
-    zero = a.field.zero_raw
-    adj = [
-        [j for j in range(m) if a.matrix.raw(i, j) != zero] for i in range(n)
-    ]
-    match_of_col = [-1] * m
-
-    def try_augment(root: int, seen: list[bool]) -> bool:
-        """Depth-first search for an augmenting path from ``root``; the stack
-        is explicit so that long paths need no recursion."""
-        stack = [(root, iter(adj[root]))]
-        taken: list[int] = []  # the column leading from stack[k] to stack[k + 1]
-        while stack:
-            j = next((j for j in stack[-1][1] if not seen[j]), None)
-            if j is None:
-                stack.pop()
-                if taken:
-                    taken.pop()
-                continue
-            seen[j] = True
-            taken.append(j)
-            if match_of_col[j] == -1:
-                for (row, _), col in zip(stack, taken):
-                    match_of_col[col] = row
-                return True
-            stack.append((match_of_col[j], iter(adj[match_of_col[j]])))
-        return False
-
-    size = 0
-    for i in range(n):
-        if try_augment(i, [False] * m):
-            size += 1
-    return size, n + m - size

@@ -86,20 +86,6 @@ class PartitionedMatrix:
         ro, co = self.row_offsets, self.col_offsets
         return self.matrix.submatrix(ro[alpha], ro[alpha + 1], co[beta], co[beta + 1])
 
-    @classmethod
-    def from_blocks(cls, blocks: list[list[Matrix]]) -> "PartitionedMatrix":
-        """Assemble from a mu x nu grid of block matrices."""
-        f = blocks[0][0].field
-        row_sizes = tuple(row[0].rows for row in blocks)
-        col_sizes = tuple(b.cols for b in blocks[0])
-        data = []
-        for brow, nr in zip(blocks, row_sizes):
-            for i in range(nr):
-                for b in brow:
-                    data.extend(b.row_raw(i))
-        total = Matrix(f, sum(row_sizes), sum(col_sizes), data)
-        return cls(total, row_sizes, col_sizes)
-
 
 @dataclass(frozen=True)
 class HyperplaneVertex:
@@ -162,9 +148,6 @@ class StabilityGraph:
     def n_sigma(self) -> int:
         return len(self.sigma)
 
-    def pi_in_block(self, alpha: int) -> list[int]:
-        return [i for i, v in enumerate(self.pi) if v.block == alpha]
-
     def pi_label(self, i: int) -> str:
         v = self.pi[i]
         return row_vertex_label(self.field, v.block, v.normal)
@@ -174,9 +157,8 @@ class StabilityGraph:
         return col_vertex_label(self.field, v.block, v.normal)
 
 
-def _monic_directions(field: PrimeField, dim: int) -> list[tuple]:
+def _monic_directions(p: int, dim: int) -> list[tuple]:
     """All monic vectors of GF(p)^dim in colexicographic order."""
-    p = field.p
     vecs = [()]
     for _ in range(dim):
         vecs = [(v + (r,)) for r in range(p) for v in vecs]
@@ -191,9 +173,7 @@ def _monic_directions(field: PrimeField, dim: int) -> list[tuple]:
 
 @lru_cache(maxsize=None)
 def _direction_index_table(p: int, dim: int) -> dict[tuple, int]:
-    from .field import GF
-
-    return {v: k for k, v in enumerate(_monic_directions(GF(p), dim))}
+    return {v: k for k, v in enumerate(_monic_directions(p, dim))}
 
 
 def _direction_tag(field: Field, normal: Vector) -> str:
@@ -236,7 +216,7 @@ def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:
     for alpha in range(a.mu):
         for beta in range(a.nu):
             fac = factors[(alpha, beta)]
-            if not fac.is_rank_one:
+            if fac.rank != 1:
                 continue
             pi_seen.setdefault((alpha, fac.u), None)
             sigma_seen.setdefault((beta, fac.v), None)

@@ -1,7 +1,8 @@
 """Shared builders for the test suite: the worked 6x6 example, random
 instance generators, exact subspace utilities used by oracle-style checks,
-and the matroid closure and minimum cover that the matching tests check
-against."""
+the reference checks (stability from the definition, classic bipartite DM,
+Gaussian binomials), and the matroid closure and minimum cover that the
+matching tests check against."""
 
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ from rank1dm import (
     matroid_sigma,
     reachability_sets,
 )
-from rank1dm.decompose import StableSubspace
-from rank1dm.linalg import kernel_basis, rref
+from rank1dm.linalg import rref
+from rank1dm.oracle import basis_coords, coords_stable
 
 EXAMPLE_ROWS = [
     [1, 0, 1, 1, 0, 0],
@@ -68,7 +69,21 @@ def random_rank1_instance(
                 ]
                 brow.append(Matrix(field, na, mb, data))
         blocks.append(brow)
-    return PartitionedMatrix.from_blocks(blocks)
+    return from_blocks(blocks)
+
+
+def from_blocks(blocks: list[list[Matrix]]) -> PartitionedMatrix:
+    """Assemble from a mu x nu grid of block matrices."""
+    f = blocks[0][0].field
+    row_sizes = tuple(row[0].rows for row in blocks)
+    col_sizes = tuple(b.cols for b in blocks[0])
+    data = []
+    for brow, nr in zip(blocks, row_sizes):
+        for i in range(nr):
+            for b in brow:
+                data.extend(b.row_raw(i))
+    total = Matrix(f, sum(row_sizes), sum(col_sizes), data)
+    return PartitionedMatrix(total, row_sizes, col_sizes)
 
 
 def _random_nonzero_vector(rng, field, dim):
@@ -164,11 +179,30 @@ def _blockdiag(field, blocks):
 # subspace utilities on raw row bases -------------------------------------
 
 
+def kernel_basis(m: Matrix) -> list[Vector]:
+    """Basis of the right kernel {y : M y = 0}, one vector per free column."""
+    f = m.field
+    r = rref(m)
+    pivot_of_col = {c: i for i, c in enumerate(r.pivots)}
+    basis = []
+    for free in range(m.cols):
+        if free in pivot_of_col:
+            continue
+        vals = [f.zero_raw] * m.cols
+        vals[free] = f.one_raw
+        for pc, prow in pivot_of_col.items():
+            vals[pc] = f.neg(r.R.raw(prow, free))
+        basis.append(Vector(f, vals))
+    return basis
+
+
 def echelon(field, rows, dim):
-    """Canonical reduced-echelon basis of the row space (tuple of tuples)."""
+    """Canonical reduced-echelon basis of the row space (tuple of tuples);
+    rows are raw sequences or Vectors."""
     if not rows:
         return ()
-    m = Matrix(field, len(rows), dim, [field.coerce_raw(x) for r in rows for x in r])
+    data = [field.coerce_raw(x) for r in rows for x in getattr(r, "data", r)]
+    m = Matrix(field, len(rows), dim, data)
     r = rref(m)
     return tuple(tuple(r.R.row_raw(i)) for i in range(r.rank))
 
@@ -208,10 +242,71 @@ def contains(field, rows, vec, dim):
 
 
 def subspace_pair_canonical(field, a: PartitionedMatrix, xs, ys):
-    """Canonical form of a per-block subspace pair given by raw bases."""
-    xb = tuple(tuple(Vector(field, row) for row in b) for b in xs)
-    yb = tuple(tuple(Vector(field, row) for row in b) for b in ys)
-    return StableSubspace(xb, yb).canonical(field, a.row_blocks, a.col_blocks)
+    """Canonical form of a per-block subspace pair: per-block echelon bases."""
+    return tuple(
+        tuple(echelon(field, b, d) for b, d in zip(bases, dims))
+        for bases, dims in ((xs, a.row_blocks), (ys, a.col_blocks))
+    )
+
+
+# reference checks ---------------------------------------------------------
+
+
+def is_stable(a: PartitionedMatrix, x_bases, y_bases) -> bool:
+    """Definition check: x^T A_block y vanishes for every basis pair."""
+    return coords_stable(a, *basis_coords(a, x_bases, y_bases))
+
+
+def gaussian_binomial(d: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of GF(q)^d."""
+    num = 1
+    den = 1
+    for i in range(k):
+        num *= q ** (d - i) - 1
+        den *= q ** (k - i) - 1
+    return num // den
+
+
+def classic_dm_check(a: PartitionedMatrix) -> tuple[int, int]:
+    """Bipartite matching on the nonzero pattern for the all-1x1 partition.
+
+    Returns (matching size, n + m - matching size); the independent matching
+    on such instances must agree because both side matroids are free."""
+    if any(b != 1 for b in a.row_blocks) or any(b != 1 for b in a.col_blocks):
+        raise ValueError("classic check requires unit blocks on both sides")
+    n, m = a.matrix.rows, a.matrix.cols
+    zero = a.field.zero_raw
+    adj = [
+        [j for j in range(m) if a.matrix.raw(i, j) != zero] for i in range(n)
+    ]
+    match_of_col = [-1] * m
+
+    def try_augment(root: int, seen: list[bool]) -> bool:
+        """Depth-first search for an augmenting path from ``root``; the stack
+        is explicit so that long paths need no recursion."""
+        stack = [(root, iter(adj[root]))]
+        taken: list[int] = []  # the column leading from stack[k] to stack[k + 1]
+        while stack:
+            j = next((j for j in stack[-1][1] if not seen[j]), None)
+            if j is None:
+                stack.pop()
+                if taken:
+                    taken.pop()
+                continue
+            seen[j] = True
+            taken.append(j)
+            if match_of_col[j] == -1:
+                for (row, _), col in zip(stack, taken):
+                    match_of_col[col] = row
+                return True
+            stack.append((match_of_col[j], iter(adj[match_of_col[j]])))
+        return False
+
+    size = 0
+    for i in range(n):
+        if try_augment(i, [False] * m):
+            size += 1
+    return size, n + m - size
 
 
 # matroid closure and the minimum cover ----------------------------------
@@ -244,4 +339,4 @@ def min_cover(state: IndependentMatchingState) -> Cover:
 
 
 def cover_value(g: StabilityGraph, cover: Cover) -> int:
-    return matroid_pi(g).rank(cover.H) + matroid_sigma(g).rank(cover.K)
+    return matroid_pi(g).circuits(cover.H)[0] + matroid_sigma(g).circuits(cover.K)[0]

@@ -10,6 +10,9 @@ from collections import Counter
 from fractions import Fraction
 
 from gen import (
+    classic_dm_check,
+    from_blocks,
+    is_stable,
     random_admissible_transform,
     random_rank1_instance,
     random_unit_pattern_instance,
@@ -21,19 +24,16 @@ from rank1dm import (
     GF,
     QQ,
     Matrix,
-    PartitionedMatrix,
     brute_force_max_stable,
     build_stability_graph,
-    classic_dm_check,
     dm_decompose,
     ideal_to_stable_subspace,
     max_independent_matching,
-    rank,
     reachability_sets,
+    rref,
     verify,
 )
 from rank1dm.decompose import DMResult
-from rank1dm.oracle import is_stable
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -201,11 +201,11 @@ def test_criterion_6_rank_bound_and_generic_equality():
     # exact bound on the oracle-suite instances
     for a in _criterion3_instances(500):
         res = dm_decompose(a)
-        assert rank(a.matrix) <= res.matching_size, "rank exceeded the matching size"
+        assert rref(a.matrix).rank <= res.matching_size, "rank exceeded the matching size"
 
     # the GF(2) worked example is strictly below the bound
     example_res = dm_decompose(worked_example())
-    assert rank(worked_example().matrix) == 4 < example_res.matching_size
+    assert rref(worked_example().matrix).rank == 4 < example_res.matching_size
 
     # generic coefficients over the rationals attain the bound
     rng = random.Random(20260304)
@@ -231,10 +231,10 @@ def test_criterion_6_rank_bound_and_generic_equality():
                 c = Fraction(rng.randint(1, 10**6))
                 brow.append(Matrix(QQ, na, mb, [c * x * y for x in u for y in v]))
             blocks.append(brow)
-        a = PartitionedMatrix.from_blocks(blocks)
+        a = from_blocks(blocks)
         res = dm_decompose(a)
-        assert rank(a.matrix) <= res.matching_size
-        if rank(a.matrix) == res.matching_size:
+        assert rref(a.matrix).rank <= res.matching_size
+        if rref(a.matrix).rank == res.matching_size:
             hits += 1
     ok = hits >= 0.99 * trials
     _report(
@@ -259,10 +259,8 @@ def test_criterion_7_ideals_biject_with_maximum_stable_subspaces():
         assert len(ideals) == len(maximizers), "ideal count != maximizer count"
         f = a.field
         via_ideals = {
-            ideal_to_stable_subspace(j, res.poset, res.graph).canonical(
-                f, a.row_blocks, a.col_blocks
-            )
-            for j in ideals
+            subspace_pair_canonical(f, a, sub.x_bases, sub.y_bases)
+            for sub in (ideal_to_stable_subspace(j, res.poset, res.graph) for j in ideals)
         }
         via_brute = {
             subspace_pair_canonical(f, a, xs, ys) for xs, ys in maximizers
@@ -294,7 +292,7 @@ def test_criterion_8_complexity_smoke():
                     v[0] = 1
                 brow.append(Matrix(f, 2, 2, [x * y for x in u for y in v]))
         blocks.append(brow)
-    a = PartitionedMatrix.from_blocks(blocks)
+    a = from_blocks(blocks)
     t0 = time.monotonic()
     res = dm_decompose(a)
     elapsed = time.monotonic() - t0

@@ -98,6 +98,14 @@ def test_parse_errors_are_specific():
     for field, tok in (("gf 7", "1_0"), ("gf 7", "\u0663"), ("rationals", "1_0")):
         with pytest.raises(InputFormatError, match=f"^line 5: column 2: '{tok}' is not a"):
             parse_input(f"field {field}\nrow_blocks 1\ncol_blocks 1 1\nentries\n1 {tok}\n")
+    # ... and so do the header integers
+    for header, line in (
+        ("field gf 1_1\nrow_blocks 1\ncol_blocks 1", 1),
+        ("field gf 2\nrow_blocks 1_0\ncol_blocks 1", 2),
+        ("field gf 2\nrow_blocks 1\ncol_blocks \u0661", 3),
+    ):
+        with pytest.raises(InputFormatError, match=f"^line {line}: "):
+            parse_input(header + "\nentries\n1\n")
     with pytest.raises(InputFormatError, match="^line 2: repeated key 'field'$"):
         parse_input("field gf 2\nfield gf 3\nrow_blocks 1\ncol_blocks 1\nentries\n1\n")
     with pytest.raises(InputFormatError, match="^line 3: repeated key 'row_blocks'$"):

@@ -2,12 +2,15 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from gen import (
     contains,
     cover_value,
+    from_blocks,
+    is_stable,
     min_cover,
     random_admissible_transform,
     random_rank1_instance,
@@ -28,11 +31,9 @@ from rank1dm import (
     build_stability_graph,
     dm_decompose,
     ideal_to_stable_subspace,
-    is_stable,
     max_independent_matching,
-    maximal_chain,
-    rank,
     reachability_sets,
+    rref,
     scc_poset,
     verify,
 )
@@ -196,7 +197,7 @@ def test_ideal_to_subspace_reference_cover(example):
     res = dm_decompose(example)
     sub = ideal_to_stable_subspace({1}, res.poset, res.graph)
     f = example.field
-    got = sub.canonical(f, example.row_blocks, example.col_blocks)
+    got = subspace_pair_canonical(f, example, sub.x_bases, sub.y_bases)
     want = subspace_pair_canonical(
         f,
         example,
@@ -204,20 +205,20 @@ def test_ideal_to_subspace_reference_cover(example):
         [[(0, 1)], [(1, 1)], [(0, 1)]],
     )
     assert got == want
-    assert sub.dims == (4, 3)
+    assert (sub.dim_x, sub.dim_y) == (4, 3)
 
 
 def test_ideal_empty_is_chain_bottom(example_result):
     res = example_result
     sub = ideal_to_stable_subspace(set(), res.poset, res.graph)
     assert sub == res.chain[0]
-    assert sub.dims == (2, 5)
+    assert (sub.dim_x, sub.dim_y) == (2, 5)
 
 
 def test_ideal_full_gives_chain_top(example_result):
     res = example_result
     sub = ideal_to_stable_subspace({1, 2, 3}, res.poset, res.graph)
-    assert sub.dims == (6, 1)
+    assert (sub.dim_x, sub.dim_y) == (6, 1)
     assert sub == res.chain[-1]
 
 
@@ -257,7 +258,8 @@ def test_ideal_subspaces_match_definition():
                             for v in basis:
                                 assert field.dot(nrm.data, v.data) == field.zero_raw
                         assert len(basis) == dim - len(normals)
-                        assert rank(Matrix.from_row_vectors(field, list(basis), dim)) == len(basis)
+                        stacked = Matrix(field, len(basis), dim, [x for v in basis for x in v.data])
+                        assert rref(stacked).rank == len(basis)
                 assert sub.dim_x + sub.dim_y == res.v_star
                 assert is_stable(a, sub.x_bases, sub.y_bases)
                 checked += 1
@@ -267,7 +269,7 @@ def test_ideal_subspaces_match_definition():
 def test_maximal_chain_dims_worked_example(example_result):
     res = example_result
     assert res.chain_dims == [(2, 5), (4, 3), (5, 2), (6, 1)]
-    assert [s.dims for s in res.chain] == res.chain_dims
+    assert [(s.dim_x, s.dim_y) for s in res.chain] == res.chain_dims
     assert all(ik + jk == 7 for ik, jk in res.chain_dims)
 
 
@@ -304,7 +306,7 @@ def test_chain_step_identity():
 def _stacked_normals(entries, block, dim, field):
     """R_alpha (or S_beta): the block's entry normals stacked in chain order."""
     rows = [e.normal for e in entries if e.block == block]
-    return Matrix.from_row_vectors(field, rows, dim)
+    return Matrix(field, len(rows), dim, [x for v in rows for x in v.data])
 
 
 def test_build_bases_orders(example, example_result):
@@ -326,7 +328,8 @@ def test_build_bases_products_are_identity(example, example_result):
     for entries, dims in ((asm.h_entries, example.row_blocks), (asm.k_entries, example.col_blocks)):
         for blk, dim in enumerate(dims):
             r = _stacked_normals(entries, blk, dim, f)
-            duals = Matrix.from_row_vectors(f, [e.dual for e in entries if e.block == blk], dim)
+            duals = [e.dual for e in entries if e.block == blk]
+            duals = Matrix(f, len(duals), dim, [x for v in duals for x in v.data])
             assert r @ duals.transpose() == Matrix.identity(f, dim)
 
 
@@ -352,7 +355,8 @@ def test_adapted_basis_is_greedy_and_dual():
             dim = rng.randint(1, 4)
 
             def independent(vecs):
-                return rank(Matrix.from_row_vectors(field, vecs, dim)) == len(vecs)
+                stacked = Matrix(field, len(vecs), dim, [x for v in vecs for x in v.data])
+                return rref(stacked).rank == len(vecs)
 
             normals = []
             for _ in range(rng.randint(0, dim)):
@@ -393,7 +397,7 @@ def test_transforms_are_the_scattered_duals(example_result):
         offsets = [sum(dims[:b]) for b in range(len(dims))]
         zero = mat.field.zero_raw
         for i, e in enumerate(entries):
-            col = mat.col(mat.cols - 1 - i).data
+            col = tuple(mat.data[mat.cols - 1 - i :: mat.cols])
             lo = offsets[e.block]
             hi = lo + dims[e.block]
             assert col[lo:hi] == e.dual.data
@@ -439,12 +443,12 @@ def test_dm_decompose_scalar_block_matches_rank_normal_form():
     a = PartitionedMatrix(Matrix.from_rows(f, [[7]]), (1,), (1,))
     res = dm_decompose(a)
     assert res.diag_blocks == [(0, 0), (1, 1), (0, 0)]
-    assert rank(res.a_dm) == rank(a.matrix) == 1
+    assert rref(res.a_dm).rank == rref(a.matrix).rank == 1
 
 
 def test_verify_detects_tampering(example, example_result):
     res = example_result
-    flipped = res.a_dm.copy()
+    flipped = Matrix(GF(2), 6, 6, list(res.a_dm.data))
     flipped.data[(flipped.rows - 1) * flipped.cols] = GF(2).one_raw  # below staircase
     bad = dataclasses.replace(res, a_dm=flipped)
     report = verify(example, bad)
@@ -529,7 +533,7 @@ def _rebased(chain, basis_of):
 def test_verify_rejects_a_forged_chain(example, example_result, basis_of, reason):
     # each forgery keeps every element's vector counts, and so its claimed dims
     forged = _rebased(example_result.chain, basis_of)
-    assert [s.dims for s in forged] == example_result.chain_dims
+    assert [(s.dim_x, s.dim_y) for s in forged] == example_result.chain_dims
     check = verify(example, dataclasses.replace(example_result, chain=forged)).check("chain")
     assert not check.passed
     assert reason in check.detail
@@ -591,7 +595,7 @@ def test_verify_reports_malformed_fields(example, example_result, field, value, 
 
 def test_verify_detects_non_admissible_transform(example, example_result):
     res = example_result
-    bad_e = Matrix.identity(GF(2), 6).copy()
+    bad_e = Matrix.identity(GF(2), 6)
     bad_e.data[5 * 6 + 0] = 1  # couples blocks 1 and 3
     bad = dataclasses.replace(res, E=bad_e)
     report = verify(example, bad)
@@ -601,7 +605,7 @@ def test_verify_detects_non_admissible_transform(example, example_result):
 def test_admissible_reason_names_the_matrix(example, example_result):
     check = verify(example, dataclasses.replace(example_result, F=None)).check("admissible")
     assert not check.passed and "F:" in check.detail and "E:" not in check.detail
-    zeroed = example_result.E.copy()
+    zeroed = Matrix(GF(2), 6, 6, list(example_result.E.data))
     for r in range(zeroed.rows):
         zeroed.data[r * zeroed.cols + 2] = GF(2).zero_raw
     check = verify(example, dataclasses.replace(example_result, E=zeroed)).check("admissible")
@@ -636,6 +640,27 @@ def test_duality_rejects_a_dependent_witness(example, example_result):
     )
     check = verify(example, forged).check("duality")
     assert not check.passed and "dependent" in check.detail
+
+
+@pytest.mark.parametrize("side", ["pi", "sigma"])
+def test_duality_rejects_two_edges_on_one_vertex(example, example_result, side):
+    # a matching of two real edges sharing a vertex on ``side``: that block
+    # holds the same normal twice, while the other side stays independent
+    g = example_result.graph
+    pair = next(
+        {k, l} for k, l in combinations(range(len(g.edges)), 2)
+        if getattr(g.edges[k], side) == getattr(g.edges[l], side)
+    )
+    forged = dataclasses.replace(
+        example_result,
+        state=dataclasses.replace(example_result.state, matching=frozenset(pair)),
+        matching_size=2,
+        v_star=10,
+        chain=None,
+    )
+    check = verify(example, forged).check("duality")
+    assert not check.passed
+    assert check.detail == "the matched normals are dependent within a block"
 
 
 def test_duality_rejects_a_normal_that_is_not_the_factor(example, example_result):
@@ -726,23 +751,23 @@ def test_chain_bases_span_chain_elements():
             jk = m - dim_y
             # e_1 .. e_ik lie in X^k (e_i is column n - i of E)
             for i in range(1, ik + 1):
-                col = res.E.col(n - i)
+                col = res.E.data[n - i :: n]
                 entry = res.assembly.h_entries[i - 1]
                 alpha = entry.block
-                seg = col.data[row_offs[alpha] : row_offs[alpha + 1]]
+                seg = col[row_offs[alpha] : row_offs[alpha + 1]]
                 basis = [w.data for w in sub.x_bases[alpha]]
                 assert contains(f, basis, seg, a.row_blocks[alpha])
                 assert all(
                     x == f.zero_raw
-                    for t, x in enumerate(col.data)
+                    for t, x in enumerate(col)
                     if not row_offs[alpha] <= t < row_offs[alpha + 1]
                 )
             # f_{jk+1} .. f_m lie in Y^k (f_j is column m - j of F)
             for j in range(jk + 1, m + 1):
-                col = res.F.col(m - j)
+                col = res.F.data[m - j :: m]
                 entry = res.assembly.k_entries[j - 1]
                 beta = entry.block
-                seg = col.data[col_offs[beta] : col_offs[beta + 1]]
+                seg = col[col_offs[beta] : col_offs[beta + 1]]
                 basis = [w.data for w in sub.y_bases[beta]]
                 assert contains(f, basis, seg, a.col_blocks[beta])
 
@@ -770,7 +795,7 @@ def test_rational_pipeline():
         a = random_rank1_instance(rng, QQ, rng.randint(1, 3), rng.randint(1, 3))
         res = dm_decompose(a)
         assert verify(a, res).passed
-        assert rank(a.matrix) <= res.matching_size
+        assert rref(a.matrix).rank <= res.matching_size
 
 
 def test_generic_rational_rank_with_retry():
@@ -794,15 +819,15 @@ def test_generic_rational_rank_with_retry():
                 c = Fraction(rng.randint(1, 10**6))
                 brow.append(Matrix(QQ, na, mb, [c * x * y for x in u for y in v]))
             blocks.append(brow)
-        return PartitionedMatrix.from_blocks(blocks)
+        return from_blocks(blocks)
 
     for _ in range(25):
         a = instance()
         res = dm_decompose(a)
-        if rank(a.matrix) != res.matching_size:
+        if rref(a.matrix).rank != res.matching_size:
             a = instance()
             res = dm_decompose(a)
-        assert rank(a.matrix) == res.matching_size
+        assert rref(a.matrix).rank == res.matching_size
 
 
 def test_alternate_topological_order_keeps_block_structure(example, example_result):

@@ -4,12 +4,15 @@ from itertools import product
 import pytest
 
 from gen import (
+    classic_dm_check,
     echelon,
+    gaussian_binomial,
+    is_stable,
+    kernel_basis,
     random_rank1_instance,
     random_unit_pattern_instance,
     subspace_intersection,
     subspace_sum,
-    worked_example,
 )
 
 from rank1dm import (
@@ -18,16 +21,13 @@ from rank1dm import (
     Matrix,
     PartitionedMatrix,
     brute_force_max_stable,
-    classic_dm_check,
     dm_decompose,
     enumerate_subspaces,
-    gaussian_binomial,
-    is_stable,
     max_independent_matching,
     build_stability_graph,
 )
 from rank1dm.field import FieldMismatchError
-from rank1dm.linalg import Vector, kernel_basis, rref
+from rank1dm.linalg import Vector, rref
 from rank1dm.oracle import is_stable_block
 
 
@@ -44,9 +44,9 @@ def test_catalog_matches_gaussian_binomials():
             catalog = enumerate_subspaces(q, d)
             expected = sum(gaussian_binomial(d, k, q) for k in range(d + 1))
             assert len(catalog) == expected
-            assert len(set(catalog.subspaces)) == len(catalog)
+            assert len(set(catalog)) == len(catalog)
             by_dim = {}
-            for s in catalog.subspaces:
+            for s in catalog:
                 by_dim[len(s)] = by_dim.get(len(s), 0) + 1
             for k in range(d + 1):
                 assert by_dim.get(k, 0) == gaussian_binomial(d, k, q)
@@ -54,7 +54,7 @@ def test_catalog_matches_gaussian_binomials():
 
 def test_catalog_bases_are_echelon():
     f = GF(3)
-    for s in enumerate_subspaces(3, 3).subspaces:
+    for s in enumerate_subspaces(3, 3):
         if s:
             assert echelon(f, list(s), 3) == s
 
@@ -222,7 +222,7 @@ def test_orthogonal_dimension_supermodular():
     f = GF(2)
     for _ in range(10):
         a = random_rank1_instance(rng, f, 2, 2)
-        catalogs = [enumerate_subspaces(2, d).subspaces for d in a.col_blocks]
+        catalogs = [enumerate_subspaces(2, d) for d in a.col_blocks]
         picks = []
         for _ in range(6):
             picks.append(tuple(rng.choice(c) for c in catalogs))
@@ -281,7 +281,7 @@ def test_minimum_covers_map_onto_maximizers():
                 k = {j for j in range(g.n_sigma) if kbits >> j & 1}
                 if not all(e.pi in h or e.sigma in k for e in g.edges):
                     continue
-                if mp.rank(h) + ms.rank(k) == state.size:
+                if mp.circuits(h)[0] + ms.circuits(k)[0] == state.size:
                     from_covers.add(cover_subspace(h, k))
         assert from_covers == brute
         checked += 1
@@ -372,8 +372,8 @@ def test_brute_force_dims_against_exhaustive_product():
     rng = random.Random(55)
     f = GF(2)
     a = random_rank1_instance(rng, f, 2, 1)
-    cat_rows = [enumerate_subspaces(2, d).subspaces for d in a.row_blocks]
-    cat_cols = [enumerate_subspaces(2, d).subspaces for d in a.col_blocks]
+    cat_rows = [enumerate_subspaces(2, d) for d in a.row_blocks]
+    cat_cols = [enumerate_subspaces(2, d) for d in a.col_blocks]
     best = -1
     count = 0
     for xs in product(*cat_rows):
