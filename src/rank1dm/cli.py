@@ -40,9 +40,11 @@ EXIT_VERIFY = 4
 
 
 class InputFormatError(ValueError):
-    def __init__(self, line: int, message: str):
+    """A parse error at a line, or (line None) of the document as a whole."""
+
+    def __init__(self, line: int | None, message: str):
         self.line = line
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 @dataclass
@@ -113,11 +115,11 @@ def parse_input(text: str) -> InputDocument:
             raise InputFormatError(lineno, f"unknown key {key!r}")
 
     if field is None:
-        raise InputFormatError(0, "missing 'field' line")
+        raise InputFormatError(None, "missing 'field' line")
     if row_blocks is None or col_blocks is None:
-        raise InputFormatError(0, "missing 'row_blocks' or 'col_blocks' line")
+        raise InputFormatError(None, "missing 'row_blocks' or 'col_blocks' line")
     if entries_line is None:
-        raise InputFormatError(0, "missing 'entries' section")
+        raise InputFormatError(None, "missing 'entries' section")
 
     n = sum(row_blocks)
     m = sum(col_blocks)

@@ -16,20 +16,21 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
-from .field import Field
-from .linalg import Matrix, Vector, rref
+from .field import Field, FieldMismatchError
+from .linalg import Matrix, Rank1Factor, Vector, rref
 from .matching import (
     IndependentMatchingState,
     VectorMatroid,
     max_independent_matching,
     reachability_sets,
 )
-from .oracle import basis_coords, coords_stable
 from .partmat import (
     HyperplaneVertex,
     PartitionedMatrix,
+    RankConditionViolated,
     StabilityGraph,
     build_stability_graph,
+    check_rank1_condition,
     col_vertex_label,
     row_vertex_label,
 )
@@ -548,19 +549,67 @@ def _staircase_problem(a_dm: Matrix, blocks, n: int, m: int) -> str:
     return ""
 
 
+def basis_coords(a: PartitionedMatrix, x_bases, y_bases) -> tuple[list, list]:
+    """Raw coordinates over A's field of every basis vector, converted once
+    and grouped per block; a wrong block count or vector length, or a Vector
+    over another field, is a ValueError."""
+    if len(x_bases) != a.mu or len(y_bases) != a.nu:
+        raise ValueError("one basis list per block is required")
+    return (
+        _block_coords(a.field, x_bases, a.row_blocks, "row"),
+        _block_coords(a.field, y_bases, a.col_blocks, "column"),
+    )
+
+
+def _block_coords(f: Field, bases, dims, side: str) -> list[list[list]]:
+    out = []
+    for blk, (basis, dim) in enumerate(zip(bases, dims)):
+        coords = [_coords(f, v) for v in basis]
+        if any(len(c) != dim for c in coords):
+            raise ValueError(f"{side} block {blk} basis has the wrong length")
+        out.append(coords)
+    return out
+
+
+def _coords(f: Field, v) -> list:
+    if isinstance(v, Vector):
+        if v.field != f:
+            raise FieldMismatchError(f"vector over {v.field} used in {f}")
+        return list(v.data)
+    return [f.coerce_raw(x) for x in v]
+
+
+def coords_stable(a: PartitionedMatrix, xs, ys) -> bool:
+    """Stability of bases given as ``basis_coords`` returns them, read off
+    A's rank-1 factors (no block may have rank 2 or more): x^T (c u^T v) y =
+    c (x.u)(v.y), so a block is stable when every x of its row block is
+    orthogonal to u or every y of its column block to v."""
+    f = a.field
+    zero = f.zero_raw
+    return all(
+        all(f.dot(x, fac.u.data) == zero for x in xs[alpha])
+        or all(f.dot(fac.v.data, y) == zero for y in ys[beta])
+        for (alpha, beta), fac in a.factors.items()
+    )
+
+
 def _chain_problem(a: PartitionedMatrix, result: DMResult) -> str:
     """Why the attached chain does not certify the decomposition, or "".
 
-    Every element is stable, and its dimension, the sum of the ranks of its
-    block bases, is n + m - |M|; element k belongs to the last k+1 diagonal
-    blocks, so its dimensions are their row count and m minus their column
-    count."""
+    A's blocks have rank at most one, every element is stable by their
+    factors, and its dimension, the sum of the ranks of its block bases, is
+    n + m - |M|; element k belongs to the last k+1 diagonal blocks, so its
+    dimensions are their row count and m minus their column count."""
     chain, dims, blocks = result.chain, result.chain_dims, result.diag_blocks
     for name, value in (("chain", chain), ("chain dims", dims)):
         if not isinstance(value, (list, tuple)):
             return f"{name} {value!r} is not a list"
     if not isinstance(result.matching_size, int):
         return f"matching size {result.matching_size!r} is not an integer"
+    try:
+        check_rank1_condition(a)
+    except RankConditionViolated as exc:
+        return f"A has {exc}"
     f, m = a.field, a.matrix.cols
     want = a.matrix.rows + m - result.matching_size
     ranks: dict[tuple, int] = {}  # chain elements share most block bases
@@ -603,11 +652,12 @@ def _chain_problem(a: PartitionedMatrix, result: DMResult) -> str:
 def _duality_problem(a: PartitionedMatrix, result: DMResult) -> str:
     """Why v* = n + m - |M| is not certified, or "".
 
-    Upper bound: each matched edge is a block of A equal to coeff * u^T v, u
-    and v its end vertices' normals, independent within every block.  Lower
-    bound: given product, admissibility and staircase, the columns r.. of E
-    and ..c-1 of F, (r, c) the first diagonal block, form a stable pair."""
-    n, m, f = a.matrix.rows, a.matrix.cols, a.field
+    Upper bound: each matched edge carries its block's monic factor, so the
+    block equals coeff * u^T v with u and v its end vertices' normals, and
+    those normals are independent within every block.  Lower bound: given
+    product, admissibility and staircase, the columns r.. of E and ..c-1 of
+    F, (r, c) the first diagonal block, form a stable pair."""
+    n, m = a.matrix.rows, a.matrix.cols
     g, state = result.graph, result.state
     if g is None or state is None:
         return "no matching witness attached"
@@ -616,13 +666,7 @@ def _duality_problem(a: PartitionedMatrix, result: DMResult) -> str:
         for k in sorted(state.matching):
             e = g.edges[k]
             u, v = g.pi[e.pi].normal, g.sigma[e.sigma].normal
-            cols = a.nonzero_blocks.get((e.alpha, e.beta))
-            fits = cols is not None and u.field == v.field == f
-            if not fits or (len(u), len(v)) != (len(cols[0]), len(cols)) or any(
-                x != f.mul(e.coeff, f.mul(ui, vj))
-                for vj, col in zip(v.data, cols)
-                for ui, x in zip(u.data, col)
-            ):
+            if a.factors.get((e.alpha, e.beta)) != Rank1Factor(1, u, v, e.coeff):
                 return f"matched edge {k} is not a block of A equal to coeff * u^T v"
             us.append((e.alpha, u))
             vs.append((e.beta, v))
@@ -650,10 +694,10 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     partition, which the result must restate, (c) the zero staircase under
     the declared diagonal blocks, whose sizes are nonnegative and whose
     middle blocks are square, (d) when a chain is attached, stability of its
-    elements over A's field, their common dimension as a sum of block ranks,
-    and its agreement with the chain dimensions and the diagonal blocks, (e)
-    v* = n + m - |M|, bounded above by the matched edges on ``graph`` and
-    ``state`` and below by the first diagonal block.
+    elements over A's field by A's rank-1 factors, their common dimension as
+    a sum of block ranks, and its agreement with the chain dimensions and
+    the diagonal blocks, (e) v* = n + m - |M|, bounded above by the matched
+    edges on ``graph`` and ``state`` and below by the first diagonal block.
     """
     checks: list[CheckResult] = []
     n, m = a.matrix.rows, a.matrix.cols

@@ -122,10 +122,6 @@ class Matrix:
             data.extend(f.dot(vals, col) for col in zip(*(brows[t] for t in support)))
         return Matrix(f, n, m, data)
 
-    def is_zero(self) -> bool:
-        z = self.field.zero_raw
-        return all(v == z for v in self.data)
-
     def __eq__(self, other):
         if isinstance(other, Matrix):
             return (

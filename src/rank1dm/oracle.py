@@ -1,8 +1,9 @@
-"""Brute-force maximum stable subspace search, and the stability test from
-the definition that it and the verifier share.
+"""Brute-force maximum stable subspace search, the reference the
+decomposition and its verifier are checked against.
 
-Nothing here reuses the matching machinery: subspaces are enumerated
-outright and stability is tested straight from the definition.
+Nothing here reuses the matching machinery or the rank-1 factors:
+subspaces are enumerated outright and stability is tested straight from the
+definition, x^T A_alpha_beta y = 0, on the raw blocks of A.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .field import FieldMismatchError, PrimeField
-from .linalg import Vector
+from .field import PrimeField
+from .linalg import Matrix
 from .partmat import PartitionedMatrix
 
 _SUPPORTED_Q = (2, 3, 5)
@@ -49,45 +50,6 @@ def enumerate_subspaces(q: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], 
     return tuple(subspaces)
 
 
-def basis_coords(a: PartitionedMatrix, x_bases, y_bases) -> tuple[list, list]:
-    """Raw coordinates over A's field of every basis vector, converted once
-    and grouped per block; a wrong block count or vector length, or a Vector
-    over another field, is a ValueError."""
-    if len(x_bases) != a.mu or len(y_bases) != a.nu:
-        raise ValueError("one basis list per block is required")
-    return (
-        _block_coords(a.field, x_bases, a.row_blocks, "row"),
-        _block_coords(a.field, y_bases, a.col_blocks, "column"),
-    )
-
-
-def coords_stable(a: PartitionedMatrix, xs, ys) -> bool:
-    """Stability of bases already given as ``basis_coords`` returns them."""
-    return all(
-        _block_stable(a.field, columns, xs[alpha], ys[beta])
-        for (alpha, beta), columns in a.nonzero_blocks.items()
-    )
-
-
-def _block_coords(f, bases, dims, side: str) -> list[list[list]]:
-    """Raw coordinates of every basis vector, converted once per block."""
-    out = []
-    for blk, (basis, dim) in enumerate(zip(bases, dims)):
-        coords = [_coords(f, v) for v in basis]
-        if any(len(c) != dim for c in coords):
-            raise ValueError(f"{side} block {blk} basis has the wrong length")
-        out.append(coords)
-    return out
-
-
-def _coords(f, v):
-    if isinstance(v, Vector):
-        if v.field != f:
-            raise FieldMismatchError(f"vector over {v.field} used in {f}")
-        return list(v.data)
-    return [f.coerce_raw(x) for x in v]
-
-
 def _check_brute_bounds(a: PartitionedMatrix) -> int:
     if not isinstance(a.field, PrimeField) or a.field.p not in (2, 3):
         raise ValueError("brute force supports GF(2) and GF(3) only")
@@ -116,14 +78,11 @@ def brute_force_max_stable(a: PartitionedMatrix):
     compatible: dict[tuple[int, int], list[list[bool]]] = {}
     for alpha in range(a.mu):
         for beta in range(a.nu):
-            table = [
-                [
-                    is_stable_block(a, alpha, beta, x, y)
-                    for y in col_cats[beta]
-                ]
+            columns = _columns(a.block(alpha, beta))
+            compatible[(alpha, beta)] = [
+                [_block_stable(f, columns, x, y) for y in col_cats[beta]]
                 for x in row_cats[alpha]
             ]
-            compatible[(alpha, beta)] = table
 
     best = -1
     maximizers: list[tuple[tuple, tuple]] = []
@@ -161,25 +120,24 @@ def brute_force_max_stable(a: PartitionedMatrix):
 
 def is_stable_block(a: PartitionedMatrix, alpha: int, beta: int, x_basis, y_basis) -> bool:
     """Stability of one block against explicit bases (raw integer rows)."""
-    if not (0 <= alpha < a.mu and 0 <= beta < a.nu):
-        raise IndexError(f"block ({alpha}, {beta}) out of range")
-    if any(len(x) != a.row_blocks[alpha] for x in x_basis) or any(
-        len(y) != a.col_blocks[beta] for y in y_basis
+    block = a.block(alpha, beta)
+    if any(len(x) != block.rows for x in x_basis) or any(
+        len(y) != block.cols for y in y_basis
     ):
         raise ValueError(f"basis of block ({alpha}, {beta}) has the wrong length")
-    return _block_stable(a.field, a.nonzero_blocks.get((alpha, beta)), x_basis, y_basis)
+    return _block_stable(a.field, _columns(block), x_basis, y_basis)
+
+
+def _columns(block: Matrix) -> list[list]:
+    return [block.data[j :: block.cols] for j in range(block.cols)]
 
 
 def _block_stable(f, columns, x_basis, y_basis) -> bool:
-    """x^T B y = 0 for every basis pair, B given by its raw columns (None
-    for a zero block); the vector lengths are the caller's to check."""
-    if not columns or not x_basis or not y_basis:  # x^T 0 y = 0
-        return True
+    """x^T B y = 0 for every basis pair, B given by its raw columns; the
+    vector lengths are the caller's to check."""
     zero = f.zero_raw
     for x in x_basis:
-        xa = [f.dot(x, col) for col in columns]
-        for y in y_basis:
-            if f.dot(xa, y) != zero:
-                return False
+        xb = [f.dot(x, col) for col in columns]
+        if any(f.dot(xb, y) != zero for y in y_basis):
+            return False
     return True
-

@@ -1,11 +1,12 @@
 """Partitioned matrices, the rank-1 block condition, and the stability graph.
 
 A partitioned matrix is a dense matrix together with row and column block
-sizes.  When every block has rank at most one, each nonzero block factors as
-coeff * u^T v with monic u and v; the u's become hyperplane vertices on the
-row side (one vertex per distinct kernel of a block transpose, per block row)
-and the v's on the column side.  Each rank-1 block contributes one edge
-joining its pair of vertices.
+sizes.  Its blocks are factored once per matrix: each nonzero block gets its
+rank verdict and, at rank one, its factorization coeff * u^T v with monic u
+and v.  The graph builder and the verifier both read those factors.  The u's
+become hyperplane vertices on the row side (one vertex per distinct kernel of
+a block transpose, per block row) and the v's on the column side.  Each
+rank-1 block contributes one edge joining its pair of vertices.
 """
 
 from __future__ import annotations
@@ -69,14 +70,15 @@ class PartitionedMatrix:
         return tuple(accumulate(self.col_blocks, initial=0))
 
     @cached_property
-    def nonzero_blocks(self) -> dict[tuple[int, int], list[list]]:
-        """The raw columns of every nonzero block, keyed by (alpha, beta)."""
+    def factors(self) -> dict[tuple[int, int], Rank1Factor]:
+        """The factor of every nonzero block, keyed by (alpha, beta) in
+        row-major block order; zero blocks are left out."""
         out = {}
         for alpha in range(self.mu):
             for beta in range(self.nu):
-                block = self.block(alpha, beta)
-                if not block.is_zero():
-                    out[alpha, beta] = [block.data[j :: block.cols] for j in range(block.cols)]
+                fac = rank1_factor(self.block(alpha, beta))
+                if fac.rank:
+                    out[alpha, beta] = fac
         return out
 
     def block(self, alpha: int, beta: int) -> Matrix:
@@ -99,18 +101,11 @@ class HyperplaneVertex:
 
 
 def check_rank1_condition(a: PartitionedMatrix) -> dict[tuple[int, int], Rank1Factor]:
-    """Factor every block; raise RankConditionViolated if any has rank >= 2."""
-    factors: dict[tuple[int, int], Rank1Factor] = {}
-    offenders: list[tuple[int, int]] = []
-    for alpha in range(a.mu):
-        for beta in range(a.nu):
-            fac = rank1_factor(a.block(alpha, beta))
-            factors[(alpha, beta)] = fac
-            if fac.rank >= 2:
-                offenders.append((alpha, beta))
+    """A's factors; raise RankConditionViolated if a block has rank >= 2."""
+    offenders = [key for key, fac in a.factors.items() if fac.rank >= 2]
     if offenders:
         raise RankConditionViolated(offenders)
-    return factors
+    return a.factors
 
 
 @dataclass(frozen=True)
@@ -212,15 +207,9 @@ def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:
 
     pi_seen: dict[tuple[int, Vector], None] = {}
     sigma_seen: dict[tuple[int, Vector], None] = {}
-    raw_edges = []
-    for alpha in range(a.mu):
-        for beta in range(a.nu):
-            fac = factors[(alpha, beta)]
-            if fac.rank != 1:
-                continue
-            pi_seen.setdefault((alpha, fac.u), None)
-            sigma_seen.setdefault((beta, fac.v), None)
-            raw_edges.append((alpha, beta, fac))
+    for (alpha, beta), fac in factors.items():
+        pi_seen.setdefault((alpha, fac.u), None)
+        sigma_seen.setdefault((beta, fac.v), None)
 
     g.pi = sorted(
         (HyperplaneVertex(blk, nrm) for blk, nrm in pi_seen),
@@ -234,6 +223,6 @@ def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:
     sigma_index = {(v.block, v.normal): j for j, v in enumerate(g.sigma)}
     g.edges = [
         Edge(pi_index[(alpha, fac.u)], sigma_index[(beta, fac.v)], alpha, beta, fac.coeff)
-        for alpha, beta, fac in raw_edges
+        for (alpha, beta), fac in factors.items()
     ]
     return g

@@ -24,7 +24,7 @@ from rank1dm import (
     reachability_sets,
 )
 from rank1dm.linalg import rref
-from rank1dm.oracle import basis_coords, coords_stable
+from rank1dm.oracle import is_stable_block
 
 EXAMPLE_ROWS = [
     [1, 0, 1, 1, 0, 0],
@@ -253,8 +253,19 @@ def subspace_pair_canonical(field, a: PartitionedMatrix, xs, ys):
 
 
 def is_stable(a: PartitionedMatrix, x_bases, y_bases) -> bool:
-    """Definition check: x^T A_block y vanishes for every basis pair."""
-    return coords_stable(a, *basis_coords(a, x_bases, y_bases))
+    """Definition check: x^T A_block y vanishes for every basis pair, on the
+    raw blocks of A; basis vectors are Vectors or rows of integers."""
+    if len(x_bases) != a.mu or len(y_bases) != a.nu:
+        raise ValueError("one basis list per block is required")
+
+    def rows(basis):
+        return [v.data if isinstance(v, Vector) else v for v in basis]
+
+    return all(
+        is_stable_block(a, alpha, beta, rows(x_bases[alpha]), rows(y_bases[beta]))
+        for alpha in range(a.mu)
+        for beta in range(a.nu)
+    )
 
 
 def gaussian_binomial(d: int, k: int, q: int) -> int:

@@ -112,6 +112,15 @@ def test_parse_errors_are_specific():
         parse_input("field gf 2\nrow_blocks 1\nrow_blocks 2\ncol_blocks 1\nentries\n1\n")
     with pytest.raises(InputFormatError, match="^line 4: 'entries' takes no values"):
         parse_input("field gf 2\nrow_blocks 1\ncol_blocks 2\nentries 1 1\n0 1\n")
+    # a missing section belongs to no line
+    for text, what in (
+        ("", "'field' line"),
+        ("row_blocks 1\ncol_blocks 1\nentries\n1\n", "'field' line"),
+        ("field gf 2\nentries\n1\n", "'row_blocks' or 'col_blocks' line"),
+        ("field gf 2\nrow_blocks 1\ncol_blocks 1\n", "'entries' section"),
+    ):
+        with pytest.raises(InputFormatError, match=f"^missing {what}$"):
+            parse_input(text)
 
 
 def test_decompose_exit_ok(example_file, capsys):

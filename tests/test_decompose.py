@@ -419,7 +419,7 @@ def test_dm_decompose_all_zero():
     res = dm_decompose(a)
     assert res.matching_size == 0
     assert res.v_star == 7
-    assert res.a_dm.is_zero()
+    assert res.a_dm == Matrix.zeros(f, 3, 4)
     assert res.diag_blocks == [(0, 4), (3, 0)]
     assert res.chain_dims == [(3, 4)]
     assert verify(a, res).passed
@@ -702,12 +702,40 @@ def test_duality_reports_a_missing_or_malformed_witness(example, example_result)
     for coeff in (None, "1"):  # a matched edge with a forged coefficient
         edges = list(g.edges)
         edges[k] = dataclasses.replace(edges[k], coeff=coeff)
-        cases.append(("malformed matching witness", dataclasses.replace(
+        cases.append(("is not a block of A equal to coeff * u^T v", dataclasses.replace(
             example_result, graph=dataclasses.replace(g, edges=edges)
         )))
     for reason, forged in cases:
         check = verify(example, forged).check("duality")
         assert not check.passed and reason in check.detail
+
+
+def test_verify_reports_a_block_of_rank_two(example, example_result):
+    # the identity in block (2,2) breaks the rank-1 condition: every check
+    # still runs, and the chain check names the block
+    blocks = [[example.block(i, j) for j in range(3)] for i in range(3)]
+    blocks[1][1] = Matrix.identity(GF(2), 2)
+    report = verify(from_blocks(blocks), example_result)
+    assert not report.passed
+    check = report.check("chain")
+    assert not check.passed and check.detail == "A has blocks of rank >= 2 at (2,2)"
+
+
+def test_each_block_is_read_once_per_matrix(monkeypatch):
+    # the graph builder and the verifier share one factoring of A
+    calls = Counter()
+    block = PartitionedMatrix.block
+
+    def counted(self, alpha, beta):
+        calls[alpha, beta] += 1
+        return block(self, alpha, beta)
+
+    monkeypatch.setattr(PartitionedMatrix, "block", counted)
+    rng = random.Random(58)
+    for a in (worked_example(), random_rank1_instance(rng, GF(3), 3, 4, zero_prob=0.5)):
+        calls.clear()
+        assert verify(a, dm_decompose(a)).passed
+        assert calls == Counter({(al, be): 1 for al in range(a.mu) for be in range(a.nu)})
 
 
 def test_duality_reports_a_wrong_lower_bound(example, example_result):

@@ -26,9 +26,20 @@ from rank1dm import (
     max_independent_matching,
     build_stability_graph,
 )
+from rank1dm.cli import main
+from rank1dm.decompose import basis_coords, coords_stable
 from rank1dm.field import FieldMismatchError
 from rank1dm.linalg import Vector, rref
 from rank1dm.oracle import is_stable_block
+
+
+def factored_stable(a, x_bases, y_bases):
+    """The verifier's stability test, read off A's rank-1 factors."""
+    return coords_stable(a, *basis_coords(a, x_bases, y_bases))
+
+
+# the reference from the definition and the verifier's factored test
+STABILITY_TESTS = (is_stable, factored_stable)
 
 
 def test_catalog_counts():
@@ -69,27 +80,31 @@ def test_catalog_bounds():
 def test_is_stable_reference_cover(example):
     x = [[(1, 0)], [(0, 1)], [(1, 0), (0, 1)]]
     y = [[(0, 1)], [(1, 1)], [(0, 1)]]
-    assert is_stable(example, x, y)
+    for stable in STABILITY_TESTS:
+        assert stable(example, x, y)
 
 
 def test_is_stable_broken_cover(example):
     # replacing (0,1) in column block 1 by (1,1) breaks stability at block (1,1)
     x = [[(1, 0)], [(0, 1)], [(1, 0), (0, 1)]]
     y = [[(1, 1)], [(1, 1)], [(0, 1)]]
-    assert not is_stable(example, x, y)
+    for stable in STABILITY_TESTS:
+        assert not stable(example, x, y)
 
 
 def test_is_stable_zero_subspaces(example):
     x = [[], [], []]
     y = [[], [], []]
-    assert is_stable(example, x, y)
+    for stable in STABILITY_TESTS:
+        assert stable(example, x, y)
 
 
 def test_is_stable_dimension_mismatch(example):
-    with pytest.raises(ValueError):
-        is_stable(example, [[(1, 0, 0)], [], []], [[], [], []])
-    with pytest.raises(ValueError):
-        is_stable(example, [[], []], [[], [], []])
+    for stable in STABILITY_TESTS:
+        with pytest.raises(ValueError):
+            stable(example, [[(1, 0, 0)], [], []], [[], [], []])
+        with pytest.raises(ValueError):
+            stable(example, [[], []], [[], [], []])
 
 
 def test_is_stable_rejects_vectors_over_another_field(example):
@@ -97,12 +112,29 @@ def test_is_stable_rejects_vectors_over_another_field(example):
     x = [[(1, 0)], [(0, 1)], [(1, 0), (0, 1)]]
     y = [[(0, 1)], [(1, 1)], [(0, 1)]]
     y_vectors = [[Vector(GF(2), v) for v in b] for b in y]
-    assert is_stable(example, x, y_vectors)
+    assert factored_stable(example, x, y_vectors)
     y_vectors[0] = [Vector(GF(3), (2, 0))]
     with pytest.raises(FieldMismatchError):
-        is_stable(example, x, y_vectors)
+        basis_coords(example, x, y_vectors)
     with pytest.raises(FieldMismatchError):
-        is_stable(example, [[Vector(GF(3), (1, 0))], [], []], [[], [], []])
+        basis_coords(example, [[Vector(GF(3), (1, 0))], [], []], [[], [], []])
+
+
+def test_factored_stability_agrees_with_the_definition():
+    # every pair drawn from the subspace catalogs gets one verdict from both
+    rng = random.Random(57)
+    for _ in range(12):
+        field = GF(rng.choice([2, 3]))
+        a = random_rank1_instance(rng, field, rng.randint(1, 2), rng.randint(1, 2))
+        row_cats = [enumerate_subspaces(field.p, d) for d in a.row_blocks]
+        col_cats = [enumerate_subspaces(field.p, d) for d in a.col_blocks]
+        verdicts = set()
+        for xs in product(*row_cats):
+            for ys in product(*col_cats):
+                verdict = is_stable(a, xs, ys)
+                assert factored_stable(a, xs, ys) == verdict, (xs, ys)
+                verdicts.add(verdict)
+        assert verdicts == {True, False} or not a.factors
 
 
 def test_is_stable_block_rejects_bad_input(example):
@@ -118,6 +150,20 @@ def test_brute_force_worked_example(example):
     v_star, maximizers = brute_force_max_stable(example)
     assert v_star == 7
     assert len(maximizers) == 5
+
+
+def test_brute_force_keeps_blocks_of_rank_two(tmp_path, capsys):
+    # x^T I y = x . y: each line X of GF(2)^2 pairs with its orthogonal line,
+    # and X = 0 with Y = GF(2)^2 and back, so v* = 2 with 5 maximizers
+    a = PartitionedMatrix(Matrix.identity(GF(2), 2), (2,), (2,))
+    v_star, maximizers = brute_force_max_stable(a)
+    assert v_star == 2
+    assert len(maximizers) == 5
+    path = tmp_path / "identity.txt"
+    path.write_text("field gf 2\nrow_blocks 2\ncol_blocks 2\nentries\n1 0\n0 1\n")
+    assert main(["oracle", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "v_star 2" in out and "maximizers 5" in out
 
 
 def test_brute_force_all_zero():
