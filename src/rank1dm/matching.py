@@ -3,11 +3,13 @@
 The two sides of the graph carry vector matroids: a set of hyperplane
 vertices is independent when the normals picked inside each block are
 linearly independent.  A matching is independent when both endpoint sets
-are.  The classic augmenting scheme applies: build the auxiliary digraph
+are.  The classic augmenting scheme applies on the auxiliary digraph
 (graph edges oriented left to right, matched edges reversed as well, plus
-matroid exchange arcs), find a shortest source-to-sink path by BFS, flip it,
-repeat until no path remains.  The same search gives the reachability sets
-of the maximum matching, from which the decomposition is read.
+matroid exchange arcs): find a shortest source-to-sink path by BFS, flip
+it, repeat until no path remains.  A round re-eliminates only the blocks
+its augmentation changed and expands a node only when the search dequeues
+it; the digraph is built in full for the maximum matching alone, whose
+reachability sets give the decomposition.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .linalg import Vector, span_coordinates
 from .partmat import StabilityGraph
@@ -31,6 +34,9 @@ class VectorMatroid:
         if any(blk >= len(block_dims) for blk, _ in self.elements):
             raise ValueError("element block index out of range")
         self._members = self._by_block(range(len(self.elements)))
+        # block -> its last selection's (ids, rank, [(member, circuit)] in
+        # the closure, {selected id: members whose circuit holds it})
+        self._memo: dict[int, tuple] = {}
 
     def _by_block(self, subset) -> dict[int, list[int]]:
         grouped: dict[int, list[int]] = {}
@@ -38,32 +44,52 @@ class VectorMatroid:
             grouped.setdefault(self.elements[i][0], []).append(i)
         return grouped
 
+    def _solve(self, blk: int, ids: tuple[int, ...]) -> tuple:
+        """One elimination solves the block's unselected members against
+        ``ids``; it is redone only when the block's selection changes."""
+        memo = self._memo.get(blk)
+        if memo is not None and memo[0] == ids:
+            return memo
+        others = [j for j in self._members[blk] if j not in ids]
+        f = self.elements[ids[0]][1].field
+        span = span_coordinates(
+            f,
+            self.block_dims[blk],
+            [self.elements[i][1] for i in ids],
+            [self.elements[j][1] for j in others],
+        )
+        solved = []
+        holders: dict[int, list[int]] = {i: [] for i in ids}
+        for j, coeffs in zip(others, span.coords):
+            if coeffs is not None:
+                solved.append((j, [i for i, c in zip(ids, coeffs) if c != f.zero_raw]))
+                for i in solved[-1][1]:
+                    holders[i].append(j)
+        self._memo[blk] = memo = (ids, span.rank, solved, holders)
+        return memo
+
     def circuits(self, subset) -> tuple[int, list[list[int] | None]]:
         """Rank of the selected set and, for every ground element, the
         selected elements whose normals carry a nonzero coefficient when its
         normal is written in them, in ascending order, or None outside the
         closure.  For an independent selection that is the element's
         fundamental circuit (less the element itself), so a selected element
-        gets the empty list.  One elimination per block the selection meets
-        solves that block's unselected members."""
+        gets the empty list.  The lists are the memo's own: read them only."""
         found: list[list[int] | None] = [None] * len(self.elements)
         total = 0
         for blk, ids in self._by_block(sorted(subset)).items():
+            _, rank, solved, _ = self._solve(blk, tuple(ids))
+            total += rank
             for i in ids:
                 found[i] = []
-            others = [j for j in self._members[blk] if found[j] is None]
-            f = self.elements[ids[0]][1].field
-            span = span_coordinates(
-                f,
-                self.block_dims[blk],
-                [self.elements[i][1] for i in ids],
-                [self.elements[j][1] for j in others],
-            )
-            total += span.rank
-            for j, coeffs in zip(others, span.coords):
-                if coeffs is not None:
-                    found[j] = [i for i, c in zip(ids, coeffs) if c != f.zero_raw]
+            for j, circuit in solved:
+                found[j] = circuit
         return total, found
+
+    def holders(self, i: int) -> list[int]:
+        """The members whose circuit holds ``i``, ascending, for the last
+        selection of i's block passed to ``circuits``, which selected i."""
+        return self._memo[self.elements[i][0]][3][i]
 
 
 def matroid_pi(g: StabilityGraph) -> VectorMatroid:
@@ -103,76 +129,78 @@ def build_auxiliary_digraph(g: StabilityGraph, matching) -> IndependentMatchingS
     An unmatched vertex outside the closure of the matched ones is a source
     (row side) or a sink (column side); inside it, it has an exchange arc
     with every matched vertex of its fundamental circuit."""
-    return _auxiliary_digraph(g, matroid_pi(g), matroid_sigma(g), matching)
-
-
-def _auxiliary_digraph(
-    g: StabilityGraph, mp: VectorMatroid, ms: VectorMatroid, matching
-) -> IndependentMatchingState:
-    """``build_auxiliary_digraph`` on the graph's two matroids, which the
-    caller builds once; the circuits of every vertex against the matched
-    ones come from one elimination per block and side."""
     matching = frozenset(matching)
+    lazy = _lazy_digraph(g, matroid_pi(g), matroid_sigma(g), _graph_arcs(g), matching)
+    return _auxiliary_digraph(g, matching, lazy)
+
+
+def _graph_arcs(g: StabilityGraph) -> list[list[tuple[int, int]]]:
+    """Each row-side node's graph edges as (column node, edge), in edge order."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(g.n_pi)]
+    for k, e in enumerate(g.edges):
+        out[e.pi].append((g.n_pi + e.sigma, k))
+    return out
+
+
+def _lazy_digraph(g: StabilityGraph, mp: VectorMatroid, ms: VectorMatroid, graph_arcs, matching):
+    """Sources, sinks, the out-arc function and the matched vertex sets of
+    the auxiliary digraph of ``matching``, on the graph's two matroids and
+    row-side graph arcs, which the caller builds once."""
+    npi = g.n_pi
     d_plus: set[int] = set()
     d_minus: set[int] = set()
+    mate: dict[int, list[tuple[int, int]]] = {}
     for k in matching:
         e = g.edges[k]
         if e.pi in d_plus or e.sigma in d_minus:
             raise ValueError("edge set is not a matching")
         d_plus.add(e.pi)
         d_minus.add(e.sigma)
+        mate[npi + e.sigma] = [(e.pi, k)]
     rank_pi, circuits_pi = mp.circuits(d_plus)
     rank_sigma, circuits_sigma = ms.circuits(d_minus)
     if rank_pi != len(d_plus) or rank_sigma != len(d_minus):
         raise ValueError("matching endpoints are not independent")
 
-    npi = g.n_pi
-    adjacency: dict[int, list[tuple[int, int | None]]] = {
-        v: [] for v in range(npi + g.n_sigma)
-    }
-    # each list ascends by target, the order _search reads it: row-side
-    # exchange arcs, graph edges (row-major block order) and reversed matched
-    # edges, then column-side exchange arcs
-    for new, circuit in enumerate(circuits_pi):
-        for old in circuit or ():
-            adjacency[old].append((new, None))
-    for k, e in enumerate(g.edges):
-        adjacency[e.pi].append((npi + e.sigma, k))
-        if k in matching:
-            adjacency[npi + e.sigma].append((e.pi, k))
-    for new, circuit in enumerate(circuits_sigma):
-        adjacency[npi + new].extend((npi + old, None) for old in circuit or ())
+    def arcs(v: int) -> list[tuple[int, int | None]]:
+        # ascending by target, the order _search reads them: a row-side
+        # node's exchange arcs, then its graph edges; a column-side node's
+        # reversed matched edge, then its exchange arcs
+        if v < npi:
+            held = mp.holders(v) if v in d_plus else ()
+            return [(new, None) for new in held] + graph_arcs[v]
+        return mate.get(v, []) + [(npi + old, None) for old in circuits_sigma[v - npi] or ()]
 
     sources = [i for i in range(npi) if circuits_pi[i] is None]
     sinks = [npi + j for j in range(g.n_sigma) if circuits_sigma[j] is None]
-    return IndependentMatchingState(
-        graph=g,
-        matching=matching,
-        adjacency=adjacency,
-        sources=sources,
-        sinks=sinks,
-        matched_pi=d_plus,
-        matched_sigma=d_minus,
-    )
+    return sources, sinks, arcs, d_plus, d_minus
+
+
+def _auxiliary_digraph(g: StabilityGraph, matching, lazy) -> IndependentMatchingState:
+    """The state of ``matching``, with every node's out-arcs materialized."""
+    sources, sinks, arcs, d_plus, d_minus = lazy
+    adjacency = {v: arcs(v) for v in range(g.n_pi + g.n_sigma)}
+    return IndependentMatchingState(g, matching, adjacency, sources, sinks, d_plus, d_minus)
 
 
 def _search(
-    adjacency: dict[int, list[tuple[int, int | None]]], starts, targets=()
+    arcs: Callable[[int], list[tuple[int, int | None]]], starts, targets=()
 ) -> tuple[dict[int, tuple[int, int | None] | None], int | None]:
     """Breadth-first search of the auxiliary digraph from ``starts``.
 
     Returns the arc (node, edge) by which each reached node was first
     entered (None for a start) and the first target reached, where the
-    search stops, or None after reaching everything it can.  Starts are
-    seeded in the given order and each adjacency list is read in its stored
-    order, which ascends by target, so the search, and the shortest path it
+    search stops, or None after reaching everything it can.  A node's
+    out-arcs are asked for when it is dequeued.  Starts are seeded in the
+    given order and each node's arcs are read in the order ``arcs`` gives
+    them, which ascends by target, so the search, and the shortest path it
     finds, are deterministic."""
     targets = set(targets)
     parent: dict[int, tuple[int, int | None] | None] = dict.fromkeys(starts)
     queue = deque(parent)
     while queue:
         v = queue.popleft()
-        for w, edge in adjacency[v]:
+        for w, edge in arcs(v):
             if w not in parent:
                 parent[w] = (v, edge)
                 if w in targets:
@@ -188,7 +216,8 @@ def reachability_sets(state: IndependentMatchingState) -> tuple[set[int], set[in
     for v, arcs in state.adjacency.items():
         for w, edge in arcs:
             back[w].append((v, edge))
-    return set(_search(state.adjacency, state.sources)[0]), set(_search(back, state.sinks)[0])
+    forward = _search(state.adjacency.__getitem__, state.sources)[0]
+    return set(forward), set(_search(back.__getitem__, state.sinks)[0])
 
 
 def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
@@ -196,17 +225,21 @@ def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
 
     Each round flips the graph edges used by a shortest path between the
     source set and the sink set, growing the matching by one; when no path
-    exists the matching is maximum.  Every augmentation emits a DEBUG record
-    on the ``rank1dm`` logger whose ``matching`` attribute holds the new
-    matching's edge indices.
+    exists the matching is maximum.  A round re-eliminates only the blocks
+    whose matched vertices changed and expands nodes lazily; only the
+    returned state's digraph is materialized.  Every augmentation emits a
+    DEBUG record on the ``rank1dm`` logger whose ``matching`` attribute
+    holds the new matching's edge indices.
     """
-    mp, ms = matroid_pi(g), matroid_sigma(g)
+    mp, ms, graph_arcs = matroid_pi(g), matroid_sigma(g), _graph_arcs(g)
     matching: frozenset[int] = frozenset()
     rounds = 0
     while True:
-        state = _auxiliary_digraph(g, mp, ms, matching)
-        parent, node = _search(state.adjacency, state.sources, state.sinks)
+        lazy = _lazy_digraph(g, mp, ms, graph_arcs, matching)
+        sources, sinks, arcs, _, _ = lazy
+        parent, node = _search(arcs, sources, sinks)
         if node is None:
+            state = _auxiliary_digraph(g, matching, lazy)
             state.augmentations = rounds
             return state
         flipped = set()

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gen import (
     contains,
@@ -815,6 +816,51 @@ def test_canonical_form_invariance_small():
         assert res2.diag_blocks[-1] == res.diag_blocks[-1]
         assert res2.poset.h == res.poset.h
         assert len(res2.poset.relations) == len(res.poset.relations)
+
+
+def _scaled_block_permutation(data, f, sizes) -> Matrix:
+    """Sends each block to a drawn block of the same size and scales every
+    coordinate by a drawn nonzero scalar: a member of the transformation
+    group."""
+    groups: dict[int, list[int]] = {}
+    for blk, size in enumerate(sizes):
+        groups.setdefault(size, []).append(blk)
+    dest: dict[int, int] = {}
+    for group in groups.values():
+        dest.update(zip(group, data.draw(st.permutations(group))))
+    if f == QQ:
+        scalar = st.integers(-9, 9).filter(bool).map(Fraction)
+    else:
+        scalar = st.integers(1, f.p - 1)
+    offsets = [sum(sizes[:blk]) for blk in range(len(sizes))]
+    n = sum(sizes)
+    m = Matrix.zeros(f, n, n)
+    for blk, size in enumerate(sizes):
+        for k in range(size):
+            m.data[(offsets[blk] + k) * n + offsets[dest[blk]] + k] = data.draw(scalar)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GF(2), GF(3), GF(101), QQ]), st.randoms(use_true_random=False), st.data())
+def test_canonical_form_invariance_hypothesis(field, rng, data):
+    # the invariants survive every block permutation and scaling drawn, and
+    # solving the transformed matrix again repeats the matching and A_DM
+    max_dim = 2 if field in (GF(2), GF(3)) else 3
+    a = random_rank1_instance(rng, field, rng.randint(1, 3), rng.randint(1, 3), max_dim)
+    p = _scaled_block_permutation(data, field, a.row_blocks)
+    q = _scaled_block_permutation(data, field, a.col_blocks)
+    twisted = PartitionedMatrix(p.transpose() @ a.matrix @ q, a.row_blocks, a.col_blocks)
+    res, res2 = dm_decompose(a), dm_decompose(twisted)
+    assert res2.matching_size == res.matching_size
+    assert Counter(res2.diag_blocks[1:-1]) == Counter(res.diag_blocks[1:-1])
+    assert res2.diag_blocks[0] == res.diag_blocks[0]
+    assert res2.diag_blocks[-1] == res.diag_blocks[-1]
+    assert res2.poset.h == res.poset.h
+    assert len(res2.poset.relations) == len(res.poset.relations)
+    again = dm_decompose(twisted)
+    assert again.state.matching == res2.state.matching
+    assert again.a_dm.data == res2.a_dm.data
 
 
 def test_rational_pipeline():

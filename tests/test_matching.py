@@ -19,6 +19,8 @@ from rank1dm import (
     matroid_sigma,
     max_independent_matching,
 )
+from rank1dm import matching as matching_module
+from rank1dm.matching import _search
 from rank1dm.partmat import HyperplaneVertex
 
 KNOWN_MAX_MATCHING = {("1a", "1'a"), ("1b", "3'c"), ("2a", "1'c"), ("2c", "3'a"), ("3c", "2'c")}
@@ -296,8 +298,9 @@ def test_exchange_arcs_match_definition():
 
 
 def test_final_state_matches_rebuilt_digraph():
-    # the matching loop reuses the graph's matroids across rounds; its last
-    # digraph must be the one built from scratch for the final matching
+    # the matching loop keeps each block's circuits across rounds and
+    # materializes a digraph only for the final matching; it must be the one
+    # built from scratch, on fresh matroids, for that matching
     rng = random.Random(36)
     for field in (GF(2), GF(101), QQ) * 5:
         a = random_rank1_instance(rng, field, rng.randint(1, 4), rng.randint(1, 4), max_dim=3)
@@ -306,6 +309,92 @@ def test_final_state_matches_rebuilt_digraph():
         rebuilt = build_auxiliary_digraph(g, state.matching)
         for name in ("adjacency", "sources", "sinks", "matched_pi", "matched_sigma"):
             assert getattr(state, name) == getattr(rebuilt, name)
+
+
+def _flip(matching, state):
+    """The matching after one search of ``state``'s materialized digraph,
+    or None when no augmenting path exists."""
+    parent, node = _search(state.adjacency.__getitem__, state.sources, state.sinks)
+    if node is None:
+        return None
+    flipped = set()
+    while parent[node] is not None:
+        node, edge = parent[node]
+        if edge is not None:
+            flipped.add(edge)
+    return matching ^ flipped
+
+
+def test_rounds_match_search_on_rebuilt_digraph(caplog):
+    # build_auxiliary_digraph is the from-scratch reference: every round of
+    # the lazy loop must flip the path that one search of the rebuilt
+    # digraph finds
+    caplog.set_level(logging.DEBUG, logger="rank1dm")
+    rng = random.Random(38)
+    for field in (GF(2), GF(3), GF(101), QQ) * 4:
+        a = random_rank1_instance(rng, field, rng.randint(1, 4), rng.randint(1, 4), max_dim=3)
+        g = build_stability_graph(a)
+        caplog.clear()
+        state = max_independent_matching(g)
+        previous = frozenset()
+        for record in caplog.records:
+            previous = _flip(previous, build_auxiliary_digraph(g, previous))
+            assert record.matching == previous
+        assert _flip(previous, build_auxiliary_digraph(g, previous)) is None
+        assert state.matching == previous
+
+
+def test_matching_eliminates_each_changed_block_once(caplog, monkeypatch):
+    # a block is eliminated again only when its matched vertices change, so
+    # the eliminations are at most the distinct (side, block, matched ids)
+    # that the rounds' matchings show
+    caplog.set_level(logging.DEBUG, logger="rank1dm")
+    calls = []
+    eliminate = matching_module.span_coordinates
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(matching_module, "span_coordinates", counted)
+    a = random_rank1_instance(random.Random(40), GF(101), 16, 16, max_dim=3, zero_prob=0.5)
+    g = build_stability_graph(a)
+    state = max_independent_matching(g)
+    selections = set()
+    for record in caplog.records:
+        for side, vertices, ends in (
+            ("pi", g.pi, [g.edges[k].pi for k in record.matching]),
+            ("sigma", g.sigma, [g.edges[k].sigma for k in record.matching]),
+        ):
+            by_block: dict[int, list[int]] = {}
+            for i in sorted(ends):
+                by_block.setdefault(vertices[i].block, []).append(i)
+            selections.update((side, blk, tuple(ids)) for blk, ids in by_block.items())
+    assert state.size > 16
+    assert 0 < len(calls) <= len(selections)
+
+
+def test_circuit_memo_matches_fresh_matroid():
+    # changing, repeated and reversed selections on one matroid read the
+    # same circuits, ranks and reverse index as a fresh matroid
+    rng = random.Random(39)
+    independent = 0
+    for field in (GF(2), GF(3), GF(101), QQ):
+        a = random_rank1_instance(rng, field, 3, 3, max_dim=3, zero_prob=0.1)
+        g = build_stability_graph(a)
+        for build, n in ((matroid_pi, g.n_pi), (matroid_sigma, g.n_sigma)):
+            m = build(g)
+            for _ in range(20):
+                subset = rng.sample(range(n), rng.randint(0, rng.choice([n, min(n, 4)])))
+                for selection in (subset, subset, subset[::-1]):
+                    rank, circuits = m.circuits(selection)
+                    assert (rank, circuits) == build(g).circuits(selection)
+                    if rank == len(selection):
+                        independent += 1
+                        for i in selection:
+                            held = [j for j, c in enumerate(circuits) if c and i in c]
+                            assert m.holders(i) == held
+    assert independent > 20
 
 
 def test_matroid_rejects_bad_block_index():
