@@ -32,6 +32,7 @@ from .partmat import (
     build_stability_graph,
     check_rank1_condition,
     col_vertex_label,
+    column_parts,
     row_vertex_label,
 )
 
@@ -405,7 +406,7 @@ def dm_decompose(a: PartitionedMatrix) -> DMResult:
     c0, cinf = reachability_sets(state)
     poset = scc_poset(state, c0, cinf)
     assembly = build_bases(poset, g, a)
-    a_dm = assembly.E.transpose() @ a.matrix @ assembly.F
+    a_dm = a.transform(assembly.E, assembly.F)
 
     # groups top, h, ..., 1, bottom; scc_poset keeps each component square
     diag_blocks = list(zip(assembly.h_group_sizes, assembly.k_group_sizes))[::-1]
@@ -481,21 +482,20 @@ def _admissibility_problem(name: str, mat: Matrix, blocks: tuple[int, ...]) -> s
     nonsingular."""
     if not isinstance(mat, Matrix):
         return f"{name}: {type(mat).__name__} is not a Matrix"
-    offsets = list(accumulate(blocks, initial=0))
+    offsets = tuple(accumulate(blocks, initial=0))
     if mat.rows != offsets[-1] or mat.cols != offsets[-1]:
         return f"{name}: matrix size does not match the partition"
-    zero = mat.field.zero_raw
+    hits: list[list[int]] = [[] for _ in range(mat.cols)]
+    for blk, part in enumerate(column_parts(mat, offsets)):
+        for col, _ in part:
+            hits[col].append(blk)
     by_block: dict[int, list[int]] = {i: [] for i in range(len(blocks))}
-    for col in range(mat.cols):
-        support = [r for r in range(mat.rows) if mat.raw(r, col) != zero]
-        if not support:
+    for col, blks in enumerate(hits):
+        if not blks:
             return f"{name}: column {col} is zero"
-        blk = next(
-            b for b in range(len(blocks)) if offsets[b] <= support[0] < offsets[b + 1]
-        )
-        if not all(offsets[blk] <= r < offsets[blk + 1] for r in support):
+        if len(blks) > 1:
             return f"{name}: column {col} crosses block boundaries"
-        by_block[blk].append(col)
+        by_block[blks[0]].append(col)
     for blk, cols in by_block.items():
         if len(cols) != blocks[blk]:
             return f"{name}: block {blk} has {len(cols)} columns, wants {blocks[blk]}"
@@ -523,7 +523,8 @@ def _malformed_blocks(blocks) -> str:
 
 def _staircase_problem(a_dm: Matrix, blocks, n: int, m: int) -> str:
     """Why the declared diagonal blocks do not put a zero staircase under
-    A_dm, or "" when they do.  The middle blocks D_h .. D_1 are square."""
+    A_dm, or "" when they do.  The middle blocks D_h .. D_1 are square and
+    not empty: each holds at least one matched pair."""
     if not isinstance(a_dm, Matrix):
         return "A_dm is not a Matrix"
     if (a_dm.rows, a_dm.cols) != (n, m):
@@ -535,6 +536,8 @@ def _staircase_problem(a_dm: Matrix, blocks, n: int, m: int) -> str:
     for k, (r, c) in enumerate(blocks[1:-1], start=1):
         if r != c:
             return f"middle diagonal block {k} is {r}x{c}, not square"
+        if not r:
+            return f"middle diagonal block {k} is empty"
     if sum(r for r, _ in blocks) != n or sum(c for _, c in blocks) != m:
         return "diagonal block sizes do not tile the matrix"
     zero = a_dm.field.zero_raw
@@ -690,10 +693,11 @@ def _duality_problem(a: PartitionedMatrix, result: DMResult) -> str:
 def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     """Re-check a decomposition from first principles.
 
-    (a) the product identity, (b) admissibility of E and F for A's
-    partition, which the result must restate, (c) the zero staircase under
-    the declared diagonal blocks, whose sizes are nonnegative and whose
-    middle blocks are square, (d) when a chain is attached, stability of its
+    (a) the product identity, E^T A F built from A's rank-1 factors, (b)
+    admissibility of E and F for A's partition, which the result must
+    restate, (c) the zero staircase under the declared diagonal blocks,
+    whose sizes are nonnegative and whose middle blocks are non-empty
+    squares, (d) when a chain is attached, stability of its
     elements over A's field by A's rank-1 factors, their common dimension as
     a sum of block ranks, and its agreement with the chain dimensions and
     the diagonal blocks, (e) v* = n + m - |M|, bounded above by the matched
@@ -713,10 +717,14 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     if misfits:
         checks.append(CheckResult("product", False, "; ".join(misfits)))
     else:
-        product = result.E.transpose() @ a.matrix @ result.F
-        checks.append(
-            CheckResult("product", product == result.a_dm, "A_dm == E^T A F")
-        )
+        try:
+            product = a.transform(result.E, result.F)
+        except RankConditionViolated as exc:
+            checks.append(CheckResult("product", False, f"A has {exc}"))
+        else:
+            checks.append(
+                CheckResult("product", product == result.a_dm, "A_dm == E^T A F")
+            )
 
     why = "; ".join(filter(None, (
         _partition_problem("row", result.row_blocks, a.row_blocks),

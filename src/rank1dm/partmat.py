@@ -81,12 +81,56 @@ class PartitionedMatrix:
                     out[alpha, beta] = fac
         return out
 
+    def transform(self, e: Matrix, f: Matrix) -> Matrix:
+        """E^T A F from A's factors, exact for any E with n rows and F with m.
+
+        Block (alpha, beta) = c u^T v adds the outer product of p and q,
+        where p_i = c (u . rows alpha of E's column i), for each column i of
+        E nonzero in those rows, and q_j = v . rows beta of F's column j,
+        for each column j of F nonzero in them.  For admissible E and F
+        every entry gets at most one term.  Raises RankConditionViolated
+        when a block of A has rank 2 or more."""
+        factors = check_rank1_condition(self)
+        fld = self.field
+        if (e.field, f.field, e.rows, f.rows) != (fld, fld, self.matrix.rows, self.matrix.cols):
+            raise ValueError("E^T A F needs E and F over A's field with n and m rows")
+        e_parts = column_parts(e, self.row_offsets)
+        f_parts = column_parts(f, self.col_offsets)
+        zero, mul, add, dot = fld.zero_raw, fld.mul, fld.add, fld.dot
+        width = f.cols
+        out = [zero] * (e.cols * width)
+        for (alpha, beta), fac in factors.items():
+            u, v = fac.u.data, fac.v.data
+            qs = [(j, q) for j, y in f_parts[beta] if (q := dot(v, y))]
+            for i, x in e_parts[alpha]:
+                if p := dot(x, u):
+                    p = mul(fac.coeff, p)
+                    for j, q in qs:
+                        k = i * width + j
+                        # only a non-admissible E or F sends a second term here
+                        out[k] = mul(p, q) if out[k] is zero else add(out[k], mul(p, q))
+        return Matrix(fld, e.cols, width, out)
+
     def block(self, alpha: int, beta: int) -> Matrix:
         """The submatrix at block position (alpha, beta), zero-based."""
         if not (0 <= alpha < self.mu and 0 <= beta < self.nu):
             raise IndexError(f"block ({alpha}, {beta}) out of range")
         ro, co = self.row_offsets, self.col_offsets
         return self.matrix.submatrix(ro[alpha], ro[alpha + 1], co[beta], co[beta + 1])
+
+
+def column_parts(mat: Matrix, offsets: tuple[int, ...]) -> list[list[tuple[int, list]]]:
+    """Per block of ``offsets``, each column of ``mat`` that is nonzero in
+    it, as (column index, its entries in the block).  Both carriers, 0 and
+    Fraction(0), are false exactly at zero, so ``any`` finds the support."""
+    bounds = list(zip(offsets, offsets[1:]))
+    parts: list[list[tuple[int, list]]] = [[] for _ in bounds]
+    for i in range(mat.cols):
+        col = mat.data[i :: mat.cols]
+        for part, (lo, hi) in zip(parts, bounds):
+            if any(x := col[lo:hi]):
+                part.append((i, x))
+    return parts
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from rank1dm import (
     scc_poset,
     verify,
 )
-from rank1dm.decompose import PosetComponent, _adapted_basis
+from rank1dm.decompose import PosetComponent, _adapted_basis, _chain_dims
 from rank1dm.partmat import HyperplaneVertex
 
 
@@ -467,6 +467,32 @@ def test_verify_rejects_non_square_middle_block(example, example_result):
     assert "not square" in check.detail
 
 
+def _padded(res):
+    """The result with a 0x0 middle block after D_inf and the last chain
+    element repeated, its chain dims recomputed: every count still agrees."""
+    blocks = [res.diag_blocks[0], (0, 0), *res.diag_blocks[1:]]
+    return dataclasses.replace(
+        res,
+        diag_blocks=blocks,
+        chain=[*res.chain, res.chain[-1]],
+        chain_dims=_chain_dims(blocks, res.a_dm.cols),
+    )
+
+
+def test_verify_rejects_an_empty_middle_block(example, example_result):
+    report = verify(example, _padded(example_result))
+    assert [c.name for c in report.checks if not c.passed] == ["staircase"]
+    assert report.check("staircase").detail == "middle diagonal block 1 is empty"
+    rng = random.Random(62)
+    padded = 0
+    while padded < 20:
+        a = random_rank1_instance(rng, GF(2), 4, 4, max_dim=2, zero_prob=0.5)
+        res = dm_decompose(a)
+        if len(res.diag_blocks) > 2:  # h >= 1
+            padded += 1
+            assert not verify(a, _padded(res)).check("staircase").passed
+
+
 def test_verify_reports_malformed_diag_blocks(example, example_result):
     for blocks in ([6, 6], [(1, 2, 3)], [6] * 5, [(1, 2, 3)] * 5, [(1.0, 2)] * 5, None):
         report = verify(example, dataclasses.replace(example_result, diag_blocks=blocks))
@@ -601,6 +627,13 @@ def test_verify_detects_non_admissible_transform(example, example_result):
     bad = dataclasses.replace(res, E=bad_e)
     report = verify(example, bad)
     assert not report.check("admissible").passed
+    # the product verdict does not depend on admissibility: E^T A F is exact
+    # for this E too, and a flipped entry of it still fails
+    a_dm = bad_e.transpose() @ example.matrix @ res.F
+    report = verify(example, dataclasses.replace(bad, a_dm=a_dm))
+    assert report.check("product").passed and not report.check("admissible").passed
+    a_dm.data[0] = 1 - a_dm.data[0]
+    assert not verify(example, dataclasses.replace(bad, a_dm=a_dm)).check("product").passed
 
 
 def test_admissible_reason_names_the_matrix(example, example_result):
@@ -713,13 +746,15 @@ def test_duality_reports_a_missing_or_malformed_witness(example, example_result)
 
 def test_verify_reports_a_block_of_rank_two(example, example_result):
     # the identity in block (2,2) breaks the rank-1 condition: every check
-    # still runs, and the chain check names the block
+    # still runs, and the product and chain checks name the block
     blocks = [[example.block(i, j) for j in range(3)] for i in range(3)]
     blocks[1][1] = Matrix.identity(GF(2), 2)
     report = verify(from_blocks(blocks), example_result)
     assert not report.passed
-    check = report.check("chain")
-    assert not check.passed and check.detail == "A has blocks of rank >= 2 at (2,2)"
+    assert [c.name for c in report.checks] == ["product", "admissible", "staircase", "chain", "duality"]
+    for name in ("product", "chain"):
+        check = report.check(name)
+        assert not check.passed and check.detail == "A has blocks of rank >= 2 at (2,2)"
 
 
 def test_each_block_is_read_once_per_matrix(monkeypatch):

@@ -398,9 +398,11 @@ def test_ranks_agree_with_sympy_at_scale(field, nu):
 
     domain = sympy.QQ if field == QQ else sympy.GF(field.p)
 
+    def sympy_matrix(mat):
+        return DomainMatrix.from_list([mat.row_raw(i) for i in range(mat.rows)], domain)
+
     def sympy_rank(mat):
-        rows = [mat.row_raw(i) for i in range(mat.rows)]
-        return DomainMatrix.from_list(rows, domain).rank()
+        return sympy_matrix(mat).rank()
 
     a = random_rank1_instance(random.Random(0), field, 100, nu, max_dim=3, zero_prob=0.97)
     n, m = a.matrix.rows, a.matrix.cols
@@ -410,6 +412,9 @@ def test_ranks_agree_with_sympy_at_scale(field, nu):
     assert r == rref(a.matrix).rank == sympy_rank(res.a_dm)
     assert (sympy_rank(res.E), sympy_rank(res.F)) == (n, m)
     assert r <= res.matching_size
+    # sparse operands multiply in well under a second at n >= 200; dense ones take ~30 s
+    e, a_sym, f = (sympy_matrix(mat).to_sparse() for mat in (res.E, a.matrix, res.F))
+    assert e.transpose() * a_sym * f == sympy_matrix(res.a_dm).to_sparse()
 
 
 def test_brute_force_dims_against_exhaustive_product():

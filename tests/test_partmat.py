@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from gen import from_blocks, random_rank1_instance
 
 from rank1dm import (
     GF,
+    QQ,
     Matrix,
     PartitionedMatrix,
     RankConditionViolated,
@@ -78,6 +80,28 @@ def test_rank1_condition_violation():
     with pytest.raises(RankConditionViolated) as err:
         check_rank1_condition(a)
     assert err.value.offenders == [(0, 0)]
+    with pytest.raises(RankConditionViolated):  # E^T A F needs the factors
+        a.transform(a.matrix, a.matrix)
+
+
+def _random_square(rng, field, n):
+    """Half the entries zero, the rest anything: no block structure at all."""
+    def draw():
+        if rng.random() < 0.5:
+            return 0
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if field == QQ else rng.randrange(field.p)
+    return Matrix.from_rows(field, [[draw() for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=["gf2", "gf3", "qq"])
+def test_transform_equals_the_dense_product(field):
+    # E and F are not admissible, so an entry may collect several terms
+    rng = random.Random(f"transform/{field}")
+    for _ in range(100):
+        a = random_rank1_instance(rng, field, rng.randint(1, 4), rng.randint(1, 4), max_dim=3)
+        e = _random_square(rng, field, a.matrix.rows)
+        f = _random_square(rng, field, a.matrix.cols)
+        assert a.transform(e, f) == e.transpose() @ a.matrix @ f
 
 
 def test_stability_graph_vertices(example):
