@@ -475,6 +475,14 @@ def _partition_problem(side: str, got, want: tuple[int, ...]) -> str:
     return "" if got == want else f"{side} blocks {got!r} are not A's {want!r}"
 
 
+def _foreign_value(name: str, mat: Matrix, f: Field) -> str:
+    """Why ``mat``, ``name`` in the reason, holds a non-carrier of f, or ""."""
+    if not isinstance(mat, Matrix) or f.carries(mat.data):
+        return ""
+    k = next(k for k, x in enumerate(mat.data) if not f.carries([x]))
+    return f"{name} holds {mat.data[k]!r} at {divmod(k, mat.cols)}, not a value of {f}"
+
+
 def _admissibility_problem(name: str, mat: Matrix, blocks: tuple[int, ...]) -> str:
     """Why mat, named ``name`` in the reason, is not blockdiag(nonsingular)
     times a permutation, or "": each column lies inside one block, each block
@@ -693,7 +701,8 @@ def _duality_problem(a: PartitionedMatrix, result: DMResult) -> str:
 def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     """Re-check a decomposition from first principles.
 
-    (a) the product identity, E^T A F built from A's rank-1 factors, (b)
+    (a) the product identity, E^T A F built from A's rank-1 factors, once
+    every entry of E, F and A_dm is a carrier of A's field, (b)
     admissibility of E and F for A's partition, which the result must
     restate, (c) the zero staircase under the declared diagonal blocks,
     whose sizes are nonnegative and whose middle blocks are non-empty
@@ -707,13 +716,14 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     n, m = a.matrix.rows, a.matrix.cols
 
     shapes = [("E", result.E, n, n), ("F", result.F, m, m), ("A_dm", result.a_dm, n, m)]
+    foreign = {name: _foreign_value(name, mat, a.field) for name, mat, _, _ in shapes}
     misfits = [
         f"{name} is {mat.rows}x{mat.cols} over {mat.field}, wants {r}x{c} over {a.field}"
         if isinstance(mat, Matrix)
         else f"{name} is not a Matrix"
         for name, mat, r, c in shapes
         if not isinstance(mat, Matrix) or (mat.rows, mat.cols, mat.field) != (r, c, a.field)
-    ]
+    ] or list(filter(None, foreign.values()))
     if misfits:
         checks.append(CheckResult("product", False, "; ".join(misfits)))
     else:
@@ -729,8 +739,8 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     why = "; ".join(filter(None, (
         _partition_problem("row", result.row_blocks, a.row_blocks),
         _partition_problem("column", result.col_blocks, a.col_blocks),
-        _admissibility_problem("E", result.E, a.row_blocks),
-        _admissibility_problem("F", result.F, a.col_blocks),
+        foreign["E"] or _admissibility_problem("E", result.E, a.row_blocks),
+        foreign["F"] or _admissibility_problem("F", result.F, a.col_blocks),
     )))
     checks.append(
         CheckResult("admissible", not why, why or "E, F block-diagonal times permutation")

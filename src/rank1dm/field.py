@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import lcm
 from typing import Any
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -71,12 +72,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def coerce_raw(self, value) -> Any:
         """Turn ints, strings or raw carriers into a raw value."""
         if isinstance(value, str):
@@ -107,12 +102,16 @@ class PrimeField(Field):
     zero_raw = 0
     one_raw = 1
 
+    def carries(self, values) -> bool:
+        """Whether every value is a raw carrier, an int in [0, p)."""
+        return set(map(type, values)) <= {int} and all(0 <= v < self.p for v in set(values))
+
     def canon(self, value):
         if isinstance(value, Fraction):
             if value.denominator == 1:
                 value = value.numerator
             else:
-                return self.div(value.numerator % self.p, value.denominator % self.p)
+                return self.mul(value.numerator, self.inv(value.denominator))
         if not isinstance(value, int):
             raise TypeError(f"cannot interpret {value!r} in {self}")
         return value % self.p
@@ -161,6 +160,10 @@ class RationalField(Field):
     zero_raw = Fraction(0)
     one_raw = Fraction(1)
 
+    def carries(self, values) -> bool:
+        """Whether every value is a raw carrier, a Fraction."""
+        return set(map(type, values)) <= {Fraction}
+
     def canon(self, value):
         if isinstance(value, Fraction):
             return value
@@ -183,7 +186,15 @@ class RationalField(Field):
         return 1 / a
 
     def dot(self, xs, ys):
-        return sum(map(operator.mul, xs, ys), Fraction(0))
+        """Sum of products on ints over one common denominator; one Fraction."""
+        n, d = 0, 1
+        for x, y in zip(xs, ys):
+            e = x.denominator * y.denominator
+            if e != d:
+                m = lcm(d, e)
+                n, d = n * (m // d), m
+            n += x.numerator * y.numerator * (d // e)
+        return Fraction(n, d)
 
     def parse(self, text: str):
         try:

@@ -1,18 +1,22 @@
 """Dense exact linear algebra over a Field.
 
-Everything here is plain Gaussian elimination with exact arithmetic; the
-pivot is always the first nonzero entry in column order, so every result is
-deterministic and there is no numerical tolerance anywhere.  Vectors and
-matrices hold raw carrier values of their field and are read through ``data``
-and ``raw``.
+Elimination is exact Gauss-Jordan on int rows: GF(p) residues reduce mod p,
+and rational rows are cleared of denominators and eliminated fraction-free,
+so ``Fraction``s are built only for the result.  The pivot is always the
+first nonzero entry in column order, so every result is deterministic and
+there is no numerical tolerance anywhere.  Vectors and matrices hold raw
+carrier values of their field and are read through ``data`` and ``raw``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .field import Field
+from .field import Field, RationalField
 
 
 class Vector:
@@ -150,36 +154,52 @@ class RrefResult(NamedTuple):
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form, pivot columns and rank."""
-    f = m.field
-    zero = f.zero_raw
-    work = [m.row_raw(i) for i in range(m.rows)]
+    """Reduced row echelon form, pivot columns and rank, by Gauss-Jordan on
+    int rows: GF(p) rows update as (v - c w) mod p; a rational row is scaled
+    by the lcm of its denominators, updates fraction-free as a v - c w over
+    its content, and becomes Fractions only in the result, each pivot row
+    over its entry at its pivot column."""
+    f, ncols = m.field, m.cols
+    rows = [m.data[i * ncols : (i + 1) * ncols] for i in range(m.rows)]
+    p = 0 if isinstance(f, RationalField) else f.p
+    if not p:  # each row times the lcm of its denominators: the same row space
+        dens = [lcm(*(x.denominator for x in row)) for row in rows]
+        rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, dens)]
     pivots: list[int] = []
     pr = 0
-    for pc in range(m.cols):
-        pivot_row = None
+    for pc in range(ncols):
         for i in range(pr, m.rows):
-            if work[i][pc] != zero:
-                pivot_row = i
+            if rows[i][pc]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        work[pr], work[pivot_row] = work[pivot_row], work[pr]
-        lead = work[pr][pc]
-        if lead != f.one_raw:
-            s = f.inv(lead)
-            work[pr] = [f.mul(s, v) for v in work[pr]]
-        prow = work[pr]
-        for i in range(m.rows):
-            if i != pr and work[i][pc] != zero:
-                c = work[i][pc]
-                work[i] = [f.sub(v, f.mul(c, pv)) for v, pv in zip(work[i], prow)]
+        rows[pr], rows[i] = rows[i], rows[pr]
+        prow = rows[pr]
+        a = prow[pc]
+        if p and a != 1:
+            s = pow(a, -1, p)
+            rows[pr] = prow = [s * v % p for v in prow]
+        for k, row in enumerate(rows):
+            if k == pr or not (c := row[pc]):
+                continue
+            if p:
+                rows[k] = [(v - c * w) % p for v, w in zip(row, prow)]
+            else:
+                row = [a * v - c * w for v, w in zip(row, prow)]
+                g = gcd(*row)
+                rows[k] = [v // g for v in row] if g > 1 else row
         pivots.append(pc)
         pr += 1
         if pr == m.rows:
             break
-    flat = [v for row in work for v in row]
-    return RrefResult(Matrix(f, m.rows, m.cols, flat), pivots, len(pivots))
+    if not p:  # rows past the rank are zero, so their missing pivot is never read
+        zero = f.zero_raw
+        rows = [
+            [Fraction(v, row[pc]) if v else zero for v in row]
+            for row, pc in zip_longest(rows, pivots)
+        ]
+    flat = [v for row in rows for v in row]
+    return RrefResult(Matrix(f, m.rows, ncols, flat), pivots, pr)
 
 
 @dataclass(frozen=True)
@@ -243,14 +263,13 @@ def span_coordinates(
     ncols = len(vecs)
     red = rref(Matrix(field, dim, ncols, [v.data[r] for r in range(dim) for v in vecs]))
     basis_rank = sum(1 for p in red.pivots if p < b)
-    zero = field.zero_raw
     coords: list[list | None] = []
     for k in range(b, ncols):
         column = red.R.data[k::ncols]
-        if any(x != zero for x in column[basis_rank:]):
+        if any(column[basis_rank:]):  # 0 and Fraction(0) are the false carriers
             coords.append(None)
             continue
-        c = [zero] * b
+        c = [field.zero_raw] * b
         for r in range(basis_rank):
             c[red.pivots[r]] = column[r]
         coords.append(c)

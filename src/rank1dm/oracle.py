@@ -118,16 +118,6 @@ def brute_force_max_stable(a: PartitionedMatrix):
     return best, maximizers
 
 
-def is_stable_block(a: PartitionedMatrix, alpha: int, beta: int, x_basis, y_basis) -> bool:
-    """Stability of one block against explicit bases (raw integer rows)."""
-    block = a.block(alpha, beta)
-    if any(len(x) != block.rows for x in x_basis) or any(
-        len(y) != block.cols for y in y_basis
-    ):
-        raise ValueError(f"basis of block ({alpha}, {beta}) has the wrong length")
-    return _block_stable(a.field, _columns(block), x_basis, y_basis)
-
-
 def _columns(block: Matrix) -> list[list]:
     return [block.data[j :: block.cols] for j in range(block.cols)]
 

@@ -1,8 +1,8 @@
 """Shared builders for the test suite: the worked 6x6 example, random
 instance generators, exact subspace utilities used by oracle-style checks,
 the reference checks (stability from the definition, classic bipartite DM,
-Gaussian binomials), and the matroid closure and minimum cover that the
-matching tests check against."""
+Gaussian binomials, elimination through the field's methods), and the
+matroid closure and minimum cover that the matching tests check against."""
 
 from __future__ import annotations
 
@@ -23,8 +23,7 @@ from rank1dm import (
     matroid_sigma,
     reachability_sets,
 )
-from rank1dm.linalg import rref
-from rank1dm.oracle import is_stable_block
+from rank1dm.linalg import RrefResult, rref
 
 EXAMPLE_ROWS = [
     [1, 0, 1, 1, 0, 0],
@@ -176,6 +175,30 @@ def _blockdiag(field, blocks):
     return m
 
 
+def reference_rref(m: Matrix) -> RrefResult:
+    """Reduced row echelon form through the field's own methods, one
+    carrier operation at a time: the reference for ``rref``'s integer rows."""
+    f = m.field
+    zero = f.zero_raw
+    work = [m.row_raw(i) for i in range(m.rows)]
+    pivots: list[int] = []
+    for pc in range(m.cols):
+        pr = len(pivots)
+        pivot_row = next((i for i in range(pr, m.rows) if work[i][pc] != zero), None)
+        if pivot_row is None:
+            continue
+        work[pr], work[pivot_row] = work[pivot_row], work[pr]
+        s = f.inv(work[pr][pc])
+        prow = work[pr] = [f.mul(s, v) for v in work[pr]]
+        for i in range(m.rows):
+            if i != pr and work[i][pc] != zero:
+                c = work[i][pc]
+                work[i] = [f.add(v, f.neg(f.mul(c, pv))) for v, pv in zip(work[i], prow)]
+        pivots.append(pc)
+    flat = [v for row in work for v in row]
+    return RrefResult(Matrix(f, m.rows, m.cols, flat), pivots, len(pivots))
+
+
 # subspace utilities on raw row bases -------------------------------------
 
 
@@ -250,6 +273,23 @@ def subspace_pair_canonical(field, a: PartitionedMatrix, xs, ys):
 
 
 # reference checks ---------------------------------------------------------
+
+
+def is_stable_block(a: PartitionedMatrix, alpha: int, beta: int, x_basis, y_basis) -> bool:
+    """Stability of one block against explicit bases (raw integer rows):
+    x^T B y = 0 for every basis pair."""
+    block = a.block(alpha, beta)
+    if any(len(x) != block.rows for x in x_basis) or any(
+        len(y) != block.cols for y in y_basis
+    ):
+        raise ValueError(f"basis of block ({alpha}, {beta}) has the wrong length")
+    f = a.field
+    columns = [block.data[j :: block.cols] for j in range(block.cols)]
+    return all(
+        f.dot([f.dot(x, col) for col in columns], y) == f.zero_raw
+        for x in x_basis
+        for y in y_basis
+    )
 
 
 def is_stable(a: PartitionedMatrix, x_bases, y_bases) -> bool:

@@ -620,6 +620,40 @@ def test_verify_reports_malformed_fields(example, example_result, field, value, 
         assert not check.passed and check.detail
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [(GF(2), None), (GF(2), "x"), (GF(2), 0.5), (QQ, 0.5), (QQ, None)],
+    ids=["gf2-none", "gf2-str", "gf2-float", "qq-float", "qq-none"],
+)
+@pytest.mark.parametrize("side", ["E", "F"])
+def test_verify_reports_a_value_outside_the_field(example, example_result, field, value, side):
+    # a right-shaped Matrix holding a raw value that is not a carrier of A's
+    # field fails product and admissible with its position; nothing raises
+    a = example if field == GF(2) else random_rank1_instance(random.Random(5), QQ, 3, 3)
+    res = example_result if field == GF(2) else dm_decompose(a)
+    mat = getattr(res, side)
+    data = list(mat.data)
+    data[mat.cols + 1] = value
+    report = verify(a, dataclasses.replace(res, **{side: Matrix(field, mat.rows, mat.cols, data)}))
+    reason = f"{side} holds {value!r} at (1, 1), not a value of {field}"
+    for name in ("product", "admissible"):
+        check = report.check(name)
+        assert not check.passed and check.detail == reason
+    assert all(c.passed for c in report.checks if c.name not in ("product", "admissible"))
+
+
+def test_verify_rejects_a_float_in_a_dm():
+    # a float equals its Fraction, yet it is not a value of QQ
+    a = random_rank1_instance(random.Random(5), QQ, 3, 3)
+    res = dm_decompose(a)
+    k = next(k for k, x in enumerate(res.a_dm.data) if x)
+    data = list(res.a_dm.data)
+    data[k] = float(data[k])
+    a_dm = Matrix(QQ, res.a_dm.rows, res.a_dm.cols, data)
+    check = verify(a, dataclasses.replace(res, a_dm=a_dm)).check("product")
+    assert not check.passed and f"A_dm holds {data[k]!r}" in check.detail
+
+
 def test_verify_detects_non_admissible_transform(example, example_result):
     res = example_result
     bad_e = Matrix.identity(GF(2), 6)

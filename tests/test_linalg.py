@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, strategies as st
 
-from gen import EXAMPLE_ROWS, kernel_basis
+from gen import EXAMPLE_ROWS, kernel_basis, reference_rref
 
 from rank1dm import GF, QQ, Matrix, Vector
 from rank1dm.linalg import rank1_factor, rref, span_coordinates
@@ -95,6 +96,75 @@ def test_rref_properties_gf2(n, m, data):
     assert r.rank == rref(mat.transpose()).rank
     assert rref(r.R).R == r.R
     assert len(kernel_basis(mat)) == m - r.rank
+
+
+def _assert_rref_is_reference(mat):
+    got, want = rref(mat), reference_rref(mat)
+    assert (got.R, got.pivots, got.rank) == (want.R, want.pivots, want.rank)
+    if mat.field is QQ:  # canonical carriers, built for the result only
+        assert all(
+            type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+            for x in got.R.data
+        )
+
+
+def _rational_entry(rng):
+    # small and large, mixed denominators, either sign
+    den = rng.choice([1, 1, 2, 3, 7, 12, 113, 2**61 - 1, 10**30 + 57])
+    return Fraction(rng.randint(-(10**rng.randint(0, 25)), 10**rng.randint(0, 25)), den)
+
+
+def test_rref_matches_the_reference():
+    rng = random.Random(91)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 8)) for _ in range(60)]
+    for field in (GF(2), GF(3), GF(101), QQ):
+        for n, m in shapes:
+            draw = (lambda: _rational_entry(rng)) if field is QQ else (lambda: rng.randrange(field.p))
+            mat = Matrix(field, n, m, [draw() for _ in range(n * m)])
+            _assert_rref_is_reference(Matrix.zeros(field, n, m))
+            _assert_rref_is_reference(mat)
+            if n and m:  # a zero column, a zero row, and a dependent row
+                zero_col = rng.randrange(m)
+                for i in range(n):
+                    mat.data[i * m + zero_col] = field.zero_raw
+                i = rng.randrange(n)
+                mat.data[i * m : (i + 1) * m] = [field.zero_raw] * m
+                _assert_rref_is_reference(mat)
+                rows = [mat.row_raw(i) for i in range(n)]
+                c = field.coerce_raw(rng.randint(-5, 5))
+                rows.append([field.add(x, field.mul(c, y)) for x, y in zip(rows[0], rows[-1])])
+                _assert_rref_is_reference(Matrix.from_rows(field, rows))
+
+
+def test_rref_negative_pivots_and_content():
+    # negative leading entries, different denominators in every row, and a
+    # third row that depends on the first two
+    rows = [
+        [Fraction(-22, 7), Fraction(355, 113), 0, 4],
+        [Fraction(-6, 5), 0, Fraction(-3, 10), Fraction(9, 2)],
+    ]
+    rows.append([2 * x + y for x, y in zip(*rows)])
+    mat = Matrix.from_rows(QQ, rows)
+    _assert_rref_is_reference(mat)
+    assert rref(mat).pivots == [0, 1]
+
+
+_FIELDS = st.sampled_from([GF(2), GF(3), GF(101), QQ])
+
+
+@given(_FIELDS, st.integers(0, 5), st.integers(0, 6), st.data())
+def test_rref_matches_the_reference_hypothesis(field, n, m, data):
+    if field is QQ:
+        entry = st.one_of(
+            st.just(Fraction(0)),
+            st.fractions(max_denominator=10**6),
+            st.integers(-(10**20), 10**20).map(Fraction),
+        )
+    else:
+        entry = st.integers(0, field.p - 1)
+    values = data.draw(st.lists(entry, min_size=n * m, max_size=n * m))
+    _assert_rref_is_reference(Matrix(field, n, m, values))
 
 
 def test_kernel_identity_empty():

@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -8,6 +10,7 @@ from gen import (
     echelon,
     gaussian_binomial,
     is_stable,
+    is_stable_block,
     kernel_basis,
     random_rank1_instance,
     random_unit_pattern_instance,
@@ -30,7 +33,6 @@ from rank1dm.cli import main
 from rank1dm.decompose import basis_coords, coords_stable
 from rank1dm.field import FieldMismatchError
 from rank1dm.linalg import Vector, rref
-from rank1dm.oracle import is_stable_block
 
 
 def factored_stable(a, x_bases, y_bases):
@@ -415,6 +417,35 @@ def test_ranks_agree_with_sympy_at_scale(field, nu):
     # sparse operands multiply in well under a second at n >= 200; dense ones take ~30 s
     e, a_sym, f = (sympy_matrix(mat).to_sparse() for mat in (res.E, a.matrix, res.F))
     assert e.transpose() * a_sym * f == sympy_matrix(res.a_dm).to_sparse()
+
+
+def test_rational_rref_agrees_with_sympy():
+    # R itself, not only the rank: a 40x80 matrix of rank 30 with fractional
+    # entries, and [H | I] for the 10x10 Hilbert matrix H, whose inverse has
+    # integer entries of up to 13 digits
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(41)
+
+    def draw(n, m):
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(m)] for _ in range(n)]
+
+    left, right = draw(40, 30), draw(30, 80)
+    product_rows = [[sum(map(mul, row, col)) for col in zip(*right)] for row in left]
+    hilbert = [
+        [Fraction(1, i + j + 1) for j in range(10)] + [Fraction(int(i == j)) for j in range(10)]
+        for i in range(10)
+    ]
+    for rows, rank in ((product_rows, 30), (hilbert, 10)):
+        mat = Matrix.from_rows(QQ, rows)
+        red = rref(mat)
+        want, pivots = DomainMatrix.from_list(rows, sympy.QQ).rref()
+        assert red.rank == rank and red.pivots == list(pivots)
+        assert red.R.data == [
+            Fraction(int(x.numerator), int(x.denominator)) for row in want.to_list() for x in row
+        ]
+        assert all(type(x) is Fraction for x in red.R.data)
 
 
 def test_brute_force_dims_against_exhaustive_product():
