@@ -3,18 +3,21 @@
 Run from the repository root::
 
     python3 bench/ladder.py                      # markdown table on stdout
-    python3 bench/ladder.py --json BENCH_13.json  # the same rows as JSON too
+    python3 bench/ladder.py --json BENCH_16.json  # the same rows as JSON too
 
 Rows are GF(2), GF(101) and the rationals at n = 60, 180 and 360.  Each is
 a square grid of b x b blocks of size 3 (b = n / 3), built by the
 benchmark's ``block_grid`` with ``balanced_zeros(rng, b, b // 2)`` zero
 blocks and ``rng = random.Random(f"ladder/{name}")``; vectors are drawn as
-in the dense benchmark workloads.  Each row runs in a fresh interpreter
-that times ``build_stability_graph`` (graph), ``max_independent_matching``
-(match), ``dm_decompose`` and ``verify`` three times each and keeps the
-medians.  A row still running after ``BUDGET_S`` seconds is stopped and
-reported as skipped, with its budget.  The exit status is 1 when some
-row's ``verify`` does not pass; time never fails a run.
+in the dense benchmark workloads.  Two tall rows follow: GF(2) grids of
+blocks of size 2 at n = 360 and 720 with 98% and 99% of their blocks zero,
+drawn by ``scattered_zeros``, whose posets run to hundreds of components.
+Each row runs in a fresh interpreter that times ``build_stability_graph``
+(graph), ``max_independent_matching`` (match), ``dm_decompose`` and
+``verify`` three times each and keeps the medians.  A row still running
+after ``BUDGET_S`` seconds is stopped and reported as skipped, with its
+budget.  The exit status is 1 when some row's ``verify`` does not pass;
+time never fails a run.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 sys.dont_write_bytecode = True  # leave no cache files in the checkout
 
-from workloads import balanced_zeros, block_grid  # noqa: E402
+from workloads import balanced_zeros, block_grid, scattered_zeros  # noqa: E402
 
 BUDGET_S = 120  # per row, all repeats included
 REPEATS = 3
@@ -43,18 +46,23 @@ FIELDS = {  # name -> (modulus, vector entry draw, coefficient draw)
     "gf101": (101, lambda r: r.randrange(101), lambda r: r.randrange(1, 101)),
     "qq": (None, lambda r: r.randint(-3, 3), lambda r: r.randint(1, 9)),
 }
-ROWS = [f"{field}-{n}" for field in FIELDS for n in (60, 180, 360)]
+TALL = {"gf2-tall-360": 0.98, "gf2-tall-720": 0.99}  # name -> share of zero blocks
+ROWS = [f"{field}-{n}" for field in FIELDS for n in (60, 180, 360)] + list(TALL)
 STAGES = ("graph_s", "match_s", "dm_decompose_s", "verify_s")
 
 
 def instance(name: str) -> str:
-    field, n = name.split("-")
+    field, *_, n = name.split("-")
     modulus, vec_draw, coeff_draw = FIELDS[field]
     rng = random.Random(f"ladder/{name}")
-    b = int(n) // 3
+    if name in TALL:
+        b = int(n) // 2
+        dims, zeros = [2] * b, scattered_zeros(rng, b, round(b * b * TALL[name]))
+    else:
+        b = int(n) // 3
+        dims, zeros = [3] * b, balanced_zeros(rng, b, b // 2)
     return block_grid(
-        rng, modulus, [3] * b, [3] * b, balanced_zeros(rng, b, b // 2),
-        lambda: vec_draw(rng), lambda: coeff_draw(rng),
+        rng, modulus, dims, dims, zeros, lambda: vec_draw(rng), lambda: coeff_draw(rng),
     )
 
 

@@ -249,24 +249,25 @@ def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:
     factors = check_rank1_condition(a)
     g = StabilityGraph(a.field, a.row_blocks, a.col_blocks)
 
-    pi_seen: dict[tuple[int, Vector], None] = {}
-    sigma_seen: dict[tuple[int, Vector], None] = {}
+    # keyed by raw coordinates: every normal is over A's field
+    pi_seen: dict[tuple[int, tuple], Vector] = {}
+    sigma_seen: dict[tuple[int, tuple], Vector] = {}
     for (alpha, beta), fac in factors.items():
-        pi_seen.setdefault((alpha, fac.u), None)
-        sigma_seen.setdefault((beta, fac.v), None)
+        pi_seen.setdefault((alpha, fac.u.data), fac.u)
+        sigma_seen.setdefault((beta, fac.v.data), fac.v)
 
     g.pi = sorted(
-        (HyperplaneVertex(blk, nrm) for blk, nrm in pi_seen),
+        (HyperplaneVertex(blk, nrm) for (blk, _), nrm in pi_seen.items()),
         key=HyperplaneVertex.sort_key,
     )
     g.sigma = sorted(
-        (HyperplaneVertex(blk, nrm) for blk, nrm in sigma_seen),
+        (HyperplaneVertex(blk, nrm) for (blk, _), nrm in sigma_seen.items()),
         key=HyperplaneVertex.sort_key,
     )
-    pi_index = {(v.block, v.normal): i for i, v in enumerate(g.pi)}
-    sigma_index = {(v.block, v.normal): j for j, v in enumerate(g.sigma)}
+    pi_index = {(v.block, v.normal.data): i for i, v in enumerate(g.pi)}
+    sigma_index = {(v.block, v.normal.data): j for j, v in enumerate(g.sigma)}
     g.edges = [
-        Edge(pi_index[(alpha, fac.u)], sigma_index[(beta, fac.v)], alpha, beta, fac.coeff)
+        Edge(pi_index[alpha, fac.u.data], sigma_index[beta, fac.v.data], alpha, beta, fac.coeff)
         for (alpha, beta), fac in factors.items()
     ]
     return g

@@ -29,6 +29,7 @@ from rank1dm import (
     dm_decompose,
     ideal_to_stable_subspace,
     max_independent_matching,
+    maximal_chain,
     reachability_sets,
     rref,
     verify,
@@ -148,7 +149,7 @@ def test_criterion_3_oracle_equivalence():
         v_star, _ = brute_force_max_stable(a)
         n, m = a.matrix.rows, a.matrix.cols
         assert v_star == n + m - res.matching_size == res.v_star, "duality broke"
-        for sub in res.chain:
+        for sub in maximal_chain(res.poset, res.graph):
             xs = [[list(v.data) for v in b] for b in sub.x_bases]
             ys = [[list(v.data) for v in b] for b in sub.y_bases]
             assert is_stable(a, xs, ys), "chain element unstable"
@@ -260,7 +261,7 @@ def test_criterion_7_ideals_biject_with_maximum_stable_subspaces():
         f = a.field
         via_ideals = {
             subspace_pair_canonical(f, a, sub.x_bases, sub.y_bases)
-            for sub in (ideal_to_stable_subspace(j, res.poset, res.graph) for j in ideals)
+            for sub in (ideal_to_stable_subspace(j, res.poset) for j in ideals)
         }
         via_brute = {
             subspace_pair_canonical(f, a, xs, ys) for xs, ys in maximizers

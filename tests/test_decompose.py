@@ -33,13 +33,14 @@ from rank1dm import (
     dm_decompose,
     ideal_to_stable_subspace,
     max_independent_matching,
+    maximal_chain,
     reachability_sets,
     rref,
     scc_poset,
     verify,
 )
 from rank1dm.decompose import PosetComponent, _adapted_basis, _chain_dims
-from rank1dm.partmat import HyperplaneVertex
+from rank1dm.partmat import HyperplaneVertex, column_parts
 
 
 def _labels(g, ids, side):
@@ -196,7 +197,7 @@ def test_ideal_to_subspace_reference_cover(example):
     # the ideal {1} reproduces a known minimum-cover subspace:
     # X = F(1 0)^T + F(0 1)^T + F^2, Y = F(0 1)^T + F(1 1)^T + F(0 1)^T
     res = dm_decompose(example)
-    sub = ideal_to_stable_subspace({1}, res.poset, res.graph)
+    sub = ideal_to_stable_subspace({1}, res.poset)
     f = example.field
     got = subspace_pair_canonical(f, example, sub.x_bases, sub.y_bases)
     want = subspace_pair_canonical(
@@ -211,24 +212,24 @@ def test_ideal_to_subspace_reference_cover(example):
 
 def test_ideal_empty_is_chain_bottom(example_result):
     res = example_result
-    sub = ideal_to_stable_subspace(set(), res.poset, res.graph)
-    assert sub == res.chain[0]
+    sub = ideal_to_stable_subspace(set(), res.poset)
+    assert sub == maximal_chain(res.poset, res.graph)[0]
     assert (sub.dim_x, sub.dim_y) == (2, 5)
 
 
 def test_ideal_full_gives_chain_top(example_result):
     res = example_result
-    sub = ideal_to_stable_subspace({1, 2, 3}, res.poset, res.graph)
+    sub = ideal_to_stable_subspace({1, 2, 3}, res.poset)
     assert (sub.dim_x, sub.dim_y) == (6, 1)
-    assert sub == res.chain[-1]
+    assert sub == maximal_chain(res.poset, res.graph)[-1]
 
 
 def test_non_ideal_rejected(example_result):
     res = example_result
     with pytest.raises(ValueError):
-        ideal_to_stable_subspace({2}, res.poset, res.graph)
+        ideal_to_stable_subspace({2}, res.poset)
     with pytest.raises(ValueError):
-        ideal_to_stable_subspace({0, 1}, res.poset, res.graph)
+        ideal_to_stable_subspace({0, 1}, res.poset)
 
 
 def test_ideal_subspaces_match_definition():
@@ -242,7 +243,7 @@ def test_ideal_subspaces_match_definition():
             res = dm_decompose(a)
             g, poset = res.graph, res.poset
             for j in poset.ideals():
-                sub = ideal_to_stable_subspace(j, poset, g)
+                sub = ideal_to_stable_subspace(j, poset)
                 cut_pi = list(poset.hinf) + [
                     i for c in poset.components if c.label not in j for i in c.h_pi
                 ]
@@ -270,7 +271,8 @@ def test_ideal_subspaces_match_definition():
 def test_maximal_chain_dims_worked_example(example_result):
     res = example_result
     assert res.chain_dims == [(2, 5), (4, 3), (5, 2), (6, 1)]
-    assert [(s.dim_x, s.dim_y) for s in res.chain] == res.chain_dims
+    chain = maximal_chain(res.poset, res.graph)
+    assert [(s.dim_x, s.dim_y) for s in chain] == res.chain_dims
     assert all(ik + jk == 7 for ik, jk in res.chain_dims)
 
 
@@ -281,7 +283,8 @@ def test_chain_nesting():
         a = random_rank1_instance(rng, field, rng.randint(1, 3), rng.randint(1, 3))
         res = dm_decompose(a)
         f = a.field
-        for lo, hi in zip(res.chain, res.chain[1:]):
+        chain = maximal_chain(res.poset, res.graph)
+        for lo, hi in zip(chain, chain[1:]):
             # X grows, Y shrinks
             for alpha, dim in enumerate(a.row_blocks):
                 lo_rows = [v.data for v in lo.x_bases[alpha]]
@@ -471,17 +474,19 @@ def _padded(res):
     """The result with a 0x0 middle block after D_inf and the last chain
     element repeated, its chain dims recomputed: every count still agrees."""
     blocks = [res.diag_blocks[0], (0, 0), *res.diag_blocks[1:]]
+    chain = maximal_chain(res.poset, res.graph)
     return dataclasses.replace(
         res,
         diag_blocks=blocks,
-        chain=[*res.chain, res.chain[-1]],
+        chain=[*chain, chain[-1]],
         chain_dims=_chain_dims(blocks, res.a_dm.cols),
     )
 
 
 def test_verify_rejects_an_empty_middle_block(example, example_result):
+    # the extra block is also one more than the poset has components
     report = verify(example, _padded(example_result))
-    assert [c.name for c in report.checks if not c.passed] == ["staircase"]
+    assert [c.name for c in report.checks if not c.passed] == ["staircase", "chain"]
     assert report.check("staircase").detail == "middle diagonal block 1 is empty"
     rng = random.Random(62)
     padded = 0
@@ -516,59 +521,136 @@ def test_verify_checks_chain_dims(example, example_result):
     bad = dataclasses.replace(example_result, chain_dims=[(2, 5), (4, 3), (5, 2), (5, 2)])
     check = verify(example, bad).check("chain")
     assert not check.passed and "disagree with the diagonal blocks" in check.detail
-    # consistent with reordered middle blocks, but not with the chain itself
+    # consistent with reordered middle blocks, as many as the poset has
+    # components: A_dm's staircase rejects the order
     bad = dataclasses.replace(
         example_result,
         diag_blocks=[(0, 1), (1, 1), (2, 2), (1, 1), (2, 1)],
         chain_dims=[(2, 5), (3, 4), (5, 2), (6, 1)],
     )
-    check = verify(example, bad).check("chain")
-    assert not check.passed and "disagree with the chain dims" in check.detail
+    report = verify(example, bad)
+    assert [c.name for c in report.checks if not c.passed] == ["staircase"]
+
+
+def _merged(res, first, count):
+    """The result with ``count`` adjacent middle blocks, diagonal block
+    ``first`` on, merged into one, the chain elements between them dropped
+    and the chain dims recomputed: a coarser block triangularization whose
+    every count still agrees."""
+    blocks, last = res.diag_blocks, first + count
+    merged = [*blocks[:first], tuple(map(sum, zip(*blocks[first:last]))), *blocks[last:]]
+    # chain element k spans the last k+1 blocks
+    between = {len(blocks) - 1 - j for j in range(first + 1, last)}
+    chain = maximal_chain(res.poset, res.graph)
+    return dataclasses.replace(
+        res,
+        diag_blocks=merged,
+        chain=[sub for k, sub in enumerate(chain) if k not in between],
+        chain_dims=_chain_dims(merged, res.a_dm.cols),
+    )
 
 
 def test_verify_rejects_truncated_chain(example, example_result):
-    bad = dataclasses.replace(example_result, chain=example_result.chain[:1])
+    # all three middle blocks merged: a chain of two elements
+    bad = _merged(example_result, 1, 3)
+    assert len(bad.chain) == len(bad.chain_dims) == 2
     check = verify(example, bad).check("chain")
     assert not check.passed
-    assert "1 chain elements" in check.detail
-
-
-def test_verify_reports_non_subspace_chain_element(example, example_result):
-    for chain in ([None], [*example_result.chain[:-1], None]):
-        bad = dataclasses.replace(example_result, chain=chain)
-        check = verify(example, bad).check("chain")
-        assert not check.passed
-        assert "not a StableSubspace" in check.detail
-
-
-def _rebased(chain, basis_of):
-    """The chain with every block basis replaced by ``basis_of(basis)``."""
-    def side(bases):
-        return tuple(basis_of(b) for b in bases)
-    return [StableSubspace(side(sub.x_bases), side(sub.y_bases)) for sub in chain]
+    assert check.detail == "1 middle diagonal blocks for a poset of 3 components"
 
 
 @pytest.mark.parametrize(
-    "basis_of, reason",
+    "field, count",
+    [(GF(2), 2), (GF(3), 2), (GF(2), 3), (GF(3), 3), (QQ, 2)],
+    ids=["gf2-two", "gf3-two", "gf2-three", "gf3-three", "qq-two"],
+)
+def test_verify_rejects_merged_middle_blocks(example, example_result, field, count):
+    # the coarser decomposition passes every other check: only the height of
+    # the poset rebuilt from A and the witness tells it from the finest one
+    cases = [(example, example_result)] if field == GF(2) else []
+    rng = random.Random(f"merged/{field}/{count}")
+    while len(cases) < 8:
+        a = random_rank1_instance(rng, field, rng.randint(3, 7), rng.randint(3, 7), zero_prob=0.6)
+        res = dm_decompose(a)
+        if res.poset.h >= count:
+            cases.append((a, res))
+    forged = 0
+    for a, res in cases:
+        for first in range(1, res.poset.h - count + 2):
+            report = verify(a, _merged(res, first, count))
+            assert [c.name for c in report.checks if not c.passed] == ["chain"], str(report)
+            h = res.poset.h
+            assert report.check("chain").detail == (
+                f"{h - count + 1} middle diagonal blocks for a poset of {h} components"
+            )
+            forged += 1
+    assert forged >= len(cases)
+
+
+def test_verify_checks_the_chain_without_a_stored_one(example, example_result):
+    # no stored chain skips nothing: the chain check runs and still tells
+    # the merged forgery from the finest decomposition
+    report = verify(example, dataclasses.replace(example_result, chain=None))
+    assert report.passed
+    names = [c.name for c in report.checks]
+    assert names == ["product", "admissible", "staircase", "chain", "duality"]
+    bad = dataclasses.replace(_merged(example_result, 1, 2), chain=None)
+    assert [c.name for c in verify(example, bad).checks if not c.passed] == ["chain"]
+
+
+def test_verify_reports_non_subspace_chain_element(example, example_result):
+    # a chain dims element that is not a dimension pair
+    for dims in ([None], [*example_result.chain_dims[:-1], None]):
+        bad = dataclasses.replace(example_result, chain_dims=dims)
+        check = verify(example, bad).check("chain")
+        assert not check.passed
+        assert check.detail == "chain dims disagree with the diagonal blocks"
+
+
+def _rebased(mat, offsets, basis_of):
+    """``mat`` with its columns inside each block, read as that block's
+    basis, replaced by ``basis_of(basis)``."""
+    data, field = list(mat.data), mat.field
+    for lo, part in zip(offsets, column_parts(mat, offsets)):
+        basis = basis_of(tuple(Vector(mat.field, x) for _, x in part))
+        for (col, _), v in zip(part, basis):
+            field = v.field
+            for r, x in enumerate(v.data):
+                data[(lo + r) * mat.cols + col] = x
+    return Matrix(field, mat.rows, mat.cols, data)
+
+
+@pytest.mark.parametrize(
+    "basis_of, check, reason",
     [
-        (lambda b: tuple(Vector(GF(2), [0] * len(v)) for v in b), "has dimension"),
-        (lambda b: b[:1] * len(b), "has dimension"),
-        (lambda b: tuple(Vector(GF(3), v.data) for v in b), "over GF(3)"),
+        (lambda b: tuple(Vector(GF(2), [0] * len(v)) for v in b), "admissible", "is zero"),
+        (lambda b: b[:1] * len(b), "admissible", "columns are singular"),
+        (lambda b: tuple(Vector(GF(3), v.data) for v in b), "product", "over GF(3)"),
     ],
     ids=["zero-vectors", "repeated-vector", "gf3-vectors"],
 )
-def test_verify_rejects_a_forged_chain(example, example_result, basis_of, reason):
-    # each forgery keeps every element's vector counts, and so its claimed dims
-    forged = _rebased(example_result.chain, basis_of)
-    assert [(s.dim_x, s.dim_y) for s in forged] == example_result.chain_dims
-    check = verify(example, dataclasses.replace(example_result, chain=forged)).check("chain")
-    assert not check.passed
-    assert reason in check.detail
+def test_verify_rejects_a_forged_chain(example, example_result, basis_of, check, reason):
+    # the chain is E's and F's column filtration, so each forgery rebases
+    # E's and F's columns block by block
+    res = example_result
+    forged = dataclasses.replace(
+        res,
+        E=_rebased(res.E, example.row_offsets, basis_of),
+        F=_rebased(res.F, example.col_offsets, basis_of),
+    )
+    verdict = verify(example, forged).check(check)
+    assert not verdict.passed
+    assert reason in verdict.detail
 
 
 def test_verify_coerces_a_raw_chain(example, example_result):
-    raw = _rebased(example_result.chain, lambda b: tuple(list(v.data) for v in b))
-    assert verify(example, dataclasses.replace(example_result, chain=raw)).passed
+    # the stored chain is not read: raw lists, or no subspaces at all
+    chain = maximal_chain(example_result.poset, example_result.graph)
+    def side(bases):
+        return tuple(tuple(list(v.data) for v in b) for b in bases)
+    raw = [StableSubspace(side(s.x_bases), side(s.y_bases)) for s in chain]
+    for stored in (raw, 5, [StableSubspace(None, None)]):
+        assert verify(example, dataclasses.replace(example_result, chain=stored)).passed
 
 
 @pytest.mark.parametrize("side", ["row_blocks", "col_blocks"])
@@ -593,31 +675,31 @@ def test_verify_reports_wrong_shapes(example, example_result):
     report = verify(example, bad)
     assert not report.check("product").passed
     assert not report.check("staircase").passed
-    short = StableSubspace(((Vector(GF(2), [1]),), (), ()), ((), (), ()))
-    bad = dataclasses.replace(example_result, chain=[short])
+    bad = dataclasses.replace(example_result, F=Matrix.identity(GF(2), 5))
     report = verify(example, bad)
-    assert "wrong length" in report.check("chain").detail
+    assert "F is 5x5" in report.check("product").detail
+    assert "F: matrix size does not match the partition" in report.check("admissible").detail
 
 
+# the stored chain is not read, so a malformed one fails nothing
 @pytest.mark.parametrize(
     "field, value, failing",
     [
         ("chain_dims", None, ("chain",)),
-        ("chain", 5, ("chain",)),
-        ("chain", [StableSubspace(None, None)], ("chain",)),
-        ("matching_size", "x", ("chain", "duality")),
+        ("chain", 5, ()),
+        ("chain", [StableSubspace(None, None)], ()),
+        ("matching_size", "x", ("duality",)),
         ("E", None, ("product", "admissible")),
         ("F", None, ("product", "admissible")),
         ("a_dm", "x", ("product", "staircase")),
-        # 1/2 has no value in GF(2)
-        ("chain", [StableSubspace((((Fraction(1, 2), 1),), (), ()), ((), (), ()))], ("chain",)),
+        ("chain", [StableSubspace((((Fraction(1, 2), 1),), (), ()), ((), (), ()))], ()),
     ],
 )
 def test_verify_reports_malformed_fields(example, example_result, field, value, failing):
     report = verify(example, dataclasses.replace(example_result, **{field: value}))
+    assert [c.name for c in report.checks if not c.passed] == list(failing)
     for name in failing:
-        check = report.check(name)
-        assert not check.passed and check.detail
+        assert report.check(name).detail
 
 
 @pytest.mark.parametrize(
@@ -692,22 +774,24 @@ def test_duality_rejects_a_forged_matching_size(example, example_result, size):
 
 
 def test_duality_rejects_a_dependent_witness(example, example_result):
-    # add an edge that shares a matched row-side vertex: its block then holds
-    # the same normal twice
-    g, state = example_result.graph, example_result.state
-    extra = next(
-        k for k, e in enumerate(g.edges)
-        if k not in state.matching and e.pi in state.matched_pi
+    # three edges on distinct vertices whose row-side normals lie in one
+    # block of dimension 2: a matching, but not an independent one
+    g = example_result.graph
+    triple = next(
+        frozenset(ks) for ks in combinations(range(len(g.edges)), 3)
+        if len({g.edges[k].pi for k in ks}) == len({g.edges[k].sigma for k in ks}) == 3
+        and len({g.edges[k].alpha for k in ks}) == 1
     )
     forged = dataclasses.replace(
         example_result,
-        state=dataclasses.replace(state, matching=state.matching | {extra}),
-        matching_size=6,
-        v_star=6,
+        state=dataclasses.replace(example_result.state, matching=triple),
+        matching_size=3,
+        v_star=9,
         chain=None,
     )
     check = verify(example, forged).check("duality")
-    assert not check.passed and "dependent" in check.detail
+    assert not check.passed
+    assert check.detail == "malformed matching witness: matching endpoints are not independent"
 
 
 @pytest.mark.parametrize("side", ["pi", "sigma"])
@@ -728,7 +812,7 @@ def test_duality_rejects_two_edges_on_one_vertex(example, example_result, side):
     )
     check = verify(example, forged).check("duality")
     assert not check.passed
-    assert check.detail == "the matched normals are dependent within a block"
+    assert check.detail == "malformed matching witness: edge set is not a matching"
 
 
 def test_duality_rejects_a_normal_that_is_not_the_factor(example, example_result):
@@ -744,7 +828,7 @@ def test_duality_rejects_a_normal_that_is_not_the_factor(example, example_result
     pi[e.pi] = HyperplaneVertex(e.alpha, other)
     forged = dataclasses.replace(example_result, graph=dataclasses.replace(g, pi=pi))
     check = verify(example, forged).check("duality")
-    assert not check.passed and "equal to coeff * u^T v" in check.detail
+    assert not check.passed and check.detail == "the witness graph is not A's stability graph"
 
 
 def test_duality_reports_a_missing_or_malformed_witness(example, example_result):
@@ -761,7 +845,7 @@ def test_duality_reports_a_missing_or_malformed_witness(example, example_result)
     ]
     g = example_result.graph
     cases += [  # dict-valued witness lists
-        ("malformed matching witness", dataclasses.replace(
+        ("is not A's stability graph", dataclasses.replace(
             example_result, graph=dataclasses.replace(g, **{name: {}})
         ))
         for name in ("edges", "pi", "sigma")
@@ -770,7 +854,7 @@ def test_duality_reports_a_missing_or_malformed_witness(example, example_result)
     for coeff in (None, "1"):  # a matched edge with a forged coefficient
         edges = list(g.edges)
         edges[k] = dataclasses.replace(edges[k], coeff=coeff)
-        cases.append(("is not a block of A equal to coeff * u^T v", dataclasses.replace(
+        cases.append(("is not A's stability graph", dataclasses.replace(
             example_result, graph=dataclasses.replace(g, edges=edges)
         )))
     for reason, forged in cases:
@@ -844,7 +928,7 @@ def test_chain_bases_span_chain_elements():
         n, m = a.matrix.rows, a.matrix.cols
         row_offs = a.row_offsets
         col_offs = a.col_offsets
-        for k, sub in enumerate(res.chain):
+        for k, sub in enumerate(maximal_chain(res.poset, res.graph)):
             ik, dim_y = res.chain_dims[k]
             jk = m - dim_y
             # e_1 .. e_ik lie in X^k (e_i is column n - i of E)

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from operator import mul
 
 import pytest
 
 from gen import (
     classic_dm_check,
+    contains,
     echelon,
     gaussian_binomial,
     is_stable,
@@ -30,17 +31,36 @@ from rank1dm import (
     build_stability_graph,
 )
 from rank1dm.cli import main
-from rank1dm.decompose import basis_coords, coords_stable
 from rank1dm.field import FieldMismatchError
 from rank1dm.linalg import Vector, rref
 
 
+def _basis_columns(f, bases, dims) -> Matrix:
+    """Every basis vector as a column, placed in its block's rows; a wrong
+    block count or vector length is a ValueError."""
+    if len(bases) != len(dims):
+        raise ValueError("one basis list per block is required")
+    n, cols = sum(dims), []
+    for basis, lo, dim in zip(bases, accumulate(dims, initial=0), dims):
+        for v in basis:
+            if isinstance(v, Vector) and v.field != f:
+                raise FieldMismatchError(f"vector over {v.field} used in {f}")
+            x = [f.coerce_raw(t) for t in (v.data if isinstance(v, Vector) else v)]
+            if len(x) != dim:
+                raise ValueError("a basis vector has the wrong length")
+            cols.append([f.zero_raw] * lo + x + [f.zero_raw] * (n - lo - dim))
+    return Matrix(f, n, len(cols), [c[r] for r in range(n) for c in cols])
+
+
 def factored_stable(a, x_bases, y_bases):
-    """The verifier's stability test, read off A's rank-1 factors."""
-    return coords_stable(a, *basis_coords(a, x_bases, y_bases))
+    """Stability read off A's rank-1 factors: X^T A Y from
+    ``PartitionedMatrix.transform`` vanishes, X and Y holding the bases."""
+    x = _basis_columns(a.field, x_bases, a.row_blocks)
+    y = _basis_columns(a.field, y_bases, a.col_blocks)
+    return not any(a.transform(x, y).data)
 
 
-# the reference from the definition and the verifier's factored test
+# the reference from the definition and a test read off A's factors
 STABILITY_TESTS = (is_stable, factored_stable)
 
 
@@ -117,9 +137,9 @@ def test_is_stable_rejects_vectors_over_another_field(example):
     assert factored_stable(example, x, y_vectors)
     y_vectors[0] = [Vector(GF(3), (2, 0))]
     with pytest.raises(FieldMismatchError):
-        basis_coords(example, x, y_vectors)
+        factored_stable(example, x, y_vectors)
     with pytest.raises(FieldMismatchError):
-        basis_coords(example, [[Vector(GF(3), (1, 0))], [], []], [[], [], []])
+        factored_stable(example, [[Vector(GF(3), (1, 0))], [], []], [[], [], []])
 
 
 def test_factored_stability_agrees_with_the_definition():
@@ -240,6 +260,41 @@ def test_maximizers_closed_under_lattice_ops():
                     for b1, b2, d in zip(ys1, ys2, a.col_blocks)
                 )
                 assert (join_x, meet_y) in canon
+
+
+def _below(a, lo, hi) -> bool:
+    """lo <= hi among maximum stable subspaces: X grows and Y shrinks,
+    block by block."""
+    f = a.field
+    return all(
+        all(contains(f, big, v, d) for v in small)
+        for smalls, bigs, dims in ((lo[0], hi[0], a.row_blocks), (hi[1], lo[1], a.col_blocks))
+        for small, big, d in zip(smalls, bigs, dims)
+    )
+
+
+def test_longest_chain_of_maximizers_has_one_element_per_diagonal_gap():
+    # the structure theorem behind verify's chain check: every maximal chain
+    # of maximum stable subspaces has h + 1 elements, h the poset's height,
+    # so a decomposition with h middle blocks is the finest
+    rng = random.Random(63)
+    heights = set()
+    for _ in range(40):
+        field = GF(rng.choice([2, 3]))
+        a = random_rank1_instance(rng, field, rng.randint(1, 3), rng.randint(1, 3))
+        res = dm_decompose(a)
+        _, maximizers = brute_force_max_stable(a)
+        # along a chain X grows strictly, so dim X orders every chain
+        maximizers.sort(key=lambda s: sum(map(len, s[0])))
+        longest = []
+        for k, hi in enumerate(maximizers):
+            below = [
+                longest[j] for j, lo in enumerate(maximizers[:k]) if lo != hi and _below(a, lo, hi)
+            ]
+            longest.append(1 + max(below, default=0))
+        assert max(longest) == len(res.diag_blocks) - 1, (a, res.diag_blocks)
+        heights.add(res.poset.h)
+    assert max(heights) >= 3
 
 
 def _y_perp_dim(a: PartitionedMatrix, ys) -> int:
