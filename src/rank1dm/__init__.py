@@ -1,8 +1,8 @@
 """Dulmage-Mendelsohn decomposition of partitioned matrices whose blocks
 have rank at most one, over GF(p) or the exact rationals."""
 
-from .field import GF, QQ, Field, FieldMismatchError, PrimeField, RationalField
-from .linalg import Matrix, Rank1Factor, Vector, rank1_factor, rref
+from .field import GF, QQ, Field, PrimeField, RationalField
+from .linalg import Matrix, Rank1Factor, rank1_factor, rref
 from .matching import (
     IndependentMatchingState,
     VectorMatroid,
@@ -40,11 +40,9 @@ __all__ = [
     "GF",
     "QQ",
     "Field",
-    "FieldMismatchError",
     "PrimeField",
     "RationalField",
     "Matrix",
-    "Vector",
     "Rank1Factor",
     "rref",
     "rank1_factor",

@@ -20,7 +20,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .field import Field
-from .linalg import Matrix, Vector, rref
+from .linalg import Matrix, rref
 from .matching import (
     IndependentMatchingState,
     build_auxiliary_digraph,
@@ -214,8 +214,8 @@ def scc_poset(
 class StableSubspace:
     """Block-respecting subspace pair given by per-block column bases."""
 
-    x_bases: tuple[tuple[Vector, ...], ...]
-    y_bases: tuple[tuple[Vector, ...], ...]
+    x_bases: tuple[tuple[tuple, ...], ...]
+    y_bases: tuple[tuple[tuple, ...], ...]
 
     @property
     def dim_x(self) -> int:
@@ -268,8 +268,8 @@ class BasisEntry:
 
     group: int
     block: int
-    normal: Vector
-    dual: Vector
+    normal: tuple
+    dual: tuple
 
 
 def _adapted_basis(
@@ -297,14 +297,14 @@ def _adapted_basis(
         p = len(present)
         eye = Matrix.identity(f, dim)
         red = rref(Matrix(f, dim, p + dim, [
-            x for r in range(dim) for x in [u.data[r] for u in present] + eye.row_raw(r)
+            x for r in range(dim) for x in [u[r] for u in present] + eye.row_raw(r)
         ]))
         if red.pivots[:p] != list(range(p)):
             raise ValueError(f"the normals of block {blk} are linearly dependent")
-        inverse = [Vector(f, red.R.row_raw(k)[p:]) for k in range(dim)]
+        inverse = [tuple(red.R.row_raw(k)[p:]) for k in range(dim)]
         duals.append(iter(inverse))
         completion += [
-            BasisEntry(completion_group, blk, Vector.unit(f, dim, c - p), d)
+            BasisEntry(completion_group, blk, tuple(eye.row_raw(c - p)), d)
             for c, d in zip(red.pivots[p:], inverse[p:])
         ]
     matched = [BasisEntry(group, blk, u, next(duals[blk])) for group, blk, u in normals]
@@ -313,9 +313,9 @@ def _adapted_basis(
 
 def _select(
     entries: list[BasisEntry], blocks: int, keep: Callable[[int], bool]
-) -> tuple[tuple[Vector, ...], ...]:
+) -> tuple[tuple[tuple, ...], ...]:
     """Per block, the duals of the entries whose group passes ``keep``."""
-    bases: list[list[Vector]] = [[] for _ in range(blocks)]
+    bases: list[list[tuple]] = [[] for _ in range(blocks)]
     for e in entries:
         if keep(e.group):
             bases[e.block].append(e.dual)
@@ -329,7 +329,7 @@ def _scatter(f: Field, entries: list[BasisEntry], offsets: Sequence[int], size: 
     for i, e in enumerate(entries):
         col = size - 1 - i
         base = offsets[e.block]
-        for r, x in enumerate(e.dual.data):
+        for r, x in enumerate(e.dual):
             data[(base + r) * size + col] = x
     return Matrix(f, size, size, data)
 
@@ -548,15 +548,15 @@ def _staircase_problem(a_dm: Matrix, blocks, n: int, m: int) -> str:
             return f"middle diagonal block {k} is empty"
     if sum(r for r, _ in blocks) != n or sum(c for _, c in blocks) != m:
         return "diagonal block sizes do not tile the matrix"
+    # row group gr's entries below the staircase are its columns [0, col_starts[gr])
     zero = a_dm.field.zero_raw
     row_starts = list(accumulate((r for r, _ in blocks), initial=0))
     col_starts = list(accumulate((c for _, c in blocks), initial=0))
-    for gr in range(len(blocks)):
-        for gc in range(gr):
-            for i in range(row_starts[gr], row_starts[gr + 1]):
-                for j in range(col_starts[gc], col_starts[gc + 1]):
-                    if a_dm.raw(i, j) != zero:
-                        return f"nonzero entry below the staircase at ({i}, {j})"
+    for gr in range(1, len(blocks)):
+        for i in range(row_starts[gr], row_starts[gr + 1]):
+            for j, x in enumerate(a_dm.data[i * m : i * m + col_starts[gr]]):
+                if x != zero:  # not truthiness: a falsy foreign value, None say, is not zero
+                    return f"nonzero entry below the staircase at ({i}, {j})"
     return ""
 
 

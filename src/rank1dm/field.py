@@ -3,7 +3,8 @@
 A field value has one representation, its raw carrier: an ``int`` residue in
 [0, p) for GF(p), a ``fractions.Fraction`` in lowest terms with positive
 denominator for the rationals.  A ``Field`` instance does the arithmetic on
-carriers; containers such as ``Vector`` and ``Matrix`` record the field.
+carriers; a container (a ``Matrix``, a stability graph, a vector matroid)
+records the field, and a vector is a tuple of raw carriers.
 ``parse`` reads ASCII decimal tokens only.
 """
 
@@ -48,10 +49,6 @@ def _decimal(text: str) -> str:
     if "_" in text or not text.isascii():
         raise ValueError(text)
     return text
-
-
-class FieldMismatchError(ValueError):
-    """Operands of a field operation belong to different fields."""
 
 
 class Field:

@@ -4,8 +4,9 @@ Elimination is exact Gauss-Jordan on int rows: GF(p) residues reduce mod p,
 and rational rows are cleared of denominators and eliminated fraction-free,
 so ``Fraction``s are built only for the result.  The pivot is always the
 first nonzero entry in column order, so every result is deterministic and
-there is no numerical tolerance anywhere.  Vectors and matrices hold raw
-carrier values of their field and are read through ``data`` and ``raw``.
+there is no numerical tolerance anywhere.  A vector (a normal, a dual or a
+basis vector) is a tuple of raw carrier values of the field its container
+records; a matrix holds raw values too, read through ``data`` and ``raw``.
 """
 
 from __future__ import annotations
@@ -14,44 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .field import Field, RationalField
-
-
-class Vector:
-    """An exact coordinate vector (used both for hyperplane normals, read as
-    row vectors, and for subspace basis vectors, read as columns)."""
-
-    __slots__ = ("field", "data")
-
-    def __init__(self, field: Field, values: Iterable):
-        self.field = field
-        self.data = tuple(field.coerce_raw(v) for v in values)
-
-    def __len__(self):
-        return len(self.data)
-
-    def __eq__(self, other):
-        if isinstance(other, Vector):
-            return self.field == other.field and self.data == other.data
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.data))
-
-    def __repr__(self):
-        return "(" + " ".join(self.field.format(v) for v in self.data) + ")"
-
-    def colex_key(self) -> tuple:
-        """Sort key reading coordinates from the last to the first."""
-        return tuple(reversed(self.data))
-
-    @classmethod
-    def unit(cls, field: Field, dim: int, index: int) -> "Vector":
-        vals = [field.zero_raw] * dim
-        vals[index] = field.one_raw
-        return cls(field, vals)
 
 
 class Matrix:
@@ -205,11 +171,11 @@ def rref(m: Matrix) -> RrefResult:
 @dataclass(frozen=True)
 class Rank1Factor:
     """Verdict on a single block: rank 0, rank 1 with its factorization
-    block = coeff * u^T v (u, v monic, coeff a raw value), or rank >= 2."""
+    block = coeff * u^T v (u, v monic tuples, coeff a raw value), or rank >= 2."""
 
     rank: int
-    u: Vector | None = None
-    v: Vector | None = None
+    u: tuple | None = None
+    v: tuple | None = None
     coeff: Any = None
 
 
@@ -228,12 +194,12 @@ def rank1_factor(m: Matrix) -> Rank1Factor:
     i0, j0 = divmod(pos, m.cols)
     c = m.data[pos]
     cinv = f.inv(c)
-    v = Vector(f, [f.mul(cinv, m.raw(i0, j)) for j in range(m.cols)])
-    u = Vector(f, [f.mul(cinv, m.raw(i, j0)) for i in range(m.rows)])
+    v = tuple(f.mul(cinv, m.raw(i0, j)) for j in range(m.cols))
+    u = tuple(f.mul(cinv, m.raw(i, j0)) for i in range(m.rows))
     for i in range(m.rows):
-        ui = u.data[i]
+        ui = u[i]
         for j in range(m.cols):
-            expect = f.mul(c, f.mul(ui, v.data[j]))
+            expect = f.mul(c, f.mul(ui, v[j]))
             if m.raw(i, j) != expect:
                 return Rank1Factor(rank=2)
     return Rank1Factor(rank=1, u=u, v=v, coeff=c)
@@ -249,7 +215,7 @@ class SpanCoordinates(NamedTuple):
 
 
 def span_coordinates(
-    field: Field, dim: int, basis: Sequence[Vector], candidates: Sequence[Vector]
+    field: Field, dim: int, basis: Sequence[tuple], candidates: Sequence[tuple]
 ) -> SpanCoordinates:
     """One elimination of the columns [basis | candidates] answers every span
     question about the candidates.
@@ -261,7 +227,7 @@ def span_coordinates(
     b = len(basis)
     vecs = list(basis) + list(candidates)
     ncols = len(vecs)
-    red = rref(Matrix(field, dim, ncols, [v.data[r] for r in range(dim) for v in vecs]))
+    red = rref(Matrix(field, dim, ncols, [v[r] for r in range(dim) for v in vecs]))
     basis_rank = sum(1 for p in red.pivots if p < b)
     coords: list[list | None] = []
     for k in range(b, ncols):

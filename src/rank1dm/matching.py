@@ -19,7 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .linalg import Vector, span_coordinates
+from .field import Field
+from .linalg import span_coordinates
 from .partmat import StabilityGraph
 
 _log = logging.getLogger("rank1dm")
@@ -28,7 +29,8 @@ _log = logging.getLogger("rank1dm")
 class VectorMatroid:
     """Direct sum over blocks of linear matroids on hyperplane normals."""
 
-    def __init__(self, elements: list[tuple[int, Vector]], block_dims: tuple[int, ...]):
+    def __init__(self, field: Field, elements: list[tuple[int, tuple]], block_dims: tuple):
+        self.field = field
         self.elements = list(elements)
         self.block_dims = tuple(block_dims)
         if any(blk >= len(block_dims) for blk, _ in self.elements):
@@ -51,7 +53,7 @@ class VectorMatroid:
         if memo is not None and memo[0] == ids:
             return memo
         others = [j for j in self._members[blk] if j not in ids]
-        f = self.elements[ids[0]][1].field
+        f = self.field
         span = span_coordinates(
             f,
             self.block_dims[blk],
@@ -93,11 +95,11 @@ class VectorMatroid:
 
 
 def matroid_pi(g: StabilityGraph) -> VectorMatroid:
-    return VectorMatroid([(v.block, v.normal) for v in g.pi], g.row_blocks)
+    return VectorMatroid(g.field, [(v.block, v.normal) for v in g.pi], g.row_blocks)
 
 
 def matroid_sigma(g: StabilityGraph) -> VectorMatroid:
-    return VectorMatroid([(v.block, v.normal) for v in g.sigma], g.col_blocks)
+    return VectorMatroid(g.field, [(v.block, v.normal) for v in g.sigma], g.col_blocks)
 
 
 @dataclass

@@ -3,10 +3,12 @@
 A partitioned matrix is a dense matrix together with row and column block
 sizes.  Its blocks are factored once per matrix: each nonzero block gets its
 rank verdict and, at rank one, its factorization coeff * u^T v with monic u
-and v.  The graph builder and the verifier both read those factors.  The u's
-become hyperplane vertices on the row side (one vertex per distinct kernel of
-a block transpose, per block row) and the v's on the column side.  Each
-rank-1 block contributes one edge joining its pair of vertices.
+and v.  A vector, here and downstream (normal, dual or basis vector), is a
+tuple of raw values of the field its container records.  The graph builder
+and the verifier both read those factors.  The u's become hyperplane
+vertices on the row side (one vertex per distinct kernel of a block
+transpose, per block row) and the v's on the column side.  Each rank-1
+block contributes one edge joining its pair of vertices.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import accumulate
 from typing import Any
 
 from .field import Field, PrimeField
-from .linalg import Matrix, Rank1Factor, Vector, rank1_factor
+from .linalg import Matrix, Rank1Factor, rank1_factor
 
 
 class RankConditionViolated(ValueError):
@@ -100,7 +102,7 @@ class PartitionedMatrix:
         width = f.cols
         out = [zero] * (e.cols * width)
         for (alpha, beta), fac in factors.items():
-            u, v = fac.u.data, fac.v.data
+            u, v = fac.u, fac.v
             qs = [(j, q) for j, y in f_parts[beta] if (q := dot(v, y))]
             for i, x in e_parts[alpha]:
                 if p := dot(x, u):
@@ -138,10 +140,10 @@ class HyperplaneVertex:
     """A hyperplane inside one block space, identified by its monic normal."""
 
     block: int
-    normal: Vector
+    normal: tuple
 
     def sort_key(self):
-        return (self.block, self.normal.colex_key())
+        return (self.block, self.normal[::-1])
 
 
 def check_rank1_condition(a: PartitionedMatrix) -> dict[tuple[int, int], Rank1Factor]:
@@ -215,7 +217,7 @@ def _direction_index_table(p: int, dim: int) -> dict[tuple, int]:
     return {v: k for k, v in enumerate(_monic_directions(p, dim))}
 
 
-def _direction_tag(field: Field, normal: Vector) -> str:
+def _direction_tag(field: Field, normal: tuple) -> str:
     """Short name for a monic normal: letters a, b, c, ... by colex rank
     among all monic directions when the field and dimension are small enough,
     otherwise a positional fallback."""
@@ -224,16 +226,16 @@ def _direction_tag(field: Field, normal: Vector) -> str:
         count = (field.p**dim - 1) // (field.p - 1)
         if count <= 26:
             table = _direction_index_table(field.p, dim)
-            return chr(ord("a") + table[normal.data])
-    return "v" + "_".join(field.format(x) for x in normal.data)
+            return chr(ord("a") + table[normal])
+    return "v" + "_".join(field.format(x) for x in normal)
 
 
-def row_vertex_label(field: Field, block: int, normal: Vector) -> str:
+def row_vertex_label(field: Field, block: int, normal: tuple) -> str:
     """Display name of a row-side direction, e.g. ``2c`` for block 2."""
     return f"{block + 1}{_direction_tag(field, normal)}"
 
 
-def col_vertex_label(field: Field, block: int, normal: Vector) -> str:
+def col_vertex_label(field: Field, block: int, normal: tuple) -> str:
     """Display name of a column-side direction, e.g. ``3'a`` for block 3."""
     return f"{block + 1}'{_direction_tag(field, normal)}"
 
@@ -249,25 +251,15 @@ def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:
     factors = check_rank1_condition(a)
     g = StabilityGraph(a.field, a.row_blocks, a.col_blocks)
 
-    # keyed by raw coordinates: every normal is over A's field
-    pi_seen: dict[tuple[int, tuple], Vector] = {}
-    sigma_seen: dict[tuple[int, tuple], Vector] = {}
-    for (alpha, beta), fac in factors.items():
-        pi_seen.setdefault((alpha, fac.u.data), fac.u)
-        sigma_seen.setdefault((beta, fac.v.data), fac.v)
-
-    g.pi = sorted(
-        (HyperplaneVertex(blk, nrm) for (blk, _), nrm in pi_seen.items()),
-        key=HyperplaneVertex.sort_key,
-    )
-    g.sigma = sorted(
-        (HyperplaneVertex(blk, nrm) for (blk, _), nrm in sigma_seen.items()),
-        key=HyperplaneVertex.sort_key,
-    )
-    pi_index = {(v.block, v.normal.data): i for i, v in enumerate(g.pi)}
-    sigma_index = {(v.block, v.normal.data): j for j, v in enumerate(g.sigma)}
+    # one vertex per distinct (block, normal); every normal is over A's field
+    pi = {(alpha, fac.u) for (alpha, _), fac in factors.items()}
+    sigma = {(beta, fac.v) for (_, beta), fac in factors.items()}
+    g.pi = sorted((HyperplaneVertex(*k) for k in pi), key=HyperplaneVertex.sort_key)
+    g.sigma = sorted((HyperplaneVertex(*k) for k in sigma), key=HyperplaneVertex.sort_key)
+    pi_index = {(v.block, v.normal): i for i, v in enumerate(g.pi)}
+    sigma_index = {(v.block, v.normal): j for j, v in enumerate(g.sigma)}
     g.edges = [
-        Edge(pi_index[alpha, fac.u.data], sigma_index[beta, fac.v.data], alpha, beta, fac.coeff)
+        Edge(pi_index[alpha, fac.u], sigma_index[beta, fac.v], alpha, beta, fac.coeff)
         for (alpha, beta), fac in factors.items()
     ]
     return g

@@ -17,7 +17,6 @@ from rank1dm import (
     Matrix,
     PartitionedMatrix,
     StabilityGraph,
-    Vector,
     VectorMatroid,
     matroid_pi,
     matroid_sigma,
@@ -202,7 +201,7 @@ def reference_rref(m: Matrix) -> RrefResult:
 # subspace utilities on raw row bases -------------------------------------
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
+def kernel_basis(m: Matrix) -> list[tuple]:
     """Basis of the right kernel {y : M y = 0}, one vector per free column."""
     f = m.field
     r = rref(m)
@@ -215,16 +214,16 @@ def kernel_basis(m: Matrix) -> list[Vector]:
         vals[free] = f.one_raw
         for pc, prow in pivot_of_col.items():
             vals[pc] = f.neg(r.R.raw(prow, free))
-        basis.append(Vector(f, vals))
+        basis.append(tuple(vals))
     return basis
 
 
 def echelon(field, rows, dim):
     """Canonical reduced-echelon basis of the row space (tuple of tuples);
-    rows are raw sequences or Vectors."""
+    rows are sequences of raw values or ints."""
     if not rows:
         return ()
-    data = [field.coerce_raw(x) for r in rows for x in getattr(r, "data", r)]
+    data = [field.coerce_raw(x) for r in rows for x in r]
     m = Matrix(field, len(rows), dim, data)
     r = rref(m)
     return tuple(tuple(r.R.row_raw(i)) for i in range(r.rank))
@@ -250,7 +249,7 @@ def subspace_intersection(field, rows_a, rows_b, dim):
     vectors = []
     for combo in combos:
         vec = [
-            field.dot(combo.data[:ka], [field.coerce_raw(rows_a[i][j]) for i in range(ka)])
+            field.dot(combo[:ka], [field.coerce_raw(rows_a[i][j]) for i in range(ka)])
             for j in range(dim)
         ]
         vectors.append(vec)
@@ -294,15 +293,11 @@ def is_stable_block(a: PartitionedMatrix, alpha: int, beta: int, x_basis, y_basi
 
 def is_stable(a: PartitionedMatrix, x_bases, y_bases) -> bool:
     """Definition check: x^T A_block y vanishes for every basis pair, on the
-    raw blocks of A; basis vectors are Vectors or rows of integers."""
+    raw blocks of A; basis vectors are tuples of raw values or rows of integers."""
     if len(x_bases) != a.mu or len(y_bases) != a.nu:
         raise ValueError("one basis list per block is required")
-
-    def rows(basis):
-        return [v.data if isinstance(v, Vector) else v for v in basis]
-
     return all(
-        is_stable_block(a, alpha, beta, rows(x_bases[alpha]), rows(y_bases[beta]))
+        is_stable_block(a, alpha, beta, x_bases[alpha], y_bases[beta])
         for alpha in range(a.mu)
         for beta in range(a.nu)
     )

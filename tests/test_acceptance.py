@@ -150,8 +150,8 @@ def test_criterion_3_oracle_equivalence():
         n, m = a.matrix.rows, a.matrix.cols
         assert v_star == n + m - res.matching_size == res.v_star, "duality broke"
         for sub in maximal_chain(res.poset, res.graph):
-            xs = [[list(v.data) for v in b] for b in sub.x_bases]
-            ys = [[list(v.data) for v in b] for b in sub.y_bases]
+            xs = [[list(v) for v in b] for b in sub.x_bases]
+            ys = [[list(v) for v in b] for b in sub.y_bases]
             assert is_stable(a, xs, ys), "chain element unstable"
             assert sub.dim_x + sub.dim_y == v_star, "chain element dimension off"
         checked += 1

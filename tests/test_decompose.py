@@ -27,7 +27,6 @@ from rank1dm import (
     PartitionedMatrix,
     StabilityGraph,
     StableSubspace,
-    Vector,
     build_bases,
     build_stability_graph,
     dm_decompose,
@@ -68,7 +67,7 @@ def test_reachability_empty_graph():
 
 def test_reachability_isolated_source_vertex():
     g = StabilityGraph(GF(2), (2,), (1,))
-    g.pi = [HyperplaneVertex(0, Vector(GF(2), [1, 0]))]
+    g.pi = [HyperplaneVertex(0, (1, 0))]
     state = max_independent_matching(g)
     c0, cinf = reachability_sets(state)
     assert c0 == {0} and cinf == set()
@@ -258,9 +257,9 @@ def test_ideal_subspaces_match_definition():
                         normals = [vertices[i].normal for i in cut if vertices[i].block == blk]
                         for nrm in normals:
                             for v in basis:
-                                assert field.dot(nrm.data, v.data) == field.zero_raw
+                                assert field.dot(nrm, v) == field.zero_raw
                         assert len(basis) == dim - len(normals)
-                        stacked = Matrix(field, len(basis), dim, [x for v in basis for x in v.data])
+                        stacked = Matrix(field, len(basis), dim, [x for v in basis for x in v])
                         assert rref(stacked).rank == len(basis)
                 assert sub.dim_x + sub.dim_y == res.v_star
                 assert is_stable(a, sub.x_bases, sub.y_bases)
@@ -287,13 +286,13 @@ def test_chain_nesting():
         for lo, hi in zip(chain, chain[1:]):
             # X grows, Y shrinks
             for alpha, dim in enumerate(a.row_blocks):
-                lo_rows = [v.data for v in lo.x_bases[alpha]]
+                lo_rows = lo.x_bases[alpha]
                 for v in lo.x_bases[alpha]:
-                    assert contains(f, [w.data for w in hi.x_bases[alpha]], v.data, dim)
+                    assert contains(f, hi.x_bases[alpha], v, dim)
                 assert len(lo_rows) <= len(hi.x_bases[alpha])
             for beta, dim in enumerate(a.col_blocks):
                 for v in hi.y_bases[beta]:
-                    assert contains(f, [w.data for w in lo.y_bases[beta]], v.data, dim)
+                    assert contains(f, lo.y_bases[beta], v, dim)
 
 
 def test_chain_step_identity():
@@ -310,7 +309,7 @@ def test_chain_step_identity():
 def _stacked_normals(entries, block, dim, field):
     """R_alpha (or S_beta): the block's entry normals stacked in chain order."""
     rows = [e.normal for e in entries if e.block == block]
-    return Matrix(field, len(rows), dim, [x for v in rows for x in v.data])
+    return Matrix(field, len(rows), dim, [x for v in rows for x in v])
 
 
 def test_build_bases_orders(example, example_result):
@@ -333,7 +332,7 @@ def test_build_bases_products_are_identity(example, example_result):
         for blk, dim in enumerate(dims):
             r = _stacked_normals(entries, blk, dim, f)
             duals = [e.dual for e in entries if e.block == blk]
-            duals = Matrix(f, len(duals), dim, [x for v in duals for x in v.data])
+            duals = Matrix(f, len(duals), dim, [x for v in duals for x in v])
             assert r @ duals.transpose() == Matrix.identity(f, dim)
 
 
@@ -345,8 +344,8 @@ def _one_block_basis(field, normals, dim, completion_group=2):
 
 def test_adapted_basis_completion_examples():
     f = GF(2)
-    e1, e2 = Vector(f, [1, 0]), Vector(f, [0, 1])
-    for normals, completion in (([], [e1, e2]), ([Vector(f, [1, 1])], [e1]), ([e1, e2], [])):
+    e1, e2 = (1, 0), (0, 1)
+    for normals, completion in (([], [e1, e2]), ([(1, 1)], [e1]), ([e1, e2], [])):
         entries = _one_block_basis(f, normals, 2)
         assert [e.normal for e in entries] == normals + completion
         assert [e.group for e in entries] == [1] * len(normals) + [2] * len(completion)
@@ -359,18 +358,19 @@ def test_adapted_basis_is_greedy_and_dual():
             dim = rng.randint(1, 4)
 
             def independent(vecs):
-                stacked = Matrix(field, len(vecs), dim, [x for v in vecs for x in v.data])
+                stacked = Matrix(field, len(vecs), dim, [x for v in vecs for x in v])
                 return rref(stacked).rank == len(vecs)
 
             normals = []
             for _ in range(rng.randint(0, dim)):
-                cand = Vector(field, [rng.randint(-4, 4) for _ in range(dim)])
+                cand = tuple(field.coerce_raw(rng.randint(-4, 4)) for _ in range(dim))
                 if independent(normals + [cand]):
                     normals.append(cand)
             greedy = []
             for idx in range(dim):
-                if independent(normals + greedy + [Vector.unit(field, dim, idx)]):
-                    greedy.append(Vector.unit(field, dim, idx))
+                unit = tuple(field.one_raw if r == idx else field.zero_raw for r in range(dim))
+                if independent(normals + greedy + [unit]):
+                    greedy.append(unit)
             group = rng.choice((0, 2))  # the completion goes before or after the normals
             entries = _one_block_basis(field, normals, dim, group)
             assert [e.normal for e in entries if e.group == 1] == normals
@@ -379,13 +379,13 @@ def test_adapted_basis_is_greedy_and_dual():
             for e in entries:
                 for other in entries:
                     want = field.one_raw if other is e else field.zero_raw
-                    assert field.dot(other.normal.data, e.dual.data) == want
+                    assert field.dot(other.normal, e.dual) == want
 
 
 def test_adapted_basis_dependent_normals_raise():
     f = GF(3)
     with pytest.raises(ValueError):
-        _one_block_basis(f, [Vector(f, [1, 2]), Vector(f, [2, 1])], 2)
+        _one_block_basis(f, [(1, 2), (2, 1)], 2)
 
 
 def test_transforms_are_the_scattered_duals(example_result):
@@ -404,7 +404,7 @@ def test_transforms_are_the_scattered_duals(example_result):
             col = tuple(mat.data[mat.cols - 1 - i :: mat.cols])
             lo = offsets[e.block]
             hi = lo + dims[e.block]
-            assert col[lo:hi] == e.dual.data
+            assert col[lo:hi] == e.dual
             assert all(x == zero for x in col[:lo] + col[hi:])
 
 
@@ -459,6 +459,17 @@ def test_verify_detects_tampering(example, example_result):
     assert not report.passed
     assert not report.check("product").passed
     assert not report.check("staircase").passed
+
+
+def test_staircase_names_the_first_entry_in_row_major_order(example, example_result):
+    # the last row group, rows 4 and 5, lies below the staircase in columns
+    # 0..4; (5, 0) is in an earlier column group but a later row than (4, 3)
+    assert example_result.diag_blocks[-1] == (2, 1)
+    data = list(example_result.a_dm.data)
+    data[4 * 6 + 3] = data[5 * 6 + 0] = 1
+    bad = dataclasses.replace(example_result, a_dm=Matrix(GF(2), 6, 6, data))
+    check = verify(example, bad).check("staircase")
+    assert check.detail == "nonzero entry below the staircase at (4, 3)"
 
 
 def test_verify_rejects_non_square_middle_block(example, example_result):
@@ -607,36 +618,35 @@ def test_verify_reports_non_subspace_chain_element(example, example_result):
         assert check.detail == "chain dims disagree with the diagonal blocks"
 
 
-def _rebased(mat, offsets, basis_of):
-    """``mat`` with its columns inside each block, read as that block's
-    basis, replaced by ``basis_of(basis)``."""
-    data, field = list(mat.data), mat.field
-    for lo, part in zip(offsets, column_parts(mat, offsets)):
-        basis = basis_of(tuple(Vector(mat.field, x) for _, x in part))
-        for (col, _), v in zip(part, basis):
-            field = v.field
-            for r, x in enumerate(v.data):
-                data[(lo + r) * mat.cols + col] = x
-    return Matrix(field, mat.rows, mat.cols, data)
+def _rebased(basis_of):
+    """A forgery that replaces a matrix's columns inside each block, read as
+    that block's basis, by ``basis_of(basis)``."""
+    def forge(mat, offsets):
+        data = list(mat.data)
+        for lo, part in zip(offsets, column_parts(mat, offsets)):
+            for (col, _), v in zip(part, basis_of(tuple(tuple(x) for _, x in part))):
+                for r, x in enumerate(v):
+                    data[(lo + r) * mat.cols + col] = x
+        return Matrix(mat.field, mat.rows, mat.cols, data)
+    return forge
 
 
 @pytest.mark.parametrize(
-    "basis_of, check, reason",
+    "forge, check, reason",
     [
-        (lambda b: tuple(Vector(GF(2), [0] * len(v)) for v in b), "admissible", "is zero"),
-        (lambda b: b[:1] * len(b), "admissible", "columns are singular"),
-        (lambda b: tuple(Vector(GF(3), v.data) for v in b), "product", "over GF(3)"),
+        (_rebased(lambda b: tuple((0,) * len(v) for v in b)), "admissible", "is zero"),
+        (_rebased(lambda b: b[:1] * len(b)), "admissible", "columns are singular"),
+        # E's and F's entries, all 0 or 1, read over GF(3)
+        (lambda mat, _: Matrix(GF(3), mat.rows, mat.cols, list(mat.data)), "product", "over GF(3)"),
     ],
     ids=["zero-vectors", "repeated-vector", "gf3-vectors"],
 )
-def test_verify_rejects_a_forged_chain(example, example_result, basis_of, check, reason):
+def test_verify_rejects_a_forged_chain(example, example_result, forge, check, reason):
     # the chain is E's and F's column filtration, so each forgery rebases
-    # E's and F's columns block by block
+    # E's and F's columns block by block, or reads them over another field
     res = example_result
     forged = dataclasses.replace(
-        res,
-        E=_rebased(res.E, example.row_offsets, basis_of),
-        F=_rebased(res.F, example.col_offsets, basis_of),
+        res, E=forge(res.E, example.row_offsets), F=forge(res.F, example.col_offsets)
     )
     verdict = verify(example, forged).check(check)
     assert not verdict.passed
@@ -647,7 +657,7 @@ def test_verify_coerces_a_raw_chain(example, example_result):
     # the stored chain is not read: raw lists, or no subspaces at all
     chain = maximal_chain(example_result.poset, example_result.graph)
     def side(bases):
-        return tuple(tuple(list(v.data) for v in b) for b in bases)
+        return tuple(tuple(list(v) for v in b) for b in bases)
     raw = [StableSubspace(side(s.x_bases), side(s.y_bases)) for s in chain]
     for stored in (raw, 5, [StableSubspace(None, None)]):
         assert verify(example, dataclasses.replace(example_result, chain=stored)).passed
@@ -819,11 +829,7 @@ def test_duality_rejects_a_normal_that_is_not_the_factor(example, example_result
     g, state = example_result.graph, example_result.state
     e = g.edges[min(state.matching)]
     u = g.pi[e.pi].normal
-    other = next(
-        Vector(GF(2), bits)
-        for bits in ([1, 0], [0, 1], [1, 1])
-        if Vector(GF(2), bits) != u
-    )
+    other = next(bits for bits in ((1, 0), (0, 1), (1, 1)) if bits != u)
     pi = list(g.pi)
     pi[e.pi] = HyperplaneVertex(e.alpha, other)
     forged = dataclasses.replace(example_result, graph=dataclasses.replace(g, pi=pi))
@@ -937,7 +943,7 @@ def test_chain_bases_span_chain_elements():
                 entry = res.assembly.h_entries[i - 1]
                 alpha = entry.block
                 seg = col[row_offs[alpha] : row_offs[alpha + 1]]
-                basis = [w.data for w in sub.x_bases[alpha]]
+                basis = sub.x_bases[alpha]
                 assert contains(f, basis, seg, a.row_blocks[alpha])
                 assert all(
                     x == f.zero_raw
@@ -950,7 +956,7 @@ def test_chain_bases_span_chain_elements():
                 entry = res.assembly.k_entries[j - 1]
                 beta = entry.block
                 seg = col[col_offs[beta] : col_offs[beta + 1]]
-                basis = [w.data for w in sub.y_bases[beta]]
+                basis = sub.y_bases[beta]
                 assert contains(f, basis, seg, a.col_blocks[beta])
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from gen import EXAMPLE_ROWS, kernel_basis, reference_rref
 
-from rank1dm import GF, QQ, Matrix, Vector
+from rank1dm import GF, QQ, HyperplaneVertex, Matrix
 from rank1dm.linalg import rank1_factor, rref, span_coordinates
 
 
@@ -173,12 +173,12 @@ def test_kernel_identity_empty():
 
 def test_kernel_zero_matrix():
     vecs = kernel_basis(Matrix.zeros(GF(2), 2, 2))
-    assert vecs == [Vector.unit(GF(2), 2, 0), Vector.unit(GF(2), 2, 1)]
+    assert vecs == [(1, 0), (0, 1)]
 
 
 def test_kernel_single_relation_gf2():
     vecs = kernel_basis(Matrix.from_rows(GF(2), [[1, 1]]))
-    assert vecs == [Vector(GF(2), [1, 1])]
+    assert vecs == [(1, 1)]
     # brute force over GF(2)^2 agrees
     sols = [
         (x1, x2)
@@ -197,7 +197,7 @@ def test_kernel_annihilates_and_counts():
             vecs = kernel_basis(m)
             assert len(vecs) == m.cols - rref(m).rank
             for v in vecs:
-                prod = [field.dot(m.row_raw(i), v.data) for i in range(m.rows)]
+                prod = [field.dot(m.row_raw(i), v) for i in range(m.rows)]
                 assert all(x == field.zero_raw for x in prod)
 
 
@@ -206,8 +206,8 @@ def test_rank1_factor_block_of_worked_example():
     a13 = Matrix.from_rows(f, [[0, 0], [1, 1]])
     fac = rank1_factor(a13)
     assert fac.rank == 1
-    assert fac.u == Vector(f, [0, 1])
-    assert fac.v == Vector(f, [1, 1])
+    assert fac.u == (0, 1)
+    assert fac.v == (1, 1)
     assert fac.coeff == 1
 
 
@@ -219,7 +219,7 @@ def test_rank1_factor_zero_and_higher():
 def test_rank1_factor_nonzero_row_extraction():
     f = GF(2)
     fac = rank1_factor(Matrix.from_rows(f, [[1, 0], [0, 0]]))
-    assert (fac.u, fac.v, fac.coeff) == (Vector(f, [1, 0]), Vector(f, [1, 0]), 1)
+    assert (fac.u, fac.v, fac.coeff) == ((1, 0), (1, 0), 1)
 
 
 def test_rank1_factor_reconstruction_and_monic():
@@ -238,15 +238,15 @@ def test_rank1_factor_reconstruction_and_monic():
                 continue
             assert fac.rank == 1
             for monic in (fac.u, fac.v):
-                assert next(x for x in monic.data if x != field.zero_raw) == field.one_raw
+                assert next(x for x in monic if x != field.zero_raw) == field.one_raw
             rebuilt = Matrix(
                 field,
                 n,
                 m,
                 [
                     field.mul(fac.coeff, field.mul(ux, vx))
-                    for ux in fac.u.data
-                    for vx in fac.v.data
+                    for ux in fac.u
+                    for vx in fac.v
                 ],
             )
             assert rebuilt == mat
@@ -259,10 +259,10 @@ def test_span_coordinates_against_ranks():
             dim = rng.randint(1, 4)
 
             def draw():
-                return Vector(field, _random_matrix(rng, field, 1, dim).data)
+                return tuple(_random_matrix(rng, field, 1, dim).data)
 
             def rank_of(vecs):
-                return rref(Matrix(field, len(vecs), dim, [x for v in vecs for x in v.data])).rank
+                return rref(Matrix(field, len(vecs), dim, [x for v in vecs for x in v])).rank
 
             basis = [draw() for _ in range(rng.randint(0, dim))]
             cands = [draw() for _ in range(rng.randint(0, 3))]
@@ -270,8 +270,8 @@ def test_span_coordinates_against_ranks():
                 combo = [field.zero_raw] * dim
                 for b in basis:
                     c = field.coerce_raw(rng.randint(-3, 3))
-                    combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, b.data)]
-                cands.insert(rng.randint(0, len(cands)), Vector(field, combo))
+                    combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, b)]
+                cands.insert(rng.randint(0, len(cands)), tuple(combo))
             span = span_coordinates(field, dim, basis, cands)
             assert span.rank == rank_of(basis)
             for cand, coeffs in zip(cands, span.coords):
@@ -279,8 +279,8 @@ def test_span_coordinates_against_ranks():
                 if coeffs is not None:
                     rebuilt = [field.zero_raw] * dim
                     for c, b in zip(coeffs, basis):
-                        rebuilt = [field.add(x, field.mul(c, y)) for x, y in zip(rebuilt, b.data)]
-                    assert rebuilt == list(cand.data)
+                        rebuilt = [field.add(x, field.mul(c, y)) for x, y in zip(rebuilt, b)]
+                    assert rebuilt == list(cand)
 
 
 def test_triangularizing_accepts_other_valid_transforms():
@@ -296,13 +296,15 @@ def test_empty_matrix_edge_cases():
     f = GF(2)
     empty = Matrix(f, 0, 3, [])
     assert rref(empty).rank == 0
-    assert kernel_basis(empty) == [Vector.unit(f, 3, i) for i in range(3)]
+    assert kernel_basis(empty) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_colex_order():
-    f = GF(5)
-    order = sorted(
-        [Vector(f, [1, 0]), Vector(f, [0, 1]), Vector(f, [1, 1])],
-        key=Vector.colex_key,
-    )
-    assert [v.data for v in order] == [(1, 0), (0, 1), (1, 1)]
+    # block first, then the normal read from its last coordinate to its first
+    vertices = [HyperplaneVertex(1, (1, 0))] + [
+        HyperplaneVertex(0, u) for u in [(1, 1), (0, 1), (1, 0)]
+    ]
+    order = sorted(vertices, key=HyperplaneVertex.sort_key)
+    assert [(v.block, v.normal) for v in order] == [
+        (0, (1, 0)), (0, (0, 1)), (0, (1, 1)), (1, (1, 0))
+    ]

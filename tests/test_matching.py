@@ -12,7 +12,6 @@ from rank1dm import (
     Matrix,
     PartitionedMatrix,
     StabilityGraph,
-    Vector,
     build_auxiliary_digraph,
     build_stability_graph,
     matroid_pi,
@@ -401,12 +400,12 @@ def test_matroid_rejects_bad_block_index():
     with pytest.raises(ValueError):
         from rank1dm import VectorMatroid
 
-        VectorMatroid([(2, Vector(GF(2), [1]))], (1,))
+        VectorMatroid(GF(2), [(2, (1,))], (1,))
 
 
 def test_single_vertex_no_edges_graph():
     g = StabilityGraph(GF(2), (2,), (1,))
-    g.pi = [HyperplaneVertex(0, Vector(GF(2), [1, 0]))]
+    g.pi = [HyperplaneVertex(0, (1, 0))]
     state = max_independent_matching(g)
     assert state.size == 0
     assert state.sources == [0]

@@ -1,0 +1,29 @@
+"""The public surface of the package: ``rank1dm.__all__``."""
+
+import rank1dm
+
+PUBLIC = {
+    "GF", "QQ", "Field", "PrimeField", "RationalField",
+    "Matrix", "Rank1Factor", "rref", "rank1_factor",
+    "PartitionedMatrix", "HyperplaneVertex", "StabilityGraph", "RankConditionViolated",
+    "check_rank1_condition", "build_stability_graph",
+    "VectorMatroid", "IndependentMatchingState", "build_auxiliary_digraph",
+    "max_independent_matching", "matroid_pi", "matroid_sigma",
+    "ChainPoset", "StableSubspace", "DMResult", "VerificationReport",
+    "reachability_sets", "scc_poset", "ideal_to_stable_subspace", "maximal_chain",
+    "build_bases", "dm_decompose", "verify",
+    "enumerate_subspaces", "brute_force_max_stable",
+}
+
+
+def test_public_names():
+    assert len(PUBLIC) == 34
+    assert len(rank1dm.__all__) == len(set(rank1dm.__all__))
+    assert set(rank1dm.__all__) == PUBLIC
+    for name in rank1dm.__all__:
+        assert getattr(rank1dm, name) is not None
+    # a vector is a tuple of raw values, so neither a vector type nor a
+    # field-mismatch error is left to export
+    for gone in ("Vector", "FieldMismatchError"):
+        assert gone not in rank1dm.__all__
+        assert not hasattr(rank1dm, gone)
