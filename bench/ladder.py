@@ -3,7 +3,7 @@
 Run from the repository root::
 
     python3 bench/ladder.py                      # markdown table on stdout
-    python3 bench/ladder.py --json BENCH_16.json  # the same rows as JSON too
+    python3 bench/ladder.py --json BENCH_18.json  # the same rows as JSON too
 
 Rows are GF(2), GF(101) and the rationals at n = 60, 180 and 360.  Each is
 a square grid of b x b blocks of size 3 (b = n / 3), built by the
@@ -12,9 +12,12 @@ blocks and ``rng = random.Random(f"ladder/{name}")``; vectors are drawn as
 in the dense benchmark workloads.  Two tall rows follow: GF(2) grids of
 blocks of size 2 at n = 360 and 720 with 98% and 99% of their blocks zero,
 drawn by ``scattered_zeros``, whose posets run to hundreds of components.
-Each row runs in a fresh interpreter that times ``build_stability_graph``
-(graph), ``max_independent_matching`` (match), ``dm_decompose`` and
-``verify`` three times each and keeps the medians.  A row still running
+Each row runs in a fresh interpreter that times, three times each, and
+keeps the medians of: ``parse_input``, ``document_to_matrix`` and the first
+``a.factors`` on the fresh matrix (parse); ``build_stability_graph`` (graph,
+on the factors parse cached); ``max_independent_matching`` (match);
+``dm_decompose``; ``verify``; and ``format_result`` of the verified result
+(format).  A row still running
 after ``BUDGET_S`` seconds is stopped and reported as skipped, with its
 budget.  The exit status is 1 when some row's ``verify`` does not pass;
 time never fails a run.
@@ -48,7 +51,7 @@ FIELDS = {  # name -> (modulus, vector entry draw, coefficient draw)
 }
 TALL = {"gf2-tall-360": 0.98, "gf2-tall-720": 0.99}  # name -> share of zero blocks
 ROWS = [f"{field}-{n}" for field in FIELDS for n in (60, 180, 360)] + list(TALL)
-STAGES = ("graph_s", "match_s", "dm_decompose_s", "verify_s")
+STAGES = ("parse_s", "graph_s", "match_s", "dm_decompose_s", "verify_s", "format_s")
 
 
 def instance(name: str) -> str:
@@ -69,9 +72,15 @@ def instance(name: str) -> str:
 def run_row(name: str) -> dict:
     """Times every stage of one row in this interpreter."""
     from rank1dm import build_stability_graph, dm_decompose, max_independent_matching, verify
-    from rank1dm.cli import document_to_matrix, parse_input
+    from rank1dm.cli import document_to_matrix, format_result, parse_input
 
-    a = document_to_matrix(parse_input(instance(name)))
+    def load(text):
+        doc = parse_input(text)
+        a = document_to_matrix(doc)
+        a.factors  # noqa: B018  (the first factoring, cached on the matrix)
+        return doc, a
+
+    text = instance(name)
     times: dict[str, list[float]] = {stage: [] for stage in STAGES}
 
     def timed(stage, fn, *args):
@@ -81,10 +90,12 @@ def run_row(name: str) -> dict:
         return out
 
     for _ in range(REPEATS):
+        doc, a = timed("parse_s", load, text)
         g = timed("graph_s", build_stability_graph, a)
         state = timed("match_s", max_independent_matching, g)
         result = timed("dm_decompose_s", dm_decompose, a)
         report = timed("verify_s", verify, a, result)
+        timed("format_s", format_result, doc, result, report)
     row = {stage: round(statistics.median(t), 4) for stage, t in times.items()}
     return {"name": name, **row, "vertices": g.n_pi + g.n_sigma, "edges": len(g.edges),
             "augmentations": state.augmentations, "h": len(result.diag_blocks) - 2,

@@ -131,12 +131,15 @@ def parse_input(text: str) -> InputDocument:
     for lineno, tokens in rows:
         if len(tokens) != m:
             raise InputFormatError(lineno, f"expected {m} entries, found {len(tokens)}")
-        values = []
-        for j, tok in enumerate(tokens, start=1):
-            try:
-                values.append(field.parse(tok))
-            except ValueError as exc:
-                raise InputFormatError(lineno, f"column {j}: {exc}")
+        try:
+            values = field.parse_row(tokens)
+        except ValueError:  # token by token again, to name the bad one
+            values = []
+            for j, tok in enumerate(tokens, start=1):
+                try:
+                    values.append(field.parse(tok))
+                except ValueError as exc:
+                    raise InputFormatError(lineno, f"column {j}: {exc}")
         entries.append(tuple(values))
     return InputDocument(field, row_blocks, col_blocks, tuple(entries))
 
@@ -155,7 +158,7 @@ def serialize_input(doc: InputDocument) -> str:
     lines = _header_lines(doc.field, doc.row_blocks, doc.col_blocks)
     lines.append("entries")
     for row in doc.entries:
-        lines.append(" ".join(doc.field.format(v) for v in row))
+        lines.append(" ".join(map(doc.field.format, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -166,10 +169,7 @@ def document_to_matrix(doc: InputDocument) -> PartitionedMatrix:
 
 
 def _matrix_lines(m: Matrix) -> list[str]:
-    return [
-        " ".join(m.field.format(m.raw(i, j)) for j in range(m.cols))
-        for i in range(m.rows)
-    ]
+    return [" ".join(map(m.field.format, m.row_raw(i))) for i in range(m.rows)]
 
 
 def format_result(doc: InputDocument, result: DMResult, report=None) -> str:

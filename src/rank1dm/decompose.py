@@ -14,9 +14,11 @@ it certifies that chain, and no stored copy of it, to be maximal.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import ne
 from typing import Callable, Iterable, Sequence
 
 from .field import Field
@@ -36,6 +38,7 @@ from .partmat import (
     col_vertex_label,
     column_parts,
     row_vertex_label,
+    _transform_parts,
 )
 
 
@@ -483,38 +486,32 @@ def _foreign_value(name: str, mat: Matrix, f: Field) -> str:
     return f"{name} holds {mat.data[k]!r} at {divmod(k, mat.cols)}, not a value of {f}"
 
 
-def _admissibility_problem(name: str, mat: Matrix, blocks: tuple[int, ...]) -> str:
+def _admissibility_problem(name: str, mat: Matrix, blocks: tuple[int, ...], parts) -> str:
     """Why mat, named ``name`` in the reason, is not blockdiag(nonsingular)
     times a permutation, or "": each column lies inside one block, each block
     holds as many columns as its size, and their square submatrix is
-    nonsingular."""
+    nonsingular.  ``parts`` is ``column_parts`` of mat on the partition,
+    read once mat is a Matrix of its size."""
     if not isinstance(mat, Matrix):
         return f"{name}: {type(mat).__name__} is not a Matrix"
-    offsets = tuple(accumulate(blocks, initial=0))
-    if mat.rows != offsets[-1] or mat.cols != offsets[-1]:
+    size = sum(blocks)
+    if mat.rows != size or mat.cols != size:
         return f"{name}: matrix size does not match the partition"
-    hits: list[list[int]] = [[] for _ in range(mat.cols)]
-    for blk, part in enumerate(column_parts(mat, offsets)):
-        for col, _ in part:
-            hits[col].append(blk)
-    by_block: dict[int, list[int]] = {i: [] for i in range(len(blocks))}
-    for col, blks in enumerate(hits):
-        if not blks:
+    hits = Counter(col for part in parts for col, _ in part)
+    for col in range(size):
+        if col not in hits:
             return f"{name}: column {col} is zero"
-        if len(blks) > 1:
+        if hits[col] > 1:
             return f"{name}: column {col} crosses block boundaries"
-        by_block[blks[0]].append(col)
-    for blk, cols in by_block.items():
-        if len(cols) != blocks[blk]:
-            return f"{name}: block {blk} has {len(cols)} columns, wants {blocks[blk]}"
-        sub = Matrix.from_rows(
-            mat.field,
-            [
-                [mat.raw(r, c) for c in cols]
-                for r in range(offsets[blk], offsets[blk + 1])
-            ],
-        )
-        if rref(sub).rank != blocks[blk]:
+    fld = mat.field
+    for blk, part in enumerate(parts):
+        if len(part) != blocks[blk]:
+            return f"{name}: block {blk} has {len(part)} columns, wants {blocks[blk]}"
+        # the square submatrix's transpose: one row per column of the block
+        entries = list(chain.from_iterable(x for _, x in part))
+        if not fld.carries(entries):  # mat over another field holds A's carriers
+            entries = list(map(fld.coerce_raw, entries))
+        if rref(Matrix(fld, len(part), len(part), entries)).rank != blocks[blk]:
             return f"{name}: block {blk} columns are singular"
     return ""
 
@@ -554,9 +551,11 @@ def _staircase_problem(a_dm: Matrix, blocks, n: int, m: int) -> str:
     col_starts = list(accumulate((c for _, c in blocks), initial=0))
     for gr in range(1, len(blocks)):
         for i in range(row_starts[gr], row_starts[gr + 1]):
-            for j, x in enumerate(a_dm.data[i * m : i * m + col_starts[gr]]):
-                if x != zero:  # not truthiness: a falsy foreign value, None say, is not zero
-                    return f"nonzero entry below the staircase at ({i}, {j})"
+            below = a_dm.data[i * m : i * m + col_starts[gr]]
+            # not truthiness: a falsy foreign value, None say, is not zero
+            if any(map(ne, below, repeat(zero))):
+                j = next(j for j, x in enumerate(below) if x != zero)
+                return f"nonzero entry below the staircase at ({i}, {j})"
     return ""
 
 
@@ -650,6 +649,12 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
 
     shapes = [("E", result.E, n, n), ("F", result.F, m, m), ("A_dm", result.a_dm, n, m)]
     foreign = {name: _foreign_value(name, mat, a.field) for name, mat, _, _ in shapes}
+    # each of E and F is sliced into column parts once, for product and admissible
+    parts = {
+        name: column_parts(mat, offsets)
+        for (name, mat, size, _), offsets in zip(shapes, (a.row_offsets, a.col_offsets))
+        if not foreign[name] and isinstance(mat, Matrix) and mat.rows == mat.cols == size
+    }
     misfits = [
         f"{name} is {mat.rows}x{mat.cols} over {mat.field}, wants {r}x{c} over {a.field}"
         if isinstance(mat, Matrix)
@@ -661,7 +666,7 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
         checks.append(CheckResult("product", False, "; ".join(misfits)))
     else:
         try:
-            product = a.transform(result.E, result.F)
+            product = _transform_parts(a, parts["E"], parts["F"], n, m)
         except RankConditionViolated as exc:
             checks.append(CheckResult("product", False, f"A has {exc}"))
         else:
@@ -672,8 +677,8 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     why = "; ".join(filter(None, (
         _partition_problem("row", result.row_blocks, a.row_blocks),
         _partition_problem("column", result.col_blocks, a.col_blocks),
-        foreign["E"] or _admissibility_problem("E", result.E, a.row_blocks),
-        foreign["F"] or _admissibility_problem("F", result.F, a.col_blocks),
+        foreign["E"] or _admissibility_problem("E", result.E, a.row_blocks, parts.get("E")),
+        foreign["F"] or _admissibility_problem("F", result.F, a.col_blocks, parts.get("F")),
     )))
     checks.append(
         CheckResult("admissible", not why, why or "E, F block-diagonal times permutation")

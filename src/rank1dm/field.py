@@ -5,7 +5,10 @@ A field value has one representation, its raw carrier: an ``int`` residue in
 denominator for the rationals.  A ``Field`` instance does the arithmetic on
 carriers; a container (a ``Matrix``, a stability graph, a vector matroid)
 records the field, and a vector is a tuple of raw carriers.
-``parse`` reads ASCII decimal tokens only.
+``parse`` reads ASCII decimal tokens only, and ``parse_row`` reads a whole
+row of them at once.  ``format`` is ``str`` on every field: the decimal
+residue for GF(p), ``a`` or ``a/b`` for a rational, so a formatter maps it
+over a row slice without a Python call per entry.
 """
 
 from __future__ import annotations
@@ -51,6 +54,19 @@ def _decimal(text: str) -> str:
     return text
 
 
+def _rational(text: str) -> Fraction:
+    """``Fraction(text)``, read through ``int`` when ``int`` accepts it; a
+    zero denominator is a ValueError."""
+    try:
+        return Fraction(int(text))
+    except ValueError:
+        pass
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
 class Field:
     """Base class: exact arithmetic on raw carrier values."""
 
@@ -78,8 +94,12 @@ class Field:
     def parse(self, text: str):
         raise NotImplementedError
 
-    def format(self, value) -> str:
+    def parse_row(self, tokens: list[str]) -> list:
+        """``parse`` of every token; a ValueError, which need not name the
+        token, when one of them is not an element."""
         raise NotImplementedError
+
+    format = str
 
 
 class PrimeField(Field):
@@ -136,8 +156,9 @@ class PrimeField(Field):
         except ValueError:
             raise ValueError(f"{text!r} is not a GF({self.p}) element") from None
 
-    def format(self, value) -> str:
-        return str(value)
+    def parse_row(self, tokens: list[str]) -> list:
+        _decimal("".join(tokens))
+        return [int(t) % self.p for t in tokens]
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -199,8 +220,12 @@ class RationalField(Field):
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{text!r} is not a rational number") from None
 
-    def format(self, value) -> str:
-        return str(value)
+    def parse_row(self, tokens: list[str]) -> list:
+        _decimal("".join(tokens))
+        try:
+            return list(map(Fraction, map(int, tokens)))
+        except ValueError:  # an a/b or decimal token: only those go to Fraction(str)
+            return [_rational(t) for t in tokens]
 
     def __repr__(self):
         return "QQ"

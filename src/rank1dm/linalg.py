@@ -106,11 +106,19 @@ class Matrix:
         return hash((self.field, self.rows, self.cols, tuple(self.data)))
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(self.field.format(self.raw(i, j)) for j in range(self.cols))
-            for i in range(self.rows)
-        )
+        fmt = self.field.format
+        body = "; ".join(" ".join(map(fmt, self.row_raw(i))) for i in range(self.rows))
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
+
+
+def _int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
+    """Each rational row times the lcm of its denominators: the same row
+    space, on ints."""
+    out = []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row])
+    return out
 
 
 class RrefResult(NamedTuple):
@@ -128,9 +136,8 @@ def rref(m: Matrix) -> RrefResult:
     f, ncols = m.field, m.cols
     rows = [m.data[i * ncols : (i + 1) * ncols] for i in range(m.rows)]
     p = 0 if isinstance(f, RationalField) else f.p
-    if not p:  # each row times the lcm of its denominators: the same row space
-        dens = [lcm(*(x.denominator for x in row)) for row in rows]
-        rows = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, dens)]
+    if not p:
+        rows = _int_rows(rows)
     pivots: list[int] = []
     pr = 0
     for pc in range(ncols):
@@ -184,25 +191,36 @@ def rank1_factor(m: Matrix) -> Rank1Factor:
 
     For rank one the unique factorization with monic u and v is returned:
     u spans the column space (as coordinates), v the row space, and
-    m = coeff * u^T v holds entrywise.
+    m = coeff * u^T v holds entrywise.  coeff is the first nonzero entry in
+    row-major order, in column j0.  The rank is decided on int rows, one
+    comparison per row: over GF(p) a row r must equal r[j0] v mod p; over
+    QQ, on rows cleared of denominators and with w the pivot row, w[j0] r
+    must equal r[j0] w.
     """
-    f = m.field
-    zero = f.zero_raw
-    pos = next((k for k, val in enumerate(m.data) if val != zero), None)
-    if pos is None:
+    f, ncols = m.field, m.cols
+    rows = [m.data[i * ncols : (i + 1) * ncols] for i in range(m.rows)]
+    # 0 and Fraction(0) are the false carriers
+    i0 = next((i for i, row in enumerate(rows) if any(row)), None)
+    if i0 is None:
         return Rank1Factor(rank=0)
-    i0, j0 = divmod(pos, m.cols)
-    c = m.data[pos]
-    cinv = f.inv(c)
-    v = tuple(f.mul(cinv, m.raw(i0, j)) for j in range(m.cols))
-    u = tuple(f.mul(cinv, m.raw(i, j0)) for i in range(m.rows))
-    for i in range(m.rows):
-        ui = u[i]
-        for j in range(m.cols):
-            expect = f.mul(c, f.mul(ui, v[j]))
-            if m.raw(i, j) != expect:
+    c = next(filter(None, rows[i0]))
+    j0 = rows[i0].index(c)
+    if isinstance(f, RationalField):
+        ints = _int_rows(rows)
+        w = ints[i0]
+        for r in ints:
+            if [w[j0] * x for x in r] != [r[j0] * y for y in w]:
                 return Rank1Factor(rank=2)
-    return Rank1Factor(rank=1, u=u, v=v, coeff=c)
+        v = [Fraction(y, w[j0]) for y in w]
+        u = [row[j0] / c for row in rows]
+    else:
+        p, cinv = f.p, f.inv(c)
+        v = [cinv * x % p for x in rows[i0]]
+        for row in rows:
+            if row != [row[j0] * y % p for y in v]:
+                return Rank1Factor(rank=2)
+        u = [cinv * row[j0] % p for row in rows]
+    return Rank1Factor(rank=1, u=tuple(u), v=tuple(v), coeff=c)
 
 
 class SpanCoordinates(NamedTuple):

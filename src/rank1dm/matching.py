@@ -33,7 +33,7 @@ class VectorMatroid:
         self.field = field
         self.elements = list(elements)
         self.block_dims = tuple(block_dims)
-        if any(blk >= len(block_dims) for blk, _ in self.elements):
+        if any(not 0 <= blk < len(block_dims) for blk, _ in self.elements):
             raise ValueError("element block index out of range")
         self._members = self._by_block(range(len(self.elements)))
         # block -> its last selection's (ids, rank, [(member, circuit)] in

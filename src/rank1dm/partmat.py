@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, compress, pairwise
 from typing import Any
 
 from .field import Field, PrimeField
@@ -75,12 +75,16 @@ class PartitionedMatrix:
     def factors(self) -> dict[tuple[int, int], Rank1Factor]:
         """The factor of every nonzero block, keyed by (alpha, beta) in
         row-major block order; zero blocks are left out."""
+        fld, data, width = self.field, self.matrix.data, self.matrix.cols
+        ro, col_bounds = self.row_offsets, list(pairwise(self.col_offsets))
         out = {}
         for alpha in range(self.mu):
-            for beta in range(self.nu):
-                fac = rank1_factor(self.block(alpha, beta))
-                if fac.rank:
-                    out[alpha, beta] = fac
+            band = [data[i * width : (i + 1) * width] for i in range(ro[alpha], ro[alpha + 1])]
+            for beta, (lo, hi) in enumerate(col_bounds):
+                rows = [row[lo:hi] for row in band]
+                if any(map(any, rows)):  # 0 and Fraction(0) are the false carriers
+                    block = Matrix(fld, len(rows), hi - lo, list(chain.from_iterable(rows)))
+                    out[alpha, beta] = rank1_factor(block)
         return out
 
     def transform(self, e: Matrix, f: Matrix) -> Matrix:
@@ -92,26 +96,12 @@ class PartitionedMatrix:
         for each column j of F nonzero in them.  For admissible E and F
         every entry gets at most one term.  Raises RankConditionViolated
         when a block of A has rank 2 or more."""
-        factors = check_rank1_condition(self)
         fld = self.field
         if (e.field, f.field, e.rows, f.rows) != (fld, fld, self.matrix.rows, self.matrix.cols):
             raise ValueError("E^T A F needs E and F over A's field with n and m rows")
         e_parts = column_parts(e, self.row_offsets)
         f_parts = column_parts(f, self.col_offsets)
-        zero, mul, add, dot = fld.zero_raw, fld.mul, fld.add, fld.dot
-        width = f.cols
-        out = [zero] * (e.cols * width)
-        for (alpha, beta), fac in factors.items():
-            u, v = fac.u, fac.v
-            qs = [(j, q) for j, y in f_parts[beta] if (q := dot(v, y))]
-            for i, x in e_parts[alpha]:
-                if p := dot(x, u):
-                    p = mul(fac.coeff, p)
-                    for j, q in qs:
-                        k = i * width + j
-                        # only a non-admissible E or F sends a second term here
-                        out[k] = mul(p, q) if out[k] is zero else add(out[k], mul(p, q))
-        return Matrix(fld, e.cols, width, out)
+        return _transform_parts(self, e_parts, f_parts, e.cols, f.cols)
 
     def block(self, alpha: int, beta: int) -> Matrix:
         """The submatrix at block position (alpha, beta), zero-based."""
@@ -124,15 +114,38 @@ class PartitionedMatrix:
 def column_parts(mat: Matrix, offsets: tuple[int, ...]) -> list[list[tuple[int, list]]]:
     """Per block of ``offsets``, each column of ``mat`` that is nonzero in
     it, as (column index, its entries in the block).  Both carriers, 0 and
-    Fraction(0), are false exactly at zero, so ``any`` finds the support."""
-    bounds = list(zip(offsets, offsets[1:]))
-    parts: list[list[tuple[int, list]]] = [[] for _ in bounds]
-    for i in range(mat.cols):
-        col = mat.data[i :: mat.cols]
-        for part, (lo, hi) in zip(parts, bounds):
-            if any(x := col[lo:hi]):
-                part.append((i, x))
+    Fraction(0), are false exactly at zero, so ``compress`` finds each row's
+    support; a column's entries are then one strided slice."""
+    data, width = mat.data, mat.cols
+    cols = range(width)
+    parts = []
+    for lo, hi in pairwise(offsets):
+        support: set[int] = set()
+        for i in range(lo, hi):
+            support.update(compress(cols, data[i * width : (i + 1) * width]))
+        start, stop = lo * width, hi * width
+        parts.append([(j, data[start + j : stop : width]) for j in sorted(support)])
     return parts
+
+
+def _transform_parts(a: PartitionedMatrix, e_parts, f_parts, e_cols: int, f_cols: int) -> Matrix:
+    """``a.transform(E, F)`` from E's column parts on A's row offsets and
+    F's on its column offsets, E with ``e_cols`` columns, F with ``f_cols``."""
+    factors = check_rank1_condition(a)
+    fld = a.field
+    zero, mul, add, dot = fld.zero_raw, fld.mul, fld.add, fld.dot
+    out = [zero] * (e_cols * f_cols)
+    for (alpha, beta), fac in factors.items():
+        u, v = fac.u, fac.v
+        qs = [(j, q) for j, y in f_parts[beta] if (q := dot(v, y))]
+        for i, x in e_parts[alpha]:
+            if p := dot(x, u):
+                p = mul(fac.coeff, p)
+                for j, q in qs:
+                    k = i * f_cols + j
+                    # only a non-admissible E or F sends a second term here
+                    out[k] = mul(p, q) if out[k] is zero else add(out[k], mul(p, q))
+    return Matrix(fld, e_cols, f_cols, out)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Shared builders for the test suite: the worked 6x6 example, random
 instance generators, exact subspace utilities used by oracle-style checks,
 the reference checks (stability from the definition, classic bipartite DM,
-Gaussian binomials, elimination through the field's methods), and the
+Gaussian binomials, elimination and rank-1 factoring through the field's
+methods), and the
 matroid closure and minimum cover that the matching tests check against."""
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from rank1dm import (
     matroid_sigma,
     reachability_sets,
 )
-from rank1dm.linalg import RrefResult, rref
+from rank1dm.linalg import Rank1Factor, RrefResult, rref
 
 EXAMPLE_ROWS = [
     [1, 0, 1, 1, 0, 0],
@@ -196,6 +197,28 @@ def reference_rref(m: Matrix) -> RrefResult:
         pivots.append(pc)
     flat = [v for row in work for v in row]
     return RrefResult(Matrix(f, m.rows, m.cols, flat), pivots, len(pivots))
+
+
+def reference_rank1_factor(m: Matrix) -> Rank1Factor:
+    """Zero / rank one / higher rank from the definition, through the
+    field's own methods: the first nonzero entry c in row-major order
+    gives v (its row over c) and u (its column over c), and every entry
+    must equal c u_i v_j.  The reference for ``rank1_factor``'s int rows."""
+    f = m.field
+    zero = f.zero_raw
+    pos = next((k for k, val in enumerate(m.data) if val != zero), None)
+    if pos is None:
+        return Rank1Factor(rank=0)
+    i0, j0 = divmod(pos, m.cols)
+    c = m.data[pos]
+    cinv = f.inv(c)
+    v = tuple(f.mul(cinv, m.raw(i0, j)) for j in range(m.cols))
+    u = tuple(f.mul(cinv, m.raw(i, j0)) for i in range(m.rows))
+    for i in range(m.rows):
+        for j in range(m.cols):
+            if m.raw(i, j) != f.mul(c, f.mul(u[i], v[j])):
+                return Rank1Factor(rank=2)
+    return Rank1Factor(rank=1, u=u, v=v, coeff=c)
 
 
 # subspace utilities on raw row bases -------------------------------------

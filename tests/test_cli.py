@@ -123,6 +123,34 @@ def test_parse_errors_are_specific():
             parse_input(text)
 
 
+def test_parse_row_errors_name_the_token():
+    # a whole entry line is parsed at once; a bad token is still named by
+    # its line and column, wherever it sits in the row
+    long_row = " ".join(["3"] * 39 + ["x"])
+    for text, where in (
+        (f"field gf 7\nrow_blocks 1\ncol_blocks {' 1' * 40}\nentries\n{long_row}\n",
+         "line 5: column 40: 'x' is not a GF(7) element"),
+        ("field gf 7\nrow_blocks 2\ncol_blocks 3 2\nentries\n1 2 3 4 5\n1 2 1_0 4 5\n",
+         "line 6: column 3: '1_0' is not a GF(7) element"),
+        ("field rationals\nrow_blocks 1\ncol_blocks 5\nentries\n1 2 \u0663 4 5\n",
+         "line 5: column 3: '\u0663' is not a rational number"),
+        ("field rationals\nrow_blocks 1\ncol_blocks 4\nentries\n3/4 -2 1/0 1.5\n",
+         "line 5: column 3: '1/0' is not a rational number"),
+        ("field rationals\nrow_blocks 1\ncol_blocks 3\nentries\n1 2 3/\n",
+         "line 5: column 3: '3/' is not a rational number"),
+    ):
+        with pytest.raises(InputFormatError, match=f"^{re.escape(where)}$"):
+            parse_input(text)
+    # a non-ASCII space separates tokens as before; it is not a bad token
+    doc = parse_input("field gf 7\nrow_blocks 1\ncol_blocks 1 1\nentries\n8\u20032\n")
+    assert doc.entries == ((1, 2),)
+    doc = parse_input("field rationals\nrow_blocks 1\ncol_blocks 6\nentries\n3/4 -2 1.5 +7 0 -0/5\n")
+    assert doc.entries == (
+        (Fraction(3, 4), Fraction(-2), Fraction(3, 2), Fraction(7), Fraction(0), Fraction(0)),
+    )
+    assert {type(x) for x in doc.entries[0]} == {Fraction}
+
+
 def test_decompose_exit_ok(example_file, capsys):
     assert main(["decompose", example_file]) == EXIT_OK
     out = capsys.readouterr().out

@@ -39,6 +39,7 @@ from rank1dm import (
     verify,
 )
 from rank1dm.decompose import PosetComponent, _adapted_basis, _chain_dims
+from rank1dm import partmat
 from rank1dm.partmat import HyperplaneVertex, column_parts
 
 
@@ -470,6 +471,11 @@ def test_staircase_names_the_first_entry_in_row_major_order(example, example_res
     bad = dataclasses.replace(example_result, a_dm=Matrix(GF(2), 6, 6, data))
     check = verify(example, bad).check("staircase")
     assert check.detail == "nonzero entry below the staircase at (4, 3)"
+    # a falsy foreign value is not zero either
+    data[4 * 6 + 3] = None
+    bad = dataclasses.replace(example_result, a_dm=Matrix(GF(2), 6, 6, data))
+    check = verify(example, bad).check("staircase")
+    assert check.detail == "nonzero entry below the staircase at (4, 3)"
 
 
 def test_verify_rejects_non_square_middle_block(example, example_result):
@@ -882,20 +888,26 @@ def test_verify_reports_a_block_of_rank_two(example, example_result):
 
 
 def test_each_block_is_read_once_per_matrix(monkeypatch):
-    # the graph builder and the verifier share one factoring of A
+    # the graph builder and the verifier share one factoring of A, and a
+    # zero block is never factored
     calls = Counter()
-    block = PartitionedMatrix.block
+    factor = partmat.rank1_factor
 
-    def counted(self, alpha, beta):
-        calls[alpha, beta] += 1
-        return block(self, alpha, beta)
+    def counted(block):
+        calls[tuple(block.data), block.rows] += 1
+        return factor(block)
 
-    monkeypatch.setattr(PartitionedMatrix, "block", counted)
+    monkeypatch.setattr(partmat, "rank1_factor", counted)
     rng = random.Random(58)
+    zero_blocks = 0
     for a in (worked_example(), random_rank1_instance(rng, GF(3), 3, 4, zero_prob=0.5)):
         calls.clear()
         assert verify(a, dm_decompose(a)).passed
-        assert calls == Counter({(al, be): 1 for al in range(a.mu) for be in range(a.nu)})
+        blocks = [a.block(al, be) for al in range(a.mu) for be in range(a.nu)]
+        nonzero = [b for b in blocks if any(b.data)]
+        zero_blocks += len(blocks) - len(nonzero)
+        assert calls == Counter((tuple(b.data), b.rows) for b in nonzero)
+    assert zero_blocks
 
 
 def test_duality_reports_a_wrong_lower_bound(example, example_result):

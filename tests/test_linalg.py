@@ -4,7 +4,7 @@ from math import gcd
 
 from hypothesis import given, strategies as st
 
-from gen import EXAMPLE_ROWS, kernel_basis, reference_rref
+from gen import EXAMPLE_ROWS, kernel_basis, reference_rank1_factor, reference_rref
 
 from rank1dm import GF, QQ, HyperplaneVertex, Matrix
 from rank1dm.linalg import rank1_factor, rref, span_coordinates
@@ -250,6 +250,41 @@ def test_rank1_factor_reconstruction_and_monic():
                 ],
             )
             assert rebuilt == mat
+
+
+def _random_block(rng, field, n, m):
+    """A zero, rank-1 or perturbed rank-1 block whose u and v may lead with
+    zeros; over QQ its entries mix denominators."""
+    def draw(nonzero=False):
+        if field == QQ:
+            x = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6, 7)))
+        else:
+            x = rng.randrange(field.p)
+        return draw(nonzero) if nonzero and not x else x
+
+    lead_u, lead_v = rng.randint(0, n - 1), rng.randint(0, m - 1)
+    u = [field.zero_raw] * lead_u + [draw(True)] + [draw() for _ in range(n - lead_u - 1)]
+    v = [field.zero_raw] * lead_v + [draw(True)] + [draw() for _ in range(m - lead_v - 1)]
+    c = draw(True) if rng.random() < 0.9 else field.zero_raw
+    data = [field.mul(c, field.mul(x, y)) for x in u for y in v]
+    if rng.random() < 0.4:  # one entry off: rank 2, unless the new value fits
+        k = rng.randrange(n * m)
+        data[k] = field.add(data[k], draw(True))
+    return Matrix(field, n, m, data)
+
+
+def test_rank1_factor_matches_the_reference():
+    rng = random.Random(18)
+    ranks = set()
+    for field in (GF(2), GF(3), GF(101), QQ):
+        for _ in range(150):
+            mat = _random_block(rng, field, rng.randint(1, 4), rng.randint(1, 4))
+            fac, ref = rank1_factor(mat), reference_rank1_factor(mat)
+            assert fac == ref, mat
+            if fac.rank == 1:
+                assert {type(x) for x in fac.u + fac.v + (fac.coeff,)} == {type(field.zero_raw)}
+            ranks.add((field, fac.rank))
+    assert len(ranks) == 12  # every field saw ranks 0, 1 and 2
 
 
 def test_span_coordinates_against_ranks():

@@ -397,10 +397,12 @@ def test_circuit_memo_matches_fresh_matroid():
 
 
 def test_matroid_rejects_bad_block_index():
-    with pytest.raises(ValueError):
-        from rank1dm import VectorMatroid
+    from rank1dm import VectorMatroid
 
+    with pytest.raises(ValueError):
         VectorMatroid(GF(2), [(2, (1,))], (1,))
+    with pytest.raises(ValueError):
+        VectorMatroid(GF(2), [(-1, (1, 0)), (0, (1,))], (1, 2))
 
 
 def test_single_vertex_no_edges_graph():

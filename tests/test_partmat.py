@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -14,6 +15,7 @@ from rank1dm import (
     build_stability_graph,
     check_rank1_condition,
 )
+from rank1dm.partmat import column_parts
 
 EXPECTED_EDGES = [
     ("1a", "1'a"),
@@ -101,6 +103,30 @@ def test_transform_equals_the_dense_product(field):
         e = _random_square(rng, field, a.matrix.rows)
         f = _random_square(rng, field, a.matrix.cols)
         assert a.transform(e, f) == e.transpose() @ a.matrix @ f
+
+
+def _naive_column_parts(mat, offsets):
+    parts = []
+    for lo, hi in zip(offsets, offsets[1:]):
+        cols = [(j, [mat.raw(i, j) for i in range(lo, hi)]) for j in range(mat.cols)]
+        parts.append([(j, col) for j, col in cols if any(x != mat.field.zero_raw for x in col)])
+    return parts
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(7), QQ], ids=["gf2", "gf7", "qq"])
+def test_column_parts_matches_its_definition(field):
+    rng = random.Random(19)
+    for _ in range(40):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 5))]
+        offsets = (0, *accumulate(sizes))
+        rows, cols = offsets[-1], rng.randint(0, 20)
+        density = rng.choice((0.05, 0.2, 0.6))
+        data = [
+            field.coerce_raw(rng.randint(1, 9)) if rng.random() < density else field.zero_raw
+            for _ in range(rows * cols)
+        ]
+        mat = Matrix(field, rows, cols, data)
+        assert column_parts(mat, offsets) == _naive_column_parts(mat, offsets)
 
 
 def test_stability_graph_vertices(example):
