@@ -133,7 +133,7 @@ def parse_input(text: str) -> InputDocument:
             raise InputFormatError(lineno, f"expected {m} entries, found {len(tokens)}")
         try:
             values = field.parse_row(tokens)
-        except ValueError:  # token by token again, to name the bad one
+        except ValueError:  # token by token: reads a/b and decimals, names a bad token
             values = []
             for j, tok in enumerate(tokens, start=1):
                 try:

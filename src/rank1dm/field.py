@@ -6,7 +6,7 @@ denominator for the rationals.  A ``Field`` instance does the arithmetic on
 carriers; a container (a ``Matrix``, a stability graph, a vector matroid)
 records the field, and a vector is a tuple of raw carriers.
 ``parse`` reads ASCII decimal tokens only, and ``parse_row`` reads a whole
-row of them at once.  ``format`` is ``str`` on every field: the decimal
+row of integer tokens at once.  ``format`` is ``str`` on every field: the decimal
 residue for GF(p), ``a`` or ``a/b`` for a rational, so a formatter maps it
 over a row slice without a Python call per entry.
 """
@@ -54,19 +54,6 @@ def _decimal(text: str) -> str:
     return text
 
 
-def _rational(text: str) -> Fraction:
-    """``Fraction(text)``, read through ``int`` when ``int`` accepts it; a
-    zero denominator is a ValueError."""
-    try:
-        return Fraction(int(text))
-    except ValueError:
-        pass
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(text) from None
-
-
 class Field:
     """Base class: exact arithmetic on raw carrier values."""
 
@@ -95,8 +82,9 @@ class Field:
         raise NotImplementedError
 
     def parse_row(self, tokens: list[str]) -> list:
-        """``parse`` of every token; a ValueError, which need not name the
-        token, when one of them is not an element."""
+        """``parse`` of every token, for a row of integer tokens; a
+        ValueError, which need not name the token, otherwise (a bad token, or
+        a rational ``a/b`` or decimal one, which only ``parse`` reads)."""
         raise NotImplementedError
 
     format = str
@@ -222,10 +210,7 @@ class RationalField(Field):
 
     def parse_row(self, tokens: list[str]) -> list:
         _decimal("".join(tokens))
-        try:
-            return list(map(Fraction, map(int, tokens)))
-        except ValueError:  # an a/b or decimal token: only those go to Fraction(str)
-            return [_rational(t) for t in tokens]
+        return list(map(Fraction, map(int, tokens)))
 
     def __repr__(self):
         return "QQ"
