@@ -18,7 +18,6 @@ from .partmat import (
     RankConditionViolated,
     StabilityGraph,
     build_stability_graph,
-    check_rank1_condition,
 )
 from .decompose import (
     ChainPoset,
@@ -50,7 +49,6 @@ __all__ = [
     "HyperplaneVertex",
     "StabilityGraph",
     "RankConditionViolated",
-    "check_rank1_condition",
     "build_stability_graph",
     "VectorMatroid",
     "IndependentMatchingState",

@@ -17,8 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import ne
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Sequence
 
 from .field import Field
@@ -478,40 +477,36 @@ def _partition_problem(side: str, got, want: tuple[int, ...]) -> str:
     return "" if got == want else f"{side} blocks {got!r} are not A's {want!r}"
 
 
-def _foreign_value(name: str, mat: Matrix, f: Field) -> str:
-    """Why ``mat``, ``name`` in the reason, holds a non-carrier of f, or ""."""
-    if not isinstance(mat, Matrix) or f.carries(mat.data):
+def _form_problem(name: str, mat: Matrix, rows: int, cols: int, f: Field) -> str:
+    """Why ``mat``, ``name`` in the reason, is not a rows x cols Matrix over
+    f holding only f's carriers, or ""."""
+    if not isinstance(mat, Matrix):
+        return f"{name} is not a Matrix"
+    if (mat.rows, mat.cols, mat.field) != (rows, cols, f):
+        return f"{name} is {mat.rows}x{mat.cols} over {mat.field}, wants {rows}x{cols} over {f}"
+    if f.carries(mat.data):
         return ""
     k = next(k for k, x in enumerate(mat.data) if not f.carries([x]))
-    return f"{name} holds {mat.data[k]!r} at {divmod(k, mat.cols)}, not a value of {f}"
+    return f"{name} holds {mat.data[k]!r} at {divmod(k, cols)}, not a value of {f}"
 
 
-def _admissibility_problem(name: str, mat: Matrix, blocks: tuple[int, ...], parts) -> str:
-    """Why mat, named ``name`` in the reason, is not blockdiag(nonsingular)
-    times a permutation, or "": each column lies inside one block, each block
-    holds as many columns as its size, and their square submatrix is
-    nonsingular.  ``parts`` is ``column_parts`` of mat on the partition,
-    read once mat is a Matrix of its size."""
-    if not isinstance(mat, Matrix):
-        return f"{name}: {type(mat).__name__} is not a Matrix"
-    size = sum(blocks)
-    if mat.rows != size or mat.cols != size:
-        return f"{name}: matrix size does not match the partition"
+def _admissibility_problem(name: str, parts, blocks: tuple[int, ...], f: Field) -> str:
+    """Why the matrix ``name``, sliced into ``parts`` by ``column_parts`` on
+    the partition ``blocks``, is not blockdiag(nonsingular) times a
+    permutation, or "": each column lies inside one block, each block holds
+    as many columns as its size, and their square submatrix is nonsingular."""
     hits = Counter(col for part in parts for col, _ in part)
-    for col in range(size):
+    for col in range(sum(blocks)):
         if col not in hits:
             return f"{name}: column {col} is zero"
         if hits[col] > 1:
             return f"{name}: column {col} crosses block boundaries"
-    fld = mat.field
     for blk, part in enumerate(parts):
         if len(part) != blocks[blk]:
             return f"{name}: block {blk} has {len(part)} columns, wants {blocks[blk]}"
         # the square submatrix's transpose: one row per column of the block
         entries = list(chain.from_iterable(x for _, x in part))
-        if not fld.carries(entries):  # mat over another field holds A's carriers
-            entries = list(map(fld.coerce_raw, entries))
-        if rref(Matrix(fld, len(part), len(part), entries)).rank != blocks[blk]:
+        if rref(Matrix(f, len(part), len(part), entries)).rank != blocks[blk]:
             return f"{name}: block {blk} columns are singular"
     return ""
 
@@ -528,14 +523,9 @@ def _malformed_blocks(blocks) -> str:
 
 def _staircase_problem(a_dm: Matrix, blocks, n: int, m: int) -> str:
     """Why the declared diagonal blocks do not put a zero staircase under
-    A_dm, or "" when they do.  The middle blocks D_h .. D_1 are square and
-    not empty: each holds at least one matched pair."""
-    if not isinstance(a_dm, Matrix):
-        return "A_dm is not a Matrix"
-    if (a_dm.rows, a_dm.cols) != (n, m):
-        return "A_dm does not have the shape of A"
-    if bad := _malformed_blocks(blocks):
-        return bad
+    A_dm, an n x m matrix of carriers, so false only at zero, or "".  The
+    middle blocks D_h .. D_1 are square and not empty: each holds at least
+    one matched pair."""
     if any(r < 0 or c < 0 for r, c in blocks):
         return "a diagonal block has a negative size"
     for k, (r, c) in enumerate(blocks[1:-1], start=1):
@@ -546,15 +536,13 @@ def _staircase_problem(a_dm: Matrix, blocks, n: int, m: int) -> str:
     if sum(r for r, _ in blocks) != n or sum(c for _, c in blocks) != m:
         return "diagonal block sizes do not tile the matrix"
     # row group gr's entries below the staircase are its columns [0, col_starts[gr])
-    zero = a_dm.field.zero_raw
     row_starts = list(accumulate((r for r, _ in blocks), initial=0))
     col_starts = list(accumulate((c for _, c in blocks), initial=0))
     for gr in range(1, len(blocks)):
         for i in range(row_starts[gr], row_starts[gr + 1]):
             below = a_dm.data[i * m : i * m + col_starts[gr]]
-            # not truthiness: a falsy foreign value, None say, is not zero
-            if any(map(ne, below, repeat(zero))):
-                j = next(j for j, x in enumerate(below) if x != zero)
+            if any(below):
+                j = next(j for j, x in enumerate(below) if x)
                 return f"nonzero entry below the staircase at ({i}, {j})"
     return ""
 
@@ -564,13 +552,11 @@ def _witness_state(
 ) -> tuple[IndependentMatchingState | None, str]:
     """The auxiliary digraph of the witness matching on A's own stability
     graph, which the result's graph must equal, or None and the reason.
-    Building it proves the matching independent."""
+    Building it proves the matching independent.  A satisfies the rank
+    condition."""
     if result.graph is None or result.state is None:
         return None, "no matching witness attached"
-    try:
-        g = build_stability_graph(a)
-    except RankConditionViolated as exc:
-        return None, f"A has {exc}"
+    g = build_stability_graph(a)
     try:
         if result.graph != g:
             return None, "the witness graph is not A's stability graph"
@@ -579,9 +565,7 @@ def _witness_state(
         return None, f"malformed matching witness: {exc}"
 
 
-def _chain_problem(
-    state: IndependentMatchingState | None, missing: str, result: DMResult, m: int
-) -> str:
+def _chain_problem(state: IndependentMatchingState, result: DMResult, m: int) -> str:
     """Why the diagonal blocks are not the finest block triangularization,
     or "".  By the structure theorem every maximal chain of maximum stable
     subspaces has h + 1 elements, h the height of the witness's poset; given
@@ -591,12 +575,8 @@ def _chain_problem(
     dims, blocks = result.chain_dims, result.diag_blocks
     if not isinstance(dims, (list, tuple)):
         return f"chain dims {dims!r} is not a list"
-    if bad := _malformed_blocks(blocks):
-        return bad
     if list(dims) != _chain_dims(blocks, m):
         return "chain dims disagree with the diagonal blocks"
-    if state is None:
-        return missing
     try:
         h = scc_poset(state, *reachability_sets(state)).h
     except ValueError as exc:
@@ -606,19 +586,13 @@ def _chain_problem(
     return ""
 
 
-def _duality_problem(
-    state: IndependentMatchingState | None, missing: str, result: DMResult, n: int, m: int
-) -> str:
+def _duality_problem(state: IndependentMatchingState, result: DMResult, n: int, m: int) -> str:
     """Why v* = n + m - |M| is not certified, or "".
 
     Upper bound: the witness is an independent matching of A's stability
     graph.  Lower bound: given product, admissibility and staircase, the
     columns r.. of E and ..c-1 of F, (r, c) the first diagonal block, form
     a stable pair."""
-    if state is None:
-        return missing
-    if bad := _malformed_blocks(result.diag_blocks):
-        return bad
     r, c = result.diag_blocks[0]
     size, v_star = result.matching_size, result.v_star
     if not (size == state.size and v_star == n + m - size == n - r + c):
@@ -632,8 +606,7 @@ def _duality_problem(
 def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     """Re-check a decomposition from first principles.
 
-    (a) the product identity, E^T A F built from A's rank-1 factors, once
-    every entry of E, F and A_dm is a carrier of A's field, (b)
+    (a) the product identity, E^T A F built from A's rank-1 factors, (b)
     admissibility of E and F for A's partition, which the result must
     restate, (c) the zero staircase under the declared diagonal blocks,
     whose sizes are nonnegative and whose middle blocks are non-empty
@@ -641,56 +614,50 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     blocks', and there is one middle block per component of the poset
     rebuilt from A and the matching witness, (e) v* = n + m - |M|, bounded
     above by the witness, an independent matching of A's own stability
-    graph, and below by the first diagonal block.  (d) and (e) read one
-    auxiliary digraph, built once from A's graph and the witness matching.
+    graph, and below by the first diagonal block.  The rank condition, the
+    form of each of E, F and A_dm (a Matrix of A's shape and field holding
+    only its carriers) and that of the diagonal blocks are each judged once,
+    and every check that reads them reports that verdict.  (d) and (e) read
+    one auxiliary digraph, built once from A's graph and the witness matching.
     """
     checks: list[CheckResult] = []
     n, m = a.matrix.rows, a.matrix.cols
-
-    shapes = [("E", result.E, n, n), ("F", result.F, m, m), ("A_dm", result.a_dm, n, m)]
-    foreign = {name: _foreign_value(name, mat, a.field) for name, mat, _, _ in shapes}
+    e_form = _form_problem("E", result.E, n, n, a.field)
+    f_form = _form_problem("F", result.F, m, m, a.field)
+    a_dm_form = _form_problem("A_dm", result.a_dm, n, m, a.field)
     # each of E and F is sliced into column parts once, for product and admissible
-    parts = {
-        name: column_parts(mat, offsets)
-        for (name, mat, size, _), offsets in zip(shapes, (a.row_offsets, a.col_offsets))
-        if not foreign[name] and isinstance(mat, Matrix) and mat.rows == mat.cols == size
-    }
-    misfits = [
-        f"{name} is {mat.rows}x{mat.cols} over {mat.field}, wants {r}x{c} over {a.field}"
-        if isinstance(mat, Matrix)
-        else f"{name} is not a Matrix"
-        for name, mat, r, c in shapes
-        if not isinstance(mat, Matrix) or (mat.rows, mat.cols, mat.field) != (r, c, a.field)
-    ] or list(filter(None, foreign.values()))
-    if misfits:
-        checks.append(CheckResult("product", False, "; ".join(misfits)))
+    e_parts = None if e_form else column_parts(result.E, a.row_offsets)
+    f_parts = None if f_form else column_parts(result.F, a.col_offsets)
+    rank = ""
+    try:
+        a.factors  # noqa: B018  (the rank condition, decided once)
+    except RankConditionViolated as exc:
+        rank = f"A has {exc}"
+
+    if why := "; ".join(filter(None, (e_form, f_form, a_dm_form))) or rank:
+        checks.append(CheckResult("product", False, why))
     else:
-        try:
-            product = _transform_parts(a, parts["E"], parts["F"], n, m)
-        except RankConditionViolated as exc:
-            checks.append(CheckResult("product", False, f"A has {exc}"))
-        else:
-            checks.append(
-                CheckResult("product", product == result.a_dm, "A_dm == E^T A F")
-            )
+        product = _transform_parts(a, e_parts, f_parts, n, m)
+        checks.append(CheckResult("product", product == result.a_dm, "A_dm == E^T A F"))
 
     why = "; ".join(filter(None, (
         _partition_problem("row", result.row_blocks, a.row_blocks),
         _partition_problem("column", result.col_blocks, a.col_blocks),
-        foreign["E"] or _admissibility_problem("E", result.E, a.row_blocks, parts.get("E")),
-        foreign["F"] or _admissibility_problem("F", result.F, a.col_blocks, parts.get("F")),
+        e_form or _admissibility_problem("E", e_parts, a.row_blocks, a.field),
+        f_form or _admissibility_problem("F", f_parts, a.col_blocks, a.field),
     )))
     checks.append(
         CheckResult("admissible", not why, why or "E, F block-diagonal times permutation")
     )
 
-    detail = _staircase_problem(result.a_dm, result.diag_blocks, n, m)
+    malformed = _malformed_blocks(result.diag_blocks)
+    detail = a_dm_form or malformed or _staircase_problem(result.a_dm, result.diag_blocks, n, m)
     checks.append(CheckResult("staircase", not detail, detail))
 
-    state, missing = _witness_state(a, result)
-    detail = _chain_problem(state, missing, result, m)
+    state, missing = (None, rank) if rank else _witness_state(a, result)
+    detail = missing or malformed or _chain_problem(state, result, m)
     checks.append(CheckResult("chain", not detail, detail))
 
-    detail = _duality_problem(state, missing, result, n, m)
+    detail = missing or malformed or _duality_problem(state, result, n, m)
     checks.append(CheckResult("duality", not detail, detail or "v* == n + m - |M|"))
     return VerificationReport(checks)

@@ -4,7 +4,10 @@ A field value has one representation, its raw carrier: an ``int`` residue in
 [0, p) for GF(p), a ``fractions.Fraction`` in lowest terms with positive
 denominator for the rationals.  A ``Field`` instance does the arithmetic on
 carriers; a container (a ``Matrix``, a stability graph, a vector matroid)
-records the field, and a vector is a tuple of raw carriers.
+records the field, and a vector is a tuple of raw carriers.  Zero is the
+only false carrier, so ``any`` and ``compress`` find a row's support; a
+value from outside, such as ``None`` or ``0.0``, is told apart by
+``carries``, which ``verify`` applies once to each result matrix.
 ``parse`` reads ASCII decimal tokens only, and ``parse_row`` reads a whole
 row of integer tokens at once.  ``format`` is ``str`` on every field: the decimal
 residue for GF(p), ``a`` or ``a/b`` for a rational, so a formatter maps it
@@ -15,35 +18,13 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Any
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < 3.3 * 10^24."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by trial division, up to 46,340 divisions for n < 2^31."""
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _decimal(text: str) -> str:

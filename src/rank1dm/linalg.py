@@ -102,9 +102,6 @@ class Matrix:
             )
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, tuple(self.data)))
-
     def __repr__(self):
         fmt = self.field.format
         body = "; ".join(" ".join(map(fmt, self.row_raw(i))) for i in range(self.rows))

@@ -2,13 +2,14 @@
 
 A partitioned matrix is a dense matrix together with row and column block
 sizes.  Its blocks are factored once per matrix: each nonzero block gets its
-rank verdict and, at rank one, its factorization coeff * u^T v with monic u
-and v.  A vector, here and downstream (normal, dual or basis vector), is a
-tuple of raw values of the field its container records.  The graph builder
-and the verifier both read those factors.  The u's become hyperplane
-vertices on the row side (one vertex per distinct kernel of a block
-transpose, per block row) and the v's on the column side.  Each rank-1
-block contributes one edge joining its pair of vertices.
+factorization coeff * u^T v with monic u and v, and a block of rank 2 or
+more breaks the rank-1 condition, which factoring reports.  A vector, here
+and downstream (normal, dual or basis vector), is a tuple of raw values of
+the field its container records.  The graph builder and the verifier both
+read those factors.  The u's become hyperplane vertices on the row side (one
+vertex per distinct kernel of a block transpose, per block row) and the v's
+on the column side.  Each rank-1 block contributes one edge joining its pair
+of vertices.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, pairwise
-from typing import Any
+from typing import NamedTuple
 
 from .field import Field, PrimeField
 from .linalg import Matrix, Rank1Factor, rank1_factor
@@ -74,7 +75,8 @@ class PartitionedMatrix:
     @cached_property
     def factors(self) -> dict[tuple[int, int], Rank1Factor]:
         """The factor of every nonzero block, keyed by (alpha, beta) in
-        row-major block order; zero blocks are left out."""
+        row-major block order; zero blocks are left out.  Raises
+        RankConditionViolated, naming every block of rank 2 or more."""
         fld, data, width = self.field, self.matrix.data, self.matrix.cols
         ro, col_bounds = self.row_offsets, list(pairwise(self.col_offsets))
         out = {}
@@ -85,6 +87,8 @@ class PartitionedMatrix:
                 if any(map(any, rows)):  # 0 and Fraction(0) are the false carriers
                     block = Matrix(fld, len(rows), hi - lo, list(chain.from_iterable(rows)))
                     out[alpha, beta] = rank1_factor(block)
+        if offenders := [key for key, fac in out.items() if fac.rank >= 2]:
+            raise RankConditionViolated(offenders)
         return out
 
     def transform(self, e: Matrix, f: Matrix) -> Matrix:
@@ -131,11 +135,10 @@ def column_parts(mat: Matrix, offsets: tuple[int, ...]) -> list[list[tuple[int, 
 def _transform_parts(a: PartitionedMatrix, e_parts, f_parts, e_cols: int, f_cols: int) -> Matrix:
     """``a.transform(E, F)`` from E's column parts on A's row offsets and
     F's on its column offsets, E with ``e_cols`` columns, F with ``f_cols``."""
-    factors = check_rank1_condition(a)
     fld = a.field
     zero, mul, add, dot = fld.zero_raw, fld.mul, fld.add, fld.dot
     out = [zero] * (e_cols * f_cols)
-    for (alpha, beta), fac in factors.items():
+    for (alpha, beta), fac in a.factors.items():
         u, v = fac.u, fac.v
         qs = [(j, q) for j, y in f_parts[beta] if (q := dot(v, y))]
         for i, x in e_parts[alpha]:
@@ -159,23 +162,12 @@ class HyperplaneVertex:
         return (self.block, self.normal[::-1])
 
 
-def check_rank1_condition(a: PartitionedMatrix) -> dict[tuple[int, int], Rank1Factor]:
-    """A's factors; raise RankConditionViolated if a block has rank >= 2."""
-    offenders = [key for key, fac in a.factors.items() if fac.rank >= 2]
-    if offenders:
-        raise RankConditionViolated(offenders)
-    return a.factors
-
-
-@dataclass(frozen=True)
-class Edge:
-    """One rank-1 block seen as an edge of the stability graph."""
+class Edge(NamedTuple):
+    """One rank-1 block seen as an edge of the stability graph: the indices
+    of its row-side and column-side vertices, whose blocks are the edge's."""
 
     pi: int
     sigma: int
-    alpha: int
-    beta: int
-    coeff: Any
 
 
 @dataclass
@@ -259,9 +251,9 @@ def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:
     Zero blocks contribute nothing; each rank-1 block (alpha, beta) with
     factorization coeff * u^T v adds the vertex u to the row side of block
     alpha, v to the column side of block beta (deduplicated by monic normal)
-    and one edge between them carrying coeff.
+    and one edge between them.
     """
-    factors = check_rank1_condition(a)
+    factors = a.factors
     g = StabilityGraph(a.field, a.row_blocks, a.col_blocks)
 
     # one vertex per distinct (block, normal); every normal is over A's field
@@ -272,7 +264,7 @@ def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:
     pi_index = {(v.block, v.normal): i for i, v in enumerate(g.pi)}
     sigma_index = {(v.block, v.normal): j for j, v in enumerate(g.sigma)}
     g.edges = [
-        Edge(pi_index[alpha, fac.u], sigma_index[beta, fac.v], alpha, beta, fac.coeff)
+        Edge(pi_index[alpha, fac.u], sigma_index[beta, fac.v])
         for (alpha, beta), fac in factors.items()
     ]
     return g

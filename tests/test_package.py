@@ -6,7 +6,7 @@ PUBLIC = {
     "GF", "QQ", "Field", "PrimeField", "RationalField",
     "Matrix", "Rank1Factor", "rref", "rank1_factor",
     "PartitionedMatrix", "HyperplaneVertex", "StabilityGraph", "RankConditionViolated",
-    "check_rank1_condition", "build_stability_graph",
+    "build_stability_graph",
     "VectorMatroid", "IndependentMatchingState", "build_auxiliary_digraph",
     "max_independent_matching", "matroid_pi", "matroid_sigma",
     "ChainPoset", "StableSubspace", "DMResult", "VerificationReport",
@@ -17,7 +17,7 @@ PUBLIC = {
 
 
 def test_public_names():
-    assert len(PUBLIC) == 34
+    assert len(PUBLIC) == 33
     assert len(rank1dm.__all__) == len(set(rank1dm.__all__))
     assert set(rank1dm.__all__) == PUBLIC
     for name in rank1dm.__all__:

@@ -13,7 +13,6 @@ from rank1dm import (
     PartitionedMatrix,
     RankConditionViolated,
     build_stability_graph,
-    check_rank1_condition,
 )
 from rank1dm.partmat import column_parts
 
@@ -64,7 +63,7 @@ def test_partition_validation():
 
 
 def test_rank1_condition_worked_example(example):
-    factors = check_rank1_condition(example)
+    factors = example.factors
     assert len(factors) == 9
     assert all(f.rank <= 1 for f in factors.values())
     assert all(f.rank == 1 for f in factors.values())  # no zero blocks here
@@ -72,14 +71,13 @@ def test_rank1_condition_worked_example(example):
 
 def test_rank1_condition_zero_matrix():
     a = PartitionedMatrix(Matrix.zeros(GF(5), 4, 4), (2, 2), (2, 2))
-    factors = check_rank1_condition(a)
-    assert all(f.rank == 0 for f in factors.values())
+    assert a.factors == {}  # zero blocks are left out
 
 
 def test_rank1_condition_violation():
     a = PartitionedMatrix(Matrix.identity(GF(2), 2), (2,), (2,))
     with pytest.raises(RankConditionViolated) as err:
-        check_rank1_condition(a)
+        a.factors  # noqa: B018
     assert err.value.offenders == [(0, 0)]
     with pytest.raises(RankConditionViolated):  # E^T A F needs the factors
         a.transform(a.matrix, a.matrix)
@@ -165,13 +163,15 @@ def test_edge_reconstruction_invariant():
         for e in g.edges:
             u = g.pi[e.pi].normal
             v = g.sigma[e.sigma].normal
-            block = a.block(e.alpha, e.beta)
+            alpha, beta = g.pi[e.pi].block, g.sigma[e.sigma].block
+            block = a.block(alpha, beta)
+            coeff = a.factors[alpha, beta].coeff
             rebuilt = Matrix(
                 field,
                 block.rows,
                 block.cols,
                 [
-                    field.mul(e.coeff, field.mul(ux, vx))
+                    field.mul(coeff, field.mul(ux, vx))
                     for ux in u
                     for vx in v
                 ],
@@ -195,10 +195,7 @@ def test_rescaling_blocks_keeps_graph():
                 brow.append(Matrix(field, b.rows, b.cols, [field.mul(c, x) for x in b.data]))
             blocks.append(brow)
         g2 = build_stability_graph(from_blocks(blocks))
-        assert g1.pi == g2.pi and g1.sigma == g2.sigma
-        assert [(e.pi, e.sigma, e.alpha, e.beta) for e in g1.edges] == [
-            (e.pi, e.sigma, e.alpha, e.beta) for e in g2.edges
-        ]
+        assert g1.pi == g2.pi and g1.sigma == g2.sigma and g1.edges == g2.edges
 
 
 def test_from_blocks_round_trip(example):
@@ -219,6 +216,6 @@ def test_vertex_normals_monic():
 
 def test_worked_example_center_block_factorization(example):
     # block (2,2) reads [[1,1],[0,0]], so its row-side kernel normal is (1,0)
-    fac = check_rank1_condition(example)[(1, 1)]
+    fac = example.factors[1, 1]
     assert fac.u == (1, 0)
     assert fac.v == (1, 1)
