@@ -479,11 +479,13 @@ def _partition_problem(side: str, got, want: tuple[int, ...]) -> str:
 
 def _form_problem(name: str, mat: Matrix, rows: int, cols: int, f: Field) -> str:
     """Why ``mat``, ``name`` in the reason, is not a rows x cols Matrix over
-    f holding only f's carriers, or ""."""
+    f whose data is a list of rows * cols of f's carriers, or ""."""
     if not isinstance(mat, Matrix):
         return f"{name} is not a Matrix"
     if (mat.rows, mat.cols, mat.field) != (rows, cols, f):
         return f"{name} is {mat.rows}x{mat.cols} over {mat.field}, wants {rows}x{cols} over {f}"
+    if type(mat.data) is not list or len(mat.data) != rows * cols:
+        return f"{name}'s data is not a list of {rows * cols} entries"
     if f.carries(mat.data):
         return ""
     k = next(k for k, x in enumerate(mat.data) if not f.carries([x]))

@@ -6,8 +6,9 @@ linearly independent.  A matching is independent when both endpoint sets
 are.  The classic augmenting scheme applies on the auxiliary digraph
 (graph edges oriented left to right, matched edges reversed as well, plus
 matroid exchange arcs): find a shortest source-to-sink path by BFS, flip
-it, repeat until no path remains.  A round re-eliminates only the blocks
-its augmentation changed and expands a node only when the search dequeues
+it, repeat until no path remains.  Each side's matroid holds the matched
+vertices as its selection, so a round re-eliminates only the blocks its
+augmentation changed, and it expands a node only when the search dequeues
 it; the digraph is built in full for the maximum matching alone, whose
 reachability sets give the decomposition.
 """
@@ -27,79 +28,71 @@ _log = logging.getLogger("rank1dm")
 
 
 class VectorMatroid:
-    """Direct sum over blocks of linear matroids on hyperplane normals."""
+    """Direct sum over blocks of linear matroids on hyperplane normals,
+    holding one selection of its elements, at first the empty one.
+
+    ``circuit[j]`` is ``[]`` for a selected j; for an unselected j in the
+    closure of the selection, the selected elements whose normals carry a
+    nonzero coefficient when j's normal is written in them, ascending (for
+    an independent selection, j's fundamental circuit less j); and None
+    outside the closure.  ``holders[i]`` lists, ascending, the elements whose
+    circuit holds i, and is ``[]`` for an unselected i.  Read both lists
+    only; ``select`` rewrites them."""
 
     def __init__(self, field: Field, elements: list[tuple[int, tuple]], block_dims: tuple):
         self.field = field
         self.elements = list(elements)
         self.block_dims = tuple(block_dims)
-        if any(not 0 <= blk < len(block_dims) for blk, _ in self.elements):
-            raise ValueError("element block index out of range")
-        self._members = self._by_block(range(len(self.elements)))
-        # block -> its last selection's (ids, rank, [(member, circuit)] in
-        # the closure, {selected id: members whose circuit holds it})
-        self._memo: dict[int, tuple] = {}
+        self._members: list[list[int]] = [[] for _ in self.block_dims]
+        for j, (blk, _) in enumerate(self.elements):
+            if not 0 <= blk < len(block_dims):
+                raise ValueError("element block index out of range")
+            self._members[blk].append(j)
+        self.circuit: list[list[int] | None] = [None] * len(self.elements)
+        self.holders: list[list[int]] = [[] for _ in self.elements]
+        self._selected: set[int] = set()
+        self._ranks = [0] * len(self.block_dims)
 
-    def _by_block(self, subset) -> dict[int, list[int]]:
-        grouped: dict[int, list[int]] = {}
-        for i in subset:
-            grouped.setdefault(self.elements[i][0], []).append(i)
-        return grouped
-
-    def _solve(self, blk: int, ids: tuple[int, ...]) -> tuple:
-        """One elimination solves the block's unselected members against
-        ``ids``; it is redone only when the block's selection changes."""
-        memo = self._memo.get(blk)
-        if memo is not None and memo[0] == ids:
-            return memo
-        others = [j for j in self._members[blk] if j not in ids]
-        f = self.field
-        span = span_coordinates(
-            f,
-            self.block_dims[blk],
-            [self.elements[i][1] for i in ids],
-            [self.elements[j][1] for j in others],
-        )
-        solved = []
-        holders: dict[int, list[int]] = {i: [] for i in ids}
-        for j, coeffs in zip(others, span.coords):
-            if coeffs is not None:
-                solved.append((j, [i for i, c in zip(ids, coeffs) if c != f.zero_raw]))
-                for i in solved[-1][1]:
-                    holders[i].append(j)
-        self._memo[blk] = memo = (ids, span.rank, solved, holders)
-        return memo
-
-    def circuits(self, subset) -> tuple[int, list[list[int] | None]]:
-        """Rank of the selected set and, for every ground element, the
-        selected elements whose normals carry a nonzero coefficient when its
-        normal is written in them, in ascending order, or None outside the
-        closure.  For an independent selection that is the element's
-        fundamental circuit (less the element itself), so a selected element
-        gets the empty list.  The lists are the memo's own: read them only."""
-        found: list[list[int] | None] = [None] * len(self.elements)
-        total = 0
-        for blk, ids in self._by_block(sorted(subset)).items():
-            _, rank, solved, _ = self._solve(blk, tuple(ids))
-            total += rank
-            for i in ids:
-                found[i] = []
-            for j, circuit in solved:
-                found[j] = circuit
-        return total, found
-
-    def holders(self, i: int) -> list[int]:
-        """The members whose circuit holds ``i``, ascending, for the last
-        selection of i's block passed to ``circuits``, which selected i."""
-        return self._memo[self.elements[i][0]][3][i]
+    def select(self, subset) -> int:
+        """Hold ``subset`` as the selection and return its rank.  One
+        elimination solves the unselected members of each block whose
+        selected members changed against the selected ones, ascending;
+        every other block keeps its entries."""
+        subset = set(subset)
+        changed = {self.elements[i][0] for i in subset ^ self._selected}
+        self._selected = subset
+        zero = self.field.zero_raw
+        for blk in changed:
+            members = self._members[blk]
+            ids = [i for i in members if i in subset]
+            others = [j for j in members if j not in subset]
+            for j in members:
+                self.circuit[j] = [] if j in subset else None
+                self.holders[j] = []
+            self._ranks[blk] = 0
+            if not ids:
+                continue
+            span = span_coordinates(
+                self.field,
+                self.block_dims[blk],
+                [self.elements[i][1] for i in ids],
+                [self.elements[j][1] for j in others],
+            )
+            self._ranks[blk] = span.rank
+            for j, coeffs in zip(others, span.coords):
+                if coeffs is not None:
+                    self.circuit[j] = [i for i, c in zip(ids, coeffs) if c != zero]
+                    for i in self.circuit[j]:
+                        self.holders[i].append(j)
+        return sum(self._ranks)
 
 
 def matroid_pi(g: StabilityGraph) -> VectorMatroid:
-    return VectorMatroid(g.field, [(v.block, v.normal) for v in g.pi], g.row_blocks)
+    return VectorMatroid(g.field, g.pi, g.row_blocks)
 
 
 def matroid_sigma(g: StabilityGraph) -> VectorMatroid:
-    return VectorMatroid(g.field, [(v.block, v.normal) for v in g.sigma], g.col_blocks)
+    return VectorMatroid(g.field, g.sigma, g.col_blocks)
 
 
 @dataclass
@@ -159,22 +152,20 @@ def _lazy_digraph(g: StabilityGraph, mp: VectorMatroid, ms: VectorMatroid, graph
         d_plus.add(e.pi)
         d_minus.add(e.sigma)
         mate[npi + e.sigma] = [(e.pi, k)]
-    rank_pi, circuits_pi = mp.circuits(d_plus)
-    rank_sigma, circuits_sigma = ms.circuits(d_minus)
-    if rank_pi != len(d_plus) or rank_sigma != len(d_minus):
+    if mp.select(d_plus) != len(d_plus) or ms.select(d_minus) != len(d_minus):
         raise ValueError("matching endpoints are not independent")
+    holders_pi, circuit_sigma = mp.holders, ms.circuit
 
     def arcs(v: int) -> list[tuple[int, int | None]]:
         # ascending by target, the order _search reads them: a row-side
         # node's exchange arcs, then its graph edges; a column-side node's
         # reversed matched edge, then its exchange arcs
         if v < npi:
-            held = mp.holders(v) if v in d_plus else ()
-            return [(new, None) for new in held] + graph_arcs[v]
-        return mate.get(v, []) + [(npi + old, None) for old in circuits_sigma[v - npi] or ()]
+            return [(new, None) for new in holders_pi[v]] + graph_arcs[v]
+        return mate.get(v, []) + [(npi + old, None) for old in circuit_sigma[v - npi] or ()]
 
-    sources = [i for i in range(npi) if circuits_pi[i] is None]
-    sinks = [npi + j for j in range(g.n_sigma) if circuits_sigma[j] is None]
+    sources = [i for i, c in enumerate(mp.circuit) if c is None]
+    sinks = [npi + j for j, c in enumerate(circuit_sigma) if c is None]
     return sources, sinks, arcs, d_plus, d_minus
 
 

@@ -151,8 +151,7 @@ def _transform_parts(a: PartitionedMatrix, e_parts, f_parts, e_cols: int, f_cols
     return Matrix(fld, e_cols, f_cols, out)
 
 
-@dataclass(frozen=True)
-class HyperplaneVertex:
+class HyperplaneVertex(NamedTuple):
     """A hyperplane inside one block space, identified by its monic normal."""
 
     block: int
@@ -261,8 +260,8 @@ def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:
     sigma = {(beta, fac.v) for (_, beta), fac in factors.items()}
     g.pi = sorted((HyperplaneVertex(*k) for k in pi), key=HyperplaneVertex.sort_key)
     g.sigma = sorted((HyperplaneVertex(*k) for k in sigma), key=HyperplaneVertex.sort_key)
-    pi_index = {(v.block, v.normal): i for i, v in enumerate(g.pi)}
-    sigma_index = {(v.block, v.normal): j for j, v in enumerate(g.sigma)}
+    pi_index = {v: i for i, v in enumerate(g.pi)}
+    sigma_index = {v: j for j, v in enumerate(g.sigma)}
     g.edges = [
         Edge(pi_index[alpha, fac.u], sigma_index[beta, fac.v])
         for (alpha, beta), fac in factors.items()

@@ -384,7 +384,8 @@ def classic_dm_check(a: PartitionedMatrix) -> tuple[int, int]:
 def closure(m: VectorMatroid, subset) -> set[int]:
     """Ground elements whose normal lies in the span of the selected normals
     of the same block."""
-    return {j for j, circuit in enumerate(m.circuits(subset)[1]) if circuit is not None}
+    m.select(subset)
+    return {j for j, circuit in enumerate(m.circuit) if circuit is not None}
 
 
 @dataclass(frozen=True)
@@ -408,4 +409,4 @@ def min_cover(state: IndependentMatchingState) -> Cover:
 
 
 def cover_value(g: StabilityGraph, cover: Cover) -> int:
-    return matroid_pi(g).circuits(cover.H)[0] + matroid_sigma(g).circuits(cover.K)[0]
+    return matroid_pi(g).select(cover.H) + matroid_sigma(g).select(cover.K)

@@ -818,6 +818,10 @@ def test_a_malformed_matrix_has_one_reason_in_every_check(example, example_resul
                "a_dm": ("product", "staircase")}
     forms = [None, "x", Matrix.identity(GF(2), 5), Matrix.identity(GF(3), 6),
              Matrix.zeros(GF(2), 6, 5), Matrix(GF(2), 6, 6, [2] * 36)]
+    # a 6x6 Matrix whose data is one entry short, three long, three short, None
+    for data in ([1] * 35, [1] * 39, [1] * 33, None):
+        forms.append(Matrix.identity(GF(2), 6))
+        forms[-1].data = data
     for field, names in readers.items():
         for value in forms:
             report = verify(example, dataclasses.replace(example_result, **{field: value}))

@@ -42,9 +42,9 @@ def graph(example):
 
 def test_independence_examples(graph):
     m = matroid_pi(graph)
-    assert m.circuits([])[0] == 0
-    assert m.circuits(_pi_ids(graph, ["1a", "1b", "1c"]))[0] == 2
-    assert m.circuits(_pi_ids(graph, ["1a", "1b", "2a", "2c", "3c"]))[0] == 5
+    assert m.select([]) == 0
+    assert m.select(_pi_ids(graph, ["1a", "1b", "1c"])) == 2
+    assert m.select(_pi_ids(graph, ["1a", "1b", "2a", "2c", "3c"])) == 5
 
 
 def test_closure_examples(graph):
@@ -141,7 +141,7 @@ def test_max_matching_all_ones_unit_type():
             pis = [g.edges[k].pi for k in combo]
             sigmas = [g.edges[k].sigma for k in combo]
             if len(set(pis)) == r and len(set(sigmas)) == r:
-                if mp.circuits(pis)[0] == ms.circuits(sigmas)[0] == r:
+                if mp.select(pis) == ms.select(sigmas) == r:
                     best = max(best, r)
     assert best == 2
     assert state.size == best
@@ -163,7 +163,7 @@ def test_intermediate_matchings_stay_independent(caplog):
             pis = [g.edges[k].pi for k in snapshot]
             sigmas = [g.edges[k].sigma for k in snapshot]
             assert len(set(pis)) == len(snapshot) == len(set(sigmas))
-            assert mp.circuits(pis)[0] == ms.circuits(sigmas)[0] == len(snapshot)
+            assert mp.select(pis) == ms.select(sigmas) == len(snapshot)
         sizes = [len(s) for s in history]
         assert sizes == list(range(state.size + 1))
         assert history[-1] == state.matching
@@ -188,9 +188,9 @@ def test_aux_digraph_built_in_search_order(caplog):
                 assert keys == sorted(keys)
             for m, selected in ((mp, state.matched_pi), (ms, state.matched_sigma)):
                 # circuits ascend whatever order the selection comes in
-                circuits = m.circuits(sorted(selected, reverse=True))[1]
-                assert all(circuits[i] == [] for i in selected)
-                assert all(c == sorted(c) for c in circuits if c is not None)
+                m.select(sorted(selected, reverse=True))
+                assert all(m.circuit[i] == [] for i in selected)
+                assert all(c == sorted(c) for c in m.circuit if c is not None)
 
 
 def test_min_cover_empty_graph():
@@ -236,7 +236,7 @@ def test_cover_duality_exhaustive_small():
             for kbits in range(1 << g.n_sigma):
                 k = {j for j in range(g.n_sigma) if kbits >> j & 1}
                 if all(e.pi in h or e.sigma in k for e in g.edges):
-                    value = mp.circuits(h)[0] + ms.circuits(k)[0]
+                    value = mp.select(h) + ms.select(k)
                     best = value if best is None else min(best, value)
                     assert state.size <= value  # weak duality
         assert best == state.size
@@ -274,7 +274,7 @@ def test_exchange_arcs_match_definition():
         for old in sorted(d_plus):
             for new in sorted(cl_plus - d_plus):
                 swapped = (d_plus - {old}) | {new}
-                if mp.circuits(swapped)[0] == len(swapped):
+                if mp.select(swapped) == len(swapped):
                     want_pi.add((old, new))
         assert got_pi == want_pi
         if a.field != GF(2):
@@ -290,7 +290,7 @@ def test_exchange_arcs_match_definition():
         for new in sorted(cl_minus - d_minus):
             for old in sorted(d_minus):
                 swapped = (d_minus - {old}) | {new}
-                if ms.circuits(swapped)[0] == len(swapped):
+                if ms.select(swapped) == len(swapped):
                     want_sigma.add((new, old))
         assert got_sigma == want_sigma
     assert large_field_arcs > 0
@@ -373,9 +373,18 @@ def test_matching_eliminates_each_changed_block_once(caplog, monkeypatch):
     assert 0 < len(calls) <= len(selections)
 
 
-def test_circuit_memo_matches_fresh_matroid():
-    # changing, repeated and reversed selections on one matroid read the
-    # same circuits, ranks and reverse index as a fresh matroid
+def test_circuit_memo_matches_fresh_matroid(monkeypatch):
+    # changing, repeated and reversed selections on one matroid hold the
+    # same rank, circuits and holders as a fresh matroid, deselected
+    # elements included; repeating a selection eliminates nothing
+    calls = []
+    eliminate = matching_module.span_coordinates
+
+    def counted(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(matching_module, "span_coordinates", counted)
     rng = random.Random(39)
     independent = 0
     for field in (GF(2), GF(3), GF(101), QQ):
@@ -385,14 +394,18 @@ def test_circuit_memo_matches_fresh_matroid():
             m = build(g)
             for _ in range(20):
                 subset = rng.sample(range(n), rng.randint(0, rng.choice([n, min(n, 4)])))
-                for selection in (subset, subset, subset[::-1]):
-                    rank, circuits = m.circuits(selection)
-                    assert (rank, circuits) == build(g).circuits(selection)
-                    if rank == len(selection):
-                        independent += 1
-                        for i in selection:
-                            held = [j for j, c in enumerate(circuits) if c and i in c]
-                            assert m.holders(i) == held
+                for repeat, selection in enumerate((subset, subset, subset[::-1])):
+                    before = len(calls)
+                    rank = m.select(selection)
+                    assert repeat == 0 or len(calls) == before
+                    fresh = build(g)
+                    assert (rank, m.circuit, m.holders) == (
+                        fresh.select(selection), fresh.circuit, fresh.holders
+                    )
+                    for i in range(n):
+                        held = [j for j, c in enumerate(m.circuit) if c and i in c]
+                        assert m.holders[i] == (held if i in selection else [])
+                    independent += rank == len(selection)
     assert independent > 20
 
 
