@@ -6,7 +6,6 @@ from .linalg import Matrix, Rank1Factor, rank1_factor, rref
 from .matching import (
     IndependentMatchingState,
     VectorMatroid,
-    build_auxiliary_digraph,
     matroid_pi,
     matroid_sigma,
     max_independent_matching,
@@ -52,7 +51,6 @@ __all__ = [
     "build_stability_graph",
     "VectorMatroid",
     "IndependentMatchingState",
-    "build_auxiliary_digraph",
     "max_independent_matching",
     "matroid_pi",
     "matroid_sigma",

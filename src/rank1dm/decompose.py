@@ -24,7 +24,6 @@ from .field import Field
 from .linalg import Matrix, rref
 from .matching import (
     IndependentMatchingState,
-    build_auxiliary_digraph,
     max_independent_matching,
     reachability_sets,
 )
@@ -554,15 +553,20 @@ def _witness_state(
 ) -> tuple[IndependentMatchingState | None, str]:
     """The auxiliary digraph of the witness matching on A's own stability
     graph, which the result's graph must equal, or None and the reason.
-    Building it proves the matching independent.  A satisfies the rank
-    condition."""
+    Building it proves the matching independent.  Each edge index must be
+    a plain int in range, not a negative alias or a bool.  A satisfies the
+    rank condition."""
     if result.graph is None or result.state is None:
         return None, "no matching witness attached"
     g = build_stability_graph(a)
     try:
         if result.graph != g:
             return None, "the witness graph is not A's stability graph"
-        return build_auxiliary_digraph(g, result.state.matching), ""
+        matching = frozenset(result.state.matching)
+        stray = sorted(repr(k) for k in matching if type(k) is not int or not 0 <= k < len(g.edges))
+        if stray:
+            return None, f"malformed matching witness: {stray[0]} is not an edge index"
+        return IndependentMatchingState(g, matching), ""
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
         return None, f"malformed matching witness: {exc}"
 

@@ -6,18 +6,19 @@ linearly independent.  A matching is independent when both endpoint sets
 are.  The classic augmenting scheme applies on the auxiliary digraph
 (graph edges oriented left to right, matched edges reversed as well, plus
 matroid exchange arcs): find a shortest source-to-sink path by BFS, flip
-it, repeat until no path remains.  Each side's matroid holds the matched
-vertices as its selection, so a round re-eliminates only the blocks its
-augmentation changed, and it expands a node only when the search dequeues
-it; the digraph is built in full for the maximum matching alone, whose
-reachability sets give the decomposition.
+it, repeat until no path remains.  One ``IndependentMatchingState`` holds
+the matching and its digraph, and ``flip`` is its only update: each side's
+matroid holds the matched vertices as its selection, so a flip
+re-eliminates only the blocks it changed.  The search expands a node only
+when it dequeues it; the whole adjacency is materialized only when read,
+for the maximum matching's reachability sets, poset and drawing.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .field import Field
@@ -95,85 +96,88 @@ def matroid_sigma(g: StabilityGraph) -> VectorMatroid:
     return VectorMatroid(g.field, g.sigma, g.col_blocks)
 
 
-@dataclass
 class IndependentMatchingState:
-    """A matching together with its auxiliary digraph.
+    """A matching of a stability graph together with its auxiliary digraph,
+    advanced in place by ``flip``.
 
     Node ids: row-side vertex i is node i, column-side vertex j is node
-    n_pi + j.  Arcs carry the graph edge index they correspond to, or None
-    for matroid exchange arcs.
+    n_pi + j.  ``arcs(v)`` lists v's out-arcs ascending by target, each
+    carrying the graph edge index it corresponds to, or None for a matroid
+    exchange arc.  An unmatched vertex outside the closure of the matched
+    ones is a source (row side) or a sink (column side); inside it, it has
+    an exchange arc with every matched vertex of its fundamental circuit.
     """
 
-    graph: StabilityGraph
-    matching: frozenset[int]
-    adjacency: dict[int, list[tuple[int, int | None]]]
-    sources: list[int]
-    sinks: list[int]
-    matched_pi: set[int]
-    matched_sigma: set[int]
-    augmentations: int = 0
+    def __init__(self, graph: StabilityGraph, matching=()):
+        self.graph = graph
+        self.matching: frozenset[int] = frozenset()
+        self.matched_pi: set[int] = set()
+        self.matched_sigma: set[int] = set()
+        self.augmentations = 0
+        self._mp, self._ms = matroid_pi(graph), matroid_sigma(graph)
+        npi = graph.n_pi
+        graph_arcs: list[list[tuple[int, int]]] = [[] for _ in range(npi)]
+        for k, e in enumerate(graph.edges):
+            graph_arcs[e.pi].append((npi + e.sigma, k))
+        # each matched column-side node's one out-arc: its matched edge, reversed
+        self._mate: dict[int, list[tuple[int, int]]] = {}
+        mate, holders_pi, circuit_sigma = self._mate, self._mp.holders, self._ms.circuit
+
+        def arcs(v: int) -> list[tuple[int, int | None]]:
+            # ascending by target, the order _search reads them: a row-side
+            # node's exchange arcs, then its graph edges; a column-side node's
+            # reversed matched edge, then its exchange arcs
+            if v < npi:
+                return [(new, None) for new in holders_pi[v]] + graph_arcs[v]
+            return mate.get(v, []) + [(npi + old, None) for old in circuit_sigma[v - npi] or ()]
+
+        self.arcs = arcs
+        self.flip(matching)
+
+    def flip(self, edges) -> None:
+        """Replace the matching by its symmetric difference with ``edges``.
+        Each matroid re-eliminates only the blocks whose matched vertices
+        changed.  Raises ValueError when the result is not an independent
+        matching; the state is then not to be used."""
+        edges = frozenset(edges)
+        graph_edges, npi = self.graph.edges, self.graph.n_pi
+        for k in edges & self.matching:
+            e = graph_edges[k]
+            self.matched_pi.remove(e.pi)
+            self.matched_sigma.remove(e.sigma)
+            del self._mate[npi + e.sigma]
+        for k in edges - self.matching:
+            e = graph_edges[k]
+            if e.pi in self.matched_pi or e.sigma in self.matched_sigma:
+                raise ValueError("edge set is not a matching")
+            self.matched_pi.add(e.pi)
+            self.matched_sigma.add(e.sigma)
+            self._mate[npi + e.sigma] = [(e.pi, k)]
+        self.matching = self.matching ^ edges
+        self.__dict__.pop("adjacency", None)
+        if (
+            self._mp.select(self.matched_pi) != len(self.matched_pi)
+            or self._ms.select(self.matched_sigma) != len(self.matched_sigma)
+        ):
+            raise ValueError("matching endpoints are not independent")
 
     @property
     def size(self) -> int:
         return len(self.matching)
 
+    @property
+    def sources(self) -> list[int]:
+        return [i for i, c in enumerate(self._mp.circuit) if c is None]
 
-def build_auxiliary_digraph(g: StabilityGraph, matching) -> IndependentMatchingState:
-    """Auxiliary digraph, source set and sink set for an independent matching.
+    @property
+    def sinks(self) -> list[int]:
+        npi = self.graph.n_pi
+        return [npi + j for j, c in enumerate(self._ms.circuit) if c is None]
 
-    An unmatched vertex outside the closure of the matched ones is a source
-    (row side) or a sink (column side); inside it, it has an exchange arc
-    with every matched vertex of its fundamental circuit."""
-    matching = frozenset(matching)
-    lazy = _lazy_digraph(g, matroid_pi(g), matroid_sigma(g), _graph_arcs(g), matching)
-    return _auxiliary_digraph(g, matching, lazy)
-
-
-def _graph_arcs(g: StabilityGraph) -> list[list[tuple[int, int]]]:
-    """Each row-side node's graph edges as (column node, edge), in edge order."""
-    out: list[list[tuple[int, int]]] = [[] for _ in range(g.n_pi)]
-    for k, e in enumerate(g.edges):
-        out[e.pi].append((g.n_pi + e.sigma, k))
-    return out
-
-
-def _lazy_digraph(g: StabilityGraph, mp: VectorMatroid, ms: VectorMatroid, graph_arcs, matching):
-    """Sources, sinks, the out-arc function and the matched vertex sets of
-    the auxiliary digraph of ``matching``, on the graph's two matroids and
-    row-side graph arcs, which the caller builds once."""
-    npi = g.n_pi
-    d_plus: set[int] = set()
-    d_minus: set[int] = set()
-    mate: dict[int, list[tuple[int, int]]] = {}
-    for k in matching:
-        e = g.edges[k]
-        if e.pi in d_plus or e.sigma in d_minus:
-            raise ValueError("edge set is not a matching")
-        d_plus.add(e.pi)
-        d_minus.add(e.sigma)
-        mate[npi + e.sigma] = [(e.pi, k)]
-    if mp.select(d_plus) != len(d_plus) or ms.select(d_minus) != len(d_minus):
-        raise ValueError("matching endpoints are not independent")
-    holders_pi, circuit_sigma = mp.holders, ms.circuit
-
-    def arcs(v: int) -> list[tuple[int, int | None]]:
-        # ascending by target, the order _search reads them: a row-side
-        # node's exchange arcs, then its graph edges; a column-side node's
-        # reversed matched edge, then its exchange arcs
-        if v < npi:
-            return [(new, None) for new in holders_pi[v]] + graph_arcs[v]
-        return mate.get(v, []) + [(npi + old, None) for old in circuit_sigma[v - npi] or ()]
-
-    sources = [i for i, c in enumerate(mp.circuit) if c is None]
-    sinks = [npi + j for j, c in enumerate(circuit_sigma) if c is None]
-    return sources, sinks, arcs, d_plus, d_minus
-
-
-def _auxiliary_digraph(g: StabilityGraph, matching, lazy) -> IndependentMatchingState:
-    """The state of ``matching``, with every node's out-arcs materialized."""
-    sources, sinks, arcs, d_plus, d_minus = lazy
-    adjacency = {v: arcs(v) for v in range(g.n_pi + g.n_sigma)}
-    return IndependentMatchingState(g, matching, adjacency, sources, sinks, d_plus, d_minus)
+    @cached_property
+    def adjacency(self) -> dict[int, list[tuple[int, int | None]]]:
+        """Every node's out-arcs, materialized on first read after a flip."""
+        return {v: self.arcs(v) for v in range(self.graph.n_pi + self.graph.n_sigma)}
 
 
 def _search(
@@ -218,31 +222,24 @@ def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
 
     Each round flips the graph edges used by a shortest path between the
     source set and the sink set, growing the matching by one; when no path
-    exists the matching is maximum.  A round re-eliminates only the blocks
-    whose matched vertices changed and expands nodes lazily; only the
-    returned state's digraph is materialized.  Every augmentation emits a
-    DEBUG record on the ``rank1dm`` logger whose ``matching`` attribute
-    holds the new matching's edge indices.
+    exists the matching is maximum.  A round expands nodes lazily and
+    updates only what its path changed.  Every augmentation emits a DEBUG
+    record on the ``rank1dm`` logger whose ``matching`` attribute holds the
+    new matching's edge indices.
     """
-    mp, ms, graph_arcs = matroid_pi(g), matroid_sigma(g), _graph_arcs(g)
-    matching: frozenset[int] = frozenset()
-    rounds = 0
+    state = IndependentMatchingState(g)
     while True:
-        lazy = _lazy_digraph(g, mp, ms, graph_arcs, matching)
-        sources, sinks, arcs, _, _ = lazy
-        parent, node = _search(arcs, sources, sinks)
+        parent, node = _search(state.arcs, state.sources, state.sinks)
         if node is None:
-            state = _auxiliary_digraph(g, matching, lazy)
-            state.augmentations = rounds
             return state
-        flipped = set()
+        path = set()
         while parent[node] is not None:
             node, edge = parent[node]
             if edge is not None:
-                flipped.add(edge)
-        matching = matching.symmetric_difference(flipped)
-        rounds += 1
+                path.add(edge)
+        state.flip(path)
+        state.augmentations += 1
         _log.debug(
-            "augmentation %d: matching of size %d", rounds, len(matching),
-            extra={"matching": matching},
+            "augmentation %d: matching of size %d", state.augmentations, state.size,
+            extra={"matching": state.matching},
         )

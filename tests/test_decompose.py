@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -854,7 +855,7 @@ def test_duality_rejects_a_dependent_witness(example, example_result):
     )
     forged = dataclasses.replace(
         example_result,
-        state=dataclasses.replace(example_result.state, matching=triple),
+        state=SimpleNamespace(matching=triple),
         matching_size=3,
         v_star=9,
         chain=None,
@@ -875,7 +876,7 @@ def test_duality_rejects_two_edges_on_one_vertex(example, example_result, side):
     )
     forged = dataclasses.replace(
         example_result,
-        state=dataclasses.replace(example_result.state, matching=frozenset(pair)),
+        state=SimpleNamespace(matching=frozenset(pair)),
         matching_size=2,
         v_star=10,
         chain=None,
@@ -898,16 +899,25 @@ def test_duality_rejects_a_normal_that_is_not_the_factor(example, example_result
 
 
 def test_duality_reports_a_missing_or_malformed_witness(example, example_result):
-    state = example_result.state
+    # verify reads only the witness's matching; a negative index or a bool
+    # would alias a real edge, and the README example's matching rewritten
+    # that way must not pass
+    matching = example_result.state.matching
+    n_edges = len(example_result.graph.edges)
+    assert matching == {0, 2, 3, 5, 7}
+    aliases = [
+        frozenset(k - n_edges for k in matching),
+        frozenset(False if k == 0 else k for k in matching),
+    ]
     cases = [
         ("no matching witness attached", dataclasses.replace(example_result, state=None)),
         ("no matching witness attached", dataclasses.replace(example_result, graph=None)),
+    ]
+    cases += [
         ("malformed matching witness", dataclasses.replace(
-            example_result, state=dataclasses.replace(state, matching=state.matching | {99})
-        )),
-        ("malformed matching witness", dataclasses.replace(
-            example_result, state=dataclasses.replace(state, matching=5)
-        )),
+            example_result, state=SimpleNamespace(matching=forged)
+        ))
+        for forged in (matching | {99}, 5, *aliases)
     ]
     g = example_result.graph
     cases += [  # dict-valued witness lists
@@ -917,8 +927,10 @@ def test_duality_reports_a_missing_or_malformed_witness(example, example_result)
         for name in ("edges", "pi", "sigma")
     ]
     for reason, forged in cases:
-        check = verify(example, forged).check("duality")
-        assert not check.passed and reason in check.detail
+        report = verify(example, forged)
+        for name in ("chain", "duality"):
+            check = report.check(name)
+            assert not check.passed and reason in check.detail, (name, check.detail)
 
 
 def test_verify_reports_a_block_of_rank_two(example, example_result):

@@ -11,8 +11,8 @@ from rank1dm import (
     QQ,
     Matrix,
     PartitionedMatrix,
+    IndependentMatchingState,
     StabilityGraph,
-    build_auxiliary_digraph,
     build_stability_graph,
     matroid_pi,
     matroid_sigma,
@@ -59,7 +59,7 @@ def test_closure_examples(graph):
 
 
 def test_aux_digraph_empty_matching(graph):
-    state = build_auxiliary_digraph(graph, frozenset())
+    state = IndependentMatchingState(graph, frozenset())
     assert sorted(state.sources) == list(range(graph.n_pi))
     assert sorted(state.sinks) == [graph.n_pi + j for j in range(graph.n_sigma)]
     arcs = [(v, w) for v, outs in state.adjacency.items() for w, _ in outs]
@@ -77,7 +77,7 @@ def _known_matching_ids(graph):
 
 
 def test_aux_digraph_with_maximum_matching(graph):
-    state = build_auxiliary_digraph(graph, _known_matching_ids(graph))
+    state = IndependentMatchingState(graph, _known_matching_ids(graph))
     assert [graph.pi_label(i) for i in state.sources] == ["3a"]
     assert state.sinks == []
     # exchange arcs: only 1a -> 1c and 1b -> 1c on the row side
@@ -98,7 +98,7 @@ def test_aux_digraph_rejects_bad_matchings(graph):
     # two edges sharing the 2a endpoint
     shared = [k for k, e in enumerate(graph.edges) if graph.pi_label(e.pi) == "2a"]
     with pytest.raises(ValueError):
-        build_auxiliary_digraph(graph, frozenset(shared))
+        IndependentMatchingState(graph, frozenset(shared))
     # dependent endpoints: 1a, 1b, 1c all inside block 1
     dep = [
         k
@@ -107,7 +107,7 @@ def test_aux_digraph_rejects_bad_matchings(graph):
         in {("1a", "1'a"), ("1b", "3'c"), ("1c", "2'c")}
     ]
     with pytest.raises(ValueError):
-        build_auxiliary_digraph(graph, frozenset(dep))
+        IndependentMatchingState(graph, frozenset(dep))
 
 
 def test_max_matching_empty_graph():
@@ -182,7 +182,7 @@ def test_aux_digraph_built_in_search_order(caplog):
         max_independent_matching(g)
         mp, ms = matroid_pi(g), matroid_sigma(g)
         for matching in [frozenset()] + [r.matching for r in caplog.records]:
-            state = build_auxiliary_digraph(g, matching)
+            state = IndependentMatchingState(g, matching)
             for arcs in state.adjacency.values():
                 keys = [(w, -1 if edge is None else edge) for w, edge in arcs]
                 assert keys == sorted(keys)
@@ -215,7 +215,7 @@ def test_min_cover_worked_example(graph):
 
 
 def test_min_cover_requires_maximum(graph):
-    state = build_auxiliary_digraph(graph, frozenset())
+    state = IndependentMatchingState(graph, frozenset())
     with pytest.raises(ValueError):
         min_cover(state)
 
@@ -297,15 +297,15 @@ def test_exchange_arcs_match_definition():
 
 
 def test_final_state_matches_rebuilt_digraph():
-    # the matching loop keeps each block's circuits across rounds and
-    # materializes a digraph only for the final matching; it must be the one
-    # built from scratch, on fresh matroids, for that matching
+    # the matching loop advances one state by flips and keeps each block's
+    # circuits across rounds; its final digraph must be the one the
+    # constructor builds from scratch, on fresh matroids, for that matching
     rng = random.Random(36)
     for field in (GF(2), GF(101), QQ) * 5:
         a = random_rank1_instance(rng, field, rng.randint(1, 4), rng.randint(1, 4), max_dim=3)
         g = build_stability_graph(a)
         state = max_independent_matching(g)
-        rebuilt = build_auxiliary_digraph(g, state.matching)
+        rebuilt = IndependentMatchingState(g, state.matching)
         for name in ("adjacency", "sources", "sinks", "matched_pi", "matched_sigma"):
             assert getattr(state, name) == getattr(rebuilt, name)
 
@@ -325,9 +325,9 @@ def _flip(matching, state):
 
 
 def test_rounds_match_search_on_rebuilt_digraph(caplog):
-    # build_auxiliary_digraph is the from-scratch reference: every round of
-    # the lazy loop must flip the path that one search of the rebuilt
-    # digraph finds
+    # the constructor on fresh matroids is the from-scratch reference: every
+    # round of the loop must flip the path that one search of the digraph
+    # it builds for the previous matching finds
     caplog.set_level(logging.DEBUG, logger="rank1dm")
     rng = random.Random(38)
     for field in (GF(2), GF(3), GF(101), QQ) * 4:
@@ -337,10 +337,52 @@ def test_rounds_match_search_on_rebuilt_digraph(caplog):
         state = max_independent_matching(g)
         previous = frozenset()
         for record in caplog.records:
-            previous = _flip(previous, build_auxiliary_digraph(g, previous))
+            previous = _flip(previous, IndependentMatchingState(g, previous))
             assert record.matching == previous
-        assert _flip(previous, build_auxiliary_digraph(g, previous)) is None
+        assert _flip(previous, IndependentMatchingState(g, previous)) is None
         assert state.matching == previous
+
+
+def test_flip_matches_a_fresh_build():
+    # one state advanced by flips, along augmenting paths and back along the
+    # last path taken, holds after each flip the digraph the constructor
+    # builds from scratch for its matching, whose adjacency read before the
+    # flip included; a flip that makes two edges share a vertex or one side
+    # dependent raises
+    rng = random.Random(41)
+    names = ("adjacency", "sources", "sinks", "matched_pi", "matched_sigma")
+    flips, shared, dependent = 0, 0, 0
+    for field in (GF(2), GF(101), QQ) * 5:
+        a = random_rank1_instance(rng, field, rng.randint(1, 4), rng.randint(1, 4), max_dim=3)
+        g = build_stability_graph(a)
+        state = IndependentMatchingState(g)
+        taken = []
+        for _ in range(12):
+            after = _flip(state.matching, state)
+            if taken and (after is None or rng.random() < 0.3):
+                path = taken.pop()
+            elif after is not None:
+                path = after ^ state.matching
+                taken.append(path)
+            else:
+                break
+            state.flip(path)
+            flips += 1
+            fresh = IndependentMatchingState(g, state.matching)
+            for name in names:
+                assert getattr(state, name) == getattr(fresh, name), name
+            for k, e in enumerate(g.edges):
+                if k in state.matching:
+                    continue
+                if e.pi in state.matched_pi or e.sigma in state.matched_sigma:
+                    message, shared = "edge set is not a matching", shared + 1
+                elif e.pi not in state.sources or g.n_pi + e.sigma not in state.sinks:
+                    message, dependent = "matching endpoints are not independent", dependent + 1
+                else:
+                    continue
+                with pytest.raises(ValueError, match=message):
+                    IndependentMatchingState(g, state.matching).flip({k})
+    assert flips > 50 and shared > 0 and dependent > 0
 
 
 def test_matching_eliminates_each_changed_block_once(caplog, monkeypatch):

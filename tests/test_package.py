@@ -7,7 +7,7 @@ PUBLIC = {
     "Matrix", "Rank1Factor", "rref", "rank1_factor",
     "PartitionedMatrix", "HyperplaneVertex", "StabilityGraph", "RankConditionViolated",
     "build_stability_graph",
-    "VectorMatroid", "IndependentMatchingState", "build_auxiliary_digraph",
+    "VectorMatroid", "IndependentMatchingState",
     "max_independent_matching", "matroid_pi", "matroid_sigma",
     "ChainPoset", "StableSubspace", "DMResult", "VerificationReport",
     "reachability_sets", "scc_poset", "ideal_to_stable_subspace", "maximal_chain",
@@ -17,7 +17,7 @@ PUBLIC = {
 
 
 def test_public_names():
-    assert len(PUBLIC) == 33
+    assert len(PUBLIC) == 32
     assert len(rank1dm.__all__) == len(set(rank1dm.__all__))
     assert set(rank1dm.__all__) == PUBLIC
     for name in rank1dm.__all__:
