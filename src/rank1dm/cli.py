@@ -177,7 +177,6 @@ def format_result(doc: InputDocument, result: DMResult, report=None) -> str:
     state = result.state
     poset = result.poset
     assembly = result.assembly
-    npi = g.n_pi
 
     lines = _header_lines(doc.field, result.row_blocks, result.col_blocks)
     lines.append(f"matching_size {result.matching_size}")
@@ -191,9 +190,9 @@ def format_result(doc: InputDocument, result: DMResult, report=None) -> str:
         )
     )
     lines.append("sources " + " ".join(g.pi_label(i) for i in state.sources))
-    lines.append("sinks " + " ".join(g.sigma_label(v - npi) for v in state.sinks))
-    lines.append("c0 " + " ".join(_node_label(g, v) for v in sorted(poset.c0)))
-    lines.append("c_inf " + " ".join(_node_label(g, v) for v in sorted(poset.cinf)))
+    lines.append("sinks " + " ".join(map(g.node_label, state.sinks)))
+    lines.append("c0 " + " ".join(map(g.node_label, sorted(poset.c0))))
+    lines.append("c_inf " + " ".join(map(g.node_label, sorted(poset.cinf))))
     lines.append(f"h {poset.h}")
     for comp in poset.components:
         lines.append(
@@ -231,10 +230,6 @@ def format_result(doc: InputDocument, result: DMResult, report=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _node_label(g, v: int) -> str:
-    return g.pi_label(v) if v < g.n_pi else g.sigma_label(v - g.n_pi)
-
-
 def write_dot(result: DMResult) -> str:
     """The stability graph and the auxiliary digraph in DOT form."""
     g = result.graph
@@ -258,7 +253,7 @@ def write_dot(result: DMResult) -> str:
             tags.append("C0")
         if v in poset.cinf:
             tags.append("Cinf")
-        label = _node_label(g, v)
+        label = g.node_label(v)
         if tags:
             label += " [" + ",".join(tags) + "]"
         shape = "ellipse" if v < npi else "box"

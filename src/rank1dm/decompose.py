@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
+from math import inf
 from typing import Callable, Iterable, Sequence
 
 from .field import Field
@@ -33,58 +34,49 @@ from .partmat import (
     RankConditionViolated,
     StabilityGraph,
     build_stability_graph,
-    col_vertex_label,
     column_parts,
-    row_vertex_label,
+    vertex_label,
     _transform_parts,
 )
 
 
 def _tarjan_scc(nodes: Sequence[int], adj: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components come out in reverse topological order."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    onstack: set[int] = set()
+    """Iterative Tarjan; components come out in reverse topological order.
+    The nodes of an emitted component get index inf, so no low link reads
+    them, and the next index is the number of nodes visited."""
+    index: dict[int, float] = {}
+    low: dict[int, float] = {}
     stack: list[int] = []
     sccs: list[list[int]] = []
-    counter = 0
     for root in nodes:
         if root in index:
             continue
-        index[root] = low[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        onstack.add(root)
         work: list[tuple[int, Iterable[int]]] = [(root, iter(adj[root]))]
         while work:
             v, it = work[-1]
-            descended = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
-                    onstack.add(w)
                     work.append((w, iter(adj[w])))
-                    descended = True
                     break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = inf
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
     return sccs
 
 
@@ -287,28 +279,26 @@ def _adapted_basis(
     with P the inverse of the completed basis: the identity columns taking a
     pivot are the greedy completion, and row k of P is the dual of the k-th
     basis vector (the normals, then the completion)."""
-    normals = [
-        (group, vertices[i].block, vertices[i].normal)
-        for group, ids in groups
-        for i in ids
-    ]
-    duals, completion = [], []
-    for blk, dim in enumerate(dims):
-        present = [u for _, b, u in normals if b == blk]
-        p = len(present)
+    by_block: list[list[tuple[int, tuple]]] = [[] for _ in dims]  # (group, normal) pairs
+    for group, ids in groups:
+        for i in ids:
+            by_block[vertices[i].block].append((group, vertices[i].normal))
+    matched, completion = [], []
+    for blk, (dim, normals) in enumerate(zip(dims, by_block)):
+        p = len(normals)
         eye = Matrix.identity(f, dim)
         red = rref(Matrix(f, dim, p + dim, [
-            x for r in range(dim) for x in [u[r] for u in present] + eye.row_raw(r)
+            x for r in range(dim) for x in [u[r] for _, u in normals] + eye.row_raw(r)
         ]))
         if red.pivots[:p] != list(range(p)):
             raise ValueError(f"the normals of block {blk} are linearly dependent")
         inverse = [tuple(red.R.row_raw(k)[p:]) for k in range(dim)]
-        duals.append(iter(inverse))
+        matched += [BasisEntry(group, blk, u, d) for (group, u), d in zip(normals, inverse)]
         completion += [
             BasisEntry(completion_group, blk, tuple(eye.row_raw(c - p)), d)
             for c, d in zip(red.pivots[p:], inverse[p:])
         ]
-    matched = [BasisEntry(group, blk, u, next(duals[blk])) for group, blk, u in normals]
+    # ids ascend within a group and vertices by block, so the stable sort keeps id order
     return sorted(matched + completion, key=lambda e: e.group)
 
 
@@ -354,10 +344,10 @@ class BasisAssembly:
     k_group_sizes: list[int]
 
     def h_labels(self, g: StabilityGraph) -> list[str]:
-        return [row_vertex_label(g.field, e.block, e.normal) for e in self.h_entries]
+        return [vertex_label(g.field, e.block, e.normal, "") for e in self.h_entries]
 
     def k_labels(self, g: StabilityGraph) -> list[str]:
-        return [col_vertex_label(g.field, e.block, e.normal) for e in self.k_entries]
+        return [vertex_label(g.field, e.block, e.normal, "'") for e in self.k_entries]
 
 
 def build_bases(
@@ -472,8 +462,9 @@ class VerificationReport:
 
 
 def _partition_problem(side: str, got, want: tuple[int, ...]) -> str:
-    """Why the result's block sizes on one side are not A's, or ""."""
-    return "" if got == want else f"{side} blocks {got!r} are not A's {want!r}"
+    """Why the result's block sizes on one side are not A's as plain ints, or ""."""
+    ok = got == want and all(type(x) is int for x in got)
+    return "" if ok else f"{side} blocks {got!r} are not A's {want!r}"
 
 
 def _form_problem(name: str, mat: Matrix, rows: int, cols: int, f: Field) -> str:
@@ -513,11 +504,11 @@ def _admissibility_problem(name: str, parts, blocks: tuple[int, ...], f: Field) 
 
 
 def _malformed_blocks(blocks) -> str:
-    """Why the diagonal blocks are not a non-empty list of integer pairs, or ""."""
+    """Why the diagonal blocks are not a non-empty list of pairs of plain ints, or ""."""
     if not isinstance(blocks, (list, tuple)) or not blocks:
         return "diagonal blocks are empty or not a list"
     for k, b in enumerate(blocks):
-        if not isinstance(b, (list, tuple)) or len(b) != 2 or not all(isinstance(x, int) for x in b):
+        if not isinstance(b, (list, tuple)) or len(b) != 2 or not all(type(x) is int for x in b):
             return f"diagonal block {k} is {b!r}, not a pair of integers"
     return ""
 
@@ -581,7 +572,7 @@ def _chain_problem(state: IndependentMatchingState, result: DMResult, m: int) ->
     dims, blocks = result.chain_dims, result.diag_blocks
     if not isinstance(dims, (list, tuple)):
         return f"chain dims {dims!r} is not a list"
-    if list(dims) != _chain_dims(blocks, m):
+    if list(dims) != _chain_dims(blocks, m) or any(type(x) is not int for d in dims for x in d):
         return "chain dims disagree with the diagonal blocks"
     try:
         h = scc_poset(state, *reachability_sets(state)).h
@@ -601,7 +592,8 @@ def _duality_problem(state: IndependentMatchingState, result: DMResult, n: int, 
     a stable pair."""
     r, c = result.diag_blocks[0]
     size, v_star = result.matching_size, result.v_star
-    if not (size == state.size and v_star == n + m - size == n - r + c):
+    if not (type(size) is type(v_star) is int and size == state.size
+            and v_star == n + m - size == n - r + c):
         return (
             f"|M| is {size!r} and v* {v_star!r}, but the witness has {state.size} matched"
             f" edges and the first diagonal block spans a stable pair of dimension {n - r + c}"

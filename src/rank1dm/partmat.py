@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress, pairwise
+from itertools import accumulate, chain, compress, pairwise, product
 from typing import NamedTuple
 
 from .field import Field, PrimeField
@@ -195,53 +195,45 @@ class StabilityGraph:
 
     def pi_label(self, i: int) -> str:
         v = self.pi[i]
-        return row_vertex_label(self.field, v.block, v.normal)
+        return vertex_label(self.field, v.block, v.normal, "")
 
     def sigma_label(self, j: int) -> str:
         v = self.sigma[j]
-        return col_vertex_label(self.field, v.block, v.normal)
+        return vertex_label(self.field, v.block, v.normal, "'")
+
+    def node_label(self, v: int) -> str:
+        """The name of auxiliary-digraph node ``v``: row-side vertices come
+        first, then the column-side ones shifted by ``n_pi``."""
+        return self.pi_label(v) if v < self.n_pi else self.sigma_label(v - self.n_pi)
 
 
-def _monic_directions(p: int, dim: int) -> list[tuple]:
-    """All monic vectors of GF(p)^dim in colexicographic order."""
-    vecs = [()]
-    for _ in range(dim):
-        vecs = [(v + (r,)) for r in range(p) for v in vecs]
-    # vecs were built most-significant-last, so plain order is colex already
-    out = []
-    for v in vecs:
-        lead = next((x for x in v if x != 0), None)
-        if lead == 1:
-            out.append(tuple(v))
-    return out
+def vertex_label(field: Field, block: int, normal: tuple, mark: str) -> str:
+    """The name of a hyperplane vertex, as every document prints it.
+
+    A name is the 1-based block number, then ``mark`` (empty on the row
+    side, ``'`` on the column side), then a tag.  Over GF(p), when the block
+    space GF(p)^dim holds at most 26 monic directions, the tag is a letter
+    a, b, c, ... by the normal's colexicographic rank among them, as in
+    ``2c`` or ``3'a``.  Otherwise it is ``v`` and the entries joined by
+    ``_``, as in ``9'v1_25_81`` over GF(101) or ``2'v1_1_-1/3`` over QQ."""
+    letters = _direction_letters(field.p, len(normal)) if isinstance(field, PrimeField) else None
+    tag = letters[normal] if letters else "v" + "_".join(map(field.format, normal))
+    return f"{block + 1}{mark}{tag}"
 
 
 @lru_cache(maxsize=None)
-def _direction_index_table(p: int, dim: int) -> dict[tuple, int]:
-    return {v: k for k, v in enumerate(_monic_directions(p, dim))}
-
-
-def _direction_tag(field: Field, normal: tuple) -> str:
-    """Short name for a monic normal: letters a, b, c, ... by colex rank
-    among all monic directions when the field and dimension are small enough,
-    otherwise a positional fallback."""
-    if isinstance(field, PrimeField):
-        dim = len(normal)
-        count = (field.p**dim - 1) // (field.p - 1)
-        if count <= 26:
-            table = _direction_index_table(field.p, dim)
-            return chr(ord("a") + table[normal])
-    return "v" + "_".join(field.format(x) for x in normal)
-
-
-def row_vertex_label(field: Field, block: int, normal: tuple) -> str:
-    """Display name of a row-side direction, e.g. ``2c`` for block 2."""
-    return f"{block + 1}{_direction_tag(field, normal)}"
-
-
-def col_vertex_label(field: Field, block: int, normal: tuple) -> str:
-    """Display name of a column-side direction, e.g. ``3'a`` for block 3."""
-    return f"{block + 1}'{_direction_tag(field, normal)}"
+def _direction_letters(p: int, dim: int) -> dict[tuple, str]:
+    """Each monic direction of GF(p)^dim with its letter by colex rank, or
+    an empty table when there are more than 26 of them.  A monic vector is
+    a 1 at its leading position and any tail after it, so at most 26 are
+    ever built and the field is never enumerated."""
+    if (p**dim - 1) // (p - 1) > 26:
+        return {}
+    monic = sorted(
+        ((0,) * k + (1,) + t for k in range(dim) for t in product(range(p), repeat=dim - k - 1)),
+        key=lambda v: v[::-1],
+    )
+    return {v: chr(ord("a") + r) for r, v in enumerate(monic)}
 
 
 def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:

@@ -2,7 +2,7 @@
 instance generators, exact subspace utilities used by oracle-style checks,
 the reference checks (stability from the definition, classic bipartite DM,
 Gaussian binomials, elimination and rank-1 factoring through the field's
-methods), and the
+methods, the monic directions by enumerating GF(p)^dim), and the
 matroid closure and minimum cover that the matching tests check against."""
 
 from __future__ import annotations
@@ -324,6 +324,16 @@ def is_stable(a: PartitionedMatrix, x_bases, y_bases) -> bool:
         for alpha in range(a.mu)
         for beta in range(a.nu)
     )
+
+
+def monic_directions(p: int, dim: int) -> list[tuple]:
+    """All monic vectors of GF(p)^dim in colexicographic order, found by
+    enumerating every vector of the space and keeping those led by a 1."""
+    vecs = [()]
+    for _ in range(dim):
+        vecs = [v + (r,) for r in range(p) for v in vecs]
+    # vecs were built most-significant-last, so plain order is colex already
+    return [v for v in vecs if next((x for x in v if x), None) == 1]
 
 
 def gaussian_binomial(d: int, k: int, q: int) -> int:

@@ -39,7 +39,7 @@ from rank1dm import (
     scc_poset,
     verify,
 )
-from rank1dm.decompose import PosetComponent, _adapted_basis, _chain_dims
+from rank1dm.decompose import PosetComponent, _adapted_basis, _chain_dims, _tarjan_scc
 from rank1dm import partmat
 from rank1dm.partmat import HyperplaneVertex, column_parts
 
@@ -49,9 +49,7 @@ def _labels(g, ids, side):
 
 
 def _node_labels(g, nodes):
-    return {
-        g.pi_label(v) if v < g.n_pi else g.sigma_label(v - g.n_pi) for v in nodes
-    }
+    return set(map(g.node_label, nodes))
 
 
 def test_reachability_worked_example(example_result):
@@ -102,6 +100,26 @@ def test_scc_component_holds_spanned_vertex(example_result):
         "1'a",
         "2'c",
     }
+
+
+def test_tarjan_matches_networkx_and_emits_in_reverse_topological_order():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(71)
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        density = rng.choice((0.02, 0.05, 0.1, 0.3))
+        adj = {v: sorted(w for w in range(n) if rng.random() < density) for v in range(n)}
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        sccs = _tarjan_scc(nodes, adj)
+        digraph = nx.DiGraph()
+        digraph.add_nodes_from(nodes)
+        digraph.add_edges_from((v, w) for v in adj for w in adj[v])
+        want = {frozenset(c) for c in nx.strongly_connected_components(digraph)}
+        assert len(sccs) == len(want) and {frozenset(c) for c in sccs} == want
+        # every arc between two components runs from the later-emitted one
+        emitted = {v: k for k, c in enumerate(sccs) for v in c}
+        assert all(emitted[v] >= emitted[w] for v in adj for w in adj[v])
 
 
 def test_scc_poset_empty_graph():
@@ -678,6 +696,15 @@ def test_verify_rejects_a_foreign_partition(example, example_result, side):
     assert "(1, 1, 1, 1, 1, 1) are not A's (2, 2, 2)" in report.check("admissible").detail
 
 
+@pytest.mark.parametrize("side", ["row_blocks", "col_blocks"])
+def test_verify_rejects_a_partition_of_bools(side):
+    # (True, True) == (1, 1), but a block size is a plain int
+    a = PartitionedMatrix(Matrix.from_rows(GF(2), [[1, 0], [0, 1]]), (1, 1), (1, 1))
+    report = verify(a, dataclasses.replace(dm_decompose(a), **{side: (True, True)}))
+    assert [c.name for c in report.checks if not c.passed] == ["admissible"]
+    assert "(True, True) are not A's (1, 1)" in report.check("admissible").detail
+
+
 def test_verify_reports_wrong_shapes(example, example_result):
     # a malformed result is a FAIL with a reason, never an exception
     bad = dataclasses.replace(example_result, E=Matrix.identity(GF(2), 5))
@@ -710,6 +737,13 @@ def test_verify_reports_wrong_shapes(example, example_result):
         ("F", None, ("product", "admissible")),
         ("a_dm", "x", ("product", "staircase")),
         ("chain", [StableSubspace((((Fraction(1, 2), 1),), (), ()), ((), (), ()))], ()),
+        # a bool or a float equals an int, yet it is not one
+        ("diag_blocks", [(0, True), (True, True), (True, True), (2, 2), (2, True)],
+         ("staircase", "chain", "duality")),
+        ("matching_size", 5.0, ("duality",)),
+        ("v_star", 7.0, ("duality",)),
+        ("chain_dims", [(2.0, 5), (4, 3), (5, 2), (6, 1)], ("chain",)),
+        ("row_blocks", (2.0, 2, 2), ("admissible",)),
     ],
 )
 def test_verify_reports_malformed_fields(example, example_result, field, value, failing):

@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 
-from gen import from_blocks, random_rank1_instance
+from gen import from_blocks, monic_directions, random_rank1_instance
 
 from rank1dm import (
     GF,
@@ -14,7 +15,7 @@ from rank1dm import (
     RankConditionViolated,
     build_stability_graph,
 )
-from rank1dm.partmat import column_parts
+from rank1dm.partmat import column_parts, vertex_label
 
 EXPECTED_EDGES = [
     ("1a", "1'a"),
@@ -133,6 +134,47 @@ def test_stability_graph_vertices(example):
     assert labels == ["1a", "1b", "1c", "2a", "2c", "3a", "3c"]
     slabels = [g.sigma_label(j) for j in range(g.n_sigma)]
     assert slabels == ["1'a", "1'c", "2'c", "3'a", "3'c"]
+
+
+def test_node_label_reads_both_sides(example):
+    # auxiliary-digraph node ids list the row side, then the column side
+    g = build_stability_graph(example)
+    assert [g.node_label(v) for v in range(g.n_pi + g.n_sigma)] == [
+        "1a", "1b", "1c", "2a", "2c", "3a", "3c", "1'a", "1'c", "2'c", "3'a", "3'c",
+    ]
+
+
+def test_vertex_label_letters_match_the_enumerated_directions():
+    # every (p, dim) whose space has at most 26 monic directions, both sides
+    named = 0
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        dim = 1
+        while len(reference := monic_directions(p, dim)) <= 26:
+            for mark in ("", "'"):
+                got = [vertex_label(GF(p), 4, u, mark) for u in reference]
+                assert got == [f"5{mark}{chr(ord('a') + r)}" for r in range(len(reference))]
+            named += len(reference)
+            dim += 1
+    assert named == 153
+
+
+def test_vertex_label_spells_out_a_normal_beyond_26_directions():
+    assert vertex_label(GF(101), 8, (1, 25, 81), "'") == "9'v1_25_81"
+    assert vertex_label(GF(101), 8, (1, 25, 81), "") == "9v1_25_81"
+    assert vertex_label(QQ, 1, (Fraction(1), Fraction(1), Fraction(-1, 3)), "'") == "2'v1_1_-1/3"
+
+
+def test_naming_a_vertex_does_not_enumerate_the_field():
+    # GF(999983) is used nowhere else, so its letter table is built here
+    f = GF(999983)
+    a = PartitionedMatrix(Matrix.from_rows(f, [[5, 0], [0, 7]]), (1, 1), (1, 1))
+    tracemalloc.start()
+    try:
+        assert build_stability_graph(a).pi_label(0) == "1a"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_stability_graph_edges(example):
