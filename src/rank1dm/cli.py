@@ -16,14 +16,17 @@ and ``entries`` stands alone on its line; a repeated key or a value after
 field (decimal residues for gf, ``a`` or ``a/b`` for rationals), each parsed
 once into a value of that field.
 
-Exit codes: 0 success, 1 usage, parse or file error, 2 rank condition
-violated, 3 oracle bounds exceeded, 4 verification failure.
+Exit codes: 0 success.  A failure prints one ``error: ...`` line on stderr
+and exits 1 (usage, parse or file error), 2 (rank condition violated) or 3
+(oracle bounds exceeded).  A failed verification prints its report on
+stderr and an oracle disagreement ``... DISAGREES`` on stdout; both exit 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .decompose import DMResult, dm_decompose, verify
@@ -60,8 +63,7 @@ class InputDocument:
 
 def parse_input(text: str) -> InputDocument:
     field = None
-    row_blocks = None
-    col_blocks = None
+    blocks: dict[str, tuple[int, ...]] = {}  # row_blocks and col_blocks
     rows: list[tuple[int, list[str]]] = []
     seen: set[str] = set()
     entries_line = None
@@ -91,20 +93,14 @@ def parse_input(text: str) -> InputDocument:
             elif len(tokens) == 2 and tokens[1] == "rationals":
                 field = QQ
             else:
-                raise InputFormatError(
-                    lineno, "field must be 'gf <p>' or 'rationals'"
-                )
+                raise InputFormatError(lineno, "field must be 'gf <p>' or 'rationals'")
         elif key in ("row_blocks", "col_blocks"):
             try:
-                sizes = tuple(int(_decimal(t)) for t in tokens[1:])
+                sizes = blocks[key] = tuple(int(_decimal(t)) for t in tokens[1:])
             except ValueError:
                 raise InputFormatError(lineno, f"{key} wants integers")
             if not sizes or any(s <= 0 for s in sizes):
                 raise InputFormatError(lineno, f"{key} wants positive integers")
-            if key == "row_blocks":
-                row_blocks = sizes
-            else:
-                col_blocks = sizes
         elif key == "entries":
             if len(tokens) > 1:
                 raise InputFormatError(
@@ -116,17 +112,15 @@ def parse_input(text: str) -> InputDocument:
 
     if field is None:
         raise InputFormatError(None, "missing 'field' line")
-    if row_blocks is None or col_blocks is None:
+    if len(blocks) < 2:
         raise InputFormatError(None, "missing 'row_blocks' or 'col_blocks' line")
     if entries_line is None:
         raise InputFormatError(None, "missing 'entries' section")
 
-    n = sum(row_blocks)
-    m = sum(col_blocks)
+    row_blocks, col_blocks = blocks["row_blocks"], blocks["col_blocks"]
+    n, m = sum(row_blocks), sum(col_blocks)
     if len(rows) != n:
-        raise InputFormatError(
-            entries_line, f"expected {n} entry rows, found {len(rows)}"
-        )
+        raise InputFormatError(entries_line, f"expected {n} entry rows, found {len(rows)}")
     entries = []
     for lineno, tokens in rows:
         if len(tokens) != m:
@@ -275,13 +269,22 @@ def write_dot(result: DMResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _UsageError(Exception):
-    pass
+class _Failure(Exception):
+    """``_Failure(code, message)``: ``main`` prints ``error: <message>`` and returns code."""
+
+
+@contextmanager
+def _failing(code: int, *errors: type[Exception], prefix: str = ""):
+    """Turn any of ``errors`` raised in the block into a ``_Failure``."""
+    try:
+        yield
+    except errors as exc:
+        raise _Failure(code, f"{prefix}{exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _Failure(EXIT_USAGE, message)
 
 
 def _build_parser() -> _Parser:
@@ -293,9 +296,7 @@ def _build_parser() -> _Parser:
     p_dec.add_argument("--out", help="write the result document here (default stdout)")
     p_dec.add_argument("--dot", help="write the graphs in DOT form here")
     p_dec.add_argument("--verify", action="store_true", help="run the verifier")
-    p_dec.add_argument(
-        "--oracle", action="store_true", help="cross-check against brute force"
-    )
+    p_dec.add_argument("--oracle", action="store_true", help="cross-check against brute force")
 
     p_or = sub.add_parser("oracle", help="exhaustive maximum stable subspace search")
     p_or.add_argument("input")
@@ -306,76 +307,53 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(path: str) -> tuple[InputDocument, PartitionedMatrix]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = parse_input(fh.read())
-    return doc, document_to_matrix(doc)
-
-
-def _write(path: str, text: str) -> bool:
-    """Write ``text`` to ``path``; on failure print why and return False."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+def _write(path: str, text: str) -> None:
+    with _failing(EXIT_USAGE, OSError), open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _run(_build_parser().parse_args(argv))
+    except _Failure as exc:
+        code, message = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
-    try:
-        doc, a = _load(args.input)
-    except (OSError, InputFormatError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+
+def _run(args) -> int:
+    with _failing(EXIT_USAGE, OSError, InputFormatError, UnicodeDecodeError):
+        with open(args.input, encoding="utf-8") as fh:
+            doc = parse_input(fh.read())
+    a = document_to_matrix(doc)
 
     if args.command == "oracle":
-        try:
+        with _failing(EXIT_ORACLE_BOUNDS, ValueError):
             v_star, maximizers = brute_force_max_stable(a)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ORACLE_BOUNDS
         print(f"v_star {v_star}")
         print(f"maximizers {len(maximizers)}")
         return EXIT_OK
 
-    try:
+    with _failing(EXIT_RANK, RankConditionViolated):
         result = dm_decompose(a)
-    except RankConditionViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANK
 
     if args.command == "graph":
-        return EXIT_OK if _write(args.dot, write_dot(result)) else EXIT_USAGE
+        _write(args.dot, write_dot(result))
+        return EXIT_OK
 
-    report = None
-    if args.verify:
-        report = verify(a, result)
-
+    report = verify(a, result) if args.verify else None
     out_text = format_result(doc, result, report)
     if args.out:
-        if not _write(args.out, out_text):
-            return EXIT_USAGE
+        _write(args.out, out_text)
     else:
         sys.stdout.write(out_text)
 
-    if args.dot and not _write(args.dot, write_dot(result)):
-        return EXIT_USAGE
+    if args.dot:
+        _write(args.dot, write_dot(result))
 
     if args.oracle:
-        try:
+        with _failing(EXIT_ORACLE_BOUNDS, ValueError, prefix="oracle bounds: "):
             v_star, _ = brute_force_max_stable(a)
-        except ValueError as exc:
-            print(f"error: oracle bounds: {exc}", file=sys.stderr)
-            return EXIT_ORACLE_BOUNDS
         agree = v_star == result.v_star
         print(f"oracle v_star {v_star} {'agrees' if agree else 'DISAGREES'}")
         if not agree:

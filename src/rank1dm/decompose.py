@@ -472,7 +472,9 @@ def _form_problem(name: str, mat: Matrix, rows: int, cols: int, f: Field) -> str
     f whose data is a list of rows * cols of f's carriers, or ""."""
     if not isinstance(mat, Matrix):
         return f"{name} is not a Matrix"
-    if (mat.rows, mat.cols, mat.field) != (rows, cols, f):
+    # a float shape compares like an int, yet it is not one
+    shape = (type(mat.rows), type(mat.cols), mat.rows, mat.cols, mat.field)
+    if shape != (int, int, rows, cols, f):
         return f"{name} is {mat.rows}x{mat.cols} over {mat.field}, wants {rows}x{cols} over {f}"
     if type(mat.data) is not list or len(mat.data) != rows * cols:
         return f"{name}'s data is not a list of {rows * cols} entries"
@@ -565,10 +567,11 @@ def _witness_state(
 def _chain_problem(state: IndependentMatchingState, result: DMResult, m: int) -> str:
     """Why the diagonal blocks are not the finest block triangularization,
     or "".  By the structure theorem every maximal chain of maximum stable
-    subspaces has h + 1 elements, h the height of the witness's poset; given
-    the other checks, E's and F's columns span a chain of h + 1 of them when
-    there are h middle blocks, so that chain is maximal.  The chain dims
-    must be that chain's."""
+    subspaces has h + 1 elements, h the number of components of the
+    witness's poset (not its height: three incomparable components give
+    chains of 4); given the other checks, E's and F's columns span a chain of
+    h + 1 of them when there are h middle blocks, so that chain is maximal.
+    The chain dims must be that chain's."""
     dims, blocks = result.chain_dims, result.diag_blocks
     if not isinstance(dims, (list, tuple)):
         return f"chain dims {dims!r} is not a list"

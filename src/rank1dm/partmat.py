@@ -45,8 +45,9 @@ class PartitionedMatrix:
         object.__setattr__(self, "col_blocks", tuple(self.col_blocks))
         if not self.row_blocks or not self.col_blocks:
             raise ValueError("at least one block per side is required")
-        if any(n <= 0 for n in self.row_blocks) or any(m <= 0 for m in self.col_blocks):
-            raise ValueError("block sizes must be positive")
+        # a bool or a float compares like an int, yet it is not a block size
+        if any(type(s) is not int or s <= 0 for s in self.row_blocks + self.col_blocks):
+            raise ValueError("block sizes must be positive ints")
         if sum(self.row_blocks) != self.matrix.rows:
             raise ValueError("row block sizes do not sum to the row count")
         if sum(self.col_blocks) != self.matrix.cols:

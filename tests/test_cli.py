@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rank1dm import GF, QQ, dm_decompose
+from rank1dm import GF, QQ, dm_decompose, verify
 from rank1dm.cli import (
     EXIT_OK,
     EXIT_ORACLE_BOUNDS,
@@ -11,6 +11,7 @@ from rank1dm.cli import (
     EXIT_USAGE,
     InputFormatError,
     document_to_matrix,
+    format_result,
     main,
     parse_input,
     serialize_input,
@@ -258,6 +259,10 @@ def test_graph_command(example_file, tmp_path):
     dot = tmp_path / "g.dot"
     assert main(["graph", example_file, "--dot", str(dot)]) == EXIT_OK
     assert "stability" in dot.read_text()
+    # both DOT paths draw the same state
+    dec_dot = tmp_path / "d.dot"
+    assert main(["decompose", example_file, "--dot", str(dec_dot)]) == EXIT_OK
+    assert dec_dot.read_bytes() == dot.read_bytes()
 
 
 def test_result_to_file(example_file, tmp_path, capsys):
@@ -282,3 +287,79 @@ def test_unwritable_output_is_a_usage_error(example_file, tmp_path, capsys, args
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
+
+
+# seven 1x1 blocks: too many for the brute-force oracle
+UNIT7_TEXT = (
+    "field gf 2\nrow_blocks" + " 1" * 7 + "\ncol_blocks" + " 1" * 7 + "\nentries\n"
+    + "".join(" ".join("01"[i == j] for j in range(7)) + "\n" for i in range(7))
+)
+CLI_INPUTS = {
+    "example.txt": EXAMPLE_TEXT.encode(),
+    "rank2.txt": b"field gf 2\nrow_blocks 2\ncol_blocks 2\nentries\n1 0\n0 1\n",
+    "gf4.txt": b"field gf 4\nrow_blocks 1\ncol_blocks 1\nentries\n1\n",
+    "not-utf8.txt": EXAMPLE_TEXT.encode() + b"\xff\n",
+    "unit7.txt": UNIT7_TEXT.encode(),
+    "qq.txt": RATIONAL_TEXT.encode(),
+}
+
+
+def _document(name, verified=False):
+    doc = parse_input(CLI_INPUTS[name].decode())
+    a = document_to_matrix(doc)
+    result = dm_decompose(a)
+    return format_result(doc, result, verify(a, result) if verified else None)
+
+
+# every failure prints one "error: " line on stderr and exits 1, 2 or 3; stdout
+# holds what was written before the failure (a document name, or "")
+@pytest.mark.parametrize(
+    "args, code, err, out",
+    [
+        ("decompose example.txt", EXIT_OK, "", "example.txt"),
+        ("decompose example.txt --verify --oracle", EXIT_OK, "", "verified"),
+        ("decompose rank2.txt", EXIT_RANK, "blocks of rank >= 2 at (1,1)", ""),
+        ("decompose gf4.txt", EXIT_USAGE, "line 1: modulus 4 is not prime", ""),
+        ("decompose missing.txt", EXIT_USAGE,
+         "[Errno 2] No such file or directory: 'missing.txt'", ""),
+        ("decompose adir", EXIT_USAGE, "[Errno 21] Is a directory: 'adir'", ""),
+        ("decompose not-utf8.txt", EXIT_USAGE, "'utf-8' codec can't decode byte 0xff in"
+         f" position {len(EXAMPLE_TEXT.encode())}: invalid start byte", ""),
+        # argparse quotes the choices on some Python versions only
+        ("nonsense", EXIT_USAGE,
+         re.compile(r"error: argument command: invalid choice: 'nonsense' \(choose from .*\)\n"),
+         ""),
+        ("decompose", EXIT_USAGE, "the following arguments are required: input", ""),
+        ("graph example.txt", EXIT_USAGE, "the following arguments are required: --dot", ""),
+        ("oracle unit7.txt", EXIT_ORACLE_BOUNDS, "too many blocks for enumeration", ""),
+        ("decompose unit7.txt --oracle", EXIT_ORACLE_BOUNDS,
+         "oracle bounds: too many blocks for enumeration", "unit7.txt"),
+        ("oracle qq.txt", EXIT_ORACLE_BOUNDS, "brute force supports GF(2) and GF(3) only", ""),
+        ("decompose example.txt --out no/r.txt", EXIT_USAGE,
+         "[Errno 2] No such file or directory: 'no/r.txt'", ""),
+        ("decompose example.txt --dot no/g.dot", EXIT_USAGE,
+         "[Errno 2] No such file or directory: 'no/g.dot'", "example.txt"),
+        ("graph example.txt --dot no/g.dot", EXIT_USAGE,
+         "[Errno 2] No such file or directory: 'no/g.dot'", ""),
+        ("decompose example.txt --out r.txt --dot no/g.dot", EXIT_USAGE,
+         "[Errno 2] No such file or directory: 'no/g.dot'", ""),
+    ],
+)
+def test_cli_exit_code_stderr_and_stdout(tmp_path, monkeypatch, capsys, args, code, err, out):
+    for name, data in CLI_INPUTS.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "adir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(args.split()) == code
+    captured = capsys.readouterr()
+    if isinstance(err, str):
+        assert captured.err == (f"error: {err}\n" if err else "")
+    else:
+        assert err.fullmatch(captured.err)
+    if out == "verified":
+        assert captured.out == _document("example.txt", True) + "oracle v_star 7 agrees\n"
+    else:
+        assert captured.out == (_document(out) if out else "")
+    # a good --out is written before the --dot failure
+    if "r.txt" in args.split():
+        assert (tmp_path / "r.txt").read_text() == _document("example.txt")

@@ -858,7 +858,11 @@ def test_a_malformed_matrix_has_one_reason_in_every_check(example, example_resul
         forms.append(Matrix.identity(GF(2), 6))
         forms[-1].data = data
     for field, names in readers.items():
-        for value in forms:
+        # the result's own matrix with a float shape: 6.0 equals 6, yet is not an int
+        mat = getattr(example_result, field)
+        floats = [Matrix(mat.field, 6.0, mat.cols, mat.data),
+                  Matrix(mat.field, mat.rows, 6.0, mat.data)]
+        for value in forms + floats:
             report = verify(example, dataclasses.replace(example_result, **{field: value}))
             failed = [c for c in report.checks if not c.passed]
             assert [c.name for c in failed] == list(names), (field, value)

@@ -61,6 +61,12 @@ def test_partition_validation():
         PartitionedMatrix(m, (2, 0), (2,))
     with pytest.raises(ValueError):
         PartitionedMatrix(m, (), (2,))
+    # a bool or a float compares like an int, yet it is not a block size
+    one = Matrix.zeros(f, 1, 1)
+    for mat, sizes in ((one, (True,)), (one, (1.0,)), (m, (True, 1)), (m, (1.0, 1.0))):
+        for rows, cols in ((sizes, (mat.cols,)), ((mat.rows,), sizes)):
+            with pytest.raises(ValueError, match="positive ints"):
+                PartitionedMatrix(mat, rows, cols)
 
 
 def test_rank1_condition_worked_example(example):
