@@ -17,9 +17,11 @@ field (decimal residues for gf, ``a`` or ``a/b`` for rationals), each parsed
 once into a value of that field.
 
 Exit codes: 0 success.  A failure prints one ``error: ...`` line on stderr
-and exits 1 (usage, parse or file error), 2 (rank condition violated) or 3
-(oracle bounds exceeded).  A failed verification prints its report on
-stderr and an oracle disagreement ``... DISAGREES`` on stdout; both exit 4.
+and exits 1 (usage, parse or file error), 2 (rank condition violated; only
+``decompose`` and ``graph`` apply it, as brute force is exact for any block
+ranks) or 3 (oracle bounds exceeded).  A failed verification prints its
+report on stderr and an oracle disagreement ``... DISAGREES`` on stdout;
+both exit 4.
 """
 
 from __future__ import annotations

@@ -4,10 +4,12 @@ A field value has one representation, its raw carrier: an ``int`` residue in
 [0, p) for GF(p), a ``fractions.Fraction`` in lowest terms with positive
 denominator for the rationals.  A ``Field`` instance does the arithmetic on
 carriers; a container (a ``Matrix``, a stability graph, a vector matroid)
-records the field, and a vector is a tuple of raw carriers.  Zero is the
-only false carrier, so ``any`` and ``compress`` find a row's support; a
-value from outside, such as ``None`` or ``0.0``, is told apart by
-``carries``, which ``verify`` applies once to each result matrix.
+records the field, and a vector is a tuple of raw carriers.  ``p`` is the
+characteristic, 0 for the rationals, and ``cleared(vecs)`` writes vectors
+on ints over one denominator.  Zero is the only false carrier, so ``any``
+and ``compress`` find a row's support; a value from outside, such as
+``None`` or ``0.0``, is told apart by ``carries``, which ``verify``
+applies once to each result matrix.
 ``parse`` reads ASCII decimal tokens only, and ``parse_row`` reads a whole
 row of integer tokens at once.  ``format`` is ``str`` on every field: the decimal
 residue for GF(p), ``a`` or ``a/b`` for a rational, so a formatter maps it
@@ -119,6 +121,10 @@ class PrimeField(Field):
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys)) % self.p
 
+    def cleared(self, vecs: list) -> tuple[int, list]:
+        """Residues are ints already: ``vecs`` themselves, over 1."""
+        return 1, vecs
+
     def parse(self, text: str):
         try:
             return int(_decimal(text)) % self.p
@@ -144,6 +150,7 @@ class RationalField(Field):
 
     __slots__ = ()
 
+    p = 0
     zero_raw = Fraction(0)
     one_raw = Fraction(1)
 
@@ -182,6 +189,11 @@ class RationalField(Field):
                 n, d = n * (m // d), m
             n += x.numerator * y.numerator * (d // e)
         return Fraction(n, d)
+
+    def cleared(self, vecs: list) -> tuple[int, list]:
+        """d, the lcm of every entry's denominator, and the vectors times d."""
+        d = lcm(*[x.denominator for vec in vecs for x in vec])
+        return d, [[x.numerator * (d // x.denominator) for x in vec] for vec in vecs]
 
     def parse(self, text: str):
         try:

@@ -1,12 +1,15 @@
 """Dense exact linear algebra over a Field.
 
-Elimination is exact Gauss-Jordan on int rows: GF(p) residues reduce mod p,
-and rational rows are cleared of denominators and eliminated fraction-free,
-so ``Fraction``s are built only for the result.  The pivot is always the
-first nonzero entry in column order, so every result is deterministic and
-there is no numerical tolerance anywhere.  A vector (a normal, a dual or a
-basis vector) is a tuple of raw carrier values of the field its container
-records; a matrix holds raw values too, read through ``data`` and ``raw``.
+Elimination is one exact Gauss-Jordan on int rows: GF(p) residues reduce
+mod p, and rational rows are cleared of denominators and eliminated
+fraction-free.  ``rref`` builds ``Fraction``s only for its result;
+``span_supports``, which the vector matroid calls, reads only which
+coefficients are nonzero, so it builds no Matrix and no Fraction.  The
+pivot is always the first nonzero entry in column order, so every result is
+deterministic and there is no numerical tolerance anywhere.  A vector (a
+normal, a dual or a basis vector) is a tuple of raw carrier values of the
+field its container records; a matrix holds raw values too, read through
+``data`` and ``raw``.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 from typing import Any, NamedTuple, Sequence
 
-from .field import Field, RationalField
+from .field import Field
 
 
 class Matrix:
@@ -108,37 +111,24 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
 
-def _int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    """Each rational row times the lcm of its denominators: the same row
-    space, on ints."""
-    out = []
-    for row in rows:
-        d = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (d // x.denominator) for x in row])
-    return out
-
-
 class RrefResult(NamedTuple):
     R: Matrix
     pivots: list[int]
     rank: int
 
 
-def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form, pivot columns and rank, by Gauss-Jordan on
-    int rows: GF(p) rows update as (v - c w) mod p; a rational row is scaled
-    by the lcm of its denominators, updates fraction-free as a v - c w over
-    its content, and becomes Fractions only in the result, each pivot row
-    over its entry at its pivot column."""
-    f, ncols = m.field, m.cols
-    rows = [m.data[i * ncols : (i + 1) * ncols] for i in range(m.rows)]
-    p = 0 if isinstance(f, RationalField) else f.p
-    if not p:
-        rows = _int_rows(rows)
+def _gauss_jordan(rows: list[list[int]], ncols: int, p: int) -> list[int]:
+    """Gauss-Jordan on int rows, in place; returns the pivot columns.  Mod p
+    a pivot row is scaled to a leading 1 and a row updates as (v - c w) mod
+    p; for p = 0 a row updates fraction-free as a v - c w over its content,
+    a the pivot.  Every pivot column ends zero outside its pivot row, and
+    the rows past the rank end zero."""
     pivots: list[int] = []
     pr = 0
     for pc in range(ncols):
-        for i in range(pr, m.rows):
+        if pr == len(rows):
+            break
+        for i in range(pr, len(rows)):
             if rows[i][pc]:
                 break
         else:
@@ -160,16 +150,49 @@ def rref(m: Matrix) -> RrefResult:
                 rows[k] = [v // g for v in row] if g > 1 else row
         pivots.append(pc)
         pr += 1
-        if pr == m.rows:
-            break
-    if not p:  # rows past the rank are zero, so their missing pivot is never read
+    return pivots
+
+
+def rref(m: Matrix) -> RrefResult:
+    """Reduced row echelon form, pivot columns and rank, by Gauss-Jordan on
+    int rows: rational rows are scaled by the lcm of their denominators, and
+    become Fractions only in the result, each pivot row over its entry at
+    its pivot column."""
+    f, ncols = m.field, m.cols
+    rows = [m.data[i * ncols : (i + 1) * ncols] for i in range(m.rows)]
+    if not f.p:
+        rows = f.cleared(rows)[1]
+    pivots = _gauss_jordan(rows, ncols, f.p)
+    if not f.p:  # rows past the rank are zero, so their missing pivot is never read
         zero = f.zero_raw
         rows = [
             [Fraction(v, row[pc]) if v else zero for v in row]
             for row, pc in zip_longest(rows, pivots)
         ]
     flat = [v for row in rows for v in row]
-    return RrefResult(Matrix(f, m.rows, ncols, flat), pivots, pr)
+    return RrefResult(Matrix(f, m.rows, ncols, flat), pivots, len(pivots))
+
+
+def span_supports(
+    p: int, dim: int, basis: Sequence[Sequence[int]], candidates: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int] | None]]:
+    """The rank of ``basis``, and per candidate the ascending positions of
+    the basis vectors with a nonzero coefficient when the candidate is
+    written in them, or None outside their span.  Vectors are ints of length
+    ``dim``: residues mod p, or for p = 0 rational vectors times a positive
+    scale, which keeps the supports.  One elimination of the columns [basis
+    | candidates]: a candidate is in the span iff its column is zero in every
+    row with a candidate pivot, and then its coefficient on a pivot row's
+    basis vector is nonzero iff its entry there is (zero off the pivots)."""
+    b = len(basis)
+    vecs = [*basis, *candidates]
+    rows = [[v[r] for v in vecs] for r in range(dim)]
+    pivots = _gauss_jordan(rows, len(vecs), p)
+    rank = sum(1 for c in pivots if c < b)
+    return rank, [
+        None if any(col[rank:]) else [pivots[r] for r in range(rank) if col[r]]
+        for col in list(zip(*rows))[b:]
+    ]
 
 
 @dataclass(frozen=True)
@@ -202,8 +225,8 @@ def rank1_factor(m: Matrix) -> Rank1Factor:
         return Rank1Factor(rank=0)
     c = next(filter(None, rows[i0]))
     j0 = rows[i0].index(c)
-    if isinstance(f, RationalField):
-        ints = _int_rows(rows)
+    if not f.p:
+        ints = f.cleared(rows)[1]
         w = ints[i0]
         for r in ints:
             if [w[j0] * x for x in r] != [r[j0] * y for y in w]:
@@ -218,40 +241,3 @@ def rank1_factor(m: Matrix) -> Rank1Factor:
                 return Rank1Factor(rank=2)
         u = [cinv * row[j0] % p for row in rows]
     return Rank1Factor(rank=1, u=tuple(u), v=tuple(v), coeff=c)
-
-
-class SpanCoordinates(NamedTuple):
-    """Candidates solved against a basis: the rank of the basis, and per
-    candidate its raw coefficients on the basis vectors, or None when it lies
-    outside their span."""
-
-    rank: int
-    coords: list[list | None]
-
-
-def span_coordinates(
-    field: Field, dim: int, basis: Sequence[tuple], candidates: Sequence[tuple]
-) -> SpanCoordinates:
-    """One elimination of the columns [basis | candidates] answers every span
-    question about the candidates.
-
-    After rref, a candidate lies in the span of the basis iff its column is
-    zero in every row whose pivot is a candidate column; its entries in the
-    basis pivot rows are then its coefficients (zero on basis vectors that
-    carry no pivot)."""
-    b = len(basis)
-    vecs = list(basis) + list(candidates)
-    ncols = len(vecs)
-    red = rref(Matrix(field, dim, ncols, [v[r] for r in range(dim) for v in vecs]))
-    basis_rank = sum(1 for p in red.pivots if p < b)
-    coords: list[list | None] = []
-    for k in range(b, ncols):
-        column = red.R.data[k::ncols]
-        if any(column[basis_rank:]):  # 0 and Fraction(0) are the false carriers
-            coords.append(None)
-            continue
-        c = [field.zero_raw] * b
-        for r in range(basis_rank):
-            c[red.pivots[r]] = column[r]
-        coords.append(c)
-    return SpanCoordinates(basis_rank, coords)

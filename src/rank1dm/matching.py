@@ -19,10 +19,11 @@ from __future__ import annotations
 import logging
 from collections import deque
 from functools import cached_property
+from itertools import chain
 from typing import Callable
 
 from .field import Field
-from .linalg import span_coordinates
+from .linalg import span_supports
 from .partmat import StabilityGraph
 
 _log = logging.getLogger("rank1dm")
@@ -37,8 +38,9 @@ class VectorMatroid:
     nonzero coefficient when j's normal is written in them, ascending (for
     an independent selection, j's fundamental circuit less j); and None
     outside the closure.  ``holders[i]`` lists, ascending, the elements whose
-    circuit holds i, and is ``[]`` for an unselected i.  Read both lists
-    only; ``select`` rewrites them."""
+    circuit holds i, and is ``[]`` for an unselected i.  ``free[blk]`` lists,
+    ascending, the members of block blk outside the closure.  Read the three
+    lists only; ``select`` rewrites them."""
 
     def __init__(self, field: Field, elements: list[tuple[int, tuple]], block_dims: tuple):
         self.field = field
@@ -49,8 +51,11 @@ class VectorMatroid:
             if not 0 <= blk < len(block_dims):
                 raise ValueError("element block index out of range")
             self._members[blk].append(j)
+        # a positive scale keeps the coefficient supports: ints suffice
+        self._ints = field.cleared([normal for _, normal in self.elements])[1]
         self.circuit: list[list[int] | None] = [None] * len(self.elements)
         self.holders: list[list[int]] = [[] for _ in self.elements]
+        self.free = [list(members) for members in self._members]
         self._selected: set[int] = set()
         self._ranks = [0] * len(self.block_dims)
 
@@ -62,7 +67,6 @@ class VectorMatroid:
         subset = set(subset)
         changed = {self.elements[i][0] for i in subset ^ self._selected}
         self._selected = subset
-        zero = self.field.zero_raw
         for blk in changed:
             members = self._members[blk]
             ids = [i for i in members if i in subset]
@@ -70,19 +74,16 @@ class VectorMatroid:
             for j in members:
                 self.circuit[j] = [] if j in subset else None
                 self.holders[j] = []
-            self._ranks[blk] = 0
-            if not ids:
-                continue
-            span = span_coordinates(
-                self.field,
+            self._ranks[blk], supports = span_supports(
+                self.field.p,
                 self.block_dims[blk],
-                [self.elements[i][1] for i in ids],
-                [self.elements[j][1] for j in others],
-            )
-            self._ranks[blk] = span.rank
-            for j, coeffs in zip(others, span.coords):
-                if coeffs is not None:
-                    self.circuit[j] = [i for i, c in zip(ids, coeffs) if c != zero]
+                [self._ints[i] for i in ids],
+                [self._ints[j] for j in others],
+            ) if ids else (0, [None] * len(others))
+            self.free[blk] = [j for j, s in zip(others, supports) if s is None]
+            for j, support in zip(others, supports):
+                if support is not None:
+                    self.circuit[j] = [ids[k] for k in support]
                     for i in self.circuit[j]:
                         self.holders[i].append(j)
         return sum(self._ranks)
@@ -165,14 +166,15 @@ class IndependentMatchingState:
     def size(self) -> int:
         return len(self.matching)
 
+    # vertices are sorted by block first, so the free lists chain ascending
     @property
     def sources(self) -> list[int]:
-        return [i for i, c in enumerate(self._mp.circuit) if c is None]
+        return list(chain.from_iterable(self._mp.free))
 
     @property
     def sinks(self) -> list[int]:
         npi = self.graph.n_pi
-        return [npi + j for j, c in enumerate(self._ms.circuit) if c is None]
+        return [npi + j for j in chain.from_iterable(self._ms.free)]
 
     @cached_property
     def adjacency(self) -> dict[int, list[tuple[int, int | None]]]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .field import PrimeField
 from .linalg import Matrix
 from .partmat import PartitionedMatrix
 
@@ -51,7 +50,7 @@ def enumerate_subspaces(q: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], 
 
 
 def _check_brute_bounds(a: PartitionedMatrix) -> int:
-    if not isinstance(a.field, PrimeField) or a.field.p not in (2, 3):
+    if a.field.p not in (2, 3):
         raise ValueError("brute force supports GF(2) and GF(3) only")
     q = a.field.p
     max_block = max(max(a.row_blocks), max(a.col_blocks))

@@ -15,11 +15,13 @@ of vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, pairwise, product
+from operator import mul
 from typing import NamedTuple
 
-from .field import Field, PrimeField
+from .field import QQ, Field
 from .linalg import Matrix, Rank1Factor, rank1_factor
 
 
@@ -133,22 +135,40 @@ def column_parts(mat: Matrix, offsets: tuple[int, ...]) -> list[list[tuple[int, 
     return parts
 
 
+def _cleared_parts(parts) -> list[tuple[int, list]]:
+    """Each rational column part as (d, its columns on ints times d)."""
+    cleared = [QQ.cleared([x for _, x in part]) for part in parts]
+    return [(d, list(zip((j for j, _ in part), xs))) for part, (d, xs) in zip(parts, cleared)]
+
+
 def _transform_parts(a: PartitionedMatrix, e_parts, f_parts, e_cols: int, f_cols: int) -> Matrix:
     """``a.transform(E, F)`` from E's column parts on A's row offsets and
-    F's on its column offsets, E with ``e_cols`` columns, F with ``f_cols``."""
+    F's on its column offsets, E with ``e_cols`` columns, F with ``f_cols``.
+    Over QQ the columns of each part, and each factor's u and v, are cleared
+    to ints over one denominator once, so the dot products run on ints and
+    each term is one Fraction; GF(p) vectors are ints over 1 already, and
+    each term is one residue."""
     fld = a.field
-    zero, mul, add, dot = fld.zero_raw, fld.mul, fld.add, fld.dot
+    zero, p = fld.zero_raw, fld.p
+    if p:
+        dot, term = fld.dot, lambda n, d: n % p
+        e_ints, f_ints = [(1, part) for part in e_parts], [(1, part) for part in f_parts]
+    else:
+        dot, term = lambda xs, ys: sum(map(mul, xs, ys)), Fraction
+        e_ints, f_ints = _cleared_parts(e_parts), _cleared_parts(f_parts)
     out = [zero] * (e_cols * f_cols)
     for (alpha, beta), fac in a.factors.items():
-        u, v = fac.u, fac.v
-        qs = [(j, q) for j, y in f_parts[beta] if (q := dot(v, y))]
-        for i, x in e_parts[alpha]:
-            if p := dot(x, u):
-                p = mul(fac.coeff, p)
+        duv, (u, v) = (1, (fac.u, fac.v)) if p else QQ.cleared([fac.u, fac.v])
+        (dx, xs), (dy, ys), c = e_ints[alpha], f_ints[beta], fac.coeff
+        d = c.denominator * duv * duv * dx * dy
+        qs = [(j, q) for j, y in ys if (q := dot(v, y))]
+        for i, x in xs:
+            if s := c.numerator * dot(x, u):
                 for j, q in qs:
                     k = i * f_cols + j
+                    t = term(s * q, d)
                     # only a non-admissible E or F sends a second term here
-                    out[k] = mul(p, q) if out[k] is zero else add(out[k], mul(p, q))
+                    out[k] = t if out[k] is zero else fld.add(out[k], t)
     return Matrix(fld, e_cols, f_cols, out)
 
 
@@ -157,9 +177,6 @@ class HyperplaneVertex(NamedTuple):
 
     block: int
     normal: tuple
-
-    def sort_key(self):
-        return (self.block, self.normal[::-1])
 
 
 class Edge(NamedTuple):
@@ -217,7 +234,7 @@ def vertex_label(field: Field, block: int, normal: tuple, mark: str) -> str:
     a, b, c, ... by the normal's colexicographic rank among them, as in
     ``2c`` or ``3'a``.  Otherwise it is ``v`` and the entries joined by
     ``_``, as in ``9'v1_25_81`` over GF(101) or ``2'v1_1_-1/3`` over QQ."""
-    letters = _direction_letters(field.p, len(normal)) if isinstance(field, PrimeField) else None
+    letters = _direction_letters(field.p, len(normal)) if field.p else None
     tag = letters[normal] if letters else "v" + "_".join(map(field.format, normal))
     return f"{block + 1}{mark}{tag}"
 
@@ -237,6 +254,20 @@ def _direction_letters(p: int, dim: int) -> dict[tuple, str]:
     return {v: chr(ord("a") + r) for r, v in enumerate(monic)}
 
 
+def _vertices(field: Field, ends: list[tuple[int, tuple]]) -> tuple[list, list[int]]:
+    """The distinct (block, normal) pairs of ``ends`` as vertices in the
+    canonical order, and each end's vertex index.  A pair's key is its block
+    and its normal on ints, read last entry first: over QQ times the lcm of
+    every denominator in ``ends``, a positive scale, so order and equality
+    are the Fractions' and no Fraction is sorted or hashed."""
+    ints = field.cleared([nrm for _, nrm in ends])[1]
+    keys = [(blk, tuple(v[::-1])) for (blk, _), v in zip(ends, ints)]
+    vertex = dict(zip(keys, ends))
+    order = sorted(vertex)
+    index = {k: i for i, k in enumerate(order)}
+    return [HyperplaneVertex(*vertex[k]) for k in order], [index[k] for k in keys]
+
+
 def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:
     """Build the bipartite stability graph of a rank-1 partitioned matrix.
 
@@ -247,16 +278,7 @@ def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:
     """
     factors = a.factors
     g = StabilityGraph(a.field, a.row_blocks, a.col_blocks)
-
-    # one vertex per distinct (block, normal); every normal is over A's field
-    pi = {(alpha, fac.u) for (alpha, _), fac in factors.items()}
-    sigma = {(beta, fac.v) for (_, beta), fac in factors.items()}
-    g.pi = sorted((HyperplaneVertex(*k) for k in pi), key=HyperplaneVertex.sort_key)
-    g.sigma = sorted((HyperplaneVertex(*k) for k in sigma), key=HyperplaneVertex.sort_key)
-    pi_index = {v: i for i, v in enumerate(g.pi)}
-    sigma_index = {v: j for j, v in enumerate(g.sigma)}
-    g.edges = [
-        Edge(pi_index[alpha, fac.u], sigma_index[beta, fac.v])
-        for (alpha, beta), fac in factors.items()
-    ]
+    g.pi, pis = _vertices(a.field, [(alpha, fac.u) for (alpha, _), fac in factors.items()])
+    g.sigma, sigmas = _vertices(a.field, [(beta, fac.v) for (_, beta), fac in factors.items()])
+    g.edges = list(map(Edge, pis, sigmas))
     return g

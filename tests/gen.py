@@ -2,8 +2,9 @@
 instance generators, exact subspace utilities used by oracle-style checks,
 the reference checks (stability from the definition, classic bipartite DM,
 Gaussian binomials, elimination and rank-1 factoring through the field's
-methods, the monic directions by enumerating GF(p)^dim), and the
-matroid closure and minimum cover that the matching tests check against."""
+methods, the monic directions by enumerating GF(p)^dim, the vertex order
+on Fraction keys), and the matroid closure and minimum cover that the
+matching tests check against."""
 
 from __future__ import annotations
 
@@ -334,6 +335,14 @@ def monic_directions(p: int, dim: int) -> list[tuple]:
         vecs = [v + (r,) for r in range(p) for v in vecs]
     # vecs were built most-significant-last, so plain order is colex already
     return [v for v in vecs if next((x for x in v if x), None) == 1]
+
+
+def colex_key(v) -> tuple:
+    """The canonical order of hyperplane vertices on the normals' own
+    values: block first, then the normal read from its last entry to its
+    first.  The reference for the int keys ``build_stability_graph`` sorts
+    on."""
+    return (v.block, v.normal[::-1])
 
 
 def gaussian_binomial(d: int, k: int, q: int) -> int:

@@ -304,6 +304,16 @@ CLI_INPUTS = {
 }
 
 
+def test_oracle_does_not_apply_the_rank_condition(tmp_path, capsys):
+    # brute force is exact for blocks of any rank: the one identity block
+    # that decompose rejects with exit 2 is solved, and the run exits 0
+    path = tmp_path / "rank2.txt"
+    path.write_bytes(CLI_INPUTS["rank2.txt"])
+    assert main(["oracle", str(path)]) == EXIT_OK
+    assert capsys.readouterr() == ("v_star 2\nmaximizers 5\n", "")
+    assert main(["decompose", str(path)]) == EXIT_RANK
+
+
 def _document(name, verified=False):
     doc = parse_input(CLI_INPUTS[name].decode())
     a = document_to_matrix(doc)

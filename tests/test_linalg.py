@@ -4,10 +4,10 @@ from math import gcd
 
 from hypothesis import given, strategies as st
 
-from gen import EXAMPLE_ROWS, kernel_basis, reference_rank1_factor, reference_rref
+from gen import EXAMPLE_ROWS, colex_key, kernel_basis, reference_rank1_factor, reference_rref
 
 from rank1dm import GF, QQ, HyperplaneVertex, Matrix
-from rank1dm.linalg import rank1_factor, rref, span_coordinates
+from rank1dm.linalg import rank1_factor, rref, span_supports
 
 
 def is_upper_triangular(m: Matrix) -> bool:
@@ -288,9 +288,14 @@ def test_rank1_factor_matches_the_reference():
 
 
 def test_span_coordinates_against_ranks():
+    # span_supports against a reference solve: the rank of the basis, None
+    # exactly when a candidate raises it, and otherwise the nonzero pattern
+    # of the coordinates reference_rref gives on [basis | candidate], where
+    # a basis vector without a pivot, a dependent one, carries zero
     rng = random.Random(12)
+    dependent = inside = 0
     for field in (GF(2), GF(101), QQ):
-        for _ in range(25):
+        for _ in range(40):
             dim = rng.randint(1, 4)
 
             def draw():
@@ -299,23 +304,40 @@ def test_span_coordinates_against_ranks():
             def rank_of(vecs):
                 return rref(Matrix(field, len(vecs), dim, [x for v in vecs for x in v])).rank
 
-            basis = [draw() for _ in range(rng.randint(0, dim))]
-            cands = [draw() for _ in range(rng.randint(0, 3))]
-            for _ in range(rng.randint(0, 3)):  # some candidates inside the span
+            def combination(vecs):
                 combo = [field.zero_raw] * dim
-                for b in basis:
+                for b in vecs:
                     c = field.coerce_raw(rng.randint(-3, 3))
                     combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, b)]
-                cands.insert(rng.randint(0, len(cands)), tuple(combo))
-            span = span_coordinates(field, dim, basis, cands)
-            assert span.rank == rank_of(basis)
-            for cand, coeffs in zip(cands, span.coords):
-                assert (coeffs is None) == (rank_of(basis + [cand]) > span.rank)
-                if coeffs is not None:
-                    rebuilt = [field.zero_raw] * dim
-                    for c, b in zip(coeffs, basis):
-                        rebuilt = [field.add(x, field.mul(c, y)) for x, y in zip(rebuilt, b)]
-                    assert rebuilt == list(cand)
+                return tuple(combo)
+
+            basis = [draw() for _ in range(rng.randint(0, dim))]
+            for _ in range(rng.randint(0, 2)):  # dependent basis vectors
+                basis.insert(rng.randint(0, len(basis)), combination(basis))
+            cands = [draw() for _ in range(rng.randint(0, 3))]
+            for _ in range(rng.randint(0, 3)):  # some candidates inside the span
+                cands.insert(rng.randint(0, len(cands)), combination(basis))
+            ints = field.cleared(basis)[1], field.cleared(cands)[1]
+            rank, supports = span_supports(field.p, dim, *ints)
+            assert rank == rank_of(basis)
+            dependent += rank < len(basis)
+            b = len(basis)
+            for cand, support in zip(cands, supports):
+                assert (support is None) == (rank_of(basis + [cand]) > rank)
+                if support is None:
+                    continue
+                inside += 1
+                vecs = basis + [cand]
+                red = reference_rref(Matrix(field, dim, b + 1, [v[r] for r in range(dim) for v in vecs]))
+                coords = [field.zero_raw] * b
+                for r, pc in enumerate(red.pivots):
+                    coords[pc] = red.R.raw(r, b)
+                rebuilt = (field.zero_raw,) * dim
+                for c, v in zip(coords, basis):
+                    rebuilt = tuple(field.add(x, field.mul(c, y)) for x, y in zip(rebuilt, v))
+                assert rebuilt == cand
+                assert support == [k for k, c in enumerate(coords) if c != field.zero_raw]
+    assert dependent > 10 and inside > 50
 
 
 def test_triangularizing_accepts_other_valid_transforms():
@@ -339,7 +361,7 @@ def test_colex_order():
     vertices = [HyperplaneVertex(1, (1, 0))] + [
         HyperplaneVertex(0, u) for u in [(1, 1), (0, 1), (1, 0)]
     ]
-    order = sorted(vertices, key=HyperplaneVertex.sort_key)
+    order = sorted(vertices, key=colex_key)
     assert [(v.block, v.normal) for v in order] == [
         (0, (1, 0)), (0, (0, 1)), (0, (1, 1)), (1, (1, 0))
     ]

@@ -385,19 +385,50 @@ def test_flip_matches_a_fresh_build():
     assert flips > 50 and shared > 0 and dependent > 0
 
 
+def test_free_lists_equal_the_scan_after_every_flip():
+    # sources and sinks chain the matroids' per-block free lists; after each
+    # flip, along augmenting paths and back along the last one taken, they
+    # are the unmatched vertices outside the closure of the matched ones,
+    # ascending, as a scan of every vertex finds them
+    rng = random.Random(42)
+    flips = 0
+    for field in (GF(2), GF(101), QQ) * 5:
+        a = random_rank1_instance(rng, field, rng.randint(1, 5), rng.randint(1, 5), max_dim=3)
+        g = build_stability_graph(a)
+        state = IndependentMatchingState(g)
+        taken = []
+        for _ in range(12):
+            after = _flip(state.matching, state)
+            if taken and (after is None or rng.random() < 0.3):
+                state.flip(taken.pop())
+            elif after is not None:
+                taken.append(after ^ state.matching)
+                state.flip(taken[-1])
+            else:
+                break
+            flips += 1
+            closed_pi = closure(matroid_pi(g), state.matched_pi)
+            closed_sigma = closure(matroid_sigma(g), state.matched_sigma)
+            assert state.sources == [i for i in range(g.n_pi) if i not in closed_pi]
+            assert state.sinks == [
+                g.n_pi + j for j in range(g.n_sigma) if j not in closed_sigma
+            ]
+    assert flips > 50
+
+
 def test_matching_eliminates_each_changed_block_once(caplog, monkeypatch):
     # a block is eliminated again only when its matched vertices change, so
     # the eliminations are at most the distinct (side, block, matched ids)
     # that the rounds' matchings show
     caplog.set_level(logging.DEBUG, logger="rank1dm")
     calls = []
-    eliminate = matching_module.span_coordinates
+    eliminate = matching_module.span_supports
 
     def counted(*args):
         calls.append(args)
         return eliminate(*args)
 
-    monkeypatch.setattr(matching_module, "span_coordinates", counted)
+    monkeypatch.setattr(matching_module, "span_supports", counted)
     a = random_rank1_instance(random.Random(40), GF(101), 16, 16, max_dim=3, zero_prob=0.5)
     g = build_stability_graph(a)
     state = max_independent_matching(g)
@@ -417,16 +448,16 @@ def test_matching_eliminates_each_changed_block_once(caplog, monkeypatch):
 
 def test_circuit_memo_matches_fresh_matroid(monkeypatch):
     # changing, repeated and reversed selections on one matroid hold the
-    # same rank, circuits and holders as a fresh matroid, deselected
-    # elements included; repeating a selection eliminates nothing
+    # same rank, circuits, holders and free lists as a fresh matroid,
+    # deselected elements included; repeating a selection eliminates nothing
     calls = []
-    eliminate = matching_module.span_coordinates
+    eliminate = matching_module.span_supports
 
     def counted(*args):
         calls.append(args)
         return eliminate(*args)
 
-    monkeypatch.setattr(matching_module, "span_coordinates", counted)
+    monkeypatch.setattr(matching_module, "span_supports", counted)
     rng = random.Random(39)
     independent = 0
     for field in (GF(2), GF(3), GF(101), QQ):
@@ -441,8 +472,8 @@ def test_circuit_memo_matches_fresh_matroid(monkeypatch):
                     rank = m.select(selection)
                     assert repeat == 0 or len(calls) == before
                     fresh = build(g)
-                    assert (rank, m.circuit, m.holders) == (
-                        fresh.select(selection), fresh.circuit, fresh.holders
+                    assert (rank, m.circuit, m.holders, m.free) == (
+                        fresh.select(selection), fresh.circuit, fresh.holders, fresh.free
                     )
                     for i in range(n):
                         held = [j for j, c in enumerate(m.circuit) if c and i in c]

@@ -5,7 +5,7 @@ from itertools import accumulate
 
 import pytest
 
-from gen import from_blocks, monic_directions, random_rank1_instance
+from gen import colex_key, from_blocks, monic_directions, random_rank1_instance
 
 from rank1dm import (
     GF,
@@ -15,7 +15,7 @@ from rank1dm import (
     RankConditionViolated,
     build_stability_graph,
 )
-from rank1dm.partmat import column_parts, vertex_label
+from rank1dm.partmat import HyperplaneVertex, column_parts, vertex_label
 
 EXPECTED_EDGES = [
     ("1a", "1'a"),
@@ -199,6 +199,60 @@ def test_stability_graph_zero_matrix():
     a = PartitionedMatrix(Matrix.zeros(GF(2), 4, 4), (2, 2), (2, 2))
     g = build_stability_graph(a)
     assert g.n_pi == 0 and g.n_sigma == 0 and g.edges == []
+
+
+def _pooled_rank1_instance(rng, field, mu, nu):
+    """Blocks zero or c u^T v, u and v drawn from two vectors per block line,
+    so that normals repeat across a line; over QQ their entries mix
+    denominators and signs."""
+    def vector(dim):
+        while True:
+            if field == QQ:
+                vec = [Fraction(rng.randint(-4, 4), rng.randint(1, 7)) for _ in range(dim)]
+            else:
+                vec = [rng.randrange(field.p) for _ in range(dim)]
+            if any(vec):
+                return vec
+
+    def scalar():
+        return field.coerce_raw(rng.choice([-3, -1, 2, 5])) or field.one_raw
+
+    row_dims = [rng.randint(1, 3) for _ in range(mu)]
+    col_dims = [rng.randint(1, 3) for _ in range(nu)]
+    us = [[vector(d) for _ in range(2)] for d in row_dims]
+    vs = [[vector(d) for _ in range(2)] for d in col_dims]
+    blocks = []
+    for alpha, na in enumerate(row_dims):
+        blocks.append([])
+        for beta, mb in enumerate(col_dims):
+            u = [field.mul(scalar(), x) for x in rng.choice(us[alpha])]
+            v = rng.choice(vs[beta])
+            c = 0 if rng.random() < 0.2 else 1
+            data = [field.mul(c, field.mul(x, y)) for x in u for y in v]
+            blocks[-1].append(Matrix(field, na, mb, [field.coerce_raw(x) for x in data]))
+    return from_blocks(blocks)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(101), QQ], ids=["gf2", "gf101", "qq"])
+def test_vertex_order_matches_the_colex_reference(field):
+    # the graph sorts and dedups on int keys; the reference sorts the
+    # distinct vertices by the colex key on the normals' own values and
+    # finds each edge's ends by the vertices themselves
+    rng = random.Random(f"colex/{field}")
+    shared = 0
+    for _ in range(60):
+        a = _pooled_rank1_instance(rng, field, rng.randint(1, 4), rng.randint(1, 4))
+        g = build_stability_graph(a)
+        ends = [
+            (HyperplaneVertex(alpha, fac.u), HyperplaneVertex(beta, fac.v))
+            for (alpha, beta), fac in a.factors.items()
+        ]
+        pi = sorted({u for u, _ in ends}, key=colex_key)
+        sigma = sorted({v for _, v in ends}, key=colex_key)
+        edges = [(pi.index(u), sigma.index(v)) for u, v in ends]
+        assert (g.pi, g.sigma, g.edges) == (pi, sigma, edges)
+        shared += len(pi) + len(sigma) < 2 * len(ends)
+    assert shared > 30
 
 
 def test_edge_reconstruction_invariant():
