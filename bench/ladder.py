@@ -13,8 +13,8 @@ in the dense benchmark workloads.  Two tall rows follow: GF(2) grids of
 blocks of size 2 at n = 360 and 720 with 98% and 99% of their blocks zero,
 drawn by ``scattered_zeros``, whose posets run to hundreds of components.
 Each row runs in a fresh interpreter that times, three times each, and
-keeps the medians of: ``parse_input``, ``document_to_matrix`` and the first
-``a.factors`` on the fresh matrix (parse); ``build_stability_graph`` (graph,
+keeps the medians of: ``parse_input``, which returns the partitioned
+matrix, and the first ``a.factors`` on it (parse); ``build_stability_graph`` (graph,
 on the factors parse cached); ``max_independent_matching`` (match);
 ``dm_decompose``; ``verify``; and ``format_result`` of the verified result
 (format).  A row still running
@@ -72,13 +72,12 @@ def instance(name: str) -> str:
 def run_row(name: str) -> dict:
     """Times every stage of one row in this interpreter."""
     from rank1dm import build_stability_graph, dm_decompose, max_independent_matching, verify
-    from rank1dm.cli import document_to_matrix, format_result, parse_input
+    from rank1dm.cli import format_result, parse_input
 
     def load(text):
-        doc = parse_input(text)
-        a = document_to_matrix(doc)
+        a = parse_input(text)
         a.factors  # noqa: B018  (the first factoring, cached on the matrix)
-        return doc, a
+        return a
 
     text = instance(name)
     times: dict[str, list[float]] = {stage: [] for stage in STAGES}
@@ -90,12 +89,12 @@ def run_row(name: str) -> dict:
         return out
 
     for _ in range(REPEATS):
-        doc, a = timed("parse_s", load, text)
+        a = timed("parse_s", load, text)
         g = timed("graph_s", build_stability_graph, a)
         state = timed("match_s", max_independent_matching, g)
         result = timed("dm_decompose_s", dm_decompose, a)
         report = timed("verify_s", verify, a, result)
-        timed("format_s", format_result, doc, result, report)
+        timed("format_s", format_result, a, result, report)
     row = {stage: round(statistics.median(t), 4) for stage, t in times.items()}
     return {"name": name, **row, "vertices": g.n_pi + g.n_sigma, "edges": len(g.edges),
             "augmentations": state.augmentations, "h": len(result.diag_blocks) - 2,

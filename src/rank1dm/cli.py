@@ -13,8 +13,9 @@ Input files are line-oriented key/value documents::
 Blank lines and ``#`` comments are ignored.  Each header key appears once
 and ``entries`` stands alone on its line; a repeated key or a value after
 ``entries`` is a parse error.  Entries are element strings in the declared
-field (decimal residues for gf, ``a`` or ``a/b`` for rationals), each parsed
-once into a value of that field.
+field (decimal residues for gf; for rationals ``a``, ``a/b`` or a finite
+decimal, with no exponent), each parsed once into a value of that field.
+``parse_input`` returns the ``PartitionedMatrix`` the document describes.
 
 Exit codes: 0 success.  A failure prints one ``error: ...`` line on stderr
 and exits 1 (usage, parse or file error), 2 (rank condition violated; only
@@ -29,7 +30,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .decompose import DMResult, dm_decompose, verify
 from .field import GF, QQ, Field, _decimal
@@ -52,18 +52,7 @@ class InputFormatError(ValueError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-@dataclass
-class InputDocument:
-    """A parsed matrix description: the field, the block sizes, and the
-    entries as raw values of that field, one tuple per matrix row."""
-
-    field: Field
-    row_blocks: tuple[int, ...]
-    col_blocks: tuple[int, ...]
-    entries: tuple[tuple, ...]
-
-
-def parse_input(text: str) -> InputDocument:
+def parse_input(text: str) -> PartitionedMatrix:
     field = None
     blocks: dict[str, tuple[int, ...]] = {}  # row_blocks and col_blocks
     rows: list[tuple[int, list[str]]] = []
@@ -123,21 +112,19 @@ def parse_input(text: str) -> InputDocument:
     n, m = sum(row_blocks), sum(col_blocks)
     if len(rows) != n:
         raise InputFormatError(entries_line, f"expected {n} entry rows, found {len(rows)}")
-    entries = []
+    values: list = []
     for lineno, tokens in rows:
         if len(tokens) != m:
             raise InputFormatError(lineno, f"expected {m} entries, found {len(tokens)}")
         try:
-            values = field.parse_row(tokens)
+            values += field.parse_row(tokens)
         except ValueError:  # token by token: reads a/b and decimals, names a bad token
-            values = []
             for j, tok in enumerate(tokens, start=1):
                 try:
                     values.append(field.parse(tok))
                 except ValueError as exc:
                     raise InputFormatError(lineno, f"column {j}: {exc}")
-        entries.append(tuple(values))
-    return InputDocument(field, row_blocks, col_blocks, tuple(entries))
+    return PartitionedMatrix(Matrix(field, n, m, values), row_blocks, col_blocks)
 
 
 def _header_lines(field: Field, row_blocks, col_blocks) -> list[str]:
@@ -150,25 +137,22 @@ def _header_lines(field: Field, row_blocks, col_blocks) -> list[str]:
     ]
 
 
-def serialize_input(doc: InputDocument) -> str:
-    lines = _header_lines(doc.field, doc.row_blocks, doc.col_blocks)
-    lines.append("entries")
-    for row in doc.entries:
-        lines.append(" ".join(map(doc.field.format, row)))
-    return "\n".join(lines) + "\n"
-
-
-def document_to_matrix(doc: InputDocument) -> PartitionedMatrix:
-    values = [v for row in doc.entries for v in row]
-    mat = Matrix(doc.field, sum(doc.row_blocks), sum(doc.col_blocks), values)
-    return PartitionedMatrix(mat, doc.row_blocks, doc.col_blocks)
-
-
 def _matrix_lines(m: Matrix) -> list[str]:
     return [" ".join(map(m.field.format, m.row_raw(i))) for i in range(m.rows)]
 
 
-def format_result(doc: InputDocument, result: DMResult, report=None) -> str:
+def serialize_input(a: PartitionedMatrix) -> str:
+    lines = _header_lines(a.field, a.row_blocks, a.col_blocks)
+    return "\n".join([*lines, "entries", *_matrix_lines(a.matrix)]) + "\n"
+
+
+def document_to_matrix(a: PartitionedMatrix) -> PartitionedMatrix:
+    """``a`` itself: ``parse_input`` returns the partitioned matrix already,
+    and callers that still convert in a second step keep working."""
+    return a
+
+
+def format_result(doc: PartitionedMatrix, result: DMResult, report=None) -> str:
     g = result.graph
     state = result.state
     poset = result.poset
@@ -326,8 +310,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     with _failing(EXIT_USAGE, OSError, InputFormatError, UnicodeDecodeError):
         with open(args.input, encoding="utf-8") as fh:
-            doc = parse_input(fh.read())
-    a = document_to_matrix(doc)
+            a = parse_input(fh.read())
 
     if args.command == "oracle":
         with _failing(EXIT_ORACLE_BOUNDS, ValueError):
@@ -344,7 +327,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     report = verify(a, result) if args.verify else None
-    out_text = format_result(doc, result, report)
+    out_text = format_result(a, result, report)
     if args.out:
         _write(args.out, out_text)
     else:

@@ -1,17 +1,18 @@
-"""Exact field arithmetic: prime fields GF(p) and arbitrary-precision rationals.
+"""Exact fields: prime fields GF(p) and arbitrary-precision rationals.
 
 A field value has one representation, its raw carrier: an ``int`` residue in
 [0, p) for GF(p), a ``fractions.Fraction`` in lowest terms with positive
-denominator for the rationals.  A ``Field`` instance does the arithmetic on
-carriers; a container (a ``Matrix``, a stability graph, a vector matroid)
-records the field, and a vector is a tuple of raw carriers.  ``p`` is the
+denominator for the rationals.  A ``Field`` parses, prints, validates,
+clears and dots carriers; the kernels do their arithmetic on ints.  A
+container (a ``Matrix``, a stability graph, a vector matroid) records the
+field, and a vector is a tuple of raw carriers.  ``p`` is the
 characteristic, 0 for the rationals, and ``cleared(vecs)`` writes vectors
 on ints over one denominator.  Zero is the only false carrier, so ``any``
 and ``compress`` find a row's support; a value from outside, such as
 ``None`` or ``0.0``, is told apart by ``carries``, which ``verify``
-applies once to each result matrix.
-``parse`` reads ASCII decimal tokens only, and ``parse_row`` reads a whole
-row of integer tokens at once.  ``format`` is ``str`` on every field: the decimal
+applies once to each result matrix.  ``parse`` reads ASCII decimal tokens
+only, with no exponent, and ``parse_row`` reads a whole row of integer
+tokens at once.  ``format`` is ``str`` on every field: the decimal
 residue for GF(p), ``a`` or ``a/b`` for a rational, so a formatter maps it
 over a row slice without a Python call per entry.
 """
@@ -31,28 +32,17 @@ def is_prime(n: int) -> bool:
 
 def _decimal(text: str) -> str:
     """``text`` unchanged, unless it holds what ``int`` and ``Fraction`` read
-    but a decimal number cannot: ``_`` separators or non-ASCII digits."""
-    if "_" in text or not text.isascii():
+    but a decimal number cannot: ``_`` separators, non-ASCII digits, or an
+    exponent, with which ``Fraction`` builds 10^k for any k a token spells."""
+    if "_" in text or "e" in text or "E" in text or not text.isascii():
         raise ValueError(text)
     return text
 
 
 class Field:
-    """Base class: exact arithmetic on raw carrier values."""
+    """Base class: parsing, printing and validation of raw carrier values."""
 
     def canon(self, value):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
         raise NotImplementedError
 
     def coerce_raw(self, value) -> Any:
@@ -96,27 +86,12 @@ class PrimeField(Field):
 
     def canon(self, value):
         if isinstance(value, Fraction):
-            if value.denominator == 1:
-                value = value.numerator
-            else:
-                return self.mul(value.numerator, self.inv(value.denominator))
+            if value.denominator % self.p == 0:
+                raise ZeroDivisionError(f"{value.denominator} has no inverse in {self}")
+            value = value.numerator * pow(value.denominator, -1, self.p)
         if not isinstance(value, int):
             raise TypeError(f"cannot interpret {value!r} in {self}")
         return value % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"0 has no inverse in {self}")
-        return pow(a, -1, self.p)
 
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys)) % self.p
@@ -164,20 +139,6 @@ class RationalField(Field):
         if isinstance(value, int):
             return Fraction(value)
         raise TypeError(f"cannot interpret {value!r} as a rational")
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return 1 / a
 
     def dot(self, xs, ys):
         """Sum of products on ints over one common denominator; one Fraction."""

@@ -234,7 +234,7 @@ def rank1_factor(m: Matrix) -> Rank1Factor:
         v = [Fraction(y, w[j0]) for y in w]
         u = [row[j0] / c for row in rows]
     else:
-        p, cinv = f.p, f.inv(c)
+        p, cinv = f.p, pow(c, -1, f.p)
         v = [cinv * x % p for x in rows[i0]]
         for row in rows:
             if row != [row[j0] * y % p for y in v]:

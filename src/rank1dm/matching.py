@@ -138,10 +138,14 @@ class IndependentMatchingState:
     def flip(self, edges) -> None:
         """Replace the matching by its symmetric difference with ``edges``.
         Each matroid re-eliminates only the blocks whose matched vertices
-        changed.  Raises ValueError when the result is not an independent
-        matching; the state is then not to be used."""
+        changed.  Raises ValueError before any change when an edge index is
+        not a plain int in range (a negative alias or a bool is not), and
+        when the result is not an independent matching, after which the
+        state is not to be used."""
         edges = frozenset(edges)
-        graph_edges, npi = self.graph.edges, self.graph.n_pi
+        graph_edges, npi, count = self.graph.edges, self.graph.n_pi, len(self.graph.edges)
+        if stray := sorted(repr(k) for k in edges if type(k) is not int or not 0 <= k < count):
+            raise ValueError(f"{stray[0]} is not an edge index")
         for k in edges & self.matching:
             e = graph_edges[k]
             self.matched_pi.remove(e.pi)

@@ -168,7 +168,7 @@ def _transform_parts(a: PartitionedMatrix, e_parts, f_parts, e_cols: int, f_cols
                     k = i * f_cols + j
                     t = term(s * q, d)
                     # only a non-admissible E or F sends a second term here
-                    out[k] = t if out[k] is zero else fld.add(out[k], t)
+                    out[k] = t if out[k] is zero else term(out[k] + t, 1)
     return Matrix(fld, e_cols, f_cols, out)
 
 

@@ -1,13 +1,14 @@
 """Shared builders for the test suite: the worked 6x6 example, random
 instance generators, exact subspace utilities used by oracle-style checks,
 the reference checks (stability from the definition, classic bipartite DM,
-Gaussian binomials, elimination and rank-1 factoring through the field's
-methods, the monic directions by enumerating GF(p)^dim, the vertex order
-on Fraction keys), and the matroid closure and minimum cover that the
-matching tests check against."""
+Gaussian binomials, elimination and rank-1 factoring one carrier operation
+at a time through ``Arith``, the monic directions by enumerating
+GF(p)^dim, the vertex order on Fraction keys), and the matroid closure and
+minimum cover that the matching tests check against."""
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,38 @@ from rank1dm import (
     reachability_sets,
 )
 from rank1dm.linalg import Rank1Factor, RrefResult, rref
+
+
+class Arith:
+    """Carrier arithmetic of one field, for the references and the instance
+    builders: ``Fraction`` operators over QQ (p = 0), ints reduced mod p over
+    GF(p).  The library computes on ints in its kernels and has no such
+    operations, so a reference built on these shares no arithmetic with the
+    code it checks."""
+
+    def __init__(self, field):
+        self.p = field.p
+
+    def _carrier(self, x):
+        return x % self.p if self.p else x
+
+    def add(self, a, b):
+        return self._carrier(a + b)
+
+    def neg(self, a):
+        return self._carrier(-a)
+
+    def mul(self, a, b):
+        return self._carrier(a * b)
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("0 has no inverse")
+        return pow(a, -1, self.p) if self.p else 1 / a
+
+    def dot(self, xs, ys):
+        return self._carrier(sum(map(operator.mul, xs, ys), 0 if self.p else Fraction(0)))
+
 
 EXAMPLE_ROWS = [
     [1, 0, 1, 1, 0, 0],
@@ -50,6 +83,7 @@ def random_rank1_instance(
     zero_prob: float = 0.3,
 ) -> PartitionedMatrix:
     """A random partitioned matrix whose blocks are zero or rank one."""
+    ar = Arith(field)
     row_dims = [rng.randint(1, max_dim) for _ in range(mu)]
     col_dims = [rng.randint(1, max_dim) for _ in range(nu)]
     blocks = []
@@ -63,7 +97,7 @@ def random_rank1_instance(
                 v = _random_nonzero_vector(rng, field, mb)
                 c = _random_nonzero_scalar(rng, field)
                 data = [
-                    field.mul(c, field.mul(u[i], v[j]))
+                    ar.mul(c, ar.mul(u[i], v[j]))
                     for i in range(na)
                     for j in range(mb)
                 ]
@@ -177,9 +211,9 @@ def _blockdiag(field, blocks):
 
 
 def reference_rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form through the field's own methods, one
-    carrier operation at a time: the reference for ``rref``'s integer rows."""
-    f = m.field
+    """Reduced row echelon form through ``Arith``, one carrier operation at
+    a time: the reference for ``rref``'s integer rows."""
+    f, ar = m.field, Arith(m.field)
     zero = f.zero_raw
     work = [m.row_raw(i) for i in range(m.rows)]
     pivots: list[int] = []
@@ -189,35 +223,35 @@ def reference_rref(m: Matrix) -> RrefResult:
         if pivot_row is None:
             continue
         work[pr], work[pivot_row] = work[pivot_row], work[pr]
-        s = f.inv(work[pr][pc])
-        prow = work[pr] = [f.mul(s, v) for v in work[pr]]
+        s = ar.inv(work[pr][pc])
+        prow = work[pr] = [ar.mul(s, v) for v in work[pr]]
         for i in range(m.rows):
             if i != pr and work[i][pc] != zero:
                 c = work[i][pc]
-                work[i] = [f.add(v, f.neg(f.mul(c, pv))) for v, pv in zip(work[i], prow)]
+                work[i] = [ar.add(v, ar.neg(ar.mul(c, pv))) for v, pv in zip(work[i], prow)]
         pivots.append(pc)
     flat = [v for row in work for v in row]
     return RrefResult(Matrix(f, m.rows, m.cols, flat), pivots, len(pivots))
 
 
 def reference_rank1_factor(m: Matrix) -> Rank1Factor:
-    """Zero / rank one / higher rank from the definition, through the
-    field's own methods: the first nonzero entry c in row-major order
-    gives v (its row over c) and u (its column over c), and every entry
-    must equal c u_i v_j.  The reference for ``rank1_factor``'s int rows."""
-    f = m.field
-    zero = f.zero_raw
+    """Zero / rank one / higher rank from the definition, through
+    ``Arith``: the first nonzero entry c in row-major order gives v (its
+    row over c) and u (its column over c), and every entry must equal
+    c u_i v_j.  The reference for ``rank1_factor``'s int rows."""
+    ar = Arith(m.field)
+    zero = m.field.zero_raw
     pos = next((k for k, val in enumerate(m.data) if val != zero), None)
     if pos is None:
         return Rank1Factor(rank=0)
     i0, j0 = divmod(pos, m.cols)
     c = m.data[pos]
-    cinv = f.inv(c)
-    v = tuple(f.mul(cinv, m.raw(i0, j)) for j in range(m.cols))
-    u = tuple(f.mul(cinv, m.raw(i, j0)) for i in range(m.rows))
+    cinv = ar.inv(c)
+    v = tuple(ar.mul(cinv, m.raw(i0, j)) for j in range(m.cols))
+    u = tuple(ar.mul(cinv, m.raw(i, j0)) for i in range(m.rows))
     for i in range(m.rows):
         for j in range(m.cols):
-            if m.raw(i, j) != f.mul(c, f.mul(u[i], v[j])):
+            if m.raw(i, j) != ar.mul(c, ar.mul(u[i], v[j])):
                 return Rank1Factor(rank=2)
     return Rank1Factor(rank=1, u=u, v=v, coeff=c)
 
@@ -227,7 +261,7 @@ def reference_rank1_factor(m: Matrix) -> Rank1Factor:
 
 def kernel_basis(m: Matrix) -> list[tuple]:
     """Basis of the right kernel {y : M y = 0}, one vector per free column."""
-    f = m.field
+    f, ar = m.field, Arith(m.field)
     r = rref(m)
     pivot_of_col = {c: i for i, c in enumerate(r.pivots)}
     basis = []
@@ -237,7 +271,7 @@ def kernel_basis(m: Matrix) -> list[tuple]:
         vals = [f.zero_raw] * m.cols
         vals[free] = f.one_raw
         for pc, prow in pivot_of_col.items():
-            vals[pc] = f.neg(r.R.raw(prow, free))
+            vals[pc] = ar.neg(r.R.raw(prow, free))
         basis.append(tuple(vals))
     return basis
 
@@ -262,18 +296,19 @@ def subspace_intersection(field, rows_a, rows_b, dim):
     if not rows_a or not rows_b:
         return ()
     ka, kb = len(rows_a), len(rows_b)
+    ar = Arith(field)
     # columns: coefficients on A-rows then B-rows; rows: coordinates
     data = []
     for j in range(dim):
         row = [field.coerce_raw(rows_a[i][j]) for i in range(ka)]
-        row += [field.neg(field.coerce_raw(rows_b[i][j])) for i in range(kb)]
+        row += [ar.neg(field.coerce_raw(rows_b[i][j])) for i in range(kb)]
         data.append(row)
     m = Matrix.from_rows(field, data)
     combos = kernel_basis(m)
     vectors = []
     for combo in combos:
         vec = [
-            field.dot(combo[:ka], [field.coerce_raw(rows_a[i][j]) for i in range(ka)])
+            ar.dot(combo[:ka], [field.coerce_raw(rows_a[i][j]) for i in range(ka)])
             for j in range(dim)
         ]
         vectors.append(vec)
@@ -306,10 +341,10 @@ def is_stable_block(a: PartitionedMatrix, alpha: int, beta: int, x_basis, y_basi
         len(y) != block.cols for y in y_basis
     ):
         raise ValueError(f"basis of block ({alpha}, {beta}) has the wrong length")
-    f = a.field
+    ar = Arith(a.field)
     columns = [block.data[j :: block.cols] for j in range(block.cols)]
     return all(
-        f.dot([f.dot(x, col) for col in columns], y) == f.zero_raw
+        ar.dot([ar.dot(x, col) for col in columns], y) == a.field.zero_raw
         for x in x_basis
         for y in y_basis
     )

@@ -50,17 +50,17 @@ def example_file(tmp_path):
 
 
 def test_parse_example():
-    doc = parse_input(EXAMPLE_TEXT)
-    assert doc.field == GF(2)
-    assert doc.row_blocks == (2, 2, 2) and doc.col_blocks == (2, 2, 2)
-    assert doc.entries[0] == (1, 0, 1, 1, 0, 0)
-    a = document_to_matrix(doc)
+    a = parse_input(EXAMPLE_TEXT)
+    assert a.field == GF(2)
+    assert a.row_blocks == (2, 2, 2) and a.col_blocks == (2, 2, 2)
+    assert a.matrix.row_raw(0) == [1, 0, 1, 1, 0, 0]
     assert a.matrix.rows == 6 and a.matrix.cols == 6
+    # the two-step conversion is the identity: parsing gives the matrix
+    assert document_to_matrix(a) is a
 
 
 def test_parse_rationals():
-    doc = parse_input(RATIONAL_TEXT)
-    a = document_to_matrix(doc)
+    a = parse_input(RATIONAL_TEXT)
     assert a.matrix.raw(0, 0) == Fraction(1, 2)
     assert a.matrix.raw(1, 1) == Fraction(5, 7)
 
@@ -75,7 +75,7 @@ def test_round_trip():
     assert serialize_input(doc3).endswith("entries\n1 0\n")
     assert parse_input(serialize_input(doc3)) == doc3
     doc4 = parse_input("field rationals\nrow_blocks 1\ncol_blocks 2\nentries\n2/4 -0\n")
-    assert doc4.field == QQ and doc4.entries == ((Fraction(1, 2), Fraction(0)),)
+    assert doc4.field == QQ and doc4.matrix.data == [Fraction(1, 2), Fraction(0)]
     assert serialize_input(doc4).endswith("entries\n1/2 0\n")
     assert parse_input(serialize_input(doc4)) == doc4
 
@@ -144,12 +144,12 @@ def test_parse_row_errors_name_the_token():
             parse_input(text)
     # a non-ASCII space separates tokens as before; it is not a bad token
     doc = parse_input("field gf 7\nrow_blocks 1\ncol_blocks 1 1\nentries\n8\u20032\n")
-    assert doc.entries == ((1, 2),)
+    assert doc.matrix.data == [1, 2]
     doc = parse_input("field rationals\nrow_blocks 1\ncol_blocks 6\nentries\n3/4 -2 1.5 +7 0 -0/5\n")
-    assert doc.entries == (
-        (Fraction(3, 4), Fraction(-2), Fraction(3, 2), Fraction(7), Fraction(0), Fraction(0)),
-    )
-    assert {type(x) for x in doc.entries[0]} == {Fraction}
+    assert doc.matrix.data == [
+        Fraction(3, 4), Fraction(-2), Fraction(3, 2), Fraction(7), Fraction(0), Fraction(0),
+    ]
+    assert {type(x) for x in doc.matrix.data} == {Fraction}
 
 
 def test_decompose_exit_ok(example_file, capsys):
@@ -242,7 +242,7 @@ def test_dot_output(example_file, tmp_path):
 
 
 def test_dot_marks_matching_and_declares_nodes_once():
-    result = dm_decompose(document_to_matrix(parse_input(EXAMPLE_TEXT)))
+    result = dm_decompose(parse_input(EXAMPLE_TEXT))
     state = result.state
     stability, auxiliary = write_dot(result).split("}\n")[:2]
     assert stability.count("style=bold") == state.size
@@ -301,6 +301,8 @@ CLI_INPUTS = {
     "not-utf8.txt": EXAMPLE_TEXT.encode() + b"\xff\n",
     "unit7.txt": UNIT7_TEXT.encode(),
     "qq.txt": RATIONAL_TEXT.encode(),
+    # Fraction() would read the exponent and build 10^(10^7)
+    "exp.txt": b"field rationals\nrow_blocks 1\ncol_blocks 1\nentries\n1e10000000\n",
 }
 
 
@@ -315,10 +317,9 @@ def test_oracle_does_not_apply_the_rank_condition(tmp_path, capsys):
 
 
 def _document(name, verified=False):
-    doc = parse_input(CLI_INPUTS[name].decode())
-    a = document_to_matrix(doc)
+    a = parse_input(CLI_INPUTS[name].decode())
     result = dm_decompose(a)
-    return format_result(doc, result, verify(a, result) if verified else None)
+    return format_result(a, result, verify(a, result) if verified else None)
 
 
 # every failure prints one "error: " line on stderr and exits 1, 2 or 3; stdout
@@ -330,6 +331,8 @@ def _document(name, verified=False):
         ("decompose example.txt --verify --oracle", EXIT_OK, "", "verified"),
         ("decompose rank2.txt", EXIT_RANK, "blocks of rank >= 2 at (1,1)", ""),
         ("decompose gf4.txt", EXIT_USAGE, "line 1: modulus 4 is not prime", ""),
+        ("decompose exp.txt", EXIT_USAGE, "line 5: column 1: '1e10000000' is not a rational number",
+         ""),
         ("decompose missing.txt", EXIT_USAGE,
          "[Errno 2] No such file or directory: 'missing.txt'", ""),
         ("decompose adir", EXIT_USAGE, "[Errno 21] Is a directory: 'adir'", ""),

@@ -453,7 +453,7 @@ def test_dm_decompose_single_rank1_block():
     f = GF(5)
     u = [1, 2, 0]
     v = [0, 1, 3, 1]
-    data = [f.mul(ux, vx) for ux in u for vx in v]
+    data = [ux * vx % 5 for ux in u for vx in v]
     a = PartitionedMatrix(Matrix(f, 3, 4, data), (3,), (4,))
     res = dm_decompose(a)
     assert res.matching_size == 1
@@ -636,11 +636,38 @@ def test_verify_checks_the_chain_without_a_stored_one(example, example_result):
 
 def test_verify_reports_non_subspace_chain_element(example, example_result):
     # a chain dims element that is not a dimension pair
-    for dims in ([None], [*example_result.chain_dims[:-1], None]):
+    for dims, k in (([None], 0), ([*example_result.chain_dims[:-1], None], 3)):
         bad = dataclasses.replace(example_result, chain_dims=dims)
         check = verify(example, bad).check("chain")
         assert not check.passed
-        assert check.detail == "chain dims disagree with the diagonal blocks"
+        assert check.detail == f"chain dim {k} is None, not a pair of integers"
+
+
+def test_verify_reads_both_pair_lists_by_one_rule(example, example_result):
+    # the diagonal blocks and the chain dims pass as lists or tuples of
+    # 2-element lists or tuples of plain ints, with the details of the
+    # result as dm_decompose returns it; anything else fails with a reason
+    assert example_result.chain_dims == [(2, 5), (4, 3), (5, 2), (6, 1)]
+    want = str(verify(example, example_result))
+    for name in ("diag_blocks", "chain_dims"):
+        pairs = getattr(example_result, name)
+        for spelled in ([list(p) for p in pairs], tuple(pairs), tuple(map(list, pairs))):
+            report = verify(example, dataclasses.replace(example_result, **{name: spelled}))
+            assert str(report) == want, (name, spelled)
+    what = {"diag_blocks": "diagonal block", "chain_dims": "chain dim"}
+    for name in ("diag_blocks", "chain_dims"):
+        pairs = getattr(example_result, name)
+        r, c = pairs[0]
+        for bad in ((True, c), (float(r), c), (r, str(c)), "ab", (1, 2, 3), [r], None):
+            for at in (0, len(pairs) - 1):
+                forged = [*pairs[:at], bad, *pairs[at + 1 :]]
+                report = verify(example, dataclasses.replace(example_result, **{name: forged}))
+                check = report.check("chain")
+                assert not check.passed
+                assert check.detail == f"{what[name]} {at} is {bad!r}, not a pair of integers"
+        for bad in ([], None, "2:5", 5):
+            check = verify(example, dataclasses.replace(example_result, **{name: bad}))
+            assert check.check("chain").detail == f"{what[name]}s are empty or not a list"
 
 
 def _rebased(basis_of):

@@ -6,37 +6,28 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
+from gen import Arith
+
 from rank1dm import GF, QQ, Matrix
 from rank1dm.field import is_prime
 
 PRIMES = [2, 3, 5, 7, 11, 101, 65537, 2**31 - 1]
 
 
-def test_gf_add_examples():
-    assert GF(5).add(2, 4) == 1
-    assert GF(2).add(1, 1) == 0
-
-
-def test_rational_add_example():
-    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-
-
-def test_mul_examples():
-    assert GF(5).mul(3, 4) == 2
-    assert QQ.mul(Fraction(2, 3), Fraction(3, 4)) == Fraction(1, 2)
-    assert GF(7).mul(4, GF(7).one_raw) == 4
+# a field has no inverse operation: GF(p) inverts a Fraction's denominator
+# when it reads the Fraction as a residue
 
 
 def test_inverse_examples():
-    assert GF(5).inv(3) == 2
-    assert QQ.inv(Fraction(-2, 7)) == Fraction(-7, 2)
+    assert GF(5).canon(Fraction(1, 3)) == 2
+    assert GF(7).canon(Fraction(-3, 2)) == 2
 
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        GF(5).inv(GF(5).zero_raw)
+        GF(5).canon(Fraction(1, 5))
     with pytest.raises(ZeroDivisionError):
-        QQ.inv(QQ.zero_raw)
+        GF(3).canon(Fraction(2, 6 * 7))
 
 
 def _egcd(a, b):
@@ -51,7 +42,7 @@ def test_gf_inverse_against_extended_euclid():
     for _ in range(1000):
         p = rng.choice(PRIMES)
         a = rng.randrange(1, p)
-        inv = GF(p).inv(a)
+        inv = GF(p).canon(Fraction(1, a))
         g, x, _ = _egcd(a, p)
         assert g == 1
         assert inv == x % p
@@ -65,10 +56,14 @@ def test_mixed_field_operands_rejected():
             Matrix.from_rows(f, [[1]]) @ Matrix.from_rows(g, [[1]])
 
 
+# the carrier arithmetic that the test references compute with lives in
+# gen.Arith, apart from the library; it must obey the field axioms
+
+
 def test_field_axioms_randomized():
     rng = random.Random(7)
     for p in (2, 3, 5, 101):
-        f = GF(p)
+        f = Arith(GF(p))
         for _ in range(200):
             a, b, c = (rng.randrange(p) for _ in range(3))
             assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
@@ -76,9 +71,9 @@ def test_field_axioms_randomized():
             assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
             assert f.mul(a, b) == f.mul(b, a)
             assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-            assert f.add(a, f.neg(a)) == f.zero_raw
+            assert f.add(a, f.neg(a)) == 0
             if a:
-                assert f.mul(a, f.inv(a)) == f.one_raw
+                assert f.mul(a, f.inv(a)) == 1
 
 
 @given(
@@ -87,12 +82,14 @@ def test_field_axioms_randomized():
     st.fractions(max_denominator=50),
 )
 def test_rational_axioms(a, b, c):
-    f = QQ
+    f = Arith(QQ)
     assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-    assert f.add(a, f.neg(a)) == f.zero_raw
+    assert f.add(a, f.neg(a)) == QQ.zero_raw
     if a:
-        assert f.mul(a, f.inv(a)) == f.one_raw
+        assert f.mul(a, f.inv(a)) == QQ.one_raw
+    with pytest.raises(ZeroDivisionError):
+        f.inv(QQ.zero_raw)
 
 
 def test_canonical_form_idempotent():
@@ -129,8 +126,9 @@ def test_parse_format_round_trip():
         f.parse("x")
     with pytest.raises(ValueError):
         QQ.parse("1/0")
-    # int() and Fraction() read digit separators and non-ASCII digits
-    for s in ("1_0", "\u0663", "1\u0660"):
+    # int() and Fraction() read digit separators and non-ASCII digits, and
+    # Fraction() reads an exponent, building 10^(10^7) for "1e10000000"
+    for s in ("1_0", "\u0663", "1\u0660", "1e3", "2.5E-2", "-1E+2", "1e10000000"):
         with pytest.raises(ValueError, match="not a GF"):
             f.parse(s)
         with pytest.raises(ValueError, match="not a rational"):

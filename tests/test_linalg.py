@@ -4,7 +4,9 @@ from math import gcd
 
 from hypothesis import given, strategies as st
 
-from gen import EXAMPLE_ROWS, colex_key, kernel_basis, reference_rank1_factor, reference_rref
+from gen import (
+    EXAMPLE_ROWS, Arith, colex_key, kernel_basis, reference_rank1_factor, reference_rref,
+)
 
 from rank1dm import GF, QQ, HyperplaneVertex, Matrix
 from rank1dm.linalg import rank1_factor, rref, span_supports
@@ -28,6 +30,7 @@ def test_matmul_matches_definition():
     shapes = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)]
     shapes += [tuple(rng.randint(1, 5) for _ in range(3)) for _ in range(30)]
     for field in (GF(2), GF(101), QQ):
+        ar = Arith(field)
         for n, k, m in shapes:
             a, b = _random_matrix(rng, field, n, k), _random_matrix(rng, field, k, m)
             for mat in (a, b):  # at least half zeros
@@ -41,7 +44,7 @@ def test_matmul_matches_definition():
                 for j in range(m):
                     entry = field.zero_raw
                     for t in range(k):
-                        entry = field.add(entry, field.mul(a.raw(i, t), b.raw(t, j)))
+                        entry = ar.add(entry, ar.mul(a.raw(i, t), b.raw(t, j)))
                     want.append(entry)
             assert a @ b == Matrix(field, n, m, want)
 
@@ -119,6 +122,7 @@ def test_rref_matches_the_reference():
     shapes = [(0, 0), (0, 4), (4, 0), (1, 1)]
     shapes += [(rng.randint(1, 6), rng.randint(1, 8)) for _ in range(60)]
     for field in (GF(2), GF(3), GF(101), QQ):
+        ar = Arith(field)
         for n, m in shapes:
             draw = (lambda: _rational_entry(rng)) if field is QQ else (lambda: rng.randrange(field.p))
             mat = Matrix(field, n, m, [draw() for _ in range(n * m)])
@@ -133,7 +137,7 @@ def test_rref_matches_the_reference():
                 _assert_rref_is_reference(mat)
                 rows = [mat.row_raw(i) for i in range(n)]
                 c = field.coerce_raw(rng.randint(-5, 5))
-                rows.append([field.add(x, field.mul(c, y)) for x, y in zip(rows[0], rows[-1])])
+                rows.append([ar.add(x, ar.mul(c, y)) for x, y in zip(rows[0], rows[-1])])
                 _assert_rref_is_reference(Matrix.from_rows(field, rows))
 
 
@@ -225,12 +229,13 @@ def test_rank1_factor_nonzero_row_extraction():
 def test_rank1_factor_reconstruction_and_monic():
     rng = random.Random(10)
     for field in (GF(2), GF(5), QQ):
+        ar = Arith(field)
         for _ in range(40):
             n, m = rng.randint(1, 4), rng.randint(1, 4)
             u = [field.coerce_raw(rng.randint(-2, 2)) for _ in range(n)]
             v = [field.coerce_raw(rng.randint(-2, 2)) for _ in range(m)]
             c = field.coerce_raw(rng.randint(1, 4))
-            data = [field.mul(c, field.mul(ux, vx)) for ux in u for vx in v]
+            data = [ar.mul(c, ar.mul(ux, vx)) for ux in u for vx in v]
             mat = Matrix(field, n, m, data)
             fac = rank1_factor(mat)
             if fac.rank == 0:
@@ -244,7 +249,7 @@ def test_rank1_factor_reconstruction_and_monic():
                 n,
                 m,
                 [
-                    field.mul(fac.coeff, field.mul(ux, vx))
+                    ar.mul(fac.coeff, ar.mul(ux, vx))
                     for ux in fac.u
                     for vx in fac.v
                 ],
@@ -255,6 +260,8 @@ def test_rank1_factor_reconstruction_and_monic():
 def _random_block(rng, field, n, m):
     """A zero, rank-1 or perturbed rank-1 block whose u and v may lead with
     zeros; over QQ its entries mix denominators."""
+    ar = Arith(field)
+
     def draw(nonzero=False):
         if field == QQ:
             x = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6, 7)))
@@ -266,10 +273,10 @@ def _random_block(rng, field, n, m):
     u = [field.zero_raw] * lead_u + [draw(True)] + [draw() for _ in range(n - lead_u - 1)]
     v = [field.zero_raw] * lead_v + [draw(True)] + [draw() for _ in range(m - lead_v - 1)]
     c = draw(True) if rng.random() < 0.9 else field.zero_raw
-    data = [field.mul(c, field.mul(x, y)) for x in u for y in v]
+    data = [ar.mul(c, ar.mul(x, y)) for x in u for y in v]
     if rng.random() < 0.4:  # one entry off: rank 2, unless the new value fits
         k = rng.randrange(n * m)
-        data[k] = field.add(data[k], draw(True))
+        data[k] = ar.add(data[k], draw(True))
     return Matrix(field, n, m, data)
 
 
@@ -295,6 +302,7 @@ def test_span_coordinates_against_ranks():
     rng = random.Random(12)
     dependent = inside = 0
     for field in (GF(2), GF(101), QQ):
+        ar = Arith(field)
         for _ in range(40):
             dim = rng.randint(1, 4)
 
@@ -308,7 +316,7 @@ def test_span_coordinates_against_ranks():
                 combo = [field.zero_raw] * dim
                 for b in vecs:
                     c = field.coerce_raw(rng.randint(-3, 3))
-                    combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, b)]
+                    combo = [ar.add(x, ar.mul(c, y)) for x, y in zip(combo, b)]
                 return tuple(combo)
 
             basis = [draw() for _ in range(rng.randint(0, dim))]
@@ -334,7 +342,7 @@ def test_span_coordinates_against_ranks():
                     coords[pc] = red.R.raw(r, b)
                 rebuilt = (field.zero_raw,) * dim
                 for c, v in zip(coords, basis):
-                    rebuilt = tuple(field.add(x, field.mul(c, y)) for x, y in zip(rebuilt, v))
+                    rebuilt = tuple(ar.add(x, ar.mul(c, y)) for x, y in zip(rebuilt, v))
                 assert rebuilt == cand
                 assert support == [k for k, c in enumerate(coords) if c != field.zero_raw]
     assert dependent > 10 and inside > 50

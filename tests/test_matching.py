@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -383,6 +384,28 @@ def test_flip_matches_a_fresh_build():
                 with pytest.raises(ValueError, match=message):
                     IndependentMatchingState(g, state.matching).flip({k})
     assert flips > 50 and shared > 0 and dependent > 0
+
+
+def test_flip_rejects_a_stray_edge_index(graph):
+    # a negative alias, a bool, an index past the last edge or a non-int is
+    # refused, the smallest repr named, before the state changes: the state
+    # still equals a fresh build and takes the next flip
+    n = len(graph.edges)
+    assert n == 9
+    names = ("matching", "adjacency", "sources", "sinks", "matched_pi", "matched_sigma")
+    for start in (set(), {0}):
+        state = IndependentMatchingState(graph, start)
+        for edges, named in (
+            ({-1}, "-1"), ({-n}, f"-{n}"), ({True}, "True"), ({False}, "False"), ({n}, str(n)),
+            ({1.0}, "1.0"), ({"3"}, "'3'"), ({2, -1, n}, "-1"), ({-1, "x", 4}, "'x'"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(named)} is not an edge index$"):
+                state.flip(edges)
+            fresh = IndependentMatchingState(graph, start)
+            for name in names:
+                assert getattr(state, name) == getattr(fresh, name), (edges, name)
+        state.flip({n - 1})
+        assert state.matching == start | {n - 1}
 
 
 def test_free_lists_equal_the_scan_after_every_flip():

@@ -5,7 +5,7 @@ from itertools import accumulate
 
 import pytest
 
-from gen import colex_key, from_blocks, monic_directions, random_rank1_instance
+from gen import Arith, colex_key, from_blocks, monic_directions, random_rank1_instance
 
 from rank1dm import (
     GF,
@@ -205,6 +205,8 @@ def _pooled_rank1_instance(rng, field, mu, nu):
     """Blocks zero or c u^T v, u and v drawn from two vectors per block line,
     so that normals repeat across a line; over QQ their entries mix
     denominators and signs."""
+    ar = Arith(field)
+
     def vector(dim):
         while True:
             if field == QQ:
@@ -225,10 +227,10 @@ def _pooled_rank1_instance(rng, field, mu, nu):
     for alpha, na in enumerate(row_dims):
         blocks.append([])
         for beta, mb in enumerate(col_dims):
-            u = [field.mul(scalar(), x) for x in rng.choice(us[alpha])]
+            u = [ar.mul(scalar(), x) for x in rng.choice(us[alpha])]
             v = rng.choice(vs[beta])
             c = 0 if rng.random() < 0.2 else 1
-            data = [field.mul(c, field.mul(x, y)) for x in u for y in v]
+            data = [ar.mul(c, ar.mul(x, y)) for x in u for y in v]
             blocks[-1].append(Matrix(field, na, mb, [field.coerce_raw(x) for x in data]))
     return from_blocks(blocks)
 
@@ -260,6 +262,7 @@ def test_edge_reconstruction_invariant():
     for _ in range(25):
         field = GF(rng.choice([2, 3, 5]))
         a = random_rank1_instance(rng, field, rng.randint(1, 3), rng.randint(1, 3))
+        ar = Arith(field)
         g = build_stability_graph(a)
         assert len(g.edges) <= a.mu * a.nu
         for e in g.edges:
@@ -273,7 +276,7 @@ def test_edge_reconstruction_invariant():
                 block.rows,
                 block.cols,
                 [
-                    field.mul(coeff, field.mul(ux, vx))
+                    ar.mul(coeff, ar.mul(ux, vx))
                     for ux in u
                     for vx in v
                 ],
@@ -286,6 +289,7 @@ def test_rescaling_blocks_keeps_graph():
     for _ in range(10):
         field = GF(rng.choice([3, 5]))
         a = random_rank1_instance(rng, field, 2, 2)
+        ar = Arith(field)
         g1 = build_stability_graph(a)
         # rescale every block by a random nonzero scalar
         blocks = []
@@ -294,7 +298,7 @@ def test_rescaling_blocks_keeps_graph():
             for beta in range(a.nu):
                 c = rng.randrange(1, field.p)
                 b = a.block(alpha, beta)
-                brow.append(Matrix(field, b.rows, b.cols, [field.mul(c, x) for x in b.data]))
+                brow.append(Matrix(field, b.rows, b.cols, [ar.mul(c, x) for x in b.data]))
             blocks.append(brow)
         g2 = build_stability_graph(from_blocks(blocks))
         assert g1.pi == g2.pi and g1.sigma == g2.sigma and g1.edges == g2.edges
