@@ -244,8 +244,8 @@ def write_dot(result: DMResult) -> str:
         style = " [style=bold, color=red]" if k in state.matching else ""
         lines.append(f"  p{e.pi} -- s{e.sigma}{style};")
     lines += ["}", "digraph auxiliary {", *nodes]
-    for v, arcs in state.adjacency.items():
-        for w, edge in arcs:
+    for v in range(npi + g.n_sigma):
+        for w, edge in state.arcs(v):
             if edge is None:
                 tail = " [style=dashed]"
             else:

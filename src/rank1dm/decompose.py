@@ -168,7 +168,7 @@ def scc_poset(
         raise ValueError("C0 and Cinf intersect: the matching is not maximum")
     removed = c0 | cinf
     nodes = [v for v in range(state.graph.n_pi + state.graph.n_sigma) if v not in removed]
-    adj = {v: [w for w, _ in state.adjacency[v] if w not in removed] for v in nodes}
+    adj = {v: [w for w, _ in state.arcs(v) if w not in removed] for v in nodes}
 
     # Tarjan emits each component after all it reaches, so one pass finds the
     # matched components below each one, also through unmatched components
@@ -387,7 +387,7 @@ class DMResult:
     state: IndependentMatchingState | None = None
     poset: ChainPoset | None = None
     # only the frozen benchmark replay sets it and nothing reads it;
-    # ROADMAP item 3 removes it with the replay's call
+    # ROADMAP item 4 removes it with the replay's call
     chain: list[StableSubspace] | None = None
     assembly: BasisAssembly | None = None
 

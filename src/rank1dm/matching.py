@@ -9,16 +9,15 @@ matroid exchange arcs): find a shortest source-to-sink path by BFS, flip
 it, repeat until no path remains.  One ``IndependentMatchingState`` holds
 the matching and its digraph, and ``flip`` is its only update: each side's
 matroid holds the matched vertices as its selection, so a flip
-re-eliminates only the blocks it changed.  The search expands a node only
-when it dequeues it; the whole adjacency is materialized only when read,
-for the maximum matching's reachability sets, poset and drawing.
+re-eliminates only the blocks it changed.  The state answers a node's
+out-arcs and in-arcs off the same lists when asked, and nothing keeps a
+copy of the digraph: every search expands a node only when it dequeues it.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from functools import cached_property
 from itertools import chain
 from typing import Callable
 
@@ -104,9 +103,10 @@ class IndependentMatchingState:
     Node ids: row-side vertex i is node i, column-side vertex j is node
     n_pi + j.  ``arcs(v)`` lists v's out-arcs ascending by target, each
     carrying the graph edge index it corresponds to, or None for a matroid
-    exchange arc.  An unmatched vertex outside the closure of the matched
-    ones is a source (row side) or a sink (column side); inside it, it has
-    an exchange arc with every matched vertex of its fundamental circuit.
+    exchange arc; ``arcs_into(v)`` lists v's in-arcs, each by its tail.  An
+    unmatched vertex outside the closure of the matched ones is a source
+    (row side) or a sink (column side); inside it, it has an exchange arc
+    with every matched vertex of its fundamental circuit.
     """
 
     def __init__(self, graph: StabilityGraph, matching=()):
@@ -117,22 +117,29 @@ class IndependentMatchingState:
         self.augmentations = 0
         self._mp, self._ms = matroid_pi(graph), matroid_sigma(graph)
         npi = graph.n_pi
-        graph_arcs: list[list[tuple[int, int]]] = [[] for _ in range(npi)]
+        # (other end, edge index) at each end: ends[v] of v's graph edges, arcs
+        # out of the row side; _mate[v] of a matched v's matched edge, arcs into it
+        ends: list[list[tuple[int, int]]] = [[] for _ in range(npi + graph.n_sigma)]
         for k, e in enumerate(graph.edges):
-            graph_arcs[e.pi].append((npi + e.sigma, k))
-        # each matched column-side node's one out-arc: its matched edge, reversed
+            ends[e.pi].append((npi + e.sigma, k))
+            ends[npi + e.sigma].append((e.pi, k))
         self._mate: dict[int, list[tuple[int, int]]] = {}
-        mate, holders_pi, circuit_sigma = self._mate, self._mp.holders, self._ms.circuit
+        mate, mp, ms = self._mate, self._mp, self._ms
 
         def arcs(v: int) -> list[tuple[int, int | None]]:
             # ascending by target, the order _search reads them: a row-side
             # node's exchange arcs, then its graph edges; a column-side node's
             # reversed matched edge, then its exchange arcs
             if v < npi:
-                return [(new, None) for new in holders_pi[v]] + graph_arcs[v]
-            return mate.get(v, []) + [(npi + old, None) for old in circuit_sigma[v - npi] or ()]
+                return [(new, None) for new in mp.holders[v]] + ends[v]
+            return mate.get(v, []) + [(npi + old, None) for old in ms.circuit[v - npi] or ()]
 
-        self.arcs = arcs
+        def arcs_into(v: int) -> list[tuple[int, int | None]]:
+            if v < npi:
+                return mate.get(v, []) + [(old, None) for old in mp.circuit[v] or ()]
+            return ends[v] + [(npi + new, None) for new in ms.holders[v - npi]]
+
+        self.arcs, self.arcs_into = arcs, arcs_into
         self.flip(matching)
 
     def flip(self, edges) -> None:
@@ -150,16 +157,15 @@ class IndependentMatchingState:
             e = graph_edges[k]
             self.matched_pi.remove(e.pi)
             self.matched_sigma.remove(e.sigma)
-            del self._mate[npi + e.sigma]
+            del self._mate[e.pi], self._mate[npi + e.sigma]
         for k in edges - self.matching:
             e = graph_edges[k]
             if e.pi in self.matched_pi or e.sigma in self.matched_sigma:
                 raise ValueError("edge set is not a matching")
             self.matched_pi.add(e.pi)
             self.matched_sigma.add(e.sigma)
-            self._mate[npi + e.sigma] = [(e.pi, k)]
+            self._mate[e.pi], self._mate[npi + e.sigma] = [(npi + e.sigma, k)], [(e.pi, k)]
         self.matching = self.matching ^ edges
-        self.__dict__.pop("adjacency", None)
         if (
             self._mp.select(self.matched_pi) != len(self.matched_pi)
             or self._ms.select(self.matched_sigma) != len(self.matched_sigma)
@@ -180,9 +186,9 @@ class IndependentMatchingState:
         npi = self.graph.n_pi
         return [npi + j for j in chain.from_iterable(self._ms.free)]
 
-    @cached_property
+    @property
     def adjacency(self) -> dict[int, list[tuple[int, int | None]]]:
-        """Every node's out-arcs, materialized on first read after a flip."""
+        """Every node's out-arcs, built on each read: the library calls ``arcs``."""
         return {v: self.arcs(v) for v in range(self.graph.n_pi + self.graph.n_sigma)}
 
 
@@ -215,12 +221,8 @@ def _search(
 def reachability_sets(state: IndependentMatchingState) -> tuple[set[int], set[int]]:
     """C0 = nodes reachable from the source set, Cinf = nodes that reach the
     sink set, both in the auxiliary digraph of a maximum matching."""
-    back: dict[int, list[tuple[int, int | None]]] = {v: [] for v in state.adjacency}
-    for v, arcs in state.adjacency.items():
-        for w, edge in arcs:
-            back[w].append((v, edge))
-    forward = _search(state.adjacency.__getitem__, state.sources)[0]
-    return set(forward), set(_search(back.__getitem__, state.sinks)[0])
+    forward = _search(state.arcs, state.sources)[0]
+    return set(forward), set(_search(state.arcs_into, state.sinks)[0])
 
 
 def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:

@@ -3,8 +3,9 @@ instance generators, exact subspace utilities used by oracle-style checks,
 the reference checks (stability from the definition, classic bipartite DM,
 Gaussian binomials, elimination and rank-1 factoring one carrier operation
 at a time through ``Arith``, the monic directions by enumerating
-GF(p)^dim, the vertex order on Fraction keys), and the matroid closure and
-minimum cover that the matching tests check against."""
+GF(p)^dim, the vertex order on Fraction keys), the matroid closure and
+minimum cover that the matching tests check against, and the rank-1
+skeleton instances and mod-q rank of the scaled-rank oracle for |M|."""
 
 from __future__ import annotations
 
@@ -95,15 +96,72 @@ def random_rank1_instance(
             else:
                 u = _random_nonzero_vector(rng, field, na)
                 v = _random_nonzero_vector(rng, field, mb)
-                c = _random_nonzero_scalar(rng, field)
-                data = [
-                    ar.mul(c, ar.mul(u[i], v[j]))
-                    for i in range(na)
-                    for j in range(mb)
-                ]
-                brow.append(Matrix(field, na, mb, data))
+                brow.append(_outer(ar, field, _random_nonzero_scalar(rng, field), u, v))
         blocks.append(brow)
     return from_blocks(blocks)
+
+
+def skeleton_instance(
+    rng: random.Random, field, mu: int, nu: int, dim: int = 3, pool: int = 1, zero_prob=0.0
+) -> PartitionedMatrix:
+    """A mu x nu grid of dim x dim blocks, each zero or a_alpha b_beta u v^T.
+    The coefficients form the rank-1 skeleton a b^T, and u (v) is drawn from
+    a pool of ``pool`` normals kept per row (column) block.  With a pool of
+    one and no zero block, rank A = 1 while |M| = min(mu, nu), so plain rank
+    does not pin |M|."""
+    ar = Arith(field)
+    a, b = ([_random_nonzero_scalar(rng, field) for _ in range(k)] for k in (mu, nu))
+    us, vs = (
+        [[_random_nonzero_vector(rng, field, dim) for _ in range(pool)] for _ in range(k)]
+        for k in (mu, nu)
+    )
+    blocks = []
+    for alpha in range(mu):
+        brow = []
+        for beta in range(nu):
+            if rng.random() < zero_prob:
+                brow.append(Matrix.zeros(field, dim, dim))
+            else:
+                u, v = rng.choice(us[alpha]), rng.choice(vs[beta])
+                brow.append(_outer(ar, field, ar.mul(a[alpha], b[beta]), u, v))
+        blocks.append(brow)
+    return from_blocks(blocks)
+
+
+def _outer(ar: Arith, field, c, u, v) -> Matrix:
+    return Matrix(field, len(u), len(v), [ar.mul(c, ar.mul(x, y)) for x in u for y in v])
+
+
+def scaled_rows(a: PartitionedMatrix, q: int, scalars) -> list[list[int]]:
+    """A(x) mod the prime q: each entry of block (alpha, beta), read as a
+    residue mod q, times ``scalars[alpha][beta]``."""
+    def residue(x):
+        x = Fraction(x)
+        return x.numerator * pow(x.denominator, -1, q) % q
+
+    row_of = [alpha for alpha, size in enumerate(a.row_blocks) for _ in range(size)]
+    col_of = [beta for beta, size in enumerate(a.col_blocks) for _ in range(size)]
+    return [
+        [residue(x) * scalars[row_of[i]][col_of[j]] % q for j, x in enumerate(a.matrix.row_raw(i))]
+        for i in range(a.matrix.rows)
+    ]
+
+
+def rank_mod(rows: list[list[int]], q: int) -> int:
+    """Rank over GF(q), q prime, of rows of residues: each row is reduced
+    against the monic pivot rows kept so far, in the order they were kept,
+    and kept itself when an entry survives.  It calls nothing in
+    ``rank1dm.linalg``."""
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        for c, pivot in pivots:
+            if f := row[c]:
+                row = [(x - f * y) % q for x, y in zip(row, pivot)]
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is not None:
+            inverse = pow(row[c], -1, q)
+            pivots.append((c, [x * inverse % q for x in row]))
+    return len(pivots)
 
 
 def from_blocks(blocks: list[list[Matrix]]) -> PartitionedMatrix:

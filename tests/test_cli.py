@@ -255,6 +255,69 @@ def test_dot_marks_matching_and_declares_nodes_once():
         assert len(declared) == len(set(declared)) == n_nodes
 
 
+# the worked example's drawing, line for line: a node's tags, the matched
+# edges and the order and style of every auxiliary arc
+EXAMPLE_DOT = """\
+graph stability {
+  p0 [label="1a", shape=ellipse];
+  p1 [label="1b", shape=ellipse];
+  p2 [label="1c", shape=ellipse];
+  p3 [label="2a", shape=ellipse];
+  p4 [label="2c [C0]", shape=ellipse];
+  p5 [label="3a [S,C0]", shape=ellipse];
+  p6 [label="3c", shape=ellipse];
+  s0 [label="1'a", shape=box];
+  s1 [label="1'c", shape=box];
+  s2 [label="2'c", shape=box];
+  s3 [label="3'a [C0]", shape=box];
+  s4 [label="3'c", shape=box];
+  p0 -- s0 [style=bold, color=red];
+  p2 -- s2;
+  p1 -- s4 [style=bold, color=red];
+  p3 -- s1 [style=bold, color=red];
+  p3 -- s2;
+  p4 -- s3 [style=bold, color=red];
+  p6 -- s0;
+  p6 -- s2 [style=bold, color=red];
+  p5 -- s3;
+}
+digraph auxiliary {
+  p0 [label="1a", shape=ellipse];
+  p1 [label="1b", shape=ellipse];
+  p2 [label="1c", shape=ellipse];
+  p3 [label="2a", shape=ellipse];
+  p4 [label="2c [C0]", shape=ellipse];
+  p5 [label="3a [S,C0]", shape=ellipse];
+  p6 [label="3c", shape=ellipse];
+  s0 [label="1'a", shape=box];
+  s1 [label="1'c", shape=box];
+  s2 [label="2'c", shape=box];
+  s3 [label="3'a [C0]", shape=box];
+  s4 [label="3'c", shape=box];
+  p0 -> p2 [style=dashed];
+  p0 -> s0 [color=red];
+  p1 -> p2 [style=dashed];
+  p1 -> s4 [color=red];
+  p2 -> s2;
+  p3 -> s1 [color=red];
+  p3 -> s2;
+  p4 -> s3 [color=red];
+  p5 -> s3;
+  p6 -> s0;
+  p6 -> s2 [color=red];
+  s0 -> p0 [color=red];
+  s1 -> p3 [color=red];
+  s2 -> p6 [color=red];
+  s3 -> p4 [color=red];
+  s4 -> p1 [color=red];
+}
+"""
+
+
+def test_dot_text_of_the_worked_example():
+    assert write_dot(dm_decompose(parse_input(EXAMPLE_TEXT))) == EXAMPLE_DOT
+
+
 def test_graph_command(example_file, tmp_path):
     dot = tmp_path / "g.dot"
     assert main(["graph", example_file, "--dot", str(dot)]) == EXIT_OK

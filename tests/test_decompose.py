@@ -180,7 +180,7 @@ def _pruned_reach(state, removed, start):
     seen = set(start)
     stack = list(start)
     while stack:
-        for w, _ in state.adjacency[stack.pop()]:
+        for w, _ in state.arcs(stack.pop()):
             if w not in removed and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -206,7 +206,7 @@ def test_relations_match_reachability():
                 reached = _pruned_reach(res.state, removed, nodes)
                 want |= {(k, l) for k, other in comps.items() if k != l and other & reached}
                 # relations no single arc accounts for
-                step = {w for v in nodes for w, _ in res.state.adjacency[v]}
+                step = {w for v in nodes for w, _ in res.state.arcs(v)}
                 indirect += sum(1 for k, l2 in want if l2 == l and not comps[k] & step)
             assert poset.relations == want
     assert indirect > 0

@@ -1,6 +1,7 @@
 import logging
 import random
 import re
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -18,6 +19,7 @@ from rank1dm import (
     matroid_pi,
     matroid_sigma,
     max_independent_matching,
+    reachability_sets,
 )
 from rank1dm import matching as matching_module
 from rank1dm.matching import _search
@@ -194,6 +196,55 @@ def test_aux_digraph_built_in_search_order(caplog):
                 assert all(c == sorted(c) for c in m.circuit if c is not None)
 
 
+def test_arcs_into_reverses_arcs_after_every_flip(monkeypatch):
+    # both views are read off the same lists, so after each flip of a matching
+    # run they list the same (tail, head, edge) arcs, as multisets over all
+    # nodes: reversed matched edges and both sides' exchange arcs included
+    seen = Counter()
+    flip = IndependentMatchingState.flip
+
+    def checked_flip(state, edges):
+        flip(state, edges)
+        npi, nodes = state.graph.n_pi, range(state.graph.n_pi + state.graph.n_sigma)
+        out = Counter((v, w, edge) for v in nodes for w, edge in state.arcs(v))
+        into = Counter((t, v, edge) for v in nodes for t, edge in state.arcs_into(v))
+        assert out == into
+        seen["flips"] += 1
+        for v, w, edge in out:
+            kind = "graph" if v < npi <= w else "matched" if w < npi <= v else "exchange"
+            seen[kind, v < npi] += 1
+
+    monkeypatch.setattr(IndependentMatchingState, "flip", checked_flip)
+    rng = random.Random(43)
+    for field in (GF(2), GF(101), QQ) * 5:
+        a = random_rank1_instance(rng, field, rng.randint(1, 5), rng.randint(1, 5), max_dim=3)
+        max_independent_matching(build_stability_graph(a))
+    assert seen["flips"] > 50
+    assert all(seen[kind] for kind in (("matched", False), ("exchange", True), ("exchange", False)))
+
+
+def test_reachability_sets_match_networkx():
+    # C0 is what the sources reach and Cinf what reaches the sinks, on the
+    # digraph the out-arcs alone describe
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(44)
+    both = 0
+    for field in (GF(2), GF(3), GF(101), QQ) * 8:
+        a = random_rank1_instance(
+            rng, field, rng.randint(2, 6), rng.randint(2, 6), max_dim=3, zero_prob=0.6
+        )
+        state = max_independent_matching(build_stability_graph(a))
+        adjacency = state.adjacency
+        digraph = nx.DiGraph()
+        digraph.add_nodes_from(adjacency)
+        digraph.add_edges_from((v, w) for v, outs in adjacency.items() for w, _ in outs)
+        c0 = set(state.sources).union(*(nx.descendants(digraph, v) for v in state.sources))
+        cinf = set(state.sinks).union(*(nx.ancestors(digraph, v) for v in state.sinks))
+        assert reachability_sets(state) == (c0, cinf)
+        both += bool(c0 - set(state.sources)) and bool(cinf - set(state.sinks))
+    assert both > 0
+
+
 def test_min_cover_empty_graph():
     g = StabilityGraph(GF(2), (1,), (1,))
     state = max_independent_matching(g)
@@ -347,9 +398,8 @@ def test_rounds_match_search_on_rebuilt_digraph(caplog):
 def test_flip_matches_a_fresh_build():
     # one state advanced by flips, along augmenting paths and back along the
     # last path taken, holds after each flip the digraph the constructor
-    # builds from scratch for its matching, whose adjacency read before the
-    # flip included; a flip that makes two edges share a vertex or one side
-    # dependent raises
+    # builds from scratch for its matching; a flip that makes two edges share
+    # a vertex or one side dependent raises
     rng = random.Random(41)
     names = ("adjacency", "sources", "sinks", "matched_pi", "matched_sigma")
     flips, shared, dependent = 0, 0, 0

@@ -15,6 +15,9 @@ from gen import (
     kernel_basis,
     random_rank1_instance,
     random_unit_pattern_instance,
+    rank_mod,
+    scaled_rows,
+    skeleton_instance,
     subspace_intersection,
     subspace_sum,
 )
@@ -429,6 +432,32 @@ def test_matching_sizes_agree_with_networkx_at_scale():
         hopcroft_karp = nx.bipartite.hopcroft_karp_matching(graph, [("r", i) for i in range(n)])
         size = max_independent_matching(build_stability_graph(a)).size
         assert size == classic_dm_check(a)[0] == len(hopcroft_karp) // 2
+
+
+@pytest.mark.parametrize(
+    "field, exact",
+    [(GF(2147483647), True), (QQ, True), (GF(2), False), (GF(3), False), (GF(101), False)],
+    ids=["gf2147483647", "qq", "gf2", "gf3", "gf101"],
+)
+def test_scaled_rank_equals_matching_size(field, exact):
+    # one scalar x_ab per block: over indeterminates, rank A(x) is the largest
+    # common independent set of the u's and v's matroids (Edmonds; Lovasz
+    # 1989), which is |M|; at a random point mod a prime q it falls short with
+    # probability at most |M|/q (Schwartz-Zippel).  Over QQ, rank mod q never
+    # exceeds the rank over QQ.  Over a small field only rank A(x) <= |M| holds
+    q = 2**61 - 1 if field == QQ else field.p
+    rng = random.Random(f"scaled-rank/{q}")
+    for pool, zero_prob in ((1, 0.0), (2, 0.95)):
+        a = skeleton_instance(rng, field, 80, 70, pool=pool, zero_prob=zero_prob)
+        assert a.matrix.rows >= 200
+        size = max_independent_matching(build_stability_graph(a)).size
+        scalars = [[rng.randrange(1, q) for _ in range(a.nu)] for _ in range(a.mu)]
+        rank = rank_mod(scaled_rows(a, q, scalars), q)
+        assert rank == size if exact else rank <= size, (rank, size)
+        if pool == 1:
+            # plain rank is 1 here, so only the scalars tell |M| = 70 apart
+            assert size == 70
+            assert rank_mod(scaled_rows(a, q, [[1] * a.nu] * a.mu), q) == 1
 
 
 @pytest.mark.parametrize("field, nu", [(GF(101), 100), (QQ, 70)], ids=["gf101", "qq"])
