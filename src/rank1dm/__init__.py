@@ -6,8 +6,6 @@ from .linalg import Matrix, Rank1Factor, rank1_factor, rref
 from .matching import (
     IndependentMatchingState,
     VectorMatroid,
-    matroid_pi,
-    matroid_sigma,
     max_independent_matching,
     reachability_sets,
 )
@@ -52,8 +50,6 @@ __all__ = [
     "VectorMatroid",
     "IndependentMatchingState",
     "max_independent_matching",
-    "matroid_pi",
-    "matroid_sigma",
     "ChainPoset",
     "StableSubspace",
     "DMResult",

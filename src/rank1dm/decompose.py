@@ -150,9 +150,8 @@ def _matched_vertices(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The matched row-side vertices among ``nodes`` and the matched
     column-side ones as column-side indices, each sorted."""
-    npi = state.graph.n_pi
-    h = tuple(sorted(v for v in nodes if v in state.matched_pi))
-    return h, tuple(sorted(v - npi for v in nodes if v - npi in state.matched_sigma))
+    npi, ends = state.graph.n_pi, sorted(state.matched & nodes)
+    return tuple(v for v in ends if v < npi), tuple(v - npi for v in ends if v >= npi)
 
 
 def scc_poset(

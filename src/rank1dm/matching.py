@@ -3,23 +3,25 @@
 The two sides of the graph carry vector matroids: a set of hyperplane
 vertices is independent when the normals picked inside each block are
 linearly independent.  A matching is independent when both endpoint sets
-are.  The classic augmenting scheme applies on the auxiliary digraph
+are, that is when its endpoints are independent in the direct sum of both
+sides' matroids over all mu + nu blocks, whose elements are the auxiliary
+digraph's nodes.  The classic augmenting scheme applies on that digraph
 (graph edges oriented left to right, matched edges reversed as well, plus
 matroid exchange arcs): find a shortest source-to-sink path by BFS, flip
 it, repeat until no path remains.  One ``IndependentMatchingState`` holds
-the matching and its digraph, and ``flip`` is its only update: each side's
-matroid holds the matched vertices as its selection, so a flip
-re-eliminates only the blocks it changed.  The state answers a node's
-out-arcs and in-arcs off the same lists when asked, and nothing keeps a
-copy of the digraph: every search expands a node only when it dequeues it.
+the matching and its digraph, and ``flip`` is its only update: one matroid
+holds the matched nodes as its selection, so a flip re-eliminates only the
+blocks it changed.  The state answers a node's out-arcs and in-arcs off
+the same lists when asked, and nothing keeps a copy of the digraph: every
+search expands a node only when it dequeues it.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
+from collections.abc import Callable, KeysView
 from itertools import chain
-from typing import Callable
 
 from .field import Field
 from .linalg import span_supports
@@ -46,9 +48,9 @@ class VectorMatroid:
         self.elements = list(elements)
         self.block_dims = tuple(block_dims)
         self._members: list[list[int]] = [[] for _ in self.block_dims]
-        for j, (blk, _) in enumerate(self.elements):
-            if not 0 <= blk < len(block_dims):
-                raise ValueError("element block index out of range")
+        for j, (blk, normal) in enumerate(self.elements):
+            if not 0 <= blk < len(block_dims) or len(normal) != block_dims[blk]:
+                raise ValueError("element block index out of range or normal not of its length")
             self._members[blk].append(j)
         # a positive scale keeps the coefficient supports: ints suffice
         self._ints = field.cleared([normal for _, normal in self.elements])[1]
@@ -88,35 +90,31 @@ class VectorMatroid:
         return sum(self._ranks)
 
 
-def matroid_pi(g: StabilityGraph) -> VectorMatroid:
-    return VectorMatroid(g.field, g.pi, g.row_blocks)
-
-
-def matroid_sigma(g: StabilityGraph) -> VectorMatroid:
-    return VectorMatroid(g.field, g.sigma, g.col_blocks)
-
-
 class IndependentMatchingState:
     """A matching of a stability graph together with its auxiliary digraph,
     advanced in place by ``flip``.
 
     Node ids: row-side vertex i is node i, column-side vertex j is node
-    n_pi + j.  ``arcs(v)`` lists v's out-arcs ascending by target, each
-    carrying the graph edge index it corresponds to, or None for a matroid
-    exchange arc; ``arcs_into(v)`` lists v's in-arcs, each by its tail.  An
-    unmatched vertex outside the closure of the matched ones is a source
-    (row side) or a sink (column side); inside it, it has an exchange arc
-    with every matched vertex of its fundamental circuit.
+    n_pi + j, and node v is element v of one matroid whose blocks are the
+    row blocks, then the column blocks.  ``arcs(v)`` lists v's out-arcs
+    ascending by target, each carrying the graph edge index it corresponds
+    to, or None for a matroid exchange arc; ``arcs_into(v)`` lists v's
+    in-arcs, each by its tail.  An unmatched vertex outside the closure of
+    the matched ones is a source (row side) or a sink (column side); inside
+    it, it has an exchange arc with every matched vertex of its fundamental
+    circuit.
     """
 
     def __init__(self, graph: StabilityGraph, matching=()):
         self.graph = graph
         self.matching: frozenset[int] = frozenset()
-        self.matched_pi: set[int] = set()
-        self.matched_sigma: set[int] = set()
         self.augmentations = 0
-        self._mp, self._ms = matroid_pi(graph), matroid_sigma(graph)
-        npi = graph.n_pi
+        npi, mu = graph.n_pi, len(graph.row_blocks)
+        self._matroid = VectorMatroid(
+            graph.field,
+            [*graph.pi, *((mu + blk, normal) for blk, normal in graph.sigma)],
+            graph.row_blocks + graph.col_blocks,
+        )
         # (other end, edge index) at each end: ends[v] of v's graph edges, arcs
         # out of the row side; _mate[v] of a matched v's matched edge, arcs into it
         ends: list[list[tuple[int, int]]] = [[] for _ in range(npi + graph.n_sigma)]
@@ -124,67 +122,64 @@ class IndependentMatchingState:
             ends[e.pi].append((npi + e.sigma, k))
             ends[npi + e.sigma].append((e.pi, k))
         self._mate: dict[int, list[tuple[int, int]]] = {}
-        mate, mp, ms = self._mate, self._mp, self._ms
+        mate, circuit, holders = self._mate, self._matroid.circuit, self._matroid.holders
 
         def arcs(v: int) -> list[tuple[int, int | None]]:
             # ascending by target, the order _search reads them: a row-side
             # node's exchange arcs, then its graph edges; a column-side node's
             # reversed matched edge, then its exchange arcs
             if v < npi:
-                return [(new, None) for new in mp.holders[v]] + ends[v]
-            return mate.get(v, []) + [(npi + old, None) for old in ms.circuit[v - npi] or ()]
+                return [(new, None) for new in holders[v]] + ends[v]
+            return mate.get(v, []) + [(old, None) for old in circuit[v] or ()]
 
         def arcs_into(v: int) -> list[tuple[int, int | None]]:
             if v < npi:
-                return mate.get(v, []) + [(old, None) for old in mp.circuit[v] or ()]
-            return ends[v] + [(npi + new, None) for new in ms.holders[v - npi]]
+                return mate.get(v, []) + [(old, None) for old in circuit[v] or ()]
+            return ends[v] + [(new, None) for new in holders[v]]
 
         self.arcs, self.arcs_into = arcs, arcs_into
         self.flip(matching)
 
     def flip(self, edges) -> None:
         """Replace the matching by its symmetric difference with ``edges``.
-        Each matroid re-eliminates only the blocks whose matched vertices
+        The matroid re-eliminates only the blocks whose matched nodes
         changed.  Raises ValueError before any change when an edge index is
         not a plain int in range (a negative alias or a bool is not), and
         when the result is not an independent matching, after which the
         state is not to be used."""
-        edges = frozenset(edges)
+        edges, mate = frozenset(edges), self._mate
         graph_edges, npi, count = self.graph.edges, self.graph.n_pi, len(self.graph.edges)
         if stray := sorted(repr(k) for k in edges if type(k) is not int or not 0 <= k < count):
             raise ValueError(f"{stray[0]} is not an edge index")
         for k in edges & self.matching:
             e = graph_edges[k]
-            self.matched_pi.remove(e.pi)
-            self.matched_sigma.remove(e.sigma)
-            del self._mate[e.pi], self._mate[npi + e.sigma]
+            del mate[e.pi], mate[npi + e.sigma]
         for k in edges - self.matching:
             e = graph_edges[k]
-            if e.pi in self.matched_pi or e.sigma in self.matched_sigma:
+            if e.pi in mate or npi + e.sigma in mate:
                 raise ValueError("edge set is not a matching")
-            self.matched_pi.add(e.pi)
-            self.matched_sigma.add(e.sigma)
-            self._mate[e.pi], self._mate[npi + e.sigma] = [(npi + e.sigma, k)], [(e.pi, k)]
+            mate[e.pi], mate[npi + e.sigma] = [(npi + e.sigma, k)], [(e.pi, k)]
         self.matching = self.matching ^ edges
-        if (
-            self._mp.select(self.matched_pi) != len(self.matched_pi)
-            or self._ms.select(self.matched_sigma) != len(self.matched_sigma)
-        ):
+        if self._matroid.select(mate) != len(mate):
             raise ValueError("matching endpoints are not independent")
 
     @property
     def size(self) -> int:
         return len(self.matching)
 
+    @property
+    def matched(self) -> KeysView[int]:
+        """The matched nodes, row-side and column-side alike."""
+        return self._mate.keys()
+
     # vertices are sorted by block first, so the free lists chain ascending
     @property
     def sources(self) -> list[int]:
-        return list(chain.from_iterable(self._mp.free))
+        return list(chain.from_iterable(self._matroid.free[: len(self.graph.row_blocks)]))
 
     @property
     def sinks(self) -> list[int]:
-        npi = self.graph.n_pi
-        return [npi + j for j in chain.from_iterable(self._ms.free)]
+        return list(chain.from_iterable(self._matroid.free[len(self.graph.row_blocks) :]))
 
     @property
     def adjacency(self) -> dict[int, list[tuple[int, int | None]]]:

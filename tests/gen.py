@@ -3,8 +3,9 @@ instance generators, exact subspace utilities used by oracle-style checks,
 the reference checks (stability from the definition, classic bipartite DM,
 Gaussian binomials, elimination and rank-1 factoring one carrier operation
 at a time through ``Arith``, the monic directions by enumerating
-GF(p)^dim, the vertex order on Fraction keys), the matroid closure and
-minimum cover that the matching tests check against, and the rank-1
+GF(p)^dim, the vertex order on Fraction keys), each side's matroid on
+its own, the matroid closure and minimum cover that the matching tests
+check against, and the rank-1
 skeleton instances and mod-q rank of the scaled-rank oracle for |M|."""
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from rank1dm import (
     PartitionedMatrix,
     StabilityGraph,
     VectorMatroid,
-    matroid_pi,
-    matroid_sigma,
     reachability_sets,
 )
 from rank1dm.linalg import Rank1Factor, RrefResult, rref
@@ -491,6 +490,23 @@ def classic_dm_check(a: PartitionedMatrix) -> tuple[int, int]:
 
 
 # matroid closure and the minimum cover ----------------------------------
+
+
+def matroid_pi(g: StabilityGraph) -> VectorMatroid:
+    """The row side's matroid on its own, element i the row-side vertex i."""
+    return VectorMatroid(g.field, g.pi, g.row_blocks)
+
+
+def matroid_sigma(g: StabilityGraph) -> VectorMatroid:
+    """The column side's matroid on its own, element j the column-side vertex j."""
+    return VectorMatroid(g.field, g.sigma, g.col_blocks)
+
+
+def matched_sides(state: IndependentMatchingState) -> tuple[set[int], set[int]]:
+    """The matched row-side vertices and the matched column-side ones, each
+    by its index on its own side."""
+    npi = state.graph.n_pi
+    return {v for v in state.matched if v < npi}, {v - npi for v in state.matched if v >= npi}
 
 
 def closure(m: VectorMatroid, subset) -> set[int]:

@@ -13,6 +13,9 @@ from gen import (
     cover_value,
     from_blocks,
     is_stable,
+    matched_sides,
+    matroid_pi,
+    matroid_sigma,
     min_cover,
     random_admissible_transform,
     random_rank1_instance,
@@ -909,25 +912,36 @@ def test_duality_rejects_a_forged_matching_size(example, example_result, size):
     assert "matched edges" in report.check("duality").detail
 
 
-def test_duality_rejects_a_dependent_witness(example, example_result):
-    # three edges on distinct vertices whose row-side normals lie in one
-    # block of dimension 2: a matching, but not an independent one
-    g = example_result.graph
-    triple = next(
-        frozenset(ks) for ks in combinations(range(len(g.edges)), 3)
-        if len({g.edges[k].pi for k in ks}) == len({g.edges[k].sigma for k in ks}) == 3
-        and len({g.pi[g.edges[k].pi].block for k in ks}) == 1
+def test_duality_rejects_a_dependent_witness(example):
+    # on each side, three edges on distinct vertices whose normals on that
+    # side lie in one block of dimension 2: a matching, but not an
+    # independent one, while the other side's ends are independent.  The
+    # worked example has no such triple on the column side; its transpose
+    # has one
+    transposed = PartitionedMatrix(
+        example.matrix.transpose(), example.col_blocks, example.row_blocks
     )
-    forged = dataclasses.replace(
-        example_result,
-        state=SimpleNamespace(matching=triple),
-        matching_size=3,
-        v_star=9,
-        chain=None,
-    )
-    check = verify(example, forged).check("duality")
-    assert not check.passed
-    assert check.detail == "malformed matching witness: matching endpoints are not independent"
+    for side, other, build, a in (
+        ("pi", "sigma", matroid_sigma, example), ("sigma", "pi", matroid_pi, transposed)
+    ):
+        result = dm_decompose(a)
+        g = result.graph
+        triple = next(
+            frozenset(ks) for ks in combinations(range(len(g.edges)), 3)
+            if len({g.edges[k].pi for k in ks}) == len({g.edges[k].sigma for k in ks}) == 3
+            and len({getattr(g, side)[getattr(g.edges[k], side)].block for k in ks}) == 1
+        )
+        assert build(g).select({getattr(g.edges[k], other) for k in triple}) == 3
+        forged = dataclasses.replace(
+            result,
+            state=SimpleNamespace(matching=triple),
+            matching_size=3,
+            v_star=9,
+            chain=None,
+        )
+        check = verify(a, forged).check("duality")
+        assert not check.passed, side
+        assert check.detail == "malformed matching witness: matching endpoints are not independent"
 
 
 @pytest.mark.parametrize("side", ["pi", "sigma"])
@@ -1253,9 +1267,10 @@ def test_topological_labels_linear_extension():
         # groups partition the matched vertices
         poset = res.poset
         all_h = list(poset.h0) + [i for c in poset.components for i in c.h_pi] + list(poset.hinf)
-        assert sorted(all_h) == sorted(res.state.matched_pi)
+        matched_pi, matched_sigma = matched_sides(res.state)
+        assert sorted(all_h) == sorted(matched_pi)
         all_k = list(poset.k0) + [j for c in poset.components for j in c.k_sigma] + list(poset.kinf)
-        assert sorted(all_k) == sorted(res.state.matched_sigma)
+        assert sorted(all_k) == sorted(matched_sigma)
         partner = {
             res.graph.edges[k].pi: res.graph.edges[k].sigma
             for k in res.state.matching

@@ -6,7 +6,15 @@ from itertools import combinations
 
 import pytest
 
-from gen import closure, cover_value, min_cover, random_rank1_instance
+from gen import (
+    closure,
+    cover_value,
+    matched_sides,
+    matroid_pi,
+    matroid_sigma,
+    min_cover,
+    random_rank1_instance,
+)
 
 from rank1dm import (
     GF,
@@ -16,8 +24,6 @@ from rank1dm import (
     IndependentMatchingState,
     StabilityGraph,
     build_stability_graph,
-    matroid_pi,
-    matroid_sigma,
     max_independent_matching,
     reachability_sets,
 )
@@ -189,7 +195,7 @@ def test_aux_digraph_built_in_search_order(caplog):
             for arcs in state.adjacency.values():
                 keys = [(w, -1 if edge is None else edge) for w, edge in arcs]
                 assert keys == sorted(keys)
-            for m, selected in ((mp, state.matched_pi), (ms, state.matched_sigma)):
+            for m, selected in zip((mp, ms), matched_sides(state)):
                 # circuits ascend whatever order the selection comes in
                 m.select(sorted(selected, reverse=True))
                 assert all(m.circuit[i] == [] for i in selected)
@@ -312,8 +318,7 @@ def test_exchange_arcs_match_definition():
         g = build_stability_graph(a)
         state = max_independent_matching(g)
         mp, ms = matroid_pi(g), matroid_sigma(g)
-        d_plus = state.matched_pi
-        d_minus = state.matched_sigma
+        d_plus, d_minus = matched_sides(state)
         cl_plus = closure(mp, d_plus)
         cl_minus = closure(ms, d_minus)
         got_pi = {
@@ -358,7 +363,7 @@ def test_final_state_matches_rebuilt_digraph():
         g = build_stability_graph(a)
         state = max_independent_matching(g)
         rebuilt = IndependentMatchingState(g, state.matching)
-        for name in ("adjacency", "sources", "sinks", "matched_pi", "matched_sigma"):
+        for name in ("adjacency", "sources", "sinks", "matched"):
             assert getattr(state, name) == getattr(rebuilt, name)
 
 
@@ -401,7 +406,7 @@ def test_flip_matches_a_fresh_build():
     # builds from scratch for its matching; a flip that makes two edges share
     # a vertex or one side dependent raises
     rng = random.Random(41)
-    names = ("adjacency", "sources", "sinks", "matched_pi", "matched_sigma")
+    names = ("adjacency", "sources", "sinks", "matched")
     flips, shared, dependent = 0, 0, 0
     for field in (GF(2), GF(101), QQ) * 5:
         a = random_rank1_instance(rng, field, rng.randint(1, 4), rng.randint(1, 4), max_dim=3)
@@ -422,10 +427,14 @@ def test_flip_matches_a_fresh_build():
             fresh = IndependentMatchingState(g, state.matching)
             for name in names:
                 assert getattr(state, name) == getattr(fresh, name), name
+            # the matched nodes are both ends of every matched edge, as node ids
+            ends = [(g.edges[k].pi, g.n_pi + g.edges[k].sigma) for k in state.matching]
+            assert state.matched == {v for pair in ends for v in pair}
+            assert len(state.matched) == 2 * state.size
             for k, e in enumerate(g.edges):
                 if k in state.matching:
                     continue
-                if e.pi in state.matched_pi or e.sigma in state.matched_sigma:
+                if e.pi in state.matched or g.n_pi + e.sigma in state.matched:
                     message, shared = "edge set is not a matching", shared + 1
                 elif e.pi not in state.sources or g.n_pi + e.sigma not in state.sinks:
                     message, dependent = "matching endpoints are not independent", dependent + 1
@@ -442,7 +451,7 @@ def test_flip_rejects_a_stray_edge_index(graph):
     # still equals a fresh build and takes the next flip
     n = len(graph.edges)
     assert n == 9
-    names = ("matching", "adjacency", "sources", "sinks", "matched_pi", "matched_sigma")
+    names = ("matching", "adjacency", "sources", "sinks", "matched")
     for start in (set(), {0}):
         state = IndependentMatchingState(graph, start)
         for edges, named in (
@@ -480,8 +489,9 @@ def test_free_lists_equal_the_scan_after_every_flip():
             else:
                 break
             flips += 1
-            closed_pi = closure(matroid_pi(g), state.matched_pi)
-            closed_sigma = closure(matroid_sigma(g), state.matched_sigma)
+            matched_pi, matched_sigma = matched_sides(state)
+            closed_pi = closure(matroid_pi(g), matched_pi)
+            closed_sigma = closure(matroid_sigma(g), matched_sigma)
             assert state.sources == [i for i in range(g.n_pi) if i not in closed_pi]
             assert state.sinks == [
                 g.n_pi + j for j in range(g.n_sigma) if j not in closed_sigma
@@ -562,6 +572,12 @@ def test_matroid_rejects_bad_block_index():
         VectorMatroid(GF(2), [(2, (1,))], (1,))
     with pytest.raises(ValueError):
         VectorMatroid(GF(2), [(-1, (1, 0)), (0, (1,))], (1, 2))
+    # a normal must have its block's length: a longer one is not truncated
+    # (two distinct vectors read as one), a shorter one is not read past
+    with pytest.raises(ValueError):
+        VectorMatroid(GF(2), [(0, (1, 0, 1)), (0, (1, 0, 0))], (2,))
+    with pytest.raises(ValueError):
+        VectorMatroid(GF(2), [(0, (1, 0)), (1, (1,))], (2, 2))
 
 
 def test_single_vertex_no_edges_graph():

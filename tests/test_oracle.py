@@ -336,8 +336,7 @@ def test_orthogonal_dimension_supermodular():
 def test_minimum_covers_map_onto_maximizers():
     # every minimum cover induces a maximizer through per-block hyperplane
     # intersections, and every maximizer arises that way
-    from rank1dm import matroid_pi, matroid_sigma
-    from gen import subspace_pair_canonical
+    from gen import matroid_pi, matroid_sigma, subspace_pair_canonical
 
     rng = random.Random(56)
     checked = 0
