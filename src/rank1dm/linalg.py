@@ -195,6 +195,16 @@ def span_supports(
     ]
 
 
+def extended(p: int, rows: Sequence[Sequence[int]], vec: Sequence[int]) -> list | None:
+    """``rows`` and ``vec`` after one ``_gauss_jordan``, or None when ``vec``
+    lies in the span of ``rows``, independent int vectors of its length.
+    Rows kept in that reduced form cost a later vector one update each."""
+    if len(rows) == len(vec):  # full rank: nothing is left
+        return None
+    rows = [*rows, vec]
+    return rows if len(_gauss_jordan(rows, len(vec), p)) == len(rows) else None
+
+
 @dataclass(frozen=True)
 class Rank1Factor:
     """Verdict on a single block: rank 0, rank 1 with its factorization

@@ -8,12 +8,13 @@ sides' matroids over all mu + nu blocks, whose elements are the auxiliary
 digraph's nodes.  The classic augmenting scheme applies on that digraph
 (graph edges oriented left to right, matched edges reversed as well, plus
 matroid exchange arcs): find a shortest source-to-sink path by BFS, flip
-it, repeat until no path remains.  One ``IndependentMatchingState`` holds
-the matching and its digraph, and ``flip`` is its only update: one matroid
-holds the matched nodes as its selection, so a flip re-eliminates only the
-blocks it changed.  The state answers a node's out-arcs and in-arcs off
-the same lists when asked, and nothing keeps a copy of the digraph: every
-search expands a node only when it dequeues it.
+it, repeat until no path remains.  The first rounds flip one edge each: a
+greedy pass of echelon rows per block finds them all, and the search goes
+on from its picks.  One ``IndependentMatchingState`` holds the matching
+and its digraph, and ``flip`` is its only update: one matroid holds the
+matched nodes as its selection, so a flip re-eliminates only the blocks it
+changed.  The state answers a node's out-arcs and in-arcs off the same
+lists when asked, and nothing keeps a copy of the digraph.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from collections.abc import Callable, KeysView
 from itertools import chain
 
 from .field import Field
-from .linalg import span_supports
+from .linalg import extended, span_supports
 from .partmat import StabilityGraph
 
 _log = logging.getLogger("rank1dm")
+_ROUND = "augmentation %d: matching of size %d"
 
 
 class VectorMatroid:
@@ -64,8 +66,12 @@ class VectorMatroid:
         """Hold ``subset`` as the selection and return its rank.  One
         elimination solves the unselected members of each block whose
         selected members changed against the selected ones, ascending;
-        every other block keeps its entries."""
+        every other block keeps its entries.  A member that is not a plain
+        int element index raises ValueError before any change."""
         subset = set(subset)
+        count = len(self.elements)
+        if stray := sorted(repr(i) for i in subset if type(i) is not int or not 0 <= i < count):
+            raise ValueError(f"{stray[0]} is not an element")
         changed = {self.elements[i][0] for i in subset ^ self._selected}
         self._selected = subset
         for blk in changed:
@@ -221,16 +227,21 @@ def reachability_sets(state: IndependentMatchingState) -> tuple[set[int], set[in
 
 
 def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
-    """Run the augmenting-path algorithm from the empty matching.
+    """Run the augmenting-path algorithm, its one-edge rounds in one pass.
 
     Each round flips the graph edges used by a shortest path between the
     source set and the sink set, growing the matching by one; when no path
-    exists the matching is maximum.  A round expands nodes lazily and
-    updates only what its path changed.  Every augmentation emits a DEBUG
-    record on the ``rank1dm`` logger whose ``matching`` attribute holds the
-    new matching's edge indices.
+    exists the matching is maximum.  ``_one_edge_rounds`` picks the edges of
+    the first rounds, which flip one edge each, and the search goes on from
+    the state built on its picks.  Every round, picks included, emits a
+    DEBUG record on the ``rank1dm`` logger whose ``matching`` attribute
+    holds the new matching's edge indices.
     """
-    state = IndependentMatchingState(g)
+    picks = _one_edge_rounds(g)
+    state = IndependentMatchingState(g, picks)
+    state.augmentations = len(picks)
+    for n in range(1, len(picks) + 1) if _log.isEnabledFor(logging.DEBUG) else ():
+        _log.debug(_ROUND, n, n, extra={"matching": frozenset(picks[:n])})
     while True:
         parent, node = _search(state.arcs, state.sources, state.sinks)
         if node is None:
@@ -242,7 +253,30 @@ def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
                 path.add(edge)
         state.flip(path)
         state.augmentations += 1
-        _log.debug(
-            "augmentation %d: matching of size %d", state.augmentations, state.size,
-            extra={"matching": state.matching},
-        )
+        _log.debug(_ROUND, state.augmentations, state.size, extra={"matching": state.matching})
+
+
+def _one_edge_rounds(g: StabilityGraph) -> list[int]:
+    """The edges that the rounds from the empty matching flip, in order,
+    while each flips a path of one edge.  An unselected row-side node holds
+    no circuit, so its out-arcs are its graph edges in edge order, and a
+    search seeds the sources ascending: a round flips the first source's
+    first edge to a sink.  Sources and sinks only shrink, so one scan of
+    the row side makes every such pick.  A node is a source or a sink while
+    its normal extends its block's rows, the picked normals eliminated."""
+    npi, mu = g.n_pi, len(g.row_blocks)
+    blocks = [v.block for v in g.pi] + [mu + v.block for v in g.sigma]
+    ints = g.field.cleared([v.normal for v in chain(g.pi, g.sigma)])[1]
+    echelon: list[list] = [[] for _ in range(mu + len(g.col_blocks))]
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(npi)]
+    for k, e in enumerate(g.edges):
+        ends[e.pi].append((npi + e.sigma, k))
+    picks = []
+    for v, out in enumerate(ends):
+        if out and (row := extended(g.field.p, echelon[blocks[v]], ints[v])):
+            for w, k in out:
+                if col := extended(g.field.p, echelon[blocks[w]], ints[w]):
+                    picks.append(k)
+                    echelon[blocks[v]], echelon[blocks[w]] = row, col
+                    break
+    return picks

@@ -2,6 +2,7 @@ import logging
 import random
 import re
 from collections import Counter
+from copy import deepcopy
 from itertools import combinations
 
 import pytest
@@ -203,9 +204,11 @@ def test_aux_digraph_built_in_search_order(caplog):
 
 
 def test_arcs_into_reverses_arcs_after_every_flip(monkeypatch):
-    # both views are read off the same lists, so after each flip of a matching
-    # run they list the same (tail, head, edge) arcs, as multisets over all
-    # nodes: reversed matched edges and both sides' exchange arcs included
+    # both views are read off the same lists, so after each flip they list
+    # the same (tail, head, edge) arcs, as multisets over all nodes: reversed
+    # matched edges and both sides' exchange arcs included.  The flips are
+    # one search's path at a time from the empty matching, then the state
+    # max_independent_matching builds on its greedy picks and its own rounds
     seen = Counter()
     flip = IndependentMatchingState.flip
 
@@ -224,7 +227,11 @@ def test_arcs_into_reverses_arcs_after_every_flip(monkeypatch):
     rng = random.Random(43)
     for field in (GF(2), GF(101), QQ) * 5:
         a = random_rank1_instance(rng, field, rng.randint(1, 5), rng.randint(1, 5), max_dim=3)
-        max_independent_matching(build_stability_graph(a))
+        g = build_stability_graph(a)
+        state = IndependentMatchingState(g)
+        while (after := _flip(state.matching, state)) is not None:
+            state.flip(after ^ state.matching)
+        assert max_independent_matching(g).matching == state.matching
     assert seen["flips"] > 50
     assert all(seen[kind] for kind in (("matched", False), ("exchange", True), ("exchange", False)))
 
@@ -398,6 +405,32 @@ def test_rounds_match_search_on_rebuilt_digraph(caplog):
             assert record.matching == previous
         assert _flip(previous, IndependentMatchingState(g, previous)) is None
         assert state.matching == previous
+
+
+def test_greedy_rounds_equal_the_searches_at_scale(caplog):
+    # the one-edge rounds come from one greedy pass and the rest from
+    # searches; on instances where longer paths follow the greedy picks,
+    # every record must be what one search of a fresh state for the
+    # previous matching finds.  QQ blocks up to dim 5 grow the fraction-free
+    # rows; the GF(2) grid is 95% zero
+    caplog.set_level(logging.DEBUG, logger="rank1dm")
+    for a in (
+        random_rank1_instance(random.Random(40), GF(101), 16, 16, max_dim=3, zero_prob=0.5),
+        random_rank1_instance(random.Random(45), QQ, 12, 12, max_dim=5, zero_prob=0.5),
+        random_rank1_instance(random.Random(46), GF(2), 40, 40, max_dim=2, zero_prob=0.95),
+    ):
+        g = build_stability_graph(a)
+        caplog.clear()
+        state = max_independent_matching(g)
+        previous, longer = frozenset(), 0
+        for record in caplog.records:
+            after = _flip(previous, IndependentMatchingState(g, previous))
+            assert record.matching == after
+            longer += len(after ^ previous) > 1
+            previous = after
+        assert _flip(previous, IndependentMatchingState(g, previous)) is None
+        assert state.matching == previous and longer > 0
+        assert state.augmentations == state.size == len(caplog.records) > 20
 
 
 def test_flip_matches_a_fresh_build():
@@ -578,6 +611,33 @@ def test_matroid_rejects_bad_block_index():
         VectorMatroid(GF(2), [(0, (1, 0, 1)), (0, (1, 0, 0))], (2,))
     with pytest.raises(ValueError):
         VectorMatroid(GF(2), [(0, (1, 0)), (1, (1,))], (2, 2))
+
+
+def test_matroid_select_rejects_a_stray_element(monkeypatch):
+    # VectorMatroid is public: a negative alias, a bool, an index past the
+    # last element or a non-int is refused, the smallest repr named, before
+    # the selection changes; the next select of the held one eliminates
+    # nothing and returns its rank
+    from rank1dm import VectorMatroid
+
+    calls = []
+    eliminate = matching_module.span_supports
+    monkeypatch.setattr(
+        matching_module, "span_supports", lambda *args: calls.append(args) or eliminate(*args)
+    )
+    m = VectorMatroid(GF(2), [(0, (1, 0)), (0, (1, 1))], (2,))
+    for start, rank in (([], 0), ([1], 1), ([0, 1], 2)):
+        assert m.select(start) == rank
+        held = deepcopy((m.circuit, m.holders, m.free))
+        for subset, named in (
+            ({-1}, "-1"), ({True}, "True"), ({False}, "False"), ({5}, "5"), ({2}, "2"),
+            ({1.0}, "1.0"), ({0, -2, 7}, "-2"), ({"x", 9}, "'x'"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(named)} is not an element$"):
+                m.select(subset)
+            assert (m.circuit, m.holders, m.free) == held, subset
+        before = len(calls)
+        assert m.select(start) == rank and len(calls) == before
 
 
 def test_single_vertex_no_edges_graph():
