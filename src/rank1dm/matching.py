@@ -8,13 +8,14 @@ sides' matroids over all mu + nu blocks, whose elements are the auxiliary
 digraph's nodes.  The classic augmenting scheme applies on that digraph
 (graph edges oriented left to right, matched edges reversed as well, plus
 matroid exchange arcs): find a shortest source-to-sink path by BFS, flip
-it, repeat until no path remains.  The first rounds flip one edge each: a
-greedy pass of echelon rows per block finds them all, and the search goes
-on from its picks.  One ``IndependentMatchingState`` holds the matching
-and its digraph, and ``flip`` is its only update: one matroid holds the
-matched nodes as its selection, so a flip re-eliminates only the blocks it
-changed.  The state answers a node's out-arcs and in-arcs off the same
-lists when asked, and nothing keeps a copy of the digraph.
+it, repeat until no path remains.  One ``IndependentMatchingState`` holds
+the matching and its digraph, and ``flip`` is its only update: one matroid
+holds the matched nodes as its selection, so a flip re-eliminates only the
+blocks it changed.  The state answers a node's out-arcs and in-arcs off
+the same lists when asked, and nothing keeps a copy of the digraph.  The
+state grows itself by the first rounds, which flip one edge each, in one
+greedy pass over those lists and its matroid's int normals, and the search
+goes on from there.
 """
 
 from __future__ import annotations
@@ -124,6 +125,7 @@ class IndependentMatchingState:
         # (other end, edge index) at each end: ends[v] of v's graph edges, arcs
         # out of the row side; _mate[v] of a matched v's matched edge, arcs into it
         ends: list[list[tuple[int, int]]] = [[] for _ in range(npi + graph.n_sigma)]
+        self._ends = ends
         for k, e in enumerate(graph.edges):
             ends[e.pi].append((npi + e.sigma, k))
             ends[npi + e.sigma].append((e.pi, k))
@@ -145,6 +147,27 @@ class IndependentMatchingState:
 
         self.arcs, self.arcs_into = arcs, arcs_into
         self.flip(matching)
+
+    def _grow(self) -> list[int]:
+        """From the empty matching, flip the edges of the rounds that flip
+        one edge each and return them in order.  An unselected row-side node
+        holds no circuit, so its out-arcs are its graph edges, and a search
+        seeds the sources ascending: a round flips the first source's first
+        edge to a sink.  Sources and sinks only shrink, so one scan of the
+        row side makes every pick.  A node is a source or a sink while its
+        int normal extends its block's rows, the picked normals eliminated."""
+        m, ends, p, picks = self._matroid, self._ends, self.graph.field.p, []
+        elements, ints = m.elements, m._ints
+        echelon: list[list] = [[] for _ in m.block_dims]
+        for v in range(self.graph.n_pi):
+            if ends[v] and (row := extended(p, echelon[elements[v][0]], ints[v])):
+                for w, k in ends[v]:
+                    if col := extended(p, echelon[elements[w][0]], ints[w]):
+                        picks.append(k)
+                        echelon[elements[v][0]], echelon[elements[w][0]] = row, col
+                        break
+        self.flip(picks)
+        return picks
 
     def flip(self, edges) -> None:
         """Replace the matching by its symmetric difference with ``edges``.
@@ -227,18 +250,18 @@ def reachability_sets(state: IndependentMatchingState) -> tuple[set[int], set[in
 
 
 def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
-    """Run the augmenting-path algorithm, its one-edge rounds in one pass.
+    """Run the augmenting-path algorithm from the empty matching.
 
     Each round flips the graph edges used by a shortest path between the
     source set and the sink set, growing the matching by one; when no path
-    exists the matching is maximum.  ``_one_edge_rounds`` picks the edges of
-    the first rounds, which flip one edge each, and the search goes on from
-    the state built on its picks.  Every round, picks included, emits a
-    DEBUG record on the ``rank1dm`` logger whose ``matching`` attribute
-    holds the new matching's edge indices.
+    exists the matching is maximum.  The state grows itself by the first
+    rounds, which flip one edge each, in one pass, and the search goes on
+    from there.  Every round, those included, emits a DEBUG record on the
+    ``rank1dm`` logger whose ``matching`` attribute holds the new
+    matching's edge indices.
     """
-    picks = _one_edge_rounds(g)
-    state = IndependentMatchingState(g, picks)
+    state = IndependentMatchingState(g)
+    picks = state._grow()
     state.augmentations = len(picks)
     for n in range(1, len(picks) + 1) if _log.isEnabledFor(logging.DEBUG) else ():
         _log.debug(_ROUND, n, n, extra={"matching": frozenset(picks[:n])})
@@ -254,29 +277,3 @@ def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
         state.flip(path)
         state.augmentations += 1
         _log.debug(_ROUND, state.augmentations, state.size, extra={"matching": state.matching})
-
-
-def _one_edge_rounds(g: StabilityGraph) -> list[int]:
-    """The edges that the rounds from the empty matching flip, in order,
-    while each flips a path of one edge.  An unselected row-side node holds
-    no circuit, so its out-arcs are its graph edges in edge order, and a
-    search seeds the sources ascending: a round flips the first source's
-    first edge to a sink.  Sources and sinks only shrink, so one scan of
-    the row side makes every such pick.  A node is a source or a sink while
-    its normal extends its block's rows, the picked normals eliminated."""
-    npi, mu = g.n_pi, len(g.row_blocks)
-    blocks = [v.block for v in g.pi] + [mu + v.block for v in g.sigma]
-    ints = g.field.cleared([v.normal for v in chain(g.pi, g.sigma)])[1]
-    echelon: list[list] = [[] for _ in range(mu + len(g.col_blocks))]
-    ends: list[list[tuple[int, int]]] = [[] for _ in range(npi)]
-    for k, e in enumerate(g.edges):
-        ends[e.pi].append((npi + e.sigma, k))
-    picks = []
-    for v, out in enumerate(ends):
-        if out and (row := extended(g.field.p, echelon[blocks[v]], ints[v])):
-            for w, k in out:
-                if col := extended(g.field.p, echelon[blocks[w]], ints[w]):
-                    picks.append(k)
-                    echelon[blocks[v]], echelon[blocks[w]] = row, col
-                    break
-    return picks

@@ -1,7 +1,10 @@
+import logging
+import random
 import re
 from fractions import Fraction
 
 import pytest
+from gen import random_rank1_instance, worked_example
 
 from rank1dm import GF, QQ, dm_decompose, verify
 from rank1dm.cli import (
@@ -383,6 +386,29 @@ def _document(name, verified=False):
     a = parse_input(CLI_INPUTS[name].decode())
     result = dm_decompose(a)
     return format_result(a, result, verify(a, result) if verified else None)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        worked_example(),
+        random_rank1_instance(random.Random(48), QQ, 10, 10, max_dim=3, zero_prob=0.5),
+        random_rank1_instance(random.Random(49), GF(2), 60, 20, max_dim=2, zero_prob=0.9),
+    ],
+    ids=["example", "qq", "gf2-tall"],
+)
+def test_tracing_changes_no_output(a, caplog):
+    # one DEBUG record per augmentation, the last holding the final
+    # matching, and the verified document byte for byte as untraced
+    result = dm_decompose(a)
+    untraced = format_result(a, result, verify(a, result))
+    caplog.set_level(logging.DEBUG, logger="rank1dm")
+    traced = dm_decompose(a)
+    assert format_result(a, traced, verify(a, traced)) == untraced
+    assert "verification product=pass" in untraced
+    records = [r for r in caplog.records if r.name == "rank1dm"]
+    assert len(records) == traced.state.augmentations == traced.state.size > 0
+    assert records[-1].matching == traced.state.matching
 
 
 # every failure prints one "error: " line on stderr and exits 1, 2 or 3; stdout

@@ -562,6 +562,25 @@ def test_matching_eliminates_each_changed_block_once(caplog, monkeypatch):
     assert 0 < len(calls) <= len(selections)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["qq", "gf101"])
+def test_matching_clears_the_normals_once(field, monkeypatch):
+    # the greedy rounds and the matroid read the same int normals: one
+    # max_independent_matching clears them once
+    g = build_stability_graph(
+        random_rank1_instance(random.Random(47), field, 8, 8, max_dim=3, zero_prob=0.5)
+    )
+    calls = []
+    cleared = type(field).cleared
+
+    def counted(self, vecs):
+        calls.append(len(vecs))
+        return cleared(self, vecs)
+
+    monkeypatch.setattr(type(field), "cleared", counted)
+    state = max_independent_matching(g)
+    assert state.size > 0 and calls == [g.n_pi + g.n_sigma]
+
+
 def test_circuit_memo_matches_fresh_matroid(monkeypatch):
     # changing, repeated and reversed selections on one matroid hold the
     # same rank, circuits, holders and free lists as a fresh matroid,

@@ -32,6 +32,8 @@ from rank1dm import (
     enumerate_subspaces,
     max_independent_matching,
     build_stability_graph,
+    reachability_sets,
+    scc_poset,
 )
 from rank1dm.cli import main
 from rank1dm.linalg import rref
@@ -431,6 +433,51 @@ def test_matching_sizes_agree_with_networkx_at_scale():
         hopcroft_karp = nx.bipartite.hopcroft_karp_matching(graph, [("r", i) for i in range(n)])
         size = max_independent_matching(build_stability_graph(a)).size
         assert size == classic_dm_check(a)[0] == len(hopcroft_karp) // 2
+
+
+@pytest.mark.parametrize(
+    "n, m, degree, seed", [(200, 200, 3, 0), (220, 200, 3, 1), (200, 240, 3, 2), (200, 200, 2, 3)]
+)
+def test_fine_decomposition_agrees_with_networkx_at_scale(n, m, degree, seed):
+    # on unit partitions the poset is classic DM's fine decomposition, which
+    # every maximum matching gives: networkx's Hopcroft-Karp matching, its
+    # alternating digraph (edges row to column, matched edges back) less
+    # what an unmatched row reaches or what reaches an unmatched column, and
+    # the condensation of the rest must give each component's rows and
+    # columns, and the transitive order, that the pipeline's matching gives
+    nx = pytest.importorskip("networkx")
+    a = random_unit_pattern_instance(random.Random(seed), n, m, density=degree / max(n, m))
+    rows, cols = [("r", i) for i in range(n)], [("c", j) for j in range(m)]
+    graph = nx.Graph()
+    graph.add_nodes_from(rows + cols)
+    graph.add_edges_from(
+        (("r", i), ("c", j)) for i in range(n) for j in range(m) if a.matrix.raw(i, j)
+    )
+    mate = nx.bipartite.hopcroft_karp_matching(graph, rows)
+    alternating = nx.DiGraph(graph.edges(rows))
+    alternating.add_nodes_from(graph)
+    alternating.add_edges_from((c, r) for c, r in mate.items() if c[0] == "c")
+    c0 = set().union(*({r} | nx.descendants(alternating, r) for r in rows if r not in mate))
+    cinf = set().union(*({c} | nx.ancestors(alternating, c) for c in cols if c not in mate))
+    condensed = nx.condensation(alternating.subgraph(set(graph) - c0 - cinf))
+
+    g = build_stability_graph(a)
+    state = max_independent_matching(g)
+    poset = scc_poset(state, *reachability_sets(state))
+    # a unit block's one vertex is the hyperplane {0}: its block names it
+    label = {
+        frozenset(
+            [*(("r", g.pi[i].block) for i in c.h_pi), *(("c", g.sigma[j].block) for j in c.k_sigma)]
+        ): c.label
+        for c in poset.components
+    }
+    label_of = {k: label[frozenset(condensed.nodes[k]["members"])] for k in condensed}
+    assert poset.h == len(label_of) > 20
+    # k is below l when a path runs from component l to component k
+    relations = {
+        (label_of[low], label_of[high]) for high in condensed for low in nx.descendants(condensed, high)
+    }
+    assert poset.relations == relations and len(relations) > 20
 
 
 @pytest.mark.parametrize(
