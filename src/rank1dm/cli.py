@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from itertools import compress
 
 from .decompose import DMResult, dm_decompose, verify
 from .field import GF, QQ, Field, _decimal
@@ -138,7 +139,26 @@ def _header_lines(field: Field, row_blocks, col_blocks) -> list[str]:
 
 
 def _matrix_lines(m: Matrix) -> list[str]:
-    return [" ".join(map(m.field.format, m.row_raw(i))) for i in range(m.rows)]
+    """Each row's entries joined by spaces.  A row with at most m/8 nonzeros
+    is spliced from slices of one ``"0 " * m`` run and its nonzero tokens,
+    as the zero prints as ``0`` in every field."""
+    fmt, width, data = m.field.format, m.cols, m.data
+    rows = (data[i * width : (i + 1) * width] for i in range(m.rows))
+    if width < 8:  # only a zero row would be spliced, and it joins to the same text
+        return [" ".join(map(fmt, row)) for row in rows]
+    zeros, cols = "0 " * width, list(range(width))
+    lines = []
+    for row in rows:
+        support = list(compress(cols, row))
+        if 8 * len(support) > width:
+            lines.append(" ".join(map(fmt, row)))
+            continue
+        text, prev = "", 0
+        for j in support:
+            text += zeros[: 2 * (j - prev)] + fmt(row[j]) + " "
+            prev = j + 1
+        lines.append((text + zeros[: 2 * (width - prev)])[:-1])
+    return lines
 
 
 def serialize_input(a: PartitionedMatrix) -> str:

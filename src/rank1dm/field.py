@@ -12,9 +12,10 @@ and ``compress`` find a row's support; a value from outside, such as
 ``None`` or ``0.0``, is told apart by ``carries``, which ``verify``
 applies once to each result matrix.  ``parse`` reads ASCII decimal tokens
 only, with no exponent, and ``parse_row`` reads a whole row of integer
-tokens at once.  ``format`` is ``str`` on every field: the decimal
-residue for GF(p), ``a`` or ``a/b`` for a rational, so a formatter maps it
-over a row slice without a Python call per entry.
+tokens at once, converting only the tokens other than ``0``.  ``format``
+is ``str`` on every field: the decimal residue for GF(p), ``a`` or ``a/b``
+for a rational.  The zero prints as ``0`` in every field, so a printer
+splices the zeros of a sparse row from one run of ``"0 "``.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class PrimeField(Field):
 
     def parse_row(self, tokens: list[str]) -> list:
         _decimal("".join(tokens))
-        return [int(t) % self.p for t in tokens]
+        p = self.p
+        return [0 if t == "0" else int(t) % p for t in tokens]
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -164,7 +166,8 @@ class RationalField(Field):
 
     def parse_row(self, tokens: list[str]) -> list:
         _decimal("".join(tokens))
-        return list(map(Fraction, map(int, tokens)))
+        zero = self.zero_raw
+        return [zero if t == "0" else Fraction(int(t)) for t in tokens]
 
     def __repr__(self):
         return "QQ"

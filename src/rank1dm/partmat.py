@@ -78,18 +78,20 @@ class PartitionedMatrix:
     @cached_property
     def factors(self) -> dict[tuple[int, int], Rank1Factor]:
         """The factor of every nonzero block, keyed by (alpha, beta) in
-        row-major block order; zero blocks are left out.  Raises
+        row-major block order; zero blocks are left out, and only the blocks
+        in a row band's column support are sliced.  Raises
         RankConditionViolated, naming every block of rank 2 or more."""
         fld, data, width = self.field, self.matrix.data, self.matrix.cols
-        ro, col_bounds = self.row_offsets, list(pairwise(self.col_offsets))
+        ro, co, cols = self.row_offsets, self.col_offsets, list(range(width))
+        block_of = [beta for beta, size in enumerate(self.col_blocks) for _ in range(size)]
         out = {}
         for alpha in range(self.mu):
             band = [data[i * width : (i + 1) * width] for i in range(ro[alpha], ro[alpha + 1])]
-            for beta, (lo, hi) in enumerate(col_bounds):
+            for beta in sorted({block_of[j] for row in band for j in compress(cols, row)}):
+                lo, hi = co[beta], co[beta + 1]
                 rows = [row[lo:hi] for row in band]
-                if any(map(any, rows)):  # 0 and Fraction(0) are the false carriers
-                    block = Matrix(fld, len(rows), hi - lo, list(chain.from_iterable(rows)))
-                    out[alpha, beta] = rank1_factor(block)
+                block = Matrix(fld, len(rows), hi - lo, list(chain.from_iterable(rows)))
+                out[alpha, beta] = rank1_factor(block)
         if offenders := [key for key, fac in out.items() if fac.rank >= 2]:
             raise RankConditionViolated(offenders)
         return out
@@ -122,9 +124,10 @@ def column_parts(mat: Matrix, offsets: tuple[int, ...]) -> list[list[tuple[int, 
     """Per block of ``offsets``, each column of ``mat`` that is nonzero in
     it, as (column index, its entries in the block).  Both carriers, 0 and
     Fraction(0), are false exactly at zero, so ``compress`` finds each row's
-    support; a column's entries are then one strided slice."""
+    support; a column's entries are then one strided slice.  The column
+    indices are a list, not a range, so ``compress`` makes no int per entry."""
     data, width = mat.data, mat.cols
-    cols = range(width)
+    cols = list(range(width))
     parts = []
     for lo, hi in pairwise(offsets):
         support: set[int] = set()

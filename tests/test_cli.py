@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 from gen import random_rank1_instance, worked_example
 
-from rank1dm import GF, QQ, dm_decompose, verify
+from rank1dm import GF, QQ, Matrix, dm_decompose, verify
 from rank1dm.cli import (
     EXIT_OK,
     EXIT_ORACLE_BOUNDS,
     EXIT_RANK,
     EXIT_USAGE,
     InputFormatError,
+    _matrix_lines,
     document_to_matrix,
     format_result,
     main,
@@ -153,6 +154,31 @@ def test_parse_row_errors_name_the_token():
         Fraction(3, 4), Fraction(-2), Fraction(3, 2), Fraction(7), Fraction(0), Fraction(0),
     ]
     assert {type(x) for x in doc.matrix.data} == {Fraction}
+
+
+def test_spliced_rows_print_as_joined():
+    # a row with at most m/8 nonzeros is spliced from one run of "0 ", which
+    # relies on the zero printing as "0" in every field
+    rng = random.Random(30)
+    for f in (GF(2), GF(101), QQ):
+        assert f.format(f.zero_raw) == "0"
+        if f == QQ:
+            values = [Fraction(-3), Fraction(5, 7), Fraction(-11, 4), Fraction(123456789, 2)]
+        else:
+            values = list(range(1, f.p))
+        for m in (1, 2, 7, 8, 9, 16, 24, 40):
+            supports = [
+                [], [0], [m - 1], range(m),
+                rng.sample(range(m), m // 8), rng.sample(range(m), m // 8 + 1),
+            ]
+            rows = []
+            for support in supports:
+                row = [f.zero_raw] * m
+                for j in support:
+                    row[j] = rng.choice(values)
+                rows.append(row)
+            mat = Matrix.from_rows(f, rows)
+            assert _matrix_lines(mat) == [" ".join(map(f.format, row)) for row in rows]
 
 
 def test_decompose_exit_ok(example_file, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from gen import Arith
 
 from rank1dm import GF, QQ, Matrix
+from rank1dm.cli import InputFormatError, parse_input
 from rank1dm.field import is_prime
 
 PRIMES = [2, 3, 5, 7, 11, 101, 65537, 2**31 - 1]
@@ -133,6 +134,27 @@ def test_parse_format_round_trip():
             f.parse(s)
         with pytest.raises(ValueError, match="not a rational"):
             QQ.parse(s)
+
+
+def test_parse_row_equals_the_token_by_token_parse():
+    # parse_row converts only the tokens other than "0"; every other
+    # spelling of zero, and every value >= p, reads as parse reads it
+    rng = random.Random(30)
+    tokens = ["0", "00", "-0", "+0", "-3", "1", "2", "100", "101", "102", "205", "-101", "+7"]
+    for f in (GF(2), GF(101), QQ):
+        for _ in range(60):
+            row = [rng.choice(tokens) if rng.random() < 0.4 else "0" for _ in range(rng.randint(1, 30))]
+            parsed = f.parse_row(row)
+            assert parsed == [f.parse(t) for t in row]
+            assert f.carries(parsed)
+        # a bad token in a late column of a sparse row is still named
+        header = "field rationals" if f == QQ else f"field gf {f.p}"
+        for bad in ("x", "0x", "1_0", "1e3", "\u0663"):
+            row = ["0"] * 40
+            row[36] = bad
+            text = f"{header}\nrow_blocks 1\ncol_blocks 40\nentries\n{' '.join(row)}\n"
+            with pytest.raises(InputFormatError, match=f"^line 5: column 37: '{bad}' is not a "):
+                parse_input(text)
 
 
 def test_elements_hashable_and_eq():

@@ -15,6 +15,7 @@ from rank1dm import (
     RankConditionViolated,
     build_stability_graph,
 )
+from rank1dm.linalg import rank1_factor
 from rank1dm.partmat import HyperplaneVertex, column_parts, vertex_label
 
 EXPECTED_EDGES = [
@@ -88,6 +89,62 @@ def test_rank1_condition_violation():
     assert err.value.offenders == [(0, 0)]
     with pytest.raises(RankConditionViolated):  # E^T A F needs the factors
         a.transform(a.matrix, a.matrix)
+
+
+def _factors_of_every_block(a):
+    """Every block sliced through ``a.block`` and factored, zero ones left
+    out, and the blocks of rank 2 or more."""
+    out = {}
+    for alpha in range(a.mu):
+        for beta in range(a.nu):
+            if (fac := rank1_factor(a.block(alpha, beta))).rank:
+                out[alpha, beta] = fac
+    return out, [key for key, fac in out.items() if fac.rank >= 2]
+
+
+def _assert_factors_match_every_block(a):
+    ref, offenders = _factors_of_every_block(a)
+    if offenders:
+        with pytest.raises(RankConditionViolated) as err:
+            a.factors  # noqa: B018
+        assert err.value.offenders == offenders
+    else:
+        assert list(a.factors.items()) == list(ref.items())
+
+
+def test_factors_skip_only_zero_blocks():
+    rng = random.Random(30)
+    for field in (GF(2), GF(101), QQ):
+        for _ in range(15):
+            mu, nu = rng.randint(1, 6), rng.randint(1, 6)
+            a = random_rank1_instance(rng, field, mu, nu, max_dim=3, zero_prob=0.8)
+            _assert_factors_match_every_block(a)
+        for _ in range(10):  # no block structure: some blocks have rank 2
+            n = rng.randint(2, 8)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+            m = _random_square(rng, field, n)
+            _assert_factors_match_every_block(PartitionedMatrix(m, sizes, sizes[::-1]))
+    f = GF(2)
+    # band 2 is all zero, and the only nonzero block of band 3 has rank 2
+    a = PartitionedMatrix(
+        Matrix.from_rows(f, [[1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1]]), (1, 1, 2), (1, 2)
+    )
+    _assert_factors_match_every_block(a)
+    with pytest.raises(RankConditionViolated, match=r"^blocks of rank >= 2 at \(3,2\)$"):
+        a.factors  # noqa: B018
+    # two rank-2 blocks in different bands, among rank-1 and zero blocks
+    a = PartitionedMatrix(Matrix.from_rows(f, [
+        [1, 0, 1, 0, 0, 0],
+        [1, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 1, 1],
+        [0, 1, 0, 0, 1, 1],
+    ]), (2, 1, 2), (2, 2, 2))
+    _assert_factors_match_every_block(a)
+    with pytest.raises(RankConditionViolated) as err:
+        a.factors  # noqa: B018
+    assert err.value.offenders == [(0, 1), (2, 0)]
 
 
 def _random_square(rng, field, n):
