@@ -3,7 +3,7 @@
 Run from the repository root::
 
     python3 bench/ladder.py                      # markdown table on stdout
-    python3 bench/ladder.py --json BENCH_18.json  # the same rows as JSON too
+    python3 bench/ladder.py --json BENCH_31.json  # the same rows as JSON too
 
 Rows are GF(2), GF(101) and the rationals at n = 60, 180 and 360.  Each is
 a square grid of b x b blocks of size 3 (b = n / 3), built by the
@@ -18,10 +18,13 @@ keeps the medians of: ``parse_input``, which returns the partitioned
 matrix, and the first ``a.factors`` on it (parse); ``build_stability_graph`` (graph,
 on the factors parse cached); ``max_independent_matching`` (match);
 ``dm_decompose``; ``verify``; and ``format_result`` of the verified result
-(format).  A row still running
-after ``BUDGET_S`` seconds is stopped and reported as skipped, with its
-budget.  The exit status is 1 when some row's ``verify`` does not pass;
-time never fails a run.
+(format).  The matrix caches its graph and the graph its eliminations, so
+``dm_decompose`` and ``verify`` run on a second parse of the row, untimed,
+after the first one, with its graph and matching, is freed.  The child also reports its peak
+resident set size (``peak_rss_mb``, from ``resource.getrusage``).  A row
+still running after ``BUDGET_S`` seconds is stopped and reported as
+skipped, with its budget.  The exit status is 1 when some row's ``verify``
+does not pass; time never fails a run.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import json
 import os
 import platform
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -89,17 +93,25 @@ def run_row(name: str) -> dict:
         times[stage].append(time.perf_counter() - start)
         return out
 
-    for _ in range(REPEATS):
+    def early_stages() -> dict:
         a = timed("parse_s", load, text)
         g = timed("graph_s", build_stability_graph, a)
         state = timed("match_s", max_independent_matching, g)
+        return {"vertices": g.n_pi + g.n_sigma, "edges": len(g.edges),
+                "augmentations": state.augmentations}
+
+    for _ in range(REPEATS):
+        counts = early_stages()  # its matrix, graph and state are freed here
+        a = load(text)
         result = timed("dm_decompose_s", dm_decompose, a)
         report = timed("verify_s", verify, a, result)
         timed("format_s", format_result, a, result, report)
+        h, verdict = len(result.diag_blocks) - 2, "PASS" if report.passed else f"FAIL: {report}"
+        del a, result, report  # so no repeat's peak holds an earlier solve
     row = {stage: round(statistics.median(t), 4) for stage, t in times.items()}
-    return {"name": name, **row, "vertices": g.n_pi + g.n_sigma, "edges": len(g.edges),
-            "augmentations": state.augmentations, "h": len(result.diag_blocks) - 2,
-            "verify": "PASS" if report.passed else f"FAIL: {report}"}
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    return {"name": name, **row, **counts, "h": h, "peak_rss_mb": round(peak_mb, 1),
+            "verify": verdict}
 
 
 def row_in_child(name: str) -> dict:
@@ -115,7 +127,7 @@ def row_in_child(name: str) -> dict:
 
 
 def table(rows: list[dict]) -> str:
-    cols = ("name", *STAGES, "vertices", "edges", "augmentations", "h", "verify")
+    cols = ("name", *STAGES, "vertices", "edges", "augmentations", "h", "peak_rss_mb", "verify")
     lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
     for row in rows:
         if "skipped" in row:

@@ -5,11 +5,11 @@ reachable from the sources (C0) and co-reachable to the sinks (Cinf), delete
 them, and decompose the rest into strongly connected components.  Components
 containing matched vertices form a poset whose ideals parameterize all
 maximum stable subspaces.  Bases adapted to a linear extension of the poset
-give transformation matrices E and F with E^T A F in block-triangular form;
-the maximal chain its prefix ideals yield is spanned by the trailing columns
-of E and the leading columns of F.  The verifier rebuilds the poset from A
-and the matching witness and requires one diagonal block per component, so
-it certifies that chain, and no stored copy of it, to be maximal.
+give E and F with E^T A F block-triangular; the trailing columns of E and
+the leading ones of F span the maximal chain its prefix ideals yield.  The
+verifier reads A's factors, graph and eliminations, derived once per matrix,
+rebuilds the digraph and poset from the matching witness, and requires one
+diagonal block per component: it certifies that chain to be maximal.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import inf
 from typing import Callable, Iterable, Sequence
 
 from .field import Field
-from .linalg import Matrix, rref
+from .linalg import Matrix, _gauss_jordan, rref
 from .matching import (
     IndependentMatchingState,
     max_independent_matching,
@@ -35,8 +35,8 @@ from .partmat import (
     StabilityGraph,
     build_stability_graph,
     column_parts,
+    product_matches,
     vertex_label,
-    _transform_parts,
 )
 
 
@@ -386,7 +386,7 @@ class DMResult:
     state: IndependentMatchingState | None = None
     poset: ChainPoset | None = None
     # only the frozen benchmark replay sets it and nothing reads it;
-    # ROADMAP item 4 removes it with the replay's call
+    # ROADMAP item 1 removes it with the replay's call
     chain: list[StableSubspace] | None = None
     assembly: BasisAssembly | None = None
 
@@ -497,9 +497,9 @@ def _admissibility_problem(name: str, parts, blocks: tuple[int, ...], f: Field) 
     for blk, part in enumerate(parts):
         if len(part) != blocks[blk]:
             return f"{name}: block {blk} has {len(part)} columns, wants {blocks[blk]}"
-        # the square submatrix's transpose: one row per column of the block
-        entries = list(chain.from_iterable(x for _, x in part))
-        if rref(Matrix(f, len(part), len(part), entries)).rank != blocks[blk]:
+        # the square submatrix's transpose on ints: one row per column of the block
+        rows = f.cleared([x for _, x in part])[1]
+        if len(_gauss_jordan(rows, blocks[blk], f.p)) != blocks[blk]:
             return f"{name}: block {blk} columns are singular"
     return ""
 
@@ -602,7 +602,7 @@ def _duality_problem(state: IndependentMatchingState, result: DMResult, n: int, 
 def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     """Re-check a decomposition from first principles.
 
-    (a) the product identity, E^T A F built from A's rank-1 factors, (b)
+    (a) the product identity, A_dm against the terms of E^T A F, (b)
     admissibility of E and F for A's partition, which the result must
     restate, (c) the zero staircase under the declared diagonal blocks,
     whose sizes are nonnegative and whose middle blocks are non-empty
@@ -614,7 +614,8 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     form of each of E, F and A_dm (a Matrix of A's shape and field holding
     only its carriers) and that of the diagonal blocks are each judged once,
     and every check that reads them reports that verdict.  (d) and (e) read
-    one auxiliary digraph, built once from A's graph and the witness matching.
+    one auxiliary digraph, built on A's graph and its kept eliminations from
+    the witness matching; A's factors and graph are derived once per matrix.
     """
     checks: list[CheckResult] = []
     n, m = a.matrix.rows, a.matrix.cols
@@ -633,8 +634,8 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     if why := "; ".join(filter(None, (e_form, f_form, a_dm_form))) or rank:
         checks.append(CheckResult("product", False, why))
     else:
-        product = _transform_parts(a, e_parts, f_parts, n, m)
-        checks.append(CheckResult("product", product == result.a_dm, "A_dm == E^T A F"))
+        matches = product_matches(a, e_parts, f_parts, result.a_dm)
+        checks.append(CheckResult("product", matches, "A_dm == E^T A F"))
 
     why = "; ".join(filter(None, (
         _partition_problem("row", result.row_blocks, a.row_blocks),

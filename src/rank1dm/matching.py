@@ -2,20 +2,20 @@
 
 The two sides of the graph carry vector matroids: a set of hyperplane
 vertices is independent when the normals picked inside each block are
-linearly independent.  A matching is independent when both endpoint sets
-are, that is when its endpoints are independent in the direct sum of both
-sides' matroids over all mu + nu blocks, whose elements are the auxiliary
-digraph's nodes.  The classic augmenting scheme applies on that digraph
-(graph edges oriented left to right, matched edges reversed as well, plus
-matroid exchange arcs): find a shortest source-to-sink path by BFS, flip
-it, repeat until no path remains.  One ``IndependentMatchingState`` holds
-the matching and its digraph, and ``flip`` is its only update: one matroid
-holds the matched nodes as its selection, so a flip re-eliminates only the
-blocks it changed.  The state answers a node's out-arcs and in-arcs off
-the same lists when asked, and nothing keeps a copy of the digraph.  The
-state grows itself by the first rounds, which flip one edge each, in one
-greedy pass over those lists and its matroid's int normals, and the search
-goes on from there.
+linearly independent.  A matching is independent when its endpoints are
+independent in the direct sum of both sides' matroids over all mu + nu
+blocks, whose elements are the auxiliary digraph's nodes.  The classic
+augmenting scheme applies on that digraph (graph edges oriented left to
+right, matched edges reversed as well, plus matroid exchange arcs): find a
+shortest source-to-sink path by BFS, flip it, repeat until no path remains.
+One ``IndependentMatchingState`` holds the matching and its digraph, and
+``flip`` is its only update: one matroid holds the matched nodes as its
+selection, so a flip re-eliminates only the blocks it changed.  The state
+answers a node's arcs off the graph's edge-end lists when asked, and grows
+itself by the first rounds, which flip one edge each, in one greedy pass.
+The graph derives those lists and the int normals once, and keeps each
+block's last elimination, which a later state on it with the same
+selection, such as the verifier's witness state, reads instead.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import chain
 
 from .field import Field
 from .linalg import extended, span_supports
-from .partmat import StabilityGraph
+from .partmat import StabilityGraph, matroid_inputs
 
 _log = logging.getLogger("rank1dm")
 _ROUND = "augmentation %d: matching of size %d"
@@ -44,19 +44,17 @@ class VectorMatroid:
     outside the closure.  ``holders[i]`` lists, ascending, the elements whose
     circuit holds i, and is ``[]`` for an unselected i.  ``free[blk]`` lists,
     ascending, the members of block blk outside the closure.  Read the three
-    lists only; ``select`` rewrites them."""
+    lists only: ``select`` rewrites them, and every matroid on the same
+    ``inputs`` (``matroid_inputs`` of the elements, derived unless given, as
+    a graph's ``nodes`` give them) shares the circuit lists in their memo."""
 
-    def __init__(self, field: Field, elements: list[tuple[int, tuple]], block_dims: tuple):
+    def __init__(self, field: Field, elements, block_dims: tuple, inputs=None):
         self.field = field
         self.elements = list(elements)
         self.block_dims = tuple(block_dims)
-        self._members: list[list[int]] = [[] for _ in self.block_dims]
-        for j, (blk, normal) in enumerate(self.elements):
-            if not 0 <= blk < len(block_dims) or len(normal) != block_dims[blk]:
-                raise ValueError("element block index out of range or normal not of its length")
-            self._members[blk].append(j)
-        # a positive scale keeps the coefficient supports: ints suffice
-        self._ints = field.cleared([normal for _, normal in self.elements])[1]
+        self._members, self._ints, self._memo = inputs or matroid_inputs(
+            field, self.elements, self.block_dims
+        )
         self.circuit: list[list[int] | None] = [None] * len(self.elements)
         self.holders: list[list[int]] = [[] for _ in self.elements]
         self.free = [list(members) for members in self._members]
@@ -66,7 +64,8 @@ class VectorMatroid:
     def select(self, subset) -> int:
         """Hold ``subset`` as the selection and return its rank.  One
         elimination solves the unselected members of each block whose
-        selected members changed against the selected ones, ascending;
+        selected members changed against the selected ones, ascending, unless
+        the inputs' memo holds the block's last one for the same selection;
         every other block keeps its entries.  A member that is not a plain
         int element index raises ValueError before any change."""
         subset = set(subset)
@@ -75,25 +74,26 @@ class VectorMatroid:
             raise ValueError(f"{stray[0]} is not an element")
         changed = {self.elements[i][0] for i in subset ^ self._selected}
         self._selected = subset
+        circuit, holders, memo = self.circuit, self.holders, self._memo
         for blk in changed:
             members = self._members[blk]
             ids = [i for i in members if i in subset]
             others = [j for j in members if j not in subset]
             for j in members:
-                self.circuit[j] = [] if j in subset else None
-                self.holders[j] = []
-            self._ranks[blk], supports = span_supports(
-                self.field.p,
-                self.block_dims[blk],
-                [self._ints[i] for i in ids],
-                [self._ints[j] for j in others],
-            ) if ids else (0, [None] * len(others))
-            self.free[blk] = [j for j, s in zip(others, supports) if s is None]
-            for j, support in zip(others, supports):
-                if support is not None:
-                    self.circuit[j] = [ids[k] for k in support]
-                    for i in self.circuit[j]:
-                        self.holders[i].append(j)
+                circuit[j] = [] if j in subset else None
+                holders[j] = []
+            if (entry := memo.get(blk)) is None or entry[0] != ids:
+                basis, rest = [self._ints[i] for i in ids], [self._ints[j] for j in others]
+                rank, supports = span_supports(self.field.p, self.block_dims[blk], basis, rest)
+                circuits = [None if s is None else [ids[k] for k in s] for s in supports]
+                entry = memo[blk] = ids, rank, circuits
+            _, self._ranks[blk], circuits = entry
+            self.free[blk] = [j for j, c in zip(others, circuits) if c is None]
+            for j, c in zip(others, circuits):
+                if c is not None:
+                    circuit[j] = c
+                    for i in c:
+                        holders[i].append(j)
         return sum(self._ranks)
 
 
@@ -116,19 +116,11 @@ class IndependentMatchingState:
         self.graph = graph
         self.matching: frozenset[int] = frozenset()
         self.augmentations = 0
-        npi, mu = graph.n_pi, len(graph.row_blocks)
-        self._matroid = VectorMatroid(
-            graph.field,
-            [*graph.pi, *((mu + blk, normal) for blk, normal in graph.sigma)],
-            graph.row_blocks + graph.col_blocks,
-        )
-        # (other end, edge index) at each end: ends[v] of v's graph edges, arcs
-        # out of the row side; _mate[v] of a matched v's matched edge, arcs into it
-        ends: list[list[tuple[int, int]]] = [[] for _ in range(npi + graph.n_sigma)]
+        npi, dims = graph.n_pi, graph.row_blocks + graph.col_blocks
+        elements, ends, inputs = graph.nodes
+        self._matroid = VectorMatroid(graph.field, elements, dims, inputs)
+        # _mate[v]: a matched v's matched edge as (other end, edge index), like ends[v]
         self._ends = ends
-        for k, e in enumerate(graph.edges):
-            ends[e.pi].append((npi + e.sigma, k))
-            ends[npi + e.sigma].append((e.pi, k))
         self._mate: dict[int, list[tuple[int, int]]] = {}
         mate, circuit, holders = self._mate, self._matroid.circuit, self._matroid.holders
 

@@ -1,20 +1,20 @@
 """Partitioned matrices, the rank-1 block condition, and the stability graph.
 
 A partitioned matrix is a dense matrix together with row and column block
-sizes.  Its blocks are factored once per matrix: each nonzero block gets its
-factorization coeff * u^T v with monic u and v, and a block of rank 2 or
-more breaks the rank-1 condition, which factoring reports.  A vector, here
-and downstream (normal, dual or basis vector), is a tuple of raw values of
-the field its container records.  The graph builder and the verifier both
-read those factors.  The u's become hyperplane vertices on the row side (one
-vertex per distinct kernel of a block transpose, per block row) and the v's
-on the column side.  Each rank-1 block contributes one edge joining its pair
-of vertices.
+sizes.  What depends on A alone is derived once per matrix, for
+``dm_decompose`` and ``verify`` alike: each nonzero block's factorization
+coeff * u^T v with monic u and v (a block of rank >= 2 breaks the rank-1
+condition, which factoring reports), QQ factors on ints, and the frozen
+stability graph, which derives its nodes' matroid inputs once.  A vector is
+a tuple of raw values of the field its container records.  The u's become
+hyperplane vertices on the row side (one vertex per distinct kernel of a
+block transpose, per block row) and the v's on the column side.  Each
+rank-1 block contributes one edge joining its pair of vertices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, pairwise, product
@@ -96,21 +96,37 @@ class PartitionedMatrix:
             raise RankConditionViolated(offenders)
         return out
 
-    def transform(self, e: Matrix, f: Matrix) -> Matrix:
-        """E^T A F from A's factors, exact for any E with n rows and F with m.
+    @cached_property
+    def _factor_ints(self) -> dict[tuple[int, int], tuple[int, int, tuple, tuple]]:
+        """Each rational factor c u^T v as (n, d, u', v'), n/d u'^T v' = c u^T v,
+        u and v cleared over one denominator: int tuples, which the GC stops tracking."""
+        return {key: (fac.coeff.numerator, fac.coeff.denominator * duv * duv, tuple(u), tuple(v))
+                for key, fac in self.factors.items()
+                for duv, (u, v) in [QQ.cleared([fac.u, fac.v])]}
 
-        Block (alpha, beta) = c u^T v adds the outer product of p and q,
-        where p_i = c (u . rows alpha of E's column i), for each column i of
-        E nonzero in those rows, and q_j = v . rows beta of F's column j,
-        for each column j of F nonzero in them.  For admissible E and F
-        every entry gets at most one term.  Raises RankConditionViolated
-        when a block of A has rank 2 or more."""
-        fld = self.field
+    @cached_property
+    def graph(self) -> StabilityGraph:
+        """The stability graph, built once per matrix; see ``build_stability_graph``."""
+        fld, factors = self.field, self.factors.items()
+        pi, pis = _vertices(fld, [(alpha, fac.u) for (alpha, _), fac in factors])
+        sigma, sigmas = _vertices(fld, [(beta, fac.v) for (_, beta), fac in factors])
+        edges = tuple(map(Edge, pis, sigmas))
+        return StabilityGraph(fld, self.row_blocks, self.col_blocks, pi, sigma, edges)
+
+    def transform(self, e: Matrix, f: Matrix) -> Matrix:
+        """E^T A F, the sum of A's ``_terms``, exact for any E with n rows and F
+        with m; for admissible E and F every entry gets at most one term.
+        Raises RankConditionViolated when a block of A has rank 2 or more."""
+        fld, zero, p = self.field, self.field.zero_raw, self.field.p
         if (e.field, f.field, e.rows, f.rows) != (fld, fld, self.matrix.rows, self.matrix.cols):
             raise ValueError("E^T A F needs E and F over A's field with n and m rows")
-        e_parts = column_parts(e, self.row_offsets)
-        f_parts = column_parts(f, self.col_offsets)
-        return _transform_parts(self, e_parts, f_parts, e.cols, f.cols)
+        out = [zero] * (e.cols * f.cols)
+        parts = column_parts(e, self.row_offsets), column_parts(f, self.col_offsets)
+        for k, n, d in _terms(self, *parts, f.cols):
+            t = n % p if p else Fraction(n, d)
+            # only a non-admissible E or F sends a second term here
+            out[k] = t if out[k] is zero else fld.canon(out[k] + t)
+        return Matrix(fld, e.cols, f.cols, out)
 
     def block(self, alpha: int, beta: int) -> Matrix:
         """The submatrix at block position (alpha, beta), zero-based."""
@@ -138,41 +154,51 @@ def column_parts(mat: Matrix, offsets: tuple[int, ...]) -> list[list[tuple[int, 
     return parts
 
 
-def _cleared_parts(parts) -> list[tuple[int, list]]:
-    """Each rational column part as (d, its columns on ints times d)."""
+def _cleared_parts(field: Field, parts) -> list[tuple[int, list]]:
+    """Each column part as (d, its columns on ints times d); over GF(p), (1, it)."""
+    if field.p:
+        return [(1, part) for part in parts]
     cleared = [QQ.cleared([x for _, x in part]) for part in parts]
     return [(d, list(zip((j for j, _ in part), xs))) for part, (d, xs) in zip(parts, cleared)]
 
 
-def _transform_parts(a: PartitionedMatrix, e_parts, f_parts, e_cols: int, f_cols: int) -> Matrix:
-    """``a.transform(E, F)`` from E's column parts on A's row offsets and
-    F's on its column offsets, E with ``e_cols`` columns, F with ``f_cols``.
-    Over QQ the columns of each part, and each factor's u and v, are cleared
-    to ints over one denominator once, so the dot products run on ints and
-    each term is one Fraction; GF(p) vectors are ints over 1 already, and
-    each term is one residue."""
+def _terms(a: PartitionedMatrix, e_parts, f_parts, f_cols: int):
+    """Each term of E^T A F as (k, n, d): n/d adds to entry k of the result,
+    ``f_cols`` wide, given E's column parts on A's row offsets and F's on its
+    column offsets.  Block (alpha, beta) = c u^T v gives the outer product of
+    p_i = c (u . rows alpha of E's column i) and q_j = v . rows beta of F's
+    column j, on ints over one denominator; over GF(p) d is 1, n unreduced."""
     fld = a.field
-    zero, p = fld.zero_raw, fld.p
-    if p:
-        dot, term = fld.dot, lambda n, d: n % p
-        e_ints, f_ints = [(1, part) for part in e_parts], [(1, part) for part in f_parts]
-    else:
-        dot, term = lambda xs, ys: sum(map(mul, xs, ys)), Fraction
-        e_ints, f_ints = _cleared_parts(e_parts), _cleared_parts(f_parts)
-    out = [zero] * (e_cols * f_cols)
-    for (alpha, beta), fac in a.factors.items():
-        duv, (u, v) = (1, (fac.u, fac.v)) if p else QQ.cleared([fac.u, fac.v])
-        (dx, xs), (dy, ys), c = e_ints[alpha], f_ints[beta], fac.coeff
-        d = c.denominator * duv * duv * dx * dy
+    dot = fld.dot if fld.p else lambda xs, ys: sum(map(mul, xs, ys))
+    e_ints, f_ints = _cleared_parts(fld, e_parts), _cleared_parts(fld, f_parts)
+    # GF(p) factors are ints already, so nothing is cleared or kept for them
+    factors = a._factor_ints.items() if not fld.p else (
+        (key, (f.coeff, 1, f.u, f.v)) for key, f in a.factors.items())
+    for (alpha, beta), (c, d, u, v) in factors:
+        (dx, xs), (dy, ys) = e_ints[alpha], f_ints[beta]
+        d *= dx * dy
         qs = [(j, q) for j, y in ys if (q := dot(v, y))]
         for i, x in xs:
-            if s := c.numerator * dot(x, u):
+            if s := c * dot(x, u):
                 for j, q in qs:
-                    k = i * f_cols + j
-                    t = term(s * q, d)
-                    # only a non-admissible E or F sends a second term here
-                    out[k] = t if out[k] is zero else term(out[k] + t, 1)
-    return Matrix(fld, e_cols, f_cols, out)
+                    yield i * f_cols + j, s * q, d
+
+
+def product_matches(a: PartitionedMatrix, e_parts, f_parts, a_dm: Matrix) -> bool:
+    """Whether ``a_dm``, a matrix of carriers, is E^T A F, read off the
+    ``_terms`` of E's and F's column parts with no product built: each entry
+    less the terms that land on it, kept exactly (an int pair n/d over QQ
+    once it is not zero, a residue over GF(p)), must come to zero."""
+    p, zero, rest = a.field.p, a.field.zero_raw, list(a_dm.data)
+    for k, n, d in _terms(a, e_parts, f_parts, a_dm.cols):
+        if p:
+            rest[k] = (rest[k] - n) % p
+            continue
+        x = rest[k]
+        xn, xd = x if type(x) is tuple else (x.numerator, x.denominator)
+        xn = xn * d - n * xd
+        rest[k] = (xn, xd * d) if xn else zero
+    return rest.count(zero) == len(rest)  # a C loop that counts a distinct zero too
 
 
 class HyperplaneVertex(NamedTuple):
@@ -190,21 +216,34 @@ class Edge(NamedTuple):
     sigma: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilityGraph:
     """Bipartite graph on the row-side and column-side hyperplane vertices.
 
     Vertices are listed in the canonical order (block index, then
     colexicographic order of the monic normal); edges follow the row-major
-    block order of their source blocks.
+    block order of their source blocks.  Frozen, on tuples: no holder changes it.
     """
 
     field: Field
     row_blocks: tuple[int, ...]
     col_blocks: tuple[int, ...]
-    pi: list[HyperplaneVertex] = dc_field(default_factory=list)
-    sigma: list[HyperplaneVertex] = dc_field(default_factory=list)
-    edges: list[Edge] = dc_field(default_factory=list)
+    pi: tuple[HyperplaneVertex, ...] = ()
+    sigma: tuple[HyperplaneVertex, ...] = ()
+    edges: tuple[Edge, ...] = ()
+
+    @cached_property
+    def nodes(self) -> tuple[list, list, tuple]:
+        """What every matching state on the graph reads, derived once: node v's
+        (block, normal), column-side blocks after the mu row blocks; each node's
+        (other end, edge index) pairs; and the nodes' ``matroid_inputs``."""
+        npi, mu, dims = self.n_pi, len(self.row_blocks), self.row_blocks + self.col_blocks
+        elements = [*self.pi, *((mu + blk, normal) for blk, normal in self.sigma)]
+        ends: list[list[tuple[int, int]]] = [[] for _ in elements]
+        for k, (i, j) in enumerate(self.edges):
+            ends[i].append((npi + j, k))
+            ends[npi + j].append((i, k))
+        return elements, ends, matroid_inputs(self.field, elements, dims)
 
     @property
     def n_pi(self) -> int:
@@ -257,7 +296,19 @@ def _direction_letters(p: int, dim: int) -> dict[tuple, str]:
     return {v: chr(ord("a") + r) for r, v in enumerate(monic)}
 
 
-def _vertices(field: Field, ends: list[tuple[int, tuple]]) -> tuple[list, list[int]]:
+def matroid_inputs(field: Field, elements, block_dims: tuple) -> tuple[list, list, dict]:
+    """A vector matroid's view of its (block, normal) elements: each block's
+    members, the normals on ints (a positive scale keeps every support), and
+    an empty memo of each block's last elimination; ValueError on a bad one."""
+    members: list[list[int]] = [[] for _ in block_dims]
+    for j, (blk, normal) in enumerate(elements):
+        if not 0 <= blk < len(block_dims) or len(normal) != block_dims[blk]:
+            raise ValueError("element block index out of range or normal not of its length")
+        members[blk].append(j)
+    return members, field.cleared([normal for _, normal in elements])[1], {}
+
+
+def _vertices(field: Field, ends: list[tuple[int, tuple]]) -> tuple[tuple, list[int]]:
     """The distinct (block, normal) pairs of ``ends`` as vertices in the
     canonical order, and each end's vertex index.  A pair's key is its block
     and its normal on ints, read last entry first: over QQ times the lcm of
@@ -268,20 +319,16 @@ def _vertices(field: Field, ends: list[tuple[int, tuple]]) -> tuple[list, list[i
     vertex = dict(zip(keys, ends))
     order = sorted(vertex)
     index = {k: i for i, k in enumerate(order)}
-    return [HyperplaneVertex(*vertex[k]) for k in order], [index[k] for k in keys]
+    return tuple([HyperplaneVertex(*vertex[k]) for k in order]), [index[k] for k in keys]
 
 
 def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:
-    """Build the bipartite stability graph of a rank-1 partitioned matrix.
+    """The bipartite stability graph of a rank-1 partitioned matrix, built
+    once per matrix and cached on it as ``a.graph``.
 
     Zero blocks contribute nothing; each rank-1 block (alpha, beta) with
     factorization coeff * u^T v adds the vertex u to the row side of block
     alpha, v to the column side of block beta (deduplicated by monic normal)
     and one edge between them.
     """
-    factors = a.factors
-    g = StabilityGraph(a.field, a.row_blocks, a.col_blocks)
-    g.pi, pis = _vertices(a.field, [(alpha, fac.u) for (alpha, _), fac in factors.items()])
-    g.sigma, sigmas = _vertices(a.field, [(beta, fac.v) for (_, beta), fac in factors.items()])
-    g.edges = list(map(Edge, pis, sigmas))
-    return g
+    return a.graph

@@ -1,12 +1,12 @@
 """Shared builders for the test suite: the worked 6x6 example, random
 instance generators, exact subspace utilities used by oracle-style checks,
 the reference checks (stability from the definition, classic bipartite DM,
-Gaussian binomials, elimination and rank-1 factoring one carrier operation
-at a time through ``Arith``, the monic directions by enumerating
-GF(p)^dim, the vertex order on Fraction keys), each side's matroid on
-its own, the matroid closure and minimum cover that the matching tests
-check against, and the rank-1
-skeleton instances and mod-q rank of the scaled-rank oracle for |M|."""
+the dense product E^T A F, Gaussian binomials, elimination and rank-1
+factoring one carrier operation at a time through ``Arith``, the monic
+directions by enumerating GF(p)^dim, the vertex order on Fraction keys),
+each side's matroid on its own, the matroid closure and minimum cover that
+the matching tests check against, and the rank-1 skeleton instances and
+mod-q rank of the scaled-rank oracle for |M|."""
 
 from __future__ import annotations
 
@@ -125,6 +125,18 @@ def skeleton_instance(
                 brow.append(_outer(ar, field, ar.mul(a[alpha], b[beta]), u, v))
         blocks.append(brow)
     return from_blocks(blocks)
+
+
+def dense_product(e: Matrix, a: Matrix, f: Matrix) -> Matrix:
+    """E^T A F entry by entry through ``Arith``, the reference for the
+    verifier's product check."""
+    ar = Arith(a.field)
+
+    def columns(m):
+        return [[m.raw(i, j) for i in range(m.rows)] for j in range(m.cols)]
+
+    eta = [[ar.dot(ec, ac) for ac in columns(a)] for ec in columns(e)]
+    return Matrix(a.field, e.cols, f.cols, [ar.dot(row, fc) for row in eta for fc in columns(f)])
 
 
 def _outer(ar: Arith, field, c, u, v) -> Matrix:

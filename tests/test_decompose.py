@@ -2,7 +2,7 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gen import (
     contains,
     cover_value,
+    dense_product,
     from_blocks,
     is_stable,
     matched_sides,
@@ -27,6 +28,7 @@ from rank1dm import (
     GF,
     QQ,
     ChainPoset,
+    IndependentMatchingState,
     Matrix,
     PartitionedMatrix,
     StabilityGraph,
@@ -44,6 +46,7 @@ from rank1dm import (
 )
 from rank1dm.decompose import PosetComponent, _adapted_basis, _chain_dims, _tarjan_scc
 from rank1dm import partmat
+from rank1dm.cli import parse_input, serialize_input
 from rank1dm.partmat import HyperplaneVertex, column_parts
 
 
@@ -69,8 +72,7 @@ def test_reachability_empty_graph():
 
 
 def test_reachability_isolated_source_vertex():
-    g = StabilityGraph(GF(2), (2,), (1,))
-    g.pi = [HyperplaneVertex(0, (1, 0))]
+    g = StabilityGraph(GF(2), (2,), (1,), pi=(HyperplaneVertex(0, (1, 0)),))
     state = max_independent_matching(g)
     c0, cinf = reachability_sets(state)
     assert c0 == {0} and cinf == set()
@@ -1046,6 +1048,171 @@ def test_each_block_is_read_once_per_matrix(monkeypatch):
         zero_blocks += len(blocks) - len(nonzero)
         assert calls == Counter((tuple(b.data), b.rows) for b in nonzero)
     assert zero_blocks
+
+
+def test_each_rational_factor_is_cleared_once_per_matrix(monkeypatch):
+    # transform and the verifier's product check read one cleared copy
+    a = random_rank1_instance(random.Random(83), QQ, 4, 4, max_dim=3)
+    want = Counter((fac.u, fac.v) for fac in a.factors.values())
+    calls = Counter()
+    cleared = type(QQ).cleared
+
+    def counted(self, vecs):
+        if len(vecs) == 2 and all(type(v) is tuple for v in vecs) and tuple(vecs) in want:
+            calls[tuple(vecs)] += 1
+        return cleared(self, vecs)
+
+    monkeypatch.setattr(type(QQ), "cleared", counted)
+    assert verify(a, dm_decompose(a)).passed
+    assert calls == want
+
+
+def test_the_solve_and_the_verifier_share_one_frozen_graph(example):
+    res = dm_decompose(example)
+    assert res.graph is example.graph is build_stability_graph(example)
+    for name in ("field", "pi", "sigma", "edges"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(res.graph, name, ())
+    assert verify(example, res).passed
+
+
+def _matroid_view(state):
+    m = state._matroid
+    return m.circuit, m.holders, m.free, m.select(set(state.matched))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(101), QQ], ids=["gf2", "gf101", "qq"])
+def test_a_witness_state_after_a_solve_equals_one_on_a_second_parse(field):
+    # the witness state reads the eliminations the solve left on A's graph;
+    # it holds what a state on a matrix no solve has touched holds, and the
+    # graph keeps at most one elimination per block
+    rng = random.Random(f"shared/{field}")
+    for _ in range(25):
+        a = random_rank1_instance(
+            rng, field, rng.randint(1, 6), rng.randint(1, 6), max_dim=3, zero_prob=0.4
+        )
+        res = dm_decompose(a)
+        again = parse_input(serialize_input(a))
+        assert again.graph == a.graph and again.graph is not a.graph
+        shared, fresh = (IndependentMatchingState(b.graph, res.state.matching) for b in (a, again))
+        assert _matroid_view(shared) == _matroid_view(fresh)
+        _, _, (_, _, memo) = a.graph.nodes
+        assert len(memo) <= a.mu + a.nu
+        assert verify(a, res).passed and verify(again, res).passed
+
+
+def test_a_forged_witness_fails_after_the_solve_filled_the_memo():
+    # swap one matched edge for an unmatched one on free vertices whose
+    # normal is dependent on the other matched ones: the memo holds the
+    # solve's eliminations only for the solve's selections, so the forged
+    # selection is eliminated afresh and found dependent
+    rng = random.Random(71)
+    forged = 0
+    while forged < 5:
+        a = random_rank1_instance(rng, GF(2), 4, 4, max_dim=3, zero_prob=0.2)
+        res = dm_decompose(a)
+        g, matching = res.graph, res.state.matching
+        for k, l in product(sorted(matching), range(len(g.edges))):
+            swapped = matching - {k} | {l}
+            ends = [(g.edges[e].pi, g.edges[e].sigma) for e in swapped]
+            if l in matching or len({i for i, _ in ends}) + len({j for _, j in ends}) < 2 * len(ends):
+                continue
+            pis, sigmas = ({end[s] for end in ends} for s in (0, 1))
+            if matroid_pi(g).select(pis) + matroid_sigma(g).select(sigmas) == 2 * len(ends):
+                continue
+            witness = dataclasses.replace(res, state=SimpleNamespace(matching=swapped), chain=None)
+            check = verify(a, witness).check("duality")
+            assert check.detail == "malformed matching witness: matching endpoints are not independent"
+            forged += 1
+            break
+        graph = dataclasses.replace(g, edges=g.edges[:-1])
+        check = verify(a, dataclasses.replace(res, graph=graph)).check("chain")
+        assert check.detail == "the witness graph is not A's stability graph"
+        assert verify(a, res).passed
+
+
+def _qq_result(seed):
+    a = random_rank1_instance(random.Random(seed), QQ, 4, 4, max_dim=3, zero_prob=0.3)
+    res = dm_decompose(a)
+    assert res.a_dm == dense_product(res.E, a.matrix, res.F)
+    return a, res
+
+
+def _with_entry(res, k, value):
+    data = list(res.a_dm.data)
+    data[k] = value
+    return dataclasses.replace(res, a_dm=Matrix(QQ, res.a_dm.rows, res.a_dm.cols, data))
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_qq_product_rejects_an_entry_off_by_a_tiny_fraction(seed):
+    a, res = _qq_result(seed)
+    k = next(k for k, x in enumerate(res.a_dm.data) if x)
+    for e in (1, 6, 40):
+        forged = _with_entry(res, k, res.a_dm.data[k] + Fraction(1, 10**e))
+        check = verify(a, forged).check("product")
+        assert not check.passed and check.detail == "A_dm == E^T A F"
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_qq_product_rejects_a_nonzero_entry_where_no_term_lands(seed):
+    # E and F are admissible, so a zero entry of the product has no term
+    a, res = _qq_result(seed)
+    zeros = [k for k, x in enumerate(res.a_dm.data) if not x]
+    for k in (zeros[0], zeros[-1]):
+        assert not verify(a, _with_entry(res, k, Fraction(-1, 10**30))).check("product").passed
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_qq_product_passes_distinct_zero_objects(seed):
+    a, res = _qq_result(seed)
+    zeros = [k for k, x in enumerate(res.a_dm.data) if not x]
+    assert verify(a, _with_entry(res, zeros[0], Fraction(0))).passed
+    data = [Fraction(0) if not x else x for x in res.a_dm.data]
+    assert all(x is not QQ.zero_raw for x in data if not x)
+    a_dm = Matrix(QQ, res.a_dm.rows, res.a_dm.cols, data)
+    assert verify(a, dataclasses.replace(res, a_dm=a_dm)).passed
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(101), QQ], ids=["gf2", "gf101", "qq"])
+def test_product_rejects_a_zero_where_a_term_lands_and_a_value_where_none_does(field):
+    rng = random.Random(f"product/{field}")
+    for _ in range(10):
+        a = random_rank1_instance(rng, field, 4, 4, max_dim=3, zero_prob=0.3)
+        res = dm_decompose(a)
+        data = res.a_dm.data
+        assert res.a_dm == dense_product(res.E, a.matrix, res.F)
+        for k, value in (
+            (next(k for k, x in enumerate(data) if x), field.zero_raw),
+            (next(k for k, x in enumerate(data) if x), field.coerce_raw(2) if field.p != 2 else 0),
+            (next(k for k, x in enumerate(data) if not x), field.one_raw),
+        ):
+            if value != data[k]:
+                forged = Matrix(field, res.a_dm.rows, res.a_dm.cols, [*data[:k], value, *data[k + 1:]])
+                check = verify(a, dataclasses.replace(res, a_dm=forged)).check("product")
+                assert not check.passed and check.detail == "A_dm == E^T A F"
+
+
+def test_qq_product_sums_the_terms_a_non_admissible_e_lands_on_one_entry():
+    # A = [1/2; 1/3] in two row blocks, so column 0 of E sends one term from
+    # each block to entry (0, 0): 1/2 x + 1/3 y, which cancels for x = 2/3,
+    # y = -1
+    a = PartitionedMatrix(Matrix.from_rows(QQ, [[Fraction(1, 2)], [Fraction(1, 3)]]), (1, 1), (1,))
+    res = dm_decompose(a)
+    for x, y in ((Fraction(2, 3), -1), (Fraction(1, 5), Fraction(-7, 2)), (1, 1)):
+        e = Matrix.from_rows(QQ, [[x, 0], [y, 1]])
+        want = dense_product(e, a.matrix, res.F)
+        total = Fraction(x) / 2 + Fraction(y) / 3
+        assert want.data[0] == total
+        forged = dataclasses.replace(res, E=e, a_dm=want)
+        report = verify(a, forged)
+        assert report.check("product").passed and not report.check("admissible").passed
+        for wrong in (Fraction(x) / 2, Fraction(y) / 3, total + Fraction(1, 10**20)):
+            if wrong != total:
+                check = verify(a, _with_entry(forged, 0, wrong)).check("product")
+                assert not check.passed
+        if not total:  # the cancelled sum is a zero in any zero object
+            assert verify(a, _with_entry(forged, 0, Fraction(0))).check("product").passed
 
 
 def test_duality_reports_a_wrong_lower_bound(example, example_result):

@@ -660,8 +660,7 @@ def test_matroid_select_rejects_a_stray_element(monkeypatch):
 
 
 def test_single_vertex_no_edges_graph():
-    g = StabilityGraph(GF(2), (2,), (1,))
-    g.pi = [HyperplaneVertex(0, (1, 0))]
+    g = StabilityGraph(GF(2), (2,), (1,), pi=(HyperplaneVertex(0, (1, 0)),))
     state = max_independent_matching(g)
     assert state.size == 0
     assert state.sources == [0]

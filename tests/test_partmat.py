@@ -255,7 +255,7 @@ def test_stability_graph_shared_kernel_deduplicated(example):
 def test_stability_graph_zero_matrix():
     a = PartitionedMatrix(Matrix.zeros(GF(2), 4, 4), (2, 2), (2, 2))
     g = build_stability_graph(a)
-    assert g.n_pi == 0 and g.n_sigma == 0 and g.edges == []
+    assert g.n_pi == 0 and g.n_sigma == 0 and g.edges == ()
 
 
 def _pooled_rank1_instance(rng, field, mu, nu):
@@ -309,7 +309,7 @@ def test_vertex_order_matches_the_colex_reference(field):
         pi = sorted({u for u, _ in ends}, key=colex_key)
         sigma = sorted({v for _, v in ends}, key=colex_key)
         edges = [(pi.index(u), sigma.index(v)) for u, v in ends]
-        assert (g.pi, g.sigma, g.edges) == (pi, sigma, edges)
+        assert (g.pi, g.sigma, g.edges) == (tuple(pi), tuple(sigma), tuple(edges))
         shared += len(pi) + len(sigma) < 2 * len(ends)
     assert shared > 30
 
