@@ -3,16 +3,16 @@
 Run from the repository root::
 
     python3 bench/ladder.py                      # markdown table on stdout
-    python3 bench/ladder.py --json BENCH_31.json  # the same rows as JSON too
+    python3 bench/ladder.py --json BENCH_32.json  # the same rows as JSON too
 
 Rows are GF(2), GF(101) and the rationals at n = 60, 180 and 360.  Each is
 a square grid of b x b blocks of size 3 (b = n / 3), built by the
 benchmark's ``block_grid`` with ``balanced_zeros(rng, b, b // 2)`` zero
 blocks and ``rng = random.Random(f"ladder/{name}")``; vectors are drawn as
-in the dense benchmark workloads.  Three tall rows follow: GF(2) grids of
-blocks of size 2 at n = 360, 720 and 1440 with 98%, 99% and 99.5% of their
-blocks zero, drawn by ``scattered_zeros``, whose posets run to hundreds of
-components.
+in the dense benchmark workloads.  Four tall rows follow: GF(2) grids of
+blocks of size 2 at n = 360, 720, 1440 and 2880 with 98%, 99%, 99.5% and
+99.75% of their blocks zero, drawn by ``scattered_zeros``, whose posets run
+to hundreds of components.
 Each row runs in a fresh interpreter that times, three times each, and
 keeps the medians of: ``parse_input``, which returns the partitioned
 matrix, and the first ``a.factors`` on it (parse); ``build_stability_graph`` (graph,
@@ -54,7 +54,9 @@ FIELDS = {  # name -> (modulus, vector entry draw, coefficient draw)
     "gf101": (101, lambda r: r.randrange(101), lambda r: r.randrange(1, 101)),
     "qq": (None, lambda r: r.randint(-3, 3), lambda r: r.randint(1, 9)),
 }
-TALL = {"gf2-tall-360": 0.98, "gf2-tall-720": 0.99, "gf2-tall-1440": 0.995}  # name -> zero share
+TALL = {  # name -> zero share
+    "gf2-tall-360": 0.98, "gf2-tall-720": 0.99, "gf2-tall-1440": 0.995, "gf2-tall-2880": 0.9975,
+}
 ROWS = [f"{field}-{n}" for field in FIELDS for n in (60, 180, 360)] + list(TALL)
 STAGES = ("parse_s", "graph_s", "match_s", "dm_decompose_s", "verify_s", "format_s")
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from itertools import compress
 
 from .decompose import DMResult, dm_decompose, verify
 from .field import GF, QQ, Field, _decimal
@@ -56,7 +55,7 @@ class InputFormatError(ValueError):
 def parse_input(text: str) -> PartitionedMatrix:
     field = None
     blocks: dict[str, tuple[int, ...]] = {}  # row_blocks and col_blocks
-    rows: list[tuple[int, list[str]]] = []
+    rows: list[tuple[int, str]] = []  # entry lines are split one at a time
     seen: set[str] = set()
     entries_line = None
 
@@ -64,10 +63,10 @@ def parse_input(text: str) -> PartitionedMatrix:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
         if entries_line is not None:
-            rows.append((lineno, tokens))
+            rows.append((lineno, line))
             continue
+        tokens = line.split()
         key = tokens[0]
         if key in seen:
             raise InputFormatError(lineno, f"repeated key {key!r}")
@@ -113,19 +112,23 @@ def parse_input(text: str) -> PartitionedMatrix:
     n, m = sum(row_blocks), sum(col_blocks)
     if len(rows) != n:
         raise InputFormatError(entries_line, f"expected {n} entry rows, found {len(rows)}")
-    values: list = []
-    for lineno, tokens in rows:
-        if len(tokens) != m:
+    indices, values = [], []
+    for lineno, line in rows:
+        if len(tokens := line.split()) != m:
             raise InputFormatError(lineno, f"expected {m} entries, found {len(tokens)}")
         try:
-            values += field.parse_row(tokens)
+            idx, vals = field.parse_row(tokens)
         except ValueError:  # token by token: reads a/b and decimals, names a bad token
+            row = []
             for j, tok in enumerate(tokens, start=1):
                 try:
-                    values.append(field.parse(tok))
+                    row.append(field.parse(tok))
                 except ValueError as exc:
                     raise InputFormatError(lineno, f"column {j}: {exc}")
-    return PartitionedMatrix(Matrix(field, n, m, values), row_blocks, col_blocks)
+            idx, vals = [j for j, x in enumerate(row) if x], list(filter(None, row))
+        indices.append(idx)
+        values.append(vals)
+    return PartitionedMatrix(Matrix(field, n, m, indices, values), row_blocks, col_blocks)
 
 
 def _header_lines(field: Field, row_blocks, col_blocks) -> list[str]:
@@ -139,23 +142,16 @@ def _header_lines(field: Field, row_blocks, col_blocks) -> list[str]:
 
 
 def _matrix_lines(m: Matrix) -> list[str]:
-    """Each row's entries joined by spaces.  A row with at most m/8 nonzeros
-    is spliced from slices of one ``"0 " * m`` run and its nonzero tokens,
-    as the zero prints as ``0`` in every field."""
-    fmt, width, data = m.field.format, m.cols, m.data
-    rows = (data[i * width : (i + 1) * width] for i in range(m.rows))
-    if width < 8:  # only a zero row would be spliced, and it joins to the same text
-        return [" ".join(map(fmt, row)) for row in rows]
-    zeros, cols = "0 " * width, list(range(width))
+    """Each row's entries joined by spaces, spliced from its stored entries
+    and slices of one ``"0 " * m`` run, as the zero prints as ``0`` in
+    every field."""
+    fmt, width = m.field.format, m.cols
+    zeros = "0 " * width
     lines = []
-    for row in rows:
-        support = list(compress(cols, row))
-        if 8 * len(support) > width:
-            lines.append(" ".join(map(fmt, row)))
-            continue
+    for idx, vals in zip(m.indices, m.values):
         text, prev = "", 0
-        for j in support:
-            text += zeros[: 2 * (j - prev)] + fmt(row[j]) + " "
+        for j, x in zip(idx, vals):
+            text += zeros[: 2 * (j - prev)] + fmt(x) + " "
             prev = j + 1
         lines.append((text + zeros[: 2 * (width - prev)])[:-1])
     return lines
@@ -163,7 +159,7 @@ def _matrix_lines(m: Matrix) -> list[str]:
 
 def serialize_input(a: PartitionedMatrix) -> str:
     lines = _header_lines(a.field, a.row_blocks, a.col_blocks)
-    return "\n".join([*lines, "entries", *_matrix_lines(a.matrix)]) + "\n"
+    return "\n".join([*lines, "entries", *_matrix_lines(a.matrix), ""])
 
 
 def document_to_matrix(a: PartitionedMatrix) -> PartitionedMatrix:
@@ -227,7 +223,7 @@ def format_result(doc: PartitionedMatrix, result: DMResult, report=None) -> str:
                 f"{c.name}={'pass' if c.passed else 'fail'}" for c in report.checks
             )
         )
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ""])  # no second copy of the document
 
 
 def write_dot(result: DMResult) -> str:

@@ -17,12 +17,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import inf
+from operator import lt
 from typing import Callable, Iterable, Sequence
 
 from .field import Field
-from .linalg import Matrix, _gauss_jordan, rref
+from .linalg import Matrix, _gauss_jordan, reduced
 from .matching import (
     IndependentMatchingState,
     max_independent_matching,
@@ -274,10 +275,10 @@ def _adapted_basis(
     """Entries for the matched vertices group by group, completed per block
     by unit vectors that follow the matched entries of ``completion_group``.
 
-    One rref per block of [N | I], N its normals as columns, gives [PN | P]
-    with P the inverse of the completed basis: the identity columns taking a
-    pivot are the greedy completion, and row k of P is the dual of the k-th
-    basis vector (the normals, then the completion)."""
+    One reduction per block of [N | I], N its normals as columns, gives
+    [PN | P] with P the inverse of the completed basis: the identity columns
+    taking a pivot are the greedy completion, and row k of P is the dual of
+    the k-th basis vector (the normals, then the completion)."""
     by_block: list[list[tuple[int, tuple]]] = [[] for _ in dims]  # (group, normal) pairs
     for group, ids in groups:
         for i in ids:
@@ -285,17 +286,15 @@ def _adapted_basis(
     matched, completion = [], []
     for blk, (dim, normals) in enumerate(zip(dims, by_block)):
         p = len(normals)
-        eye = Matrix.identity(f, dim)
-        red = rref(Matrix(f, dim, p + dim, [
-            x for r in range(dim) for x in [u[r] for _, u in normals] + eye.row_raw(r)
-        ]))
-        if red.pivots[:p] != list(range(p)):
+        eye = [[f.one_raw if r == c else f.zero_raw for c in range(dim)] for r in range(dim)]
+        rows, pivots = reduced(f, [[u[r] for _, u in normals] + eye[r] for r in range(dim)])
+        if pivots[:p] != list(range(p)):
             raise ValueError(f"the normals of block {blk} are linearly dependent")
-        inverse = [tuple(red.R.row_raw(k)[p:]) for k in range(dim)]
+        inverse = [tuple(row[p:]) for row in rows]
         matched += [BasisEntry(group, blk, u, d) for (group, u), d in zip(normals, inverse)]
         completion += [
-            BasisEntry(completion_group, blk, tuple(eye.row_raw(c - p)), d)
-            for c, d in zip(red.pivots[p:], inverse[p:])
+            BasisEntry(completion_group, blk, tuple(eye[c - p]), d)
+            for c, d in zip(pivots[p:], inverse[p:])
         ]
     # ids ascend within a group and vertices by block, so the stable sort keeps id order
     return sorted(matched + completion, key=lambda e: e.group)
@@ -314,14 +313,14 @@ def _select(
 
 def _scatter(f: Field, entries: list[BasisEntry], offsets: Sequence[int], size: int) -> Matrix:
     """The duals in global coordinates: the dual of the i-th entry becomes
-    column size-1-i (reverse chain order)."""
-    data = [f.zero_raw] * (size * size)
-    for i, e in enumerate(entries):
-        col = size - 1 - i
-        base = offsets[e.block]
-        for r, x in enumerate(e.dual):
-            data[(base + r) * size + col] = x
-    return Matrix(f, size, size, data)
+    column size-1-i (reverse chain order), and only its nonzeros are written."""
+    m = Matrix.zeros(f, size, size)
+    for col, e in enumerate(reversed(entries)):
+        for r, x in enumerate(e.dual, start=offsets[e.block]):
+            if x:
+                m.indices[r].append(col)
+                m.values[r].append(x)
+    return m
 
 
 def _group_sizes(entries: list[BasisEntry], count: int) -> list[int]:
@@ -468,19 +467,36 @@ def _partition_problem(side: str, got, want: tuple[int, ...]) -> str:
 
 def _form_problem(name: str, mat: Matrix, rows: int, cols: int, f: Field) -> str:
     """Why ``mat``, ``name`` in the reason, is not a rows x cols Matrix over
-    f whose data is a list of rows * cols of f's carriers, or ""."""
+    f storing each row as a list of ascending int column indices in range
+    and one of as many nonzero carriers of f, or "", read off those lists."""
     if not isinstance(mat, Matrix):
         return f"{name} is not a Matrix"
     # a float shape compares like an int, yet it is not one
     shape = (type(mat.rows), type(mat.cols), mat.rows, mat.cols, mat.field)
     if shape != (int, int, rows, cols, f):
         return f"{name} is {mat.rows}x{mat.cols} over {mat.field}, wants {rows}x{cols} over {f}"
-    if type(mat.data) is not list or len(mat.data) != rows * cols:
-        return f"{name}'s data is not a list of {rows * cols} entries"
-    if f.carries(mat.data):
+    idx, vals = mat.indices, mat.values
+    if not (type(idx) is type(vals) is list and len(idx) == len(vals) == rows
+            and {*map(type, idx), *map(type, vals)} <= {list}):
+        return f"{name} does not store {rows} rows as lists of indices and of values"
+    if list(map(len, idx)) != list(map(len, vals)):
+        i = next(i for i, (js, xs) in enumerate(zip(idx, vals)) if len(js) != len(xs))
+        return f"{name}'s row {i} has {len(idx[i])} column indices and {len(vals[i])} values"
+    # each entry's row-major position, -1 at an index not an int in range (or a bool)
+    keys = [i * cols + j if type(j) is int and 0 <= j < cols else -1
+            for i, row in enumerate(idx) for j in row]
+    if -1 in keys:
+        j = next(j for row in idx for j in row if type(j) is not int or not 0 <= j < cols)
+        return f"{name} stores column index {j!r}, not an int in [0, {cols})"
+    if not all(map(lt, keys, keys[1:])):
+        k = next(k for k in range(1, len(keys)) if keys[k] <= keys[k - 1])
+        return f"{name}'s column indices do not ascend in row {keys[k] // cols}"
+    xs = list(chain.from_iterable(vals))
+    if f.carries(xs) and all(xs):  # 0 and Fraction(0) are the false carriers
         return ""
-    k = next(k for k, x in enumerate(mat.data) if not f.carries([x]))
-    return f"{name} holds {mat.data[k]!r} at {divmod(k, cols)}, not a value of {f}"
+    k = next(k for k, x in enumerate(xs) if not (f.carries([x]) and x))
+    why = "a stored zero" if f.carries(xs[k : k + 1]) else f"not a value of {f}"
+    return f"{name} holds {xs[k]!r} at {divmod(keys[k], cols)}, {why}"
 
 
 def _admissibility_problem(name: str, parts, blocks: tuple[int, ...], f: Field) -> str:
@@ -517,7 +533,7 @@ def _malformed_pairs(pairs, name: str) -> str:
 
 def _staircase_problem(a_dm: Matrix, blocks, n: int, m: int) -> str:
     """Why the declared diagonal blocks do not put a zero staircase under
-    A_dm, an n x m matrix of carriers, so false only at zero, or "".  The
+    A_dm, a well-formed n x m matrix, or "": each row's first stored index.  The
     middle blocks D_h .. D_1 are square and not empty: each holds at least
     one matched pair."""
     if any(r < 0 or c < 0 for r, c in blocks):
@@ -534,10 +550,8 @@ def _staircase_problem(a_dm: Matrix, blocks, n: int, m: int) -> str:
     col_starts = list(accumulate((c for _, c in blocks), initial=0))
     for gr in range(1, len(blocks)):
         for i in range(row_starts[gr], row_starts[gr + 1]):
-            below = a_dm.data[i * m : i * m + col_starts[gr]]
-            if any(below):
-                j = next(j for j, x in enumerate(below) if x)
-                return f"nonzero entry below the staircase at ({i}, {j})"
+            if (idx := a_dm.indices[i]) and idx[0] < col_starts[gr]:
+                return f"nonzero entry below the staircase at ({i}, {idx[0]})"
     return ""
 
 
@@ -611,8 +625,8 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     rebuilt from A and the matching witness, (e) v* = n + m - |M|, bounded
     above by the witness, an independent matching of A's own stability
     graph, and below by the first diagonal block.  The rank condition, the
-    form of each of E, F and A_dm (a Matrix of A's shape and field holding
-    only its carriers) and that of the diagonal blocks are each judged once,
+    form of each of E, F and A_dm (a Matrix of A's shape and field storing
+    only nonzero carriers) and that of the diagonal blocks are each judged once,
     and every check that reads them reports that verdict.  (d) and (e) read
     one auxiliary digraph, built on A's graph and its kept eliminations from
     the witness matching; A's factors and graph are derived once per matrix.

@@ -7,12 +7,13 @@ clears and dots carriers; the kernels do their arithmetic on ints.  A
 container (a ``Matrix``, a stability graph, a vector matroid) records the
 field, and a vector is a tuple of raw carriers.  ``p`` is the
 characteristic, 0 for the rationals, and ``cleared(vecs)`` writes vectors
-on ints over one denominator.  Zero is the only false carrier, so ``any``
-and ``compress`` find a row's support; a value from outside, such as
-``None`` or ``0.0``, is told apart by ``carries``, which ``verify``
-applies once to each result matrix.  ``parse`` reads ASCII decimal tokens
-only, with no exponent, and ``parse_row`` reads a whole row of integer
-tokens at once, converting only the tokens other than ``0``.  ``format``
+on ints over one denominator.  Zero is the only false carrier, so a
+``Matrix`` built from dense values leaves it out; a value from outside,
+such as ``None`` or ``0.0``, is told apart by ``carries``, which ``verify``
+applies once to the stored values of each result matrix.  ``parse`` reads
+ASCII decimal tokens only, with no exponent, and ``parse_row`` reads a
+whole row of integer tokens at once, converting only the tokens other than
+``0``, into the columns and values of its nonzeros.  ``format``
 is ``str`` on every field: the decimal residue for GF(p), ``a`` or ``a/b``
 for a rational.  The zero prints as ``0`` in every field, so a printer
 splices the zeros of a sparse row from one run of ``"0 "``.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import compress
 from math import isqrt, lcm
 from typing import Any
 
@@ -43,6 +45,8 @@ def _decimal(text: str) -> str:
 class Field:
     """Base class: parsing, printing and validation of raw carrier values."""
 
+    p: int  # the characteristic, 0 for the rationals
+
     def canon(self, value):
         raise NotImplementedError
 
@@ -55,11 +59,17 @@ class Field:
     def parse(self, text: str):
         raise NotImplementedError
 
-    def parse_row(self, tokens: list[str]) -> list:
-        """``parse`` of every token, for a row of integer tokens; a
+    def parse_row(self, tokens: list[str]) -> tuple[list[int], list]:
+        """The columns and values of a row of integer tokens where ``parse``
+        is not zero, converting only the tokens other than ``0``; a
         ValueError, which need not name the token, otherwise (a bad token, or
         a rational ``a/b`` or decimal one, which only ``parse`` reads)."""
-        raise NotImplementedError
+        _decimal("".join(tokens))
+        p, idx = self.p, [j for j, t in enumerate(tokens) if t != "0"]
+        ints = [int(tokens[j]) % p for j in idx] if p else [int(tokens[j]) for j in idx]
+        if 0 in ints:  # a token such as "00" or "-0", or a multiple of p
+            idx, ints = list(compress(idx, ints)), list(filter(None, ints))
+        return idx, ints if p else list(map(Fraction, ints))
 
     format = str
 
@@ -106,11 +116,6 @@ class PrimeField(Field):
             return int(_decimal(text)) % self.p
         except ValueError:
             raise ValueError(f"{text!r} is not a GF({self.p}) element") from None
-
-    def parse_row(self, tokens: list[str]) -> list:
-        _decimal("".join(tokens))
-        p = self.p
-        return [0 if t == "0" else int(t) % p for t in tokens]
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -163,11 +168,6 @@ class RationalField(Field):
             return Fraction(_decimal(text))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{text!r} is not a rational number") from None
-
-    def parse_row(self, tokens: list[str]) -> list:
-        _decimal("".join(tokens))
-        zero = self.zero_raw
-        return [zero if t == "0" else Fraction(int(t)) for t in tokens]
 
     def __repr__(self):
         return "QQ"

@@ -1,22 +1,22 @@
-"""Dense exact linear algebra over a Field.
+"""Exact linear algebra over a Field, on matrices stored by their nonzeros.
 
-Elimination is one exact Gauss-Jordan on int rows: GF(p) residues reduce
-mod p, and rational rows are cleared of denominators and eliminated
-fraction-free.  ``rref`` builds ``Fraction``s only for its result;
-``span_supports``, which the vector matroid calls, reads only which
-coefficients are nonzero, so it builds no Matrix and no Fraction.  The
-pivot is always the first nonzero entry in column order, so every result is
-deterministic and there is no numerical tolerance anywhere.  A vector (a
-normal, a dual or a basis vector) is a tuple of raw carrier values of the
-field its container records; a matrix holds raw values too, read through
-``data`` and ``raw``.
+A ``Matrix`` holds each row as its ascending column indices and their raw
+values, with no zero stored.  Elimination is one exact Gauss-Jordan on int
+rows: GF(p) residues reduce mod p, and rational rows are cleared of
+denominators and eliminated fraction-free.  ``rref`` builds ``Fraction``s
+only for its result; ``span_supports``, which the vector matroid calls,
+reads only which coefficients are nonzero, so it builds no Matrix and no
+Fraction.  The pivot is always the first nonzero entry in column order, so
+every result is deterministic and there is no numerical tolerance anywhere.
+A vector (a normal, a dual or a basis vector) is a tuple of raw carriers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import compress, zip_longest
 from math import gcd
 from typing import Any, NamedTuple, Sequence
 
@@ -24,85 +24,85 @@ from .field import Field
 
 
 class Matrix:
-    """Dense exact matrix of raw field values, stored row-major."""
+    """Exact matrix of raw field values, stored by rows of nonzeros: row i
+    is ``indices[i]``, its ascending column indices, and ``values[i]``,
+    the nonzero values at them."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "indices", "values")
 
-    def __init__(self, field: Field, rows: int, cols: int, raw_data: list):
-        if len(raw_data) != rows * cols:
-            raise ValueError("entry count does not match the shape")
+    def __init__(self, field: Field, rows: int, cols: int, indices: list, values: list):
+        if len(indices) != rows or len(values) != rows:
+            raise ValueError("row count does not match the shape")
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = raw_data
+        self.indices = indices
+        self.values = values
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        data = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            data.extend(field.coerce_raw(v) for v in r)
-        return cls(field, nrows, ncols, data)
+        """The matrix of dense rows of values that ``coerce_raw`` reads; 0 and
+        Fraction(0) are the false carriers, so ``compress`` leaves out the zeros."""
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        rows = [[field.coerce_raw(v) for v in r] for r in rows]
+        return cls(field, len(rows), ncols, [list(compress(range(ncols), r)) for r in rows],
+                   [list(compress(r, r)) for r in rows])
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [field.zero_raw] * (rows * cols))
+        return cls(field, rows, cols, [[] for _ in range(rows)], [[] for _ in range(rows)])
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i * n + i] = field.one_raw
-        return m
-
-    def raw(self, i: int, j: int):
-        return self.data[i * self.cols + j]
+        return cls(field, n, n, [[i] for i in range(n)], [[field.one_raw] for _ in range(n)])
 
     def row_raw(self, i: int) -> list:
-        return self.data[i * self.cols : (i + 1) * self.cols]
+        """Row i with its zeros: a dense list of ``cols`` values."""
+        row = [self.field.zero_raw] * self.cols
+        for j, x in zip(self.indices[i], self.values[i]):
+            row[j] = x
+        return row
 
     def transpose(self) -> "Matrix":
-        data = [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return Matrix(self.field, self.cols, self.rows, data)
+        t = Matrix.zeros(self.field, self.cols, self.rows)
+        for i, (idx, vals) in enumerate(zip(self.indices, self.values)):
+            for j, x in zip(idx, vals):
+                t.indices[j].append(i)
+                t.values[j].append(x)
+        return t
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        data = []
-        for i in range(r0, r1):
-            data.extend(self.data[i * self.cols + c0 : i * self.cols + c1])
-        return Matrix(self.field, r1 - r0, c1 - c0, data)
+        indices, values = [], []
+        for idx, vals in zip(self.indices[r0:r1], self.values[r0:r1]):
+            lo, hi = bisect_left(idx, c0), bisect_left(idx, c1)
+            indices.append([j - c0 for j in idx[lo:hi]])
+            values.append(vals[lo:hi])
+        return Matrix(self.field, r1 - r0, c1 - c0, indices, values)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, summed over the stored entries of each row's terms."""
         if self.field != other.field:
             raise ValueError("field mismatch in matrix product")
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        f = self.field
-        zero = f.zero_raw
-        n, k, m = self.rows, self.cols, other.cols
-        brows = [other.data[t * m : (t + 1) * m] for t in range(k)]
-        data = []
-        for i in range(n):
-            # only the row's nonzero positions enter (E^T is mostly zero)
-            arow = self.data[i * k : (i + 1) * k]
-            support = [t for t, x in enumerate(arow) if x != zero]
-            if not support:
-                data.extend([zero] * m)
-                continue
-            vals = [arow[t] for t in support]
-            data.extend(f.dot(vals, col) for col in zip(*(brows[t] for t in support)))
-        return Matrix(f, n, m, data)
+        p = self.field.p
+        indices, values = [], []
+        for idx, vals in zip(self.indices, self.values):
+            acc: dict[int, Any] = {}
+            for t, x in zip(idx, vals):
+                for j, y in zip(other.indices[t], other.values[t]):
+                    acc[j] = acc.get(j, 0) + x * y
+            row = [(j, s % p if p else s) for j, s in sorted(acc.items())]
+            indices.append([j for j, s in row if s])
+            values.append([s for _, s in row if s])
+        return Matrix(self.field, self.rows, other.cols, indices, values)
 
     def __eq__(self, other):
         if isinstance(other, Matrix):
-            return (
-                self.field == other.field
-                and self.rows == other.rows
-                and self.cols == other.cols
-                and self.data == other.data
-            )
+            mine = (self.field, self.rows, self.cols, self.indices, self.values)
+            return mine == (other.field, other.rows, other.cols, other.indices, other.values)
         return NotImplemented
 
     def __repr__(self):
@@ -154,23 +154,27 @@ def _gauss_jordan(rows: list[list[int]], ncols: int, p: int) -> list[int]:
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form, pivot columns and rank, by Gauss-Jordan on
-    int rows: rational rows are scaled by the lcm of their denominators, and
-    become Fractions only in the result, each pivot row over its entry at
-    its pivot column."""
-    f, ncols = m.field, m.cols
-    rows = [m.data[i * ncols : (i + 1) * ncols] for i in range(m.rows)]
+    """Reduced row echelon form, pivot columns and rank; see ``reduced``."""
+    rows, pivots = reduced(m.field, list(map(m.row_raw, range(m.rows))))
+    r = Matrix.from_rows(m.field, rows) if rows else Matrix.zeros(m.field, 0, m.cols)
+    return RrefResult(r, pivots, len(pivots))
+
+
+def reduced(f: Field, rows: list[list]) -> tuple[list[list], list[int]]:
+    """Dense rows of carriers, all as wide, in reduced row echelon form,
+    and the pivot columns, by Gauss-Jordan on int rows: rational rows are
+    scaled by the lcm of their denominators, and become Fractions only in
+    the result, each pivot row over its entry at its pivot column."""
     if not f.p:
         rows = f.cleared(rows)[1]
-    pivots = _gauss_jordan(rows, ncols, f.p)
+    pivots = _gauss_jordan(rows, len(rows[0]) if rows else 0, f.p)
     if not f.p:  # rows past the rank are zero, so their missing pivot is never read
         zero = f.zero_raw
         rows = [
             [Fraction(v, row[pc]) if v else zero for v in row]
             for row, pc in zip_longest(rows, pivots)
         ]
-    flat = [v for row in rows for v in row]
-    return RrefResult(Matrix(f, m.rows, ncols, flat), pivots, len(pivots))
+    return rows, pivots
 
 
 def span_supports(
@@ -217,37 +221,45 @@ class Rank1Factor:
 
 
 def rank1_factor(m: Matrix) -> Rank1Factor:
-    """Classify a matrix as zero / rank one / higher rank.
+    """Classify a matrix as zero / rank one / higher rank; see ``rank1_of``."""
+    return rank1_of(m.field, m.cols, 0, m.indices, m.values)
+
+
+def rank1_of(f: Field, width: int, lo: int, idx: list, vals: list) -> Rank1Factor:
+    """Classify the block ``width`` columns wide whose row r stores the
+    values ``vals[r]`` at the columns ``idx[r]`` less ``lo`` (a row band's
+    stored entries in one block, as they are) as zero / rank one / higher rank.
 
     For rank one the unique factorization with monic u and v is returned:
     u spans the column space (as coordinates), v the row space, and
-    m = coeff * u^T v holds entrywise.  coeff is the first nonzero entry in
-    row-major order, in column j0.  The rank is decided on int rows, one
-    comparison per row: over GF(p) a row r must equal r[j0] v mod p; over
-    QQ, on rows cleared of denominators and with w the pivot row, w[j0] r
-    must equal r[j0] w.
+    block = coeff * u^T v holds entrywise.  coeff is the first nonzero entry
+    in row-major order, the first stored value of the first row w that
+    stores one.  The rank is one iff every row that stores a value stores it
+    at w's columns and is a multiple of w, decided on the stored values as
+    ints: over GF(p) a row r must equal r[0] v mod p; over QQ, on values
+    cleared of denominators, w[0] r must equal r[0] w.
     """
-    f, ncols = m.field, m.cols
-    rows = [m.data[i * ncols : (i + 1) * ncols] for i in range(m.rows)]
-    # 0 and Fraction(0) are the false carriers
-    i0 = next((i for i, row in enumerate(rows) if any(row)), None)
+    i0 = next((i for i, row in enumerate(idx) if row), None)
     if i0 is None:
         return Rank1Factor(rank=0)
-    c = next(filter(None, rows[i0]))
-    j0 = rows[i0].index(c)
+    support, c = idx[i0], vals[i0][0]
+    v = [f.zero_raw] * width
     if not f.p:
-        ints = f.cleared(rows)[1]
+        ints = f.cleared(vals)[1]
         w = ints[i0]
-        for r in ints:
-            if [w[j0] * x for x in r] != [r[j0] * y for y in w]:
+        for js, r in zip(idx, ints):
+            if r and (js != support or [w[0] * x for x in r] != [r[0] * y for y in w]):
                 return Rank1Factor(rank=2)
-        v = [Fraction(y, w[j0]) for y in w]
-        u = [row[j0] / c for row in rows]
+        for j, y in zip(support, w):
+            v[j - lo] = Fraction(y, w[0])
+        u = [row[0] / c if row else f.zero_raw for row in vals]
     else:
         p, cinv = f.p, pow(c, -1, f.p)
-        v = [cinv * x % p for x in rows[i0]]
-        for row in rows:
-            if row != [row[j0] * y % p for y in v]:
+        w = [cinv * x % p for x in vals[i0]]
+        for js, row in zip(idx, vals):
+            if row and (js != support or row != [row[0] * y % p for y in w]):
                 return Rank1Factor(rank=2)
-        u = [cinv * row[j0] % p for row in rows]
+        for j, y in zip(support, w):
+            v[j - lo] = y
+        u = [cinv * row[0] % p if row else 0 for row in vals]
     return Rank1Factor(rank=1, u=tuple(u), v=tuple(v), coeff=c)

@@ -118,7 +118,7 @@ def brute_force_max_stable(a: PartitionedMatrix):
 
 
 def _columns(block: Matrix) -> list[list]:
-    return [block.data[j :: block.cols] for j in range(block.cols)]
+    return list(map(block.transpose().row_raw, range(block.cols)))
 
 
 def _block_stable(f, columns, x_basis, y_basis) -> bool:

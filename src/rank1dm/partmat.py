@@ -1,7 +1,7 @@
 """Partitioned matrices, the rank-1 block condition, and the stability graph.
 
-A partitioned matrix is a dense matrix together with row and column block
-sizes.  What depends on A alone is derived once per matrix, for
+A partitioned matrix is a matrix, stored by its nonzeros, together with row
+and column block sizes.  What depends on A alone is derived once per matrix, for
 ``dm_decompose`` and ``verify`` alike: each nonzero block's factorization
 coeff * u^T v with monic u and v (a block of rank >= 2 breaks the rank-1
 condition, which factoring reports), QQ factors on ints, and the frozen
@@ -14,15 +14,16 @@ rank-1 block contributes one edge joining its pair of vertices.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, compress, pairwise, product
+from itertools import accumulate, pairwise, product
 from operator import mul
 from typing import NamedTuple
 
 from .field import QQ, Field
-from .linalg import Matrix, Rank1Factor, rank1_factor
+from .linalg import Matrix, Rank1Factor, rank1_of
 
 
 class RankConditionViolated(ValueError):
@@ -78,20 +79,27 @@ class PartitionedMatrix:
     @cached_property
     def factors(self) -> dict[tuple[int, int], Rank1Factor]:
         """The factor of every nonzero block, keyed by (alpha, beta) in
-        row-major block order; zero blocks are left out, and only the blocks
-        in a row band's column support are sliced.  Raises
-        RankConditionViolated, naming every block of rank 2 or more."""
-        fld, data, width = self.field, self.matrix.data, self.matrix.cols
-        ro, co, cols = self.row_offsets, self.col_offsets, list(range(width))
+        row-major block order; zero blocks are left out.  Each row of a band
+        is cut once into the runs of its stored entries in one block, and
+        each block is factored on its runs.  Raises RankConditionViolated,
+        naming every block of rank 2 or more."""
+        fld, ro, co, idx, vals = (self.field, self.row_offsets, self.col_offsets,
+                                  self.matrix.indices, self.matrix.values)
         block_of = [beta for beta, size in enumerate(self.col_blocks) for _ in range(size)]
         out = {}
         for alpha in range(self.mu):
-            band = [data[i * width : (i + 1) * width] for i in range(ro[alpha], ro[alpha + 1])]
-            for beta in sorted({block_of[j] for row in band for j in compress(cols, row)}):
-                lo, hi = co[beta], co[beta + 1]
-                rows = [row[lo:hi] for row in band]
-                block = Matrix(fld, len(rows), hi - lo, list(chain.from_iterable(rows)))
-                out[alpha, beta] = rank1_factor(block)
+            height, runs = ro[alpha + 1] - ro[alpha], {}
+            for r, i in enumerate(range(ro[alpha], ro[alpha + 1])):
+                js, xs, k = idx[i], vals[i], 0
+                while k < len(js):
+                    beta = block_of[js[k]]
+                    end = bisect_left(js, co[beta + 1], k)
+                    if beta not in runs:  # the shared empty rows are only read
+                        runs[beta] = [[]] * height, [[]] * height
+                    runs[beta][0][r], runs[beta][1][r] = js[k:end], xs[k:end]
+                    k = end
+            for beta in sorted(runs):
+                out[alpha, beta] = rank1_of(fld, co[beta + 1] - co[beta], co[beta], *runs[beta])
         if offenders := [key for key, fac in out.items() if fac.rank >= 2]:
             raise RankConditionViolated(offenders)
         return out
@@ -117,16 +125,22 @@ class PartitionedMatrix:
         """E^T A F, the sum of A's ``_terms``, exact for any E with n rows and F
         with m; for admissible E and F every entry gets at most one term.
         Raises RankConditionViolated when a block of A has rank 2 or more."""
-        fld, zero, p = self.field, self.field.zero_raw, self.field.p
+        fld, p = self.field, self.field.p
         if (e.field, f.field, e.rows, f.rows) != (fld, fld, self.matrix.rows, self.matrix.cols):
             raise ValueError("E^T A F needs E and F over A's field with n and m rows")
-        out = [zero] * (e.cols * f.cols)
-        parts = column_parts(e, self.row_offsets), column_parts(f, self.col_offsets)
-        for k, n, d in _terms(self, *parts, f.cols):
-            t = n % p if p else Fraction(n, d)
-            # only a non-admissible E or F sends a second term here
-            out[k] = t if out[k] is zero else fld.canon(out[k] + t)
-        return Matrix(fld, e.cols, f.cols, out)
+        out: list[dict] = [{} for _ in range(e.cols)]
+        for i, s, d, qs in _terms(self, column_parts(e, self.row_offsets),
+                                  column_parts(f, self.col_offsets)):
+            row = out[i]
+            for j, q in qs:
+                t = s * q % p if p else Fraction(s * q, d)
+                # only a non-admissible E or F sends a second term here, and a sum may cancel
+                if j in row and not (t := fld.canon(row.pop(j) + t)):
+                    continue
+                row[j] = t
+        indices = list(map(sorted, out))
+        values = [list(map(row.__getitem__, js)) for row, js in zip(out, indices)]
+        return Matrix(fld, e.cols, f.cols, indices, values)
 
     def block(self, alpha: int, beta: int) -> Matrix:
         """The submatrix at block position (alpha, beta), zero-based."""
@@ -138,19 +152,17 @@ class PartitionedMatrix:
 
 def column_parts(mat: Matrix, offsets: tuple[int, ...]) -> list[list[tuple[int, list]]]:
     """Per block of ``offsets``, each column of ``mat`` that is nonzero in
-    it, as (column index, its entries in the block).  Both carriers, 0 and
-    Fraction(0), are false exactly at zero, so ``compress`` finds each row's
-    support; a column's entries are then one strided slice.  The column
-    indices are a list, not a range, so ``compress`` makes no int per entry."""
-    data, width = mat.data, mat.cols
-    cols = list(range(width))
-    parts = []
+    it, as (column index, its entries in the block), read off the stored
+    entries of the block's rows."""
+    zero, parts = mat.field.zero_raw, []
     for lo, hi in pairwise(offsets):
-        support: set[int] = set()
-        for i in range(lo, hi):
-            support.update(compress(cols, data[i * width : (i + 1) * width]))
-        start, stop = lo * width, hi * width
-        parts.append([(j, data[start + j : stop : width]) for j in sorted(support)])
+        cols: dict[int, list] = {}
+        for r, (idx, vals) in enumerate(zip(mat.indices[lo:hi], mat.values[lo:hi])):
+            for j, x in zip(idx, vals):
+                if j not in cols:
+                    cols[j] = [zero] * (hi - lo)
+                cols[j][r] = x
+        parts.append(sorted(cols.items()))
     return parts
 
 
@@ -162,12 +174,13 @@ def _cleared_parts(field: Field, parts) -> list[tuple[int, list]]:
     return [(d, list(zip((j for j, _ in part), xs))) for part, (d, xs) in zip(parts, cleared)]
 
 
-def _terms(a: PartitionedMatrix, e_parts, f_parts, f_cols: int):
-    """Each term of E^T A F as (k, n, d): n/d adds to entry k of the result,
-    ``f_cols`` wide, given E's column parts on A's row offsets and F's on its
-    column offsets.  Block (alpha, beta) = c u^T v gives the outer product of
-    p_i = c (u . rows alpha of E's column i) and q_j = v . rows beta of F's
-    column j, on ints over one denominator; over GF(p) d is 1, n unreduced."""
+def _terms(a: PartitionedMatrix, e_parts, f_parts):
+    """The terms of E^T A F by result row, as (i, s, d, qs): s q / d adds to
+    entry (i, j) for each (j, q) in qs, given E's column parts on A's row
+    offsets and F's on its column offsets.  Block (alpha, beta) = c u^T v
+    gives the outer product of s_i = c (u . rows alpha of E's column i) and
+    q_j = v . rows beta of F's column j, on ints over one denominator; over
+    GF(p) d is 1, s unreduced."""
     fld = a.field
     dot = fld.dot if fld.p else lambda xs, ys: sum(map(mul, xs, ys))
     e_ints, f_ints = _cleared_parts(fld, e_parts), _cleared_parts(fld, f_parts)
@@ -177,28 +190,33 @@ def _terms(a: PartitionedMatrix, e_parts, f_parts, f_cols: int):
     for (alpha, beta), (c, d, u, v) in factors:
         (dx, xs), (dy, ys) = e_ints[alpha], f_ints[beta]
         d *= dx * dy
-        qs = [(j, q) for j, y in ys if (q := dot(v, y))]
-        for i, x in xs:
-            if s := c * dot(x, u):
-                for j, q in qs:
-                    yield i * f_cols + j, s * q, d
+        if qs := [(j, q) for j, y in ys if (q := dot(v, y))]:
+            for i, x in xs:
+                if s := c * dot(x, u):
+                    yield i, s, d, qs
 
 
 def product_matches(a: PartitionedMatrix, e_parts, f_parts, a_dm: Matrix) -> bool:
-    """Whether ``a_dm``, a matrix of carriers, is E^T A F, read off the
-    ``_terms`` of E's and F's column parts with no product built: each entry
-    less the terms that land on it, kept exactly (an int pair n/d over QQ
-    once it is not zero, a residue over GF(p)), must come to zero."""
-    p, zero, rest = a.field.p, a.field.zero_raw, list(a_dm.data)
-    for k, n, d in _terms(a, e_parts, f_parts, a_dm.cols):
-        if p:
-            rest[k] = (rest[k] - n) % p
-            continue
-        x = rest[k]
-        xn, xd = x if type(x) is tuple else (x.numerator, x.denominator)
-        xn = xn * d - n * xd
-        rest[k] = (xn, xd * d) if xn else zero
-    return rest.count(zero) == len(rest)  # a C loop that counts a distinct zero too
+    """Whether ``a_dm``, a well-formed matrix of carriers, is E^T A F, read
+    off the ``_terms`` of E's and F's column parts with no product built:
+    each stored entry less the terms that land on it, kept exactly (an int
+    pair n/d over QQ once a term landed, a residue over GF(p)) and dropped
+    at zero, and each entry that only terms land on, must come to zero."""
+    p = a.field.p
+    rest = [dict(zip(idx, vals)) for idx, vals in zip(a_dm.indices, a_dm.values)]
+    for i, s, d, qs in _terms(a, e_parts, f_parts):
+        row = rest[i]
+        for j, q in qs:
+            x = row.pop(j, 0)
+            if p:
+                x = (x - s * q) % p
+            else:
+                xn, xd = x if type(x) is tuple else (x.numerator, x.denominator)
+                xn = xn * d - s * q * xd
+                x = (xn, xd * d) if xn else 0
+            if x:
+                row[j] = x
+    return not any(rest)  # no entry is left
 
 
 class HyperplaneVertex(NamedTuple):

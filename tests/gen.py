@@ -69,6 +69,27 @@ EXAMPLE_ROWS = [
 ]
 
 
+def dense(m: Matrix) -> list:
+    """The entries of ``m`` in row-major order, its zeros included: the
+    dense view through which the tests read a Matrix."""
+    return [x for i in range(m.rows) for x in m.row_raw(i)]
+
+
+def from_dense(field, rows: int, cols: int, data: list) -> Matrix:
+    """The Matrix of ``data``, a row-major list of rows * cols values, each
+    stored as it is but for the field's zeros (a ``0.0`` or ``None`` is
+    stored, for the verifier to refuse)."""
+    assert len(data) == rows * cols, "entry count does not match the shape"
+    zero = field.zero_raw
+    dense_rows = [data[i * cols : (i + 1) * cols] for i in range(rows)]
+    indices = [
+        [j for j, x in enumerate(row) if not (type(x) is type(zero) and x == zero)]
+        for row in dense_rows
+    ]
+    values = [[row[j] for j in idx] for row, idx in zip(dense_rows, indices)]
+    return Matrix(field, rows, cols, indices, values)
+
+
 def worked_example() -> PartitionedMatrix:
     f = GF(2)
     return PartitionedMatrix(Matrix.from_rows(f, EXAMPLE_ROWS), (2, 2, 2), (2, 2, 2))
@@ -133,14 +154,16 @@ def dense_product(e: Matrix, a: Matrix, f: Matrix) -> Matrix:
     ar = Arith(a.field)
 
     def columns(m):
-        return [[m.raw(i, j) for i in range(m.rows)] for j in range(m.cols)]
+        entries = dense(m)
+        return [entries[j :: m.cols] for j in range(m.cols)]
 
     eta = [[ar.dot(ec, ac) for ac in columns(a)] for ec in columns(e)]
-    return Matrix(a.field, e.cols, f.cols, [ar.dot(row, fc) for row in eta for fc in columns(f)])
+    entries = [ar.dot(row, fc) for row in eta for fc in columns(f)]
+    return from_dense(a.field, e.cols, f.cols, entries)
 
 
 def _outer(ar: Arith, field, c, u, v) -> Matrix:
-    return Matrix(field, len(u), len(v), [ar.mul(c, ar.mul(x, y)) for x in u for y in v])
+    return from_dense(field, len(u), len(v), [ar.mul(c, ar.mul(x, y)) for x in u for y in v])
 
 
 def scaled_rows(a: PartitionedMatrix, q: int, scalars) -> list[list[int]]:
@@ -185,7 +208,7 @@ def from_blocks(blocks: list[list[Matrix]]) -> PartitionedMatrix:
         for i in range(nr):
             for b in brow:
                 data.extend(b.row_raw(i))
-    total = Matrix(f, sum(row_sizes), sum(col_sizes), data)
+    total = from_dense(f, sum(row_sizes), sum(col_sizes), data)
     return PartitionedMatrix(total, row_sizes, col_sizes)
 
 
@@ -209,7 +232,7 @@ def random_unit_pattern_instance(rng: random.Random, n: int, m: int, density=0.4
     """Random 0/1 matrix over GF(2), all blocks 1x1."""
     f = GF(2)
     data = [1 if rng.random() < density else 0 for _ in range(n * m)]
-    return PartitionedMatrix(Matrix(f, n, m, data), (1,) * n, (1,) * m)
+    return PartitionedMatrix(from_dense(f, n, m, data), (1,) * n, (1,) * m)
 
 
 def random_nonsingular(rng: random.Random, field, n: int) -> Matrix:
@@ -218,17 +241,13 @@ def random_nonsingular(rng: random.Random, field, n: int) -> Matrix:
             data = [Fraction(rng.randint(-3, 3)) for _ in range(n * n)]
         else:
             data = [rng.randrange(field.p) for _ in range(n * n)]
-        m = Matrix(field, n, n, data)
+        m = from_dense(field, n, n, data)
         if rref(m).rank == n:
             return m
 
 
 def permutation_matrix(field, perm: list[int]) -> Matrix:
-    n = len(perm)
-    m = Matrix.zeros(field, n, n)
-    for i, j in enumerate(perm):
-        m.data[i * n + j] = field.one_raw
-    return m
+    return Matrix(field, len(perm), len(perm), [[j] for j in perm], [[field.one_raw] for _ in perm])
 
 
 def _block_respecting_perm(rng, sizes):
@@ -255,28 +274,33 @@ def _block_respecting_perm(rng, sizes):
     return perm
 
 
-def random_admissible_transform(rng: random.Random, a: PartitionedMatrix) -> PartitionedMatrix:
-    """A random member of the transformation group: per-block nonsingular
-    factors composed with block-respecting row and column permutations."""
+def random_admissible_pair(rng: random.Random, a: PartitionedMatrix) -> tuple[Matrix, Matrix]:
+    """A random admissible E and F for A's partition: per-block nonsingular
+    factors composed with block-respecting permutations."""
     f = a.field
     big_e = _blockdiag(f, [random_nonsingular(rng, f, s) for s in a.row_blocks])
     big_f = _blockdiag(f, [random_nonsingular(rng, f, s) for s in a.col_blocks])
     p = permutation_matrix(f, _block_respecting_perm(rng, a.row_blocks))
     q = permutation_matrix(f, _block_respecting_perm(rng, a.col_blocks))
-    transformed = p.transpose() @ big_e.transpose() @ a.matrix @ big_f @ q
-    return PartitionedMatrix(transformed, a.row_blocks, a.col_blocks)
+    return big_e @ p, big_f @ q
+
+
+def random_admissible_transform(rng: random.Random, a: PartitionedMatrix) -> PartitionedMatrix:
+    """A random member of the transformation group, E^T A F for a random
+    admissible pair."""
+    e, f = random_admissible_pair(rng, a)
+    return PartitionedMatrix(e.transpose() @ a.matrix @ f, a.row_blocks, a.col_blocks)
 
 
 def _blockdiag(field, blocks):
     n = sum(b.rows for b in blocks)
-    m = Matrix.zeros(field, n, n)
+    data = [field.zero_raw] * (n * n)
     off = 0
     for b in blocks:
         for i in range(b.rows):
-            for j in range(b.cols):
-                m.data[(off + i) * n + (off + j)] = b.raw(i, j)
+            data[(off + i) * n + off : (off + i) * n + off + b.cols] = b.row_raw(i)
         off += b.rows
-    return m
+    return from_dense(field, n, n, data)
 
 
 def reference_rref(m: Matrix) -> RrefResult:
@@ -300,7 +324,7 @@ def reference_rref(m: Matrix) -> RrefResult:
                 work[i] = [ar.add(v, ar.neg(ar.mul(c, pv))) for v, pv in zip(work[i], prow)]
         pivots.append(pc)
     flat = [v for row in work for v in row]
-    return RrefResult(Matrix(f, m.rows, m.cols, flat), pivots, len(pivots))
+    return RrefResult(from_dense(f, m.rows, m.cols, flat), pivots, len(pivots))
 
 
 def reference_rank1_factor(m: Matrix) -> Rank1Factor:
@@ -310,17 +334,18 @@ def reference_rank1_factor(m: Matrix) -> Rank1Factor:
     c u_i v_j.  The reference for ``rank1_factor``'s int rows."""
     ar = Arith(m.field)
     zero = m.field.zero_raw
-    pos = next((k for k, val in enumerate(m.data) if val != zero), None)
+    data = dense(m)
+    pos = next((k for k, val in enumerate(data) if val != zero), None)
     if pos is None:
         return Rank1Factor(rank=0)
     i0, j0 = divmod(pos, m.cols)
-    c = m.data[pos]
+    c = data[pos]
     cinv = ar.inv(c)
-    v = tuple(ar.mul(cinv, m.raw(i0, j)) for j in range(m.cols))
-    u = tuple(ar.mul(cinv, m.raw(i, j0)) for i in range(m.rows))
+    v = tuple(ar.mul(cinv, data[i0 * m.cols + j]) for j in range(m.cols))
+    u = tuple(ar.mul(cinv, data[i * m.cols + j0]) for i in range(m.rows))
     for i in range(m.rows):
         for j in range(m.cols):
-            if m.raw(i, j) != ar.mul(c, ar.mul(u[i], v[j])):
+            if data[i * m.cols + j] != ar.mul(c, ar.mul(u[i], v[j])):
                 return Rank1Factor(rank=2)
     return Rank1Factor(rank=1, u=u, v=v, coeff=c)
 
@@ -340,7 +365,7 @@ def kernel_basis(m: Matrix) -> list[tuple]:
         vals = [f.zero_raw] * m.cols
         vals[free] = f.one_raw
         for pc, prow in pivot_of_col.items():
-            vals[pc] = ar.neg(r.R.raw(prow, free))
+            vals[pc] = ar.neg(r.R.row_raw(prow)[free])
         basis.append(tuple(vals))
     return basis
 
@@ -351,7 +376,7 @@ def echelon(field, rows, dim):
     if not rows:
         return ()
     data = [field.coerce_raw(x) for r in rows for x in r]
-    m = Matrix(field, len(rows), dim, data)
+    m = from_dense(field, len(rows), dim, data)
     r = rref(m)
     return tuple(tuple(r.R.row_raw(i)) for i in range(r.rank))
 
@@ -411,7 +436,8 @@ def is_stable_block(a: PartitionedMatrix, alpha: int, beta: int, x_basis, y_basi
     ):
         raise ValueError(f"basis of block ({alpha}, {beta}) has the wrong length")
     ar = Arith(a.field)
-    columns = [block.data[j :: block.cols] for j in range(block.cols)]
+    entries = dense(block)
+    columns = [entries[j :: block.cols] for j in range(block.cols)]
     return all(
         ar.dot([ar.dot(x, col) for col in columns], y) == a.field.zero_raw
         for x in x_basis
@@ -469,7 +495,7 @@ def classic_dm_check(a: PartitionedMatrix) -> tuple[int, int]:
     n, m = a.matrix.rows, a.matrix.cols
     zero = a.field.zero_raw
     adj = [
-        [j for j in range(m) if a.matrix.raw(i, j) != zero] for i in range(n)
+        [j for j, x in enumerate(a.matrix.row_raw(i)) if x != zero] for i in range(n)
     ]
     match_of_col = [-1] * m
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from gen import (
     classic_dm_check,
+    from_dense,
     from_blocks,
     is_stable,
     random_admissible_transform,
@@ -227,7 +228,7 @@ def test_criterion_6_rank_bound_and_generic_equality():
                 if not any(v):
                     v[0] = Fraction(1)
                 c = Fraction(rng.randint(1, 10**6))
-                brow.append(Matrix(QQ, na, mb, [c * x * y for x in u for y in v]))
+                brow.append(from_dense(QQ, na, mb, [c * x * y for x in u for y in v]))
             blocks.append(brow)
         a = from_blocks(blocks)
         res = dm_decompose(a)
@@ -288,7 +289,7 @@ def test_criterion_8_complexity_smoke():
                     u[0] = 1
                 if not any(v):
                     v[0] = 1
-                brow.append(Matrix(f, 2, 2, [x * y for x in u for y in v]))
+                brow.append(from_dense(f, 2, 2, [x * y for x in u for y in v]))
         blocks.append(brow)
     a = from_blocks(blocks)
     t0 = time.monotonic()

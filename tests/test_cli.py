@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from gen import random_rank1_instance, worked_example
+from gen import dense, random_rank1_instance, worked_example
 
 from rank1dm import GF, QQ, Matrix, dm_decompose, verify
 from rank1dm.cli import (
@@ -65,8 +65,8 @@ def test_parse_example():
 
 def test_parse_rationals():
     a = parse_input(RATIONAL_TEXT)
-    assert a.matrix.raw(0, 0) == Fraction(1, 2)
-    assert a.matrix.raw(1, 1) == Fraction(5, 7)
+    assert a.matrix.row_raw(0)[0] == Fraction(1, 2)
+    assert a.matrix.row_raw(1)[1] == Fraction(5, 7)
 
 
 def test_round_trip():
@@ -79,7 +79,8 @@ def test_round_trip():
     assert serialize_input(doc3).endswith("entries\n1 0\n")
     assert parse_input(serialize_input(doc3)) == doc3
     doc4 = parse_input("field rationals\nrow_blocks 1\ncol_blocks 2\nentries\n2/4 -0\n")
-    assert doc4.field == QQ and doc4.matrix.data == [Fraction(1, 2), Fraction(0)]
+    assert doc4.field == QQ and dense(doc4.matrix) == [Fraction(1, 2), Fraction(0)]
+    assert doc4.matrix.indices == [[0]] and doc4.matrix.values == [[Fraction(1, 2)]]
     assert serialize_input(doc4).endswith("entries\n1/2 0\n")
     assert parse_input(serialize_input(doc4)) == doc4
 
@@ -148,17 +149,20 @@ def test_parse_row_errors_name_the_token():
             parse_input(text)
     # a non-ASCII space separates tokens as before; it is not a bad token
     doc = parse_input("field gf 7\nrow_blocks 1\ncol_blocks 1 1\nentries\n8\u20032\n")
-    assert doc.matrix.data == [1, 2]
+    assert dense(doc.matrix) == [1, 2]
     doc = parse_input("field rationals\nrow_blocks 1\ncol_blocks 6\nentries\n3/4 -2 1.5 +7 0 -0/5\n")
-    assert doc.matrix.data == [
+    assert dense(doc.matrix) == [
         Fraction(3, 4), Fraction(-2), Fraction(3, 2), Fraction(7), Fraction(0), Fraction(0),
     ]
-    assert {type(x) for x in doc.matrix.data} == {Fraction}
+    # the token-by-token parse stores no zero either, "-0/5" included
+    assert doc.matrix.indices == [[0, 1, 2, 3]]
+    assert {type(x) for x in doc.matrix.values[0]} == {Fraction}
 
 
 def test_spliced_rows_print_as_joined():
-    # a row with at most m/8 nonzeros is spliced from one run of "0 ", which
-    # relies on the zero printing as "0" in every field
+    # every row is spliced from its stored entries and one run of "0 ", which
+    # relies on the zero printing as "0" in every field; a row with more
+    # nonzeros than zeros prints as joined too
     rng = random.Random(30)
     for f in (GF(2), GF(101), QQ):
         assert f.format(f.zero_raw) == "0"

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from gen import (
     contains,
     cover_value,
+    dense,
     dense_product,
+    from_dense,
     from_blocks,
     is_stable,
     matched_sides,
@@ -284,7 +286,7 @@ def test_ideal_subspaces_match_definition():
                             for v in basis:
                                 assert field.dot(nrm, v) == field.zero_raw
                         assert len(basis) == dim - len(normals)
-                        stacked = Matrix(field, len(basis), dim, [x for v in basis for x in v])
+                        stacked = from_dense(field, len(basis), dim, [x for v in basis for x in v])
                         assert rref(stacked).rank == len(basis)
                 assert sub.dim_x + sub.dim_y == res.v_star
                 assert is_stable(a, sub.x_bases, sub.y_bases)
@@ -334,7 +336,7 @@ def test_chain_step_identity():
 def _stacked_normals(entries, block, dim, field):
     """R_alpha (or S_beta): the block's entry normals stacked in chain order."""
     rows = [e.normal for e in entries if e.block == block]
-    return Matrix(field, len(rows), dim, [x for v in rows for x in v])
+    return from_dense(field, len(rows), dim, [x for v in rows for x in v])
 
 
 def test_build_bases_orders(example, example_result):
@@ -357,7 +359,7 @@ def test_build_bases_products_are_identity(example, example_result):
         for blk, dim in enumerate(dims):
             r = _stacked_normals(entries, blk, dim, f)
             duals = [e.dual for e in entries if e.block == blk]
-            duals = Matrix(f, len(duals), dim, [x for v in duals for x in v])
+            duals = from_dense(f, len(duals), dim, [x for v in duals for x in v])
             assert r @ duals.transpose() == Matrix.identity(f, dim)
 
 
@@ -383,7 +385,7 @@ def test_adapted_basis_is_greedy_and_dual():
             dim = rng.randint(1, 4)
 
             def independent(vecs):
-                stacked = Matrix(field, len(vecs), dim, [x for v in vecs for x in v])
+                stacked = from_dense(field, len(vecs), dim, [x for v in vecs for x in v])
                 return rref(stacked).rank == len(vecs)
 
             normals = []
@@ -426,7 +428,7 @@ def test_transforms_are_the_scattered_duals(example_result):
         offsets = [sum(dims[:b]) for b in range(len(dims))]
         zero = mat.field.zero_raw
         for i, e in enumerate(entries):
-            col = tuple(mat.data[mat.cols - 1 - i :: mat.cols])
+            col = tuple(dense(mat)[mat.cols - 1 - i :: mat.cols])
             lo = offsets[e.block]
             hi = lo + dims[e.block]
             assert col[lo:hi] == e.dual
@@ -459,7 +461,7 @@ def test_dm_decompose_single_rank1_block():
     u = [1, 2, 0]
     v = [0, 1, 3, 1]
     data = [ux * vx % 5 for ux in u for vx in v]
-    a = PartitionedMatrix(Matrix(f, 3, 4, data), (3,), (4,))
+    a = PartitionedMatrix(from_dense(f, 3, 4, data), (3,), (4,))
     res = dm_decompose(a)
     assert res.matching_size == 1
     assert res.v_star == 6
@@ -477,9 +479,9 @@ def test_dm_decompose_scalar_block_matches_rank_normal_form():
 
 def test_verify_detects_tampering(example, example_result):
     res = example_result
-    flipped = Matrix(GF(2), 6, 6, list(res.a_dm.data))
-    flipped.data[(flipped.rows - 1) * flipped.cols] = GF(2).one_raw  # below staircase
-    bad = dataclasses.replace(res, a_dm=flipped)
+    data = dense(res.a_dm)
+    data[5 * 6] = GF(2).one_raw  # below staircase
+    bad = dataclasses.replace(res, a_dm=from_dense(GF(2), 6, 6, data))
     report = verify(example, bad)
     assert not report.passed
     assert not report.check("product").passed
@@ -490,14 +492,14 @@ def test_staircase_names_the_first_entry_in_row_major_order(example, example_res
     # the last row group, rows 4 and 5, lies below the staircase in columns
     # 0..4; (5, 0) is in an earlier column group but a later row than (4, 3)
     assert example_result.diag_blocks[-1] == (2, 1)
-    data = list(example_result.a_dm.data)
+    data = dense(example_result.a_dm)
     data[4 * 6 + 3] = data[5 * 6 + 0] = 1
-    bad = dataclasses.replace(example_result, a_dm=Matrix(GF(2), 6, 6, data))
+    bad = dataclasses.replace(example_result, a_dm=from_dense(GF(2), 6, 6, data))
     check = verify(example, bad).check("staircase")
     assert check.detail == "nonzero entry below the staircase at (4, 3)"
     # a falsy foreign value is not zero either: the form check names it first
     data[4 * 6 + 3] = None
-    bad = dataclasses.replace(example_result, a_dm=Matrix(GF(2), 6, 6, data))
+    bad = dataclasses.replace(example_result, a_dm=from_dense(GF(2), 6, 6, data))
     check = verify(example, bad).check("staircase")
     assert check.detail == "A_dm holds None at (4, 3), not a value of GF(2)"
 
@@ -679,12 +681,12 @@ def _rebased(basis_of):
     """A forgery that replaces a matrix's columns inside each block, read as
     that block's basis, by ``basis_of(basis)``."""
     def forge(mat, offsets):
-        data = list(mat.data)
+        data = dense(mat)
         for lo, part in zip(offsets, column_parts(mat, offsets)):
             for (col, _), v in zip(part, basis_of(tuple(tuple(x) for _, x in part))):
                 for r, x in enumerate(v):
                     data[(lo + r) * mat.cols + col] = x
-        return Matrix(mat.field, mat.rows, mat.cols, data)
+        return from_dense(mat.field, mat.rows, mat.cols, data)
     return forge
 
 
@@ -694,7 +696,7 @@ def _rebased(basis_of):
         (_rebased(lambda b: tuple((0,) * len(v) for v in b)), "admissible", "is zero"),
         (_rebased(lambda b: b[:1] * len(b)), "admissible", "columns are singular"),
         # E's and F's entries, all 0 or 1, read over GF(3)
-        (lambda mat, _: Matrix(GF(3), mat.rows, mat.cols, list(mat.data)), "product", "over GF(3)"),
+        (lambda mat, _: from_dense(GF(3), mat.rows, mat.cols, dense(mat)), "product", "over GF(3)"),
     ],
     ids=["zero-vectors", "repeated-vector", "gf3-vectors"],
 )
@@ -797,9 +799,10 @@ def test_verify_reports_a_value_outside_the_field(example, example_result, field
     a = example if field == GF(2) else random_rank1_instance(random.Random(5), QQ, 3, 3)
     res = example_result if field == GF(2) else dm_decompose(a)
     mat = getattr(res, side)
-    data = list(mat.data)
+    data = dense(mat)
     data[mat.cols + 1] = value
-    report = verify(a, dataclasses.replace(res, **{side: Matrix(field, mat.rows, mat.cols, data)}))
+    forged = from_dense(field, mat.rows, mat.cols, data)
+    report = verify(a, dataclasses.replace(res, **{side: forged}))
     reason = f"{side} holds {value!r} at (1, 1), not a value of {field}"
     for name in ("product", "admissible"):
         check = report.check(name)
@@ -811,18 +814,19 @@ def test_verify_rejects_a_float_in_a_dm():
     # a float equals its Fraction, yet it is not a value of QQ
     a = random_rank1_instance(random.Random(5), QQ, 3, 3)
     res = dm_decompose(a)
-    k = next(k for k, x in enumerate(res.a_dm.data) if x)
-    data = list(res.a_dm.data)
+    data = dense(res.a_dm)
+    k = next(k for k, x in enumerate(data) if x)
     data[k] = float(data[k])
-    a_dm = Matrix(QQ, res.a_dm.rows, res.a_dm.cols, data)
+    a_dm = from_dense(QQ, res.a_dm.rows, res.a_dm.cols, data)
     check = verify(a, dataclasses.replace(res, a_dm=a_dm)).check("product")
     assert not check.passed and f"A_dm holds {data[k]!r}" in check.detail
 
 
 def test_verify_detects_non_admissible_transform(example, example_result):
     res = example_result
-    bad_e = Matrix.identity(GF(2), 6)
-    bad_e.data[5 * 6 + 0] = 1  # couples blocks 1 and 3
+    data = dense(Matrix.identity(GF(2), 6))
+    data[5 * 6 + 0] = 1  # couples blocks 1 and 3
+    bad_e = from_dense(GF(2), 6, 6, data)
     bad = dataclasses.replace(res, E=bad_e)
     report = verify(example, bad)
     assert not report.check("admissible").passed
@@ -831,16 +835,19 @@ def test_verify_detects_non_admissible_transform(example, example_result):
     a_dm = bad_e.transpose() @ example.matrix @ res.F
     report = verify(example, dataclasses.replace(bad, a_dm=a_dm))
     assert report.check("product").passed and not report.check("admissible").passed
-    a_dm.data[0] = 1 - a_dm.data[0]
+    data = dense(a_dm)
+    data[0] = 1 - data[0]
+    a_dm = from_dense(GF(2), 6, 6, data)
     assert not verify(example, dataclasses.replace(bad, a_dm=a_dm)).check("product").passed
 
 
 def test_admissible_reason_names_the_matrix(example, example_result):
     check = verify(example, dataclasses.replace(example_result, F=None)).check("admissible")
     assert not check.passed and check.detail == "F is not a Matrix"
-    zeroed = Matrix(GF(2), 6, 6, list(example_result.E.data))
-    for r in range(zeroed.rows):
-        zeroed.data[r * zeroed.cols + 2] = GF(2).zero_raw
+    data = dense(example_result.E)
+    for r in range(6):
+        data[r * 6 + 2] = GF(2).zero_raw
+    zeroed = from_dense(GF(2), 6, 6, data)
     check = verify(example, dataclasses.replace(example_result, E=zeroed)).check("admissible")
     assert not check.passed and check.detail == "E: column 2 is zero"
 
@@ -870,9 +877,9 @@ def test_staircase_rejects_a_float_zero_below_the_staircase():
         below = [row_ends[g] - 1 for g in range(1, len(blocks)) if blocks[g][0] and col_starts[g]]
         if below:
             break
-    data = list(res.a_dm.data)
+    data = dense(res.a_dm)
     data[below[0] * res.a_dm.cols] = 0.0
-    a_dm = Matrix(QQ, res.a_dm.rows, res.a_dm.cols, data)
+    a_dm = from_dense(QQ, res.a_dm.rows, res.a_dm.cols, data)
     report = verify(a, dataclasses.replace(res, a_dm=a_dm))
     reason = f"A_dm holds 0.0 at ({below[0]}, 0), not a value of QQ"
     for name in ("product", "staircase"):
@@ -880,27 +887,70 @@ def test_staircase_rejects_a_float_zero_below_the_staircase():
         assert not check.passed and check.detail == reason
 
 
+def _stored_as(indices, values):
+    """A 6x6 Matrix over GF(2) that stores ``indices`` and ``values`` as they are."""
+    mat = Matrix.zeros(GF(2), 6, 6)
+    mat.indices, mat.values = indices, values
+    return mat
+
+
+_EYE = [[i] for i in range(6)]
+
+# 6x6 matrices over GF(2) stored wrongly in one way each, with their reason
+MALFORMED_ROWS = {
+    "stored-zero": (_EYE, [[1]] * 5 + [[0]], "holds 0 at (5, 5), a stored zero"),
+    "unsorted": ([[1, 0], *_EYE[1:]], [[1, 1]] + [[1]] * 5, "indices do not ascend in row 0"),
+    "repeated": ([*_EYE[:2], [2, 2], *_EYE[3:]], [[1]] * 2 + [[1, 1]] + [[1]] * 3,
+                 "indices do not ascend in row 2"),
+    "past-cols": ([*_EYE[:3], [6], *_EYE[4:]], [[1]] * 6, "stores column index 6, not an int"),
+    "negative": ([*_EYE[:3], [-1], *_EYE[4:]], [[1]] * 6, "stores column index -1, not an int"),
+    "bool": ([[True], *_EYE[1:]], [[1]] * 6, "stores column index True, not an int"),
+    "str": ([["x"], *_EYE[1:]], [[1]] * 6, "stores column index 'x', not an int"),
+    "counts": (_EYE, [[1]] * 4 + [[1, 1], [1]], "row 4 has 1 column indices and 2 values"),
+    "five-rows": (_EYE[:5], [[1]] * 5, "does not store 6 rows"),
+    "tuple-row": ([*_EYE[:1], (1,), *_EYE[2:]], [[1]] * 6, "does not store 6 rows"),
+    "no-values": (_EYE, None, "does not store 6 rows"),
+    "float": (_EYE, [[1], [0.0]] + [[1]] * 4, "holds 0.0 at (1, 1), not a value of GF(2)"),
+    "two": (_EYE, [[2]] * 6, "holds 2 at (0, 0), not a value of GF(2)"),
+}
+
+
+_READERS = {"E": ("product", "admissible"), "F": ("product", "admissible"),
+            "a_dm": ("product", "staircase")}
+
+
+def _assert_one_reason(example, example_result, field, value, why=""):
+    """Every check that reads the result's ``field``, set to ``value``,
+    fails with one reason, which names the matrix and holds ``why``; the
+    other checks pass."""
+    report = verify(example, dataclasses.replace(example_result, **{field: value}))
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == list(_READERS[field]), (field, value)
+    reasons = {c.detail for c in failed}
+    assert len(reasons) == 1, (field, value, reasons)
+    reason = reasons.pop()
+    assert reason.startswith("A_dm" if field == "a_dm" else field) and why in reason, reason
+
+
 def test_a_malformed_matrix_has_one_reason_in_every_check(example, example_result):
-    readers = {"E": ("product", "admissible"), "F": ("product", "admissible"),
-               "a_dm": ("product", "staircase")}
     forms = [None, "x", Matrix.identity(GF(2), 5), Matrix.identity(GF(3), 6),
-             Matrix.zeros(GF(2), 6, 5), Matrix(GF(2), 6, 6, [2] * 36)]
-    # a 6x6 Matrix whose data is one entry short, three long, three short, None
-    for data in ([1] * 35, [1] * 39, [1] * 33, None):
-        forms.append(Matrix.identity(GF(2), 6))
-        forms[-1].data = data
-    for field, names in readers.items():
+             Matrix.zeros(GF(2), 6, 5)]
+    for field in _READERS:
         # the result's own matrix with a float shape: 6.0 equals 6, yet is not an int
         mat = getattr(example_result, field)
-        floats = [Matrix(mat.field, 6.0, mat.cols, mat.data),
-                  Matrix(mat.field, mat.rows, 6.0, mat.data)]
+        floats = [Matrix(mat.field, 6.0, mat.cols, mat.indices, mat.values),
+                  Matrix(mat.field, mat.rows, 6.0, mat.indices, mat.values)]
         for value in forms + floats:
-            report = verify(example, dataclasses.replace(example_result, **{field: value}))
-            failed = [c for c in report.checks if not c.passed]
-            assert [c.name for c in failed] == list(names), (field, value)
-            reasons = {c.detail for c in failed}
-            assert len(reasons) == 1, (field, value, reasons)
-            assert reasons.pop().startswith("A_dm" if field == "a_dm" else field)
+            _assert_one_reason(example, example_result, field, value)
+
+
+@pytest.mark.parametrize("name", MALFORMED_ROWS)
+def test_malformed_rows_have_one_reason_in_every_check(example, example_result, name):
+    # verify reads only the stored entries, and refuses each malformed row
+    # with its reason instead of raising
+    indices, values, why = MALFORMED_ROWS[name]
+    for field in _READERS:
+        _assert_one_reason(example, example_result, field, _stored_as(indices, values), why)
 
 
 @pytest.mark.parametrize("size", [6, 4, 0])
@@ -1031,22 +1081,23 @@ def test_each_block_is_read_once_per_matrix(monkeypatch):
     # the graph builder and the verifier share one factoring of A, and a
     # zero block is never factored
     calls = Counter()
-    factor = partmat.rank1_factor
+    factor = partmat.rank1_of
 
-    def counted(block):
-        calls[tuple(block.data), block.rows] += 1
-        return factor(block)
+    def counted(f, width, lo, idx, vals):
+        block = Matrix(f, len(idx), width, [[j - lo for j in js] for js in idx], list(vals))
+        calls[tuple(dense(block)), block.rows] += 1
+        return factor(f, width, lo, idx, vals)
 
-    monkeypatch.setattr(partmat, "rank1_factor", counted)
+    monkeypatch.setattr(partmat, "rank1_of", counted)
     rng = random.Random(58)
     zero_blocks = 0
     for a in (worked_example(), random_rank1_instance(rng, GF(3), 3, 4, zero_prob=0.5)):
         calls.clear()
         assert verify(a, dm_decompose(a)).passed
         blocks = [a.block(al, be) for al in range(a.mu) for be in range(a.nu)]
-        nonzero = [b for b in blocks if any(b.data)]
+        nonzero = [b for b in blocks if any(dense(b))]
         zero_blocks += len(blocks) - len(nonzero)
-        assert calls == Counter((tuple(b.data), b.rows) for b in nonzero)
+        assert calls == Counter((tuple(dense(b)), b.rows) for b in nonzero)
     assert zero_blocks
 
 
@@ -1139,17 +1190,18 @@ def _qq_result(seed):
 
 
 def _with_entry(res, k, value):
-    data = list(res.a_dm.data)
+    data = dense(res.a_dm)
     data[k] = value
-    return dataclasses.replace(res, a_dm=Matrix(QQ, res.a_dm.rows, res.a_dm.cols, data))
+    return dataclasses.replace(res, a_dm=from_dense(QQ, res.a_dm.rows, res.a_dm.cols, data))
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_qq_product_rejects_an_entry_off_by_a_tiny_fraction(seed):
     a, res = _qq_result(seed)
-    k = next(k for k, x in enumerate(res.a_dm.data) if x)
+    data = dense(res.a_dm)
+    k = next(k for k, x in enumerate(data) if x)
     for e in (1, 6, 40):
-        forged = _with_entry(res, k, res.a_dm.data[k] + Fraction(1, 10**e))
+        forged = _with_entry(res, k, data[k] + Fraction(1, 10**e))
         check = verify(a, forged).check("product")
         assert not check.passed and check.detail == "A_dm == E^T A F"
 
@@ -1158,7 +1210,7 @@ def test_qq_product_rejects_an_entry_off_by_a_tiny_fraction(seed):
 def test_qq_product_rejects_a_nonzero_entry_where_no_term_lands(seed):
     # E and F are admissible, so a zero entry of the product has no term
     a, res = _qq_result(seed)
-    zeros = [k for k, x in enumerate(res.a_dm.data) if not x]
+    zeros = [k for k, x in enumerate(dense(res.a_dm)) if not x]
     for k in (zeros[0], zeros[-1]):
         assert not verify(a, _with_entry(res, k, Fraction(-1, 10**30))).check("product").passed
 
@@ -1166,12 +1218,14 @@ def test_qq_product_rejects_a_nonzero_entry_where_no_term_lands(seed):
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_qq_product_passes_distinct_zero_objects(seed):
     a, res = _qq_result(seed)
-    zeros = [k for k, x in enumerate(res.a_dm.data) if not x]
+    # a distinct Fraction(0) given densely is a zero: it is not stored
+    zeros = [k for k, x in enumerate(dense(res.a_dm)) if not x]
     assert verify(a, _with_entry(res, zeros[0], Fraction(0))).passed
-    data = [Fraction(0) if not x else x for x in res.a_dm.data]
+    data = [Fraction(0) if not x else x for x in dense(res.a_dm)]
     assert all(x is not QQ.zero_raw for x in data if not x)
-    a_dm = Matrix(QQ, res.a_dm.rows, res.a_dm.cols, data)
-    assert verify(a, dataclasses.replace(res, a_dm=a_dm)).passed
+    a_dm = Matrix.from_rows(QQ, [data[i * res.a_dm.cols : (i + 1) * res.a_dm.cols]
+                                 for i in range(res.a_dm.rows)])
+    assert a_dm == res.a_dm and verify(a, dataclasses.replace(res, a_dm=a_dm)).passed
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(101), QQ], ids=["gf2", "gf101", "qq"])
@@ -1180,7 +1234,7 @@ def test_product_rejects_a_zero_where_a_term_lands_and_a_value_where_none_does(f
     for _ in range(10):
         a = random_rank1_instance(rng, field, 4, 4, max_dim=3, zero_prob=0.3)
         res = dm_decompose(a)
-        data = res.a_dm.data
+        data = dense(res.a_dm)
         assert res.a_dm == dense_product(res.E, a.matrix, res.F)
         for k, value in (
             (next(k for k, x in enumerate(data) if x), field.zero_raw),
@@ -1188,7 +1242,8 @@ def test_product_rejects_a_zero_where_a_term_lands_and_a_value_where_none_does(f
             (next(k for k, x in enumerate(data) if not x), field.one_raw),
         ):
             if value != data[k]:
-                forged = Matrix(field, res.a_dm.rows, res.a_dm.cols, [*data[:k], value, *data[k + 1:]])
+                entries = [*data[:k], value, *data[k + 1:]]
+                forged = from_dense(field, res.a_dm.rows, res.a_dm.cols, entries)
                 check = verify(a, dataclasses.replace(res, a_dm=forged)).check("product")
                 assert not check.passed and check.detail == "A_dm == E^T A F"
 
@@ -1203,7 +1258,7 @@ def test_qq_product_sums_the_terms_a_non_admissible_e_lands_on_one_entry():
         e = Matrix.from_rows(QQ, [[x, 0], [y, 1]])
         want = dense_product(e, a.matrix, res.F)
         total = Fraction(x) / 2 + Fraction(y) / 3
-        assert want.data[0] == total
+        assert dense(want)[0] == total
         forged = dataclasses.replace(res, E=e, a_dm=want)
         report = verify(a, forged)
         assert report.check("product").passed and not report.check("admissible").passed
@@ -1256,7 +1311,7 @@ def test_chain_bases_span_chain_elements():
             jk = m - dim_y
             # e_1 .. e_ik lie in X^k (e_i is column n - i of E)
             for i in range(1, ik + 1):
-                col = res.E.data[n - i :: n]
+                col = dense(res.E)[n - i :: n]
                 entry = res.assembly.h_entries[i - 1]
                 alpha = entry.block
                 seg = col[row_offs[alpha] : row_offs[alpha + 1]]
@@ -1269,7 +1324,7 @@ def test_chain_bases_span_chain_elements():
                 )
             # f_{jk+1} .. f_m lie in Y^k (f_j is column m - j of F)
             for j in range(jk + 1, m + 1):
-                col = res.F.data[m - j :: m]
+                col = dense(res.F)[m - j :: m]
                 entry = res.assembly.k_entries[j - 1]
                 beta = entry.block
                 seg = col[col_offs[beta] : col_offs[beta + 1]]
@@ -1310,11 +1365,11 @@ def _scaled_block_permutation(data, f, sizes) -> Matrix:
         scalar = st.integers(1, f.p - 1)
     offsets = [sum(sizes[:blk]) for blk in range(len(sizes))]
     n = sum(sizes)
-    m = Matrix.zeros(f, n, n)
+    entries = [f.zero_raw] * (n * n)
     for blk, size in enumerate(sizes):
         for k in range(size):
-            m.data[(offsets[blk] + k) * n + offsets[dest[blk]] + k] = data.draw(scalar)
-    return m
+            entries[(offsets[blk] + k) * n + offsets[dest[blk]] + k] = data.draw(scalar)
+    return from_dense(f, n, n, entries)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1336,7 +1391,7 @@ def test_canonical_form_invariance_hypothesis(field, rng, data):
     assert len(res2.poset.relations) == len(res.poset.relations)
     again = dm_decompose(twisted)
     assert again.state.matching == res2.state.matching
-    assert again.a_dm.data == res2.a_dm.data
+    assert dense(again.a_dm) == dense(res2.a_dm)
 
 
 def test_rational_pipeline():
@@ -1367,7 +1422,7 @@ def test_generic_rational_rank_with_retry():
                 if not any(v):
                     v[0] = Fraction(1)
                 c = Fraction(rng.randint(1, 10**6))
-                brow.append(Matrix(QQ, na, mb, [c * x * y for x in u for y in v]))
+                brow.append(from_dense(QQ, na, mb, [c * x * y for x in u for y in v]))
             blocks.append(brow)
         return from_blocks(blocks)
 

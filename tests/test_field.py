@@ -137,16 +137,18 @@ def test_parse_format_round_trip():
 
 
 def test_parse_row_equals_the_token_by_token_parse():
-    # parse_row converts only the tokens other than "0"; every other
-    # spelling of zero, and every value >= p, reads as parse reads it
+    # parse_row converts only the tokens other than "0" and keeps the values
+    # parse reads as nonzero, with their columns; every other spelling of
+    # zero, and every multiple of p, is left out as parse reads it zero
     rng = random.Random(30)
     tokens = ["0", "00", "-0", "+0", "-3", "1", "2", "100", "101", "102", "205", "-101", "+7"]
     for f in (GF(2), GF(101), QQ):
         for _ in range(60):
             row = [rng.choice(tokens) if rng.random() < 0.4 else "0" for _ in range(rng.randint(1, 30))]
-            parsed = f.parse_row(row)
-            assert parsed == [f.parse(t) for t in row]
-            assert f.carries(parsed)
+            idx, vals = f.parse_row(row)
+            want = [(j, x) for j, t in enumerate(row) if (x := f.parse(t))]
+            assert list(zip(idx, vals)) == want and len(idx) == len(vals)
+            assert f.carries(vals) and all(vals)
         # a bad token in a late column of a sparse row is still named
         header = "field rationals" if f == QQ else f"field gf {f.p}"
         for bad in ("x", "0x", "1_0", "1e3", "\u0663"):

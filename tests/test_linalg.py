@@ -5,7 +5,8 @@ from math import gcd
 from hypothesis import given, strategies as st
 
 from gen import (
-    EXAMPLE_ROWS, Arith, colex_key, kernel_basis, reference_rank1_factor, reference_rref,
+    EXAMPLE_ROWS, Arith, colex_key, dense, from_dense, kernel_basis, reference_rank1_factor,
+    reference_rref,
 )
 
 from rank1dm import GF, QQ, HyperplaneVertex, Matrix
@@ -14,15 +15,17 @@ from rank1dm.linalg import rank1_factor, rref, span_supports
 
 def is_upper_triangular(m: Matrix) -> bool:
     z = m.field.zero_raw
-    return all(m.raw(i, j) == z for i in range(m.rows) for j in range(min(i, m.cols)))
+    return all(m.row_raw(i)[j] == z for i in range(m.rows) for j in range(min(i, m.cols)))
+
+
+def _random_data(rng, field, n, m):
+    if field is QQ:
+        return [Fraction(rng.randint(-4, 4)) for _ in range(n * m)]
+    return [rng.randrange(field.p) for _ in range(n * m)]
 
 
 def _random_matrix(rng, field, n, m):
-    if field is QQ:
-        data = [Fraction(rng.randint(-4, 4)) for _ in range(n * m)]
-    else:
-        data = [rng.randrange(field.p) for _ in range(n * m)]
-    return Matrix(field, n, m, data)
+    return from_dense(field, n, m, _random_data(rng, field, n, m))
 
 
 def test_matmul_matches_definition():
@@ -32,21 +35,22 @@ def test_matmul_matches_definition():
     for field in (GF(2), GF(101), QQ):
         ar = Arith(field)
         for n, k, m in shapes:
-            a, b = _random_matrix(rng, field, n, k), _random_matrix(rng, field, k, m)
-            for mat in (a, b):  # at least half zeros
-                for pos in rng.sample(range(len(mat.data)), (len(mat.data) + 1) // 2):
-                    mat.data[pos] = field.zero_raw
+            a, b = _random_data(rng, field, n, k), _random_data(rng, field, k, m)
+            for data in (a, b):  # at least half zeros
+                for pos in rng.sample(range(len(data)), (len(data) + 1) // 2):
+                    data[pos] = field.zero_raw
             if n:  # and an all-zero row
                 i = rng.randrange(n)
-                a.data[i * k : (i + 1) * k] = [field.zero_raw] * k
+                a[i * k : (i + 1) * k] = [field.zero_raw] * k
             want = []
             for i in range(n):
                 for j in range(m):
                     entry = field.zero_raw
                     for t in range(k):
-                        entry = ar.add(entry, ar.mul(a.raw(i, t), b.raw(t, j)))
+                        entry = ar.add(entry, ar.mul(a[i * k + t], b[t * m + j]))
                     want.append(entry)
-            assert a @ b == Matrix(field, n, m, want)
+            product = from_dense(field, n, k, a) @ from_dense(field, k, m, b)
+            assert product == from_dense(field, n, m, want)
 
 
 def test_rref_identity():
@@ -94,7 +98,7 @@ def test_rank_equals_rank_of_transpose():
 )
 def test_rref_properties_gf2(n, m, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=n * m, max_size=n * m))
-    mat = Matrix(GF(2), n, m, bits)
+    mat = from_dense(GF(2), n, m, bits)
     r = rref(mat)
     assert r.rank == rref(mat.transpose()).rank
     assert rref(r.R).R == r.R
@@ -107,7 +111,7 @@ def _assert_rref_is_reference(mat):
     if mat.field is QQ:  # canonical carriers, built for the result only
         assert all(
             type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
-            for x in got.R.data
+            for x in dense(got.R)
         )
 
 
@@ -125,15 +129,17 @@ def test_rref_matches_the_reference():
         ar = Arith(field)
         for n, m in shapes:
             draw = (lambda: _rational_entry(rng)) if field is QQ else (lambda: rng.randrange(field.p))
-            mat = Matrix(field, n, m, [draw() for _ in range(n * m)])
+            data = [draw() for _ in range(n * m)]
+            mat = from_dense(field, n, m, data)
             _assert_rref_is_reference(Matrix.zeros(field, n, m))
             _assert_rref_is_reference(mat)
             if n and m:  # a zero column, a zero row, and a dependent row
                 zero_col = rng.randrange(m)
                 for i in range(n):
-                    mat.data[i * m + zero_col] = field.zero_raw
+                    data[i * m + zero_col] = field.zero_raw
                 i = rng.randrange(n)
-                mat.data[i * m : (i + 1) * m] = [field.zero_raw] * m
+                data[i * m : (i + 1) * m] = [field.zero_raw] * m
+                mat = from_dense(field, n, m, data)
                 _assert_rref_is_reference(mat)
                 rows = [mat.row_raw(i) for i in range(n)]
                 c = field.coerce_raw(rng.randint(-5, 5))
@@ -168,7 +174,7 @@ def test_rref_matches_the_reference_hypothesis(field, n, m, data):
     else:
         entry = st.integers(0, field.p - 1)
     values = data.draw(st.lists(entry, min_size=n * m, max_size=n * m))
-    _assert_rref_is_reference(Matrix(field, n, m, values))
+    _assert_rref_is_reference(from_dense(field, n, m, values))
 
 
 def test_kernel_identity_empty():
@@ -236,7 +242,7 @@ def test_rank1_factor_reconstruction_and_monic():
             v = [field.coerce_raw(rng.randint(-2, 2)) for _ in range(m)]
             c = field.coerce_raw(rng.randint(1, 4))
             data = [ar.mul(c, ar.mul(ux, vx)) for ux in u for vx in v]
-            mat = Matrix(field, n, m, data)
+            mat = from_dense(field, n, m, data)
             fac = rank1_factor(mat)
             if fac.rank == 0:
                 assert mat == Matrix.zeros(field, n, m)
@@ -244,7 +250,7 @@ def test_rank1_factor_reconstruction_and_monic():
             assert fac.rank == 1
             for monic in (fac.u, fac.v):
                 assert next(x for x in monic if x != field.zero_raw) == field.one_raw
-            rebuilt = Matrix(
+            rebuilt = from_dense(
                 field,
                 n,
                 m,
@@ -277,7 +283,7 @@ def _random_block(rng, field, n, m):
     if rng.random() < 0.4:  # one entry off: rank 2, unless the new value fits
         k = rng.randrange(n * m)
         data[k] = ar.add(data[k], draw(True))
-    return Matrix(field, n, m, data)
+    return from_dense(field, n, m, data)
 
 
 def test_rank1_factor_matches_the_reference():
@@ -307,10 +313,10 @@ def test_span_coordinates_against_ranks():
             dim = rng.randint(1, 4)
 
             def draw():
-                return tuple(_random_matrix(rng, field, 1, dim).data)
+                return tuple(_random_data(rng, field, 1, dim))
 
             def rank_of(vecs):
-                return rref(Matrix(field, len(vecs), dim, [x for v in vecs for x in v])).rank
+                return rref(from_dense(field, len(vecs), dim, [x for v in vecs for x in v])).rank
 
             def combination(vecs):
                 combo = [field.zero_raw] * dim
@@ -336,10 +342,11 @@ def test_span_coordinates_against_ranks():
                     continue
                 inside += 1
                 vecs = basis + [cand]
-                red = reference_rref(Matrix(field, dim, b + 1, [v[r] for r in range(dim) for v in vecs]))
+                stacked = [v[r] for r in range(dim) for v in vecs]
+                red = reference_rref(from_dense(field, dim, b + 1, stacked))
                 coords = [field.zero_raw] * b
                 for r, pc in enumerate(red.pivots):
-                    coords[pc] = red.R.raw(r, b)
+                    coords[pc] = red.R.row_raw(r)[b]
                 rebuilt = (field.zero_raw,) * dim
                 for c, v in zip(coords, basis):
                     rebuilt = tuple(ar.add(x, ar.mul(c, y)) for x, y in zip(rebuilt, v))
@@ -359,7 +366,7 @@ def test_triangularizing_accepts_other_valid_transforms():
 
 def test_empty_matrix_edge_cases():
     f = GF(2)
-    empty = Matrix(f, 0, 3, [])
+    empty = from_dense(f, 0, 3, [])
     assert rref(empty).rank == 0
     assert kernel_basis(empty) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 

@@ -8,6 +8,8 @@ import pytest
 from gen import (
     classic_dm_check,
     contains,
+    dense,
+    from_dense,
     echelon,
     gaussian_binomial,
     is_stable,
@@ -51,7 +53,7 @@ def _basis_columns(f, bases, dims) -> Matrix:
             if len(x) != dim:
                 raise ValueError("a basis vector has the wrong length")
             cols.append([f.zero_raw] * lo + x + [f.zero_raw] * (n - lo - dim))
-    return Matrix(f, n, len(cols), [c[r] for r in range(n) for c in cols])
+    return from_dense(f, n, len(cols), [c[r] for r in range(n) for c in cols])
 
 
 def factored_stable(a, x_bases, y_bases):
@@ -59,7 +61,7 @@ def factored_stable(a, x_bases, y_bases):
     ``PartitionedMatrix.transform`` vanishes, X and Y holding the bases."""
     x = _basis_columns(a.field, x_bases, a.row_blocks)
     y = _basis_columns(a.field, y_bases, a.col_blocks)
-    return not any(a.transform(x, y).data)
+    return not any(dense(a.transform(x, y)))
 
 
 # the reference from the definition and a test read off A's factors
@@ -302,7 +304,7 @@ def _y_perp_dim(a: PartitionedMatrix, ys) -> int:
                     ]
                 )
         if rows:
-            m = Matrix(f, len(rows), na, [x for r in rows for x in r])
+            m = from_dense(f, len(rows), na, [x for r in rows for x in r])
             total += len(kernel_basis(m))
         else:
             total += na
@@ -357,11 +359,11 @@ def test_minimum_covers_map_onto_maximizers():
             xs, ys = [], []
             for alpha, dim in enumerate(a.row_blocks):
                 normals = [g.pi[i].normal for i in sorted(h) if g.pi[i].block == alpha]
-                mat = Matrix(f, len(normals), dim, [x for r in normals for x in r])
+                mat = from_dense(f, len(normals), dim, [x for r in normals for x in r])
                 xs.append([list(v) for v in kernel_basis(mat)])
             for beta, dim in enumerate(a.col_blocks):
                 normals = [g.sigma[j].normal for j in sorted(k) if g.sigma[j].block == beta]
-                mat = Matrix(f, len(normals), dim, [x for r in normals for x in r])
+                mat = from_dense(f, len(normals), dim, [x for r in normals for x in r])
                 ys.append([list(v) for v in kernel_basis(mat)])
             return subspace_pair_canonical(f, a, xs, ys)
 
@@ -391,10 +393,7 @@ def test_classic_dm_long_augmenting_path():
     # last augmentation walks back along the whole diagonal, deeper than
     # Python's recursion limit
     n = 1500
-    mat = Matrix.zeros(GF(2), n, n)
-    for i in range(n):
-        mat.data[i * n + i] = 1
-        mat.data[i * n + (i + 1) % n] = 1
+    mat = Matrix(GF(2), n, n, [sorted({i, (i + 1) % n}) for i in range(n)], [[1, 1]] * n)
     assert classic_dm_check(PartitionedMatrix(mat, (1,) * n, (1,) * n)) == (n, n)
 
 
@@ -428,7 +427,7 @@ def test_matching_sizes_agree_with_networkx_at_scale():
             (("r", i), ("c", j))
             for i in range(n)
             for j in range(n)
-            if a.matrix.raw(i, j)
+            if a.matrix.row_raw(i)[j]
         )
         hopcroft_karp = nx.bipartite.hopcroft_karp_matching(graph, [("r", i) for i in range(n)])
         size = max_independent_matching(build_stability_graph(a)).size
@@ -451,7 +450,7 @@ def test_fine_decomposition_agrees_with_networkx_at_scale(n, m, degree, seed):
     graph = nx.Graph()
     graph.add_nodes_from(rows + cols)
     graph.add_edges_from(
-        (("r", i), ("c", j)) for i in range(n) for j in range(m) if a.matrix.raw(i, j)
+        (("r", i), ("c", j)) for i in range(n) for j in range(m) if a.matrix.row_raw(i)[j]
     )
     mate = nx.bipartite.hopcroft_karp_matching(graph, rows)
     alternating = nx.DiGraph(graph.edges(rows))
@@ -556,10 +555,10 @@ def test_rational_rref_agrees_with_sympy():
         red = rref(mat)
         want, pivots = DomainMatrix.from_list(rows, sympy.QQ).rref()
         assert red.rank == rank and red.pivots == list(pivots)
-        assert red.R.data == [
+        assert dense(red.R) == [
             Fraction(int(x.numerator), int(x.denominator)) for row in want.to_list() for x in row
         ]
-        assert all(type(x) is Fraction for x in red.R.data)
+        assert all(type(x) is Fraction for x in dense(red.R))
 
 
 def test_brute_force_dims_against_exhaustive_product():

@@ -4,8 +4,12 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gen import Arith, colex_key, from_blocks, monic_directions, random_rank1_instance
+from gen import (
+    Arith, colex_key, dense, dense_product, from_blocks, from_dense, monic_directions,
+    random_admissible_pair, random_rank1_instance,
+)
 
 from rank1dm import (
     GF,
@@ -15,6 +19,7 @@ from rank1dm import (
     RankConditionViolated,
     build_stability_graph,
 )
+from rank1dm.decompose import _form_problem
 from rank1dm.linalg import rank1_factor
 from rank1dm.partmat import HyperplaneVertex, column_parts, vertex_label
 
@@ -167,10 +172,32 @@ def test_transform_equals_the_dense_product(field):
         assert a.transform(e, f) == e.transpose() @ a.matrix @ f
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([GF(2), GF(101), QQ]), st.randoms(use_true_random=False), st.booleans())
+def test_stored_rows_agree_with_the_dense_view(field, rng, admissible):
+    # the dense view round-trips from_rows, and transform, transpose and
+    # the product all equal the reference dense product, each result well
+    # formed: ascending int indices in range and no stored zero
+    a = random_rank1_instance(rng, field, rng.randint(1, 4), rng.randint(1, 4), max_dim=3)
+    n, m = a.matrix.rows, a.matrix.cols
+    if admissible:
+        e, f = random_admissible_pair(rng, a)
+    else:
+        e, f = _random_square(rng, field, n), _random_square(rng, field, m)
+    for mat in (a.matrix, e, f):
+        rows = [dense(mat)[i * mat.cols : (i + 1) * mat.cols] for i in range(mat.rows)]
+        assert Matrix.from_rows(field, rows) == mat
+        assert dense(mat.transpose()) == [x for col in zip(*rows) for x in col]
+    want = dense_product(e, a.matrix, f)
+    for got in (a.transform(e, f), e.transpose() @ a.matrix @ f):
+        assert got == want and dense(got) == dense(want)
+        assert _form_problem("got", got, n, m, field) == ""
+
+
 def _naive_column_parts(mat, offsets):
     parts = []
     for lo, hi in zip(offsets, offsets[1:]):
-        cols = [(j, [mat.raw(i, j) for i in range(lo, hi)]) for j in range(mat.cols)]
+        cols = [(j, [mat.row_raw(i)[j] for i in range(lo, hi)]) for j in range(mat.cols)]
         parts.append([(j, col) for j, col in cols if any(x != mat.field.zero_raw for x in col)])
     return parts
 
@@ -187,7 +214,7 @@ def test_column_parts_matches_its_definition(field):
             field.coerce_raw(rng.randint(1, 9)) if rng.random() < density else field.zero_raw
             for _ in range(rows * cols)
         ]
-        mat = Matrix(field, rows, cols, data)
+        mat = from_dense(field, rows, cols, data)
         assert column_parts(mat, offsets) == _naive_column_parts(mat, offsets)
 
 
@@ -288,7 +315,7 @@ def _pooled_rank1_instance(rng, field, mu, nu):
             v = rng.choice(vs[beta])
             c = 0 if rng.random() < 0.2 else 1
             data = [ar.mul(c, ar.mul(x, y)) for x in u for y in v]
-            blocks[-1].append(Matrix(field, na, mb, [field.coerce_raw(x) for x in data]))
+            blocks[-1].append(from_dense(field, na, mb, [field.coerce_raw(x) for x in data]))
     return from_blocks(blocks)
 
 
@@ -328,7 +355,7 @@ def test_edge_reconstruction_invariant():
             alpha, beta = g.pi[e.pi].block, g.sigma[e.sigma].block
             block = a.block(alpha, beta)
             coeff = a.factors[alpha, beta].coeff
-            rebuilt = Matrix(
+            rebuilt = from_dense(
                 field,
                 block.rows,
                 block.cols,
@@ -355,7 +382,7 @@ def test_rescaling_blocks_keeps_graph():
             for beta in range(a.nu):
                 c = rng.randrange(1, field.p)
                 b = a.block(alpha, beta)
-                brow.append(Matrix(field, b.rows, b.cols, [ar.mul(c, x) for x in b.data]))
+                brow.append(from_dense(field, b.rows, b.cols, [ar.mul(c, x) for x in dense(b)]))
             blocks.append(brow)
         g2 = build_stability_graph(from_blocks(blocks))
         assert g1.pi == g2.pi and g1.sigma == g2.sigma and g1.edges == g2.edges
