@@ -503,19 +503,18 @@ def _admissibility_problem(name: str, parts, blocks: tuple[int, ...], f: Field) 
     """Why the matrix ``name``, sliced into ``parts`` by ``column_parts`` on
     the partition ``blocks``, is not blockdiag(nonsingular) times a
     permutation, or "": each column lies inside one block, each block holds
-    as many columns as its size, and their square submatrix is nonsingular."""
-    hits = Counter(col for part in parts for col, _ in part)
+    as many columns as its size, and their ints' square submatrix is nonsingular."""
+    hits = Counter(col for _, part in parts for col, _ in part)
     for col in range(sum(blocks)):
         if col not in hits:
             return f"{name}: column {col} is zero"
         if hits[col] > 1:
             return f"{name}: column {col} crosses block boundaries"
-    for blk, part in enumerate(parts):
+    for blk, (_, part) in enumerate(parts):
         if len(part) != blocks[blk]:
             return f"{name}: block {blk} has {len(part)} columns, wants {blocks[blk]}"
         # the square submatrix's transpose on ints: one row per column of the block
-        rows = f.cleared([x for _, x in part])[1]
-        if len(_gauss_jordan(rows, blocks[blk], f.p)) != blocks[blk]:
+        if len(_gauss_jordan([x for _, x in part], blocks[blk], f.p)) != blocks[blk]:
             return f"{name}: block {blk} columns are singular"
     return ""
 
@@ -636,7 +635,7 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     e_form = _form_problem("E", result.E, n, n, a.field)
     f_form = _form_problem("F", result.F, m, m, a.field)
     a_dm_form = _form_problem("A_dm", result.a_dm, n, m, a.field)
-    # each of E and F is sliced into column parts once, for product and admissible
+    # each of E and F is sliced into int column parts once, for product and admissible
     e_parts = None if e_form else column_parts(result.E, a.row_offsets)
     f_parts = None if f_form else column_parts(result.F, a.col_offsets)
     rank = ""

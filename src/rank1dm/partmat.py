@@ -4,12 +4,13 @@ A partitioned matrix is a matrix, stored by its nonzeros, together with row
 and column block sizes.  What depends on A alone is derived once per matrix, for
 ``dm_decompose`` and ``verify`` alike: each nonzero block's factorization
 coeff * u^T v with monic u and v (a block of rank >= 2 breaks the rank-1
-condition, which factoring reports), QQ factors on ints, and the frozen
-stability graph, which derives its nodes' matroid inputs once.  A vector is
-a tuple of raw values of the field its container records.  The u's become
-hyperplane vertices on the row side (one vertex per distinct kernel of a
-block transpose, per block row) and the v's on the column side.  Each
-rank-1 block contributes one edge joining its pair of vertices.
+condition, which factoring reports), the factors on ints, and the frozen
+stability graph, which derives its nodes' matroid inputs once.  E's and F's
+column parts have one int form, cleared once per call.  A vector is a tuple
+of raw values of the field its container records.  The u's become hyperplane
+vertices on the row side (one vertex per distinct kernel of a block
+transpose, per block row) and the v's on the column side.  Each rank-1 block
+contributes one edge joining its pair of vertices.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import accumulate, pairwise, product
 from operator import mul
 from typing import NamedTuple
 
-from .field import QQ, Field
+from .field import Field
 from .linalg import Matrix, Rank1Factor, rank1_of
 
 
@@ -106,11 +107,11 @@ class PartitionedMatrix:
 
     @cached_property
     def _factor_ints(self) -> dict[tuple[int, int], tuple[int, int, tuple, tuple]]:
-        """Each rational factor c u^T v as (n, d, u', v'), n/d u'^T v' = c u^T v,
-        u and v cleared over one denominator: int tuples, which the GC stops tracking."""
+        """Each factor c u^T v as (n, d, u', v'), n/d u'^T v' = c u^T v, u and v
+        cleared by ``field.cleared`` (d = 1 over GF(p)): int tuples, untracked by the GC."""
         return {key: (fac.coeff.numerator, fac.coeff.denominator * duv * duv, tuple(u), tuple(v))
                 for key, fac in self.factors.items()
-                for duv, (u, v) in [QQ.cleared([fac.u, fac.v])]}
+                for duv, (u, v) in [self.field.cleared([fac.u, fac.v])]}
 
     @cached_property
     def graph(self) -> StabilityGraph:
@@ -150,45 +151,34 @@ class PartitionedMatrix:
         return self.matrix.submatrix(ro[alpha], ro[alpha + 1], co[beta], co[beta + 1])
 
 
-def column_parts(mat: Matrix, offsets: tuple[int, ...]) -> list[list[tuple[int, list]]]:
-    """Per block of ``offsets``, each column of ``mat`` that is nonzero in
-    it, as (column index, its entries in the block), read off the stored
-    entries of the block's rows."""
-    zero, parts = mat.field.zero_raw, []
+def column_parts(mat: Matrix, offsets: tuple[int, ...]) -> list[tuple[int, list]]:
+    """Per block of ``offsets``, (d, cols): each column of ``mat`` nonzero in
+    it as (column index, d times its entries in the block), read off the block
+    rows' stored entries and cleared once by ``field.cleared`` (d = 1 over GF(p))."""
+    cleared, parts = mat.field.cleared, []
     for lo, hi in pairwise(offsets):
         cols: dict[int, list] = {}
         for r, (idx, vals) in enumerate(zip(mat.indices[lo:hi], mat.values[lo:hi])):
             for j, x in zip(idx, vals):
                 if j not in cols:
-                    cols[j] = [zero] * (hi - lo)
+                    cols[j] = [0] * (hi - lo)
                 cols[j][r] = x
-        parts.append(sorted(cols.items()))
+        d, ints = cleared(list(cols.values()))
+        parts.append((d, sorted(zip(cols, ints))))
     return parts
-
-
-def _cleared_parts(field: Field, parts) -> list[tuple[int, list]]:
-    """Each column part as (d, its columns on ints times d); over GF(p), (1, it)."""
-    if field.p:
-        return [(1, part) for part in parts]
-    cleared = [QQ.cleared([x for _, x in part]) for part in parts]
-    return [(d, list(zip((j for j, _ in part), xs))) for part, (d, xs) in zip(parts, cleared)]
 
 
 def _terms(a: PartitionedMatrix, e_parts, f_parts):
     """The terms of E^T A F by result row, as (i, s, d, qs): s q / d adds to
-    entry (i, j) for each (j, q) in qs, given E's column parts on A's row
+    entry (i, j) for each (j, q) in qs, given E's ``column_parts`` on A's row
     offsets and F's on its column offsets.  Block (alpha, beta) = c u^T v
     gives the outer product of s_i = c (u . rows alpha of E's column i) and
-    q_j = v . rows beta of F's column j, on ints over one denominator; over
-    GF(p) d is 1, s unreduced."""
+    q_j = v . rows beta of F's column j, on the parts' and factors' ints
+    over one denominator; over GF(p) d is 1, s unreduced."""
     fld = a.field
     dot = fld.dot if fld.p else lambda xs, ys: sum(map(mul, xs, ys))
-    e_ints, f_ints = _cleared_parts(fld, e_parts), _cleared_parts(fld, f_parts)
-    # GF(p) factors are ints already, so nothing is cleared or kept for them
-    factors = a._factor_ints.items() if not fld.p else (
-        (key, (f.coeff, 1, f.u, f.v)) for key, f in a.factors.items())
-    for (alpha, beta), (c, d, u, v) in factors:
-        (dx, xs), (dy, ys) = e_ints[alpha], f_ints[beta]
+    for (alpha, beta), (c, d, u, v) in a._factor_ints.items():
+        (dx, xs), (dy, ys) = e_parts[alpha], f_parts[beta]
         d *= dx * dy
         if qs := [(j, q) for j, y in ys if (q := dot(v, y))]:
             for i, x in xs:

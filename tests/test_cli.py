@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from gen import dense, random_rank1_instance, worked_example
 
+import rank1dm.cli
 from rank1dm import GF, QQ, Matrix, dm_decompose, verify
 from rank1dm.cli import (
     EXIT_OK,
     EXIT_ORACLE_BOUNDS,
     EXIT_RANK,
     EXIT_USAGE,
+    EXIT_VERIFY,
     InputFormatError,
     _matrix_lines,
     document_to_matrix,
@@ -21,6 +23,7 @@ from rank1dm.cli import (
     serialize_input,
     write_dot,
 )
+from rank1dm.decompose import CheckResult, VerificationReport
 
 EXAMPLE_TEXT = """\
 # worked example over GF(2)
@@ -96,6 +99,10 @@ def test_parse_errors_are_specific():
         parse_input("field gf 2\nrow_blocks 1\ncol_blocks 1 1\nentries\n1\n")
     with pytest.raises(InputFormatError, match="unknown key"):
         parse_input("field gf 2\nshape 1\n")
+    with pytest.raises(InputFormatError, match="^line 1: field must be 'gf <p>' or 'rationals'$"):
+        parse_input("field real\nrow_blocks 1\ncol_blocks 1\nentries\n1\n")
+    with pytest.raises(InputFormatError, match="^line 2: row_blocks wants positive integers$"):
+        parse_input("field gf 2\nrow_blocks 2 0\ncol_blocks 2\nentries\n1 0\n0 1\n")
     with pytest.raises(InputFormatError, match="not a rational"):
         parse_input("field rationals\nrow_blocks 1\ncol_blocks 1\nentries\nx\n")
     with pytest.raises(InputFormatError, match="column 2"):
@@ -211,6 +218,22 @@ def test_decompose_verify_and_oracle(example_file, capsys):
     assert code == EXIT_OK
     assert "verification" in out and "fail" not in out
     assert "oracle v_star 7 agrees" in out
+
+
+def test_failed_verification_exits_4_with_the_report_on_stderr(example_file, monkeypatch, capsys):
+    report = VerificationReport([CheckResult("product", False, "forged")])
+    monkeypatch.setattr(rank1dm.cli, "verify", lambda a, result: report)
+    assert main(["decompose", example_file, "--verify"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.err == "FAIL product: forged\n"
+    assert "verification product=fail" in captured.out
+
+
+def test_oracle_disagreement_exits_4(example_file, monkeypatch, capsys):
+    monkeypatch.setattr(rank1dm.cli, "brute_force_max_stable", lambda a: (6, []))
+    assert main(["decompose", example_file, "--oracle"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out.endswith("\noracle v_star 6 DISAGREES\n") and captured.err == ""
 
 
 def test_rank_violation_exit(tmp_path):
@@ -349,6 +372,14 @@ digraph auxiliary {
 
 def test_dot_text_of_the_worked_example():
     assert write_dot(dm_decompose(parse_input(EXAMPLE_TEXT))) == EXAMPLE_DOT
+
+
+def test_dot_tags_a_sink_in_cinf():
+    # one row block of dimension 1 holds one matched edge of two: the other
+    # column-side vertex is an unmatched sink, and all three lie in Cinf
+    result = dm_decompose(parse_input("field gf 2\nrow_blocks 1\ncol_blocks 1 1\nentries\n1 1\n"))
+    stability = write_dot(result).split("}\n")[0]
+    assert re.findall(r'label="([^"]*)"', stability) == ["1a [Cinf]", "1'a [Cinf]", "2'a [T,Cinf]"]
 
 
 def test_graph_command(example_file, tmp_path):

@@ -557,6 +557,29 @@ def test_verify_rejects_negative_block_size(example, example_result):
     assert "negative size" in report.check("staircase").detail
 
 
+def test_verify_rejects_diagonal_blocks_that_do_not_tile(example, example_result):
+    # D_inf one row taller: every block is well formed, yet they cover 7 rows
+    assert example_result.diag_blocks[0] == (0, 1)
+    blocks = [(1, 1), *example_result.diag_blocks[1:]]
+    check = verify(example, dataclasses.replace(example_result, diag_blocks=blocks))
+    assert check.check("staircase").detail == "diagonal block sizes do not tile the matrix"
+
+
+def test_verify_rejects_a_matching_that_is_not_maximum(example, example_result):
+    # a witness one edge short leaves an augmenting path: some vertex is
+    # reachable from a source and reaches a sink, so C0 and Cinf meet
+    matching = example_result.state.matching
+    for edge in sorted(matching):
+        state = IndependentMatchingState(example_result.graph, matching - {edge})
+        report = verify(example, dataclasses.replace(example_result, state=state))
+        check = report.check("chain")
+        assert not check.passed
+        assert check.detail == "C0 and Cinf intersect: the matching is not maximum"
+        assert not report.check("duality").passed
+    with pytest.raises(ValueError, match="C0 and Cinf intersect"):
+        scc_poset(state, *reachability_sets(state))
+
+
 def test_verify_checks_chain_dims(example, example_result):
     bad = dataclasses.replace(example_result, chain_dims=[(9, 9)])
     check = verify(example, bad).check("chain")
@@ -682,7 +705,7 @@ def _rebased(basis_of):
     that block's basis, by ``basis_of(basis)``."""
     def forge(mat, offsets):
         data = dense(mat)
-        for lo, part in zip(offsets, column_parts(mat, offsets)):
+        for lo, (_, part) in zip(offsets, column_parts(mat, offsets)):
             for (col, _), v in zip(part, basis_of(tuple(tuple(x) for _, x in part))):
                 for r, x in enumerate(v):
                     data[(lo + r) * mat.cols + col] = x
@@ -690,19 +713,32 @@ def _rebased(basis_of):
     return forge
 
 
+def _moved_into_block_0(mat, offsets):
+    """A forgery that moves the last column of block 1 into the first row of
+    block 0, leaving block 0 one column too many."""
+    data = dense(mat)
+    col = column_parts(mat, offsets)[1][1][-1][0]
+    for r in range(offsets[1], offsets[2]):
+        data[r * mat.cols + col] = mat.field.zero_raw
+    data[offsets[0] * mat.cols + col] = mat.field.one_raw
+    return from_dense(mat.field, mat.rows, mat.cols, data)
+
+
 @pytest.mark.parametrize(
     "forge, check, reason",
     [
         (_rebased(lambda b: tuple((0,) * len(v) for v in b)), "admissible", "is zero"),
         (_rebased(lambda b: b[:1] * len(b)), "admissible", "columns are singular"),
+        (_moved_into_block_0, "admissible", "E: block 0 has 3 columns, wants 2"),
         # E's and F's entries, all 0 or 1, read over GF(3)
         (lambda mat, _: from_dense(GF(3), mat.rows, mat.cols, dense(mat)), "product", "over GF(3)"),
     ],
-    ids=["zero-vectors", "repeated-vector", "gf3-vectors"],
+    ids=["zero-vectors", "repeated-vector", "moved-column", "gf3-vectors"],
 )
 def test_verify_rejects_a_forged_chain(example, example_result, forge, check, reason):
     # the chain is E's and F's column filtration, so each forgery rebases
-    # E's and F's columns block by block, or reads them over another field
+    # E's and F's columns block by block, moves one across blocks, or reads
+    # them over another field
     res = example_result
     forged = dataclasses.replace(
         res, E=forge(res.E, example.row_offsets), F=forge(res.F, example.col_offsets)
@@ -1115,6 +1151,30 @@ def test_each_rational_factor_is_cleared_once_per_matrix(monkeypatch):
 
     monkeypatch.setattr(type(QQ), "cleared", counted)
     assert verify(a, dm_decompose(a)).passed
+    assert calls == want
+
+
+def test_each_column_part_is_cleared_once_per_verify(monkeypatch):
+    # the product check and the admissibility check read one int form of
+    # each block of E's and F's columns
+    a = random_rank1_instance(random.Random(84), QQ, 4, 4, max_dim=3)
+    res = dm_decompose(a)
+    want = Counter()
+    for mat, offsets in ((res.E, a.row_offsets), (res.F, a.col_offsets)):
+        rows = [mat.row_raw(i) for i in range(mat.rows)]
+        for lo, hi in zip(offsets, offsets[1:]):
+            cols = [tuple(row[j] for row in rows[lo:hi]) for j in range(mat.cols)]
+            want[tuple(col for col in cols if any(col))] += 1
+    calls = Counter()
+    cleared = type(QQ).cleared
+
+    def counted(self, vecs):
+        if (key := tuple(map(tuple, vecs))) in want:
+            calls[key] += 1
+        return cleared(self, vecs)
+
+    monkeypatch.setattr(type(QQ), "cleared", counted)
+    assert verify(a, res).passed
     assert calls == want
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -110,6 +111,17 @@ def test_nonprime_modulus_rejected():
     for bad in (0, 1, 4, 6, 9, 561, 2**31):
         with pytest.raises(ValueError):
             GF(bad)
+
+
+def test_non_integer_modulus_and_foreign_values_rejected():
+    with pytest.raises(TypeError, match="^modulus must be an integer$"):
+        GF(2.0)
+    for value in (1.5, 2.0, "3", None):
+        shown = re.escape(repr(value))
+        with pytest.raises(TypeError, match=f"^cannot interpret {shown} in GF\\(5\\)$"):
+            GF(5).canon(value)
+        with pytest.raises(TypeError, match=f"^cannot interpret {shown} as a rational$"):
+            QQ.canon(value)
 
 
 def test_is_prime():

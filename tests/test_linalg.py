@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 
 from gen import (
@@ -362,6 +363,17 @@ def test_triangularizing_accepts_other_valid_transforms():
     r2 = Matrix.from_rows(f, [[1, 1], [1, 0]])
     e2 = Matrix.from_rows(f, [[0, 1], [1, 0]])
     assert is_upper_triangular(r2 @ e2)
+
+
+def test_matrix_refuses_a_shape_its_rows_disagree_with():
+    f = GF(2)
+    for indices, values in (([[0]], [[1], []]), ([[0], []], [[1]]), ([[0]] * 3, [[1]] * 3)):
+        with pytest.raises(ValueError, match="^row count does not match the shape$"):
+            Matrix(f, 2, 1, indices, values)
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        Matrix.from_rows(f, [[1, 0], [1]])
+    with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
+        Matrix.identity(f, 2) @ Matrix.identity(f, 3)
 
 
 def test_empty_matrix_edge_cases():

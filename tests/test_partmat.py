@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +173,19 @@ def test_transform_equals_the_dense_product(field):
         assert a.transform(e, f) == e.transpose() @ a.matrix @ f
 
 
+def test_transform_refuses_a_foreign_field_or_row_count(example):
+    e, f = Matrix.identity(GF(2), 6), Matrix.identity(GF(2), 6)
+    for bad_e, bad_f in (
+        (Matrix.identity(GF(3), 6), f),
+        (e, Matrix.identity(QQ, 6)),
+        (Matrix.identity(GF(2), 5), f),
+        (e, Matrix.zeros(GF(2), 7, 6)),
+    ):
+        with pytest.raises(ValueError, match=r"^E\^T A F needs E and F over A's field"):
+            example.transform(bad_e, bad_f)
+    assert example.transform(e, f) == example.matrix
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([GF(2), GF(101), QQ]), st.randoms(use_true_random=False), st.booleans())
 def test_stored_rows_agree_with_the_dense_view(field, rng, admissible):
@@ -195,10 +209,14 @@ def test_stored_rows_agree_with_the_dense_view(field, rng, admissible):
 
 
 def _naive_column_parts(mat, offsets):
+    """Per block, d, the lcm of the denominators in it, and each nonzero
+    column's entries in the block times d, as ints."""
     parts = []
     for lo, hi in zip(offsets, offsets[1:]):
         cols = [(j, [mat.row_raw(i)[j] for i in range(lo, hi)]) for j in range(mat.cols)]
-        parts.append([(j, col) for j, col in cols if any(x != mat.field.zero_raw for x in col)])
+        cols = [(j, col) for j, col in cols if any(x != mat.field.zero_raw for x in col)]
+        d = lcm(*(Fraction(x).denominator for _, col in cols for x in col))
+        parts.append((d, [(j, [int(x * d) for x in col]) for j, col in cols]))
     return parts
 
 
@@ -210,12 +228,17 @@ def test_column_parts_matches_its_definition(field):
         offsets = (0, *accumulate(sizes))
         rows, cols = offsets[-1], rng.randint(0, 20)
         density = rng.choice((0.05, 0.2, 0.6))
+        # over QQ the entries have denominators, which each block clears once
         data = [
-            field.coerce_raw(rng.randint(1, 9)) if rng.random() < density else field.zero_raw
+            field.coerce_raw(Fraction(rng.randint(1, 9), 1 if field.p else rng.randint(1, 4)))
+            if rng.random() < density else field.zero_raw
             for _ in range(rows * cols)
         ]
         mat = from_dense(field, rows, cols, data)
-        assert column_parts(mat, offsets) == _naive_column_parts(mat, offsets)
+        got = column_parts(mat, offsets)
+        assert got == _naive_column_parts(mat, offsets)
+        assert all(type(d) is int for d, _ in got)
+        assert all(type(x) is int for _, part in got for _, xs in part for x in xs)
 
 
 def test_stability_graph_vertices(example):
