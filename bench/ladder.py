@@ -100,7 +100,7 @@ def run_row(name: str) -> dict:
         g = timed("graph_s", build_stability_graph, a)
         state = timed("match_s", max_independent_matching, g)
         return {"vertices": g.n_pi + g.n_sigma, "edges": len(g.edges),
-                "augmentations": state.augmentations}
+                "augmentations": state.size}
 
     for _ in range(REPEATS):
         counts = early_stages()  # its matrix, graph and state are freed here

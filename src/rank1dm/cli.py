@@ -35,7 +35,7 @@ from .decompose import DMResult, dm_decompose, verify
 from .field import GF, QQ, Field, _decimal
 from .linalg import Matrix
 from .oracle import brute_force_max_stable
-from .partmat import PartitionedMatrix, RankConditionViolated
+from .partmat import PartitionedMatrix, RankConditionViolated, vertex_label
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -177,7 +177,7 @@ def format_result(doc: PartitionedMatrix, result: DMResult, report=None) -> str:
     lines = _header_lines(doc.field, result.row_blocks, result.col_blocks)
     lines.append(f"matching_size {result.matching_size}")
     lines.append(f"v_star {result.v_star}")
-    lines.append(f"augmentations {state.augmentations}")
+    lines.append(f"augmentations {result.matching_size}")
     lines.append(
         "matching "
         + " ".join(
@@ -202,8 +202,10 @@ def format_result(doc: PartitionedMatrix, result: DMResult, report=None) -> str:
     lines.append("k0 " + " ".join(g.sigma_label(j) for j in poset.k0))
     lines.append("h_inf " + " ".join(g.pi_label(i) for i in poset.hinf))
     lines.append("k_inf " + " ".join(g.sigma_label(j) for j in poset.kinf))
-    lines.append("h_order " + " ".join(assembly.h_labels(g)))
-    lines.append("k_order " + " ".join(assembly.k_labels(g)))
+    for key, mark, entries in (("h_order", "", assembly.h_entries),
+                               ("k_order", "'", assembly.k_entries)):
+        labels = (vertex_label(g.field, e.block, e.normal, mark) for e in entries)
+        lines.append(f"{key} " + " ".join(labels))
     lines.append(
         "chain_dims " + " ".join(f"{ik}:{jk}" for ik, jk in result.chain_dims)
     )
@@ -325,7 +327,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     with _failing(EXIT_USAGE, OSError, InputFormatError, UnicodeDecodeError):
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8-sig") as fh:
             a = parse_input(fh.read())
 
     if args.command == "oracle":

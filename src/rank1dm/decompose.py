@@ -37,7 +37,6 @@ from .partmat import (
     build_stability_graph,
     column_parts,
     product_matches,
-    vertex_label,
 )
 
 
@@ -83,12 +82,11 @@ def _tarjan_scc(nodes: Sequence[int], adj: dict[int, list[int]]) -> list[list[in
 
 @dataclass(frozen=True)
 class PosetComponent:
-    """One strongly connected component carrying matched vertices."""
+    """One strongly connected component carrying matched vertices, given by them."""
 
     label: int
     h_pi: tuple[int, ...]
     k_sigma: tuple[int, ...]
-    nodes: frozenset[int]
 
 
 @dataclass
@@ -183,7 +181,7 @@ def scc_poset(
         if h_pi or k_sigma:
             if len(h_pi) != len(k_sigma):
                 raise AssertionError("matched pairs split across components")
-            below[i], parts[i] = under, (h_pi, k_sigma, frozenset(scc))
+            below[i], parts[i] = under, (h_pi, k_sigma)
         reach.append(under | {i} if i in below else under)
 
     label_of: dict[int, int] = {}
@@ -340,12 +338,6 @@ class BasisAssembly:
     F: Matrix
     h_group_sizes: list[int]
     k_group_sizes: list[int]
-
-    def h_labels(self, g: StabilityGraph) -> list[str]:
-        return [vertex_label(g.field, e.block, e.normal, "") for e in self.h_entries]
-
-    def k_labels(self, g: StabilityGraph) -> list[str]:
-        return [vertex_label(g.field, e.block, e.normal, "'") for e in self.k_entries]
 
 
 def build_bases(
@@ -623,12 +615,13 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     blocks', and there is one middle block per component of the poset
     rebuilt from A and the matching witness, (e) v* = n + m - |M|, bounded
     above by the witness, an independent matching of A's own stability
-    graph, and below by the first diagonal block.  The rank condition, the
-    form of each of E, F and A_dm (a Matrix of A's shape and field storing
-    only nonzero carriers) and that of the diagonal blocks are each judged once,
-    and every check that reads them reports that verdict.  (d) and (e) read
-    one auxiliary digraph, built on A's graph and its kept eliminations from
-    the witness matching; A's factors and graph are derived once per matrix.
+    graph, and below by the first diagonal block.  The rank condition (the
+    form of A when it fails to factor), the form of each of E, F and A_dm (a
+    Matrix of A's shape and field storing only nonzero carriers) and that of
+    the diagonal blocks are each judged once, and every check that reads them
+    reports that verdict.  (d) and (e) read one auxiliary digraph, built on
+    A's graph and its kept eliminations from the witness matching; A's
+    factors and graph are derived once per matrix.
     """
     checks: list[CheckResult] = []
     n, m = a.matrix.rows, a.matrix.cols
@@ -643,6 +636,10 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
         a.factors  # noqa: B018  (the rank condition, decided once)
     except RankConditionViolated as exc:
         rank = f"A has {exc}"
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError):
+        # a malformed A fails to factor; a well-formed one that does is a library fault
+        if not (rank := _form_problem("A", a.matrix, n, m, a.field)):
+            raise
 
     if why := "; ".join(filter(None, (e_form, f_form, a_dm_form))) or rank:
         checks.append(CheckResult("product", False, why))

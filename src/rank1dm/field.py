@@ -2,8 +2,8 @@
 
 A field value has one representation, its raw carrier: an ``int`` residue in
 [0, p) for GF(p), a ``fractions.Fraction`` in lowest terms with positive
-denominator for the rationals.  A ``Field`` parses, prints, validates,
-clears and dots carriers; the kernels do their arithmetic on ints.  A
+denominator for the rationals.  A ``Field`` parses, prints, validates and
+clears carriers and does no arithmetic: the kernels do theirs on ints.  A
 container (a ``Matrix``, a stability graph, a vector matroid) records the
 field, and a vector is a tuple of raw carriers.  ``p`` is the
 characteristic, 0 for the rationals, and ``cleared(vecs)`` writes vectors
@@ -21,7 +21,6 @@ splices the zeros of a sparse row from one run of ``"0 "``.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, lcm
@@ -104,9 +103,6 @@ class PrimeField(Field):
             raise TypeError(f"cannot interpret {value!r} in {self}")
         return value % self.p
 
-    def dot(self, xs, ys):
-        return sum(map(operator.mul, xs, ys)) % self.p
-
     def cleared(self, vecs: list) -> tuple[int, list]:
         """Residues are ints already: ``vecs`` themselves, over 1."""
         return 1, vecs
@@ -146,17 +142,6 @@ class RationalField(Field):
         if isinstance(value, int):
             return Fraction(value)
         raise TypeError(f"cannot interpret {value!r} as a rational")
-
-    def dot(self, xs, ys):
-        """Sum of products on ints over one common denominator; one Fraction."""
-        n, d = 0, 1
-        for x, y in zip(xs, ys):
-            e = x.denominator * y.denominator
-            if e != d:
-                m = lcm(d, e)
-                n, d = n * (m // d), m
-            n += x.numerator * y.numerator * (d // e)
-        return Fraction(n, d)
 
     def cleared(self, vecs: list) -> tuple[int, list]:
         """d, the lcm of every entry's denominator, and the vectors times d."""

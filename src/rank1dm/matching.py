@@ -115,7 +115,6 @@ class IndependentMatchingState:
     def __init__(self, graph: StabilityGraph, matching=()):
         self.graph = graph
         self.matching: frozenset[int] = frozenset()
-        self.augmentations = 0
         npi, dims = graph.n_pi, graph.row_blocks + graph.col_blocks
         elements, ends, inputs = graph.nodes
         self._matroid = VectorMatroid(graph.field, elements, dims, inputs)
@@ -250,11 +249,10 @@ def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
     rounds, which flip one edge each, in one pass, and the search goes on
     from there.  Every round, those included, emits a DEBUG record on the
     ``rank1dm`` logger whose ``matching`` attribute holds the new
-    matching's edge indices.
+    matching's edge indices; round n's matching has n edges.
     """
     state = IndependentMatchingState(g)
     picks = state._grow()
-    state.augmentations = len(picks)
     for n in range(1, len(picks) + 1) if _log.isEnabledFor(logging.DEBUG) else ():
         _log.debug(_ROUND, n, n, extra={"matching": frozenset(picks[:n])})
     while True:
@@ -267,5 +265,4 @@ def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
             if edge is not None:
                 path.add(edge)
         state.flip(path)
-        state.augmentations += 1
-        _log.debug(_ROUND, state.augmentations, state.size, extra={"matching": state.matching})
+        _log.debug(_ROUND, state.size, state.size, extra={"matching": state.matching})

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from .linalg import Matrix
 from .partmat import PartitionedMatrix
@@ -70,7 +71,6 @@ def brute_force_max_stable(a: PartitionedMatrix):
     subspaces are scanned per block, which loses nothing because blocks are
     independent once the row side is fixed."""
     q = _check_brute_bounds(a)
-    f = a.field
     row_cats = [enumerate_subspaces(q, d) for d in a.row_blocks]
     col_cats = [enumerate_subspaces(q, d) for d in a.col_blocks]
 
@@ -79,7 +79,7 @@ def brute_force_max_stable(a: PartitionedMatrix):
         for beta in range(a.nu):
             columns = _columns(a.block(alpha, beta))
             compatible[(alpha, beta)] = [
-                [_block_stable(f, columns, x, y) for y in col_cats[beta]]
+                [_block_stable(q, columns, x, y) for y in col_cats[beta]]
                 for x in row_cats[alpha]
             ]
 
@@ -121,12 +121,11 @@ def _columns(block: Matrix) -> list[list]:
     return list(map(block.transpose().row_raw, range(block.cols)))
 
 
-def _block_stable(f, columns, x_basis, y_basis) -> bool:
-    """x^T B y = 0 for every basis pair, B given by its raw columns; the
-    vector lengths are the caller's to check."""
-    zero = f.zero_raw
+def _block_stable(q: int, columns, x_basis, y_basis) -> bool:
+    """x^T B y = 0 in GF(q) for every basis pair, B given by its raw columns;
+    the vector lengths are the caller's to check."""
     for x in x_basis:
-        xb = [f.dot(x, col) for col in columns]
-        if any(f.dot(xb, y) != zero for y in y_basis):
+        xb = [sum(map(mul, x, col)) for col in columns]
+        if any(sum(map(mul, xb, y)) % q for y in y_basis):
             return False
     return True

@@ -174,9 +174,10 @@ def _terms(a: PartitionedMatrix, e_parts, f_parts):
     offsets and F's on its column offsets.  Block (alpha, beta) = c u^T v
     gives the outer product of s_i = c (u . rows alpha of E's column i) and
     q_j = v . rows beta of F's column j, on the parts' and factors' ints
-    over one denominator; over GF(p) d is 1, s unreduced."""
-    fld = a.field
-    dot = fld.dot if fld.p else lambda xs, ys: sum(map(mul, xs, ys))
+    over one denominator, each dot an int sum, reduced mod p over GF(p),
+    where d is 1 and s unreduced."""
+    p = a.field.p
+    dot = (lambda xs, ys: sum(map(mul, xs, ys)) % p) if p else lambda xs, ys: sum(map(mul, xs, ys))
     for (alpha, beta), (c, d, u, v) in a._factor_ints.items():
         (dx, xs), (dy, ys) = e_parts[alpha], f_parts[beta]
         d *= dx * dy

@@ -295,10 +295,10 @@ def test_criterion_8_complexity_smoke():
     t0 = time.monotonic()
     res = dm_decompose(a)
     elapsed = time.monotonic() - t0
-    ok = elapsed < 10.0 and res.state.augmentations <= 30 * 30
+    ok = elapsed < 10.0 and res.state.size <= 30 * 30
     assert verify(a, res).passed
     _report(
         "criterion 8: 60x60 instance decomposes quickly",
         ok,
-        f"{elapsed:.2f}s, {res.state.augmentations} augmentations",
+        f"{elapsed:.2f}s, {res.state.size} augmentations",
     )

@@ -426,6 +426,8 @@ CLI_INPUTS = {
     "rank2.txt": b"field gf 2\nrow_blocks 2\ncol_blocks 2\nentries\n1 0\n0 1\n",
     "gf4.txt": b"field gf 4\nrow_blocks 1\ncol_blocks 1\nentries\n1\n",
     "not-utf8.txt": EXAMPLE_TEXT.encode() + b"\xff\n",
+    # a UTF-8 byte-order mark, as some editors write, is read past
+    "bom.txt": b"\xef\xbb\xbf" + EXAMPLE_TEXT.encode(),
     "unit7.txt": UNIT7_TEXT.encode(),
     "qq.txt": RATIONAL_TEXT.encode(),
     # Fraction() would read the exponent and build 10^(10^7)
@@ -459,8 +461,9 @@ def _document(name, verified=False):
     ids=["example", "qq", "gf2-tall"],
 )
 def test_tracing_changes_no_output(a, caplog):
-    # one DEBUG record per augmentation, the last holding the final
-    # matching, and the verified document byte for byte as untraced
+    # one DEBUG record per augmentation, round n's matching of size n, the
+    # last holding the final matching, and the verified document byte for
+    # byte as untraced
     result = dm_decompose(a)
     untraced = format_result(a, result, verify(a, result))
     caplog.set_level(logging.DEBUG, logger="rank1dm")
@@ -468,7 +471,8 @@ def test_tracing_changes_no_output(a, caplog):
     assert format_result(a, traced, verify(a, traced)) == untraced
     assert "verification product=pass" in untraced
     records = [r for r in caplog.records if r.name == "rank1dm"]
-    assert len(records) == traced.state.augmentations == traced.state.size > 0
+    rounds = range(1, traced.state.size + 1)
+    assert rounds and [(*r.args, len(r.matching)) for r in records] == [(n, n, n) for n in rounds]
     assert records[-1].matching == traced.state.matching
 
 
@@ -479,6 +483,7 @@ def test_tracing_changes_no_output(a, caplog):
     [
         ("decompose example.txt", EXIT_OK, "", "example.txt"),
         ("decompose example.txt --verify --oracle", EXIT_OK, "", "verified"),
+        ("decompose bom.txt --verify --oracle", EXIT_OK, "", "verified"),
         ("decompose rank2.txt", EXIT_RANK, "blocks of rank >= 2 at (1,1)", ""),
         ("decompose gf4.txt", EXIT_USAGE, "line 1: modulus 4 is not prime", ""),
         ("decompose exp.txt", EXIT_USAGE, "line 5: column 1: '1e10000000' is not a rational number",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gen import (
+    Arith,
     contains,
     cover_value,
     dense,
@@ -47,9 +48,9 @@ from rank1dm import (
     verify,
 )
 from rank1dm.decompose import PosetComponent, _adapted_basis, _chain_dims, _tarjan_scc
-from rank1dm import partmat
+from rank1dm import decompose, partmat
 from rank1dm.cli import parse_input, serialize_input
-from rank1dm.partmat import HyperplaneVertex, column_parts
+from rank1dm.partmat import HyperplaneVertex, column_parts, vertex_label
 
 
 def _labels(g, ids, side):
@@ -100,7 +101,9 @@ def test_scc_poset_worked_example(example_result):
 def test_scc_component_holds_spanned_vertex(example_result):
     # the unmatched vertex 1c sits inside the component of 1a and 3c
     res = example_result
-    assert _node_labels(res.graph, res.poset.components[0].nodes) == {
+    g, removed = res.graph, res.poset.c0 | res.poset.cinf
+    a1 = next(v for v in range(g.n_pi) if g.pi_label(v) == "1a")
+    assert _node_labels(g, _component_of(res.state, removed, a1)) == {
         "1a",
         "1c",
         "3c",
@@ -157,7 +160,7 @@ def _poset_on(h, relations):
         state=None,
         c0=frozenset(),
         cinf=frozenset(),
-        components=[PosetComponent(k, (), (), frozenset()) for k in range(1, h + 1)],
+        components=[PosetComponent(k, (), ()) for k in range(1, h + 1)],
         relations=frozenset(relations),
         h0=(),
         k0=(),
@@ -194,6 +197,12 @@ def _pruned_reach(state, removed, start):
     return seen
 
 
+def _component_of(state, removed, v):
+    """The nodes of the pruned digraph's strongly connected component of v:
+    those v reaches that reach v."""
+    return {w for w in _pruned_reach(state, removed, [v]) if v in _pruned_reach(state, removed, [w])}
+
+
 def test_relations_match_reachability():
     # (k, l) is a relation iff a path of the pruned auxiliary digraph runs
     # from component l to component k, possibly through unmatched components
@@ -207,7 +216,9 @@ def test_relations_match_reachability():
             res = dm_decompose(a)
             poset = res.poset
             removed = poset.c0 | poset.cinf
-            comps = {c.label: c.nodes for c in poset.components}
+            comps = {
+                c.label: _component_of(res.state, removed, c.h_pi[0]) for c in poset.components
+            }
             want = set()
             for l, nodes in comps.items():
                 reached = _pruned_reach(res.state, removed, nodes)
@@ -284,7 +295,7 @@ def test_ideal_subspaces_match_definition():
                         normals = [vertices[i].normal for i in cut if vertices[i].block == blk]
                         for nrm in normals:
                             for v in basis:
-                                assert field.dot(nrm, v) == field.zero_raw
+                                assert Arith(field).dot(nrm, v) == field.zero_raw
                         assert len(basis) == dim - len(normals)
                         stacked = from_dense(field, len(basis), dim, [x for v in basis for x in v])
                         assert rref(stacked).rank == len(basis)
@@ -341,11 +352,14 @@ def _stacked_normals(entries, block, dim, field):
 
 def test_build_bases_orders(example, example_result):
     res = example_result
-    g = res.graph
     asm = res.assembly
-    assert asm.h_labels(g) == ["2c", "3a", "1a", "3c", "2a", "1b"]
-    assert asm.k_labels(g) == ["3'a", "1'a", "2'c", "1'c", "3'c", "2'a"]
     f = example.field
+    assert [vertex_label(f, e.block, e.normal, "") for e in asm.h_entries] == [
+        "2c", "3a", "1a", "3c", "2a", "1b"
+    ]
+    assert [vertex_label(f, e.block, e.normal, "'") for e in asm.k_entries] == [
+        "3'a", "1'a", "2'c", "1'c", "3'c", "2'a"
+    ]
     assert _stacked_normals(asm.h_entries, 2, 2, f) == Matrix.from_rows(f, [[1, 0], [1, 1]])
     # greedy unit completion appends (1,0) to the matched (1,1) in column
     # block 2, so S_2 stacks them in that order
@@ -406,7 +420,7 @@ def test_adapted_basis_is_greedy_and_dual():
             for e in entries:
                 for other in entries:
                     want = field.one_raw if other is e else field.zero_raw
-                    assert field.dot(other.normal, e.dual) == want
+                    assert Arith(field).dot(other.normal, e.dual) == want
 
 
 def test_adapted_basis_dependent_normals_raise():
@@ -486,6 +500,8 @@ def test_verify_detects_tampering(example, example_result):
     assert not report.passed
     assert not report.check("product").passed
     assert not report.check("staircase").passed
+    with pytest.raises(KeyError):
+        report.check("products")
 
 
 def test_staircase_names_the_first_entry_in_row_major_order(example, example_result):
@@ -1111,6 +1127,49 @@ def test_verify_reports_a_block_of_rank_two(example, example_result):
     for name in ("product", "chain"):
         check = report.check(name)
         assert not check.passed and check.detail == "A has blocks of rank >= 2 at (2,2)"
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["gf5", "qq"])
+@pytest.mark.parametrize(
+    "case, reason",
+    [
+        ("zero", "A holds {zero!r} at (0, 0), a stored zero"),
+        ("index", "A stores column index 2, not an int in [0, 2)"),
+        ("float", "A holds 1.0 at (0, 0), not a value of {field}"),
+    ],
+    ids=["zero", "index", "float"],
+)
+def test_verify_reports_the_form_of_an_a_that_fails_to_factor(field, case, reason):
+    # a stored zero, a column index past m and a float each make A's factoring
+    # raise (ZeroDivisionError, ValueError, IndexError, AttributeError or
+    # TypeError by field); verify reports A's form in their place
+    one = field.one_raw
+    good = PartitionedMatrix(Matrix.from_rows(field, [[1, 2], [3, 6]]), (1, 1), (2,))
+    first = {"zero": field.zero_raw, "index": one, "float": 1.0}[case]
+    idx = [[0, 2 if case == "index" else 1], [0, 1]]
+    bad = Matrix(field, 2, 2, idx, [[first, 2 * one], [3 * one, 6 * one]])
+    report = verify(PartitionedMatrix(bad, (1, 1), (2,)), dm_decompose(good))
+    want = reason.format(zero=field.zero_raw, field=field)
+    assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+        (name, want) for name in ("product", "chain", "duality")
+    ]
+
+
+def test_verify_judges_a_well_formed_a_by_its_factors_alone(example_result, monkeypatch):
+    # a well-formed A gets no form check, and one that still fails to factor
+    # is a library fault, which verify raises
+    names, form = [], decompose._form_problem
+    monkeypatch.setattr(
+        decompose, "_form_problem", lambda name, *rest: names.append(name) or form(name, *rest)
+    )
+    assert verify(worked_example(), example_result).passed and names == ["E", "F", "A_dm"]
+
+    def broken(*args):
+        raise ZeroDivisionError("a library fault")
+
+    monkeypatch.setattr(partmat, "rank1_of", broken)
+    with pytest.raises(ZeroDivisionError, match="a library fault"):
+        verify(worked_example(), example_result)
 
 
 def test_each_block_is_read_once_per_matrix(monkeypatch):

@@ -175,33 +175,3 @@ def test_elements_hashable_and_eq():
     f = GF(5)
     assert f.coerce_raw(7) == f.coerce_raw("2") == 2
     assert len({f.coerce_raw(i) for i in range(20)}) == 5
-
-
-def _canonical(x):
-    return type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
-
-
-def test_rational_dot_matches_the_fraction_sum():
-    rng = random.Random(13)
-
-    def entry():
-        if rng.random() < 0.3:
-            return Fraction(0)
-        den = rng.choice([1, 2, 3, 7, 113, 10**20 + 39])
-        return Fraction(rng.randint(-(10**12), 10**12), den)
-
-    cases = [([], []), ([Fraction(0)] * 5, [Fraction(3, 4)] * 5)]
-    cases += [([Fraction(1, 3), Fraction(-1, 3)], [Fraction(1), Fraction(1)])]  # sums to 0
-    for _ in range(300):
-        k = rng.randint(0, 12)
-        cases.append(([entry() for _ in range(k)], [entry() for _ in range(k)]))
-    for xs, ys in cases:
-        got = QQ.dot(xs, ys)
-        assert got == sum(map(mul, xs, ys), Fraction(0)) and _canonical(got)
-
-
-@given(st.lists(st.tuples(st.fractions(), st.fractions()), max_size=10))
-def test_rational_dot_hypothesis(pairs):
-    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-    got = QQ.dot(xs, ys)
-    assert got == sum(map(mul, xs, ys), Fraction(0)) and _canonical(got)

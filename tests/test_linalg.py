@@ -208,7 +208,7 @@ def test_kernel_annihilates_and_counts():
             vecs = kernel_basis(m)
             assert len(vecs) == m.cols - rref(m).rank
             for v in vecs:
-                prod = [field.dot(m.row_raw(i), v) for i in range(m.rows)]
+                prod = [Arith(field).dot(m.row_raw(i), v) for i in range(m.rows)]
                 assert all(x == field.zero_raw for x in prod)
 
 
@@ -374,6 +374,13 @@ def test_matrix_refuses_a_shape_its_rows_disagree_with():
         Matrix.from_rows(f, [[1, 0], [1]])
     with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
         Matrix.identity(f, 2) @ Matrix.identity(f, 3)
+
+
+def test_matrix_equals_only_a_matrix_and_prints_its_rows():
+    m = Matrix.from_rows(GF(2), [[1, 0], [0, 1]])
+    assert (m == 3) is False and m != 3
+    assert repr(m) == "Matrix[2x2: 1 0; 0 1]"
+    assert repr(Matrix.from_rows(QQ, [[Fraction(1, 2), 0, -3]])) == "Matrix[1x3: 1/2 0 -3]"
 
 
 def test_empty_matrix_edge_cases():

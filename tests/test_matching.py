@@ -123,7 +123,7 @@ def test_aux_digraph_rejects_bad_matchings(graph):
 def test_max_matching_empty_graph():
     g = StabilityGraph(GF(2), (1,), (1,))
     state = max_independent_matching(g)
-    assert state.size == 0 and state.augmentations == 0
+    assert state.size == 0
 
 
 def test_max_matching_worked_example(graph):
@@ -134,7 +134,6 @@ def test_max_matching_worked_example(graph):
         for e in (graph.edges[k] for k in state.matching)
     }
     assert got == KNOWN_MAX_MATCHING
-    assert state.augmentations == 5
 
 
 def test_max_matching_all_ones_unit_type():
@@ -166,7 +165,7 @@ def test_intermediate_matchings_stay_independent(caplog):
         g = build_stability_graph(a)
         caplog.clear()
         state = max_independent_matching(g)
-        assert state.augmentations <= max(1, len(g.edges))
+        assert len(caplog.records) == state.size <= max(1, len(g.edges))
         mp, ms = matroid_pi(g), matroid_sigma(g)
         history = [frozenset()] + [r.matching for r in caplog.records]
         for snapshot in history:
@@ -430,7 +429,7 @@ def test_greedy_rounds_equal_the_searches_at_scale(caplog):
             previous = after
         assert _flip(previous, IndependentMatchingState(g, previous)) is None
         assert state.matching == previous and longer > 0
-        assert state.augmentations == state.size == len(caplog.records) > 20
+        assert state.size == len(caplog.records) > 20
 
 
 def test_flip_matches_a_fresh_build():

@@ -6,6 +6,7 @@ from operator import mul
 import pytest
 
 from gen import (
+    Arith,
     classic_dm_check,
     contains,
     dense,
@@ -291,6 +292,7 @@ def test_longest_chain_of_maximizers_has_one_element_per_diagonal_gap():
 def _y_perp_dim(a: PartitionedMatrix, ys) -> int:
     """dim of the largest X with (X, Y) stable, per block."""
     f = a.field
+    ar = Arith(f)
     total = 0
     for alpha, na in enumerate(a.row_blocks):
         rows = []
@@ -299,7 +301,7 @@ def _y_perp_dim(a: PartitionedMatrix, ys) -> int:
             for y in ys[beta]:
                 rows.append(
                     [
-                        f.dot(block.row_raw(i), [f.coerce_raw(x) for x in y])
+                        ar.dot(block.row_raw(i), [f.coerce_raw(x) for x in y])
                         for i in range(na)
                     ]
                 )
