@@ -5,7 +5,6 @@ from .field import GF, QQ, Field, PrimeField, RationalField
 from .linalg import Matrix, Rank1Factor, rank1_factor, rref
 from .matching import (
     IndependentMatchingState,
-    VectorMatroid,
     max_independent_matching,
     reachability_sets,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "StabilityGraph",
     "RankConditionViolated",
     "build_stability_graph",
-    "VectorMatroid",
     "IndependentMatchingState",
     "max_independent_matching",
     "ChainPoset",

@@ -5,7 +5,7 @@ and column block sizes.  What depends on A alone is derived once per matrix, for
 ``dm_decompose`` and ``verify`` alike: each nonzero block's factorization
 coeff * u^T v with monic u and v (a block of rank >= 2 breaks the rank-1
 condition, which factoring reports), the factors on ints, and the frozen
-stability graph, which derives its nodes' matroid inputs once.  E's and F's
+stability graph, which derives once what its matching states read.  E's and F's
 column parts have one int form, cleared once per call.  A vector is a tuple
 of raw values of the field its container records.  The u's become hyperplane
 vertices on the row side (one vertex per distinct kernel of a block
@@ -82,10 +82,13 @@ class PartitionedMatrix:
         """The factor of every nonzero block, keyed by (alpha, beta) in
         row-major block order; zero blocks are left out.  Each row of a band
         is cut once into the runs of its stored entries in one block, and
-        each block is factored on its runs.  Raises RankConditionViolated,
+        each block is factored on its runs.  Raises ValueError when A stores
+        a value that is not a carrier of its field, and RankConditionViolated,
         naming every block of rank 2 or more."""
         fld, ro, co, idx, vals = (self.field, self.row_offsets, self.col_offsets,
                                   self.matrix.indices, self.matrix.values)
+        if not fld.carries([x for row in vals for x in row]):
+            raise ValueError(f"A stores a value that is not a value of {fld}")
         block_of = [beta for beta, size in enumerate(self.col_blocks) for _ in range(size)]
         out = {}
         for alpha in range(self.mu):
@@ -242,17 +245,26 @@ class StabilityGraph:
     edges: tuple[Edge, ...] = ()
 
     @cached_property
-    def nodes(self) -> tuple[list, list, tuple]:
+    def nodes(self) -> tuple[list, list, list, list, dict]:
         """What every matching state on the graph reads, derived once: node v's
-        (block, normal), column-side blocks after the mu row blocks; each node's
-        (other end, edge index) pairs; and the nodes' ``matroid_inputs``."""
-        npi, mu, dims = self.n_pi, len(self.row_blocks), self.row_blocks + self.col_blocks
-        elements = [*self.pi, *((mu + blk, normal) for blk, normal in self.sigma)]
-        ends: list[list[tuple[int, int]]] = [[] for _ in elements]
+        matroid block, column-side blocks after the mu row blocks; each node's
+        (other end, edge index) pairs; each block's members, ascending; the
+        normals on ints (a positive scale keeps every support); and an empty
+        memo of each block's last elimination.  ValueError on a misfit vertex."""
+        npi, mu = self.n_pi, len(self.row_blocks)
+        for side, dims in ((self.pi, self.row_blocks), (self.sigma, self.col_blocks)):
+            if any(not 0 <= v.block < len(dims) or len(v.normal) != dims[v.block] for v in side):
+                raise ValueError("vertex block index out of range or normal not of its length")
+        blocks = [v.block for v in self.pi] + [mu + v.block for v in self.sigma]
+        ends: list[list[tuple[int, int]]] = [[] for _ in blocks]
         for k, (i, j) in enumerate(self.edges):
             ends[i].append((npi + j, k))
             ends[npi + j].append((i, k))
-        return elements, ends, matroid_inputs(self.field, elements, dims)
+        members: list[list[int]] = [[] for _ in self.row_blocks + self.col_blocks]
+        for v, blk in enumerate(blocks):
+            members[blk].append(v)
+        ints = self.field.cleared([v.normal for v in self.pi + self.sigma])[1]
+        return blocks, ends, members, ints, {}
 
     @property
     def n_pi(self) -> int:
@@ -303,18 +315,6 @@ def _direction_letters(p: int, dim: int) -> dict[tuple, str]:
         key=lambda v: v[::-1],
     )
     return {v: chr(ord("a") + r) for r, v in enumerate(monic)}
-
-
-def matroid_inputs(field: Field, elements, block_dims: tuple) -> tuple[list, list, dict]:
-    """A vector matroid's view of its (block, normal) elements: each block's
-    members, the normals on ints (a positive scale keeps every support), and
-    an empty memo of each block's last elimination; ValueError on a bad one."""
-    members: list[list[int]] = [[] for _ in block_dims]
-    for j, (blk, normal) in enumerate(elements):
-        if not 0 <= blk < len(block_dims) or len(normal) != block_dims[blk]:
-            raise ValueError("element block index out of range or normal not of its length")
-        members[blk].append(j)
-    return members, field.cleared([normal for _, normal in elements])[1], {}
 
 
 def _vertices(field: Field, ends: list[tuple[int, tuple]]) -> tuple[tuple, list[int]]:

@@ -4,9 +4,10 @@ the reference checks (stability from the definition, classic bipartite DM,
 the dense product E^T A F, Gaussian binomials, elimination and rank-1
 factoring one carrier operation at a time through ``Arith``, the monic
 directions by enumerating GF(p)^dim, the vertex order on Fraction keys),
-each side's matroid on its own, the matroid closure and minimum cover that
-the matching tests check against, and the rank-1 skeleton instances and
-mod-q rank of the scaled-rank oracle for |M|."""
+each side's matroid on its own with its rank and closure by that
+elimination, the minimum cover that the matching tests check against, and
+the rank-1 skeleton instances and mod-q rank of the scaled-rank oracle for
+|M|."""
 
 from __future__ import annotations
 
@@ -14,18 +15,20 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from rank1dm import (
     GF,
     QQ,
-    IndependentMatchingState,
     Matrix,
     PartitionedMatrix,
     StabilityGraph,
-    VectorMatroid,
     reachability_sets,
 )
 from rank1dm.linalg import Rank1Factor, RrefResult, rref
+
+if TYPE_CHECKING:  # the references share no code with the matching state
+    from rank1dm import IndependentMatchingState
 
 
 class Arith:
@@ -530,14 +533,35 @@ def classic_dm_check(a: PartitionedMatrix) -> tuple[int, int]:
 # matroid closure and the minimum cover ----------------------------------
 
 
-def matroid_pi(g: StabilityGraph) -> VectorMatroid:
+class SideMatroid:
+    """One side's vector matroid from the definition, element i the side's
+    vertex i: a set's rank is the sum over blocks of the rank of its normals
+    in the block by ``reference_rref``, and its closure adds every vertex
+    whose normal leaves the rank unchanged."""
+
+    def __init__(self, field, vertices):
+        self.field, self.vertices = field, vertices
+
+    def rank(self, subset) -> int:
+        by_block: dict[int, list] = {}
+        for i in set(subset):
+            by_block.setdefault(self.vertices[i].block, []).append(self.vertices[i].normal)
+        return sum(reference_rref(Matrix.from_rows(self.field, rows)).rank
+                   for rows in by_block.values())
+
+    def closure(self, subset) -> set[int]:
+        subset, rank = set(subset), self.rank(subset)
+        return {j for j in range(len(self.vertices)) if self.rank(subset | {j}) == rank}
+
+
+def matroid_pi(g: StabilityGraph) -> SideMatroid:
     """The row side's matroid on its own, element i the row-side vertex i."""
-    return VectorMatroid(g.field, g.pi, g.row_blocks)
+    return SideMatroid(g.field, g.pi)
 
 
-def matroid_sigma(g: StabilityGraph) -> VectorMatroid:
+def matroid_sigma(g: StabilityGraph) -> SideMatroid:
     """The column side's matroid on its own, element j the column-side vertex j."""
-    return VectorMatroid(g.field, g.sigma, g.col_blocks)
+    return SideMatroid(g.field, g.sigma)
 
 
 def matched_sides(state: IndependentMatchingState) -> tuple[set[int], set[int]]:
@@ -545,13 +569,6 @@ def matched_sides(state: IndependentMatchingState) -> tuple[set[int], set[int]]:
     by its index on its own side."""
     npi = state.graph.n_pi
     return {v for v in state.matched if v < npi}, {v - npi for v in state.matched if v >= npi}
-
-
-def closure(m: VectorMatroid, subset) -> set[int]:
-    """Ground elements whose normal lies in the span of the selected normals
-    of the same block."""
-    m.select(subset)
-    return {j for j, circuit in enumerate(m.circuit) if circuit is not None}
 
 
 @dataclass(frozen=True)
@@ -575,4 +592,4 @@ def min_cover(state: IndependentMatchingState) -> Cover:
 
 
 def cover_value(g: StabilityGraph, cover: Cover) -> int:
-    return matroid_pi(g).select(cover.H) + matroid_sigma(g).select(cover.K)
+    return matroid_pi(g).rank(cover.H) + matroid_sigma(g).rank(cover.K)

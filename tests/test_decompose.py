@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations, product
@@ -1035,7 +1036,7 @@ def test_duality_rejects_a_dependent_witness(example):
             if len({g.edges[k].pi for k in ks}) == len({g.edges[k].sigma for k in ks}) == 3
             and len({getattr(g, side)[getattr(g.edges[k], side)].block for k in ks}) == 1
         )
-        assert build(g).select({getattr(g.edges[k], other) for k in triple}) == 3
+        assert build(g).rank({getattr(g.edges[k], other) for k in triple}) == 3
         forged = dataclasses.replace(
             result,
             state=SimpleNamespace(matching=triple),
@@ -1155,6 +1156,27 @@ def test_verify_reports_the_form_of_an_a_that_fails_to_factor(field, case, reaso
     ]
 
 
+@pytest.mark.parametrize("field, stray", [(GF(5), 2.0), (QQ, 2)], ids=["gf5-float", "qq-int"])
+def test_a_value_outside_the_field_is_refused_where_a_factors(field, stray):
+    # a stray value after a row's leading entry factors like the carrier it
+    # equals, so verify once certified the decomposition of [[1, 2], [3, 1]]
+    # against it and dm_decompose returned an A_dm holding a stray value;
+    # factoring refuses it, and verify reports A's form
+    one = field.one_raw
+    good = PartitionedMatrix(Matrix.from_rows(field, [[1, 2], [3, 1]]), (1, 1), (2,))
+    bad = Matrix(field, 2, 2, [[0, 1], [0, 1]], [[one, stray], [3 * one, one]])
+    bad = PartitionedMatrix(bad, (1, 1), (2,))
+    report = verify(bad, dm_decompose(good))
+    want = f"A holds {stray!r} at (0, 1), not a value of {field}"
+    assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+        (name, want) for name in ("product", "chain", "duality")
+    ]
+    refused = f"^A stores a value that is not a value of {re.escape(str(field))}$"
+    with pytest.raises(ValueError, match=refused):
+        dm_decompose(bad)
+    assert verify(good, dm_decompose(good)).passed
+
+
 def test_verify_judges_a_well_formed_a_by_its_factors_alone(example_result, monkeypatch):
     # a well-formed A gets no form check, and one that still fails to factor
     # is a library fault, which verify raises
@@ -1247,8 +1269,7 @@ def test_the_solve_and_the_verifier_share_one_frozen_graph(example):
 
 
 def _matroid_view(state):
-    m = state._matroid
-    return m.circuit, m.holders, m.free, m.select(set(state.matched))
+    return state.circuit, state.holders, state.free
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(101), QQ], ids=["gf2", "gf101", "qq"])
@@ -1266,7 +1287,7 @@ def test_a_witness_state_after_a_solve_equals_one_on_a_second_parse(field):
         assert again.graph == a.graph and again.graph is not a.graph
         shared, fresh = (IndependentMatchingState(b.graph, res.state.matching) for b in (a, again))
         assert _matroid_view(shared) == _matroid_view(fresh)
-        _, _, (_, _, memo) = a.graph.nodes
+        *_, memo = a.graph.nodes
         assert len(memo) <= a.mu + a.nu
         assert verify(a, res).passed and verify(again, res).passed
 
@@ -1288,7 +1309,7 @@ def test_a_forged_witness_fails_after_the_solve_filled_the_memo():
             if l in matching or len({i for i, _ in ends}) + len({j for _, j in ends}) < 2 * len(ends):
                 continue
             pis, sigmas = ({end[s] for end in ends} for s in (0, 1))
-            if matroid_pi(g).select(pis) + matroid_sigma(g).select(sigmas) == 2 * len(ends):
+            if matroid_pi(g).rank(pis) + matroid_sigma(g).rank(sigmas) == 2 * len(ends):
                 continue
             witness = dataclasses.replace(res, state=SimpleNamespace(matching=swapped), chain=None)
             check = verify(a, witness).check("duality")

@@ -1,14 +1,13 @@
 import logging
+import operator
 import random
 import re
 from collections import Counter
-from copy import deepcopy
 from itertools import combinations
 
 import pytest
 
 from gen import (
-    closure,
     cover_value,
     matched_sides,
     matroid_pi,
@@ -29,6 +28,7 @@ from rank1dm import (
     reachability_sets,
 )
 from rank1dm import matching as matching_module
+from rank1dm.cli import parse_input, serialize_input
 from rank1dm.matching import _search
 from rank1dm.partmat import HyperplaneVertex
 
@@ -52,19 +52,19 @@ def graph(example):
 
 def test_independence_examples(graph):
     m = matroid_pi(graph)
-    assert m.select([]) == 0
-    assert m.select(_pi_ids(graph, ["1a", "1b", "1c"])) == 2
-    assert m.select(_pi_ids(graph, ["1a", "1b", "2a", "2c", "3c"])) == 5
+    assert m.rank([]) == 0
+    assert m.rank(_pi_ids(graph, ["1a", "1b", "1c"])) == 2
+    assert m.rank(_pi_ids(graph, ["1a", "1b", "2a", "2c", "3c"])) == 5
 
 
 def test_closure_examples(graph):
     m = matroid_pi(graph)
-    assert closure(m, []) == set()
-    closed = closure(m, _pi_ids(graph, ["1a", "1b"]))
+    assert m.closure([]) == set()
+    closed = m.closure(_pi_ids(graph, ["1a", "1b"]))
     block1 = {i for i, v in enumerate(graph.pi) if v.block == 0}
     assert closed & block1 == set(_pi_ids(graph, ["1a", "1b", "1c"]))
     d_plus = _pi_ids(graph, ["1a", "1b", "2a", "2c", "3c"])
-    cl = closure(m, d_plus)
+    cl = m.closure(d_plus)
     assert cl == set(range(graph.n_pi)) - set(_pi_ids(graph, ["3a"]))
 
 
@@ -150,7 +150,7 @@ def test_max_matching_all_ones_unit_type():
             pis = [g.edges[k].pi for k in combo]
             sigmas = [g.edges[k].sigma for k in combo]
             if len(set(pis)) == r and len(set(sigmas)) == r:
-                if mp.select(pis) == ms.select(sigmas) == r:
+                if mp.rank(pis) == ms.rank(sigmas) == r:
                     best = max(best, r)
     assert best == 2
     assert state.size == best
@@ -172,7 +172,7 @@ def test_intermediate_matchings_stay_independent(caplog):
             pis = [g.edges[k].pi for k in snapshot]
             sigmas = [g.edges[k].sigma for k in snapshot]
             assert len(set(pis)) == len(snapshot) == len(set(sigmas))
-            assert mp.select(pis) == ms.select(sigmas) == len(snapshot)
+            assert mp.rank(pis) == ms.rank(sigmas) == len(snapshot)
         sizes = [len(s) for s in history]
         assert sizes == list(range(state.size + 1))
         assert history[-1] == state.matching
@@ -189,17 +189,13 @@ def test_aux_digraph_built_in_search_order(caplog):
         g = build_stability_graph(a)
         caplog.clear()
         max_independent_matching(g)
-        mp, ms = matroid_pi(g), matroid_sigma(g)
         for matching in [frozenset()] + [r.matching for r in caplog.records]:
             state = IndependentMatchingState(g, matching)
             for arcs in state.adjacency.values():
                 keys = [(w, -1 if edge is None else edge) for w, edge in arcs]
                 assert keys == sorted(keys)
-            for m, selected in zip((mp, ms), matched_sides(state)):
-                # circuits ascend whatever order the selection comes in
-                m.select(sorted(selected, reverse=True))
-                assert all(m.circuit[i] == [] for i in selected)
-                assert all(c == sorted(c) for c in m.circuit if c is not None)
+            assert all(state.circuit[v] == [] for v in state.matched)
+            assert all(c == sorted(c) for c in state.circuit if c is not None)
 
 
 def test_arcs_into_reverses_arcs_after_every_flip(monkeypatch):
@@ -300,7 +296,7 @@ def test_cover_duality_exhaustive_small():
             for kbits in range(1 << g.n_sigma):
                 k = {j for j in range(g.n_sigma) if kbits >> j & 1}
                 if all(e.pi in h or e.sigma in k for e in g.edges):
-                    value = mp.select(h) + ms.select(k)
+                    value = mp.rank(h) + ms.rank(k)
                     best = value if best is None else min(best, value)
                     assert state.size <= value  # weak duality
         assert best == state.size
@@ -325,8 +321,8 @@ def test_exchange_arcs_match_definition():
         state = max_independent_matching(g)
         mp, ms = matroid_pi(g), matroid_sigma(g)
         d_plus, d_minus = matched_sides(state)
-        cl_plus = closure(mp, d_plus)
-        cl_minus = closure(ms, d_minus)
+        cl_plus = mp.closure(d_plus)
+        cl_minus = ms.closure(d_minus)
         got_pi = {
             (v, w)
             for v, outs in state.adjacency.items()
@@ -337,7 +333,7 @@ def test_exchange_arcs_match_definition():
         for old in sorted(d_plus):
             for new in sorted(cl_plus - d_plus):
                 swapped = (d_plus - {old}) | {new}
-                if mp.select(swapped) == len(swapped):
+                if mp.rank(swapped) == len(swapped):
                     want_pi.add((old, new))
         assert got_pi == want_pi
         if a.field != GF(2):
@@ -353,7 +349,7 @@ def test_exchange_arcs_match_definition():
         for new in sorted(cl_minus - d_minus):
             for old in sorted(d_minus):
                 swapped = (d_minus - {old}) | {new}
-                if ms.select(swapped) == len(swapped):
+                if ms.rank(swapped) == len(swapped):
                     want_sigma.add((new, old))
         assert got_sigma == want_sigma
     assert large_field_arcs > 0
@@ -522,8 +518,8 @@ def test_free_lists_equal_the_scan_after_every_flip():
                 break
             flips += 1
             matched_pi, matched_sigma = matched_sides(state)
-            closed_pi = closure(matroid_pi(g), matched_pi)
-            closed_sigma = closure(matroid_sigma(g), matched_sigma)
+            closed_pi = matroid_pi(g).closure(matched_pi)
+            closed_sigma = matroid_sigma(g).closure(matched_sigma)
             assert state.sources == [i for i in range(g.n_pi) if i not in closed_pi]
             assert state.sinks == [
                 g.n_pi + j for j in range(g.n_sigma) if j not in closed_sigma
@@ -531,19 +527,22 @@ def test_free_lists_equal_the_scan_after_every_flip():
     assert flips > 50
 
 
+def _counted_eliminations(monkeypatch) -> list:
+    """The argument tuples of every ``span_supports`` call the matching makes."""
+    calls = []
+    eliminate = matching_module.span_supports
+    monkeypatch.setattr(
+        matching_module, "span_supports", lambda *args: calls.append(args) or eliminate(*args)
+    )
+    return calls
+
+
 def test_matching_eliminates_each_changed_block_once(caplog, monkeypatch):
     # a block is eliminated again only when its matched vertices change, so
     # the eliminations are at most the distinct (side, block, matched ids)
     # that the rounds' matchings show
     caplog.set_level(logging.DEBUG, logger="rank1dm")
-    calls = []
-    eliminate = matching_module.span_supports
-
-    def counted(*args):
-        calls.append(args)
-        return eliminate(*args)
-
-    monkeypatch.setattr(matching_module, "span_supports", counted)
+    calls = _counted_eliminations(monkeypatch)
     a = random_rank1_instance(random.Random(40), GF(101), 16, 16, max_dim=3, zero_prob=0.5)
     g = build_stability_graph(a)
     state = max_independent_matching(g)
@@ -580,82 +579,79 @@ def test_matching_clears_the_normals_once(field, monkeypatch):
     assert state.size > 0 and calls == [g.n_pi + g.n_sigma]
 
 
-def test_circuit_memo_matches_fresh_matroid(monkeypatch):
-    # changing, repeated and reversed selections on one matroid hold the
-    # same rank, circuits, holders and free lists as a fresh matroid,
-    # deselected elements included; repeating a selection eliminates nothing
-    calls = []
-    eliminate = matching_module.span_supports
-
-    def counted(*args):
-        calls.append(args)
-        return eliminate(*args)
-
-    monkeypatch.setattr(matching_module, "span_supports", counted)
+def test_circuit_memo_matches_fresh_matroid(caplog, monkeypatch):
+    # one state flipped to each matching of a solve's rounds, forward and
+    # then reversed back to the empty one, holds the circuits, holders and
+    # free lists of a fresh state on a second parse, whose graph no state
+    # has touched; the graph's memo then holds every block's elimination
+    # for the held matching, so a second state built for it eliminates nothing
+    caplog.set_level(logging.DEBUG, logger="rank1dm")
+    calls = _counted_eliminations(monkeypatch)
     rng = random.Random(39)
-    independent = 0
+    exchanges = 0
     for field in (GF(2), GF(3), GF(101), QQ):
-        a = random_rank1_instance(rng, field, 3, 3, max_dim=3, zero_prob=0.1)
-        g = build_stability_graph(a)
-        for build, n in ((matroid_pi, g.n_pi), (matroid_sigma, g.n_sigma)):
-            m = build(g)
-            for _ in range(20):
-                subset = rng.sample(range(n), rng.randint(0, rng.choice([n, min(n, 4)])))
-                for repeat, selection in enumerate((subset, subset, subset[::-1])):
-                    before = len(calls)
-                    rank = m.select(selection)
-                    assert repeat == 0 or len(calls) == before
-                    fresh = build(g)
-                    assert (rank, m.circuit, m.holders, m.free) == (
-                        fresh.select(selection), fresh.circuit, fresh.holders, fresh.free
-                    )
-                    for i in range(n):
-                        held = [j for j, c in enumerate(m.circuit) if c and i in c]
-                        assert m.holders[i] == (held if i in selection else [])
-                    independent += rank == len(selection)
-    assert independent > 20
+        a = random_rank1_instance(rng, field, 4, 4, max_dim=3, zero_prob=0.1)
+        again = parse_input(serialize_input(a))
+        caplog.clear()
+        max_independent_matching(a.graph)
+        snapshots = [frozenset()] + [r.matching for r in caplog.records]
+        assert len(snapshots) > 4
+        state = IndependentMatchingState(a.graph)
+        for matching in snapshots + snapshots[::-1]:
+            state.flip(state.matching ^ matching)
+            fresh = IndependentMatchingState(again.graph, matching)
+            assert (state.circuit, state.holders, state.free) == (
+                fresh.circuit, fresh.holders, fresh.free
+            )
+            for u in range(len(state.circuit)):
+                held = [v for v, c in enumerate(state.circuit) if c and u in c]
+                assert state.holders[u] == (held if u in state.matched else [])
+            exchanges += sum(map(len, state.holders))
+            before = len(calls)
+            IndependentMatchingState(a.graph, matching)
+            assert len(calls) == before
+    assert exchanges > 20
+
+
+def test_a_flip_eliminates_only_the_blocks_of_its_edges_ends(monkeypatch):
+    # along every augmenting path from the empty matching, a flip calls
+    # span_supports at most once per block of a flipped edge's end, and
+    # every other block keeps the very lists it held
+    calls = _counted_eliminations(monkeypatch)
+    g = random_rank1_instance(random.Random(48), GF(101), 12, 12, max_dim=3, zero_prob=0.6).graph
+    blocks = [v.block for v in g.pi] + [len(g.row_blocks) + v.block for v in g.sigma]
+    state = IndependentMatchingState(g)
+
+    def untouched(ends):
+        kept = [v for v, blk in enumerate(blocks) if blk not in ends]
+        return [*(state.circuit[v] for v in kept), *(state.holders[v] for v in kept),
+                *(free for blk, free in enumerate(state.free) if blk not in ends)]
+
+    while (after := _flip(state.matching, state)) is not None:
+        path = after ^ state.matching
+        ends = {blocks[v] for k in path for v in (g.edges[k].pi, g.n_pi + g.edges[k].sigma)}
+        held, before = untouched(ends), len(calls)
+        state.flip(path)
+        assert 0 < len(calls) - before <= len(ends) < len(state.free)
+        assert all(map(operator.is_, held, untouched(ends)))
+    assert state.size > 10
 
 
 def test_matroid_rejects_bad_block_index():
-    from rank1dm import VectorMatroid
-
-    with pytest.raises(ValueError):
-        VectorMatroid(GF(2), [(2, (1,))], (1,))
-    with pytest.raises(ValueError):
-        VectorMatroid(GF(2), [(-1, (1, 0)), (0, (1,))], (1, 2))
-    # a normal must have its block's length: a longer one is not truncated
-    # (two distinct vectors read as one), a shorter one is not read past
-    with pytest.raises(ValueError):
-        VectorMatroid(GF(2), [(0, (1, 0, 1)), (0, (1, 0, 0))], (2,))
-    with pytest.raises(ValueError):
-        VectorMatroid(GF(2), [(0, (1, 0)), (1, (1,))], (2, 2))
-
-
-def test_matroid_select_rejects_a_stray_element(monkeypatch):
-    # VectorMatroid is public: a negative alias, a bool, an index past the
-    # last element or a non-int is refused, the smallest repr named, before
-    # the selection changes; the next select of the held one eliminates
-    # nothing and returns its rank
-    from rank1dm import VectorMatroid
-
-    calls = []
-    eliminate = matching_module.span_supports
-    monkeypatch.setattr(
-        matching_module, "span_supports", lambda *args: calls.append(args) or eliminate(*args)
-    )
-    m = VectorMatroid(GF(2), [(0, (1, 0)), (0, (1, 1))], (2,))
-    for start, rank in (([], 0), ([1], 1), ([0, 1], 2)):
-        assert m.select(start) == rank
-        held = deepcopy((m.circuit, m.holders, m.free))
-        for subset, named in (
-            ({-1}, "-1"), ({True}, "True"), ({False}, "False"), ({5}, "5"), ({2}, "2"),
-            ({1.0}, "1.0"), ({0, -2, 7}, "-2"), ({"x", 9}, "'x'"),
-        ):
-            with pytest.raises(ValueError, match=f"^{re.escape(named)} is not an element$"):
-                m.select(subset)
-            assert (m.circuit, m.holders, m.free) == held, subset
-        before = len(calls)
-        assert m.select(start) == rank and len(calls) == before
+    # a hand-built graph's vertex must fit its side's blocks: a block index
+    # out of range would file it under another block (a row vertex past mu
+    # under a column block), and a normal longer or shorter than its block
+    # would be truncated or read past; a state on such a graph is refused
+    v = HyperplaneVertex
+    for rows, cols, pi, sigma in (
+        ((1,), (1,), (v(2, (1,)),), ()),
+        ((2,), (1,), (v(1, (1, 0)),), ()),
+        ((1, 2), (1,), (v(-1, (1, 0)), v(0, (1,))), ()),
+        ((2,), (2,), (v(0, (1, 0, 1)), v(0, (1, 0, 0))), ()),
+        ((2,), (2, 2), (), (v(0, (1, 0)), v(1, (1,)))),
+    ):
+        with pytest.raises(ValueError, match="^vertex block index out of range"):
+            IndependentMatchingState(StabilityGraph(GF(2), rows, cols, pi, sigma))
 
 
 def test_single_vertex_no_edges_graph():

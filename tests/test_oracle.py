@@ -376,7 +376,7 @@ def test_minimum_covers_map_onto_maximizers():
                 k = {j for j in range(g.n_sigma) if kbits >> j & 1}
                 if not all(e.pi in h or e.sigma in k for e in g.edges):
                     continue
-                if mp.select(h) + ms.select(k) == state.size:
+                if mp.rank(h) + ms.rank(k) == state.size:
                     from_covers.add(cover_subspace(h, k))
         assert from_covers == brute
         checked += 1

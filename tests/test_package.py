@@ -7,7 +7,7 @@ PUBLIC = {
     "Matrix", "Rank1Factor", "rref", "rank1_factor",
     "PartitionedMatrix", "HyperplaneVertex", "StabilityGraph", "RankConditionViolated",
     "build_stability_graph",
-    "VectorMatroid", "IndependentMatchingState",
+    "IndependentMatchingState",
     "max_independent_matching",
     "ChainPoset", "StableSubspace", "DMResult", "VerificationReport",
     "reachability_sets", "scc_poset", "ideal_to_stable_subspace", "maximal_chain",
@@ -17,14 +17,14 @@ PUBLIC = {
 
 
 def test_public_names():
-    assert len(PUBLIC) == 30
+    assert len(PUBLIC) == 29
     assert len(rank1dm.__all__) == len(set(rank1dm.__all__))
     assert set(rank1dm.__all__) == PUBLIC
     for name in rank1dm.__all__:
         assert getattr(rank1dm, name) is not None
     # a vector is a tuple of raw values, so neither a vector type nor a
-    # field-mismatch error is left to export; the matching state's one
-    # matroid spans both sides, so no per-side matroid builder is either
-    for gone in ("Vector", "FieldMismatchError", "matroid_pi", "matroid_sigma"):
+    # field-mismatch error is left to export; the matching state holds its
+    # own matroid over both sides, so no matroid class or builder is either
+    for gone in ("Vector", "FieldMismatchError", "VectorMatroid", "matroid_pi", "matroid_sigma"):
         assert gone not in rank1dm.__all__
         assert not hasattr(rank1dm, gone)
