@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
-from math import inf
 from operator import lt
 from typing import Callable, Iterable, Sequence
 
@@ -40,39 +39,44 @@ from .partmat import (
 )
 
 
-def _tarjan_scc(nodes: Sequence[int], adj: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components come out in reverse topological order.
-    The nodes of an emitted component get index inf, so no low link reads
-    them, and the next index is the number of nodes visited."""
-    index: dict[int, float] = {}
-    low: dict[int, float] = {}
+def _tarjan_scc(nodes: Sequence[int], adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Iterative Tarjan from the roots ``nodes``, ``adj[v]`` the successors of
+    node v; components come out in reverse topological order.  ``index``
+    and ``low`` are lists by node, -1 marking a node not yet visited, and
+    the nodes of an emitted component get index len(adj), past every other
+    index, so no low link reads them."""
+    done = len(adj)
+    index, low = [-1] * done, [0] * done
     stack: list[int] = []
     sccs: list[list[int]] = []
+    count = 0
     for root in nodes:
-        if root in index:
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = count
+        count += 1
         stack.append(root)
         work: list[tuple[int, Iterable[int]]] = [(root, iter(adj[root]))]
         while work:
             v, it = work[-1]
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if (i := index[w]) < 0:
+                    index[w] = low[w] = count
+                    count += 1
                     stack.append(w)
                     work.append((w, iter(adj[w])))
                     break
-                low[v] = min(low[v], index[w])
+                if i < low[v]:
+                    low[v] = i
             else:
                 work.pop()
-                if work:
-                    pv = work[-1][0]
-                    low[pv] = min(low[pv], low[v])
+                if work and low[v] < low[pv := work[-1][0]]:
+                    low[pv] = low[v]
                 if low[v] == index[v]:
                     comp = []
                     while True:
                         w = stack.pop()
-                        index[w] = inf
+                        index[w] = done
                         comp.append(w)
                         if w == v:
                             break
@@ -149,7 +153,8 @@ def _matched_vertices(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The matched row-side vertices among ``nodes`` and the matched
     column-side ones as column-side indices, each sorted."""
-    npi, ends = state.graph.n_pi, sorted(state.matched & nodes)
+    npi, matched = state.graph.n_pi, state.matched
+    ends = sorted(v for v in nodes if v in matched)
     return tuple(v for v in ends if v < npi), tuple(v - npi for v in ends if v >= npi)
 
 
@@ -164,18 +169,25 @@ def scc_poset(
     """
     if c0 & cinf:
         raise ValueError("C0 and Cinf intersect: the matching is not maximum")
-    removed = c0 | cinf
-    nodes = [v for v in range(state.graph.n_pi + state.graph.n_sigma) if v not in removed]
-    adj = {v: [w for w, _ in state.arcs(v) if w not in removed] for v in nodes}
+    removed, npi = c0 | cinf, state.graph.n_pi
+    ends, mate, circuit, holders = state._ends, state._mate, state.circuit, state.holders
+    nodes = [v for v in range(npi + state.graph.n_sigma) if v not in removed]
+    # each kept node's kept successors, in the order _search reads them
+    adj: list[list[int]] = [[] for _ in range(npi + state.graph.n_sigma)]
+    for v in nodes:
+        edges, exchange = (ends[v], holders[v]) if v < npi else (mate.get(v, ()), circuit[v] or ())
+        adj[v] = [w for w in exchange if w not in removed]
+        adj[v] += [w for w, _ in edges if w not in removed]
 
     # Tarjan emits each component after all it reaches, so one pass finds the
     # matched components below each one, also through unmatched components
-    comp_of: dict[int, int] = {}
+    comp_of = [0] * len(adj)
     reach: list[set[int]] = []  # matched components reachable, itself included
     below: dict[int, set[int]] = {}  # keyed by matched component
     parts: dict[int, tuple] = {}
     for i, scc in enumerate(_tarjan_scc(nodes, adj)):
-        comp_of.update((v, i) for v in scc)
+        for v in scc:
+            comp_of[v] = i
         under = set().union(*(reach[comp_of[w]] for v in scc for w in adj[v] if comp_of[w] != i))
         h_pi, k_sigma = _matched_vertices(state, scc)
         if h_pi or k_sigma:

@@ -4,7 +4,7 @@ A field value has one representation, its raw carrier: an ``int`` residue in
 [0, p) for GF(p), a ``fractions.Fraction`` in lowest terms with positive
 denominator for the rationals.  A ``Field`` parses, prints, validates and
 clears carriers and does no arithmetic: the kernels do theirs on ints.  A
-container (a ``Matrix``, a stability graph, a vector matroid) records the
+container (a ``Matrix``, a stability graph, a matching state) records the
 field, and a vector is a tuple of raw carriers.  ``p`` is the
 characteristic, 0 for the rationals, and ``cleared(vecs)`` writes vectors
 on ints over one denominator.  Zero is the only false carrier, so a

@@ -4,7 +4,7 @@ A ``Matrix`` holds each row as its ascending column indices and their raw
 values, with no zero stored.  Elimination is one exact Gauss-Jordan on int
 rows: GF(p) residues reduce mod p, and rational rows are cleared of
 denominators and eliminated fraction-free.  ``rref`` builds ``Fraction``s
-only for its result; ``span_supports``, which the vector matroid calls,
+only for its result; ``span_supports``, which the matching state calls,
 reads only which coefficients are nonzero, so it builds no Matrix and no
 Fraction.  The pivot is always the first nonzero entry in column order, so
 every result is deterministic and there is no numerical tolerance anywhere.
@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, zip_longest
+from itertools import chain, compress, zip_longest
 from math import gcd
 from typing import Any, NamedTuple, Sequence
 
@@ -184,29 +184,47 @@ def span_supports(
     the basis vectors with a nonzero coefficient when the candidate is
     written in them, or None outside their span.  Vectors are ints of length
     ``dim``: residues mod p, or for p = 0 rational vectors times a positive
-    scale, which keeps the supports.  One elimination of the columns [basis
-    | candidates]: a candidate is in the span iff its column is zero in every
-    row with a candidate pivot, and then its coefficient on a pivot row's
-    basis vector is nonzero iff its entry there is (zero off the pivots)."""
+    scale, which keeps the supports.  One elimination of the rows of [basis
+    | candidates], pivoting on the basis columns only: a candidate is in the
+    span iff its column is zero past the rank, and then its coefficient on a
+    pivot row's basis vector is nonzero iff its entry there is (zero off the
+    pivots)."""
     b = len(basis)
-    vecs = [*basis, *candidates]
-    rows = [[v[r] for v in vecs] for r in range(dim)]
-    pivots = _gauss_jordan(rows, len(vecs), p)
-    rank = sum(1 for c in pivots if c < b)
+    rows = [[v[r] for v in chain(basis, candidates)] for r in range(dim)]
+    pivots = _gauss_jordan(rows, b, p)
+    rank = len(pivots)
     return rank, [
         None if any(col[rank:]) else [pivots[r] for r in range(rank) if col[r]]
         for col in list(zip(*rows))[b:]
     ]
 
 
-def extended(p: int, rows: Sequence[Sequence[int]], vec: Sequence[int]) -> list | None:
-    """``rows`` and ``vec`` after one ``_gauss_jordan``, or None when ``vec``
-    lies in the span of ``rows``, independent int vectors of its length.
-    Rows kept in that reduced form cost a later vector one update each."""
+def extended(p: int, rows: Sequence[tuple], vec: Sequence[int]) -> tuple | None:
+    """The (pivot, row) pair ``vec`` adds to the echelon ``rows``, or None
+    when ``vec`` lies in its span.  ``rows`` holds (pivot, row) pairs in the
+    order they joined, each row zero at the earlier pivots, so one pass in
+    that order clears ``vec`` at every pivot; what is left is the new row,
+    scaled to a leading 1 mod p and reduced fraction-free over its content
+    for p = 0, and its first nonzero column the new pivot."""
     if len(rows) == len(vec):  # full rank: nothing is left
         return None
-    rows = [*rows, vec]
-    return rows if len(_gauss_jordan(rows, len(vec), p)) == len(rows) else None
+    for pc, row in rows:
+        if c := vec[pc]:
+            if p:
+                vec = [(v - c * w) % p for v, w in zip(vec, row)]
+            else:
+                vec = [row[pc] * v - c * w for v, w in zip(vec, row)]
+                g = gcd(*vec)
+                vec = [v // g for v in vec] if g > 1 else vec
+    for pc, a in enumerate(vec):
+        if a:
+            break
+    else:
+        return None
+    if p and a != 1:
+        s = pow(a, -1, p)
+        vec = [s * v % p for v in vec]
+    return pc, vec
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,19 @@ shortest source-to-sink path by BFS, flip it, repeat until no path remains.
 One ``IndependentMatchingState`` holds the matching, the fundamental
 circuits of its matched nodes and so its digraph, and ``flip`` is its only
 update: it re-eliminates only the blocks of the flipped edges' ends.  The
-state answers a node's arcs off the graph's edge-end lists when asked, and
-grows itself by the first rounds, which flip one edge each, in one greedy
-pass.  The graph derives those lists and the int normals once, and keeps
-each block's last elimination, which a later state on it with the same
-matched nodes in the block, such as the verifier's witness state, reads
-instead.
+searches read a node's arcs off the state's lists and the graph's edge-end
+lists in place, and the state grows itself by the first rounds, which flip
+one edge each, in one greedy pass.  The graph derives those lists and the
+int normals once, and keeps each block's last elimination, which a later
+state on it with the same matched nodes in the block, such as the
+verifier's witness state, reads instead.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from collections.abc import Callable, KeysView
+from collections.abc import KeysView
 from itertools import chain
 
 from .linalg import extended, span_supports
@@ -41,11 +41,10 @@ class IndependentMatchingState:
     n_pi + j, and node v is an element of the direct sum of vector matroids
     over the row blocks, then the column blocks.  ``arcs(v)`` lists v's
     out-arcs ascending by target, each carrying the graph edge index it
-    corresponds to, or None for a matroid exchange arc; ``arcs_into(v)``
-    lists v's in-arcs, each by its tail.  An unmatched vertex outside the
-    closure of the matched ones is a source (row side) or a sink (column
-    side); inside it, it has an exchange arc with every matched vertex of
-    its fundamental circuit.
+    corresponds to, or None for a matroid exchange arc.  An unmatched
+    vertex outside the closure of the matched ones is a source (row side)
+    or a sink (column side); inside it, it has an exchange arc with every
+    matched vertex of its fundamental circuit.
 
     ``circuit[v]`` is ``[]`` for a matched v; for an unmatched v in the
     closure, the matched nodes of its block whose normals carry a nonzero
@@ -60,29 +59,12 @@ class IndependentMatchingState:
     def __init__(self, graph: StabilityGraph, matching=()):
         self.graph = graph
         self.matching: frozenset[int] = frozenset()
-        npi = graph.n_pi
         self._blocks, self._ends, self._members, self._ints, self._memo = graph.nodes
         self.circuit: list[list[int] | None] = [None] * len(self._blocks)
         self.holders: list[list[int]] = [[] for _ in self._blocks]
         self.free = [list(members) for members in self._members]
         # _mate[v]: a matched v's matched edge as (other end, edge index), like ends[v]
         self._mate: dict[int, list[tuple[int, int]]] = {}
-        ends, mate, circuit, holders = self._ends, self._mate, self.circuit, self.holders
-
-        def arcs(v: int) -> list[tuple[int, int | None]]:
-            # ascending by target, the order _search reads them: a row-side
-            # node's exchange arcs, then its graph edges; a column-side node's
-            # reversed matched edge, then its exchange arcs
-            if v < npi:
-                return [(new, None) for new in holders[v]] + ends[v]
-            return mate.get(v, []) + [(old, None) for old in circuit[v] or ()]
-
-        def arcs_into(v: int) -> list[tuple[int, int | None]]:
-            if v < npi:
-                return mate.get(v, []) + [(old, None) for old in circuit[v] or ()]
-            return ends[v] + [(new, None) for new in holders[v]]
-
-        self.arcs, self.arcs_into = arcs, arcs_into
         self.flip(matching)
 
     def _grow(self) -> list[int]:
@@ -92,7 +74,7 @@ class IndependentMatchingState:
         seeds the sources ascending: a round flips the first source's first
         edge to a sink.  Sources and sinks only shrink, so one scan of the
         row side makes every pick.  A node is a source or a sink while its
-        int normal extends its block's rows, the picked normals eliminated."""
+        int normal extends its block's echelon of picked normals."""
         blocks, ends, ints, p, picks = self._blocks, self._ends, self._ints, self.graph.field.p, []
         echelon: list[list] = [[] for _ in self._members]
         for v in range(self.graph.n_pi):
@@ -100,7 +82,8 @@ class IndependentMatchingState:
                 for w, k in ends[v]:
                     if col := extended(p, echelon[blocks[w]], ints[w]):
                         picks.append(k)
-                        echelon[blocks[v]], echelon[blocks[w]] = row, col
+                        echelon[blocks[v]].append(row)
+                        echelon[blocks[w]].append(col)
                         break
         self.flip(picks)
         return picks
@@ -171,30 +154,46 @@ class IndependentMatchingState:
     def sinks(self) -> list[int]:
         return list(chain.from_iterable(self.free[len(self.graph.row_blocks) :]))
 
+    def arcs(self, v: int) -> list[tuple[int, int | None]]:
+        """v's out-arcs, ascending by target, the order ``_search`` reads
+        them: a row-side node's exchange arcs, then its graph edges; a
+        column-side node's reversed matched edge, then its exchange arcs."""
+        if v < self.graph.n_pi:
+            return [(new, None) for new in self.holders[v]] + self._ends[v]
+        return self._mate.get(v, []) + [(old, None) for old in self.circuit[v] or ()]
+
     @property
     def adjacency(self) -> dict[int, list[tuple[int, int | None]]]:
-        """Every node's out-arcs, built on each read: the library calls ``arcs``."""
+        """Every node's out-arcs, built on each read; the searches read the lists."""
         return {v: self.arcs(v) for v in range(self.graph.n_pi + self.graph.n_sigma)}
 
 
 def _search(
-    arcs: Callable[[int], list[tuple[int, int | None]]], starts, targets=()
+    state: IndependentMatchingState, starts, targets=()
 ) -> tuple[dict[int, tuple[int, int | None] | None], int | None]:
-    """Breadth-first search of the auxiliary digraph from ``starts``.
+    """Breadth-first search of ``state``'s auxiliary digraph from ``starts``.
 
     Returns the arc (node, edge) by which each reached node was first
     entered (None for a start) and the first target reached, where the
-    search stops, or None after reaching everything it can.  A node's
-    out-arcs are asked for when it is dequeued.  Starts are seeded in the
-    given order and each node's arcs are read in the order ``arcs`` gives
-    them, which ascends by target, so the search, and the shortest path it
-    finds, are deterministic."""
-    targets = set(targets)
+    search stops, or None after reaching everything it can.  Starts are
+    seeded in the given order and a dequeued node's out-arcs are read off
+    the state's lists in place, in the order ``arcs`` lists them (a
+    column-side node has a matched edge or a circuit, never both), so the
+    search, and the shortest path it finds, are deterministic."""
+    npi, ends, mate = state.graph.n_pi, state._ends, state._mate
+    circuit, holders, targets = state.circuit, state.holders, set(targets)
     parent: dict[int, tuple[int, int | None] | None] = dict.fromkeys(starts)
     queue = deque(parent)
     while queue:
         v = queue.popleft()
-        for w, edge in arcs(v):
+        exchange, edges = (holders[v], ends[v]) if v < npi else (circuit[v] or (), mate.get(v, ()))
+        for w in exchange:
+            if w not in parent:
+                parent[w] = (v, None)
+                if w in targets:
+                    return parent, w
+                queue.append(w)
+        for w, edge in edges:
             if w not in parent:
                 parent[w] = (v, edge)
                 if w in targets:
@@ -205,9 +204,21 @@ def _search(
 
 def reachability_sets(state: IndependentMatchingState) -> tuple[set[int], set[int]]:
     """C0 = nodes reachable from the source set, Cinf = nodes that reach the
-    sink set, both in the auxiliary digraph of a maximum matching."""
-    forward = _search(state.arcs, state.sources)[0]
-    return set(forward), set(_search(state.arcs_into, state.sinks)[0])
+    sink set, both in the auxiliary digraph of a maximum matching.  Cinf is
+    walked back along the lists ``_search`` reads: a row-side node is entered
+    by its matched edge or from its circuit, a column-side node by its graph
+    edges and from its holders."""
+    npi, ends, mate = state.graph.n_pi, state._ends, state._mate
+    circuit, holders, cinf = state.circuit, state.holders, set(state.sinks)
+    stack = list(cinf)
+    while stack:
+        v = stack.pop()
+        edges, exchange = (mate.get(v, ()), circuit[v] or ()) if v < npi else (ends[v], holders[v])
+        for w in chain((w for w, _ in edges), exchange):
+            if w not in cinf:
+                cinf.add(w)
+                stack.append(w)
+    return set(_search(state, state.sources)[0]), cinf
 
 
 def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
@@ -226,7 +237,7 @@ def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
     for n in range(1, len(picks) + 1) if _log.isEnabledFor(logging.DEBUG) else ():
         _log.debug(_ROUND, n, n, extra={"matching": frozenset(picks[:n])})
     while True:
-        parent, node = _search(state.arcs, state.sources, state.sinks)
+        parent, node = _search(state, state.sources, state.sinks)
         if node is None:
             return state
         path = set()

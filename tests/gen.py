@@ -5,7 +5,8 @@ the dense product E^T A F, Gaussian binomials, elimination and rank-1
 factoring one carrier operation at a time through ``Arith``, the monic
 directions by enumerating GF(p)^dim, the vertex order on Fraction keys),
 each side's matroid on its own with its rank and closure by that
-elimination, the minimum cover that the matching tests check against, and
+elimination, a plain breadth-first search over a materialized adjacency,
+the minimum cover that the matching tests check against, and
 the rank-1 skeleton instances and mod-q rank of the scaled-rank oracle for
 |M|."""
 
@@ -562,6 +563,29 @@ def matroid_pi(g: StabilityGraph) -> SideMatroid:
 def matroid_sigma(g: StabilityGraph) -> SideMatroid:
     """The column side's matroid on its own, element j the column-side vertex j."""
     return SideMatroid(g.field, g.sigma)
+
+
+def reference_bfs(adjacency: dict, starts, targets=()) -> tuple[dict, int | None]:
+    """Breadth-first search of the digraph ``adjacency`` maps each node to
+    the (head, edge) out-arcs of, read in the stored order, from ``starts``
+    seeded in order: the arc (tail, edge) each reached node was first entered
+    by (None for a start), and the first node of ``targets`` reached, where
+    it stops, or None.  It reads only the dict, so it checks the library's
+    search, which reads the matching state's lists in place."""
+    parent = {v: None for v in starts}
+    frontier = list(parent)
+    while frontier:
+        later = []
+        for v in frontier:
+            for w, edge in adjacency[v]:
+                if w in parent:
+                    continue
+                parent[w] = (v, edge)
+                if w in targets:
+                    return parent, w
+                later.append(w)
+        frontier = later
+    return parent, None
 
 
 def matched_sides(state: IndependentMatchingState) -> tuple[set[int], set[int]]:

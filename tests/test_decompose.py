@@ -119,18 +119,18 @@ def test_tarjan_matches_networkx_and_emits_in_reverse_topological_order():
     for _ in range(60):
         n = rng.randint(1, 40)
         density = rng.choice((0.02, 0.05, 0.1, 0.3))
-        adj = {v: sorted(w for w in range(n) if rng.random() < density) for v in range(n)}
+        adj = [sorted(w for w in range(n) if rng.random() < density) for v in range(n)]
         nodes = list(range(n))
         rng.shuffle(nodes)
         sccs = _tarjan_scc(nodes, adj)
         digraph = nx.DiGraph()
         digraph.add_nodes_from(nodes)
-        digraph.add_edges_from((v, w) for v in adj for w in adj[v])
+        digraph.add_edges_from((v, w) for v in nodes for w in adj[v])
         want = {frozenset(c) for c in nx.strongly_connected_components(digraph)}
         assert len(sccs) == len(want) and {frozenset(c) for c in sccs} == want
         # every arc between two components runs from the later-emitted one
         emitted = {v: k for k, c in enumerate(sccs) for v in c}
-        assert all(emitted[v] >= emitted[w] for v in adj for w in adj[v])
+        assert all(emitted[v] >= emitted[w] for v in nodes for w in adj[v])
 
 
 def test_scc_poset_empty_graph():

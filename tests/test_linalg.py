@@ -11,7 +11,7 @@ from gen import (
 )
 
 from rank1dm import GF, QQ, HyperplaneVertex, Matrix
-from rank1dm.linalg import rank1_factor, rref, span_supports
+from rank1dm.linalg import extended, rank1_factor, rref, span_supports
 
 
 def is_upper_triangular(m: Matrix) -> bool:
@@ -354,6 +354,101 @@ def test_span_coordinates_against_ranks():
                 assert rebuilt == cand
                 assert support == [k for k, c in enumerate(coords) if c != field.zero_raw]
     assert dependent > 10 and inside > 50
+
+
+def _kernel_vectors(rng, field, dim, basis_size):
+    """A random basis of int vectors and candidates for the elimination
+    kernels: the basis full, deficient (a repeat or a combination among its
+    vectors) or empty, the candidates zero, repeated, basis vectors, inside
+    the span or random; QQ values carry denominators up to 3, and both lists
+    are cleared as the matching state clears its normals."""
+    ar = Arith(field)
+
+    def draw():
+        if field is QQ:
+            return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim))
+        return tuple(rng.randrange(field.p) for _ in range(dim))
+
+    def combination(vecs):
+        combo = (field.zero_raw,) * dim
+        for b in vecs:
+            c = field.coerce_raw(rng.randint(-3, 3))
+            combo = tuple(ar.add(x, ar.mul(c, y)) for x, y in zip(combo, b))
+        return combo
+
+    basis = [draw() for _ in range(basis_size)]
+    if basis and rng.random() < 0.5:
+        extra = rng.choice(basis) if rng.random() < 0.5 else combination(basis)
+        basis.insert(rng.randrange(len(basis) + 1), extra)
+    cands = [draw() for _ in range(rng.randint(0, 3))]
+    cands += [(field.zero_raw,) * dim, combination(basis), *basis[:1]]
+    cands += cands[: rng.randint(0, 2)]  # repeats
+    rng.shuffle(cands)
+    return basis, cands, field.cleared(basis)[1], field.cleared(cands)[1]
+
+
+def _reference_rank(field, vecs, dim):
+    return reference_rref(from_dense(field, len(vecs), dim, [x for v in vecs for x in v])).rank
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(101), QQ], ids=["gf2", "gf3", "gf101", "qq"])
+def test_extended_grows_exactly_with_the_reference_rank(field):
+    # vectors offered one by one to the greedy echelon: extended returns a
+    # (pivot, row) pair exactly when the reference rank of the accepted
+    # vectors grows, the row zero at every earlier pivot, its pivot entry 1
+    # mod p, and the rows spanning what was accepted; a full echelon
+    # accepts nothing
+    rng = random.Random(53)
+    accepted = refused = full = 0
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        vecs, more, ints, more_ints = _kernel_vectors(rng, field, dim, rng.randint(0, dim + 1))
+        echelon, kept = [], []
+        for vec, iv in zip(vecs + more, ints + more_ints):
+            grows = _reference_rank(field, kept + [vec], dim) > len(echelon)
+            full += len(echelon) == dim
+            pair = extended(field.p, echelon, iv)
+            assert (pair is not None) == grows
+            if pair is None:
+                refused += 1
+                continue
+            pc, row = pair
+            assert row[pc] and all(row[q] == 0 for q, _ in echelon)
+            assert not field.p or row[pc] == 1
+            echelon.append(pair)
+            kept.append(vec)
+            accepted += 1
+            rows = [tuple(map(field.coerce_raw, r)) for _, r in echelon]
+            assert _reference_rank(field, rows, dim) == len(rows)
+            assert _reference_rank(field, rows + kept, dim) == len(rows)
+    assert accepted > 40 and refused > 40 and full > 5
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(101), QQ], ids=["gf2", "gf3", "gf101", "qq"])
+def test_span_supports_equals_the_reference_solve(field):
+    # the rank of the basis is the reference rank, and a candidate's support
+    # is None exactly when the reference RREF of [basis | candidate] pivots
+    # on the candidate's column, else the basis columns whose pivot rows
+    # hold a nonzero entry in it
+    rng = random.Random(54)
+    deficient = outside = inside = 0
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        basis, cands, basis_ints, cand_ints = _kernel_vectors(rng, field, dim, rng.randint(0, dim))
+        rank, supports = span_supports(field.p, dim, basis_ints, cand_ints)
+        b = len(basis)
+        assert rank == _reference_rank(field, basis, dim) and len(supports) == len(cands)
+        deficient += rank < b
+        for cand, support in zip(cands, supports):
+            stacked = [v[r] for r in range(dim) for v in basis + [cand]]
+            red = reference_rref(from_dense(field, dim, b + 1, stacked))
+            if b in red.pivots:
+                assert support is None
+                outside += 1
+                continue
+            inside += 1
+            assert support == [pc for r, pc in enumerate(red.pivots) if red.R.row_raw(r)[b]]
+    assert deficient > 5 and outside > 20 and inside > 60
 
 
 def test_triangularizing_accepts_other_valid_transforms():

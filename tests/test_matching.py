@@ -14,6 +14,7 @@ from gen import (
     matroid_sigma,
     min_cover,
     random_rank1_instance,
+    reference_bfs,
 )
 
 from rank1dm import (
@@ -179,9 +180,9 @@ def test_intermediate_matchings_stay_independent(caplog):
 
 
 def test_aux_digraph_built_in_search_order(caplog):
-    # _search reads each adjacency list as stored, so every list must ascend
-    # by (target, exchange arc before graph edge); matched vertices are not
-    # solved against themselves, their circuits are empty
+    # _search reads each node's arcs in the order arcs lists them, so every
+    # list must ascend by (target, exchange arc before graph edge); matched
+    # vertices are not solved against themselves, their circuits are empty
     caplog.set_level(logging.DEBUG, logger="rank1dm")
     rng = random.Random(37)
     for field in (GF(2), GF(3), GF(101), QQ) * 4:
@@ -198,25 +199,35 @@ def test_aux_digraph_built_in_search_order(caplog):
             assert all(c == sorted(c) for c in state.circuit if c is not None)
 
 
-def test_arcs_into_reverses_arcs_after_every_flip(monkeypatch):
-    # both views are read off the same lists, so after each flip they list
-    # the same (tail, head, edge) arcs, as multisets over all nodes: reversed
+def _ancestors_of_sinks(nx, state) -> set[int]:
+    """The sinks and every node with a path to one, by networkx on the
+    digraph the materialized out-arcs describe."""
+    adjacency = state.adjacency
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(adjacency)
+    digraph.add_edges_from((v, w) for v, outs in adjacency.items() for w, _ in outs)
+    return set(state.sinks).union(*(nx.ancestors(digraph, v) for v in state.sinks))
+
+
+def test_backward_reachability_equals_ancestors_after_every_flip(monkeypatch):
+    # Cinf is walked back along the lists the search reads forward, so after
+    # each flip it is what reaches the sinks on the out-arcs alone: reversed
     # matched edges and both sides' exchange arcs included.  The flips are
     # one search's path at a time from the empty matching, then the state
     # max_independent_matching builds on its greedy picks and its own rounds
+    nx = pytest.importorskip("networkx")
     seen = Counter()
     flip = IndependentMatchingState.flip
 
     def checked_flip(state, edges):
         flip(state, edges)
-        npi, nodes = state.graph.n_pi, range(state.graph.n_pi + state.graph.n_sigma)
-        out = Counter((v, w, edge) for v in nodes for w, edge in state.arcs(v))
-        into = Counter((t, v, edge) for v in nodes for t, edge in state.arcs_into(v))
-        assert out == into
+        assert reachability_sets(state)[1] == _ancestors_of_sinks(nx, state)
         seen["flips"] += 1
-        for v, w, edge in out:
-            kind = "graph" if v < npi <= w else "matched" if w < npi <= v else "exchange"
-            seen[kind, v < npi] += 1
+        npi = state.graph.n_pi
+        for v, outs in state.adjacency.items():
+            for w, edge in outs:
+                kind = "graph" if v < npi <= w else "matched" if w < npi <= v else "exchange"
+                seen[kind, v < npi] += 1
 
     monkeypatch.setattr(IndependentMatchingState, "flip", checked_flip)
     rng = random.Random(43)
@@ -229,6 +240,35 @@ def test_arcs_into_reverses_arcs_after_every_flip(monkeypatch):
         assert max_independent_matching(g).matching == state.matching
     assert seen["flips"] > 50
     assert all(seen[kind] for kind in (("matched", False), ("exchange", True), ("exchange", False)))
+
+
+def test_search_equals_the_reference_bfs_on_every_snapshot(caplog):
+    # on the digraph of every matching a solve passes through, the search
+    # that reads the state's lists in place enters each node by the arc and
+    # stops at the target that a plain BFS over the materialized out-arcs
+    # finds, with the sinks as targets and without; the backward walk
+    # reaches what networkx finds reaching the sinks
+    nx = pytest.importorskip("networkx")
+    caplog.set_level(logging.DEBUG, logger="rank1dm")
+    rng = random.Random(49)
+    found = exchange = 0
+    for field in (GF(2), GF(3), GF(101), QQ) * 4:
+        a = random_rank1_instance(
+            rng, field, rng.randint(2, 6), rng.randint(2, 6), max_dim=3, zero_prob=0.4
+        )
+        g = build_stability_graph(a)
+        caplog.clear()
+        max_independent_matching(g)
+        for matching in [frozenset()] + [r.matching for r in caplog.records]:
+            state = IndependentMatchingState(g, matching)
+            adjacency = state.adjacency
+            for targets in (state.sinks, ()):
+                got = _search(state, state.sources, targets)
+                assert got == reference_bfs(adjacency, state.sources, targets)
+                found += got[1] is not None
+            assert reachability_sets(state)[1] == _ancestors_of_sinks(nx, state)
+            exchange += sum(map(len, state.holders))
+    assert found > 50 and exchange > 20
 
 
 def test_reachability_sets_match_networkx():
@@ -370,9 +410,9 @@ def test_final_state_matches_rebuilt_digraph():
 
 
 def _flip(matching, state):
-    """The matching after one search of ``state``'s materialized digraph,
-    or None when no augmenting path exists."""
-    parent, node = _search(state.adjacency.__getitem__, state.sources, state.sinks)
+    """The matching after one reference search of ``state``'s materialized
+    digraph, or None when no augmenting path exists."""
+    parent, node = reference_bfs(state.adjacency, state.sources, state.sinks)
     if node is None:
         return None
     flipped = set()
