@@ -286,9 +286,9 @@ def _adapted_basis(
     by unit vectors that follow the matched entries of ``completion_group``.
 
     One reduction per block of [N | I], N its normals as columns, gives
-    [PN | P] with P the inverse of the completed basis: the identity columns
-    taking a pivot are the greedy completion, and row k of P is the dual of
-    the k-th basis vector (the normals, then the completion)."""
+    [PN | P], only P as carriers, P the inverse of the completed basis: the
+    identity columns taking a pivot are the greedy completion, and row k of
+    P is the dual of the k-th basis vector (the normals, then the completion)."""
     by_block: list[list[tuple[int, tuple]]] = [[] for _ in dims]  # (group, normal) pairs
     for group, ids in groups:
         for i in ids:
@@ -297,10 +297,10 @@ def _adapted_basis(
     for blk, (dim, normals) in enumerate(zip(dims, by_block)):
         p = len(normals)
         eye = [[f.one_raw if r == c else f.zero_raw for c in range(dim)] for r in range(dim)]
-        rows, pivots = reduced(f, [[u[r] for _, u in normals] + eye[r] for r in range(dim)])
+        rows, pivots = reduced(f, [[u[r] for _, u in normals] + eye[r] for r in range(dim)], p)
         if pivots[:p] != list(range(p)):
             raise ValueError(f"the normals of block {blk} are linearly dependent")
-        inverse = [tuple(row[p:]) for row in rows]
+        inverse = list(map(tuple, rows))
         matched += [BasisEntry(group, blk, u, d) for (group, u), d in zip(normals, inverse)]
         completion += [
             BasisEntry(completion_group, blk, tuple(eye[c - p]), d)
@@ -496,7 +496,7 @@ def _form_problem(name: str, mat: Matrix, rows: int, cols: int, f: Field) -> str
         k = next(k for k in range(1, len(keys)) if keys[k] <= keys[k - 1])
         return f"{name}'s column indices do not ascend in row {keys[k] // cols}"
     xs = list(chain.from_iterable(vals))
-    if f.carries(xs) and all(xs):  # 0 and Fraction(0) are the false carriers
+    if f.carries(xs) and all(xs):  # 0 is the false carrier
         return ""
     k = next(k for k, x in enumerate(xs) if not (f.carries([x]) and x))
     why = "a stored zero" if f.carries(xs[k : k + 1]) else f"not a value of {f}"

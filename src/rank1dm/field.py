@@ -1,22 +1,23 @@
 """Exact fields: prime fields GF(p) and arbitrary-precision rationals.
 
 A field value has one representation, its raw carrier: an ``int`` residue in
-[0, p) for GF(p), a ``fractions.Fraction`` in lowest terms with positive
-denominator for the rationals.  A ``Field`` parses, prints, validates and
+[0, p) for GF(p); for a rational an ``int`` when it is integral, else a
+``fractions.Fraction`` (lowest terms, denominator above 1), as
+``RationalField.ratio`` makes it.  A ``Field`` parses, prints, validates and
 clears carriers and does no arithmetic: the kernels do theirs on ints.  A
 container (a ``Matrix``, a stability graph, a matching state) records the
 field, and a vector is a tuple of raw carriers.  ``p`` is the
-characteristic, 0 for the rationals, and ``cleared(vecs)`` writes vectors
-on ints over one denominator.  Zero is the only false carrier, so a
-``Matrix`` built from dense values leaves it out; a value from outside,
-such as ``None`` or ``0.0``, is told apart by ``carries``, which ``verify``
-applies once to the stored values of each result matrix.  ``parse`` reads
-ASCII decimal tokens only, with no exponent, and ``parse_row`` reads a
-whole row of integer tokens at once, converting only the tokens other than
-``0``, into the columns and values of its nonzeros.  ``format``
-is ``str`` on every field: the decimal residue for GF(p), ``a`` or ``a/b``
-for a rational.  The zero prints as ``0`` in every field, so a printer
-splices the zeros of a sparse row from one run of ``"0 "``.
+characteristic, 0 for the rationals, and ``cleared(vecs)`` writes vectors on
+ints over one denominator.  Zero is the only false carrier, ``0`` in every
+field, so a ``Matrix`` built from dense values leaves it out; a value from
+outside, such as ``None``, ``0.0`` or ``Fraction(3)``, is told apart by
+``carries``, which ``verify`` applies once to the stored values of each
+result matrix.  ``parse`` reads ASCII decimal tokens only, with no exponent,
+and ``parse_row`` reads a whole row of integer tokens at once, converting
+only the tokens other than ``0``, into the columns and values of its
+nonzeros.  ``format`` is ``str`` on every field: the decimal residue for
+GF(p), ``a`` or ``a/b`` for a rational.  The zero prints as ``0`` in every
+field, so a printer splices the zeros of a sparse row from one run of ``"0 "``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class Field:
     """Base class: parsing, printing and validation of raw carrier values."""
 
     p: int  # the characteristic, 0 for the rationals
+    zero_raw = 0
+    one_raw = 1
 
     def canon(self, value):
         raise NotImplementedError
@@ -68,7 +71,7 @@ class Field:
         ints = [int(tokens[j]) % p for j in idx] if p else [int(tokens[j]) for j in idx]
         if 0 in ints:  # a token such as "00" or "-0", or a multiple of p
             idx, ints = list(compress(idx, ints)), list(filter(None, ints))
-        return idx, ints if p else list(map(Fraction, ints))
+        return idx, ints
 
     format = str
 
@@ -86,9 +89,6 @@ class PrimeField(Field):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-
-    zero_raw = 0
-    one_raw = 1
 
     def carries(self, values) -> bool:
         """Whether every value is a raw carrier, an int in [0, p)."""
@@ -124,33 +124,38 @@ class PrimeField(Field):
 
 
 class RationalField(Field):
-    """The field of rationals.  Carrier: ``fractions.Fraction``."""
+    """The field of rationals.  Carrier: ``int`` when integral, else ``Fraction``."""
 
     __slots__ = ()
 
     p = 0
-    zero_raw = Fraction(0)
-    one_raw = Fraction(1)
+
+    @staticmethod
+    def ratio(n: int, d: int):
+        """The carrier of n/d, d nonzero: ``n // d`` when d divides n."""
+        return Fraction(n, d) if n % d else n // d
 
     def carries(self, values) -> bool:
-        """Whether every value is a raw carrier, a Fraction."""
-        return set(map(type, values)) <= {Fraction}
+        """Whether every value is a raw carrier: an int (not a bool), or a non-integral Fraction."""
+        kinds = set(map(type, values))
+        return kinds <= {int} or kinds <= {int, Fraction} and 1 not in {
+            x.denominator for x in values if type(x) is Fraction}
 
     def canon(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, (int, Fraction)):
+            return self.ratio(value.numerator, value.denominator)
         raise TypeError(f"cannot interpret {value!r} as a rational")
 
     def cleared(self, vecs: list) -> tuple[int, list]:
-        """d, the lcm of every entry's denominator, and the vectors times d."""
-        d = lcm(*[x.denominator for vec in vecs for x in vec])
+        """d, the lcm of every entry's denominator, and the vectors times d:
+        ``vecs`` themselves when every entry is an int."""
+        if (d := lcm(*[x.denominator for vec in vecs for x in vec])) == 1:
+            return 1, vecs
         return d, [[x.numerator * (d // x.denominator) for x in vec] for vec in vecs]
 
     def parse(self, text: str):
         try:
-            return Fraction(_decimal(text))
+            return self.canon(Fraction(_decimal(text)))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"{text!r} is not a rational number") from None
 

@@ -3,10 +3,11 @@
 A ``Matrix`` holds each row as its ascending column indices and their raw
 values, with no zero stored.  Elimination is one exact Gauss-Jordan on int
 rows: GF(p) residues reduce mod p, and rational rows are cleared of
-denominators and eliminated fraction-free.  ``rref`` builds ``Fraction``s
-only for its result; ``span_supports``, which the matching state calls,
+denominators and eliminated fraction-free.  ``reduced`` turns back into
+carriers only the columns its caller keeps, a ``Fraction`` only where an
+entry is not an integer; ``span_supports``, which the matching state calls,
 reads only which coefficients are nonzero, so it builds no Matrix and no
-Fraction.  The pivot is always the first nonzero entry in column order, so
+carrier.  The pivot is always the first nonzero entry in column order, so
 every result is deterministic and there is no numerical tolerance anywhere.
 A vector (a normal, a dual or a basis vector) is a tuple of raw carriers.
 """
@@ -14,8 +15,7 @@ A vector (a normal, a dual or a basis vector) is a tuple of raw carriers.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from itertools import chain, compress, zip_longest
 from math import gcd
 from typing import Any, NamedTuple, Sequence
@@ -41,8 +41,8 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
-        """The matrix of dense rows of values that ``coerce_raw`` reads; 0 and
-        Fraction(0) are the false carriers, so ``compress`` leaves out the zeros."""
+        """The matrix of dense rows of values that ``coerce_raw`` reads; 0 is
+        the false carrier, so ``compress`` leaves out the zeros."""
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
@@ -82,19 +82,20 @@ class Matrix:
         return Matrix(self.field, r1 - r0, c1 - c0, indices, values)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """The product, summed over the stored entries of each row's terms."""
+        """The product, summed over the stored entries of each row's terms,
+        each sum a canonical carrier."""
         if self.field != other.field:
             raise ValueError("field mismatch in matrix product")
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        p = self.field.p
+        p, canon = self.field.p, self.field.canon
         indices, values = [], []
         for idx, vals in zip(self.indices, self.values):
             acc: dict[int, Any] = {}
             for t, x in zip(idx, vals):
                 for j, y in zip(other.indices[t], other.values[t]):
                     acc[j] = acc.get(j, 0) + x * y
-            row = [(j, s % p if p else s) for j, s in sorted(acc.items())]
+            row = [(j, s % p if p else canon(s)) for j, s in sorted(acc.items())]
             indices.append([j for j, s in row if s])
             values.append([s for _, s in row if s])
         return Matrix(self.field, self.rows, other.cols, indices, values)
@@ -160,21 +161,19 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(r, pivots, len(pivots))
 
 
-def reduced(f: Field, rows: list[list]) -> tuple[list[list], list[int]]:
+def reduced(f: Field, rows: list[list], start: int = 0) -> tuple[list[list], list[int]]:
     """Dense rows of carriers, all as wide, in reduced row echelon form,
-    and the pivot columns, by Gauss-Jordan on int rows: rational rows are
-    scaled by the lcm of their denominators, and become Fractions only in
-    the result, each pivot row over its entry at its pivot column."""
-    if not f.p:
-        rows = f.cleared(rows)[1]
+    their columns from ``start`` on, and the pivot columns, by Gauss-Jordan
+    on int rows: rational rows are scaled by the lcm of their denominators,
+    and become carriers only in the result, each pivot row over its entry
+    at its pivot column."""
+    rows = f.cleared(rows)[1]
     pivots = _gauss_jordan(rows, len(rows[0]) if rows else 0, f.p)
-    if not f.p:  # rows past the rank are zero, so their missing pivot is never read
-        zero = f.zero_raw
-        rows = [
-            [Fraction(v, row[pc]) if v else zero for v in row]
-            for row, pc in zip_longest(rows, pivots)
-        ]
-    return rows, pivots
+    if f.p:
+        return [row[start:] for row in rows], pivots
+    # rows past the rank are zero, so their missing pivot is never read
+    return [[f.ratio(v, row[pc]) if v else 0 for v in row[start:]]
+            for row, pc in zip_longest(rows, pivots)], pivots
 
 
 def span_supports(
@@ -230,17 +229,27 @@ def extended(p: int, rows: Sequence[tuple], vec: Sequence[int]) -> tuple | None:
 @dataclass(frozen=True)
 class Rank1Factor:
     """Verdict on a single block: rank 0, rank 1 with its factorization
-    block = coeff * u^T v (u, v monic tuples, coeff a raw value), or rank >= 2."""
+    block = coeff * u^T v (u, v monic tuples, coeff a raw value), or rank >= 2,
+    and ``ints`` = (n, d, u', v'), block = n/d u'^T v' on ints: (coeff, 1, u, v)
+    over GF(p); over QQ u' and v' primitive, so u' is u times its leading entry."""
 
     rank: int
     u: tuple | None = None
     v: tuple | None = None
     coeff: Any = None
+    ints: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def rank1_factor(m: Matrix) -> Rank1Factor:
     """Classify a matrix as zero / rank one / higher rank; see ``rank1_of``."""
     return rank1_of(m.field, m.cols, 0, m.indices, m.values)
+
+
+def _monic(f: Field, xs: list[int], lead: int) -> tuple[int, tuple, tuple]:
+    """(d, xs', xs / lead): xs' = xs over their gcd, signed as lead, d its entry where lead is."""
+    g = gcd(*xs) if lead > 0 else -gcd(*xs)
+    ints, d = tuple([x // g for x in xs]), lead // g
+    return d, ints, ints if d == 1 else tuple([f.ratio(x, d) for x in ints])
 
 
 def rank1_of(f: Field, width: int, lo: int, idx: list, vals: list) -> Rank1Factor:
@@ -255,29 +264,32 @@ def rank1_of(f: Field, width: int, lo: int, idx: list, vals: list) -> Rank1Facto
     stores one.  The rank is one iff every row that stores a value stores it
     at w's columns and is a multiple of w, decided on the stored values as
     ints: over GF(p) a row r must equal r[0] v mod p; over QQ, on values
-    cleared of denominators, w[0] r must equal r[0] w.
+    cleared of denominators, w[0] r must equal r[0] w, and u and v are those
+    ints' first column and w, each over w[0], born on ints.
     """
     i0 = next((i for i, row in enumerate(idx) if row), None)
     if i0 is None:
         return Rank1Factor(rank=0)
     support, c = idx[i0], vals[i0][0]
-    v = [f.zero_raw] * width
     if not f.p:
-        ints = f.cleared(vals)[1]
-        w = ints[i0]
-        for js, r in zip(idx, ints):
+        rows = f.cleared(vals)[1]
+        w = rows[i0]
+        for js, r in zip(idx, rows):
             if r and (js != support or [w[0] * x for x in r] != [r[0] * y for y in w]):
                 return Rank1Factor(rank=2)
-        for j, y in zip(support, w):
-            v[j - lo] = Fraction(y, w[0])
-        u = [row[0] / c if row else f.zero_raw for row in vals]
+        u = [r[0] if r else 0 for r in rows]
     else:
         p, cinv = f.p, pow(c, -1, f.p)
         w = [cinv * x % p for x in vals[i0]]
         for js, row in zip(idx, vals):
             if row and (js != support or row != [row[0] * y % p for y in w]):
                 return Rank1Factor(rank=2)
-        for j, y in zip(support, w):
-            v[j - lo] = y
         u = [cinv * row[0] % p if row else 0 for row in vals]
-    return Rank1Factor(rank=1, u=tuple(u), v=tuple(v), coeff=c)
+    v = [0] * width
+    for j, y in zip(support, w):
+        v[j - lo] = y
+    if f.p:
+        u, v = tuple(u), tuple(v)
+        return Rank1Factor(1, u, v, c, (c, 1, u, v))
+    (du, iu, u), (dv, iv, v) = _monic(f, u, w[0]), _monic(f, v, w[0])
+    return Rank1Factor(1, u, v, c, (c.numerator, c.denominator * du * dv, iu, iv))

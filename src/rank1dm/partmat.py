@@ -4,8 +4,9 @@ A partitioned matrix is a matrix, stored by its nonzeros, together with row
 and column block sizes.  What depends on A alone is derived once per matrix, for
 ``dm_decompose`` and ``verify`` alike: each nonzero block's factorization
 coeff * u^T v with monic u and v (a block of rank >= 2 breaks the rank-1
-condition, which factoring reports), the factors on ints, and the frozen
-stability graph, which derives once what its matching states read.  E's and F's
+condition, which factoring reports), born with their int forms, and the
+frozen stability graph, which keys, orders and hands its matching states
+those int normals and derives once what the states read.  E's and F's
 column parts have one int form, cleared once per call.  A vector is a tuple
 of raw values of the field its container records.  The u's become hyperplane
 vertices on the row side (one vertex per distinct kernel of a block
@@ -16,14 +17,14 @@ contributes one edge joining its pair of vertices.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from itertools import accumulate, pairwise, product
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .field import Field
+from .field import QQ, Field
 from .linalg import Matrix, Rank1Factor, rank1_of
 
 
@@ -109,21 +110,13 @@ class PartitionedMatrix:
         return out
 
     @cached_property
-    def _factor_ints(self) -> dict[tuple[int, int], tuple[int, int, tuple, tuple]]:
-        """Each factor c u^T v as (n, d, u', v'), n/d u'^T v' = c u^T v, u and v
-        cleared by ``field.cleared`` (d = 1 over GF(p)): int tuples, untracked by the GC."""
-        return {key: (fac.coeff.numerator, fac.coeff.denominator * duv * duv, tuple(u), tuple(v))
-                for key, fac in self.factors.items()
-                for duv, (u, v) in [self.field.cleared([fac.u, fac.v])]}
-
-    @cached_property
     def graph(self) -> StabilityGraph:
         """The stability graph, built once per matrix; see ``build_stability_graph``."""
         fld, factors = self.field, self.factors.items()
-        pi, pis = _vertices(fld, [(alpha, fac.u) for (alpha, _), fac in factors])
-        sigma, sigmas = _vertices(fld, [(beta, fac.v) for (_, beta), fac in factors])
-        edges = tuple(map(Edge, pis, sigmas))
-        return StabilityGraph(fld, self.row_blocks, self.col_blocks, pi, sigma, edges)
+        pi, pints, pis = _vertices(fld, [(a, fac.u, fac.ints[2]) for (a, _), fac in factors])
+        sigma, sints, sigmas = _vertices(fld, [(b, fac.v, fac.ints[3]) for (_, b), fac in factors])
+        edges, ints = tuple(map(Edge, pis, sigmas)), pints + sints
+        return StabilityGraph(fld, self.row_blocks, self.col_blocks, pi, sigma, edges, ints)
 
     def transform(self, e: Matrix, f: Matrix) -> Matrix:
         """E^T A F, the sum of A's ``_terms``, exact for any E with n rows and F
@@ -137,7 +130,7 @@ class PartitionedMatrix:
                                   column_parts(f, self.col_offsets)):
             row = out[i]
             for j, q in qs:
-                t = s * q % p if p else Fraction(s * q, d)
+                t = s * q % p if p else QQ.ratio(s * q, d)
                 # only a non-admissible E or F sends a second term here, and a sum may cancel
                 if j in row and not (t := fld.canon(row.pop(j) + t)):
                     continue
@@ -176,12 +169,13 @@ def _terms(a: PartitionedMatrix, e_parts, f_parts):
     entry (i, j) for each (j, q) in qs, given E's ``column_parts`` on A's row
     offsets and F's on its column offsets.  Block (alpha, beta) = c u^T v
     gives the outer product of s_i = c (u . rows alpha of E's column i) and
-    q_j = v . rows beta of F's column j, on the parts' and factors' ints
-    over one denominator, each dot an int sum, reduced mod p over GF(p),
-    where d is 1 and s unreduced."""
+    q_j = v . rows beta of F's column j, on the parts' ints and the int
+    forms the factors were born with, over one denominator, each dot an int
+    sum, reduced mod p over GF(p), where d is 1 and s unreduced."""
     p = a.field.p
     dot = (lambda xs, ys: sum(map(mul, xs, ys)) % p) if p else lambda xs, ys: sum(map(mul, xs, ys))
-    for (alpha, beta), (c, d, u, v) in a._factor_ints.items():
+    for (alpha, beta), fac in a.factors.items():
+        c, d, u, v = fac.ints
         (dx, xs), (dy, ys) = e_parts[alpha], f_parts[beta]
         d *= dx * dy
         if qs := [(j, q) for j, y in ys if (q := dot(v, y))]:
@@ -235,7 +229,7 @@ class StabilityGraph:
     Vertices are listed in the canonical order (block index, then
     colexicographic order of the monic normal); edges follow the row-major
     block order of their source blocks.  Frozen, on tuples: no holder changes it.
-    """
+    ``ints``, the normals on ints (pi, then sigma) from A's factors, spares ``nodes``."""
 
     field: Field
     row_blocks: tuple[int, ...]
@@ -243,6 +237,7 @@ class StabilityGraph:
     pi: tuple[HyperplaneVertex, ...] = ()
     sigma: tuple[HyperplaneVertex, ...] = ()
     edges: tuple[Edge, ...] = ()
+    ints: list | None = dc_field(default=None, compare=False, repr=False)
 
     @cached_property
     def nodes(self) -> tuple[list, list, list, list, dict]:
@@ -263,7 +258,7 @@ class StabilityGraph:
         members: list[list[int]] = [[] for _ in self.row_blocks + self.col_blocks]
         for v, blk in enumerate(blocks):
             members[blk].append(v)
-        ints = self.field.cleared([v.normal for v in self.pi + self.sigma])[1]
+        ints = self.ints or self.field.cleared([v.normal for v in self.pi + self.sigma])[1]
         return blocks, ends, members, ints, {}
 
     @property
@@ -317,18 +312,24 @@ def _direction_letters(p: int, dim: int) -> dict[tuple, str]:
     return {v: chr(ord("a") + r) for r, v in enumerate(monic)}
 
 
-def _vertices(field: Field, ends: list[tuple[int, tuple]]) -> tuple[tuple, list[int]]:
-    """The distinct (block, normal) pairs of ``ends`` as vertices in the
-    canonical order, and each end's vertex index.  A pair's key is its block
-    and its normal on ints, read last entry first: over QQ times the lcm of
-    every denominator in ``ends``, a positive scale, so order and equality
-    are the Fractions' and no Fraction is sorted or hashed."""
-    ints = field.cleared([nrm for _, nrm in ends])[1]
-    keys = [(blk, tuple(v[::-1])) for (blk, _), v in zip(ends, ints)]
+def _vertices(field: Field, ends: list[tuple[int, tuple, tuple]]) -> tuple[tuple, list, list[int]]:
+    """The distinct (block, normal) pairs of (block, normal, int form) ``ends`` as
+    vertices in the canonical order, their int forms, and each end's vertex
+    index.  Keys are int forms read last entry first; over QQ the order scales
+    each by D / d, d its leading entry and D the lcm of every d, so order and
+    equality are the carriers' and no Fraction is sorted or hashed."""
+    keys = [(blk, ints[::-1]) for blk, _, ints in ends]
     vertex = dict(zip(keys, ends))
-    order = sorted(vertex)
+    if field.p:
+        order = sorted(vertex)
+    else:
+        lead = {k: next(filter(None, reversed(k[1]))) for k in vertex}
+        scale = lcm(*lead.values())
+        order = sorted(vertex, key=lambda k: (k[0], [x * (scale // lead[k]) for x in k[1]]))
     index = {k: i for i, k in enumerate(order)}
-    return tuple([HyperplaneVertex(*vertex[k]) for k in order]), [index[k] for k in keys]
+    chosen = [vertex[k] for k in order]
+    vertices = tuple([HyperplaneVertex(blk, normal) for blk, normal, _ in chosen])
+    return vertices, [ints for _, _, ints in chosen], [index[k] for k in keys]
 
 
 def build_stability_graph(a: PartitionedMatrix) -> StabilityGraph:

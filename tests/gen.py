@@ -16,6 +16,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING
 
 from rank1dm import (
@@ -34,16 +35,16 @@ if TYPE_CHECKING:  # the references share no code with the matching state
 
 class Arith:
     """Carrier arithmetic of one field, for the references and the instance
-    builders: ``Fraction`` operators over QQ (p = 0), ints reduced mod p over
-    GF(p).  The library computes on ints in its kernels and has no such
-    operations, so a reference built on these shares no arithmetic with the
-    code it checks."""
+    builders: ``Fraction`` operators over QQ (p = 0), each result an ``int``
+    when it is integral, ints reduced mod p over GF(p).  The library
+    computes on ints in its kernels and has no such operations, so a
+    reference built on these shares no arithmetic with the code it checks."""
 
     def __init__(self, field):
         self.p = field.p
 
     def _carrier(self, x):
-        return x % self.p if self.p else x
+        return x % self.p if self.p else rational(x)
 
     def add(self, a, b):
         return self._carrier(a + b)
@@ -57,10 +58,10 @@ class Arith:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("0 has no inverse")
-        return pow(a, -1, self.p) if self.p else 1 / a
+        return pow(a, -1, self.p) if self.p else rational(1, a)
 
     def dot(self, xs, ys):
-        return self._carrier(sum(map(operator.mul, xs, ys), 0 if self.p else Fraction(0)))
+        return self._carrier(sum(map(operator.mul, xs, ys), 0))
 
 
 EXAMPLE_ROWS = [
@@ -71,6 +72,24 @@ EXAMPLE_ROWS = [
     [1, 0, 1, 1, 1, 0],
     [1, 0, 1, 1, 0, 0],
 ]
+
+
+def rational(n, d=1):
+    """The canonical carrier of n/d, made without the library: an ``int``
+    when it is integral, else a ``Fraction``."""
+    x = Fraction(n, d)
+    return x.numerator if x.denominator == 1 else x
+
+
+def canonical(field, x) -> bool:
+    """Whether ``x`` is a canonical carrier of ``field``, decided without
+    the library: an int in [0, p) over GF(p); over QQ an int that is not a
+    bool, or a Fraction in lowest terms with a denominator above 1."""
+    if field.p:
+        return type(x) is int and 0 <= x < field.p
+    return type(x) is int or (
+        type(x) is Fraction and x.denominator > 1 and gcd(x.numerator, x.denominator) == 1
+    )
 
 
 def dense(m: Matrix) -> list:
@@ -219,7 +238,7 @@ def from_blocks(blocks: list[list[Matrix]]) -> PartitionedMatrix:
 def _random_nonzero_vector(rng, field, dim):
     while True:
         if field is QQ or getattr(field, "p", None) is None:
-            vals = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
+            vals = [rng.randint(-3, 3) for _ in range(dim)]
         else:
             vals = [rng.randrange(field.p) for _ in range(dim)]
         if any(v != field.zero_raw for v in vals):
@@ -228,7 +247,7 @@ def _random_nonzero_vector(rng, field, dim):
 
 def _random_nonzero_scalar(rng, field):
     if field is QQ or getattr(field, "p", None) is None:
-        return Fraction(rng.randint(1, 9))
+        return rng.randint(1, 9)
     return rng.randrange(1, field.p)
 
 
@@ -242,7 +261,7 @@ def random_unit_pattern_instance(rng: random.Random, n: int, m: int, density=0.4
 def random_nonsingular(rng: random.Random, field, n: int) -> Matrix:
     while True:
         if field is QQ:
-            data = [Fraction(rng.randint(-3, 3)) for _ in range(n * n)]
+            data = [rng.randint(-3, 3) for _ in range(n * n)]
         else:
             data = [rng.randrange(field.p) for _ in range(n * n)]
         m = from_dense(field, n, n, data)

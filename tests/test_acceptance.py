@@ -221,13 +221,13 @@ def test_criterion_6_rank_bound_and_generic_equality():
                 if rng.random() < 0.25:
                     brow.append(Matrix.zeros(QQ, na, mb))
                     continue
-                u = [Fraction(rng.randint(0, 2)) for _ in range(na)]
-                v = [Fraction(rng.randint(0, 2)) for _ in range(mb)]
+                u = [rng.randint(0, 2) for _ in range(na)]
+                v = [rng.randint(0, 2) for _ in range(mb)]
                 if not any(u):
-                    u[0] = Fraction(1)
+                    u[0] = 1
                 if not any(v):
-                    v[0] = Fraction(1)
-                c = Fraction(rng.randint(1, 10**6))
+                    v[0] = 1
+                c = rng.randint(1, 10**6)
                 brow.append(from_dense(QQ, na, mb, [c * x * y for x in u for y in v]))
             blocks.append(brow)
         a = from_blocks(blocks)

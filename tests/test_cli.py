@@ -163,7 +163,7 @@ def test_parse_row_errors_name_the_token():
     ]
     # the token-by-token parse stores no zero either, "-0/5" included
     assert doc.matrix.indices == [[0, 1, 2, 3]]
-    assert {type(x) for x in doc.matrix.values[0]} == {Fraction}
+    assert [type(x) for x in doc.matrix.values[0]] == [Fraction, int, Fraction, int]
 
 
 def test_spliced_rows_print_as_joined():

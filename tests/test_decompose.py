@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gen import (
     Arith,
+    canonical,
     contains,
     cover_value,
     dense,
@@ -22,6 +23,7 @@ from gen import (
     matroid_pi,
     matroid_sigma,
     min_cover,
+    random_admissible_pair,
     random_admissible_transform,
     random_rank1_instance,
     subspace_pair_canonical,
@@ -1156,7 +1158,9 @@ def test_verify_reports_the_form_of_an_a_that_fails_to_factor(field, case, reaso
     ]
 
 
-@pytest.mark.parametrize("field, stray", [(GF(5), 2.0), (QQ, 2)], ids=["gf5-float", "qq-int"])
+@pytest.mark.parametrize(
+    "field, stray", [(GF(5), 2.0), (QQ, Fraction(2))], ids=["gf5-float", "qq-integral-fraction"]
+)
 def test_a_value_outside_the_field_is_refused_where_a_factors(field, stray):
     # a stray value after a row's leading entry factors like the carrier it
     # equals, so verify once certified the decomposition of [[1, 2], [3, 1]]
@@ -1218,21 +1222,28 @@ def test_each_block_is_read_once_per_matrix(monkeypatch):
     assert zero_blocks
 
 
-def test_each_rational_factor_is_cleared_once_per_matrix(monkeypatch):
-    # transform and the verifier's product check read one cleared copy
-    a = random_rank1_instance(random.Random(83), QQ, 4, 4, max_dim=3)
-    want = Counter((fac.u, fac.v) for fac in a.factors.values())
-    calls = Counter()
-    cleared = type(QQ).cleared
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["qq", "gf101"])
+def test_each_factor_is_cleared_once_per_matrix(field, monkeypatch):
+    # over QQ factoring clears each nonzero block's rows once, and u and v are
+    # born on those ints: the vertex keys, the graph's int normals and the
+    # terms of transform and of the verifier's product check read that int
+    # form, so no u or v is cleared again; over GF(p) nothing of A is cleared
+    a = random_rank1_instance(random.Random(83), field, 4, 4, max_dim=3)
+    blocks = [a.block(al, be) for al in range(a.mu) for be in range(a.nu)]
+    rows = Counter(tuple(map(tuple, b.values)) for b in blocks if any(b.values))
+    calls, seen = Counter(), []
+    cleared = type(field).cleared
 
     def counted(self, vecs):
-        if len(vecs) == 2 and all(type(v) is tuple for v in vecs) and tuple(vecs) in want:
-            calls[tuple(vecs)] += 1
+        calls[tuple(map(tuple, vecs))] += 1
+        seen.extend(vecs)
         return cleared(self, vecs)
 
-    monkeypatch.setattr(type(QQ), "cleared", counted)
+    monkeypatch.setattr(type(field), "cleared", counted)
     assert verify(a, dm_decompose(a)).passed
-    assert calls == want
+    assert Counter({key: calls[key] for key in rows if calls[key]}) == (rows if field is QQ else {})
+    normals = [vec for fac in a.factors.values() for vec in (fac.u, fac.v)]
+    assert len(normals) > 10 and not any(v is w for v in seen for w in normals)
 
 
 def test_each_column_part_is_cleared_once_per_verify(monkeypatch):
@@ -1355,12 +1366,71 @@ def test_qq_product_rejects_a_nonzero_entry_where_no_term_lands(seed):
         assert not verify(a, _with_entry(res, k, Fraction(-1, 10**30))).check("product").passed
 
 
+def _fractional(rng, a):
+    """A with each row divided by its own draw from 1..6: the blocks keep
+    their rank, and the entries mix denominators."""
+    rows = [[Fraction(x, d) for x in a.matrix.row_raw(i)]
+            for i, d in enumerate(rng.randint(1, 6) for _ in range(a.matrix.rows))]
+    return PartitionedMatrix(Matrix.from_rows(QQ, rows), a.row_blocks, a.col_blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_rational_results_hold_only_canonical_carriers(rng):
+    # an int where a rational is integral and a Fraction otherwise, in E, F
+    # and A_DM and in every factor's u, v and coeff
+    a = random_rank1_instance(rng, QQ, rng.randint(1, 4), rng.randint(1, 4), max_dim=3)
+    if rng.random() < 0.5:
+        a = _fractional(rng, a)
+    res = dm_decompose(a)
+    values = [x for m in (res.E, res.F, res.a_dm) for row in m.values for x in row]
+    values += [x for fac in a.factors.values() for x in (*fac.u, *fac.v, fac.coeff)]
+    assert all(canonical(QQ, x) for x in values)
+    assert verify(a, res).passed
+
+
+def test_qq_product_refuses_an_integral_entry_carried_by_a_fraction():
+    # Fraction(k) equals the int k, yet it is not the carrier of k
+    refused = 0
+    for seed in (3, 4, 5):
+        a, res = _qq_result(seed)
+        data = dense(res.a_dm)
+        for k in [k for k, x in enumerate(data) if x and type(x) is int][:3]:
+            check = verify(a, _with_entry(res, k, Fraction(data[k]))).check("product")
+            where = divmod(k, res.a_dm.cols)
+            assert not check.passed
+            assert check.detail == f"A_dm holds {Fraction(data[k])!r} at {where}, not a value of QQ"
+            refused += 1
+    assert refused >= 3
+
+
+def test_matmul_over_qq_equals_transform_in_value_and_type():
+    # the frozen benchmark replay computes E^T A F with @, so over QQ each of
+    # its sums must be the canonical carrier transform builds: the same value
+    # of the same type, an int where the entry is integral
+    rng, ints = random.Random(37), 0
+    for _ in range(12):
+        a = _fractional(rng, random_rank1_instance(rng, QQ, 3, 3, max_dim=3))
+        res = dm_decompose(a)
+        for e, f in ((res.E, res.F), random_admissible_pair(rng, a)):
+            got, want = e.transpose() @ a.matrix @ f, a.transform(e, f)
+            assert got == want
+            types = [[type(x) for x in row] for row in got.values]
+            assert types == [[type(x) for x in row] for row in want.values]
+            ints += sum(t is int for row in types for t in row)
+        assert verify(a, dataclasses.replace(res, a_dm=res.E.transpose() @ a.matrix @ res.F)).passed
+    assert ints > 0
+
+
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_qq_product_passes_distinct_zero_objects(seed):
     a, res = _qq_result(seed)
-    # a distinct Fraction(0) given densely is a zero: it is not stored
+    # a distinct Fraction(0) given densely to from_rows is the zero carrier 0:
+    # it is not stored; stored as it is, it is not a value of QQ
     zeros = [k for k, x in enumerate(dense(res.a_dm)) if not x]
-    assert verify(a, _with_entry(res, zeros[0], Fraction(0))).passed
+    check = verify(a, _with_entry(res, zeros[0], Fraction(0))).check("product")
+    where = divmod(zeros[0], res.a_dm.cols)
+    assert not check.passed and check.detail == f"A_dm holds Fraction(0, 1) at {where}, not a value of QQ"
     data = [Fraction(0) if not x else x for x in dense(res.a_dm)]
     assert all(x is not QQ.zero_raw for x in data if not x)
     a_dm = Matrix.from_rows(QQ, [data[i * res.a_dm.cols : (i + 1) * res.a_dm.cols]
@@ -1406,8 +1476,8 @@ def test_qq_product_sums_the_terms_a_non_admissible_e_lands_on_one_entry():
             if wrong != total:
                 check = verify(a, _with_entry(forged, 0, wrong)).check("product")
                 assert not check.passed
-        if not total:  # the cancelled sum is a zero in any zero object
-            assert verify(a, _with_entry(forged, 0, Fraction(0))).check("product").passed
+        if not total:  # the cancelled sum is the zero carrier, which is not stored
+            assert verify(a, _with_entry(forged, 0, 0)).check("product").passed
 
 
 def test_duality_reports_a_wrong_lower_bound(example, example_result):
@@ -1546,8 +1616,6 @@ def test_rational_pipeline():
 def test_generic_rational_rank_with_retry():
     # random large coefficients make the rank match the matching size; if a
     # draw happens to be degenerate one resample must fix it
-    from fractions import Fraction
-
     rng = random.Random(48)
 
     def instance():
@@ -1555,13 +1623,13 @@ def test_generic_rational_rank_with_retry():
         for na in (2, 1):
             brow = []
             for mb in (2, 2):
-                u = [Fraction(rng.randint(0, 2)) for _ in range(na)]
-                v = [Fraction(rng.randint(0, 2)) for _ in range(mb)]
+                u = [rng.randint(0, 2) for _ in range(na)]
+                v = [rng.randint(0, 2) for _ in range(mb)]
                 if not any(u):
-                    u[0] = Fraction(1)
+                    u[0] = 1
                 if not any(v):
-                    v[0] = Fraction(1)
-                c = Fraction(rng.randint(1, 10**6))
+                    v[0] = 1
+                c = rng.randint(1, 10**6)
                 brow.append(from_dense(QQ, na, mb, [c * x * y for x in u for y in v]))
             blocks.append(brow)
         return from_blocks(blocks)

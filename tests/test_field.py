@@ -7,7 +7,7 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
-from gen import Arith
+from gen import Arith, canonical
 
 from rank1dm import GF, QQ, Matrix
 from rank1dm.cli import InputFormatError, parse_input
@@ -104,7 +104,47 @@ def test_rational_canonical_sign_and_reduction():
     v = QQ.coerce_raw(Fraction(6, -4))
     assert v.numerator == -3 and v.denominator == 2
     assert QQ.coerce_raw("-6/4") == v
-    assert QQ.zero_raw == Fraction(0, 1)
+    assert (QQ.zero_raw, QQ.one_raw) == (0, 1) and type(QQ.zero_raw) is type(QQ.one_raw) is int
+
+
+def test_each_rational_has_one_carrier():
+    # an int when the rational is integral, a Fraction otherwise: carries
+    # refuses a Fraction over 1, a bool and a float, and every maker of a
+    # rational (canon, ratio, parse) returns the one carrier
+    assert QQ.carries([3]) and QQ.carries([Fraction(1, 3)]) and QQ.carries([3, Fraction(1, 3), -7])
+    assert QQ.carries([]) and QQ.carries([2**100, Fraction(-1, 2**100)])
+    for stray in (Fraction(3), Fraction(0), Fraction(-6, 3), True, False, 3.0):
+        assert not QQ.carries([stray]) and not QQ.carries([3, Fraction(1, 3), stray])
+    assert QQ.canon(True) == 1 and type(QQ.canon(True)) is int
+    for n, d in ((6, 3), (-6, 3), (6, -3), (0, 5), (7, 2), (-7, -14), (3, 1), (2**70, 2**69)):
+        made = [QQ.ratio(n, d), QQ.canon(Fraction(n, d))] + ([QQ.parse(f"{n}/{d}")] if d > 0 else [])
+        assert all(canonical(QQ, x) and x == Fraction(n, d) for x in made)
+
+
+@pytest.mark.parametrize(
+    "spelled, plain",
+    [("4/2", "2"), ("-6/3", "-2"), ("2.0", "2"), ("00", "0"), ("-0", "0"), ("+7", "7"),
+     ("-0/5", "0"), ("007", "7"), ("10/5", "2"), ("3.000", "3")],
+)
+def test_integral_tokens_parse_to_the_plain_carrier(spelled, plain):
+    # an integral rational spelled as a ratio, a decimal or with extra zeros
+    # or signs is the int its plain spelling gives: through parse, through
+    # parse_row when int() reads the token, and through the token-by-token
+    # parse a row takes when it also holds 1/3
+    assert QQ.parse(spelled) == int(plain) and type(QQ.parse(spelled)) is int
+    try:
+        idx, vals = QQ.parse_row([spelled, "5"])
+    except ValueError:  # parse_row reads integer tokens only
+        pass
+    else:
+        assert (idx, vals) == QQ.parse_row([plain, "5"]) and {type(x) for x in vals} == {int}
+    for other in ("5", "1/3"):
+        got, want = (
+            parse_input(f"field rationals\nrow_blocks 1\ncol_blocks 2\nentries\n{tok} {other}\n").matrix
+            for tok in (spelled, plain)
+        )
+        assert got == want
+        assert [type(x) for x in got.values[0]] == [type(x) for x in want.values[0]]
 
 
 def test_nonprime_modulus_rejected():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gen import (
-    EXAMPLE_ROWS, Arith, colex_key, dense, from_dense, kernel_basis, reference_rank1_factor,
-    reference_rref,
+    EXAMPLE_ROWS, Arith, canonical, colex_key, dense, from_dense, kernel_basis, rational,
+    reference_rank1_factor, reference_rref,
 )
 
 from rank1dm import GF, QQ, HyperplaneVertex, Matrix
@@ -21,7 +21,7 @@ def is_upper_triangular(m: Matrix) -> bool:
 
 def _random_data(rng, field, n, m):
     if field is QQ:
-        return [Fraction(rng.randint(-4, 4)) for _ in range(n * m)]
+        return [rng.randint(-4, 4) for _ in range(n * m)]
     return [rng.randrange(field.p) for _ in range(n * m)]
 
 
@@ -109,11 +109,8 @@ def test_rref_properties_gf2(n, m, data):
 def _assert_rref_is_reference(mat):
     got, want = rref(mat), reference_rref(mat)
     assert (got.R, got.pivots, got.rank) == (want.R, want.pivots, want.rank)
-    if mat.field is QQ:  # canonical carriers, built for the result only
-        assert all(
-            type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
-            for x in dense(got.R)
-        )
+    # canonical carriers only: over QQ an int where an entry is integral
+    assert all(canonical(mat.field, x) for x in dense(got.R))
 
 
 def _rational_entry(rng):
@@ -166,11 +163,11 @@ _FIELDS = st.sampled_from([GF(2), GF(3), GF(101), QQ])
 
 @given(_FIELDS, st.integers(0, 5), st.integers(0, 6), st.data())
 def test_rref_matches_the_reference_hypothesis(field, n, m, data):
-    if field is QQ:
+    if field is QQ:  # canonical carriers: an int where the value is integral
         entry = st.one_of(
-            st.just(Fraction(0)),
-            st.fractions(max_denominator=10**6),
-            st.integers(-(10**20), 10**20).map(Fraction),
+            st.just(0),
+            st.fractions(max_denominator=10**6).map(lambda x: x.numerator if x.denominator == 1 else x),
+            st.integers(-(10**20), 10**20),
         )
     else:
         entry = st.integers(0, field.p - 1)
@@ -296,7 +293,19 @@ def test_rank1_factor_matches_the_reference():
             fac, ref = rank1_factor(mat), reference_rank1_factor(mat)
             assert fac == ref, mat
             if fac.rank == 1:
-                assert {type(x) for x in fac.u + fac.v + (fac.coeff,)} == {type(field.zero_raw)}
+                assert all(canonical(field, x) for x in fac.u + fac.v + (fac.coeff,))
+                # the int form: block = n/d u'^T v', (coeff, 1, u, v) over GF(p);
+                # over QQ u' and v' primitive, each its vector times its leading entry
+                n, d, iu, iv = fac.ints
+                assert all(type(x) is int for x in (n, d, *iu, *iv)) and d > 0
+                if field.p:
+                    assert fac.ints == (fac.coeff, 1, fac.u, fac.v)
+                else:
+                    assert [Fraction(n * x * y, d) for x in iu for y in iv] == dense(mat)
+                    for ints, vec in ((iu, fac.u), (iv, fac.v)):
+                        lead = next(filter(None, ints))
+                        assert gcd(*ints) == 1 and lead > 0
+                        assert [Fraction(x, lead) for x in ints] == list(vec)
             ranks.add((field, fac.rank))
     assert len(ranks) == 12  # every field saw ranks 0, 1 and 2
 
@@ -366,7 +375,7 @@ def _kernel_vectors(rng, field, dim, basis_size):
 
     def draw():
         if field is QQ:
-            return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim))
+            return tuple(rational(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim))
         return tuple(rng.randrange(field.p) for _ in range(dim))
 
     def combination(vecs):
