@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from heapq import heappop, heappush
 from itertools import accumulate, chain
 from operator import lt
 from typing import Callable, Iterable, Sequence
@@ -138,13 +139,12 @@ class ChainPoset:
         Groups run bottom (H0/K0), the components in label order, top
         (Hinf/Kinf); completion vectors join the bottom group on the row
         side and the top group on the column side."""
-        g = self.state.graph
-        top = self.h + 1
+        g, top, memo = self.state.graph, self.h + 1, {}  # one memo for both sides
         rows = [(0, self.h0), *((c.label, c.h_pi) for c in self.components), (top, self.hinf)]
         cols = [(0, self.k0), *((c.label, c.k_sigma) for c in self.components), (top, self.kinf)]
         return (
-            _adapted_basis(g.field, g.pi, g.row_blocks, rows, 0),
-            _adapted_basis(g.field, g.sigma, g.col_blocks, cols, top),
+            _adapted_basis(g.field, g.pi, g.row_blocks, rows, 0, g.nodes[3], memo),
+            _adapted_basis(g.field, g.sigma, g.col_blocks, cols, top, g.nodes[3][g.n_pi :], memo),
         )
 
 
@@ -156,6 +156,23 @@ def _matched_vertices(
     npi, matched = state.graph.n_pi, state.matched
     ends = sorted(v for v in nodes if v in matched)
     return tuple(v for v in ends if v < npi), tuple(v - npi for v in ends if v >= npi)
+
+
+def _labels(below: dict[int, set[int]], key: dict[int, int]) -> dict[int, int]:
+    """Labels 1, 2, ... for the keys of ``below``, each to the one of smallest distinct
+    ``key`` whose below set is all labeled: Kahn's order on a heap (a sorted list is one)."""
+    above, waiting = {c: [] for c in below}, {c: len(under) for c, under in below.items()}
+    for c, under in below.items():
+        for k in under:
+            above[k].append(c)
+    ready, label_of = sorted([(key[c], c) for c, n in waiting.items() if not n]), {}
+    while ready:
+        label_of[c := heappop(ready)[1]] = len(label_of) + 1
+        for up in above[c]:
+            waiting[up] -= 1
+            if not waiting[up]:
+                heappush(ready, (key[up], up))
+    return label_of
 
 
 def scc_poset(
@@ -196,12 +213,7 @@ def scc_poset(
             below[i], parts[i] = under, (h_pi, k_sigma)
         reach.append(under | {i} if i in below else under)
 
-    label_of: dict[int, int] = {}
-    pending = sorted(below, key=lambda c: parts[c][1][0])
-    while pending:
-        pick = next(c for c in pending if below[c] <= label_of.keys())
-        pending.remove(pick)
-        label_of[pick] = len(label_of) + 1
+    label_of = _labels(below, {c: k_sigma[0] for c, (_, k_sigma) in parts.items()})
     return ChainPoset(
         state,
         frozenset(c0),
@@ -281,6 +293,8 @@ def _adapted_basis(
     dims: Sequence[int],
     groups: Iterable[tuple[int, Sequence[int]]],
     completion_group: int,
+    ints: Sequence[tuple],
+    memo: dict,
 ) -> list[BasisEntry]:
     """Entries for the matched vertices group by group, completed per block
     by unit vectors that follow the matched entries of ``completion_group``.
@@ -288,26 +302,33 @@ def _adapted_basis(
     One reduction per block of [N | I], N its normals as columns, gives
     [PN | P], only P as carriers, P the inverse of the completed basis: the
     identity columns taking a pivot are the greedy completion, and row k of
-    P is the dual of the k-th basis vector (the normals, then the completion)."""
-    by_block: list[list[tuple[int, tuple]]] = [[] for _ in dims]  # (group, normal) pairs
+    P is the dual of the k-th basis vector (the normals, then the completion).
+    ``memo`` keeps P by the block's size and its normals' int forms, in order
+    (``ints[i]`` is vertex i's), for every block of either side with that key."""
+    by_block: list[list[tuple]] = [[] for _ in dims]  # (group, normal, int normal)
     for group, ids in groups:
         for i in ids:
-            by_block[vertices[i].block].append((group, vertices[i].normal))
+            by_block[vertices[i].block].append((group, vertices[i].normal, ints[i]))
     matched, completion = [], []
     for blk, (dim, normals) in enumerate(zip(dims, by_block)):
-        p = len(normals)
-        eye = [[f.one_raw if r == c else f.zero_raw for c in range(dim)] for r in range(dim)]
-        rows, pivots = reduced(f, [[u[r] for _, u in normals] + eye[r] for r in range(dim)], p)
-        if pivots[:p] != list(range(p)):
-            raise ValueError(f"the normals of block {blk} are linearly dependent")
-        inverse = list(map(tuple, rows))
-        matched += [BasisEntry(group, blk, u, d) for (group, u), d in zip(normals, inverse)]
-        completion += [
-            BasisEntry(completion_group, blk, tuple(eye[c - p]), d)
-            for c, d in zip(pivots[p:], inverse[p:])
-        ]
+        p, units = len(normals), _units(dim)
+        if (inverse := memo.get(key := (dim, *[x for _, _, x in normals]))) is None:
+            rows, pivots = reduced(f, [[u[r] for _, u, _ in normals] + [*units[r]]
+                                       for r in range(dim)], p)
+            if pivots[:p] != list(range(p)):
+                raise ValueError(f"the normals of block {blk} are linearly dependent")
+            duals = list(map(tuple, rows))
+            inverse = memo[key] = duals, list(zip(pivots[p:], duals[p:]))
+        matched += [BasisEntry(group, blk, u, d) for (group, u, _), d in zip(normals, inverse[0])]
+        completion += [BasisEntry(completion_group, blk, units[c - p], d) for c, d in inverse[1]]
     # ids ascend within a group and vertices by block, so the stable sort keeps id order
     return sorted(matched + completion, key=lambda e: e.group)
+
+
+@lru_cache(maxsize=None)
+def _units(dim: int) -> tuple[tuple[int, ...], ...]:
+    """The unit vectors of a block space of size ``dim`` (0 and 1 are carriers of every field)."""
+    return tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
 
 
 def _select(
@@ -632,8 +653,9 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     Matrix of A's shape and field storing only nonzero carriers) and that of
     the diagonal blocks are each judged once, and every check that reads them
     reports that verdict.  (d) and (e) read one auxiliary digraph, built on
-    A's graph and its kept eliminations from the witness matching; A's
-    factors and graph are derived once per matrix.
+    A's graph from the witness matching, which reads the graph's memo of
+    eliminations keyed by block kind and matched positions; A's factors and
+    graph are derived once per matrix.
     """
     checks: list[CheckResult] = []
     n, m = a.matrix.rows, a.matrix.cols

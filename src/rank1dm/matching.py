@@ -14,9 +14,9 @@ update: it re-eliminates only the blocks of the flipped edges' ends.  The
 searches read a node's arcs off the state's lists and the graph's edge-end
 lists in place, and the state grows itself by the first rounds, which flip
 one edge each, in one greedy pass.  The graph derives those lists and the
-int normals once, and keeps each block's last elimination, which a later
-state on it with the same matched nodes in the block, such as the
-verifier's witness state, reads instead.
+int normals once, and a memo of eliminations keyed by what they read, the
+block's kind (its size and members' int normals) and its matched positions,
+which every round and later state, the verifier's witness included, reads.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class IndependentMatchingState:
     def __init__(self, graph: StabilityGraph, matching=()):
         self.graph = graph
         self.matching: frozenset[int] = frozenset()
-        self._blocks, self._ends, self._members, self._ints, self._memo = graph.nodes
+        self._blocks, self._ends, self._members, self._ints, self._shelves = graph.nodes
         self.circuit: list[list[int] | None] = [None] * len(self._blocks)
         self.holders: list[list[int]] = [[] for _ in self._blocks]
         self.free = [list(members) for members in self._members]
@@ -92,12 +92,11 @@ class IndependentMatchingState:
         """Replace the matching by its symmetric difference with ``edges``,
         then solve, in one elimination per block of a flipped edge's end, the
         block's unmatched members against its matched ones, ascending, unless
-        the graph's memo holds the block's last elimination for the same
-        matched members; every other block keeps its lists.  Raises
-        ValueError before any change when an edge index is not a plain int
-        in range (a negative alias or a bool is not), and when the result is
-        not an independent matching, after which the state is not to be
-        used."""
+        the graph's memo holds that elimination for the block's kind and
+        matched positions; every other block keeps its lists.  Raises
+        ValueError before any change when an edge index is not a plain int in
+        range (a negative alias or a bool is not), and when the result is not
+        an independent matching, after which the state is not to be used."""
         edges, mate = frozenset(edges), self._mate
         graph_edges, npi, count = self.graph.edges, self.graph.n_pi, len(self.graph.edges)
         if stray := sorted(repr(k) for k in edges if type(k) is not int or not 0 <= k < count):
@@ -111,28 +110,32 @@ class IndependentMatchingState:
                 raise ValueError("edge set is not a matching")
             mate[e.pi], mate[npi + e.sigma] = [(npi + e.sigma, k)], [(e.pi, k)]
         self.matching = self.matching ^ edges
-        blocks, circuit, holders, memo = self._blocks, self.circuit, self.holders, self._memo
+        blocks, circuit, holders, shelves = self._blocks, self.circuit, self.holders, self._shelves
         flipped = [graph_edges[k] for k in edges]
         for blk in {blocks[e.pi] for e in flipped} | {blocks[npi + e.sigma] for e in flipped}:
-            members = self._members[blk]
-            ids = [u for u in members if u in mate]
-            others = [v for v in members if v not in mate]
-            for v in members:
-                circuit[v] = [] if v in mate else None
+            members, mask, ids, others = self._members[blk], 0, [], []
+            for pos, v in enumerate(members):  # mask: the matched positions
                 holders[v] = []
-            if (entry := memo.get(blk)) is None or entry[0] != ids:
+                if v in mate:
+                    mask |= 1 << pos
+                    ids.append(v)
+                    circuit[v] = []
+                else:
+                    others.append(v)
+                    circuit[v] = None
+            if (entry := shelves[blk].get(mask)) is None:
                 basis, rest = [self._ints[u] for u in ids], [self._ints[v] for v in others]
                 dim = len(self._ints[members[0]])  # a normal has its block's length
                 rank, supports = span_supports(self.graph.field.p, dim, basis, rest)
                 circuits = [None if s is None else [ids[k] for k in s] for s in supports]
-                entry = memo[blk] = ids, rank, circuits
-            _, rank, circuits = entry
+                entry = shelves[blk][mask] = rank, circuits, members[0]
+            rank, circuits, shift = entry[0], entry[1], members[0] - entry[2]
             if rank < len(ids):
                 raise ValueError("matching endpoints are not independent")
             self.free[blk] = [v for v, c in zip(others, circuits) if c is None]
             for v, c in zip(others, circuits):
                 if c is not None:
-                    circuit[v] = c
+                    circuit[v] = c = [u + shift for u in c] if shift else c
                     for u in c:
                         holders[u].append(v)
 

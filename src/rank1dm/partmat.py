@@ -240,13 +240,14 @@ class StabilityGraph:
     ints: list | None = dc_field(default=None, compare=False, repr=False)
 
     @cached_property
-    def nodes(self) -> tuple[list, list, list, list, dict]:
+    def nodes(self) -> tuple[list, list, list, list, list]:
         """What every matching state on the graph reads, derived once: node v's
         matroid block, column-side blocks after the mu row blocks; each node's
         (other end, edge index) pairs; each block's members, ascending; the
-        normals on ints (a positive scale keeps every support); and an empty
-        memo of each block's last elimination.  ValueError on a misfit vertex."""
-        npi, mu = self.n_pi, len(self.row_blocks)
+        normals on ints (a positive scale keeps every support); and each
+        block's memo shelf, shared by its kind (its size and its members' int
+        normals, all an elimination reads).  ValueError on a misfit vertex."""
+        npi, mu, vertices = self.n_pi, len(self.row_blocks), self.pi + self.sigma
         for side, dims in ((self.pi, self.row_blocks), (self.sigma, self.col_blocks)):
             if any(not 0 <= v.block < len(dims) or len(v.normal) != dims[v.block] for v in side):
                 raise ValueError("vertex block index out of range or normal not of its length")
@@ -255,11 +256,14 @@ class StabilityGraph:
         for k, (i, j) in enumerate(self.edges):
             ends[i].append((npi + j, k))
             ends[npi + j].append((i, k))
-        members: list[list[int]] = [[] for _ in self.row_blocks + self.col_blocks]
+        dims, kinds = self.row_blocks + self.col_blocks, {}
+        members: list[list[int]] = [[] for _ in dims]
         for v, blk in enumerate(blocks):
             members[blk].append(v)
-        ints = self.ints or self.field.cleared([v.normal for v in self.pi + self.sigma])[1]
-        return blocks, ends, members, ints, {}
+        ints = self.ints or [*map(tuple, self.field.cleared([v.normal for v in vertices])[1])]
+        shelves = [kinds.setdefault((dim, *map(ints.__getitem__, ms)), {})
+                   for dim, ms in zip(dims, members)]
+        return blocks, ends, members, ints, shelves
 
     @property
     def n_pi(self) -> int:
@@ -316,16 +320,17 @@ def _vertices(field: Field, ends: list[tuple[int, tuple, tuple]]) -> tuple[tuple
     """The distinct (block, normal) pairs of (block, normal, int form) ``ends`` as
     vertices in the canonical order, their int forms, and each end's vertex
     index.  Keys are int forms read last entry first; over QQ the order scales
-    each by D / d, d its leading entry and D the lcm of every d, so order and
-    equality are the carriers' and no Fraction is sorted or hashed."""
+    each by D / d, d its leading entry and D the lcm of every d in its block,
+    so order and equality are the carriers' and no Fraction is sorted or hashed."""
     keys = [(blk, ints[::-1]) for blk, _, ints in ends]
     vertex = dict(zip(keys, ends))
     if field.p:
         order = sorted(vertex)
     else:
-        lead = {k: next(filter(None, reversed(k[1]))) for k in vertex}
-        scale = lcm(*lead.values())
-        order = sorted(vertex, key=lambda k: (k[0], [x * (scale // lead[k]) for x in k[1]]))
+        lead, scale = {k: next(filter(None, reversed(k[1]))) for k in vertex}, {}
+        for (blk, _), d in lead.items():  # only a block's vertices are compared
+            scale[blk] = lcm(scale.get(blk, 1), d)
+        order = sorted(vertex, key=lambda k: (k[0], [x * (scale[k[0]] // lead[k]) for x in k[1]]))
     index = {k: i for i, k in enumerate(order)}
     chosen = [vertex[k] for k in order]
     vertices = tuple([HyperplaneVertex(blk, normal) for blk, normal, _ in chosen])

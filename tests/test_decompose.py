@@ -52,7 +52,8 @@ from rank1dm import (
 )
 from rank1dm.decompose import PosetComponent, _adapted_basis, _chain_dims, _tarjan_scc
 from rank1dm import decompose, partmat
-from rank1dm.cli import parse_input, serialize_input
+from rank1dm import matching as matching_module
+from rank1dm.cli import format_result, parse_input, serialize_input
 from rank1dm.partmat import HyperplaneVertex, column_parts, vertex_label
 
 
@@ -133,6 +134,37 @@ def test_tarjan_matches_networkx_and_emits_in_reverse_topological_order():
         # every arc between two components runs from the later-emitted one
         emitted = {v: k for k, c in enumerate(sccs) for v in c}
         assert all(emitted[v] >= emitted[w] for v in nodes for w in adj[v])
+
+
+def _scan_labels(below, key):
+    """The labeling rule by rescanning: label l goes to the pending component
+    of smallest key whose components below all hold labels already."""
+    label_of = {}
+    pending = sorted(below, key=key.__getitem__)
+    while pending:
+        pick = next(c for c in pending if below[c] <= label_of.keys())
+        pending.remove(pick)
+        label_of[pick] = len(label_of) + 1
+    return label_of
+
+
+def test_heap_labels_follow_the_scan_rule_on_random_posets():
+    # random transitively closed orders on shuffled component ids with
+    # distinct shuffled keys: Kahn's order on a heap labels them as the scan does
+    rng = random.Random(57)
+    for _ in range(300):
+        n = rng.randint(0, 30)
+        ids, keys = rng.sample(range(100), n), rng.sample(range(1000), n)
+        position = dict(zip(ids, range(n)))  # a hidden linear order keeps it acyclic
+        below = {c: set() for c in ids}
+        for c in sorted(ids, key=position.__getitem__):
+            for k in ids:
+                if position[k] < position[c] and rng.random() < 0.15:
+                    below[c] |= below[k] | {k}
+        key = dict(zip(ids, keys))
+        labels = decompose._labels(below, key)
+        assert labels == _scan_labels(below, key)
+        assert list(labels.values()) == list(range(1, n + 1))
 
 
 def test_scc_poset_empty_graph():
@@ -381,9 +413,12 @@ def test_build_bases_products_are_identity(example, example_result):
 
 
 def _one_block_basis(field, normals, dim, completion_group=2):
-    """_adapted_basis on a single block whose normals form group 1."""
+    """_adapted_basis on a single block whose normals form group 1, with an
+    empty memo and the normals' int forms."""
     vertices = [HyperplaneVertex(0, u) for u in normals]
-    return _adapted_basis(field, vertices, [dim], [(1, range(len(normals)))], completion_group)
+    ints = [tuple(v) for v in field.cleared(normals)[1]]
+    groups = [(1, range(len(normals)))]
+    return _adapted_basis(field, vertices, [dim], groups, completion_group, ints, {})
 
 
 def test_adapted_basis_completion_examples():
@@ -1283,24 +1318,99 @@ def _matroid_view(state):
     return state.circuit, state.holders, state.free
 
 
+def _counted_eliminations(monkeypatch) -> list:
+    """The argument tuples of every ``span_supports`` call the matching makes."""
+    calls = []
+    eliminate = matching_module.span_supports
+    monkeypatch.setattr(
+        matching_module, "span_supports", lambda *args: calls.append(args) or eliminate(*args)
+    )
+    return calls
+
+
+def _memo_entries(graph) -> int:
+    """The entries in the graph's elimination memo: the blocks of a kind share a shelf."""
+    return sum(len(shelf) for shelf in {id(shelf): shelf for shelf in graph.nodes[4]}.values())
+
+
 @pytest.mark.parametrize("field", [GF(2), GF(101), QQ], ids=["gf2", "gf101", "qq"])
-def test_a_witness_state_after_a_solve_equals_one_on_a_second_parse(field):
+def test_a_witness_state_after_a_solve_equals_one_on_a_second_parse(field, monkeypatch):
     # the witness state reads the eliminations the solve left on A's graph;
     # it holds what a state on a matrix no solve has touched holds, and the
-    # graph keeps at most one elimination per block
+    # graph's memo keeps no more entries than eliminations were made on it
+    calls = _counted_eliminations(monkeypatch)
     rng = random.Random(f"shared/{field}")
     for _ in range(25):
         a = random_rank1_instance(
             rng, field, rng.randint(1, 6), rng.randint(1, 6), max_dim=3, zero_prob=0.4
         )
+        before = len(calls)
         res = dm_decompose(a)
+        assert _memo_entries(a.graph) <= len(calls) - before
         again = parse_input(serialize_input(a))
         assert again.graph == a.graph and again.graph is not a.graph
         shared, fresh = (IndependentMatchingState(b.graph, res.state.matching) for b in (a, again))
         assert _matroid_view(shared) == _matroid_view(fresh)
-        *_, memo = a.graph.nodes
-        assert len(memo) <= a.mu + a.nu
         assert verify(a, res).passed and verify(again, res).passed
+
+
+def test_blocks_of_one_kind_share_their_eliminations(monkeypatch):
+    # over GF(2) a block of size 2 holds at most 3 monic normals, so many
+    # blocks share their normals and matched positions: the matching makes
+    # one elimination per distinct (kind, matched positions) key and the bases
+    # one reduction per distinct input, both fewer than a memo keyed by block
+    # index made; what the solve's state and the witness state hold equals a
+    # fresh state's on a second parse, whose graph no state has touched
+    calls = _counted_eliminations(monkeypatch)
+    reductions, reduce = [], decompose.reduced
+    monkeypatch.setattr(decompose, "reduced", lambda *args: reductions.append(args) or reduce(*args))
+    by_block: dict = {}  # block -> matched members, as a memo keyed by block index holds them
+    per_block = []
+    flip = IndependentMatchingState.flip
+
+    def counted(state, edges):
+        flip(state, edges)
+        g, npi = state.graph, state.graph.n_pi
+        for blk in {state._blocks[v] for k in edges for v in (g.edges[k].pi, npi + g.edges[k].sigma)}:
+            ids = [v for v in state._members[blk] if v in state.matched]
+            per_block.append(by_block.get(blk) != ids)
+            by_block[blk] = ids
+
+    monkeypatch.setattr(IndependentMatchingState, "flip", counted)
+    a = random_rank1_instance(random.Random(83), GF(2), 14, 14, max_dim=2, zero_prob=0.4)
+    res = dm_decompose(a)
+    assert verify(a, res).passed
+    monkeypatch.setattr(IndependentMatchingState, "flip", flip)
+    assert 0 < len(calls) <= _memo_entries(a.graph) < sum(per_block)
+    inputs = {(p, tuple(map(tuple, rows))) for _, rows, p in reductions}
+    assert 0 < len(reductions) == len(inputs) < a.mu + a.nu
+    again = parse_input(serialize_input(a))
+    fresh = IndependentMatchingState(again.graph, res.state.matching)
+    witness = IndependentMatchingState(a.graph, res.state.matching)
+    assert _matroid_view(res.state) == _matroid_view(witness) == _matroid_view(fresh)
+    assert verify(again, res).passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 12))
+def test_no_fraction_is_hashed_over_the_rationals(seed, den):
+    # the memo's keys, the vertex order and every set and dict of the solve,
+    # the verifier and the printer hold ints only: a Fraction that is hashed raises
+    rng = random.Random(seed)
+    a = random_rank1_instance(rng, QQ, rng.randint(1, 5), rng.randint(1, 5), max_dim=3, zero_prob=0.3)
+    m = a.matrix
+    values = [[QQ.canon(Fraction(x, den)) for x in row] for row in m.values]
+    a = PartitionedMatrix(Matrix(QQ, m.rows, m.cols, m.indices, values), a.row_blocks, a.col_blocks)
+
+    def refuse(self):
+        raise AssertionError(f"hashed the Fraction {self}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__hash__", refuse)
+        res = dm_decompose(a)
+        report = verify(a, res)
+        text = format_result(a, res, report)
+    assert report.passed and text
 
 
 def test_a_forged_witness_fails_after_the_solve_filled_the_memo():
