@@ -213,7 +213,7 @@ def scc_poset(
             below[i], parts[i] = under, (h_pi, k_sigma)
         reach.append(under | {i} if i in below else under)
 
-    label_of = _labels(below, {c: k_sigma[0] for c, (_, k_sigma) in parts.items()})
+    label_of = _labels(below, {c: ks[0] for c, (_, ks) in parts.items()}) if below else {}
     return ChainPoset(
         state,
         frozenset(c0),

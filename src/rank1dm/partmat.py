@@ -330,7 +330,7 @@ def _vertices(field: Field, ends: list[tuple[int, tuple, tuple]]) -> tuple[tuple
         lead, scale = {k: next(filter(None, reversed(k[1]))) for k in vertex}, {}
         for (blk, _), d in lead.items():  # only a block's vertices are compared
             scale[blk] = lcm(scale.get(blk, 1), d)
-        order = sorted(vertex, key=lambda k: (k[0], [x * (scale[k[0]] // lead[k]) for x in k[1]]))
+        order = sorted(vertex, key=lambda k: (k[0], [*map((scale[k[0]] // lead[k]).__mul__, k[1])]))
     index = {k: i for i, k in enumerate(order)}
     chosen = [vertex[k] for k in order]
     vertices = tuple([HyperplaneVertex(blk, normal) for blk, normal, _ in chosen])
