@@ -13,16 +13,20 @@ in the dense benchmark workloads.  Four tall rows follow: GF(2) grids of
 blocks of size 2 at n = 360, 720, 1440 and 2880 with 98%, 99%, 99.5% and
 99.75% of their blocks zero, drawn by ``scattered_zeros``, whose posets run
 to hundreds of components.
-Each row runs in a fresh interpreter that times, three times each, and
-keeps the medians of: ``parse_input``, which returns the partitioned
-matrix, and the first ``a.factors`` on it (parse); ``build_stability_graph`` (graph,
-on the factors parse cached); ``max_independent_matching`` (match);
+Each row runs in a fresh interpreter that repeats every stage until it has
+at least ``MIN_REPEATS`` repeats and ``MIN_REPEAT_S`` seconds of them, so a
+row of a few milliseconds gets dozens, and keeps the medians of:
+``parse_input``, which returns the partitioned matrix, and the first
+``a.factors`` on it (parse); ``build_stability_graph`` (graph, on the
+factors parse cached); ``max_independent_matching`` (match);
 ``dm_decompose``; ``verify``; and ``format_result`` of the verified result
-(format).  The matrix caches its graph and the graph its eliminations, so
-``dm_decompose`` and ``verify`` run on a second parse of the row, untimed,
-after the first one, with its graph and matching, is freed.  The child also reports its peak
-resident set size (``peak_rss_mb``, from ``resource.getrusage``).  A row
-still running after ``BUDGET_S`` seconds is stopped and reported as
+(format).  The matrix caches its graph and the graph its eliminations and
+poset heights, so ``dm_decompose`` and ``verify`` run on a second parse of
+the row, untimed, after the first one, with its graph and matching, is
+freed.  The child also reports how many repeats it made (``repeats``), each
+stage's spread over them (``iqr_s``, the distance between its quartiles) and
+its peak resident set size (``peak_rss_mb``, from ``resource.getrusage``).  A
+row still running after ``BUDGET_S`` seconds is stopped and reported as
 skipped, with its budget.  The exit status is 1 when some row's ``verify``
 does not pass; time never fails a run.
 """
@@ -48,7 +52,7 @@ sys.dont_write_bytecode = True  # leave no cache files in the checkout
 from workloads import balanced_zeros, block_grid, scattered_zeros  # noqa: E402
 
 BUDGET_S = 120  # per row, all repeats included
-REPEATS = 3
+MIN_REPEATS, MIN_REPEAT_S = 3, 1.0  # a row repeats until it has both
 FIELDS = {  # name -> (modulus, vector entry draw, coefficient draw)
     "gf2": (2, lambda r: r.randrange(2), lambda r: 1),
     "gf101": (101, lambda r: r.randrange(101), lambda r: r.randrange(1, 101)),
@@ -102,7 +106,9 @@ def run_row(name: str) -> dict:
         return {"vertices": g.n_pi + g.n_sigma, "edges": len(g.edges),
                 "augmentations": state.size}
 
-    for _ in range(REPEATS):
+    start, repeats = time.perf_counter(), 0
+    while repeats < MIN_REPEATS or time.perf_counter() - start < MIN_REPEAT_S:
+        repeats += 1
         counts = early_stages()  # its matrix, graph and state are freed here
         a = load(text)
         result = timed("dm_decompose_s", dm_decompose, a)
@@ -111,9 +117,13 @@ def run_row(name: str) -> dict:
         h, verdict = len(result.diag_blocks) - 2, "PASS" if report.passed else f"FAIL: {report}"
         del a, result, report  # so no repeat's peak holds an earlier solve
     row = {stage: round(statistics.median(t), 4) for stage, t in times.items()}
+    iqr = {}
+    for stage, t in times.items():
+        q1, _, q3 = statistics.quantiles(t, n=4, method="inclusive")
+        iqr[stage] = round(q3 - q1, 4)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    return {"name": name, **row, **counts, "h": h, "peak_rss_mb": round(peak_mb, 1),
-            "verify": verdict}
+    return {"name": name, **row, **counts, "h": h, "repeats": repeats, "iqr_s": iqr,
+            "peak_rss_mb": round(peak_mb, 1), "verify": verdict}
 
 
 def row_in_child(name: str) -> dict:
@@ -129,7 +139,8 @@ def row_in_child(name: str) -> dict:
 
 
 def table(rows: list[dict]) -> str:
-    cols = ("name", *STAGES, "vertices", "edges", "augmentations", "h", "peak_rss_mb", "verify")
+    cols = ("name", *STAGES, "vertices", "edges", "augmentations", "h", "repeats", "peak_rss_mb",
+            "verify")
     lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
     for row in rows:
         if "skipped" in row:
@@ -150,7 +161,8 @@ def main() -> int:
     host = {"python": platform.python_version(), "platform": platform.platform(),
             "machine": platform.machine(), "cpus": os.cpu_count()}
     src_lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src)
-    doc = {"host": host, "src_lines": src_lines, "budget_s": BUDGET_S, "repeats": REPEATS,
+    doc = {"host": host, "src_lines": src_lines, "budget_s": BUDGET_S,
+           "min_repeats": MIN_REPEATS, "min_repeat_s": MIN_REPEAT_S,
            "rows": [row_in_child(name) for name in ROWS]}
     if args.json:
         Path(args.json).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -8,8 +8,9 @@ maximum stable subspaces.  Bases adapted to a linear extension of the poset
 give E and F with E^T A F block-triangular; the trailing columns of E and
 the leading ones of F span the maximal chain its prefix ideals yield.  The
 verifier reads A's factors, graph and eliminations, derived once per matrix,
-rebuilds the digraph and poset from the matching witness, and requires one
-diagonal block per component: it certifies that chain to be maximal.
+rebuilds the digraph from the matching witness, reads h, the poset's component
+count A's graph records for that matching, or derives and records it, and
+requires one diagonal block per component: it certifies that chain to be maximal.
 """
 
 from __future__ import annotations
@@ -422,6 +423,7 @@ def dm_decompose(a: PartitionedMatrix) -> DMResult:
     state = max_independent_matching(g)
     c0, cinf = reachability_sets(state)
     poset = scc_poset(state, c0, cinf)
+    g.heights[state.matching] = poset.h  # the verifier's chain check reads it
     assembly = build_bases(poset, g, a)
     a_dm = a.transform(assembly.E, assembly.F)
 
@@ -598,22 +600,24 @@ def _witness_state(
 
 
 def _chain_problem(state: IndependentMatchingState, result: DMResult, m: int) -> str:
-    """Why the diagonal blocks are not the finest block triangularization,
-    or "".  By the structure theorem every maximal chain of maximum stable
-    subspaces has h + 1 elements, h the number of components of the
-    witness's poset (not its height: three incomparable components give
-    chains of 4); given the other checks, E's and F's columns span a chain of
-    h + 1 of them when there are h middle blocks, so that chain is maximal.
-    The chain dims must be that chain's."""
+    """Why the diagonal blocks are not the finest block triangularization, or "".  By
+    the structure theorem every maximal chain of maximum stable subspaces has h + 1
+    elements, h the number of components of the witness's poset (not its height: three
+    incomparable components give chains of 4); given the other checks, E's and F's
+    columns span a chain of h + 1 of them when there are h middle blocks, so that chain
+    is maximal.  The chain dims must be that chain's.  h is A's graph's record for the
+    witness state's own matching, or is derived and recorded; a non-maximum one records none."""
     dims, blocks = result.chain_dims, result.diag_blocks
     if why := _malformed_pairs(dims, "chain dim"):
         return why
     if list(map(tuple, dims)) != _chain_dims(blocks, m):
         return "chain dims disagree with the diagonal blocks"
-    try:
-        h = scc_poset(state, *reachability_sets(state)).h
-    except ValueError as exc:
-        return str(exc)
+    heights, key = state.graph.heights, state.matching
+    if (h := heights.get(key)) is None:
+        try:
+            h = heights[key] = scc_poset(state, *reachability_sets(state)).h
+        except ValueError as exc:
+            return str(exc)
     if len(blocks) != h + 2:
         return f"{len(blocks) - 2} middle diagonal blocks for a poset of {h} components"
     return ""
@@ -645,8 +649,9 @@ def verify(a: PartitionedMatrix, result: DMResult) -> VerificationReport:
     restate, (c) the zero staircase under the declared diagonal blocks,
     whose sizes are nonnegative and whose middle blocks are non-empty
     squares, (d) the finest decomposition: the chain dims are the diagonal
-    blocks', and there is one middle block per component of the poset
-    rebuilt from A and the matching witness, (e) v* = n + m - |M|, bounded
+    blocks', and there is one middle block per component of the poset of A
+    and the matching witness, h read from A's graph for the witness's
+    matching or derived and recorded there, (e) v* = n + m - |M|, bounded
     above by the witness, an independent matching of A's own stability
     graph, and below by the first diagonal block.  The rank condition (the
     form of A when it fails to factor), the form of each of E, F and A_dm (a

@@ -11,8 +11,8 @@ characteristic, 0 for the rationals, and ``cleared(vecs)`` writes vectors on
 ints over one denominator.  Zero is the only false carrier, ``0`` in every
 field, so a ``Matrix`` built from dense values leaves it out; a value from
 outside, such as ``None``, ``0.0`` or ``Fraction(3)``, is told apart by
-``carries``, which ``verify`` applies once to the stored values of each
-result matrix.  ``parse`` reads ASCII decimal tokens only, with no exponent,
+``carries``, which ``verify``, ``rref`` and ``rank1_factor`` apply to what
+a matrix stores.  ``parse`` reads ASCII decimal tokens only, with no exponent,
 and ``parse_row`` reads a whole row of integer tokens at once, converting
 only the tokens other than ``0``, into the columns and values of its
 nonzeros.  ``format`` is ``str`` on every field: the decimal residue for

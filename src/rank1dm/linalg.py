@@ -154,9 +154,16 @@ def _gauss_jordan(rows: list[list[int]], ncols: int, p: int) -> list[int]:
     return pivots
 
 
+def _carried(m: Matrix) -> Matrix:
+    """``m``, once each value it stores is a carrier of its field; else ValueError names one."""
+    if bad := [x for row in m.values for x in row if not m.field.carries([x])]:
+        raise ValueError(f"the matrix stores {bad[0]!r}, not a value of {m.field}")
+    return m
+
+
 def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form, pivot columns and rank; see ``reduced``."""
-    rows, pivots = reduced(m.field, list(map(m.row_raw, range(m.rows))))
+    """Reduced row echelon form, pivot columns and rank; see ``reduced`` and ``_carried``."""
+    rows, pivots = reduced(m.field, list(map(_carried(m).row_raw, range(m.rows))))
     r = Matrix.from_rows(m.field, rows) if rows else Matrix.zeros(m.field, 0, m.cols)
     return RrefResult(r, pivots, len(pivots))
 
@@ -241,8 +248,8 @@ class Rank1Factor:
 
 
 def rank1_factor(m: Matrix) -> Rank1Factor:
-    """Classify a matrix as zero / rank one / higher rank; see ``rank1_of``."""
-    return rank1_of(m.field, m.cols, 0, m.indices, m.values)
+    """Classify a matrix as zero / rank one / higher rank; see ``rank1_of`` and ``_carried``."""
+    return rank1_of(m.field, m.cols, 0, m.indices, _carried(m).values)
 
 
 def _monic(f: Field, xs: list[int], lead: int) -> tuple[int, tuple, tuple]:

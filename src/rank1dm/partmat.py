@@ -228,8 +228,9 @@ class StabilityGraph:
 
     Vertices are listed in the canonical order (block index, then
     colexicographic order of the monic normal); edges follow the row-major
-    block order of their source blocks.  Frozen, on tuples: no holder changes it.
-    ``ints``, the normals on ints (pi, then sigma) from A's factors, spares ``nodes``."""
+    block order of their source blocks.  Frozen, on tuples: no holder changes what it
+    compares.  ``ints``, the normals on ints (pi, then sigma) from A's factors, spares
+    ``nodes``; ``heights`` maps a matching to its poset's h, once derived (empty on ``replace``)."""
 
     field: Field
     row_blocks: tuple[int, ...]
@@ -238,6 +239,8 @@ class StabilityGraph:
     sigma: tuple[HyperplaneVertex, ...] = ()
     edges: tuple[Edge, ...] = ()
     ints: list | None = dc_field(default=None, compare=False, repr=False)
+    heights: dict[frozenset[int], int] = dc_field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def nodes(self) -> tuple[list, list, list, list, list]:

@@ -1391,6 +1391,57 @@ def test_blocks_of_one_kind_share_their_eliminations(monkeypatch):
     assert verify(again, res).passed
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(101), QQ], ids=["gf2", "gf101", "qq"])
+def test_the_poset_is_derived_once_per_matrix_and_matching(field, monkeypatch):
+    # the solve records its poset's h on A's graph and the chain check reads
+    # it for the witness's matching; a second parse of A holds no record, so
+    # its verify derives h once, and both reports print the same
+    calls, derive = [], decompose.scc_poset
+    monkeypatch.setattr(decompose, "scc_poset", lambda *args: calls.append(args) or derive(*args))
+    rng = random.Random(f"heights/{field}")
+    for _ in range(15):
+        a = random_rank1_instance(
+            rng, field, rng.randint(1, 6), rng.randint(1, 6), max_dim=3, zero_prob=0.4
+        )
+        res = dm_decompose(a)
+        first = verify(a, res)
+        assert len(calls) == 1 and a.graph.heights == {res.state.matching: res.poset.h}
+        again = verify(parse_input(serialize_input(a)), res)
+        assert len(calls) == 2
+        assert verify(a, res).passed and len(calls) == 2  # A's record still serves
+        assert first.passed and again.passed and str(first) == str(again)
+        calls.clear()
+
+
+def test_a_witness_one_edge_short_records_no_height():
+    # the witness state is built, so scc_poset runs on it; it finds C0 and
+    # Cinf meeting, the chain check fails with that reason, and the record
+    # keeps the solve's matching only
+    a = worked_example()
+    res = dm_decompose(a)
+    for k in sorted(res.state.matching):
+        short = res.state.matching - {k}
+        forged = dataclasses.replace(res, state=SimpleNamespace(matching=short))
+        check = verify(a, forged).check("chain")
+        assert not check.passed
+        assert check.detail == "C0 and Cinf intersect: the matching is not maximum"
+        assert a.graph.heights == {res.state.matching: res.poset.h}
+
+
+def test_the_height_record_is_not_compared_and_not_copied():
+    a = worked_example()
+    res = dm_decompose(a)
+    g = a.graph
+    assert g.heights == {res.state.matching: res.poset.h}
+    copy = dataclasses.replace(g)
+    assert copy.heights == {} and copy.heights is not g.heights
+    assert copy == g and hash(copy) == hash(g) and repr(copy) == repr(g)
+    copy.heights[frozenset()] = 99
+    assert copy == g and g.heights == {res.state.matching: res.poset.h}
+    with pytest.raises(ValueError):
+        dataclasses.replace(g, heights={})  # not an init field: no holder seeds it
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 12))
 def test_no_fraction_is_hashed_over_the_rationals(seed, den):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -11,7 +12,7 @@ from gen import (
 )
 
 from rank1dm import GF, QQ, HyperplaneVertex, Matrix
-from rank1dm.linalg import extended, rank1_factor, rref, span_supports
+from rank1dm.linalg import extended, rank1_factor, rank1_of, reduced, rref, span_supports
 
 
 def is_upper_triangular(m: Matrix) -> bool:
@@ -114,9 +115,10 @@ def _assert_rref_is_reference(mat):
 
 
 def _rational_entry(rng):
-    # small and large, mixed denominators, either sign
+    # small and large, mixed denominators, either sign; a carrier, so an
+    # integral value is an int (rref refuses a Fraction over 1)
     den = rng.choice([1, 1, 2, 3, 7, 12, 113, 2**61 - 1, 10**30 + 57])
-    return Fraction(rng.randint(-(10**rng.randint(0, 25)), 10**rng.randint(0, 25)), den)
+    return QQ.ratio(rng.randint(-(10**rng.randint(0, 25)), 10**rng.randint(0, 25)), den)
 
 
 def test_rref_matches_the_reference():
@@ -207,6 +209,36 @@ def test_kernel_annihilates_and_counts():
             for v in vecs:
                 prod = [Arith(field).dot(m.row_raw(i), v) for i in range(m.rows)]
                 assert all(x == field.zero_raw for x in prod)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(QQ, Fraction(3)), (QQ, True), (GF(3), True), (GF(3), 5)],
+    ids=["qq-fraction-over-1", "qq-bool", "gf3-bool", "gf3-out-of-range"],
+)
+def test_rref_and_rank1_factor_refuse_a_value_that_is_not_a_carrier(field, value):
+    # a stored value equal to a carrier but not one (a Fraction over 1, a
+    # bool) or out of range is refused, named, before any elimination
+    m = Matrix(field, 2, 2, [[0, 1], [1]], [[1, value], [1]])
+    for kernel in (rref, rank1_factor):
+        with pytest.raises(ValueError, match=f"stores {re.escape(repr(value))}, not a value of"):
+            kernel(m)
+
+
+def test_rref_and_rank1_factor_of_carriers_are_the_kernels():
+    # the carrier check changes nothing on carriers: both wrappers return
+    # what the unchecked kernels return
+    rng = random.Random(17)
+    for field in (GF(2), GF(3), GF(101), QQ):
+        for _ in range(40):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            draw = (lambda: _rational_entry(rng)) if field is QQ else (lambda: rng.randrange(field.p))
+            mat = from_dense(field, n, m, [draw() if rng.random() < 0.6 else 0 for _ in range(n * m)])
+            rows, pivots = reduced(field, [mat.row_raw(i) for i in range(n)])
+            assert rref(mat) == (Matrix.from_rows(field, rows), pivots, len(pivots))
+            assert rank1_factor(mat) == rank1_of(field, m, 0, mat.indices, mat.values)
+            rank_one = from_dense(field, n, m, [x if i < m else 0 for i, x in enumerate(dense(mat))])
+            assert rank1_factor(rank_one) == rank1_of(field, m, 0, rank_one.indices, rank_one.values)
 
 
 def test_rank1_factor_block_of_worked_example():
