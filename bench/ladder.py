@@ -27,8 +27,12 @@ freed.  The child also reports how many repeats it made (``repeats``), each
 stage's spread over them (``iqr_s``, the distance between its quartiles) and
 its peak resident set size (``peak_rss_mb``, from ``resource.getrusage``).  A
 row still running after ``BUDGET_S`` seconds is stopped and reported as
-skipped, with its budget.  The exit status is 1 when some row's ``verify``
-does not pass; time never fails a run.
+skipped, with its budget.  Before the rows, ``import_s`` is the median
+over ``IMPORTS`` fresh interpreters of the time ``import rank1dm,
+rank1dm.cli`` takes with bytecode writing off, from a copy of the package
+with no cached bytecode, as a fresh checkout has, and ``import_modules``
+the number of modules that import adds.  The exit status is 1 when some
+row's ``verify`` does not pass; time never fails a run.
 """
 
 from __future__ import annotations
@@ -39,9 +43,11 @@ import os
 import platform
 import random
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -52,7 +58,13 @@ sys.dont_write_bytecode = True  # leave no cache files in the checkout
 from workloads import balanced_zeros, block_grid, scattered_zeros  # noqa: E402
 
 BUDGET_S = 120  # per row, all repeats included
-MIN_REPEATS, MIN_REPEAT_S = 3, 1.0  # a row repeats until it has both
+MIN_REPEATS, MIN_REPEAT_S = 10, 1.0  # a row repeats until it has both
+IMPORTS = 11  # fresh interpreters that time the package's import
+IMPORT_PROBE = (
+    "import sys, time; sys.path.insert(0, sys.argv[1]); before = len(sys.modules); "
+    "t = time.perf_counter(); import rank1dm, rank1dm.cli; "
+    "print(time.perf_counter() - t, len(sys.modules) - before)"
+)
 FIELDS = {  # name -> (modulus, vector entry draw, coefficient draw)
     "gf2": (2, lambda r: r.randrange(2), lambda r: 1),
     "gf101": (101, lambda r: r.randrange(101), lambda r: r.randrange(1, 101)),
@@ -126,6 +138,19 @@ def run_row(name: str) -> dict:
             "peak_rss_mb": round(peak_mb, 1), "verify": verdict}
 
 
+def import_cost() -> dict:
+    """``import_s`` and ``import_modules``, each interpreter importing a copy of
+    ``src/rank1dm`` without its ``__pycache__`` and writing none (``-B``)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(ROOT / "src" / "rank1dm", Path(tmp) / "rank1dm",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        runs = [subprocess.run([sys.executable, "-B", "-c", IMPORT_PROBE, tmp], check=True,
+                               capture_output=True, text=True).stdout.split()
+                for _ in range(IMPORTS)]
+    return {"import_s": round(statistics.median(float(t) for t, _ in runs), 4),
+            "import_modules": int(runs[0][1])}
+
+
 def row_in_child(name: str) -> dict:
     """One row in a fresh interpreter, stopped once over its budget."""
     try:
@@ -161,12 +186,13 @@ def main() -> int:
     host = {"python": platform.python_version(), "platform": platform.platform(),
             "machine": platform.machine(), "cpus": os.cpu_count()}
     src_lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src)
-    doc = {"host": host, "src_lines": src_lines, "budget_s": BUDGET_S,
-           "min_repeats": MIN_REPEATS, "min_repeat_s": MIN_REPEAT_S,
+    doc = {"host": host, "src_lines": src_lines, **import_cost(), "imports": IMPORTS,
+           "budget_s": BUDGET_S, "min_repeats": MIN_REPEATS, "min_repeat_s": MIN_REPEAT_S,
            "rows": [row_in_child(name) for name in ROWS]}
     if args.json:
         Path(args.json).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print(f"src/rank1dm: {src_lines} lines; host: {host}\n")
+    print(f"src/rank1dm: {src_lines} lines; import: {doc['import_s']} s,"
+          f" {doc['import_modules']} modules; host: {host}\n")
     print(table(doc["rows"]))
     return int(any(row.get("verify", "PASS") != "PASS" for row in doc["rows"]))
 

@@ -16,12 +16,11 @@ requires one diagonal block per component: it certifies that chain to be maximal
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from itertools import accumulate, chain
 from operator import lt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .field import Field
 from .linalg import Matrix, _gauss_jordan, reduced
@@ -86,8 +85,7 @@ def _tarjan_scc(nodes: Sequence[int], adj: Sequence[Sequence[int]]) -> list[list
     return sccs
 
 
-@dataclass(frozen=True)
-class PosetComponent:
+class PosetComponent(NamedTuple):
     """One strongly connected component carrying matched vertices, given by them."""
 
     label: int
@@ -95,10 +93,7 @@ class PosetComponent:
     k_sigma: tuple[int, ...]
 
 
-@dataclass
-class ChainPoset:
-    """The component poset plus the boundary groups H0/K0 and Hinf/Kinf."""
-
+class _Poset(NamedTuple):
     state: IndependentMatchingState
     c0: frozenset[int]
     cinf: frozenset[int]
@@ -108,6 +103,11 @@ class ChainPoset:
     k0: tuple[int, ...]
     hinf: tuple[int, ...]
     kinf: tuple[int, ...]
+
+
+class ChainPoset(_Poset):
+    """The component poset plus the boundary groups H0/K0 and Hinf/Kinf; a
+    subclass of its fields' NamedTuple, whose ``__dict__`` caches ``adapted_bases``."""
 
     @property
     def h(self) -> int:
@@ -226,8 +226,7 @@ def scc_poset(
     )
 
 
-@dataclass(frozen=True)
-class StableSubspace:
+class StableSubspace(NamedTuple):
     """Block-respecting subspace pair given by per-block column bases."""
 
     x_bases: tuple[tuple[tuple, ...], ...]
@@ -272,8 +271,7 @@ def maximal_chain(poset: ChainPoset, g: StabilityGraph) -> list[StableSubspace]:
     ]
 
 
-@dataclass(frozen=True)
-class BasisEntry:
+class BasisEntry(NamedTuple):
     """One basis vector of a block: a matched vertex's normal or a
     completion vector, with its dual.
 
@@ -362,8 +360,7 @@ def _group_sizes(entries: list[BasisEntry], count: int) -> list[int]:
     return sizes
 
 
-@dataclass
-class BasisAssembly:
+class BasisAssembly(NamedTuple):
     """Basis entries in chain order and the matrices E and F of their duals."""
 
     h_entries: list[BasisEntry]
@@ -394,8 +391,7 @@ def build_bases(
     )
 
 
-@dataclass
-class DMResult:
+class DMResult(NamedTuple):
     """Everything the decomposition produces."""
 
     row_blocks: tuple[int, ...]
@@ -457,15 +453,13 @@ def _chain_dims(diag_blocks: Sequence[tuple[int, int]], m: int) -> list[tuple[in
     return [(i, m - j) for i, j in zip(rows, cols)]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: list[CheckResult]
 
     @property

@@ -15,7 +15,6 @@ A vector (a normal, a dual or a basis vector) is a tuple of raw carriers.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import chain, compress, zip_longest
 from math import gcd
 from typing import Any, NamedTuple, Sequence
@@ -233,8 +232,7 @@ def extended(p: int, rows: Sequence[tuple], vec: Sequence[int]) -> tuple | None:
     return pc, vec
 
 
-@dataclass(frozen=True)
-class Rank1Factor:
+class Rank1Factor(NamedTuple):
     """Verdict on a single block: rank 0, rank 1 with its factorization
     block = coeff * u^T v (u, v monic tuples, coeff a raw value), or rank >= 2,
     and ``ints`` = (n, d, u', v'), block = n/d u'^T v' on ints: (coeff, 1, u, v)
@@ -244,7 +242,7 @@ class Rank1Factor:
     u: tuple | None = None
     v: tuple | None = None
     coeff: Any = None
-    ints: tuple | None = field(default=None, compare=False, repr=False)
+    ints: tuple | None = None
 
 
 def rank1_factor(m: Matrix) -> Rank1Factor:

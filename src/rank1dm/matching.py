@@ -21,7 +21,7 @@ which every round and later state, the verifier's witness included, reads.
 
 from __future__ import annotations
 
-import logging
+import sys
 from collections import deque
 from collections.abc import KeysView
 from itertools import chain
@@ -29,7 +29,6 @@ from itertools import chain
 from .linalg import extended, span_supports
 from .partmat import StabilityGraph
 
-_log = logging.getLogger("rank1dm")
 _ROUND = "augmentation %d: matching of size %d"
 
 
@@ -233,12 +232,15 @@ def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
     rounds, which flip one edge each, in one pass, and the search goes on
     from there.  Every round, those included, emits a DEBUG record on the
     ``rank1dm`` logger whose ``matching`` attribute holds the new
-    matching's edge indices; round n's matching has n edges.
+    matching's edge indices; round n's matching has n edges.  ``logging`` is
+    looked up when the run starts: before it is loaded no handler exists, so
+    no record is built.
     """
     state = IndependentMatchingState(g)
     picks = state._grow()
-    for n in range(1, len(picks) + 1) if _log.isEnabledFor(logging.DEBUG) else ():
-        _log.debug(_ROUND, n, n, extra={"matching": frozenset(picks[:n])})
+    log = (logging := sys.modules.get("logging")) and logging.getLogger("rank1dm")
+    for n in range(1, len(picks) + 1) if log and log.isEnabledFor(logging.DEBUG) else ():
+        log.debug(_ROUND, n, n, extra={"matching": frozenset(picks[:n])})
     while True:
         parent, node = _search(state, state.sources, state.sinks)
         if node is None:
@@ -249,4 +251,5 @@ def max_independent_matching(g: StabilityGraph) -> IndependentMatchingState:
             if edge is not None:
                 path.add(edge)
         state.flip(path)
-        _log.debug(_ROUND, state.size, state.size, extra={"matching": state.matching})
+        if log:
+            log.debug(_ROUND, state.size, state.size, extra={"matching": state.matching})

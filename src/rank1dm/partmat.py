@@ -17,7 +17,6 @@ contributes one edge joining its pair of vertices.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from itertools import accumulate, pairwise, product
 from math import lcm
@@ -37,17 +36,34 @@ class RankConditionViolated(ValueError):
         super().__init__(f"blocks of rank >= 2 at {pretty}")
 
 
-@dataclass(frozen=True)
-class PartitionedMatrix:
-    """A matrix with block structure (n_1 .. n_mu ; m_1 .. m_nu)."""
+class _Derives:
+    """Mixin, listed first, for a NamedTuple subclass that derives what its
+    fields determine into its ``__dict__``: no attribute is assigned after
+    ``__new__``, and ``_replace`` builds its copy through the constructor."""
 
+    __slots__ = ()
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class _Partition(NamedTuple):
     matrix: Matrix
     row_blocks: tuple[int, ...]
     col_blocks: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "row_blocks", tuple(self.row_blocks))
-        object.__setattr__(self, "col_blocks", tuple(self.col_blocks))
+
+class PartitionedMatrix(_Derives, _Partition):
+    """A matrix with block structure (n_1 .. n_mu ; m_1 .. m_nu)."""
+
+    def __new__(cls, matrix: Matrix, row_blocks, col_blocks):
+        self = super().__new__(cls, matrix, tuple(row_blocks), tuple(col_blocks))
         if not self.row_blocks or not self.col_blocks:
             raise ValueError("at least one block per side is required")
         # a bool or a float compares like an int, yet it is not a block size
@@ -57,6 +73,7 @@ class PartitionedMatrix:
             raise ValueError("row block sizes do not sum to the row count")
         if sum(self.col_blocks) != self.matrix.cols:
             raise ValueError("column block sizes do not sum to the column count")
+        return self
 
     @property
     def field(self) -> Field:
@@ -222,25 +239,30 @@ class Edge(NamedTuple):
     sigma: int
 
 
-@dataclass(frozen=True)
-class StabilityGraph:
+class _Graph(NamedTuple):
+    field: Field
+    row_blocks: tuple[int, ...]
+    col_blocks: tuple[int, ...]
+    pi: tuple[HyperplaneVertex, ...]
+    sigma: tuple[HyperplaneVertex, ...]
+    edges: tuple[Edge, ...]
+
+
+class StabilityGraph(_Derives, _Graph):
     """Bipartite graph on the row-side and column-side hyperplane vertices.
 
     Vertices are listed in the canonical order (block index, then
     colexicographic order of the monic normal); edges follow the row-major
     block order of their source blocks.  Frozen, on tuples: no holder changes what it
     compares.  ``ints``, the normals on ints (pi, then sigma) from A's factors, spares
-    ``nodes``; ``heights`` maps a matching to its poset's h, once derived (empty on ``replace``)."""
+    ``nodes``; ``heights`` maps a matching to its poset's h, once derived.  Neither is
+    compared, hashed or printed, and each graph, a ``_replace`` copy too, starts its own."""
 
-    field: Field
-    row_blocks: tuple[int, ...]
-    col_blocks: tuple[int, ...]
-    pi: tuple[HyperplaneVertex, ...] = ()
-    sigma: tuple[HyperplaneVertex, ...] = ()
-    edges: tuple[Edge, ...] = ()
-    ints: list | None = dc_field(default=None, compare=False, repr=False)
-    heights: dict[frozenset[int], int] = dc_field(
-        default_factory=dict, init=False, compare=False, repr=False)
+    def __new__(cls, field: Field, row_blocks, col_blocks, pi=(), sigma=(), edges=(),
+                ints: list | None = None):
+        self = super().__new__(cls, field, row_blocks, col_blocks, pi, sigma, edges)
+        self.__dict__.update(ints=ints, heights={})
+        return self
 
     @cached_property
     def nodes(self) -> tuple[list, list, list, list, list]:

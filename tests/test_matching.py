@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 import operator
 import random
@@ -620,7 +619,7 @@ def test_matching_clears_the_normals_once(field, monkeypatch):
     monkeypatch.setattr(type(field), "cleared", counted)
     state = max_independent_matching(g)
     assert state.size > 0 and calls == []
-    bare = dataclasses.replace(g, ints=None)
+    bare = StabilityGraph(*g, ints=None)
     assert bare == g and max_independent_matching(bare).matching == state.matching
     assert calls == [g.n_pi + g.n_sigma]
 

@@ -74,6 +74,18 @@ def test_partition_validation():
         for rows, cols in ((sizes, (mat.cols,)), ((mat.rows,), sizes)):
             with pytest.raises(ValueError, match="positive ints"):
                 PartitionedMatrix(mat, rows, cols)
+    # a copy is built by the constructor, so it is validated too, and no
+    # field or derived value is assigned after it
+    a = PartitionedMatrix(m, [1, 1], (2,))
+    assert a.row_blocks == (1, 1) and a._replace() == a
+    with pytest.raises(ValueError, match="positive ints"):
+        a._replace(col_blocks=(1.0, 1.0))
+    for name in ("matrix", "row_blocks", "factors", "graph"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a.graph is a.graph  # cached, and not deleted
+    with pytest.raises(AttributeError):
+        del a.graph
 
 
 def test_rank1_condition_worked_example(example):
